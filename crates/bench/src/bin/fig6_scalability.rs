@@ -8,7 +8,13 @@
 //! database grows. With `--index` the pivot-partitioned tier
 //! (`ExperimentOutcome::build_index`) is timed alongside, so the figure
 //! can plot flat vs indexed serving latency from the same run — indexed
-//! results are asserted identical to the flat engine's before timing.
+//! results are asserted identical to the flat engine's before timing —
+//! and each row reports its measured `ProbeStats` (prune rate, cells
+//! probed per query). A `fusion-dist` row also indexes the *same
+//! encoder's* `lh-cosh` store (its Euclidean and hyperbolic rows without
+//! the factors) and reports that prune rate beside its own: the pair is
+//! what the learned triangle-inequality violations forfeit at serving
+//! time, measured on trained embeddings.
 //!
 //! Usage: `cargo run --release -p lh-bench --bin fig6_scalability
 //!        [--n 200] [--epochs 25] [--seed 42] [--shard-rows 8192]
@@ -17,9 +23,10 @@
 use lh_bench::printer::write_artifact;
 use lh_bench::{default_spec, print_header, Args, Table};
 use lh_core::config::PluginVariant;
+use lh_core::distance::alpha_f32;
 use lh_core::pipeline::run_experiment;
 use lh_core::retrieval::DEFAULT_SHARD_ROWS;
-use lh_core::{IndexParams, ShardedStore};
+use lh_core::{EmbeddingStore, IndexParams, IndexedStore, ShardedStore};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -31,6 +38,47 @@ struct FracPoint {
     knn_query_seconds: f64,
     /// Indexed-tier serving latency; present only under `--index`.
     indexed_query_seconds: Option<f64>,
+    /// Measured share of rows the index skipped (`--index`).
+    index_prune_rate: Option<f64>,
+    /// Mean cells probed per query, of `index_cells` (`--index`).
+    index_cells_probed_per_query: Option<f64>,
+    index_cells: Option<usize>,
+    /// Prune rate of the same encoder's `lh-cosh` store (`--index`,
+    /// `fusion-dist` rows only).
+    lorentz_view_prune_rate: Option<f64>,
+    /// `[min, median, max]` of the fusion ratio α̃ over every
+    /// (query, database) pair (`--index`, `fusion-dist` rows only): how
+    /// far the blend sits from either component, which is what decides
+    /// how loose `min(d_Lo, d_Eu)` is as its lower bound.
+    alpha_spread: Option<[f32; 3]>,
+}
+
+/// `[min, median, max]` of `alpha_f32` over all (query, database) pairs.
+fn alpha_spread(db: &EmbeddingStore, queries: &EmbeddingStore) -> [f32; 3] {
+    let f = db.factor_dim().expect("fused store has factors");
+    let mut alphas: Vec<f32> = (0..queries.len())
+        .flat_map(|qi| (0..db.len()).map(move |di| (qi, di)))
+        .map(|(qi, di)| {
+            let (q, x) = (queries.factor_row(qi), db.factor_row(di));
+            alpha_f32(&q[..f], &x[..f], &q[f..], &x[f..])
+        })
+        .collect();
+    alphas.sort_unstable_by(f32::total_cmp);
+    [
+        alphas[0],
+        alphas[alphas.len() / 2],
+        alphas[alphas.len() - 1],
+    ]
+}
+
+/// The `lh-cosh` store of a fused store's encoder: the same Euclidean and
+/// hyperbolic rows without the factor rows, served by the Lorentz kernel.
+fn lorentz_view(fused: &EmbeddingStore) -> EmbeddingStore {
+    let mut out = EmbeddingStore::new(fused.dim(), PluginVariant::LorentzCosh, fused.beta(), None);
+    for i in 0..fused.len() {
+        out.push(fused.eu_row(i), Some(fused.hyper_row(i)), None);
+    }
+    out
 }
 
 fn main() {
@@ -46,7 +94,13 @@ fn main() {
 
     let mut headers = vec!["fraction", "plugin", "HR@10", "HR@50", "knn@10/query"];
     if with_index {
-        headers.push("indexed@10/query");
+        headers.extend([
+            "indexed@10/query",
+            "prune",
+            "cells probed",
+            "lh-cosh view prune",
+            "α̃ min/med/max",
+        ]);
     }
     let mut table = Table::new(&headers);
     let mut points = Vec::new();
@@ -63,6 +117,19 @@ fn main() {
             // Serving cost at this scale through the sharded engine,
             // reusing the stores the experiment already embedded.
             let index = with_index.then(|| out.build_index(IndexParams::default()));
+            // The same encoder's lh-cosh store, indexed and checked the
+            // same way: its prune rate is the metric reference for the
+            // fused row's.
+            let lorentz_view_prune_rate = (with_index && variant.uses_fusion()).then(|| {
+                let (db, q) = (lorentz_view(&out.db_store), lorentz_view(&out.q_store));
+                let ix = IndexedStore::build(db.clone(), IndexParams::default());
+                let (hits, stats) = ix.knn_batch_with_stats(&q, 10);
+                let flat: Vec<_> = (0..q.len()).map(|qi| db.knn(&q, qi, 10)).collect();
+                assert_eq!(flat, hits, "lh-cosh view: indexed top-10 diverged");
+                stats.prune_rate()
+            });
+            let alpha_spread = (with_index && variant.uses_fusion())
+                .then(|| alpha_spread(&out.db_store, &out.q_store));
             let q_store = out.q_store;
             let sharded = ShardedStore::new(out.db_store, shard_rows);
             let flat_hits = sharded.knn_batch(&q_store, 10); // warm-up
@@ -74,12 +141,14 @@ fn main() {
             let knn_query_seconds =
                 start.elapsed().as_secs_f64() / (REPS * q_store.len().max(1)) as f64;
 
-            let indexed_query_seconds = index.map(|ix| {
-                // Full probe budget ⇒ identical to the flat engine even
-                // for the non-metric fused variant.
+            let indexed = index.map(|ix| {
+                // No probe budget ⇒ identical to the flat engine for
+                // every variant, the fused one through its convex-mix
+                // bound.
+                let (hits, stats) = ix.knn_batch_with_stats(&q_store, 10);
                 assert_eq!(
                     flat_hits,
-                    ix.knn_batch(&q_store, 10),
+                    hits,
                     "{}: indexed top-10 diverged from the flat engine",
                     variant.name()
                 );
@@ -87,7 +156,8 @@ fn main() {
                 for _ in 0..REPS {
                     std::hint::black_box(ix.knn_batch(&q_store, 10));
                 }
-                start.elapsed().as_secs_f64() / (REPS * q_store.len().max(1)) as f64
+                let seconds = start.elapsed().as_secs_f64() / (REPS * q_store.len().max(1)) as f64;
+                (seconds, stats, ix.num_cells())
             });
 
             let mut row = vec![
@@ -97,8 +167,16 @@ fn main() {
                 format!("{:.3}", out.eval.hr50),
                 format!("{:.1} µs", knn_query_seconds * 1e6),
             ];
-            if let Some(ix_s) = indexed_query_seconds {
+            if let Some((ix_s, stats, cells)) = &indexed {
                 row.push(format!("{:.1} µs", ix_s * 1e6));
+                row.push(format!("{:.1}%", stats.prune_rate() * 100.0));
+                row.push(format!("{:.1}/{cells}", stats.cells_probed_per_query()));
+                row.push(
+                    lorentz_view_prune_rate.map_or("-".into(), |p| format!("{:.1}%", p * 100.0)),
+                );
+                row.push(alpha_spread.map_or("-".into(), |[lo, med, hi]| {
+                    format!("{lo:.3}/{med:.3}/{hi:.3}")
+                }));
             }
             table.row(row);
             points.push(FracPoint {
@@ -107,7 +185,12 @@ fn main() {
                 hr10: out.eval.hr10,
                 hr50: out.eval.hr50,
                 knn_query_seconds,
-                indexed_query_seconds,
+                indexed_query_seconds: indexed.map(|i| i.0),
+                index_prune_rate: indexed.map(|i| i.1.prune_rate()),
+                index_cells_probed_per_query: indexed.map(|i| i.1.cells_probed_per_query()),
+                index_cells: indexed.map(|i| i.2),
+                lorentz_view_prune_rate,
+                alpha_spread,
             });
             eprintln!("[fig6] fraction {frac} / {} done", variant.name());
         }

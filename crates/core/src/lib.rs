@@ -16,9 +16,9 @@
 //! 5. [`retrieval`] stores embeddings compactly and answers top-k queries
 //!    with the O(d) fused distance — a sharded, kernel-generic query
 //!    engine with a batched parallel `knn_batch` API, plus a
-//!    pivot-partitioned index tier (`IndexedStore`) that serves metric
-//!    variants sub-linearly with exact triangle-inequality pruning and
-//!    the non-metric fused distance with a probe budget;
+//!    pivot-partitioned index tier (`IndexedStore`) that serves every
+//!    variant sub-linearly and exactly: metric ones by triangle-inequality
+//!    pruning, the fused distance by its convex-mix bound;
 //! 6. [`pipeline`] drives complete experiments (data → ground truth →
 //!    train → evaluate) and is what the bench binaries call.
 //!

@@ -109,10 +109,10 @@ pub struct ExperimentOutcome {
 
 impl ExperimentOutcome {
     /// Builds the serving-tier ANN index over this outcome's database
-    /// store (cloned — the outcome keeps its copy for evaluation). Metric
-    /// variants get exact sub-linear serving; the fused variant is served
-    /// best-effort under a probe budget (see
-    /// [`IndexedStore::with_probe_budget`]).
+    /// store (cloned — the outcome keeps its copy for evaluation). Every
+    /// variant gets exact sub-linear serving: the metric ones through
+    /// triangle bounds, the fused one through the convex-mix bound its
+    /// softplus-positive factors certify.
     pub fn build_index(&self, params: IndexParams) -> IndexedStore {
         IndexedStore::build(self.db_store.clone(), params)
     }
@@ -300,13 +300,14 @@ mod tests {
         let out = run_experiment(&tiny_spec());
         let ix = out.build_index(IndexParams::default());
         assert!(
-            !ix.is_exact(),
-            "paper-default plugin is fused, hence non-metric"
+            ix.is_exact() && ix.bound_space().prunes() && !ix.bound_space().is_metric(),
+            "paper-default plugin is fused: not a metric, still exactly \
+             prunable through the convex-mix bound, got {:?}",
+            ix.bound_space()
         );
         for qi in 0..out.q_store.len().min(3) {
             let flat = out.db_store.knn(&out.q_store, qi, 10);
             let indexed = ix.knn(&out.q_store, qi, 10);
-            // Full probe budget ⇒ complete coverage even for fused.
             assert_eq!(flat, indexed, "qi={qi}");
         }
     }

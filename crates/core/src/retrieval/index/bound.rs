@@ -1,9 +1,12 @@
-//! Pruning spaces: which plugin distances admit exact triangle bounds.
+//! Pruning spaces: which plugin distances admit exact pivot bounds, and
+//! in what form.
 //!
 //! The index prunes a candidate `x` when a lower bound on `d(q,x)` built
-//! from centroid distances already exceeds the current k-th best. That
-//! bound is the triangle inequality, so it needs a *metric* — and the
-//! paper's whole point is that not every variant has one:
+//! from centroid distances already exceeds the current k-th best. For a
+//! *metric* that bound is the triangle inequality; for the fused distance
+//! — which exists to escape the triangle inequality — it is derived in
+//! the measure's own form instead (the move of Schubert's cosine triangle
+//! inequality, arXiv:2107.04071):
 //!
 //! * **Euclidean** (`original`): the raw kernel distance is a metric.
 //!   Bounds are computed directly on raw values.
@@ -16,25 +19,105 @@
 //!   top-k order is unchanged and all bound arithmetic can happen in
 //!   θ-space. This assumes rows lie on the hyperboloid `H(β)`, which the
 //!   projection guarantees for every store the models emit.
-//! * **Fused** (`fusion-dist`): the per-pair fusion ratio α makes the
-//!   distance non-metric with no monotone repair (Table I of the paper
-//!   measures exactly these violations), so [`BoundSpace::None`] — the
-//!   index serves it with a probe budget instead of exact pruning.
+//! * **Fused** (`fusion-dist`): `d = α·d_Lo + (1−α)·d_Eu` with a per-pair
+//!   ratio `α` is not a metric and has no monotone repair (Table I of the
+//!   paper measures exactly these violations). But the factors are
+//!   softplus outputs, so `α ∈ [0, 1]`, the blend is *convex*, and
+//!   `d(q,x) ≥ min(d_Lo(q,x), d_Eu(q,x))` — and each component has an
+//!   admissible pivot bound in one of the two spaces above. That is
+//!   [`BoundSpace::ConvexMix`]; see the next section for the proof on
+//!   computed values and for what is checked at run time.
+//!   [`BoundSpace::None`] remains for a fused store whose contents do not
+//!   certify `α ∈ [0, 1]`: no bound, served by a flat scan.
 //!
-//! Exactness under floating point: kernel distances are f32 with bounded
-//! rounding error, so every prune decision pads its threshold with
-//! [`BoundSpace::slack`] — a conservative bound on the accumulated error
-//! of the three distances entering one triangle-inequality application.
-//! A slack-padded prune can only *keep* a candidate the infinite-precision
-//! bound would have dropped, never drop one the flat scan would return,
-//! so indexed results stay bit-identical to the flat scan while the lost
-//! prune rate is a few ulps' worth.
+//! # Admissibility of the convex-mix bound on computed `f32` values
+//!
+//! Write `ε = f32::EPSILON`, `u = ε/2` (one rounding), `l = d̃_Lo(q,x)`,
+//! `e = d̃_Eu(q,x)` for the *computed* component distances
+//! (`lorentz_f32`, `euclidean_f32`), `α̃` for the computed `alpha_f32` and
+//! `d̃ = fl(fl(α̃·l) + fl(γ·e))`, `γ = fl(1 − α̃)`, for the computed
+//! `fused_f32` — the value the flat scan ranks.
+//!
+//! **What is checked** ([`BoundSpace::for_store`] on every build and
+//! decode — never read from a payload — and `mix_certifies_query` on
+//! every call):
+//! (C1) every stored and query factor lies in `[0, mix_factor_cap(f)]`;
+//! (C2) every *finite* stored coordinate, and every query coordinate, has
+//! magnitude at most [`mix_coord_cap`]`(dim)`; and β is finite and
+//! positive, so `θ`'s map exists. (That rows lie on `H(β)` is assumed, as
+//! in the Lorentz space above.)
+//!
+//! **α̃ ∈ [0, 1].** By (C1) every factor product is a finite non-negative
+//! number at most `MAX/4f`, so the two dot products `lo`, `eu` are
+//! finite and `≥ 0`, and `s = fl(lo + eu)` is finite. Rounding is
+//! monotone, hence `s ≥ lo`, the divisor `max(s, MIN_POSITIVE)` is a
+//! positive finite number `≥ lo`, the real quotient lies in `[0, 1]`, and
+//! so does its rounding. Then `γ ∈ [0, 1]` too, and
+//! `γ = (1 − α̃)(1 + δ)` with `|δ| ≤ u` gives `α̃ + γ ∈ [1 − u, 1 + u]`:
+//! the rounded weights are a convex combination up to one rounding.
+//!
+//! **Convexity of the rounded blend.** Suppose `l` and `e` are finite and
+//! let `m = min(l, e)`; `η = 2⁻¹⁵⁰` bounds the absolute error of a
+//! product that underflows (sums of `f32` values never underflow).
+//! If `m ≥ 0`: `fl(α̃·l) ≥ α̃·m(1 − u) − η` and `fl(γ·e) ≥ γ·m(1 − u) − η`,
+//! both `≥ 0`, so `d̃ ≥ (α̃ + γ)·m(1 − u)² − 2η ≥ m(1 − u)³ − 2η`.
+//! If `m < 0` then `m = l` (`e` is a square root), `fl(γ·e) ≥ 0` and
+//! `fl(α̃·l) ≥ l(1 + u) − η` because `α̃ ≤ 1`, so `d̃ ≥ l(1 + u)² − 2η`.
+//! Either way `d̃ ≥ m − 3u·|m| − 2η`: the inequality
+//! `d ≥ min(d_Lo, d_Eu)` survives rounding up to three roundings.
+//!
+//! **The padding `τ′`.** With `τ` the k-th best computed fused distance,
+//! `mix_tau` is `τ′ = τ + 4ε·|τ| + MIN_POSITIVE`. The constant is the
+//! three roundings above (`3u = 1.5ε`) rounded up to `4ε` with room for
+//! the `f64` arithmetic that evaluates `τ′` itself, and `MIN_POSITIVE =
+//! 2⁻¹²⁶` covers `2η`. If `m > τ′` then, in both sign cases,
+//! `d̃ > τ` *strictly* — so the flat scan would not have ranked `x` ahead
+//! of the current k-th best, ties included.
+//!
+//! **Why both components must certify.** The bound is on `min(l, e)`:
+//! the blend can sit arbitrarily close to either component (`α̃ = 0` or
+//! `1` are reachable — a softplus output underflows to `0`), so `x` is
+//! skipped only if the Euclidean test certifies `e > τ′` *and* the
+//! geodesic test certifies `l > τ′`. Each is the existing single-space
+//! test — `|p(q,c) − p(c,x)| > p(τ′) + slack` with that space's own `map`
+//! and [`BoundSpace::slack`] — against the centroid's `eu` / `hyper` row;
+//! `θ`'s map is monotone, so `θ̃(q,x) > map(τ′)` gives `l > τ′`, and a
+//! negative `τ′` maps to `0`, where certifying `θ̃ > 0` is still enough.
+//!
+//! **Why non-finite stored distances fail open.** The convexity step
+//! needs `l` and `e` finite: `0·∞` inside the blend is a NaN (on x86 the
+//! *negative* default NaN, which `total_cmp` ranks first), so a row with
+//! an overflowed or NaN component can be the flat scan's best hit while
+//! both triangle gaps read "far". A non-finite coordinate of `x` makes
+//! the stored distance of that component non-finite (a difference or
+//! product with it is `±∞` or NaN, and no later term of the sum makes it
+//! finite again), so the mix tests certify only on *finite* gaps and a
+//! cell is skipped only if both its radii are finite
+//! (`mix_radius` is NaN as soon as one member's distance is not).
+//! For a row that passes, all coordinates are finite, (C2) bounds them
+//! and the query's, every square is at most `4·cap²` and every product at
+//! most `cap²`, and a sum of `dim + 1` of them stays below `MAX/2`: `l`
+//! and `e` are finite, as the convexity step assumed.
+//!
+//! A store or query that fails (C1)/(C2) is not approximated: it is
+//! served by the storage-order flat scan, bit-identical and unpruned.
+//!
+//! # Exactness under floating point (single-space tests)
+//!
+//! Kernel distances are f32 with bounded rounding error, so every prune
+//! decision pads its threshold with [`BoundSpace::slack`] — a
+//! conservative bound on the accumulated error of the three distances
+//! entering one triangle-inequality application. A slack-padded prune
+//! can only *keep* a candidate the infinite-precision bound would have
+//! dropped, never drop one the flat scan would return, so indexed results
+//! stay bit-identical to the flat scan while the lost prune rate is a few
+//! ulps' worth.
 
+use super::super::store::EmbeddingStore;
 use crate::config::PluginVariant;
 
-/// The space in which triangle-inequality bounds are evaluated for one
-/// plugin variant, or [`BoundSpace::None`] when the variant's distance
-/// admits no exact bound.
+/// The space in which pivot bounds are evaluated for one store, or
+/// [`BoundSpace::None`] when its distance admits no exact bound.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BoundSpace {
     /// Raw kernel distance is itself a metric.
@@ -44,35 +127,192 @@ pub enum BoundSpace {
         /// Curvature parameter of `H(β)`.
         beta: f64,
     },
-    /// Non-metric distance: no admissible bound, probe-budget serving only.
+    /// Certified fused store: `d ≥ min(d_Lo, d_Eu)`, each component
+    /// bounded in its own space ([`BoundSpace::LorentzGeodesic`] with this
+    /// `beta`, [`BoundSpace::Euclidean`]); a row is skipped only when both
+    /// certify it out. See the module docs.
+    ConvexMix {
+        /// Curvature parameter of the Lorentz component's `H(β)`.
+        beta: f64,
+    },
+    /// Fused store whose contents do not certify `α ∈ [0, 1]`: no
+    /// admissible bound, flat-scan (or probe-budget) serving only.
     None,
 }
 
+/// Largest factor value a [`BoundSpace::ConvexMix`] store or query may
+/// hold: `f` products of two such values, and the sum of two such dot
+/// products, stay below `f32::MAX` with a factor 2 to spare for rounding.
+pub fn mix_factor_cap(factor_dim: usize) -> f32 {
+    (f32::MAX as f64 / (4.0 * factor_dim.max(1) as f64)).sqrt() as f32
+}
+
+/// Largest coordinate magnitude the convex-mix proof covers: `dim + 1`
+/// squared differences (or products) of such values sum to less than
+/// `f32::MAX / 2`, so neither component kernel can overflow.
+pub fn mix_coord_cap(dim: usize) -> f32 {
+    (f32::MAX as f64 / (8.0 * (dim + 1) as f64)).sqrt() as f32
+}
+
+/// Checks (C1)/(C2) of the module docs on a whole fused store. A NaN or
+/// `±∞` *coordinate* is tolerated — that row's stored pivot distances
+/// are non-finite and fail open one by one — a bad factor is not.
+fn mix_certifies_store(store: &EmbeddingStore) -> bool {
+    let Some(f) = store.factor_dim else {
+        return false;
+    };
+    let (factor_cap, coord_cap) = (mix_factor_cap(f), mix_coord_cap(store.dim));
+    let mut coords = store.eu.iter().chain(&store.hyper);
+    store.beta.is_finite()
+        && store.beta > 0.0
+        && store.factors.iter().all(|v| (0.0..=factor_cap).contains(v))
+        && coords.all(|v| !v.is_finite() || v.abs() <= coord_cap)
+}
+
+/// Checks (C1)/(C2) on query row `qi`: factors in `[0, cap]`, every
+/// coordinate finite and within the cap. Runs on every call against a
+/// [`BoundSpace::ConvexMix`] index; a query that fails is served by the
+/// flat scan.
+pub(crate) fn mix_certifies_query(queries: &EmbeddingStore, qi: usize) -> bool {
+    let Some(f) = queries.factor_dim else {
+        return false;
+    };
+    let (factor_cap, coord_cap) = (mix_factor_cap(f), mix_coord_cap(queries.dim));
+    let mut coords = queries.eu_row(qi).iter().chain(queries.hyper_row(qi));
+    queries
+        .factor_row(qi)
+        .iter()
+        .all(|v| (0.0..=factor_cap).contains(v))
+        && coords.all(|v| v.abs() <= coord_cap)
+}
+
+/// `τ′`: the k-th best fused distance padded for the roundings of the
+/// `f32` blend (module docs, "The padding `τ′`"). NaN and `+∞` pass
+/// through, so an unfilled or poisoned heap prunes nothing.
+#[inline]
+pub(crate) fn mix_tau(tau: f64) -> f64 {
+    tau + 4.0 * f32::EPSILON as f64 * tau.abs() + f32::MIN_POSITIVE as f64
+}
+
+/// Radius of a mix-space cell in one component: the largest member
+/// distance, or NaN as soon as one is not finite — such a member can
+/// rank anywhere (module docs), so its cell must never be skipped whole.
+pub(crate) fn mix_radius(dcx: &[f64]) -> f64 {
+    if dcx.iter().all(|d| d.is_finite()) {
+        dcx.iter().copied().fold(0.0, f64::max)
+    } else {
+        f64::NAN
+    }
+}
+
+/// The two single-space tests of a [`BoundSpace::ConvexMix`] probe.
+/// Pairs are always `(Euclidean, geodesic)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MixBound {
+    lo: BoundSpace,
+    dim: usize,
+}
+
+/// The slack-padded images of `τ′` one cell's rows are tested against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct MixThresholds {
+    eu: f64,
+    lo: f64,
+}
+
+impl MixBound {
+    pub(crate) fn new(beta: f64, dim: usize) -> Self {
+        MixBound {
+            lo: BoundSpace::LorentzGeodesic { beta },
+            dim,
+        }
+    }
+
+    /// Geodesic image `θ` of a raw Lorentz kernel distance.
+    #[inline]
+    pub(crate) fn theta(&self, raw: f64) -> f64 {
+        self.lo.map(raw)
+    }
+
+    /// `(τ′, θ(τ′))` for the k-th best fused distance `tau` (`+∞` while
+    /// the heap is filling — nothing exceeds it).
+    #[inline]
+    pub(crate) fn tau(&self, tau: f64) -> (f64, f64) {
+        let padded = mix_tau(tau);
+        (padded, self.lo.map(padded))
+    }
+
+    /// Thresholds for the cell at query distances `pq` with radii
+    /// `radius`. A NaN anywhere makes that threshold NaN, which
+    /// certifies nothing.
+    #[inline]
+    pub(crate) fn thresholds(
+        &self,
+        tau: (f64, f64),
+        pq: (f64, f64),
+        radius: (f64, f64),
+    ) -> MixThresholds {
+        MixThresholds {
+            eu: tau.0 + BoundSpace::Euclidean.slack(self.dim, pq.0, radius.0, tau.0.abs()),
+            lo: tau.1 + self.lo.slack(self.dim, pq.1, radius.1, tau.1),
+        }
+    }
+}
+
+impl MixThresholds {
+    /// Whether *both* component gaps certify `min(d_Lo, d_Eu) > τ′`.
+    /// Gaps are `|p(q,c) − p(c,x)|` for a member and `p(q,c) − r` for a
+    /// whole cell; a non-finite gap (NaN or `±∞` stored distance, radius
+    /// or query distance) never certifies.
+    #[inline]
+    pub(crate) fn certify(&self, gap_eu: f64, gap_lo: f64) -> bool {
+        gap_eu > self.eu && gap_eu < f64::INFINITY && gap_lo > self.lo && gap_lo < f64::INFINITY
+    }
+}
+
 impl BoundSpace {
-    /// The bound space of a plugin variant.
-    pub fn for_variant(variant: PluginVariant, beta: f32) -> Self {
-        match variant {
+    /// The bound space of a store: fixed by the variant for the metric
+    /// ones, decided from the *contents* for `fusion-dist` — a caller
+    /// never chooses it, and a decoder never reads it from a payload.
+    pub fn for_store(store: &EmbeddingStore) -> Self {
+        let beta = store.beta() as f64;
+        match store.variant() {
             PluginVariant::Original => BoundSpace::Euclidean,
             PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
-                BoundSpace::LorentzGeodesic { beta: beta as f64 }
+                BoundSpace::LorentzGeodesic { beta }
+            }
+            PluginVariant::FusionDist if mix_certifies_store(store) => {
+                BoundSpace::ConvexMix { beta }
             }
             PluginVariant::FusionDist => BoundSpace::None,
         }
     }
 
-    /// Whether exact triangle-inequality pruning is available.
+    /// Whether the space itself is a metric (single triangle-inequality
+    /// bound, landmark block).
     pub fn is_metric(&self) -> bool {
+        matches!(
+            self,
+            BoundSpace::Euclidean | BoundSpace::LorentzGeodesic { .. }
+        )
+    }
+
+    /// Whether an index in this space can skip rows exactly: every space
+    /// but [`BoundSpace::None`].
+    pub fn prunes(&self) -> bool {
         !matches!(self, BoundSpace::None)
     }
 
     /// Maps a raw kernel distance into the bound space (strictly
     /// monotone, so raw-space top-k order is preserved). Non-finite
     /// inputs map to non-finite outputs, which every prune comparison
-    /// treats as "cannot prune".
+    /// treats as "cannot prune". [`BoundSpace::ConvexMix`] has no map of
+    /// its own (identity, like `None`): its probe maps each component
+    /// through that component's space.
     #[inline]
     pub fn map(&self, raw: f64) -> f64 {
         match *self {
-            BoundSpace::Euclidean | BoundSpace::None => raw,
+            BoundSpace::Euclidean | BoundSpace::ConvexMix { .. } | BoundSpace::None => raw,
             BoundSpace::LorentzGeodesic { beta } => {
                 // f32 rounding can push an on-hyperboloid self-distance a
                 // hair below zero; clamp so acosh stays defined. NaN
@@ -88,9 +328,11 @@ impl BoundSpace {
     }
 
     /// Relative f32-kernel rounding bound for one distance evaluation
-    /// over `dim`-wide rows: each of the ~`dim` fused multiply-adds (plus
-    /// the reduction tail) rounds at `f32::EPSILON`, padded by a safety
-    /// factor of 8 for the square root / abs tails and the f64 transform.
+    /// over `dim`-wide rows: each of the ~`dim` multiply–add steps rounds
+    /// twice at `f32::EPSILON / 2` (product and sum separately — the
+    /// kernels emit no fused multiply-adds, which the bit-identity
+    /// contract forbids), padded by a safety factor of 8 for the square
+    /// root / abs tails and the f64 transform.
     fn rel(dim: usize) -> f64 {
         (dim as f64 + 4.0) * f32::EPSILON as f64 * 8.0
     }
@@ -110,7 +352,9 @@ impl BoundSpace {
     pub fn slack(&self, dim: usize, a: f64, b: f64, c: f64) -> f64 {
         let rel = Self::rel(dim);
         match self {
-            BoundSpace::Euclidean | BoundSpace::None => rel * (a + b + c) + 1e-12,
+            BoundSpace::Euclidean | BoundSpace::ConvexMix { .. } | BoundSpace::None => {
+                rel * (a + b + c) + 1e-12
+            }
             BoundSpace::LorentzGeodesic { .. } => {
                 3.0 * 2.0 * rel.sqrt() + 2.0 * rel * (a + b + c) + 1e-12
             }
@@ -148,24 +392,155 @@ impl BoundSpace {
 mod tests {
     use super::*;
 
+    use super::super::super::store::tests::store_with_rows;
+
     #[test]
-    fn variant_mapping() {
+    fn space_is_read_off_the_store() {
         assert_eq!(
-            BoundSpace::for_variant(PluginVariant::Original, 1.0),
+            BoundSpace::for_store(&store_with_rows(PluginVariant::Original)),
             BoundSpace::Euclidean
         );
         for v in [PluginVariant::LorentzVanilla, PluginVariant::LorentzCosh] {
+            let mut s = EmbeddingStore::new(1, v, 2.0, None);
+            s.push(&[0.0], Some(&[2.0f32.sqrt(), 0.0]), None);
             assert_eq!(
-                BoundSpace::for_variant(v, 2.0),
+                BoundSpace::for_store(&s),
                 BoundSpace::LorentzGeodesic { beta: 2.0 }
             );
         }
+        let fused = store_with_rows(PluginVariant::FusionDist);
         assert_eq!(
-            BoundSpace::for_variant(PluginVariant::FusionDist, 1.0),
-            BoundSpace::None
+            BoundSpace::for_store(&fused),
+            BoundSpace::ConvexMix { beta: 1.0 }
         );
-        assert!(BoundSpace::Euclidean.is_metric());
-        assert!(!BoundSpace::None.is_metric());
+        assert!(BoundSpace::Euclidean.is_metric() && BoundSpace::Euclidean.prunes());
+        let mix = BoundSpace::ConvexMix { beta: 1.0 };
+        assert!(!mix.is_metric() && mix.prunes());
+        assert!(!BoundSpace::None.is_metric() && !BoundSpace::None.prunes());
+    }
+
+    /// One fused row with the given factor row / first Euclidean
+    /// coordinate, everything else benign.
+    fn fused_row(factors: [f32; 4], eu0: f32) -> EmbeddingStore {
+        let mut s = EmbeddingStore::new(2, PluginVariant::FusionDist, 1.0, Some(2));
+        s.push(&[eu0, 0.0], Some(&[1.0, 0.0, 0.0]), Some(&factors));
+        s
+    }
+
+    #[test]
+    fn mix_certification_observes_factors_and_magnitudes() {
+        let mix = BoundSpace::ConvexMix { beta: 1.0 };
+        let cap = mix_factor_cap(2);
+        let over = f32::from_bits(cap.to_bits() + 1);
+        // Corners that keep α̃ ∈ [0, 1]: zeros, underflowing products,
+        // values right at the cap.
+        for ok in [[0.0; 4], [1e-30; 4], [cap; 4], [0.0, 0.0, cap, 1.0]] {
+            let s = fused_row(ok, 0.0);
+            assert_eq!(BoundSpace::for_store(&s), mix, "{ok:?}");
+            assert!(mix_certifies_query(&s, 0), "{ok:?}");
+        }
+        // At the cap the dot products and their sum stay finite.
+        let lo = cap * cap + cap * cap;
+        assert!((lo + lo).is_finite());
+        for bad in [-1e-30, f32::NAN, f32::INFINITY, over, -0.5] {
+            let s = fused_row([1.0, bad, 1.0, 1.0], 0.0);
+            assert_eq!(BoundSpace::for_store(&s), BoundSpace::None, "{bad}");
+            assert!(!mix_certifies_query(&s, 0), "{bad}");
+        }
+        // Coordinates: a stored NaN / ∞ is tolerated (its pivot distances
+        // fail open), a finite value past the cap is not; a query must be
+        // finite and within the cap.
+        let coord_cap = mix_coord_cap(2);
+        for (eu0, store_ok, query_ok) in [
+            (coord_cap, true, true),
+            (f32::NAN, true, false),
+            (f32::NEG_INFINITY, true, false),
+            (-2.0 * coord_cap, false, false),
+        ] {
+            let s = fused_row([1.0; 4], eu0);
+            assert_eq!(BoundSpace::for_store(&s).prunes(), store_ok, "{eu0}");
+            assert_eq!(mix_certifies_query(&s, 0), query_ok, "{eu0}");
+        }
+        // A non-positive or non-finite curvature has no θ map.
+        for beta in [0.0, -1.0, f32::NAN] {
+            let mut s = EmbeddingStore::new(1, PluginVariant::FusionDist, beta, Some(1));
+            s.push(&[0.0], Some(&[1.0, 0.0]), Some(&[1.0, 1.0]));
+            assert_eq!(BoundSpace::for_store(&s), BoundSpace::None, "β={beta}");
+        }
+    }
+
+    /// The two steps of the mix proof, on computed values. Convexity of
+    /// the rounded blend: for certified factors `α̃ ∈ [0, 1]` and
+    /// `d̃ ≥ m − 3u·|m| − 2η` with `m = min(l, e)`. Padding: a minimum
+    /// just above `τ′` already puts that floor strictly above `τ`.
+    #[test]
+    fn rounded_blend_stays_above_the_padded_minimum() {
+        use crate::distance::{alpha_f32, fused_f32};
+        let u = f32::EPSILON as f64 / 2.0;
+        let eta = 2f64.powi(-150);
+        let floor = |m: f64| m - 3.0 * u * m.abs() - 2.0 * eta;
+
+        let cap = mix_factor_cap(1);
+        let factors = [0.0f32, 1e-30, 1e-3, 0.3, 1.0, 7.5, 1e10, cap];
+        let dists = [-1e-7f32, 0.0, 1e-40, 1e-7, 0.3, 1.0, 3.0, 1e6, 1e30];
+        for &ql in &factors {
+            for &xl in &factors {
+                for &qe in &factors {
+                    for &xe in &factors {
+                        let alpha = alpha_f32(&[ql], &[xl], &[qe], &[xe]);
+                        assert!((0.0..=1.0).contains(&alpha), "α̃={alpha}");
+                        for &l in &dists {
+                            // `e` is a square root: never negative.
+                            for &e in &dists[1..] {
+                                let d = fused_f32(alpha, l, e) as f64;
+                                let m = l.min(e) as f64;
+                                assert!(d >= floor(m), "α̃={alpha} l={l} e={e}: d̃={d}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        for &tau in &dists {
+            for tau in [tau as f64, -(tau as f64)] {
+                let padded = mix_tau(tau);
+                let just_above = f64::from_bits(if padded > 0.0 {
+                    padded.to_bits() + 1
+                } else {
+                    padded.to_bits() - 1
+                });
+                assert!(just_above > padded);
+                assert!(floor(just_above) > tau, "τ={tau}: τ′={padded}");
+            }
+        }
+        assert!(mix_tau(f64::NAN).is_nan());
+        assert_eq!(mix_tau(f64::INFINITY), f64::INFINITY);
+    }
+
+    #[test]
+    fn mix_thresholds_need_both_components_and_finite_gaps() {
+        let mix = MixBound::new(1.0, 8);
+        let t = mix.thresholds(mix.tau(0.5), (3.0, 2.0), (0.2, 0.2));
+        assert!(t.certify(2.8, 1.8), "both gaps far above τ′");
+        assert!(!t.certify(2.8, 0.1), "geodesic gap inside τ′");
+        assert!(!t.certify(0.1, 1.8), "Euclidean gap inside τ′");
+        for bad in [f64::NAN, f64::INFINITY] {
+            assert!(!t.certify(bad, 1.8) && !t.certify(2.8, bad));
+        }
+        // An unfilled heap (τ = ∞) and a poisoned one (τ = NaN) certify
+        // nothing; neither does a NaN radius.
+        for tau in [f64::INFINITY, f64::NAN] {
+            let open = mix.thresholds(mix.tau(tau), (3.0, 2.0), (0.2, 0.2));
+            assert!(!open.certify(1e300, 1e300));
+        }
+        let nan_radius = mix.thresholds(mix.tau(0.5), (3.0, 2.0), (f64::NAN, 0.2));
+        assert!(!nan_radius.certify(2.8, 1.8));
+        assert!(mix_radius(&[0.5, f64::NAN]).is_nan());
+        assert!(mix_radius(&[0.5, f64::INFINITY]).is_nan());
+        assert!(mix_radius(&[0.5, -f64::NAN, 0.25]).is_nan());
+        assert_eq!(mix_radius(&[0.5, 0.25]), 0.5);
+        assert_eq!(mix_radius(&[]), 0.0);
     }
 
     #[test]

@@ -22,11 +22,16 @@
 //!
 //! Assignment uses raw kernel distances; for Lorentz variants the
 //! bound-space map is monotone, so "nearest by raw" and "nearest by
-//! geodesic" agree.
+//! geodesic" agree. A fused store is partitioned by the fused kernel too
+//! — the cells are the ones queries are near in the served distance —
+//! and only then, in the mix space, each member's two component pivot
+//! distances are taken against its centroid (`mix_cell`).
 
 use super::super::kernel;
 use super::super::store::EmbeddingStore;
-use super::bound::BoundSpace;
+use super::bound::{BoundSpace, MixBound};
+use super::IndexCell;
+use crate::distance::{euclidean_f32, lorentz_f32};
 use traj_core::parallel::{default_threads, parallel_map};
 
 /// Build-time knobs for [`super::IndexedStore::build`].
@@ -42,8 +47,9 @@ pub struct IndexParams {
     /// Seed for the deterministic sample/seeding choices.
     pub seed: u64,
     /// Second-level landmark rows for the member bound (clamped to `n`;
-    /// `0` disables the block). Only metric bound spaces build it —
-    /// the fused variant has no admissible bound to compose with.
+    /// `0` disables the block). Only metric bound spaces build it — the
+    /// fused variant's mix space prunes with its two centroid bounds
+    /// alone.
     pub n_landmarks: usize,
 }
 
@@ -75,10 +81,36 @@ impl IndexParams {
 pub(crate) struct BuiltCells {
     /// One centroid row per cell, same variant/layout as the store.
     pub centroids: EmbeddingStore,
-    /// Member row ids per cell, ascending.
-    pub members: Vec<Vec<u32>>,
-    /// Bound-space member→centroid distance, parallel to `members`.
-    pub dcx: Vec<Vec<f64>>,
+    /// The cells, parallel to `centroids`.
+    pub cells: Vec<IndexCell>,
+}
+
+/// Cell `j` of a [`BoundSpace::ConvexMix`] index: each member's raw
+/// Euclidean distance and geodesic `θ` against the centroid's `eu` /
+/// `hyper` rows — query-independent, so stored once. The builder and the
+/// decoder of pre-version-3 payloads (which carry no such arrays) share
+/// this, so both produce the same bits.
+pub(crate) fn mix_cell(
+    store: &EmbeddingStore,
+    centroids: &EmbeddingStore,
+    beta: f64,
+    j: usize,
+    members: Vec<u32>,
+) -> IndexCell {
+    let mix = MixBound::new(beta, store.dim());
+    let (c_eu, c_hyper) = (centroids.eu_row(j), centroids.hyper_row(j));
+    let (dcx_eu, dcx_lo) = members
+        .iter()
+        .map(|&m| {
+            let m = m as usize;
+            let lo = lorentz_f32(store.hyper_row(m), c_hyper, store.beta());
+            (
+                euclidean_f32(store.eu_row(m), c_eu) as f64,
+                mix.theta(lo as f64),
+            )
+        })
+        .unzip();
+    IndexCell::mix(members, dcx_eu, dcx_lo)
 }
 
 /// Mean of a set of store rows, pushed as one centroid row. Sums are f64
@@ -161,7 +193,8 @@ fn training_sample(n: usize, cap: usize, seed: u64) -> Vec<u32> {
 /// Landmarks are actual store rows (copied via the single-row mean, which
 /// re-lifts hyperbolic rows onto `H(β)`), so they are valid points of the
 /// bound space and the reverse triangle inequality holds at them. Only
-/// metric spaces get a block: the fused distance admits no bound.
+/// metric spaces get a block: the reverse triangle inequality is not the
+/// fused distance's bound.
 pub(crate) fn build_landmarks(
     store: &EmbeddingStore,
     space: &BoundSpace,
@@ -215,8 +248,7 @@ pub(crate) fn build_cells(
     if n == 0 {
         return BuiltCells {
             centroids: centroid_store(store),
-            members: Vec::new(),
-            dcx: Vec::new(),
+            cells: Vec::new(),
         };
     }
     assert!(
@@ -283,11 +315,21 @@ pub(crate) fn build_cells(
         members[cell as usize].push(i as u32);
         dcx[cell as usize].push(d);
     }
-    BuiltCells {
-        centroids,
-        members,
-        dcx,
-    }
+    let cells = match *space {
+        // The fused-kernel `dcx` only decided the assignment; the mix
+        // space prunes with the two component distances instead.
+        BoundSpace::ConvexMix { beta } => members
+            .into_iter()
+            .enumerate()
+            .map(|(j, m)| mix_cell(store, &centroids, beta, j, m))
+            .collect(),
+        _ => members
+            .into_iter()
+            .zip(dcx)
+            .map(|(m, d)| IndexCell::new(m, d))
+            .collect(),
+    };
+    BuiltCells { centroids, cells }
 }
 
 #[cfg(test)]
@@ -315,7 +357,7 @@ mod tests {
     fn cells_partition_all_rows() {
         for variant in PluginVariant::ABLATION {
             let s = store_with_rows(variant);
-            let space = BoundSpace::for_variant(variant, s.beta());
+            let space = BoundSpace::for_store(&s);
             for n_cells in 1..=3 {
                 let built = build_cells(
                     &s,
@@ -326,12 +368,23 @@ mod tests {
                     },
                 );
                 assert_eq!(built.centroids.len(), n_cells);
-                let mut all: Vec<u32> = built.members.iter().flatten().copied().collect();
+                let mut all: Vec<u32> = built
+                    .cells
+                    .iter()
+                    .flat_map(|c| c.members.iter().copied())
+                    .collect();
                 all.sort_unstable();
                 assert_eq!(all, vec![0, 1, 2], "{} cells={n_cells}", variant.name());
-                for (m, d) in built.members.iter().zip(&built.dcx) {
-                    assert_eq!(m.len(), d.len());
-                    assert!(m.windows(2).all(|w| w[0] < w[1]), "members ascending");
+                for c in &built.cells {
+                    assert_eq!(c.members.len(), c.dcx.len());
+                    // The second pivot distance exists exactly in the
+                    // mix space.
+                    let mix = matches!(space, BoundSpace::ConvexMix { .. });
+                    assert_eq!(c.dcx_lo.len(), if mix { c.members.len() } else { 0 });
+                    assert!(
+                        c.members.windows(2).all(|w| w[0] < w[1]),
+                        "members ascending"
+                    );
                 }
             }
         }
@@ -340,7 +393,7 @@ mod tests {
     #[test]
     fn build_is_deterministic() {
         let s = store_with_rows(PluginVariant::FusionDist);
-        let space = BoundSpace::for_variant(PluginVariant::FusionDist, 1.0);
+        let space = BoundSpace::for_store(&s);
         let p = IndexParams {
             n_cells: Some(2),
             ..IndexParams::default()
@@ -348,19 +401,47 @@ mod tests {
         let a = build_cells(&s, &space, &p);
         let b = build_cells(&s, &space, &p);
         assert_eq!(a.centroids, b.centroids);
-        assert_eq!(a.members, b.members);
-        let bits = |v: &Vec<Vec<f64>>| -> Vec<Vec<u64>> {
-            v.iter()
-                .map(|c| c.iter().map(|d| d.to_bits()).collect())
+        let bits = |cells: &[IndexCell]| -> Vec<(Vec<u32>, Vec<u64>)> {
+            cells
+                .iter()
+                .map(|c| {
+                    let pivots = c.dcx.iter().chain(&c.dcx_lo);
+                    (c.members.clone(), pivots.map(|d| d.to_bits()).collect())
+                })
                 .collect()
         };
-        assert_eq!(bits(&a.dcx), bits(&b.dcx));
+        assert_eq!(bits(&a.cells), bits(&b.cells));
+    }
+
+    /// A mix cell stores, per member, the two component distances the
+    /// component kernels compute against the centroid's own rows — the
+    /// values a query's centroid distances are compared with.
+    #[test]
+    fn mix_cells_store_both_component_pivot_distances() {
+        let s = store_with_rows(PluginVariant::FusionDist);
+        let space = BoundSpace::for_store(&s);
+        let BoundSpace::ConvexMix { beta } = space else {
+            panic!("benign fused rows must certify, got {space:?}");
+        };
+        let built = build_cells(&s, &space, &IndexParams::default());
+        let lo_space = BoundSpace::LorentzGeodesic { beta };
+        for (j, c) in built.cells.iter().enumerate() {
+            for (i, &m) in c.members.iter().enumerate() {
+                let m = m as usize;
+                let eu = euclidean_f32(s.eu_row(m), built.centroids.eu_row(j));
+                let lo = lorentz_f32(s.hyper_row(m), built.centroids.hyper_row(j), 1.0);
+                assert_eq!(c.dcx[i].to_bits(), (eu as f64).to_bits());
+                assert_eq!(c.dcx_lo[i].to_bits(), lo_space.map(lo as f64).to_bits());
+            }
+            assert!(c.dcx.iter().all(|&d| d <= c.radius));
+            assert!(c.dcx_lo.iter().all(|&d| d <= c.radius_lo));
+        }
     }
 
     #[test]
     fn hyperbolic_centroids_stay_on_hyperboloid() {
         let s = store_with_rows(PluginVariant::LorentzCosh);
-        let space = BoundSpace::for_variant(PluginVariant::LorentzCosh, 1.0);
+        let space = BoundSpace::for_store(&s);
         let built = build_cells(
             &s,
             &space,
@@ -383,7 +464,7 @@ mod tests {
     fn empty_store_builds_empty_index() {
         let s = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
         let built = build_cells(&s, &BoundSpace::Euclidean, &IndexParams::default());
-        assert!(built.members.is_empty());
+        assert!(built.cells.is_empty());
         assert!(built.centroids.is_empty());
         assert!(build_landmarks(&s, &BoundSpace::Euclidean, &IndexParams::default()).is_none());
     }
@@ -391,7 +472,7 @@ mod tests {
     #[test]
     fn landmark_block_is_deterministic_clamped_and_gated() {
         let s = store_with_rows(PluginVariant::Original);
-        let space = BoundSpace::for_variant(PluginVariant::Original, 1.0);
+        let space = BoundSpace::for_store(&s);
         let p = IndexParams::default();
         let a = build_landmarks(&s, &space, &p).expect("metric store gets landmarks");
         let b = build_landmarks(&s, &space, &p).expect("metric store gets landmarks");
@@ -406,8 +487,10 @@ mod tests {
             let min = a.features(i).iter().copied().fold(f64::INFINITY, f64::min);
             assert!(min < 1e-3, "row {i} is a landmark, min feature {min}");
         }
-        // Non-metric space and disabled block both yield none.
+        // A space that is not a metric and a disabled block both yield
+        // none.
         assert!(build_landmarks(&s, &BoundSpace::None, &p).is_none());
+        assert!(build_landmarks(&s, &BoundSpace::ConvexMix { beta: 1.0 }, &p).is_none());
         let off = IndexParams {
             n_landmarks: 0,
             ..IndexParams::default()
@@ -418,7 +501,7 @@ mod tests {
     #[test]
     fn hyperbolic_landmarks_stay_on_hyperboloid() {
         let s = store_with_rows(PluginVariant::LorentzCosh);
-        let space = BoundSpace::for_variant(PluginVariant::LorentzCosh, 1.0);
+        let space = BoundSpace::for_store(&s);
         let lm = build_landmarks(&s, &space, &IndexParams::default()).expect("landmarks");
         for j in 0..lm.k() {
             let h = lm.rows.hyper_row(j);

@@ -4,25 +4,38 @@
 //! conventions — validate before every read, cross-check structure after:
 //!
 //! ```text
-//! u32 magic "LHIX" | u32 version (= 2)
+//! u32 magic "LHIX" | u32 version (= 3)
 //! u64 store_len    | store payload    (EmbeddingStore::to_bytes)
 //! u64 centroid_len | centroid payload (EmbeddingStore::to_bytes)
 //! u64 n_cells
 //! per cell: u64 m | m × u32 members | m × f64 dcx
+//!           | m × f64 dcx_lo             (version ≥ 3, mix space only)
 //! u64 k_landmarks                                   (version ≥ 2)
 //! if k > 0: u64 lm_len | landmark payload | n·k × f64 dlx
 //! ```
 //!
-//! Version 2 appends the second-level landmark block
+//! Version 2 appended the second-level landmark block
 //! ([`super::LandmarkBlock`]); version-1 payloads (no block) still
-//! decode, as an index without landmarks. Encoding always writes
-//! version 2.
+//! decode, as an index without landmarks. Version 3 adds the geodesic
+//! member distances of a [`BoundSpace::ConvexMix`] index after each
+//! cell's `dcx` — bytes only a certified `fusion-dist` payload carries;
+//! every other payload differs from version 2 in the version word alone.
+//! Encoding always writes version 3.
+//!
+//! The bound space is never on the wire: the decoder runs
+//! [`BoundSpace::for_store`] on the decoded store, so the factor
+//! certification a mix-space prune rests on is *observed* on the rows
+//! that will be served, and whether `dcx_lo` arrays follow is a function
+//! of the same rows on both sides. A version-1/2 `fusion-dist` payload
+//! carries the fused-kernel `dcx` no bound ever read; when its store
+//! certifies, both mix arrays are recomputed with the builder's
+//! [`mix_cell`], so the decoded index equals a fresh build.
 //!
 //! Cell radii are *recomputed* from the decoded `dcx` arrays rather than
 //! persisted — one derived quantity fewer to corrupt, and the recompute is
-//! the same `max_by(total_cmp)` the builder uses, so a roundtripped index
-//! answers queries bit-identically to the one that was encoded. The probe
-//! budget is serving configuration, not index state, and is not persisted.
+//! the builder's own, so a roundtripped index answers queries
+//! bit-identically to the one that was encoded. The probe budget is
+//! serving configuration, not index state, and is not persisted.
 //!
 //! Structural validation on decode: magic and version, nested store
 //! payloads (delegated to [`EmbeddingStore::from_bytes`]), centroid
@@ -30,7 +43,7 @@
 //! range, no duplicate members, full coverage (the cells partition
 //! exactly the store's rows), and landmark-block consistency (layout
 //! matches the store, row count matches the header, `n·k` features, and
-//! no block on a non-metric variant — a bound the probe path could never
+//! no block outside a metric space — a bound the probe path could never
 //! admissibly use). Truncated or corrupt payloads return a
 //! [`StoreDecodeError`], never panic.
 
@@ -38,14 +51,17 @@ use super::super::codec::StoreDecodeError;
 use super::super::codec_util::{guard, take_chunk, take_f64_values, take_u32_values, take_u64};
 use super::super::store::EmbeddingStore;
 use super::bound::BoundSpace;
+use super::build::mix_cell;
 use super::{IndexCell, IndexedStore, LandmarkBlock};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// `LHIX` in little-endian byte order.
 const MAGIC: u32 = u32::from_le_bytes(*b"LHIX");
-const VERSION: u32 = 2;
-/// Landmark-free layout, still accepted on decode.
-const VERSION_NO_LANDMARKS: u32 = 1;
+const VERSION: u32 = 3;
+/// First layout with the landmark trailer.
+const VERSION_LANDMARKS: u32 = 2;
+/// Oldest layout still accepted on decode (no landmark trailer).
+const VERSION_MIN: u32 = 1;
 
 /// Reads a nested length-prefixed [`EmbeddingStore`] payload.
 fn take_store(data: &mut Bytes, field: &'static str) -> Result<EmbeddingStore, StoreDecodeError> {
@@ -62,7 +78,7 @@ impl IndexedStore {
         let cell_bytes: usize = self
             .cells
             .iter()
-            .map(|c| 8 + c.members.len() * (4 + 8))
+            .map(|c| 8 + c.members.len() * 4 + (c.dcx.len() + c.dcx_lo.len()) * 8)
             .sum();
         let landmark_payload = self.landmarks.as_ref().map(|lm| lm.rows.to_bytes());
         let landmark_bytes = 8
@@ -83,7 +99,8 @@ impl IndexedStore {
             for &m in &cell.members {
                 buf.put_u32_le(m);
             }
-            for &d in &cell.dcx {
+            // `dcx_lo` is empty outside the mix space.
+            for &d in cell.dcx.iter().chain(&cell.dcx_lo) {
                 buf.put_f64_le(d);
             }
         }
@@ -111,10 +128,11 @@ impl IndexedStore {
         }
         guard(&data, "index version", 4)?;
         let version = data.get_u32_le();
-        if version != VERSION && version != VERSION_NO_LANDMARKS {
+        if !(VERSION_MIN..=VERSION).contains(&version) {
             return Err(StoreDecodeError::UnsupportedVersion(version));
         }
         let store = take_store(&mut data, "index store")?;
+        let space = BoundSpace::for_store(&store);
         let centroids = take_store(&mut data, "index centroids")?;
         let n_cells = take_u64(&mut data, "n_cells")? as usize;
 
@@ -143,7 +161,7 @@ impl IndexedStore {
         let mut seen = vec![false; n];
         let mut total = 0usize;
         let mut cells = Vec::with_capacity(n_cells.min(1 << 20));
-        for _ in 0..n_cells {
+        for j in 0..n_cells {
             let m = take_u64(&mut data, "cell members")? as usize;
             let members = take_u32_values(&mut data, "cell members", m)?;
             let dcx = take_f64_values(&mut data, "cell dcx", m)?;
@@ -166,7 +184,14 @@ impl IndexedStore {
                 seen[mi] = true;
             }
             total += members.len();
-            cells.push(IndexCell::new(members, dcx));
+            cells.push(match space {
+                BoundSpace::ConvexMix { .. } if version >= VERSION => {
+                    let dcx_lo = take_f64_values(&mut data, "cell dcx_lo", m)?;
+                    IndexCell::mix(members, dcx, dcx_lo)
+                }
+                BoundSpace::ConvexMix { beta } => mix_cell(&store, &centroids, beta, j, members),
+                _ => IndexCell::new(members, dcx),
+            });
         }
         if total != n {
             return Err(StoreDecodeError::Inconsistent {
@@ -175,12 +200,11 @@ impl IndexedStore {
                 actual: total,
             });
         }
-        let landmarks = if version >= VERSION {
+        let landmarks = if version >= VERSION_LANDMARKS {
             let k = take_u64(&mut data, "landmark count")? as usize;
             if k == 0 {
                 None
             } else {
-                let space = BoundSpace::for_variant(store.variant(), store.beta());
                 if !space.is_metric() {
                     return Err(StoreDecodeError::Inconsistent {
                         field: "landmark block on non-metric variant",
@@ -219,7 +243,9 @@ impl IndexedStore {
         if !data.is_empty() {
             return Err(StoreDecodeError::TrailingBytes(data.remaining()));
         }
-        Ok(IndexedStore::from_parts(store, centroids, cells, landmarks))
+        Ok(IndexedStore::from_parts(
+            store, centroids, cells, landmarks, space,
+        ))
     }
 }
 
@@ -239,6 +265,18 @@ mod tests {
                 ..IndexParams::default()
             },
         )
+    }
+
+    /// [`IndexedStore::from_parts`] in the store's own bound space — the
+    /// forged parts below are structurally corrupt, not mis-spaced.
+    fn from_parts(
+        store: EmbeddingStore,
+        centroids: EmbeddingStore,
+        cells: Vec<IndexCell>,
+        landmarks: Option<LandmarkBlock>,
+    ) -> IndexedStore {
+        let space = BoundSpace::for_store(&store);
+        IndexedStore::from_parts(store, centroids, cells, landmarks, space)
     }
 
     fn bits(hits: &[RetrievalResult]) -> Vec<(usize, u32)> {
@@ -278,8 +316,8 @@ mod tests {
 
     #[test]
     fn every_truncation_errors_instead_of_panicking() {
-        // Fused (k_landmarks = 0 trailer) and Euclidean (full landmark
-        // block) exercise both layouts.
+        // Fused (version-3 second pivot array, k_landmarks = 0 trailer)
+        // and Euclidean (full landmark block) exercise both layouts.
         for variant in [PluginVariant::FusionDist, PluginVariant::Original] {
             let ix = built(variant, 2);
             let full = ix.to_bytes().to_vec();
@@ -323,17 +361,98 @@ mod tests {
             },
         );
         let mut raw = ix.to_bytes().to_vec();
-        raw[4] = 1; // version 2 → 1
+        raw[4] = 1; // version 3 → 1: same bytes outside the mix space
         raw.truncate(raw.len() - 8); // drop the k_landmarks = 0 trailer
         let back = IndexedStore::from_bytes(Bytes::from(raw)).expect("v1 payload");
         assert_eq!(back, ix);
         assert_eq!(back.num_landmarks(), 0);
     }
 
+    /// `built(FusionDist, 2).to_bytes()` as written by the last version-2
+    /// encoder (the commit before the mix space): one `dcx` array per
+    /// cell, holding fused-kernel distances no bound ever read.
+    const V2_FUSED_FIXTURE: &str = "\
+        4c48495802000000a10000000000000003000000000000000200000000000000\
+        030000803f020000000000000006000000000000000000000000000000000080\
+        3f00000000000000000000404009000000000000000000803f00000000000000\
+        00d504b53f0000803f00000000cc624a4000000000000040400c000000000000\
+        000000803f0000803f0000803f0000803f000000400000803f0000003f000000\
+        3f0000003f0000003f00000040000000407d0000000000000002000000000000\
+        000200000000000000030000803f020000000000000004000000000000000000\
+        0000000040400000003f000000000600000000000000c2624a40000000000000\
+        4040bd1b8f3f0000003f0000000008000000000000000000003f0000003f0000\
+        0040000000400000c03f0000803f0000403f0000403f02000000000000000100\
+        00000000000002000000000000201e1e9e3e0200000000000000000000000100\
+        000000000000abb8d03f00000000cad9c23f0000000000000000\
+    ";
+
+    /// A version-2 `fusion-dist` payload decodes into the mix space: both
+    /// pivot arrays are recomputed from the decoded rows, so the index
+    /// equals a fresh build and answers bit-identically to the flat scan.
+    #[test]
+    fn v2_fused_payload_decodes_to_a_fresh_build() {
+        let raw: Vec<u8> = (0..V2_FUSED_FIXTURE.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&V2_FUSED_FIXTURE[i..i + 2], 16).expect("hex fixture"))
+            .collect();
+        assert_eq!(raw[4], 2, "fixture is a version-2 payload");
+        let back = IndexedStore::from_bytes(Bytes::from(raw.clone())).expect("v2 payload");
+        let fresh = built(PluginVariant::FusionDist, 2);
+        assert_eq!(back, fresh);
+        assert_eq!(back.bound_space(), BoundSpace::ConvexMix { beta: 1.0 });
+        let q = store_with_rows(PluginVariant::FusionDist);
+        for qi in 0..q.len() {
+            assert_eq!(bits(&back.knn(&q, qi, 3)), bits(&q.knn(&q, qi, 3)));
+        }
+        // Re-encoding upgrades: version 3 carries the second array.
+        let v3 = back.to_bytes().to_vec();
+        assert_eq!(v3[4], 3);
+        assert_eq!(v3.len(), raw.len() + 8 * q.len());
+        // The same rows with the version word flipped to 1 and the
+        // landmark trailer dropped are a version-1 payload.
+        let mut v1 = raw;
+        v1[4] = 1;
+        v1.truncate(v1.len() - 8);
+        assert_eq!(IndexedStore::from_bytes(Bytes::from(v1)), Ok(fresh));
+    }
+
+    /// The space is observed on decode, never read: a version-3 payload
+    /// whose store fails certification has no second array to read, and
+    /// one forged to claim it (mix layout around a bad factor) is
+    /// rejected as malformed rather than served with an unproven bound.
+    #[test]
+    fn uncertified_fused_payload_decodes_without_a_bound() {
+        let mut store = store_with_rows(PluginVariant::FusionDist);
+        store.factors[1] = -1.0;
+        let params = IndexParams {
+            n_cells: Some(2),
+            ..IndexParams::default()
+        };
+        let ix = IndexedStore::build(store.clone(), params);
+        assert_eq!(ix.bound_space(), BoundSpace::None);
+        let back = IndexedStore::from_bytes(ix.to_bytes()).expect("valid payload");
+        assert_eq!(back, ix);
+        assert_eq!(back.bound_space(), BoundSpace::None);
+
+        // Forge: the certified index's cells (two arrays each) around the
+        // uncertified rows. The decoder expects one array per cell, so
+        // the surplus bytes misalign every later field.
+        let good = built(PluginVariant::FusionDist, 2);
+        let forged = IndexedStore::from_parts(
+            store,
+            good.centroids.clone(),
+            good.cells.clone(),
+            None,
+            good.bound_space(),
+        );
+        assert!(IndexedStore::from_bytes(forged.to_bytes()).is_err());
+    }
+
     #[test]
     fn corrupt_landmark_structures_error() {
-        // A landmark block on the non-metric fused variant: no admissible
-        // bound exists, so the decoder must reject it. The fused payload
+        // A landmark block on the fused variant, whose space is not a
+        // metric: the reverse triangle inequality is not its bound, so
+        // the decoder must reject it. The fused payload
         // ends with the `k_landmarks = 0` trailer; forge a nonzero count.
         let mut raw = built(PluginVariant::FusionDist, 2).to_bytes().to_vec();
         let at = raw.len() - 8;
@@ -359,7 +478,7 @@ mod tests {
         let lm = valid.landmarks.clone().expect("metric build has landmarks");
 
         // Landmark rows whose layout disagrees with the store.
-        let wrong_layout = IndexedStore::from_parts(
+        let wrong_layout = from_parts(
             store.clone(),
             centroids.clone(),
             cells.clone(),
@@ -382,7 +501,7 @@ mod tests {
         for cut in [lm.dlx.len() - 1, lm.dlx.len() + 1] {
             let mut dlx = lm.dlx.clone();
             dlx.resize(cut, 0.0);
-            let bad = IndexedStore::from_parts(
+            let bad = from_parts(
                 store.clone(),
                 centroids.clone(),
                 cells.clone(),
@@ -411,7 +530,7 @@ mod tests {
             c
         };
         // Member id out of range.
-        let out_of_range = IndexedStore::from_parts(
+        let out_of_range = from_parts(
             store.clone(),
             centroids.clone(),
             vec![IndexCell::new(vec![0, 1, 99], vec![0.0, 1.0, 2.0])],
@@ -429,7 +548,7 @@ mod tests {
             "got {err:?}"
         );
         // Duplicate member across cells.
-        let duplicated = IndexedStore::from_parts(
+        let duplicated = from_parts(
             store.clone(),
             centroids.clone(),
             vec![IndexCell::new(vec![0, 1, 1], vec![0.0, 1.0, 1.0])],
@@ -447,7 +566,7 @@ mod tests {
             "got {err:?}"
         );
         // Cells that do not cover every row.
-        let incomplete = IndexedStore::from_parts(
+        let incomplete = from_parts(
             store.clone(),
             centroids.clone(),
             vec![IndexCell::new(vec![0, 2], vec![0.0, 1.0])],
@@ -465,7 +584,7 @@ mod tests {
             "got {err:?}"
         );
         // Centroid layout disagreeing with the store.
-        let wrong_layout = IndexedStore::from_parts(
+        let wrong_layout = from_parts(
             store,
             store_with_rows(PluginVariant::LorentzCosh),
             vec![IndexCell::new(vec![0, 1, 2], vec![0.0, 1.0, 2.0])],

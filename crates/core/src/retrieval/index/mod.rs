@@ -1,34 +1,40 @@
-//! The pivot-partitioned ANN index tier: sub-linear exact kNN for metric
-//! variants, budgeted best-effort kNN for the fused distance.
+//! The pivot-partitioned index tier: sub-linear *exact* kNN for every
+//! plugin variant, the fused distance included.
 //!
 //! An [`IndexedStore`] owns one [`EmbeddingStore`] plus an IVF-style
 //! partition of its rows into pivot cells ([`build`]): each cell keeps a
 //! centroid row (served through the same monomorphized
 //! [`DistanceKernel`](super::kernel) machinery as the flat scans), the
 //! bound-space centroid distance of every member, and the cell radius.
-//! A query scans the `√n`-ish centroids, orders cells by their
-//! triangle-inequality lower bound `max(0, d(q,c) − r_cell)`, and then:
+//! A query scans the `√n`-ish centroids, orders the cells, and then:
 //!
-//! * **metric variants** (Euclidean, Lorentz — see [`bound::BoundSpace`])
-//!   skip every cell whose lower bound exceeds the current k-th best and,
-//!   inside probed cells, every member with `|d(q,c) − d(c,x)| > kth`
-//!   (Schubert-style stored-distance bound) — composed tightest-wins
-//!   with a **second-level landmark bound** (`LandmarkBlock`): a few
-//!   farthest-point-selected store rows act as global landmarks, every
-//!   member keeps its bound-space distance to each, and
-//!   `max_j |θ(q,l_j) − θ(l_j,x)|` (the `traj_dist::landmark` feature
-//!   gap, transplanted into bound space) prunes members the single
-//!   centroid bound cannot separate. All bounds are padded by a
-//!   conservative float-rounding slack, so results are **bit-identical**
-//!   to [`EmbeddingStore::knn`] — recall 1.0 by construction, sub-linear
-//!   by pruning;
-//! * **the fused variant** is non-metric (the paper's thesis) and
-//!   forfeits those bounds: it is served by probing the
-//!   [`IndexedStore::probe_budget`] nearest-centroid cells with exact
-//!   re-ranking inside each. With no budget every cell is probed and
-//!   results are again bit-identical (at flat-scan cost); with a budget,
-//!   recall is measured, not guaranteed — the quantified price of
-//!   triangle-inequality violations at serving time.
+//! * **metric spaces** (Euclidean, Lorentz — see [`bound::BoundSpace`])
+//!   skip every cell whose triangle lower bound `max(0, d(q,c) − r_cell)`
+//!   exceeds the current k-th best and, inside probed cells, every member
+//!   with `|d(q,c) − d(c,x)| > kth` (Schubert-style stored-distance
+//!   bound) — composed tightest-wins with a **second-level landmark
+//!   bound** (`LandmarkBlock`): a few farthest-point-selected store rows
+//!   act as global landmarks, every member keeps its bound-space distance
+//!   to each, and `max_j |θ(q,l_j) − θ(l_j,x)|` (the `traj_dist::landmark`
+//!   feature gap, transplanted into bound space) prunes members the
+//!   single centroid bound cannot separate;
+//! * **the fused variant** is not a metric (the paper's thesis) and no
+//!   single triangle bound applies — but its blend is convex, so
+//!   `d ≥ min(d_Lo, d_Eu)` and each component *is* boundable
+//!   ([`bound::BoundSpace::ConvexMix`]). Every member keeps two pivot
+//!   distances (raw Euclidean and geodesic θ against the centroid's `eu`
+//!   / `hyper` rows), every cell two radii, and a cell or member is
+//!   skipped only when *both* component tests certify it out. The price
+//!   of the learned violations is then a measured prune rate, not a full
+//!   scan. A fused store or query whose factors do not certify
+//!   `α ∈ [0, 1]` ([`bound::BoundSpace::None`]) is served by the
+//!   storage-order flat scan instead — exact, unpruned.
+//!
+//! All bounds are padded by a conservative float-rounding slack, so
+//! results are **bit-identical** to [`EmbeddingStore::knn`] — recall 1.0
+//! by construction, sub-linear by pruning. Only an explicit
+//! [`IndexedStore::probe_budget`] trades that for best-effort serving
+//! with measured recall.
 //!
 //! Every prune decision fails open on non-finite values (NaN rows poison
 //! bounds into "cannot prune", never into a wrong skip), keeping the
@@ -41,7 +47,7 @@ mod codec;
 use super::kernel::{self, DistanceKernel};
 use super::store::{results_from_topk, EmbeddingStore, RetrievalResult};
 use crate::config::PluginVariant;
-use bound::BoundSpace;
+use bound::{BoundSpace, MixBound};
 use build::IndexParams;
 use serde::Serialize;
 use traj_core::parallel::{default_threads, parallel_map};
@@ -53,10 +59,16 @@ use traj_core::topk::TopK;
 pub(crate) struct IndexCell {
     /// Member row ids, ascending.
     pub members: Vec<u32>,
-    /// Bound-space centroid distance per member, parallel to `members`.
+    /// Bound-space centroid distance per member, parallel to `members`
+    /// (the raw Euclidean component in the mix space).
     pub dcx: Vec<f64>,
     /// Max of `dcx` (NaN if any member distance is NaN — fails open).
     pub radius: f64,
+    /// Mix space only: geodesic component `θ(x, c)` per member, parallel
+    /// to `members`; empty in every other space.
+    pub dcx_lo: Vec<f64>,
+    /// Radius over `dcx_lo` (`0` when empty).
+    pub radius_lo: f64,
 }
 
 impl IndexCell {
@@ -66,6 +78,20 @@ impl IndexCell {
             members,
             dcx,
             radius,
+            dcx_lo: Vec::new(),
+            radius_lo: 0.0,
+        }
+    }
+
+    /// A [`BoundSpace::ConvexMix`] cell: Euclidean and geodesic member
+    /// distances, radii by [`bound::mix_radius`].
+    pub(crate) fn mix(members: Vec<u32>, dcx_eu: Vec<f64>, dcx_lo: Vec<f64>) -> Self {
+        IndexCell {
+            radius: bound::mix_radius(&dcx_eu),
+            radius_lo: bound::mix_radius(&dcx_lo),
+            members,
+            dcx: dcx_eu,
+            dcx_lo,
         }
     }
 }
@@ -173,24 +199,12 @@ pub struct IndexedStore {
 
 impl IndexedStore {
     /// Builds the index over `store` (see [`build`] for the pipeline).
+    /// The bound space is read off the store ([`BoundSpace::for_store`]).
     pub fn build(store: EmbeddingStore, params: IndexParams) -> Self {
-        let space = BoundSpace::for_variant(store.variant(), store.beta());
+        let space = BoundSpace::for_store(&store);
         let built = build::build_cells(&store, &space, &params);
         let landmarks = build::build_landmarks(&store, &space, &params);
-        let cells = built
-            .members
-            .into_iter()
-            .zip(built.dcx)
-            .map(|(m, d)| IndexCell::new(m, d))
-            .collect();
-        IndexedStore {
-            store,
-            centroids: built.centroids,
-            cells,
-            landmarks,
-            space,
-            probe_budget: None,
-        }
+        Self::from_parts(store, built.centroids, built.cells, landmarks, space)
     }
 
     /// [`IndexedStore::build`] with default parameters (`⌈√n⌉` cells).
@@ -198,14 +212,15 @@ impl IndexedStore {
         Self::build(store, IndexParams::default())
     }
 
-    /// Reassembles an index from already-built parts (codec path).
+    /// Assembles an index from built or decoded parts; `space` must be
+    /// [`BoundSpace::for_store`] of `store` and the cells built for it.
     pub(crate) fn from_parts(
         store: EmbeddingStore,
         centroids: EmbeddingStore,
         cells: Vec<IndexCell>,
         landmarks: Option<LandmarkBlock>,
+        space: BoundSpace,
     ) -> Self {
-        let space = BoundSpace::for_variant(store.variant(), store.beta());
         IndexedStore {
             store,
             centroids,
@@ -217,11 +232,10 @@ impl IndexedStore {
     }
 
     /// Caps the number of cells probed per query. `None` (the default)
-    /// probes until the exact bound allows stopping — for metric variants
-    /// that keeps results bit-identical to the flat scan; for the fused
-    /// variant it means probing every cell. Setting a budget turns any
-    /// variant into best-effort serving with measured (not guaranteed)
-    /// recall.
+    /// probes until the exact bound allows stopping, which keeps results
+    /// bit-identical to the flat scan in every space. Setting a budget
+    /// turns any variant into best-effort serving with measured (not
+    /// guaranteed) recall.
     pub fn with_probe_budget(mut self, budget: Option<usize>) -> Self {
         self.probe_budget = budget;
         self
@@ -233,12 +247,14 @@ impl IndexedStore {
     }
 
     /// Whether this configuration guarantees flat-scan-identical results:
-    /// a metric bound space and no probe budget.
+    /// no probe budget. Every space is exact without one — the pruning
+    /// spaces by admissible bounds, [`BoundSpace::None`] by scanning.
     pub fn is_exact(&self) -> bool {
-        self.space.is_metric() && self.probe_budget.is_none()
+        self.probe_budget.is_none()
     }
 
-    /// The bound space the index prunes in.
+    /// The bound space the index prunes in, decided from the store's
+    /// contents at build or decode time.
     pub fn bound_space(&self) -> BoundSpace {
         self.space
     }
@@ -268,8 +284,8 @@ impl IndexedStore {
         self.cells.len()
     }
 
-    /// Number of second-level landmark rows (0 when the space is
-    /// non-metric or the block was disabled at build time).
+    /// Number of second-level landmark rows (0 when the space is not a
+    /// metric or the block was disabled at build time).
     pub fn num_landmarks(&self) -> usize {
         self.landmarks.as_ref().map_or(0, LandmarkBlock::k)
     }
@@ -283,13 +299,18 @@ impl IndexedStore {
     /// per-member bookkeeping, and the landmark block (the Table V
     /// memory accounting).
     pub fn index_bytes(&self) -> usize {
-        let per_member = std::mem::size_of::<u32>() + std::mem::size_of::<f64>();
+        // Pivot distances kept per member, and radii per cell.
+        let pivots = match self.space {
+            BoundSpace::ConvexMix { .. } => 2,
+            _ => 1,
+        };
+        let per_member = std::mem::size_of::<u32>() + pivots * std::mem::size_of::<f64>();
         let landmark_bytes = self.landmarks.as_ref().map_or(0, |lm| {
             lm.rows.payload_bytes() + lm.dlx.len() * std::mem::size_of::<f64>()
         });
         self.centroids.payload_bytes()
             + self.len() * per_member
-            + self.cells.len() * std::mem::size_of::<f64>()
+            + self.cells.len() * pivots * std::mem::size_of::<f64>()
             + landmark_bytes
     }
 
@@ -322,8 +343,9 @@ impl IndexedStore {
     /// and the probe must never let a tombstoned row occupy a heap slot
     /// (filtering after selection would displace live rows). Skipping
     /// rows only ever *raises* the running k-th-best threshold τ, so
-    /// every triangle-inequality and landmark bound stays admissible and
-    /// masked indexed results remain bit-identical to a masked flat scan.
+    /// every triangle-inequality, landmark and convex-mix bound stays
+    /// admissible and masked indexed results remain bit-identical to a
+    /// masked flat scan.
     pub(crate) fn knn_topk_masked(
         &self,
         queries: &EmbeddingStore,
@@ -340,10 +362,28 @@ impl IndexedStore {
         if k == 0 || self.store.is_empty() {
             return (TopK::new(k), stats);
         }
+        if let BoundSpace::ConvexMix { beta } = self.space {
+            if bound::mix_certifies_query(queries, qi) {
+                let top = self.probe_mix(beta, queries, qi, k, dead, &mut stats);
+                return (top, stats);
+            }
+        }
+        let metric = self.space.is_metric();
+        if !metric && self.probe_budget.is_none() {
+            // A fused store or query that certifies no bound, asked for
+            // exact results: walking the cells would evaluate every row
+            // anyway, in scattered order — scan in storage order instead.
+            let mut top = TopK::new(k);
+            kernel::scan_offer_masked(&self.store, queries, qi, dead, 0, &mut top);
+            stats.cells_probed = stats.cells;
+            stats.rows_scanned = dead.map_or(stats.rows, |d| d.iter().filter(|&&x| !x).count());
+            return (top, stats);
+        }
 
         // One O(num_cells · d) centroid scan, then bound-space mapping
         // and cell ordering by triangle lower bound (raw centroid
-        // distance for the unprunable fused space).
+        // distance when there is no bound and the probe budget decides
+        // coverage).
         let dqc = self.centroids.distance_row_from(queries, qi);
         let pq: Vec<f64> = dqc.iter().map(|&d| self.space.map(d)).collect();
         let mut order: Vec<(f64, u32)> = self
@@ -351,7 +391,7 @@ impl IndexedStore {
             .iter()
             .enumerate()
             .map(|(j, cell)| {
-                let key = if self.space.is_metric() {
+                let key = if metric {
                     (pq[j] - cell.radius).max(0.0)
                 } else {
                     pq[j]
@@ -402,6 +442,81 @@ impl IndexedStore {
             ),
         };
         (top, stats)
+    }
+
+    /// Convex-mix serving of a certified fused store and query
+    /// ([`bound`] module docs): one centroid scan that yields, per cell,
+    /// the fused distance (cells are visited nearest fused centroid
+    /// first) and its two components (Euclidean against the centroid's
+    /// `eu` row, geodesic `θ` against its `hyper` row), then a cell or
+    /// member is skipped only when both component tests certify it out.
+    /// Rows flagged in `dead` are skipped before any bound fires, as in
+    /// [`IndexedStore::probe`].
+    fn probe_mix(
+        &self,
+        beta: f64,
+        queries: &EmbeddingStore,
+        qi: usize,
+        k: usize,
+        dead: Option<&[bool]>,
+        stats: &mut ProbeStats,
+    ) -> TopK {
+        let mix = MixBound::new(beta, self.store.dim());
+        let kern = kernel::FusedKernel::bind(&self.store, queries, qi);
+        let centroid_kern = kernel::FusedKernel::bind(&self.centroids, queries, qi);
+        let mut pq: Vec<(f64, f64)> = Vec::with_capacity(self.cells.len());
+        let mut order: Vec<(f64, u32)> = Vec::with_capacity(self.cells.len());
+        for j in 0..self.cells.len() {
+            let (fused, lo, eu) = centroid_kern.distance_and_components(j);
+            pq.push((eu as f64, mix.theta(lo as f64)));
+            order.push((fused as f64, j as u32));
+        }
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        let budget = self.probe_budget.unwrap_or(usize::MAX);
+        let mut top = TopK::new(k);
+        // τ (bit-tracked so NaN updates are seen) and its padded
+        // component images; ∞ while the heap is not yet full.
+        let mut tau_bits = f64::INFINITY.to_bits();
+        let mut tau = mix.tau(f64::INFINITY);
+        for &(_, j) in &order {
+            if stats.cells_probed >= budget {
+                break;
+            }
+            let cell = &self.cells[j as usize];
+            if cell.members.is_empty() {
+                continue;
+            }
+            let (pq_eu, pq_lo) = pq[j as usize];
+            let radius = (cell.radius, cell.radius_lo);
+            let mut thresh = mix.thresholds(tau, (pq_eu, pq_lo), radius);
+            // Every member's gap is at least `p(q,c) − r` per component.
+            if thresh.certify(pq_eu - cell.radius, pq_lo - cell.radius_lo) {
+                stats.cells_pruned += 1;
+                continue;
+            }
+            stats.cells_probed += 1;
+            for ((&m, &dc_eu), &dc_lo) in cell.members.iter().zip(&cell.dcx).zip(&cell.dcx_lo) {
+                if dead.is_some_and(|d| d[m as usize]) {
+                    continue;
+                }
+                if thresh.certify((pq_eu - dc_eu).abs(), (pq_lo - dc_lo).abs()) {
+                    stats.rows_pruned += 1;
+                    continue;
+                }
+                top.offer(m as usize, kern.distance_to(m as usize) as f64);
+                stats.rows_scanned += 1;
+                if top.len() == k {
+                    let worst = top.worst().expect("full heap").1;
+                    if worst.to_bits() != tau_bits {
+                        tau_bits = worst.to_bits();
+                        tau = mix.tau(worst);
+                        thresh = mix.thresholds(tau, (pq_eu, pq_lo), radius);
+                    }
+                }
+            }
+        }
+        top
     }
 
     /// Batched top-k, parallel across queries.
@@ -580,9 +695,93 @@ mod tests {
         let eu = IndexedStore::build(store_with_rows(PluginVariant::Original), params(2));
         assert!(eu.is_exact());
         assert!(!eu.clone().with_probe_budget(Some(1)).is_exact());
+        // A fused store with softplus-positive factors certifies the
+        // convex-mix bound: exact without a budget, like a metric one.
         let fu = IndexedStore::build(store_with_rows(PluginVariant::FusionDist), params(2));
-        assert!(!fu.is_exact(), "fused distance admits no exact bound");
-        assert!(!fu.bound_space().is_metric());
+        assert_eq!(fu.bound_space(), BoundSpace::ConvexMix { beta: 1.0 });
+        assert!(fu.is_exact(), "certified fused index prunes admissibly");
+        assert!(!fu.with_probe_budget(Some(1)).is_exact());
+    }
+
+    /// A fused row on `H(1)` at `(x, 0)` with the given factor row.
+    fn push_fused(db: &mut EmbeddingStore, x: f32, factors: [f32; 4]) {
+        let hyper = [(x * x + 1.0).sqrt(), x, 0.0];
+        db.push(&[x, 0.0], Some(&hyper), Some(&factors));
+    }
+
+    /// Two far-apart fused clusters (the twin of the Euclidean fixture in
+    /// `stats_report_pruning_on_separated_clusters`), factor rows varied
+    /// so α differs per pair, and one query inside the first cluster.
+    fn fused_clusters(bad_factor: Option<f32>) -> (EmbeddingStore, EmbeddingStore) {
+        let mut db = EmbeddingStore::new(2, PluginVariant::FusionDist, 1.0, Some(2));
+        for i in 0..16 {
+            let x = if i < 8 { 0.0 } else { 30.0 } + (i % 8) as f32 * 0.01;
+            let t = i as f32 / 16.0;
+            push_fused(&mut db, x, [0.2 + t, 1.0, 1.2 - t, 0.5]);
+        }
+        if let Some(bad) = bad_factor {
+            push_fused(&mut db, 0.03, [bad, 1.0, 1.0, 1.0]);
+        }
+        let mut q = db.empty_like();
+        push_fused(&mut q, 0.02, [0.7, 0.9, 0.4, 1.1]);
+        (db, q)
+    }
+
+    /// The thesis as a prune rate: the fused distance violates the
+    /// triangle inequality, and the index still certifies the far cluster
+    /// out — through the convex-mix bound, not a triangle bound.
+    #[test]
+    fn fused_stats_report_pruning_on_separated_clusters() {
+        let (db, q) = fused_clusters(None);
+        let ix = IndexedStore::build(db.clone(), params(2));
+        assert!(ix.bound_space().prunes() && !ix.bound_space().is_metric());
+        let (hits, stats) = ix.knn_batch_with_stats(&q, 4);
+        assert_eq!(bits(&hits[0]), bits(&db.knn(&q, 0, 4)));
+        assert!(
+            stats.prune_rate() > 0.0,
+            "far cluster must be pruned: {stats:?}"
+        );
+        assert_eq!(stats.cells_probed + stats.cells_pruned, stats.cells);
+        // One cell: the member bounds alone do the pruning.
+        let one = IndexedStore::build(db.clone(), params(1));
+        let (hits1, stats1) = one.knn_batch_with_stats(&q, 4);
+        assert_eq!(bits(&hits1[0]), bits(&hits[0]));
+        assert!(stats1.rows_pruned > 0, "{stats1:?}");
+        assert_eq!(stats1.rows_scanned + stats1.rows_pruned, stats1.rows);
+    }
+
+    /// A store or a query whose factors do not certify `α ∈ [0, 1]` is
+    /// served exactly by the flat scan and prunes nothing — and a mask
+    /// is honoured on that path too.
+    #[test]
+    fn uncertified_fused_fails_open_to_the_flat_scan() {
+        for bad in [-0.5, f32::NAN] {
+            // Uncertified store.
+            let (db, q) = fused_clusters(Some(bad));
+            let ix = IndexedStore::build(db.clone(), params(2));
+            assert_eq!(ix.bound_space(), BoundSpace::None);
+            assert!(ix.is_exact(), "no budget: the flat scan is exact");
+            let (hits, stats) = ix.knn_batch_with_stats(&q, 4);
+            assert_eq!(bits(&hits[0]), bits(&db.knn(&q, 0, 4)));
+            assert_eq!((stats.rows_pruned, stats.cells_pruned), (0, 0));
+            assert_eq!(stats.rows_scanned, db.len());
+
+            // Certified store, uncertified query.
+            let (db, _) = fused_clusters(None);
+            let ix = IndexedStore::build(db.clone(), params(2));
+            assert!(ix.bound_space().prunes());
+            let mut q = db.empty_like();
+            push_fused(&mut q, 0.02, [0.7, bad, 0.4, 1.1]);
+            let (hits, stats) = ix.knn_batch_with_stats(&q, 4);
+            assert_eq!(bits(&hits[0]), bits(&db.knn(&q, 0, 4)));
+            assert_eq!((stats.rows_pruned, stats.cells_pruned), (0, 0));
+
+            let mut dead = vec![false; db.len()];
+            dead[1] = true;
+            let (top, stats) = ix.knn_topk_masked(&q, 0, 4, Some(&dead));
+            assert!(top.into_sorted().iter().all(|&(i, _)| i != 1));
+            assert_eq!(stats.rows_scanned, db.len() - 1);
+        }
     }
 
     #[test]
@@ -659,6 +858,19 @@ mod tests {
         let ix = IndexedStore::build(s.clone(), params(2));
         assert!(ix.index_bytes() > 0);
         assert_eq!(ix.payload_bytes(), base + ix.index_bytes());
+        // The mix space keeps a second f64 per member and per cell.
+        let (fused, _) = fused_clusters(None);
+        let (n, certified) = (fused.len(), IndexedStore::build(fused, params(2)));
+        let (bad, _) = fused_clusters(Some(-1.0));
+        let uncertified = IndexedStore::build(bad, params(2));
+        let per_row = |ix: &IndexedStore, n: usize| {
+            (ix.index_bytes() - ix.centroids.payload_bytes() - ix.num_cells() * 8) / n
+        };
+        assert_eq!(per_row(&uncertified, n + 1), 12);
+        assert_eq!(
+            certified.index_bytes() - certified.centroids.payload_bytes(),
+            n * 20 + 2 * 16
+        );
         // The landmark block is part of the accounted overhead.
         let no_lm = IndexedStore::build(
             s,
@@ -718,8 +930,8 @@ mod tests {
         );
     }
 
-    /// The fused variant has no metric bound space, so no landmark block
-    /// is built even when requested — and serving stays correct.
+    /// The fused variant's bound space is not a metric, so no landmark
+    /// block is built even when requested — and serving stays correct.
     #[test]
     fn fused_variant_builds_no_landmarks() {
         let s = store_with_rows(PluginVariant::FusionDist);

@@ -135,6 +135,16 @@ impl DistanceKernel for FusedKernel<'_> {
 
     #[inline]
     fn distance_to(&self, di: usize) -> f32 {
+        self.distance_and_components(di).0
+    }
+}
+
+impl FusedKernel<'_> {
+    /// `(fused, d_Lo, d_Eu)` from the bound query to database row `di`:
+    /// the fused distance together with the two component distances it
+    /// blends, which the convex-mix index bounds separately.
+    #[inline]
+    pub(crate) fn distance_and_components(&self, di: usize) -> (f32, f32, f32) {
         let w = 2 * self.factor_dim;
         let df = &self.db_factors[di * w..(di + 1) * w];
         let alpha = alpha_f32(
@@ -143,7 +153,8 @@ impl DistanceKernel for FusedKernel<'_> {
             self.q_eu,
             &df[self.factor_dim..],
         );
-        fused_f32(alpha, self.lo.distance_to(di), self.eu.distance_to(di))
+        let (lo, eu) = (self.lo.distance_to(di), self.eu.distance_to(di));
+        (fused_f32(alpha, lo, eu), lo, eu)
     }
 }
 

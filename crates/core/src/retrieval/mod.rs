@@ -17,12 +17,14 @@
 //!   owned store (zero-copy), served by the batched
 //!   [`ShardedStore::knn_batch`] API, which fans (query × shard) scans
 //!   across threads via `traj_core::parallel` and merges per-shard heaps;
-//! * [`index`] — [`IndexedStore`]: the pivot-partitioned ANN tier. Cells
-//!   with stored centroid distances and radii give exact (bit-identical,
-//!   recall 1.0) sub-linear kNN via triangle-inequality pruning for
-//!   metric variants, and probe-budgeted best-effort serving for the
-//!   non-metric fused distance — the paper's metric-violation thesis made
-//!   operational at serving time;
+//! * [`index`] — [`IndexedStore`]: the pivot-partitioned index tier.
+//!   Cells with stored centroid distances and radii give exact
+//!   (bit-identical, recall 1.0) sub-linear kNN for every variant:
+//!   triangle-inequality pruning for the metric ones, and for the fused
+//!   distance — not a metric — the convex-mix bound
+//!   `fused ≥ min(d_Lo, d_Eu)`, each component pruned in its own space.
+//!   The paper's metric-violation thesis becomes a measured prune rate
+//!   at serving time;
 //! * [`codec`] — streaming little-endian payload (de)serialization with
 //!   corruption guards ([`StoreDecodeError`]);
 //! * [`serve`] — [`ServingStore`]: the mutable serving tier. Writers

@@ -5,10 +5,11 @@
 //! order* (live base rows in row order, then live delta rows — exactly
 //! [`Snapshot::to_flat`]'s order, by construction through the same
 //! `push_row_from` bytewise copies), assigns the result as the new base,
-//! and rebuilds the pivot index over it when the variant's bound space is
-//! metric. The fused variant is non-metric (the paper's thesis) and
-//! admits no exact bound, so its compacted base stays flat and is served
-//! by the masked scan.
+//! and rebuilds the pivot index over it when the store's bound space can
+//! prune (`BoundSpace::for_store`): every metric variant, and the fused
+//! variant whenever its factors certify the convex-mix bound — which
+//! every store a model emits does. Only an uncertifiable fused base stays
+//! flat and is served by the masked scan.
 //!
 //! Because materialization is a bytewise row copy and the new base has no
 //! tombstones and an empty delta, queries against the compacted snapshot
@@ -44,12 +45,12 @@ pub(crate) fn compact_snapshot(snap: &Snapshot, opts: &ServingOptions) -> Compac
 }
 
 /// Wraps a flat store as the serving base, attaching the pivot index when
-/// requested and admissible (metric bound space only — an index over the
-/// fused distance could not prune exactly, so serving it would only add
-/// probe overhead to what is still a full scan).
+/// requested and the store's bound space can prune (every metric variant,
+/// and a fused store whose factors certify the convex-mix bound — an
+/// index that cannot prune would only add probe overhead to what is still
+/// a full scan).
 pub(crate) fn wrap_base(store: EmbeddingStore, opts: &ServingOptions) -> Base {
-    let metric = BoundSpace::for_variant(store.variant(), store.beta()).is_metric();
-    if opts.index && metric && !store.is_empty() {
+    if opts.index && !store.is_empty() && BoundSpace::for_store(&store).prunes() {
         Base::Indexed(IndexedStore::build(store, opts.index_params))
     } else {
         Base::Flat(store)

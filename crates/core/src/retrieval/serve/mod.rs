@@ -22,11 +22,22 @@
 //! rows are skipped before any bound or heap offer fires.
 //!
 //! Compaction (`compact`) folds the delta and tombstones into a fresh
-//! indexed base; it runs inline on the writer that trips the threshold
-//! (or on demand), and readers keep querying the old snapshot until the
-//! new one is published. Durability (`wal`) is WAL + atomic-rename
-//! checkpoint: recovery loads the last checkpoint, replays the verified
-//! WAL prefix, and discards a torn tail.
+//! base and re-attaches the pivot index whenever the base's bound space
+//! can prune (every metric variant, and `fusion-dist` through the
+//! convex-mix bound). The fold has two drivers. Under a
+//! [`sharded::ShardedServingStore`] with a background compactor — the
+//! default serving configuration — a shard that trips its threshold is
+//! *scheduled*, and the `compactor` thread runs the two-phase
+//! [`ServingStore::compact_background`]: pin a snapshot under a briefly
+//! held writer lock, fold off-lock, install under a microseconds-held
+//! lock, so no writer ever pays a fold. A standalone [`ServingStore`]
+//! has no such thread: there the writer that trips
+//! [`ServingOptions::compact_threshold`] folds inline under its own lock
+//! ([`ServingStore::compact`], also callable on demand). Either way
+//! readers keep querying the old snapshot until the new one is
+//! published. Durability (`wal`) is WAL + atomic-rename checkpoint:
+//! recovery loads the last checkpoint, replays the verified WAL prefix,
+//! and discards a torn tail.
 
 pub(crate) mod compact;
 pub(crate) mod compactor;
@@ -96,14 +107,16 @@ impl From<StoreDecodeError> for ServeError {
 /// Configuration for a [`ServingStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
-    /// Attach the pivot index to compacted bases (metric variants only —
-    /// non-metric bases stay flat regardless).
+    /// Attach the pivot index to compacted bases whose bound space can
+    /// prune — every variant a model emits; only a fused base whose
+    /// factors fail certification stays flat regardless.
     pub index: bool,
     /// Index build parameters.
     pub index_params: IndexParams,
     /// Auto-compaction trigger: when `delta rows + tombstones` reaches
-    /// this, the writer that tripped it compacts inline. `0` disables
-    /// auto-compaction (callers compact manually).
+    /// this, the writer that tripped it compacts inline (a sharded store
+    /// with a background compactor schedules the fold on its thread
+    /// instead). `0` disables auto-compaction (callers compact manually).
     pub compact_threshold: usize,
     /// Fsync every WAL append (power-loss durable) instead of flushing to
     /// the OS (process-crash durable).
@@ -905,13 +918,28 @@ mod tests {
     }
 
     #[test]
-    fn fused_base_stays_flat() {
+    fn fused_base_is_indexed_when_its_factors_certify() {
         let store = serving(PluginVariant::FusionDist, 0);
         store.compact().expect("compact");
         assert!(
-            !store.snapshot().base_indexed(),
-            "non-metric space admits no exact index"
+            store.snapshot().base_indexed(),
+            "softplus-positive factors certify the convex-mix bound"
         );
+        // One negative factor and the next fold observes it: the base
+        // cannot prune, so it stays flat — and still serves.
+        store
+            .upsert(
+                99,
+                &[0.5, 0.5],
+                Some(&[1.2247, 0.5, 0.5]),
+                Some(&[1.0, -1.0, 1.0, 1.0]),
+            )
+            .expect("upsert");
+        store.compact().expect("compact");
+        let snap = store.snapshot();
+        assert!(!snap.base_indexed(), "uncertifiable fused base stays flat");
+        let q = store_with_rows(PluginVariant::FusionDist);
+        assert_eq!(snap.knn(&q, 0, 10).len(), snap.len());
     }
 
     #[test]

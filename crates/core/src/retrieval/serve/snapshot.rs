@@ -27,8 +27,9 @@
 //! * **Tombstones** are excluded *before* any heap offer (a dead row must
 //!   never occupy a slot a live row deserved), and inside the index probe
 //!   the skip happens before the bounds fire — skipping only raises the
-//!   running k-th-best τ, so every triangle-inequality and landmark bound
-//!   stays admissible (see `IndexedStore::knn_topk_masked`).
+//!   running k-th-best τ, so every triangle-inequality, landmark and
+//!   convex-mix bound stays admissible (see
+//!   `IndexedStore::knn_topk_masked`).
 //!
 //! `tests/serving_store.rs` enforces this property end-to-end, and the
 //! serve bench re-asserts it on sampled queries before every ledger
@@ -43,8 +44,9 @@ use traj_core::parallel::{default_threads, parallel_map};
 use traj_core::topk::TopK;
 
 /// The compacted base segment: a flat store, or one served through the
-/// pivot index (metric variants only — the fused distance admits no exact
-/// bound, so its base stays flat and is scanned).
+/// pivot index — whenever the store's bound space can prune, which
+/// includes the fused distance through its convex-mix bound; flat only
+/// for an empty base, an uncertifiable fused one, or `index: false`.
 // One `Base` exists per compaction, always behind an `Arc` — the variant
 // size gap never multiplies across rows, and boxing would add a pointer
 // chase to every probe.
@@ -53,8 +55,8 @@ use traj_core::topk::TopK;
 pub(crate) enum Base {
     /// Flat base: scanned with the monomorphized kernels.
     Flat(EmbeddingStore),
-    /// Indexed base: probed with triangle-inequality + landmark bounds,
-    /// masked by the tombstone set.
+    /// Indexed base: probed with the space's admissible bounds
+    /// (triangle + landmark, or convex-mix), masked by the tombstone set.
     Indexed(IndexedStore),
 }
 

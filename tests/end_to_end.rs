@@ -4,9 +4,13 @@
 use lh_repro::data::{generate, DatasetPreset};
 use lh_repro::dist::{cross_matrix, pairwise_matrix, MeasureKind};
 use lh_repro::models::{EncoderConfig, ModelKind};
+use lh_repro::plugin::distance::{alpha_f32, euclidean_f32, lorentz_f32};
 use lh_repro::plugin::pipeline::{run_experiment, ExperimentSpec};
 use lh_repro::plugin::trainer::{LhModel, Trainer, TrainerConfig};
-use lh_repro::plugin::{PluginConfig, PluginVariant, TrainerConfig as Tc};
+use lh_repro::plugin::{
+    BoundSpace, EmbeddingStore, IndexParams, IndexedStore, PluginConfig, PluginVariant, ProbeStats,
+    TrainerConfig as Tc,
+};
 use lh_repro::traj::normalize::Normalizer;
 
 fn quick_trainer(epochs: usize) -> TrainerConfig {
@@ -153,6 +157,111 @@ fn reproducibility_contract() {
     spec.trainer.seed += 1;
     let c = run_experiment(&spec);
     assert_ne!(a.eval, c.eval, "different seeds must differ");
+}
+
+/// The `lh-cosh` store of a fused store's encoder: the same Euclidean and
+/// hyperbolic rows without the factor rows, served by the Lorentz kernel.
+fn lorentz_view(fused: &EmbeddingStore) -> EmbeddingStore {
+    let mut out = EmbeddingStore::new(fused.dim(), PluginVariant::LorentzCosh, fused.beta(), None);
+    for i in 0..fused.len() {
+        out.push(fused.eu_row(i), Some(fused.hyper_row(i)), None);
+    }
+    out
+}
+
+/// Indexes `db`, checks every query's top-10 against the flat scan bit
+/// for bit, and returns the probe accounting.
+fn indexed_exactly(db: &EmbeddingStore, queries: &EmbeddingStore) -> (BoundSpace, ProbeStats) {
+    let ix = IndexedStore::build(db.clone(), IndexParams::default());
+    assert!(ix.is_exact());
+    let (hits, stats) = ix.knn_batch_with_stats(queries, 10);
+    let bits = |h: &[lh_repro::plugin::RetrievalResult]| -> Vec<(usize, u32)> {
+        h.iter().map(|r| (r.index, r.distance.to_bits())).collect()
+    };
+    for (qi, got) in hits.iter().enumerate() {
+        assert_eq!(bits(got), bits(&db.knn(queries, qi, 10)), "qi={qi}");
+    }
+    (ix.bound_space(), stats)
+}
+
+/// The thesis as a number, on trained embeddings: a trained `fusion-dist`
+/// model's store certifies the convex-mix bound (its factors are softplus
+/// outputs) and is served exactly through it; the same encoder's
+/// `lh-cosh` store is served exactly through the geodesic triangle bound.
+/// The two prune rates — what the learned violations forfeit — are
+/// printed (`-- --nocapture`) and recorded in EXPERIMENTS.md.
+#[test]
+fn trained_fused_store_is_indexed_exactly_beside_its_lorentz_view() {
+    let mut spec = ExperimentSpec::quick();
+    spec.preset = DatasetPreset::Smoke;
+    spec.n = 120;
+    spec.n_queries = 20;
+    spec.trainer = quick_trainer(1);
+    let out = run_experiment(&spec);
+    assert_eq!(out.db_store.variant(), PluginVariant::FusionDist);
+
+    let (fused_space, fused) = indexed_exactly(&out.db_store, &out.q_store);
+    assert_eq!(
+        fused_space,
+        BoundSpace::ConvexMix {
+            beta: out.db_store.beta() as f64
+        },
+        "softplus-positive factors must certify"
+    );
+    let (cosh_space, cosh) =
+        indexed_exactly(&lorentz_view(&out.db_store), &lorentz_view(&out.q_store));
+    assert!(cosh_space.is_metric());
+    for (name, s) in [("fusion-dist", &fused), ("lh-cosh", &cosh)] {
+        println!(
+            "{name}: prune rate {:.4}, {:.2} of {} cells and {:.1} of {} rows per query",
+            s.prune_rate(),
+            s.cells_probed_per_query(),
+            s.cells / s.queries,
+            s.rows_scanned as f64 / s.queries as f64,
+            s.rows / s.queries,
+        );
+    }
+    assert!(
+        fused.prune_rate() > 0.0,
+        "the mix bound must skip something on trained embeddings: {fused:?}"
+    );
+
+    // What decides how loose `min(d_Lo, d_Eu)` is: where α̃ sits and how
+    // far apart the two components are, over every (query, row) pair.
+    let f = out.db_store.factor_dim().expect("fused store has factors");
+    let (mut alphas, mut lo, mut eu) = (Vec::new(), Vec::new(), Vec::new());
+    for qi in 0..out.q_store.len() {
+        let q = out.q_store.factor_row(qi);
+        for di in 0..out.db_store.len() {
+            let x = out.db_store.factor_row(di);
+            alphas.push(alpha_f32(&q[..f], &x[..f], &q[f..], &x[f..]));
+            lo.push(lorentz_f32(
+                out.q_store.hyper_row(qi),
+                out.db_store.hyper_row(di),
+                out.db_store.beta(),
+            ));
+            eu.push(euclidean_f32(
+                out.q_store.eu_row(qi),
+                out.db_store.eu_row(di),
+            ));
+        }
+    }
+    for v in [&mut alphas, &mut lo, &mut eu] {
+        v.sort_unstable_by(f32::total_cmp);
+    }
+    let mid = alphas.len() / 2;
+    println!(
+        "α̃ min/median/max {:.3}/{:.3}/{:.3}; median d_Lo {:.3}, median d_Eu {:.3}",
+        alphas[0],
+        alphas[mid],
+        alphas[alphas.len() - 1],
+        lo[mid],
+        eu[mid]
+    );
+    assert!(
+        alphas[0] >= 0.0 && alphas[alphas.len() - 1] <= 1.0,
+        "certified factors keep α̃ in [0, 1]"
+    );
 }
 
 /// Embedding stores round-trip through the compact byte format and give

@@ -1,13 +1,21 @@
 //! Property-based tests for the pivot-partitioned index tier: indexed
-//! top-k must be byte-identical to the flat scan for every metric plugin
-//! variant across random stores and cell counts; the fused (non-metric)
-//! variant must reach measured recall 1.0 at full probe budget and stay
-//! well-formed (true distances, bounded coverage loss) under a budget;
-//! and the index codec must round-trip exactly while rejecting truncated
-//! payloads with an error instead of a panic.
+//! top-k must be byte-identical to the flat scan for every plugin
+//! variant across random stores and cell counts — the metric ones
+//! through triangle bounds, the fused one through the convex-mix bound,
+//! including at the corners of its admissibility argument (zero, tiny
+//! and cap-sized factors, duplicate rows, NaN / ∞ coordinates, tombstone
+//! masks) and on the fail-open side (an uncertifiable store or query is
+//! served exactly and prunes nothing); budgeted serving must stay
+//! well-formed (true distances, bounded coverage loss); and the index
+//! codec must round-trip exactly while rejecting truncated payloads with
+//! an error instead of a panic.
 
 use bytes::Bytes;
-use lh_repro::plugin::{EmbeddingStore, IndexParams, IndexedStore, PluginVariant, RetrievalResult};
+use lh_repro::plugin::retrieval::index::bound::mix_factor_cap;
+use lh_repro::plugin::{
+    BoundSpace, EmbeddingStore, IndexParams, IndexedStore, PluginVariant, RetrievalResult,
+    ServingOptions, ServingStore,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -46,6 +54,77 @@ fn random_store(variant: PluginVariant, n: usize, dim: usize, seed: u64) -> Embe
             variant.uses_hyperbolic().then_some(&hy[..]),
             variant.uses_fusion().then_some(&fa[..]),
         );
+    }
+    store
+}
+
+/// A certified fused store of `n` rows drawn from the corners of the
+/// convex-mix argument: every factor row takes one of six shapes, one
+/// row in five repeats an earlier row bit for bit, and — when `poison` is
+/// set (database side only; a query must be finite to be certified) —
+/// one row in sixteen carries a NaN / +∞ coordinate in the Euclidean
+/// row, the hyperbolic row, or both. (Poisoned rows seed NaN centroids,
+/// which leaves little to prune: the unpoisoned cases are the ones that
+/// lean on the bound, the poisoned ones on its failing open.)
+fn corner_store(n: usize, dim: usize, poison: bool, rng: &mut StdRng) -> EmbeddingStore {
+    let cap = mix_factor_cap(FACTOR_DIM);
+    let mut store = EmbeddingStore::new(dim, PluginVariant::FusionDist, 1.0, Some(FACTOR_DIM));
+    for i in 0..n {
+        if i > 0 && rng.gen_range(0..5) == 0 {
+            let r = rng.gen_range(0..i);
+            let (eu, hy) = (store.eu_row(r).to_vec(), store.hyper_row(r).to_vec());
+            let fa = store.factor_row(r).to_vec();
+            store.push(&eu, Some(&hy), Some(&fa));
+            continue;
+        }
+        // Tight clusters at the corners of a cube, so the bound has
+        // something to certify out even in a store this small — drawn
+        // independently for the two components (a trained model's `eu`
+        // and `hyper` rows are different projections), so a row can be
+        // near in one and far in the other.
+        let clustered = |rng: &mut StdRng| -> Vec<f32> {
+            let corner = rng.gen_range(0..4u32);
+            (0..dim)
+                .map(|d| {
+                    let center = if corner >> (d % 2) & 1 == 0 {
+                        -1.5
+                    } else {
+                        1.5
+                    };
+                    center + rng.gen_range(-0.05f32..0.05)
+                })
+                .collect()
+        };
+        let mut eu = clustered(rng);
+        let spatial = clustered(rng);
+        let nsq: f32 = spatial.iter().map(|v| v * v).sum();
+        let mut hy = vec![(nsq + 1.0).sqrt()];
+        hy.extend_from_slice(&spatial);
+        if poison && rng.gen_range(0..16) == 0 {
+            let bad = [f32::NAN, f32::INFINITY][rng.gen_range(0..2usize)];
+            let (at, target) = (rng.gen_range(0..dim), rng.gen_range(0..3));
+            if target != 1 {
+                eu[at] = bad;
+            }
+            if target != 0 {
+                hy[1 + at] = bad;
+            }
+        }
+        let shape = rng.gen_range(0..6);
+        let fa: Vec<f32> = (0..2 * FACTOR_DIM)
+            .map(|j| {
+                let lo_half = j < FACTOR_DIM;
+                match shape {
+                    0 if lo_half => 0.0,  // V_Lo = 0 ⇒ α̃ = 0
+                    1 if !lo_half => 0.0, // V_Eu = 0 ⇒ α̃ = 1
+                    2 => 0.0,             // both zero: the MIN_POSITIVE clamp
+                    3 => 1e-30,           // products underflow to 0
+                    4 => cap,             // right at the certification cap
+                    _ => rng.gen_range(0.01f32..1.0),
+                }
+            })
+            .collect();
+        store.push(&eu, Some(&hy), Some(&fa));
     }
     store
 }
@@ -117,9 +196,10 @@ proptest! {
         }
     }
 
-    /// The fused (non-metric) variant at full probe budget: coverage is
-    /// complete, so results are bit-identical and measured recall is 1.0
-    /// — exactness bought with work instead of triangle bounds.
+    /// The fused variant without a probe budget: not a metric, and still
+    /// exact *with pruning allowed* — positive factors certify the
+    /// convex-mix bound, so results are bit-identical and measured recall
+    /// is 1.0 whatever the bound skipped.
     #[test]
     fn fused_full_budget_reaches_recall_one(
         n in 0usize..40,
@@ -133,19 +213,23 @@ proptest! {
         let db = random_store(variant, n, dim, seed);
         let queries = random_store(variant, n_queries, dim, seed ^ 0x5eed);
         let ix = build(db.clone(), n_cells);
-        prop_assert!(!ix.is_exact(), "fused admits no exact bound");
+        prop_assert!(ix.is_exact(), "certified fused index is exact");
+        prop_assert_eq!(ix.bound_space(), BoundSpace::ConvexMix { beta: 1.0 });
         let flat: Vec<Vec<RetrievalResult>> = (0..n_queries)
             .map(|qi| db.knn(&queries, qi, k))
             .collect();
         let (indexed, stats) = ix.knn_batch_with_stats(&queries, k);
         let measured = recall(&flat, &indexed);
-        prop_assert_eq!(measured, 1.0, "full budget must reach recall 1.0");
+        prop_assert_eq!(measured, 1.0, "exact serving must reach recall 1.0");
         for (got, want) in indexed.iter().zip(&flat) {
             prop_assert_eq!(bits(got), bits(want));
         }
-        // And it really was full coverage: nothing pruned, no row skipped.
-        prop_assert_eq!(stats.rows_scanned, stats.rows);
-        prop_assert_eq!(stats.cells_pruned, 0usize);
+        // Every row is scanned, skipped by a member bound, or sits in a
+        // cell the cell bound skipped.
+        prop_assert!(stats.rows_scanned + stats.rows_pruned <= stats.rows);
+        prop_assert!(stats.cells_probed + stats.cells_pruned <= stats.cells);
+        prop_assert!(stats.cells_pruned > 0 || stats.rows_scanned + stats.rows_pruned == stats.rows);
+        prop_assert_eq!(stats.rows_pruned_landmark, 0usize, "no landmark block in the mix space");
     }
 
     /// Budgeted fused serving stays well-formed: every returned hit
@@ -218,6 +302,129 @@ proptest! {
             prop_assume!(cut < full.len());
             let res = IndexedStore::from_bytes(Bytes::from(full[..cut].to_vec()));
             prop_assert!(res.is_err(), "{} cut={} len={}", variant.name(), cut, full.len());
+        }
+    }
+}
+
+proptest! {
+    // The admissibility cases are cheap and the claim is universal:
+    // more of them than the structural properties above get.
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The convex-mix bound at the corners of its admissibility argument.
+    /// Factor rows are driven to all-zero `V_Lo` (α̃ = 0), all-zero `V_Eu`
+    /// (α̃ = 1), both zero (`lo + eu` clamps to `MIN_POSITIVE`), 1e-30
+    /// (products underflow to 0) and the certification cap; rows repeat
+    /// exactly (ties broken by index) and carry NaN / +∞ coordinates
+    /// (stored pivot distances non-finite ⇒ that row fails open). The
+    /// store stays certified through all of it, and indexed ≡ flat on
+    /// ids and `f32` bits — frozen, and under a tombstone mask through
+    /// the serving tier's indexed base.
+    #[test]
+    fn fused_bound_is_admissible_at_the_corners(
+        n in 1usize..64,
+        dim in 1usize..5,
+        n_cells in 1usize..9,
+        k in 1usize..8,
+        poison in 0usize..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let db = corner_store(n, dim, poison == 1, &mut rng);
+        let queries = corner_store(6, dim, false, &mut rng);
+        let ix = build(db.clone(), n_cells);
+        prop_assert_eq!(ix.bound_space(), BoundSpace::ConvexMix { beta: 1.0 });
+        prop_assert!(ix.is_exact());
+        let (batch, stats) = ix.knn_batch_with_stats(&queries, k);
+        for (qi, hits) in batch.iter().enumerate() {
+            prop_assert_eq!(
+                bits(hits),
+                bits(&db.knn(&queries, qi, k)),
+                "n={} cells={} k={} qi={}", n, n_cells, k, qi
+            );
+        }
+        prop_assert!(stats.rows_scanned + stats.rows_pruned <= stats.rows);
+
+        // The same rows as a serving base, a third of them tombstoned:
+        // the masked probe against a flat scan of the live rows.
+        let opts = ServingOptions {
+            index_params: IndexParams { n_cells: Some(n_cells), ..IndexParams::default() },
+            compact_threshold: 0,
+            ..ServingOptions::default()
+        };
+        let store = ServingStore::new(db, (0..n as u64).collect(), opts).expect("unique ids");
+        prop_assert!(store.snapshot().base_indexed(), "certified fused base is indexed");
+        for id in (0..n as u64).filter(|_| rng.gen_range(0..3) == 0) {
+            store.remove(id).expect("remove");
+        }
+        let snap = store.snapshot();
+        prop_assert!(snap.base_indexed() && snap.delta_rows() == 0);
+        let (live, live_ids) = snap.to_flat();
+        for qi in 0..queries.len() {
+            let got: Vec<(u64, u32)> = snap
+                .knn(&queries, qi, k)
+                .iter()
+                .map(|h| (h.id, h.distance.to_bits()))
+                .collect();
+            let want: Vec<(u64, u32)> = live
+                .knn(&queries, qi, k)
+                .iter()
+                .map(|h| (live_ids[h.index], h.distance.to_bits()))
+                .collect();
+            prop_assert_eq!(got, want, "masked n={} cells={} k={} qi={}", n, n_cells, k, qi);
+        }
+    }
+
+    /// The fail-open side: `α̃ ∈ [0, 1]` is observed, never assumed. One
+    /// negative, NaN or over-the-cap stored factor and the store has no
+    /// bound space; one such query factor against a certified store and
+    /// that query has none. Either way results stay bit-identical and
+    /// nothing is pruned.
+    #[test]
+    fn uncertifiable_fused_store_or_query_prunes_nothing(
+        n in 1usize..40,
+        dim in 1usize..5,
+        n_cells in 1usize..9,
+        k in 1usize..12,
+        which in 0usize..3,
+        seed in 0u64..1_000_000,
+    ) {
+        let over_cap = f32::from_bits(mix_factor_cap(FACTOR_DIM).to_bits() + 1);
+        let bad = [-1e-3f32, f32::NAN, over_cap][which];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let good_db = corner_store(n, dim, seed % 2 == 1, &mut rng);
+        let good_q = corner_store(3, dim, false, &mut rng);
+        let poison = |src: &EmbeddingStore, rng: &mut StdRng| {
+            let (row, col) = (rng.gen_range(0..src.len()), rng.gen_range(0..2 * FACTOR_DIM));
+            let mut out = src.empty_like();
+            for i in 0..src.len() {
+                let mut fa = src.factor_row(i).to_vec();
+                if i == row {
+                    fa[col] = bad;
+                }
+                out.push(src.eu_row(i), Some(src.hyper_row(i)), Some(&fa));
+            }
+            out
+        };
+
+        let bad_db = poison(&good_db, &mut rng);
+        let ix = build(bad_db.clone(), n_cells);
+        prop_assert_eq!(ix.bound_space(), BoundSpace::None, "factor {}", bad);
+        let bad_q = poison(&good_q, &mut rng);
+        for (ix, db, queries) in [
+            (ix, &bad_db, &good_q),
+            (build(good_db.clone(), n_cells), &good_db, &bad_q),
+        ] {
+            for qi in 0..queries.len() {
+                let (hits, stats) = ix.knn_with_stats(queries, qi, k);
+                prop_assert_eq!(bits(&hits), bits(&db.knn(queries, qi, k)), "factor {}", bad);
+                let certified = ix.bound_space().prunes()
+                    && queries.factor_row(qi).iter().all(|v| (0.0..over_cap).contains(v));
+                if !certified {
+                    prop_assert_eq!((stats.rows_pruned, stats.cells_pruned), (0, 0));
+                    prop_assert_eq!(stats.rows_scanned, db.len());
+                }
+            }
         }
     }
 }

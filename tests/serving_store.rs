@@ -17,8 +17,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 const FACTOR_DIM: usize = 3;
 const BETA: f32 = 1.0;
 
-/// All serving-relevant plugin variants: two metric ones (indexed base
-/// after compaction) and the fused one (base stays flat).
+/// All serving-relevant plugin variants: two metric ones and the fused
+/// one — every base is indexed after compaction, the fused one through
+/// the convex-mix bound its positive factors certify.
 const VARIANTS: [PluginVariant; 3] = [
     PluginVariant::Original,
     PluginVariant::LorentzCosh,
@@ -287,7 +288,7 @@ proptest! {
     }
 
     /// Compaction is invisible to readers: hits before and after folding
-    /// the delta into a fresh (indexed, for metric variants) base are
+    /// the delta into a fresh indexed base are
     /// bit-identical *in order*, and both equal a flat scan over the
     /// snapshot's own `to_flat` materialisation.
     #[test]
@@ -326,7 +327,7 @@ proptest! {
             prop_assert_eq!(after.delta_rows(), 0usize);
             prop_assert_eq!(
                 after.base_indexed(),
-                !store.is_empty() && variant != PluginVariant::FusionDist,
+                !store.is_empty(),
                 "{} indexed-base contract", variant.name()
             );
             for (qi, want) in hits_before.iter().enumerate() {
