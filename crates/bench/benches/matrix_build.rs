@@ -1,12 +1,11 @@
-//! Ground-truth matrix construction: legacy row-chunked vs balanced
-//! dynamic scheduling vs wavefront lockstep batching vs cached reload.
+//! Ground-truth matrix construction: balanced dynamic scheduling vs
+//! wavefront lockstep batching vs cached reload.
 //!
 //! The workload is deliberately *asymmetric*: trajectory lengths descend
 //! with index, so early rows of the pairwise triangle hold both more
 //! pairs (row `i` has `n−i−1`) and more expensive pairs (longer DP
-//! tables). Static row chunking pins all of that on the first thread;
-//! the balanced schedule drains a shared pair-batch queue and should win
-//! by roughly the row-chunked imbalance factor. `cached` measures the
+//! tables) — the shape a static split by rows handles worst and the
+//! shared pair-batch queue is there for. `cached` measures the
 //! checkpoint reload path (`MatrixBuilder::cache_dir`) against the same
 //! matrix — the steady-state cost of a re-run.
 
@@ -31,53 +30,13 @@ fn skewed_trajs(n: usize, min_len: usize, max_len: usize) -> Vec<Trajectory> {
         .collect()
 }
 
-/// Prints the static row-chunking load imbalance for this workload: the
-/// share of total DP work landing on the most loaded of `threads`
-/// contiguous row chunks (ideal = 1/threads). Deterministic and
-/// hardware-independent — on a single-core container the wall-clock
-/// columns cannot show the scheduling win, but this number is exactly
-/// what a `threads`-core machine pays for row chunking.
-fn report_row_chunk_imbalance(trajs: &[Trajectory], threads: usize) {
-    let n = trajs.len();
-    let lens: Vec<u64> = trajs.iter().map(|t| t.len() as u64).collect();
-    let suffix: Vec<u64> = {
-        let mut s = vec![0u64; n + 1];
-        for i in (0..n).rev() {
-            s[i] = s[i + 1] + lens[i];
-        }
-        s
-    };
-    // DP cost of row i ≈ len_i · Σ_{j>i} len_j (DTW tables are len×len).
-    let row_cost: Vec<u64> = (0..n).map(|i| lens[i] * suffix[i + 1]).collect();
-    let total: u64 = row_cost.iter().sum();
-    let chunk = n.div_ceil(threads);
-    let max_share = row_cost
-        .chunks(chunk)
-        .map(|c| c.iter().sum::<u64>() as f64 / total as f64)
-        .fold(0.0, f64::max);
-    eprintln!(
-        "workload n={n}: row-chunked most-loaded thread carries {:.1}% of DP work \
-         across {threads} threads (balanced ideal {:.1}%) → speedup capped at {:.2}× of {threads}×",
-        max_share * 100.0,
-        100.0 / threads as f64,
-        1.0 / max_share
-    );
-}
-
 fn bench_pairwise_build(c: &mut Criterion) {
     let mut group = c.benchmark_group("pairwise_build_dtw");
     group.sample_size(10);
     for n in [512usize, 2048] {
         let trajs = skewed_trajs(n, 4, 24);
-        for threads in [4, 8] {
-            report_row_chunk_imbalance(&trajs, threads);
-        }
         let measure = MeasureKind::Dtw.measure();
-        for schedule in [
-            Schedule::RowChunked,
-            Schedule::Balanced,
-            Schedule::Wavefront,
-        ] {
+        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
             group.bench_with_input(BenchmarkId::new(schedule.name(), n), &trajs, |b, trajs| {
                 let builder = MatrixBuilder::new(measure).schedule(schedule);
                 b.iter(|| std::hint::black_box(builder.build_pairwise(trajs)))

@@ -2,19 +2,17 @@
 //! precision (10k rows; the binary covers 100k/1m).
 //!
 //! Three paths per plugin variant:
-//! * `fullsort` — the legacy baseline: materialize + sort all n
-//!   candidates, per-pair variant dispatch (O(n log n));
 //! * `kernel_heap` — `EmbeddingStore::knn`: monomorphized kernel +
 //!   bounded heap (O(n log k), single-threaded);
-//! * `sharded_batch` — `ShardedStore::knn_batch` over 4 queries, fanned
-//!   across threads (reported per batch; divide by 4 for per-query);
+//! * `flat_batch` — `EmbeddingStore::knn_batch` over 4 queries, parallel
+//!   across queries (reported per batch; divide by 4 for per-query);
 //! * `indexed_batch` — `IndexedStore::knn_batch` over the same 4 queries:
-//!   pivot cells + triangle-inequality pruning (exact for Euclidean /
-//!   Lorentz, full-coverage probing for fused).
+//!   pivot cells + triangle-inequality pruning for Euclidean / Lorentz,
+//!   the convex-mix bound for fused — exact for all three.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lh_core::config::{PluginConfig, PluginVariant};
-use lh_core::{EmbeddingStore, IndexParams, IndexedStore, ShardedStore};
+use lh_core::{EmbeddingStore, IndexParams, IndexedStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -54,21 +52,15 @@ fn bench_knn_scan(c: &mut Criterion) {
         let mut rng = StdRng::seed_from_u64(11);
         let db = synth(10_000, 16, &cfg, &mut rng);
         let q = synth(4, 16, &cfg, &mut rng);
-        let sharded = ShardedStore::new(db.clone(), 2048);
-        group.bench_with_input(
-            BenchmarkId::new("fullsort", variant.name()),
-            &(&db, &q),
-            |b, (db, q)| b.iter(|| std::hint::black_box(db.knn_full_sort(q, 0, 50))),
-        );
         group.bench_with_input(
             BenchmarkId::new("kernel_heap", variant.name()),
             &(&db, &q),
             |b, (db, q)| b.iter(|| std::hint::black_box(db.knn(q, 0, 50))),
         );
         group.bench_with_input(
-            BenchmarkId::new("sharded_batch4", variant.name()),
-            &(&sharded, &q),
-            |b, (sharded, q)| b.iter(|| std::hint::black_box(sharded.knn_batch(q, 50))),
+            BenchmarkId::new("flat_batch4", variant.name()),
+            &(&db, &q),
+            |b, (db, q)| b.iter(|| std::hint::black_box(db.knn_batch(q, 50))),
         );
         let indexed = IndexedStore::build(db.clone(), IndexParams::default());
         group.bench_with_input(

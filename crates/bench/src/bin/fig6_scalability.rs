@@ -2,8 +2,8 @@
 //! (20/40/60/80/100%), original vs LH-plugin with a fixed evaluation set.
 //!
 //! Each point also reports the serving cost at that scale: the trained
-//! model's embeddings are loaded into the sharded retrieval engine and the
-//! batched top-10 scan (`ShardedStore::knn_batch`) is timed per query, so
+//! model's embeddings are served by the flat scan and the batched top-10
+//! query (`EmbeddingStore::knn_batch`) is timed per query, so
 //! the figure shows how both accuracy *and* retrieval latency move as the
 //! database grows. With `--index` the pivot-partitioned tier
 //! (`ExperimentOutcome::build_index`) is timed alongside, so the figure
@@ -17,16 +17,14 @@
 //! time, measured on trained embeddings.
 //!
 //! Usage: `cargo run --release -p lh-bench --bin fig6_scalability
-//!        [--n 200] [--epochs 25] [--seed 42] [--shard-rows 8192]
-//!        [--index]`
+//!        [--n 200] [--epochs 25] [--seed 42] [--index]`
 
 use lh_bench::printer::write_artifact;
 use lh_bench::{default_spec, print_header, Args, Table};
 use lh_core::config::PluginVariant;
 use lh_core::distance::alpha_f32;
 use lh_core::pipeline::run_experiment;
-use lh_core::retrieval::DEFAULT_SHARD_ROWS;
-use lh_core::{EmbeddingStore, IndexParams, IndexedStore, ShardedStore};
+use lh_core::{EmbeddingStore, IndexParams, IndexedStore};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -89,7 +87,6 @@ fn main() {
     );
     let base = default_spec(&args);
     let full_db = base.n - base.n_queries;
-    let shard_rows = args.get("shard-rows", DEFAULT_SHARD_ROWS);
     let with_index = args.flag("index");
 
     let mut headers = vec!["fraction", "plugin", "HR@10", "HR@50", "knn@10/query"];
@@ -114,8 +111,8 @@ fn main() {
             spec.plugin = spec.plugin.with_variant(variant);
             let out = run_experiment(&spec);
 
-            // Serving cost at this scale through the sharded engine,
-            // reusing the stores the experiment already embedded.
+            // Serving cost at this scale, reusing the stores the
+            // experiment already embedded.
             let index = with_index.then(|| out.build_index(IndexParams::default()));
             // The same encoder's lh-cosh store, indexed and checked the
             // same way: its prune rate is the metric reference for the
@@ -130,21 +127,19 @@ fn main() {
             });
             let alpha_spread = (with_index && variant.uses_fusion())
                 .then(|| alpha_spread(&out.db_store, &out.q_store));
-            let q_store = out.q_store;
-            let sharded = ShardedStore::new(out.db_store, shard_rows);
-            let flat_hits = sharded.knn_batch(&q_store, 10); // warm-up
+            let (db_store, q_store) = (out.db_store, out.q_store);
+            let flat_hits = db_store.knn_batch(&q_store, 10); // warm-up
             const REPS: usize = 5; // average several batches: one is µs-scale here
             let start = std::time::Instant::now();
             for _ in 0..REPS {
-                std::hint::black_box(sharded.knn_batch(&q_store, 10));
+                std::hint::black_box(db_store.knn_batch(&q_store, 10));
             }
             let knn_query_seconds =
                 start.elapsed().as_secs_f64() / (REPS * q_store.len().max(1)) as f64;
 
             let indexed = index.map(|ix| {
-                // No probe budget ⇒ identical to the flat engine for
-                // every variant, the fused one through its convex-mix
-                // bound.
+                // Identical to the flat scan for every variant, the
+                // fused one through its convex-mix bound.
                 let (hits, stats) = ix.knn_batch_with_stats(&q_store, 10);
                 assert_eq!(
                     flat_hits,

@@ -4,23 +4,19 @@
 //! variant it builds a clustered synthetic store (a Gaussian mixture —
 //! real embedding collections are clustered; uniform noise is the known
 //! ANN worst case and would understate every index ever built), serves a
-//! query batch through both `ShardedStore::knn_batch` (exact flat scan)
+//! query batch through both `EmbeddingStore::knn_batch` (exact flat scan)
 //! and `IndexedStore::knn_batch` (pivot cells + triangle-inequality
-//! pruning composed with the second-level landmark member bound for the
-//! metric variants, the convex-mix bound for the fused one), verifies
-//! the indexed results are bit-identical for exact configurations,
-//! measures recall for budgeted ones, and appends one record to
-//! `BENCH_retrieval.json` recording QPS, cells probed, prune rate, and
-//! the landmark bound's marginal prune rate per variant — every row from
-//! its measured `ProbeStats` — so the metric-vs-fused pruning gap (the
-//! paper's thesis at serving time) is a tracked number, not a vibe.
+//! pruning for the metric variants, the convex-mix bound for the fused
+//! one), verifies the indexed results are bit-identical, and appends one
+//! record to `BENCH_retrieval.json` recording QPS, cells probed and prune
+//! rate per variant — every row from its measured `ProbeStats` — so the
+//! metric-vs-fused pruning gap (the paper's thesis at serving time) is a
+//! tracked number, not a vibe.
 //!
-//! The fused variant (not a metric) appears twice: without a probe
-//! budget — exact, bit-identical, and pruned by the convex-mix bound —
-//! and with the budget capped at 10 % of the cells, the ledger series
-//! that used to trade recall for sub-linear cost. The exact path now
-//! probes fewer cells than that cap, so the cap no longer binds and the
-//! row reads recall 1.0; it stays so the series has its successor.
+//! Every row is exact: the index has no approximate mode. (Records up to
+//! the removal of the probe budget carry a `fusion-dist@10%` row and
+//! `landmarks` / `landmark_prune_rate` fields; the ledger keeps them as
+//! history.)
 //!
 //! Usage: `cargo run --release -p lh-bench --bin retrieval_bench
 //!        [--max-n 200000] [--dim 16] [--queries 32] [--k 10]
@@ -30,24 +26,9 @@
 use lh_bench::synth::{mixture_centers, synth_clustered};
 use lh_bench::{append_record, best_of, print_header, Args, Table};
 use lh_core::config::{PluginConfig, PluginVariant};
-use lh_core::{IndexParams, IndexedStore, ShardedStore};
+use lh_core::{IndexParams, IndexedStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Mean recall@k of `got` against the exact `want` (id overlap).
-fn recall(want: &[Vec<lh_core::RetrievalResult>], got: &[Vec<lh_core::RetrievalResult>]) -> f64 {
-    let mut hit = 0usize;
-    let mut total = 0usize;
-    for (w, g) in want.iter().zip(got) {
-        let truth: std::collections::HashSet<usize> = w.iter().map(|h| h.index).collect();
-        hit += g.iter().filter(|h| truth.contains(&h.index)).count();
-        total += w.len();
-    }
-    if total == 0 {
-        return 1.0;
-    }
-    hit as f64 / total as f64
-}
 
 /// Whether two result batches agree bit for bit (ids and f32 payloads).
 fn bit_identical(a: &[Vec<lh_core::RetrievalResult>], b: &[Vec<lh_core::RetrievalResult>]) -> bool {
@@ -58,13 +39,6 @@ fn bit_identical(a: &[Vec<lh_core::RetrievalResult>], b: &[Vec<lh_core::Retrieva
                     h.index == g.index && h.distance.to_bits() == g.distance.to_bits()
                 })
         })
-}
-
-struct Config {
-    label: &'static str,
-    variant: PluginVariant,
-    /// Probe budget as a fraction of the cell count; `None` = unbudgeted.
-    budget_frac: Option<f64>,
 }
 
 fn main() {
@@ -87,27 +61,10 @@ fn main() {
     }
     let largest = *sizes.last().expect("at least one size");
 
-    let configs = [
-        Config {
-            label: "original",
-            variant: PluginVariant::Original,
-            budget_frac: None,
-        },
-        Config {
-            label: "lh-cosh",
-            variant: PluginVariant::LorentzCosh,
-            budget_frac: None,
-        },
-        Config {
-            label: "fusion-dist",
-            variant: PluginVariant::FusionDist,
-            budget_frac: None,
-        },
-        Config {
-            label: "fusion-dist@10%",
-            variant: PluginVariant::FusionDist,
-            budget_frac: Some(0.1),
-        },
+    let variants = [
+        PluginVariant::Original,
+        PluginVariant::LorentzCosh,
+        PluginVariant::FusionDist,
     ];
 
     print_header(
@@ -123,43 +80,32 @@ fn main() {
         "recall",
         "cells probed",
         "prune rate",
-        "lm prune",
     ]);
     let mut rows_json = Vec::new();
     for &n in &sizes {
-        for cfg in &configs {
-            let plugin = PluginConfig::paper_default().with_variant(cfg.variant);
+        for variant in variants {
+            let label = variant.name();
+            let plugin = PluginConfig::paper_default().with_variant(variant);
             let mut rng = StdRng::seed_from_u64(31 + n as u64);
             let centers = mixture_centers(clusters, dim, &mut rng);
             let db = synth_clustered(n, dim, &centers, &plugin, &mut rng);
             let queries = synth_clustered(n_queries, dim, &centers, &plugin, &mut rng);
 
-            let sharded = ShardedStore::new(db.clone(), 8192);
             let build_start = std::time::Instant::now();
-            let mut indexed = IndexedStore::build(db, IndexParams::default());
+            let indexed = IndexedStore::build(db, IndexParams::default());
             let build_seconds = build_start.elapsed().as_secs_f64();
-            if let Some(frac) = cfg.budget_frac {
-                let budget = ((indexed.num_cells() as f64 * frac).ceil() as usize).max(1);
-                indexed = indexed.with_probe_budget(Some(budget));
-            }
+            let db = indexed.store();
 
-            // Correctness gate before timing: exact configurations must
-            // match the flat engine bit for bit; budgeted ones report
-            // measured recall.
-            let flat_hits = sharded.knn_batch(&queries, k);
+            // Correctness gate before timing: the index must match the
+            // flat scan bit for bit.
+            let flat_hits = db.knn_batch(&queries, k);
             let (indexed_hits, stats) = indexed.knn_batch_with_stats(&queries, k);
-            let identical = bit_identical(&flat_hits, &indexed_hits);
-            let measured_recall = recall(&flat_hits, &indexed_hits);
-            if cfg.budget_frac.is_none() {
-                assert!(
-                    identical,
-                    "{} n={n}: unbudgeted indexed top-k must be bit-identical \
-                     to the flat scan (recall {measured_recall:.4})",
-                    cfg.label
-                );
-            }
+            assert!(
+                bit_identical(&flat_hits, &indexed_hits),
+                "{label} n={n}: indexed top-k must be bit-identical to the flat scan"
+            );
 
-            let flat_s = best_of(reps, || sharded.knn_batch(&queries, k));
+            let flat_s = best_of(reps, || db.knn_batch(&queries, k));
             let indexed_s = best_of(reps, || indexed.knn_batch(&queries, k));
             let flat_qps = n_queries as f64 / flat_s;
             let indexed_qps = n_queries as f64 / indexed_s;
@@ -167,40 +113,30 @@ fn main() {
 
             table.row(vec![
                 format!("{n}"),
-                cfg.label.to_string(),
+                label.to_string(),
                 format!("{flat_qps:.0}"),
                 format!("{indexed_qps:.0}"),
                 format!("{speedup:.1}x"),
-                if identical {
-                    "1.0 (bit-identical)".into()
-                } else {
-                    format!("{measured_recall:.4}")
-                },
+                "1.0 (bit-identical)".into(),
                 format!(
                     "{:.1}/{}",
                     stats.cells_probed_per_query(),
                     indexed.num_cells()
                 ),
                 format!("{:.1}%", stats.prune_rate() * 100.0),
-                format!("{:.1}%", stats.landmark_prune_rate() * 100.0),
             ]);
             rows_json.push(format!(
-                "    {{\"n\": {n}, \"variant\": \"{}\", \"exact\": {}, \
+                "    {{\"n\": {n}, \"variant\": \"{label}\", \"exact\": true, \
                  \"flat_qps\": {flat_qps:.2}, \"indexed_qps\": {indexed_qps:.2}, \
-                 \"speedup\": {speedup:.3}, \"recall\": {measured_recall:.6}, \
-                 \"bit_identical\": {identical}, \"cells\": {}, \
+                 \"speedup\": {speedup:.3}, \"recall\": 1.000000, \
+                 \"bit_identical\": true, \"cells\": {}, \
                  \"cells_probed_per_query\": {:.3}, \"prune_rate\": {:.6}, \
-                 \"landmarks\": {}, \"landmark_prune_rate\": {:.6}, \
                  \"build_seconds\": {build_seconds:.4}}}",
-                cfg.label,
-                indexed.is_exact(),
                 indexed.num_cells(),
                 stats.cells_probed_per_query(),
                 stats.prune_rate(),
-                indexed.num_landmarks(),
-                stats.landmark_prune_rate(),
             ));
-            eprintln!("[retrieval_bench] n={n} {} done", cfg.label);
+            eprintln!("[retrieval_bench] n={n} {label} done");
         }
     }
     table.print();

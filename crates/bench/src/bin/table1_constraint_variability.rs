@@ -14,7 +14,7 @@
 //! checkpointed; a re-run at the same parameters loads them instead of
 //! recomputing (the final `gt cache hits` line reports how many).
 //! `--schedule` picks the builder work distribution (`serial`,
-//! `row-chunked`, `balanced`, `wavefront`); every schedule produces
+//! `balanced`, `wavefront`); every schedule produces
 //! bit-identical matrices, so checkpoints written under one schedule are
 //! cache hits under any other.
 

@@ -5,26 +5,23 @@
 //! Embeddings are synthesized (retrieval cost is independent of their
 //! values); what matters — and is measured — is the extra O(d) fused
 //! distance work and the extra hyperbolic/factor rows. Each row times
-//! three retrieval paths: the legacy single-threaded full-sort scan
-//! (`knn_full_sort`, O(n log n) per query), the sharded query engine
-//! (`ShardedStore::knn_batch`, monomorphized kernels + bounded heaps +
-//! parallel shard fan-out), and the pivot-partitioned index tier
-//! (`IndexedStore::knn_batch`, triangle-inequality pruning for metric
-//! variants, the convex-mix bound for the fused distance; the `prune`
-//! and `cells probed` columns are each row's measured `ProbeStats`).
-//! Indexed results are asserted identical to the sharded engine's before
-//! timing, so the indexed column can never silently trade correctness
-//! for speed.
+//! two retrieval paths: the flat scan (`EmbeddingStore::knn_batch`,
+//! monomorphized kernels + bounded heaps, parallel across queries) and
+//! the pivot-partitioned index tier (`IndexedStore::knn_batch`,
+//! triangle-inequality pruning for metric variants, the convex-mix bound
+//! for the fused distance; the `prune` and `cells probed` columns are
+//! each row's measured `ProbeStats`). Indexed results are asserted
+//! identical to the flat scan's before timing, so the indexed column can
+//! never silently trade correctness for speed.
 //!
 //! Usage: `cargo run --release -p lh-bench --bin table5_retrieval_cost
 //!        [--max-n 1000000] [--queries 20] [--dim 16] [--k 50]
-//!        [--shard-rows 8192] [--cells <n>]`
+//!        [--cells <n>]`
 
 use lh_bench::printer::write_artifact;
 use lh_bench::{print_header, Args, Table};
 use lh_core::config::{PluginConfig, PluginVariant};
-use lh_core::retrieval::DEFAULT_SHARD_ROWS;
-use lh_core::{EmbeddingStore, IndexParams, IndexedStore, ShardedStore};
+use lh_core::{EmbeddingStore, IndexParams, IndexedStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
@@ -63,14 +60,12 @@ fn synth_store(n: usize, dim: usize, cfg: &PluginConfig, rng: &mut StdRng) -> Em
 struct Row {
     n: usize,
     variant: String,
-    legacy_query_seconds: f64,
     engine_query_seconds: f64,
     indexed_query_seconds: f64,
     index_build_seconds: f64,
     index_cells: usize,
     index_cells_probed_per_query: f64,
     index_prune_rate: f64,
-    shards: usize,
     memory_bytes: usize,
 }
 
@@ -84,10 +79,8 @@ fn main() {
     let n_queries = args.get("queries", 20usize);
     let max_n = args.get("max-n", 1_000_000usize);
     let k = args.get("k", 50usize);
-    let shard_rows = args.get("shard-rows", DEFAULT_SHARD_ROWS);
     let index_params = IndexParams {
         n_cells: args.get_str("cells").map(|c| c.parse().expect("--cells")),
-        ..IndexParams::default()
     };
     let mut sizes: Vec<usize> = [10_000usize, 100_000, 1_000_000]
         .into_iter()
@@ -104,7 +97,6 @@ fn main() {
     let mut table = Table::new(&[
         "trajectories",
         "plugin",
-        "legacy/query",
         "engine/query",
         "indexed/query",
         "prune",
@@ -115,36 +107,26 @@ fn main() {
     let mut rows = Vec::new();
     for &n in &sizes {
         let mut rng = StdRng::seed_from_u64(99);
-        let mut measured: Vec<(f64, f64, f64, String, String, usize)> = Vec::new();
+        let mut measured: Vec<(f64, f64, String, String, usize)> = Vec::new();
         for cfg in [&cfg_orig, &cfg_full] {
             let db = synth_store(n, dim, cfg, &mut rng);
             let queries = synth_store(n_queries, dim, cfg, &mut rng);
 
-            // Legacy path: single-threaded full-sort scan per query.
-            let _ = db.knn_full_sort(&queries, 0, k); // warm-up
-            let start = std::time::Instant::now();
-            for qi in 0..n_queries {
-                std::hint::black_box(db.knn_full_sort(&queries, qi, k));
-            }
-            let legacy = start.elapsed().as_secs_f64() / n_queries as f64;
-
-            // Index tier: built over the same buffers; no probe budget,
-            // so every variant must answer identically to the engine.
+            // Index tier: built over the same rows; every variant must
+            // answer identically to the flat scan.
             let start = std::time::Instant::now();
             let indexed_store = IndexedStore::build(db.clone(), index_params);
             let index_build = start.elapsed().as_secs_f64();
 
-            // Query engine: sharded batched kernel scan (zero-copy —
-            // the engine serves the same buffers the legacy path read).
+            // Flat scan: batched kernel scan, parallel across queries.
             // Averaged over several batch repetitions so the column is
             // stable at smoke scales where one batch is microseconds.
             const ENGINE_REPS: usize = 5;
             let mem = db.payload_bytes();
-            let sharded = ShardedStore::new(db, shard_rows);
-            let engine_hits = sharded.knn_batch(&queries, k); // warm-up
+            let engine_hits = db.knn_batch(&queries, k); // warm-up
             let start = std::time::Instant::now();
             for _ in 0..ENGINE_REPS {
-                std::hint::black_box(sharded.knn_batch(&queries, k));
+                std::hint::black_box(db.knn_batch(&queries, k));
             }
             let engine = start.elapsed().as_secs_f64() / (ENGINE_REPS * n_queries) as f64;
 
@@ -163,7 +145,6 @@ fn main() {
             let indexed = start.elapsed().as_secs_f64() / (ENGINE_REPS * n_queries) as f64;
 
             measured.push((
-                legacy,
                 engine,
                 indexed,
                 format!("{:.1}%", stats.prune_rate() * 100.0),
@@ -177,20 +158,18 @@ fn main() {
             rows.push(Row {
                 n,
                 variant: cfg.variant.name().into(),
-                legacy_query_seconds: legacy,
                 engine_query_seconds: engine,
                 indexed_query_seconds: indexed,
                 index_build_seconds: index_build,
                 index_cells: indexed_store.num_cells(),
                 index_cells_probed_per_query: stats.cells_probed_per_query(),
                 index_prune_rate: stats.prune_rate(),
-                shards: sharded.num_shards(),
                 memory_bytes: mem,
             });
         }
-        let (m0, m1) = (measured[0].5, measured[1].5);
+        let (m0, m1) = (measured[0].4, measured[1].4);
         for (i, cfg) in [&cfg_orig, &cfg_full].into_iter().enumerate() {
-            let (legacy, engine, indexed, prune, probed, m) = measured[i].clone();
+            let (engine, indexed, prune, probed, m) = measured[i].clone();
             table.row(vec![
                 format!("{n}"),
                 if cfg.variant == PluginVariant::Original {
@@ -198,7 +177,6 @@ fn main() {
                 } else {
                     "with LH-plugin".into()
                 },
-                format!("{:.3} ms", legacy * 1e3),
                 format!("{:.3} ms", engine * 1e3),
                 format!("{:.3} ms", indexed * 1e3),
                 prune,
@@ -218,7 +196,7 @@ fn main() {
         "\npaper shape: latency increase marginal at large n; memory overhead\n\
          bounded (paper reports < 8–13%; here the factor/hyperbolic rows add\n\
          (d+1+2f)/d of the base payload, configurable via --dim). The engine\n\
-         column is the sharded batched top-k path ({shard_rows} rows/shard);\n\
+         column is the flat batched top-k scan, parallel across queries;\n\
          the indexed column is the pivot-partitioned tier, exact for both\n\
          rows (triangle pruning for Original, the convex-mix bound\n\
          fused >= min(d_Lo, d_Eu) for the plugin); prune and cells probed\n\

@@ -14,11 +14,11 @@
 //! 4. [`trainer`] wraps a base encoder + plugin into one training loop
 //!    (Neutraj-style rank-weighted distance regression);
 //! 5. [`retrieval`] stores embeddings compactly and answers top-k queries
-//!    with the O(d) fused distance — a sharded, kernel-generic query
-//!    engine with a batched parallel `knn_batch` API, plus a
-//!    pivot-partitioned index tier (`IndexedStore`) that serves every
-//!    variant sub-linearly and exactly: metric ones by triangle-inequality
-//!    pruning, the fused distance by its convex-mix bound;
+//!    with the O(d) fused distance — a kernel-generic scan core with a
+//!    batched parallel `knn_batch` API, plus a pivot-partitioned index
+//!    tier (`IndexedStore`) that serves every variant sub-linearly and
+//!    exactly: metric ones by triangle-inequality pruning, the fused
+//!    distance by its convex-mix bound;
 //! 6. [`pipeline`] drives complete experiments (data → ground truth →
 //!    train → evaluate) and is what the bench binaries call.
 //!
@@ -45,7 +45,6 @@ pub use projection::project_rows;
 pub use retrieval::{
     shard_of_id, BoundSpace, DistanceKernel, EmbeddingStore, IndexParams, IndexedStore, ProbeStats,
     RetrievalResult, ServeError, ServeHit, ServeStats, ServingOptions, ServingStore,
-    ShardedServingOptions, ShardedServingStore, ShardedSnapshot, ShardedStore, Snapshot,
-    StoreDecodeError,
+    ShardedServingOptions, ShardedServingStore, ShardedSnapshot, Snapshot, StoreDecodeError,
 };
 pub use trainer::{LhModel, TrainReport, Trainer, TrainerConfig};

@@ -102,6 +102,20 @@
 //! A store or query that fails (C1)/(C2) is not approximated: it is
 //! served by the storage-order flat scan, bit-identical and unpruned.
 //!
+//! # One probe loop, two prune predicates
+//!
+//! The index has a single probe loop (`IndexedStore::scan`), generic over
+//! the crate-internal `PruneBound` trait: how the k-th best `τ` is carried
+//! into bound space, which slack-padded thresholds a cell's rows are
+//! tested against, and the cell and member tests themselves. Its two
+//! implementations are the whole difference between the spaces —
+//! `Triangle` (one test, on raw Euclidean values or in θ-space) and
+//! `MixBound` (both component tests must certify). Every test is a
+//! *strict* comparison against a padded `τ`, so the loop may start from a
+//! heap that earlier segments already filled: a `τ` that is still at
+//! least the final k-th best certifies only rows the flat scan would not
+//! have returned, ties included.
+//!
 //! # Exactness under floating point (single-space tests)
 //!
 //! Kernel distances are f32 with bounded rounding error, so every prune
@@ -113,7 +127,9 @@
 //! stay bit-identical to the flat scan while the lost prune rate is a few
 //! ulps' worth.
 
+use super::super::kernel::FusedKernel;
 use super::super::store::EmbeddingStore;
+use super::IndexCell;
 use crate::config::PluginVariant;
 
 /// The space in which pivot bounds are evaluated for one store, or
@@ -136,7 +152,7 @@ pub enum BoundSpace {
         beta: f64,
     },
     /// Fused store whose contents do not certify `α ∈ [0, 1]`: no
-    /// admissible bound, flat-scan (or probe-budget) serving only.
+    /// admissible bound, no cells — served by the flat scan.
     None,
 }
 
@@ -205,19 +221,107 @@ pub(crate) fn mix_radius(dcx: &[f64]) -> f64 {
     }
 }
 
-/// The two single-space tests of a [`BoundSpace::ConvexMix`] probe.
-/// Pairs are always `(Euclidean, geodesic)`.
+/// What the index's one probe loop asks of a bound space (module docs,
+/// "One probe loop, two prune predicates"). `Dist` is a distance in the
+/// bound space — one value per single-space test — and is the type of
+/// everything the tests compare: the image of `τ`, a query→centroid
+/// distance, the slack-padded thresholds of a cell.
+pub(crate) trait PruneBound {
+    /// A bound-space distance: `f64`, or `(Euclidean, geodesic)`.
+    type Dist: Copy;
+
+    /// Bound-space image of the k-th best raw distance `tau` (`+∞` while
+    /// the heap is filling — nothing exceeds it). The probe loop calls
+    /// this only when the heap's worst survivor changes: the Lorentz map
+    /// costs an `acosh`.
+    fn tau(&self, tau: f64) -> Self::Dist;
+
+    /// The thresholds `cell`'s rows are tested against, for the query at
+    /// centroid distance `pq`. A NaN anywhere makes that threshold NaN,
+    /// which prunes nothing.
+    fn thresholds(&self, tau: Self::Dist, pq: Self::Dist, cell: &IndexCell) -> Self::Dist;
+
+    /// Whether every member of `cell` is certified out: each is at least
+    /// `p(q,c) − r` away.
+    fn skips_cell(thresh: Self::Dist, pq: Self::Dist, cell: &IndexCell) -> bool;
+
+    /// Whether member `i` of `cell` is certified out:
+    /// `d(q,x) ≥ |p(q,c) − p(c,x)|`.
+    fn skips_member(thresh: Self::Dist, pq: Self::Dist, cell: &IndexCell, i: usize) -> bool;
+
+    /// One O(num_cells · d) centroid scan for query `qi`: per cell, the
+    /// query's bound-space centroid distance and the key cells are
+    /// visited by, ascending.
+    fn rank_cells(
+        &self,
+        centroids: &EmbeddingStore,
+        cells: &[IndexCell],
+        queries: &EmbeddingStore,
+        qi: usize,
+    ) -> (Vec<Self::Dist>, Vec<(f64, u32)>);
+}
+
+/// The single triangle-inequality test of a metric space
+/// ([`BoundSpace::Euclidean`] on raw values, [`BoundSpace::LorentzGeodesic`]
+/// in θ-space). Cells are visited by triangle lower bound
+/// `max(0, d(q,c) − r)`; a NaN bound or `τ` compares false and fails open
+/// into a probe.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Triangle {
+    pub(crate) space: BoundSpace,
+    pub(crate) dim: usize,
+}
+
+impl PruneBound for Triangle {
+    type Dist = f64;
+
+    #[inline]
+    fn tau(&self, tau: f64) -> f64 {
+        self.space.map(tau)
+    }
+
+    #[inline]
+    fn thresholds(&self, tau: f64, pq: f64, cell: &IndexCell) -> f64 {
+        tau + self.space.slack(self.dim, pq, cell.radius, tau)
+    }
+
+    #[inline]
+    fn skips_cell(thresh: f64, pq: f64, cell: &IndexCell) -> bool {
+        (pq - cell.radius).max(0.0) > thresh
+    }
+
+    #[inline]
+    fn skips_member(thresh: f64, pq: f64, cell: &IndexCell, i: usize) -> bool {
+        (pq - cell.dcx[i]).abs() > thresh
+    }
+
+    fn rank_cells(
+        &self,
+        centroids: &EmbeddingStore,
+        cells: &[IndexCell],
+        queries: &EmbeddingStore,
+        qi: usize,
+    ) -> (Vec<f64>, Vec<(f64, u32)>) {
+        let dqc = centroids.distance_row_from(queries, qi);
+        let pq: Vec<f64> = dqc.iter().map(|&d| self.space.map(d)).collect();
+        let order = cells
+            .iter()
+            .zip(&pq)
+            .enumerate()
+            .map(|(j, (cell, &p))| ((p - cell.radius).max(0.0), j as u32))
+            .collect();
+        (pq, order)
+    }
+}
+
+/// The two single-space tests of a [`BoundSpace::ConvexMix`] probe: a
+/// cell or member is skipped only when *both* certify it out. Pairs are
+/// always `(Euclidean, geodesic)`. Cells are visited nearest fused
+/// centroid first.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MixBound {
     lo: BoundSpace,
     dim: usize,
-}
-
-/// The slack-padded images of `τ′` one cell's rows are tested against.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MixThresholds {
-    eu: f64,
-    lo: f64,
 }
 
 impl MixBound {
@@ -233,40 +337,62 @@ impl MixBound {
     pub(crate) fn theta(&self, raw: f64) -> f64 {
         self.lo.map(raw)
     }
+}
 
-    /// `(τ′, θ(τ′))` for the k-th best fused distance `tau` (`+∞` while
-    /// the heap is filling — nothing exceeds it).
+/// Whether *both* component gaps certify `min(d_Lo, d_Eu) > τ′`; a
+/// non-finite gap (NaN or `±∞` stored distance, radius or query distance)
+/// never certifies.
+#[inline]
+fn mix_certifies(thresh: (f64, f64), gap_eu: f64, gap_lo: f64) -> bool {
+    gap_eu > thresh.0 && gap_eu < f64::INFINITY && gap_lo > thresh.1 && gap_lo < f64::INFINITY
+}
+
+impl PruneBound for MixBound {
+    type Dist = (f64, f64);
+
+    /// `(τ′, θ(τ′))`.
     #[inline]
-    pub(crate) fn tau(&self, tau: f64) -> (f64, f64) {
+    fn tau(&self, tau: f64) -> (f64, f64) {
         let padded = mix_tau(tau);
         (padded, self.lo.map(padded))
     }
 
-    /// Thresholds for the cell at query distances `pq` with radii
-    /// `radius`. A NaN anywhere makes that threshold NaN, which
-    /// certifies nothing.
     #[inline]
-    pub(crate) fn thresholds(
-        &self,
-        tau: (f64, f64),
-        pq: (f64, f64),
-        radius: (f64, f64),
-    ) -> MixThresholds {
-        MixThresholds {
-            eu: tau.0 + BoundSpace::Euclidean.slack(self.dim, pq.0, radius.0, tau.0.abs()),
-            lo: tau.1 + self.lo.slack(self.dim, pq.1, radius.1, tau.1),
-        }
+    fn thresholds(&self, tau: (f64, f64), pq: (f64, f64), cell: &IndexCell) -> (f64, f64) {
+        let eu = BoundSpace::Euclidean.slack(self.dim, pq.0, cell.radius, tau.0.abs());
+        let lo = self.lo.slack(self.dim, pq.1, cell.radius_lo, tau.1);
+        (tau.0 + eu, tau.1 + lo)
     }
-}
 
-impl MixThresholds {
-    /// Whether *both* component gaps certify `min(d_Lo, d_Eu) > τ′`.
-    /// Gaps are `|p(q,c) − p(c,x)|` for a member and `p(q,c) − r` for a
-    /// whole cell; a non-finite gap (NaN or `±∞` stored distance, radius
-    /// or query distance) never certifies.
     #[inline]
-    pub(crate) fn certify(&self, gap_eu: f64, gap_lo: f64) -> bool {
-        gap_eu > self.eu && gap_eu < f64::INFINITY && gap_lo > self.lo && gap_lo < f64::INFINITY
+    fn skips_cell(thresh: (f64, f64), pq: (f64, f64), cell: &IndexCell) -> bool {
+        mix_certifies(thresh, pq.0 - cell.radius, pq.1 - cell.radius_lo)
+    }
+
+    #[inline]
+    fn skips_member(thresh: (f64, f64), pq: (f64, f64), cell: &IndexCell, i: usize) -> bool {
+        let (gap_eu, gap_lo) = (pq.0 - cell.dcx[i], pq.1 - cell.dcx_lo[i]);
+        mix_certifies(thresh, gap_eu.abs(), gap_lo.abs())
+    }
+
+    /// The fused kernel over the centroid rows yields, per cell, the
+    /// fused distance (the visit key) and its two components: Euclidean
+    /// against the centroid's `eu` row, geodesic `θ` against its `hyper`
+    /// row.
+    fn rank_cells(
+        &self,
+        centroids: &EmbeddingStore,
+        cells: &[IndexCell],
+        queries: &EmbeddingStore,
+        qi: usize,
+    ) -> (Vec<(f64, f64)>, Vec<(f64, u32)>) {
+        let kern = FusedKernel::bind(centroids, queries, qi);
+        (0..cells.len())
+            .map(|j| {
+                let (fused, lo, eu) = kern.distance_and_components(j);
+                ((eu as f64, self.theta(lo as f64)), (fused as f64, j as u32))
+            })
+            .unzip()
     }
 }
 
@@ -289,7 +415,7 @@ impl BoundSpace {
     }
 
     /// Whether the space itself is a metric (single triangle-inequality
-    /// bound, landmark block).
+    /// bound).
     pub fn is_metric(&self) -> bool {
         matches!(
             self,
@@ -359,32 +485,6 @@ impl BoundSpace {
                 3.0 * 2.0 * rel.sqrt() + 2.0 * rel * (a + b + c) + 1e-12
             }
         }
-    }
-
-    /// Second-level landmark bound test: whether the stored landmark
-    /// features certify `d(q, x) > tau` in this space.
-    ///
-    /// This is the same mechanism as [`traj_dist::landmark`] transplanted
-    /// from trajectory space into bound space: with `pl[j] = θ(q, l_j)`
-    /// and `flx[j] = θ(l_j, x)` the reverse triangle inequality gives
-    /// `θ(q, x) ≥ |pl[j] − flx[j]|` for every landmark `j` (the Chebyshev
-    /// feature gap, [`traj_dist::landmark::feature_gap`]). The index
-    /// composes this with the centroid triangle bound tightest-wins: a
-    /// member survives only if *no* bound certifies it out.
-    ///
-    /// Each coordinate is padded with its own [`BoundSpace::slack`]
-    /// (tighter than padding the max with worst-case magnitudes), and a
-    /// NaN feature on either side compares false — that coordinate can
-    /// never certify a prune, so poisoned rows fail open exactly like the
-    /// centroid bound. Non-metric spaces never prune.
-    #[inline]
-    pub fn landmark_prunes(&self, dim: usize, pl: &[f64], flx: &[f64], tau: f64) -> bool {
-        if !self.is_metric() {
-            return false;
-        }
-        pl.iter()
-            .zip(flx)
-            .any(|(&q, &x)| (q - x).abs() > tau + self.slack(dim, q, x, tau))
     }
 }
 
@@ -518,24 +618,36 @@ mod tests {
         assert_eq!(mix_tau(f64::INFINITY), f64::INFINITY);
     }
 
+    /// A one-member cell with the given stored distances (= its radii).
+    fn cell(dcx: f64, dcx_lo: f64) -> IndexCell {
+        IndexCell::mix(vec![0], vec![dcx], vec![dcx_lo])
+    }
+
     #[test]
     fn mix_thresholds_need_both_components_and_finite_gaps() {
         let mix = MixBound::new(1.0, 8);
-        let t = mix.thresholds(mix.tau(0.5), (3.0, 2.0), (0.2, 0.2));
-        assert!(t.certify(2.8, 1.8), "both gaps far above τ′");
-        assert!(!t.certify(2.8, 0.1), "geodesic gap inside τ′");
-        assert!(!t.certify(0.1, 1.8), "Euclidean gap inside τ′");
+        let near = cell(0.2, 0.2);
+        let t = mix.thresholds(mix.tau(0.5), (3.0, 2.0), &near);
+        assert!(mix_certifies(t, 2.8, 1.8), "both gaps far above τ′");
+        assert!(!mix_certifies(t, 2.8, 0.1), "geodesic gap inside τ′");
+        assert!(!mix_certifies(t, 0.1, 1.8), "Euclidean gap inside τ′");
         for bad in [f64::NAN, f64::INFINITY] {
-            assert!(!t.certify(bad, 1.8) && !t.certify(2.8, bad));
+            assert!(!mix_certifies(t, bad, 1.8) && !mix_certifies(t, 2.8, bad));
         }
+        // The cell and member tests are that predicate on `p(q,c) − r`
+        // and `|p(q,c) − p(c,x)|`.
+        assert!(MixBound::skips_cell(t, (3.0, 2.0), &near));
+        assert!(MixBound::skips_member(t, (3.0, 2.0), &near, 0));
+        assert!(!MixBound::skips_cell(t, (3.0, 0.3), &near));
+        assert!(!MixBound::skips_member(t, (0.3, 2.0), &near, 0));
         // An unfilled heap (τ = ∞) and a poisoned one (τ = NaN) certify
         // nothing; neither does a NaN radius.
         for tau in [f64::INFINITY, f64::NAN] {
-            let open = mix.thresholds(mix.tau(tau), (3.0, 2.0), (0.2, 0.2));
-            assert!(!open.certify(1e300, 1e300));
+            let open = mix.thresholds(mix.tau(tau), (3.0, 2.0), &near);
+            assert!(!mix_certifies(open, 1e300, 1e300));
         }
-        let nan_radius = mix.thresholds(mix.tau(0.5), (3.0, 2.0), (f64::NAN, 0.2));
-        assert!(!nan_radius.certify(2.8, 1.8));
+        let nan_radius = mix.thresholds(mix.tau(0.5), (3.0, 2.0), &cell(f64::NAN, 0.2));
+        assert!(!mix_certifies(nan_radius, 2.8, 1.8));
         assert!(mix_radius(&[0.5, f64::NAN]).is_nan());
         assert!(mix_radius(&[0.5, f64::INFINITY]).is_nan());
         assert!(mix_radius(&[0.5, -f64::NAN, 0.25]).is_nan());
@@ -587,44 +699,36 @@ mod tests {
         assert!(small > 0.0 && large > 500.0 * small);
     }
 
-    /// The landmark prune is the slack-padded form of the shared
-    /// `traj_dist::landmark::feature_gap` bound: it may only fire when the
-    /// unpadded Chebyshev gap already exceeds τ, and never in a
-    /// non-metric space or on NaN-poisoned features.
+    /// The triangle predicates: a strict, slack-padded comparison that an
+    /// unfilled (τ = ∞) or poisoned (NaN) heap, radius or stored distance
+    /// can never satisfy — in both metric spaces.
     #[test]
-    fn landmark_prune_is_a_padded_feature_gap() {
-        let spaces = [
+    fn triangle_tests_are_strict_padded_and_fail_open() {
+        for space in [
             BoundSpace::Euclidean,
             BoundSpace::LorentzGeodesic { beta: 1.0 },
-        ];
-        let rows: [&[f64]; 4] = [
-            &[0.0, 5.0, 2.0],
-            &[4.0, 5.1, 2.0],
-            &[0.1, 4.9, 7.5],
-            &[1.0, 1.0, 1.0],
-        ];
-        let q = [0.05, 5.0, 2.2];
-        for s in spaces {
-            for flx in rows {
-                for tau in [0.0, 0.5, 3.0, 10.0] {
-                    if s.landmark_prunes(8, &q, flx, tau) {
-                        let gap = traj_dist::landmark::feature_gap(&q, flx);
-                        assert!(gap > tau, "pruned with gap {gap} ≤ τ {tau} ({s:?})");
-                    }
-                }
+        ] {
+            let tri = Triangle { space, dim: 8 };
+            let (near, origin) = (
+                IndexCell::new(vec![0], vec![0.2]),
+                IndexCell::new(vec![0], vec![0.0]),
+            );
+            let t = tri.thresholds(tri.tau(0.5), 3.0, &near);
+            assert!(t > tri.tau(0.5), "the threshold is τ plus a positive slack");
+            assert!(Triangle::skips_cell(t, 1.01 * t, &origin));
+            assert!(Triangle::skips_member(t, 1.01 * t, &origin, 0));
+            // A gap equal to the threshold stays.
+            assert!(!Triangle::skips_cell(t, t, &origin));
+            assert!(!Triangle::skips_member(t, t, &origin, 0));
+            for tau in [f64::INFINITY, f64::NAN] {
+                let open = tri.thresholds(tri.tau(tau), 3.0, &near);
+                assert!(!Triangle::skips_cell(open, 1e300, &near));
+                assert!(!Triangle::skips_member(open, 1e300, &near, 0));
             }
+            let poisoned = IndexCell::new(vec![0], vec![f64::NAN]);
+            let nan_radius = tri.thresholds(tri.tau(0.5), 3.0, &poisoned);
+            assert!(!Triangle::skips_cell(nan_radius, 1e300, &poisoned));
+            assert!(!Triangle::skips_member(t, 3.0, &poisoned, 0));
         }
-        assert!(
-            !BoundSpace::None.landmark_prunes(8, &q, &[100.0, 100.0, 100.0], 0.1),
-            "non-metric space must never landmark-prune"
-        );
-        assert!(
-            !BoundSpace::Euclidean.landmark_prunes(8, &[f64::NAN], &[100.0], 0.1),
-            "NaN features fail open"
-        );
-        assert!(
-            BoundSpace::Euclidean.landmark_prunes(8, &[f64::NAN, 0.0], &[1.0, 100.0], 0.1),
-            "a finite coordinate still certifies despite a NaN sibling"
-        );
     }
 }

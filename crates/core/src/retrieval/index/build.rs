@@ -26,43 +26,35 @@
 //! — the cells are the ones queries are near in the served distance —
 //! and only then, in the mix space, each member's two component pivot
 //! distances are taken against its centroid (`mix_cell`).
+//!
+//! A store with nothing to prune with — empty, or in
+//! [`BoundSpace::None`] — gets no cells and no k-means: the flat scan
+//! serves it, and cells it could never skip would only cost a build.
 
 use super::super::kernel;
 use super::super::store::EmbeddingStore;
 use super::bound::{BoundSpace, MixBound};
-use super::IndexCell;
+use super::{IndexCell, ProbeStats};
 use crate::distance::{euclidean_f32, lorentz_f32};
 use traj_core::parallel::{default_threads, parallel_map};
+use traj_core::topk::TopK;
 
-/// Build-time knobs for [`super::IndexedStore::build`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Training-sample cap for seeding and Lloyd refinement.
+const TRAIN_SAMPLE: usize = 16_384;
+/// Lloyd refinement iterations over the sample.
+const LLOYD_ITERS: usize = 2;
+/// Seed for the deterministic sample/seeding choices.
+const SEED: u64 = 0x1df;
+
+/// Build-time knobs for [`super::IndexedStore::build`]. (The sample cap,
+/// Lloyd iteration count and seed were fields nobody set; they are this
+/// module's constants, so every build of the same rows partitions them
+/// the same way.)
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IndexParams {
     /// Number of cells; `None` picks `⌈√n⌉` (clamped to `[1, n]`), the
     /// classic IVF balance between the centroid scan and cell scans.
     pub n_cells: Option<usize>,
-    /// Training-sample cap for seeding and Lloyd refinement.
-    pub train_sample: usize,
-    /// Lloyd refinement iterations over the sample.
-    pub lloyd_iters: usize,
-    /// Seed for the deterministic sample/seeding choices.
-    pub seed: u64,
-    /// Second-level landmark rows for the member bound (clamped to `n`;
-    /// `0` disables the block). Only metric bound spaces build it — the
-    /// fused variant's mix space prunes with its two centroid bounds
-    /// alone.
-    pub n_landmarks: usize,
-}
-
-impl Default for IndexParams {
-    fn default() -> Self {
-        IndexParams {
-            n_cells: None,
-            train_sample: 16_384,
-            lloyd_iters: 2,
-            seed: 0x1df,
-            n_landmarks: 4,
-        }
-    }
 }
 
 impl IndexParams {
@@ -75,14 +67,6 @@ impl IndexParams {
             .unwrap_or_else(|| (n as f64).sqrt().ceil() as usize)
             .clamp(1, n)
     }
-}
-
-/// Output of the partitioning pass.
-pub(crate) struct BuiltCells {
-    /// One centroid row per cell, same variant/layout as the store.
-    pub centroids: EmbeddingStore,
-    /// The cells, parallel to `centroids`.
-    pub cells: Vec<IndexCell>,
 }
 
 /// Cell `j` of a [`BoundSpace::ConvexMix`] index: each member's raw
@@ -149,20 +133,12 @@ fn push_mean_row(out: &mut EmbeddingStore, store: &EmbeddingStore, rows: &[u32])
     out.push(&eu, hyper.as_deref(), factors.as_deref());
 }
 
-/// Empty store with the same layout as `store`, ready for centroid rows.
-fn centroid_store(store: &EmbeddingStore) -> EmbeddingStore {
-    EmbeddingStore::new(
-        store.dim(),
-        store.variant(),
-        store.beta(),
-        store.factor_dim(),
-    )
-}
-
 /// Nearest centroid of `row`: `(cell, raw kernel distance)`, ties to the
 /// lowest cell id (the `TopK` convention).
 fn nearest(centroids: &EmbeddingStore, store: &EmbeddingStore, row: usize) -> (usize, f64) {
-    kernel::scan_topk(centroids, store, row, 1).into_sorted()[0]
+    let (mut top, mut stats) = (TopK::new(1), ProbeStats::default());
+    kernel::scan_offer_masked(centroids, store, row, None, 0, &mut top, &mut stats);
+    top.into_sorted()[0]
 }
 
 /// Deterministic training sample of row ids. Exhaustive when the store
@@ -184,72 +160,17 @@ fn training_sample(n: usize, cap: usize, seed: u64) -> Vec<u32> {
         .collect()
 }
 
-/// Selects the second-level landmark block: `n_landmarks` store rows by
-/// farthest-point (maxmin) selection over the training sample — the same
-/// spread heuristic as centroid seeding, and the embedding-space twin of
-/// `traj_dist::landmark::Landmarks::select` — then records every row's
-/// bound-space distance to each landmark (`dlx`, row-major `n × k`).
-///
-/// Landmarks are actual store rows (copied via the single-row mean, which
-/// re-lifts hyperbolic rows onto `H(β)`), so they are valid points of the
-/// bound space and the reverse triangle inequality holds at them. Only
-/// metric spaces get a block: the reverse triangle inequality is not the
-/// fused distance's bound.
-pub(crate) fn build_landmarks(
-    store: &EmbeddingStore,
-    space: &BoundSpace,
-    params: &IndexParams,
-) -> Option<super::LandmarkBlock> {
-    let n = store.len();
-    let k = params.n_landmarks.min(n);
-    if !space.is_metric() || k == 0 {
-        return None;
-    }
-    // Decorrelate the landmark sample from the centroid sample: spread
-    // landmarks should not be forced to coincide with centroid seeds.
-    let seed = params.seed ^ 0xA5A5_5A5A_C3C3_3C3C;
-    let sample = training_sample(n, params.train_sample.max(k), seed);
-    let mut rows = centroid_store(store);
-    let first = sample[(seed % sample.len() as u64) as usize];
-    push_mean_row(&mut rows, store, &[first]);
-    let mut mindist = vec![f64::INFINITY; sample.len()];
-    for j in 1..k {
-        for (si, &row) in sample.iter().enumerate() {
-            let d = kernel::distance_one(&rows, store, row as usize, j - 1) as f64;
-            if d.total_cmp(&mindist[si]).is_lt() {
-                mindist[si] = d;
-            }
-        }
-        let (far, _) = sample
-            .iter()
-            .enumerate()
-            .map(|(si, &row)| (row, mindist[si]))
-            .max_by(|a, b| a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)))
-            .expect("non-empty sample");
-        push_mean_row(&mut rows, store, &[far]);
-    }
-    let per_row: Vec<Vec<f64>> = parallel_map(n, default_threads(n), |i| {
-        (0..k)
-            .map(|j| space.map(kernel::distance_one(&rows, store, i, j) as f64))
-            .collect()
-    });
-    let dlx = per_row.into_iter().flatten().collect();
-    Some(super::LandmarkBlock { rows, dlx })
-}
-
-/// Partitions `store` into cells per `params`; see the module docs.
+/// Partitions `store` into cells per `params` (module docs): one centroid
+/// row per cell, same layout as the store, and the cells parallel to them.
 pub(crate) fn build_cells(
     store: &EmbeddingStore,
     space: &BoundSpace,
     params: &IndexParams,
-) -> BuiltCells {
+) -> (EmbeddingStore, Vec<IndexCell>) {
     let n = store.len();
     let n_cells = params.cells_for(n);
-    if n == 0 {
-        return BuiltCells {
-            centroids: centroid_store(store),
-            cells: Vec::new(),
-        };
+    if n == 0 || !space.prunes() {
+        return (store.empty_like(), Vec::new());
     }
     assert!(
         n <= u32::MAX as usize,
@@ -257,12 +178,12 @@ pub(crate) fn build_cells(
     );
 
     // Deterministic training sample (see [`training_sample`]).
-    let sample = training_sample(n, params.train_sample.max(n_cells), params.seed);
+    let sample = training_sample(n, TRAIN_SAMPLE.max(n_cells), SEED);
     let sample_len = sample.len();
 
     // Farthest-point seeding over the sample.
-    let mut centroids = centroid_store(store);
-    let first = sample[(params.seed % sample_len as u64) as usize];
+    let mut centroids = store.empty_like();
+    let first = sample[(SEED % sample_len as u64) as usize];
     push_mean_row(&mut centroids, store, &[first]);
     let mut mindist = vec![f64::INFINITY; sample_len];
     for j in 1..n_cells {
@@ -282,7 +203,7 @@ pub(crate) fn build_cells(
     }
 
     // Lloyd refinement on the sample.
-    for _ in 0..params.lloyd_iters {
+    for _ in 0..LLOYD_ITERS {
         let mut groups: Vec<Vec<u32>> = vec![Vec::new(); n_cells];
         let assigned = parallel_map(sample_len, default_threads(sample_len), |si| {
             nearest(&centroids, store, sample[si] as usize).0
@@ -290,7 +211,7 @@ pub(crate) fn build_cells(
         for (si, cell) in assigned.into_iter().enumerate() {
             groups[cell].push(sample[si]);
         }
-        let mut refined = centroid_store(store);
+        let mut refined = store.empty_like();
         for (j, group) in groups.iter().enumerate() {
             if group.is_empty() {
                 // Keep the previous centroid: deterministic, and the cell
@@ -329,7 +250,7 @@ pub(crate) fn build_cells(
             .map(|(m, d)| IndexCell::new(m, d))
             .collect(),
     };
-    BuiltCells { centroids, cells }
+    (centroids, cells)
 }
 
 #[cfg(test)]
@@ -345,10 +266,7 @@ mod tests {
         assert_eq!(p.cells_for(1), 1);
         assert_eq!(p.cells_for(100), 10);
         assert_eq!(p.cells_for(101), 11);
-        let fixed = IndexParams {
-            n_cells: Some(64),
-            ..IndexParams::default()
-        };
+        let fixed = IndexParams { n_cells: Some(64) };
         assert_eq!(fixed.cells_for(1000), 64);
         assert_eq!(fixed.cells_for(10), 10, "cells clamp to n");
     }
@@ -359,23 +277,18 @@ mod tests {
             let s = store_with_rows(variant);
             let space = BoundSpace::for_store(&s);
             for n_cells in 1..=3 {
-                let built = build_cells(
-                    &s,
-                    &space,
-                    &IndexParams {
-                        n_cells: Some(n_cells),
-                        ..IndexParams::default()
-                    },
-                );
-                assert_eq!(built.centroids.len(), n_cells);
-                let mut all: Vec<u32> = built
-                    .cells
+                let params = IndexParams {
+                    n_cells: Some(n_cells),
+                };
+                let (centroids, cells) = build_cells(&s, &space, &params);
+                assert_eq!(centroids.len(), n_cells);
+                let mut all: Vec<u32> = cells
                     .iter()
                     .flat_map(|c| c.members.iter().copied())
                     .collect();
                 all.sort_unstable();
                 assert_eq!(all, vec![0, 1, 2], "{} cells={n_cells}", variant.name());
-                for c in &built.cells {
+                for c in &cells {
                     assert_eq!(c.members.len(), c.dcx.len());
                     // The second pivot distance exists exactly in the
                     // mix space.
@@ -394,13 +307,10 @@ mod tests {
     fn build_is_deterministic() {
         let s = store_with_rows(PluginVariant::FusionDist);
         let space = BoundSpace::for_store(&s);
-        let p = IndexParams {
-            n_cells: Some(2),
-            ..IndexParams::default()
-        };
+        let p = IndexParams { n_cells: Some(2) };
         let a = build_cells(&s, &space, &p);
         let b = build_cells(&s, &space, &p);
-        assert_eq!(a.centroids, b.centroids);
+        assert_eq!(a.0, b.0);
         let bits = |cells: &[IndexCell]| -> Vec<(Vec<u32>, Vec<u64>)> {
             cells
                 .iter()
@@ -410,7 +320,7 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(bits(&a.cells), bits(&b.cells));
+        assert_eq!(bits(&a.1), bits(&b.1));
     }
 
     /// A mix cell stores, per member, the two component distances the
@@ -423,13 +333,13 @@ mod tests {
         let BoundSpace::ConvexMix { beta } = space else {
             panic!("benign fused rows must certify, got {space:?}");
         };
-        let built = build_cells(&s, &space, &IndexParams::default());
+        let (centroids, cells) = build_cells(&s, &space, &IndexParams::default());
         let lo_space = BoundSpace::LorentzGeodesic { beta };
-        for (j, c) in built.cells.iter().enumerate() {
+        for (j, c) in cells.iter().enumerate() {
             for (i, &m) in c.members.iter().enumerate() {
                 let m = m as usize;
-                let eu = euclidean_f32(s.eu_row(m), built.centroids.eu_row(j));
-                let lo = lorentz_f32(s.hyper_row(m), built.centroids.hyper_row(j), 1.0);
+                let eu = euclidean_f32(s.eu_row(m), centroids.eu_row(j));
+                let lo = lorentz_f32(s.hyper_row(m), centroids.hyper_row(j), 1.0);
                 assert_eq!(c.dcx[i].to_bits(), (eu as f64).to_bits());
                 assert_eq!(c.dcx_lo[i].to_bits(), lo_space.map(lo as f64).to_bits());
             }
@@ -442,16 +352,9 @@ mod tests {
     fn hyperbolic_centroids_stay_on_hyperboloid() {
         let s = store_with_rows(PluginVariant::LorentzCosh);
         let space = BoundSpace::for_store(&s);
-        let built = build_cells(
-            &s,
-            &space,
-            &IndexParams {
-                n_cells: Some(2),
-                ..IndexParams::default()
-            },
-        );
-        for j in 0..built.centroids.len() {
-            let h = built.centroids.hyper_row(j);
+        let (centroids, _) = build_cells(&s, &space, &IndexParams { n_cells: Some(2) });
+        for j in 0..centroids.len() {
+            let h = centroids.hyper_row(j);
             let nsq: f32 = h[1..].iter().map(|v| v * v).sum();
             assert!(
                 (h[0] * h[0] - (nsq + 1.0)).abs() < 1e-4,
@@ -460,56 +363,19 @@ mod tests {
         }
     }
 
+    /// A store with nothing to prune with gets no cells and no k-means:
+    /// empty, or a fused store whose factors do not certify.
     #[test]
-    fn empty_store_builds_empty_index() {
-        let s = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
-        let built = build_cells(&s, &BoundSpace::Euclidean, &IndexParams::default());
-        assert!(built.cells.is_empty());
-        assert!(built.centroids.is_empty());
-        assert!(build_landmarks(&s, &BoundSpace::Euclidean, &IndexParams::default()).is_none());
-    }
-
-    #[test]
-    fn landmark_block_is_deterministic_clamped_and_gated() {
-        let s = store_with_rows(PluginVariant::Original);
-        let space = BoundSpace::for_store(&s);
-        let p = IndexParams::default();
-        let a = build_landmarks(&s, &space, &p).expect("metric store gets landmarks");
-        let b = build_landmarks(&s, &space, &p).expect("metric store gets landmarks");
-        assert_eq!(a, b, "selection must be deterministic");
-        // 4 requested but only 3 rows: clamped.
-        assert_eq!(a.k(), s.len().min(p.n_landmarks));
-        assert_eq!(a.dlx.len(), s.len() * a.k());
-        assert!(a.dlx.iter().all(|d| d.is_finite() && *d >= 0.0));
-        // Every row's feature vector touches ~0 for the landmark that is
-        // the row itself (landmarks are actual store rows, k = n here).
-        for i in 0..s.len() {
-            let min = a.features(i).iter().copied().fold(f64::INFINITY, f64::min);
-            assert!(min < 1e-3, "row {i} is a landmark, min feature {min}");
-        }
-        // A space that is not a metric and a disabled block both yield
-        // none.
-        assert!(build_landmarks(&s, &BoundSpace::None, &p).is_none());
-        assert!(build_landmarks(&s, &BoundSpace::ConvexMix { beta: 1.0 }, &p).is_none());
-        let off = IndexParams {
-            n_landmarks: 0,
-            ..IndexParams::default()
-        };
-        assert!(build_landmarks(&s, &space, &off).is_none());
-    }
-
-    #[test]
-    fn hyperbolic_landmarks_stay_on_hyperboloid() {
-        let s = store_with_rows(PluginVariant::LorentzCosh);
-        let space = BoundSpace::for_store(&s);
-        let lm = build_landmarks(&s, &space, &IndexParams::default()).expect("landmarks");
-        for j in 0..lm.k() {
-            let h = lm.rows.hyper_row(j);
-            let nsq: f32 = h[1..].iter().map(|v| v * v).sum();
-            assert!(
-                (h[0] * h[0] - (nsq + 1.0)).abs() < 1e-4,
-                "landmark {j} off H(β): {h:?}"
-            );
+    fn stores_that_cannot_prune_build_no_cells() {
+        let empty = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
+        let mut bad = store_with_rows(PluginVariant::FusionDist);
+        bad.factors[1] = -1.0;
+        assert_eq!(BoundSpace::for_store(&bad), BoundSpace::None);
+        for s in [empty, bad] {
+            let space = BoundSpace::for_store(&s);
+            let (centroids, cells) = build_cells(&s, &space, &IndexParams { n_cells: Some(2) });
+            assert!(cells.is_empty() && centroids.is_empty());
+            assert!(centroids.same_layout(&s));
         }
     }
 }

@@ -6,18 +6,19 @@
 //! centroid row (served through the same monomorphized
 //! [`DistanceKernel`](super::kernel) machinery as the flat scans), the
 //! bound-space centroid distance of every member, and the cell radius.
-//! A query scans the `√n`-ish centroids, orders the cells, and then:
+//! A query scans the `√n`-ish centroids, orders the cells, and then one
+//! probe loop — `IndexedStore::scan`, monomorphized per kernel and per
+//! prune-predicate pair ([`bound`]) — offers the surviving members into
+//! the caller's heap:
 //!
 //! * **metric spaces** (Euclidean, Lorentz — see [`bound::BoundSpace`])
 //!   skip every cell whose triangle lower bound `max(0, d(q,c) − r_cell)`
 //!   exceeds the current k-th best and, inside probed cells, every member
 //!   with `|d(q,c) − d(c,x)| > kth` (Schubert-style stored-distance
-//!   bound) — composed tightest-wins with a **second-level landmark
-//!   bound** (`LandmarkBlock`): a few farthest-point-selected store rows
-//!   act as global landmarks, every member keeps its bound-space distance
-//!   to each, and `max_j |θ(q,l_j) − θ(l_j,x)|` (the `traj_dist::landmark`
-//!   feature gap, transplanted into bound space) prunes members the
-//!   single centroid bound cannot separate;
+//!   bound): one precomputed distance per member, what the N-tree keeps
+//!   per node. (A second level of global landmark distances per member
+//!   was measured and removed — it pruned 1.5·10⁻⁶ of the rows for
+//!   32 B/row; DESIGN.md has the record.)
 //! * **the fused variant** is not a metric (the paper's thesis) and no
 //!   single triangle bound applies — but its blend is convex, so
 //!   `d ≥ min(d_Lo, d_Eu)` and each component *is* boundable
@@ -26,15 +27,19 @@
 //!   / `hyper` rows), every cell two radii, and a cell or member is
 //!   skipped only when *both* component tests certify it out. The price
 //!   of the learned violations is then a measured prune rate, not a full
-//!   scan. A fused store or query whose factors do not certify
-//!   `α ∈ [0, 1]` ([`bound::BoundSpace::None`]) is served by the
-//!   storage-order flat scan instead — exact, unpruned.
+//!   scan.
+//!
+//! A store that has nothing to prune with — empty, or a fused store whose
+//! factors do not certify `α ∈ [0, 1]` ([`bound::BoundSpace::None`]) —
+//! gets no cells at all, and it and any fused *query* that fails the same
+//! certification are served by the storage-order flat scan
+//! (`kernel::scan_offer_masked`): exact, unpruned. An `IndexedStore` is
+//! therefore always a valid serving base; whether it has an index is
+//! [`IndexedStore::num_cells`]` > 0`.
 //!
 //! All bounds are padded by a conservative float-rounding slack, so
 //! results are **bit-identical** to [`EmbeddingStore::knn`] — recall 1.0
-//! by construction, sub-linear by pruning. Only an explicit
-//! [`IndexedStore::probe_budget`] trades that for best-effort serving
-//! with measured recall.
+//! by construction, sub-linear by pruning. There is no approximate mode.
 //!
 //! Every prune decision fails open on non-finite values (NaN rows poison
 //! bounds into "cannot prune", never into a wrong skip), keeping the
@@ -47,7 +52,7 @@ mod codec;
 use super::kernel::{self, DistanceKernel};
 use super::store::{results_from_topk, EmbeddingStore, RetrievalResult};
 use crate::config::PluginVariant;
-use bound::{BoundSpace, MixBound};
+use bound::{BoundSpace, MixBound, PruneBound, Triangle};
 use build::IndexParams;
 use serde::Serialize;
 use traj_core::parallel::{default_threads, parallel_map};
@@ -96,34 +101,9 @@ impl IndexCell {
     }
 }
 
-/// The second-level landmark bound: a handful of farthest-point-selected
-/// store rows plus every member's bound-space distance to each (the
-/// member's landmark *feature row*). The probe loop prunes a member when
-/// the Chebyshev gap between the query's and the member's feature rows
-/// exceeds the current k-th best — the same admissible mechanism as
-/// [`traj_dist::landmark`], applied in bound space (see
-/// [`BoundSpace::landmark_prunes`]). Built only for metric spaces.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct LandmarkBlock {
-    /// Landmark rows, same layout as the store (`k` rows).
-    pub rows: EmbeddingStore,
-    /// Bound-space row→landmark distances, row-major `n × k`.
-    pub dlx: Vec<f64>,
-}
-
-impl LandmarkBlock {
-    /// Number of landmarks.
-    pub(crate) fn k(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Feature row of store row `m`.
-    pub(crate) fn features(&self, m: usize) -> &[f64] {
-        &self.dlx[m * self.k()..(m + 1) * self.k()]
-    }
-}
-
-/// Aggregate probe accounting for one or more indexed queries.
+/// Aggregate scan accounting for one or more queries: what the index's
+/// probe loop and the flat scan loop did, summed over every segment
+/// scanned.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct ProbeStats {
     /// Queries served.
@@ -132,17 +112,14 @@ pub struct ProbeStats {
     pub cells: usize,
     /// Cells actually scanned.
     pub cells_probed: usize,
-    /// Cells skipped by the triangle-inequality cell bound.
+    /// Cells skipped by the cell bound.
     pub cells_pruned: usize,
     /// Candidate-row opportunities (`len × queries`).
     pub rows: usize,
     /// Rows whose kernel distance was evaluated.
     pub rows_scanned: usize,
-    /// Rows skipped by a member bound (centroid or landmark).
+    /// Rows skipped by a member bound.
     pub rows_pruned: usize,
-    /// Subset of `rows_pruned` skipped by the second-level landmark
-    /// bound — members the centroid bound alone could not separate.
-    pub rows_pruned_landmark: usize,
 }
 
 impl ProbeStats {
@@ -155,7 +132,6 @@ impl ProbeStats {
         self.rows += other.rows;
         self.rows_scanned += other.rows_scanned;
         self.rows_pruned += other.rows_pruned;
-        self.rows_pruned_landmark += other.rows_pruned_landmark;
     }
 
     /// Fraction of candidate rows whose kernel distance was *not*
@@ -167,14 +143,12 @@ impl ProbeStats {
         1.0 - self.rows_scanned as f64 / self.rows as f64
     }
 
-    /// Fraction of candidate rows skipped by the second-level landmark
-    /// bound specifically — the composed bound's marginal win over the
-    /// centroid bound alone.
+    /// Always 0: the second-level landmark bound this rate used to
+    /// report left the index. The method stays only because `benchmark/`
+    /// — which a change to the library may not edit — reads it into its
+    /// `index.landmark_prune_rate` key; it leaves with that key.
     pub fn landmark_prune_rate(&self) -> f64 {
-        if self.rows == 0 {
-            return 0.0;
-        }
-        self.rows_pruned_landmark as f64 / self.rows as f64
+        0.0
     }
 
     /// Mean cells probed per query.
@@ -190,11 +164,12 @@ impl ProbeStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexedStore {
     store: EmbeddingStore,
+    /// One centroid row per cell, same layout as `store`.
     centroids: EmbeddingStore,
+    /// The cells, parallel to `centroids`.
     cells: Vec<IndexCell>,
-    landmarks: Option<LandmarkBlock>,
+    /// Always [`BoundSpace::for_store`] of `store`.
     space: BoundSpace,
-    probe_budget: Option<usize>,
 }
 
 impl IndexedStore {
@@ -202,55 +177,18 @@ impl IndexedStore {
     /// The bound space is read off the store ([`BoundSpace::for_store`]).
     pub fn build(store: EmbeddingStore, params: IndexParams) -> Self {
         let space = BoundSpace::for_store(&store);
-        let built = build::build_cells(&store, &space, &params);
-        let landmarks = build::build_landmarks(&store, &space, &params);
-        Self::from_parts(store, built.centroids, built.cells, landmarks, space)
+        let (centroids, cells) = build::build_cells(&store, &space, &params);
+        IndexedStore {
+            store,
+            centroids,
+            cells,
+            space,
+        }
     }
 
     /// [`IndexedStore::build`] with default parameters (`⌈√n⌉` cells).
     pub fn with_default_params(store: EmbeddingStore) -> Self {
         Self::build(store, IndexParams::default())
-    }
-
-    /// Assembles an index from built or decoded parts; `space` must be
-    /// [`BoundSpace::for_store`] of `store` and the cells built for it.
-    pub(crate) fn from_parts(
-        store: EmbeddingStore,
-        centroids: EmbeddingStore,
-        cells: Vec<IndexCell>,
-        landmarks: Option<LandmarkBlock>,
-        space: BoundSpace,
-    ) -> Self {
-        IndexedStore {
-            store,
-            centroids,
-            cells,
-            landmarks,
-            space,
-            probe_budget: None,
-        }
-    }
-
-    /// Caps the number of cells probed per query. `None` (the default)
-    /// probes until the exact bound allows stopping, which keeps results
-    /// bit-identical to the flat scan in every space. Setting a budget
-    /// turns any variant into best-effort serving with measured (not
-    /// guaranteed) recall.
-    pub fn with_probe_budget(mut self, budget: Option<usize>) -> Self {
-        self.probe_budget = budget;
-        self
-    }
-
-    /// Configured probe budget.
-    pub fn probe_budget(&self) -> Option<usize> {
-        self.probe_budget
-    }
-
-    /// Whether this configuration guarantees flat-scan-identical results:
-    /// no probe budget. Every space is exact without one — the pruning
-    /// spaces by admissible bounds, [`BoundSpace::None`] by scanning.
-    pub fn is_exact(&self) -> bool {
-        self.probe_budget.is_none()
     }
 
     /// The bound space the index prunes in, decided from the store's
@@ -279,15 +217,10 @@ impl IndexedStore {
         self.store.is_empty()
     }
 
-    /// Number of pivot cells.
+    /// Number of pivot cells: 0 for an empty store or one whose space
+    /// cannot prune ([`BoundSpace::None`]), which the flat scan serves.
     pub fn num_cells(&self) -> usize {
         self.cells.len()
-    }
-
-    /// Number of second-level landmark rows (0 when the space is not a
-    /// metric or the block was disabled at build time).
-    pub fn num_landmarks(&self) -> usize {
-        self.landmarks.as_ref().map_or(0, LandmarkBlock::k)
     }
 
     /// Active plugin variant.
@@ -295,23 +228,22 @@ impl IndexedStore {
         self.store.variant()
     }
 
-    /// Index overhead on top of the store payload: centroid rows,
-    /// per-member bookkeeping, and the landmark block (the Table V
-    /// memory accounting).
+    /// Index overhead on top of the store payload: centroid rows and
+    /// per-member bookkeeping (the Table V memory accounting).
     pub fn index_bytes(&self) -> usize {
+        if self.cells.is_empty() {
+            // No cells, no per-member bookkeeping: a bare store.
+            return 0;
+        }
         // Pivot distances kept per member, and radii per cell.
         let pivots = match self.space {
             BoundSpace::ConvexMix { .. } => 2,
             _ => 1,
         };
         let per_member = std::mem::size_of::<u32>() + pivots * std::mem::size_of::<f64>();
-        let landmark_bytes = self.landmarks.as_ref().map_or(0, |lm| {
-            lm.rows.payload_bytes() + lm.dlx.len() * std::mem::size_of::<f64>()
-        });
         self.centroids.payload_bytes()
             + self.len() * per_member
             + self.cells.len() * pivots * std::mem::size_of::<f64>()
-            + landmark_bytes
     }
 
     /// Store payload plus index overhead.
@@ -319,7 +251,8 @@ impl IndexedStore {
         self.store.payload_bytes() + self.index_bytes()
     }
 
-    /// Top-k for query row `qi` of `queries` through the index.
+    /// Top-k for query row `qi` of `queries` through the index. Panics if
+    /// `queries` does not share the store's layout.
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<RetrievalResult> {
         self.knn_with_stats(queries, qi, k).0
     }
@@ -331,192 +264,13 @@ impl IndexedStore {
         qi: usize,
         k: usize,
     ) -> (Vec<RetrievalResult>, ProbeStats) {
-        let (top, stats) = self.knn_topk_masked(queries, qi, k, None);
-        (results_from_topk(top), stats)
-    }
-
-    /// The masked probe core: top-k as a raw [`TopK`] heap (keys are
-    /// store row ids), skipping rows flagged in `dead`.
-    ///
-    /// This is the serving tier's delta-overlay entry point: a compacted
-    /// base keeps its index attached while later removals tombstone rows,
-    /// and the probe must never let a tombstoned row occupy a heap slot
-    /// (filtering after selection would displace live rows). Skipping
-    /// rows only ever *raises* the running k-th-best threshold τ, so
-    /// every triangle-inequality, landmark and convex-mix bound stays
-    /// admissible and masked indexed results remain bit-identical to a
-    /// masked flat scan.
-    pub(crate) fn knn_topk_masked(
-        &self,
-        queries: &EmbeddingStore,
-        qi: usize,
-        k: usize,
-        dead: Option<&[bool]>,
-    ) -> (TopK, ProbeStats) {
+        let mut top = TopK::new(k);
         let mut stats = ProbeStats {
             queries: 1,
-            cells: self.cells.len(),
-            rows: self.store.len(),
             ..ProbeStats::default()
         };
-        if k == 0 || self.store.is_empty() {
-            return (TopK::new(k), stats);
-        }
-        if let BoundSpace::ConvexMix { beta } = self.space {
-            if bound::mix_certifies_query(queries, qi) {
-                let top = self.probe_mix(beta, queries, qi, k, dead, &mut stats);
-                return (top, stats);
-            }
-        }
-        let metric = self.space.is_metric();
-        if !metric && self.probe_budget.is_none() {
-            // A fused store or query that certifies no bound, asked for
-            // exact results: walking the cells would evaluate every row
-            // anyway, in scattered order — scan in storage order instead.
-            let mut top = TopK::new(k);
-            kernel::scan_offer_masked(&self.store, queries, qi, dead, 0, &mut top);
-            stats.cells_probed = stats.cells;
-            stats.rows_scanned = dead.map_or(stats.rows, |d| d.iter().filter(|&&x| !x).count());
-            return (top, stats);
-        }
-
-        // One O(num_cells · d) centroid scan, then bound-space mapping
-        // and cell ordering by triangle lower bound (raw centroid
-        // distance when there is no bound and the probe budget decides
-        // coverage).
-        let dqc = self.centroids.distance_row_from(queries, qi);
-        let pq: Vec<f64> = dqc.iter().map(|&d| self.space.map(d)).collect();
-        let mut order: Vec<(f64, u32)> = self
-            .cells
-            .iter()
-            .enumerate()
-            .map(|(j, cell)| {
-                let key = if metric {
-                    (pq[j] - cell.radius).max(0.0)
-                } else {
-                    pq[j]
-                };
-                (key, j as u32)
-            })
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        // The query's landmark feature row (O(k_l · d), once per query):
-        // bound-space distances to each landmark, compared against every
-        // member's stored feature row inside the probe loop.
-        let pl: Option<Vec<f64>> = self.landmarks.as_ref().map(|lm| {
-            lm.rows
-                .distance_row_from(queries, qi)
-                .iter()
-                .map(|&d| self.space.map(d))
-                .collect()
-        });
-
-        let top = match self.store.variant() {
-            PluginVariant::Original => self.probe(
-                &kernel::EuclideanKernel::bind(&self.store, queries, qi),
-                &pq,
-                pl.as_deref(),
-                &order,
-                k,
-                dead,
-                &mut stats,
-            ),
-            PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => self.probe(
-                &kernel::LorentzKernel::bind(&self.store, queries, qi),
-                &pq,
-                pl.as_deref(),
-                &order,
-                k,
-                dead,
-                &mut stats,
-            ),
-            PluginVariant::FusionDist => self.probe(
-                &kernel::FusedKernel::bind(&self.store, queries, qi),
-                &pq,
-                pl.as_deref(),
-                &order,
-                k,
-                dead,
-                &mut stats,
-            ),
-        };
-        (top, stats)
-    }
-
-    /// Convex-mix serving of a certified fused store and query
-    /// ([`bound`] module docs): one centroid scan that yields, per cell,
-    /// the fused distance (cells are visited nearest fused centroid
-    /// first) and its two components (Euclidean against the centroid's
-    /// `eu` row, geodesic `θ` against its `hyper` row), then a cell or
-    /// member is skipped only when both component tests certify it out.
-    /// Rows flagged in `dead` are skipped before any bound fires, as in
-    /// [`IndexedStore::probe`].
-    fn probe_mix(
-        &self,
-        beta: f64,
-        queries: &EmbeddingStore,
-        qi: usize,
-        k: usize,
-        dead: Option<&[bool]>,
-        stats: &mut ProbeStats,
-    ) -> TopK {
-        let mix = MixBound::new(beta, self.store.dim());
-        let kern = kernel::FusedKernel::bind(&self.store, queries, qi);
-        let centroid_kern = kernel::FusedKernel::bind(&self.centroids, queries, qi);
-        let mut pq: Vec<(f64, f64)> = Vec::with_capacity(self.cells.len());
-        let mut order: Vec<(f64, u32)> = Vec::with_capacity(self.cells.len());
-        for j in 0..self.cells.len() {
-            let (fused, lo, eu) = centroid_kern.distance_and_components(j);
-            pq.push((eu as f64, mix.theta(lo as f64)));
-            order.push((fused as f64, j as u32));
-        }
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-
-        let budget = self.probe_budget.unwrap_or(usize::MAX);
-        let mut top = TopK::new(k);
-        // τ (bit-tracked so NaN updates are seen) and its padded
-        // component images; ∞ while the heap is not yet full.
-        let mut tau_bits = f64::INFINITY.to_bits();
-        let mut tau = mix.tau(f64::INFINITY);
-        for &(_, j) in &order {
-            if stats.cells_probed >= budget {
-                break;
-            }
-            let cell = &self.cells[j as usize];
-            if cell.members.is_empty() {
-                continue;
-            }
-            let (pq_eu, pq_lo) = pq[j as usize];
-            let radius = (cell.radius, cell.radius_lo);
-            let mut thresh = mix.thresholds(tau, (pq_eu, pq_lo), radius);
-            // Every member's gap is at least `p(q,c) − r` per component.
-            if thresh.certify(pq_eu - cell.radius, pq_lo - cell.radius_lo) {
-                stats.cells_pruned += 1;
-                continue;
-            }
-            stats.cells_probed += 1;
-            for ((&m, &dc_eu), &dc_lo) in cell.members.iter().zip(&cell.dcx).zip(&cell.dcx_lo) {
-                if dead.is_some_and(|d| d[m as usize]) {
-                    continue;
-                }
-                if thresh.certify((pq_eu - dc_eu).abs(), (pq_lo - dc_lo).abs()) {
-                    stats.rows_pruned += 1;
-                    continue;
-                }
-                top.offer(m as usize, kern.distance_to(m as usize) as f64);
-                stats.rows_scanned += 1;
-                if top.len() == k {
-                    let worst = top.worst().expect("full heap").1;
-                    if worst.to_bits() != tau_bits {
-                        tau_bits = worst.to_bits();
-                        tau = mix.tau(worst);
-                        thresh = mix.thresholds(tau, (pq_eu, pq_lo), radius);
-                    }
-                }
-            }
-        }
-        top
+        self.scan(queries, qi, None, 0, &mut top, &mut stats);
+        (results_from_topk(top), stats)
     }
 
     /// Batched top-k, parallel across queries.
@@ -546,39 +300,89 @@ impl IndexedStore {
         (results, stats)
     }
 
-    /// The probe loop, monomorphized per kernel. Visits cells in `order`;
-    /// for metric spaces skips cells/members whose slack-padded triangle
-    /// bound already exceeds the current k-th best (`τ`), re-mapping `τ`
-    /// into bound space lazily (only when the heap's worst survivor
-    /// changes — Lorentz mapping costs an `acosh`). Member pruning
-    /// composes the centroid bound with the second-level landmark bound
-    /// (`pl` = the query's feature row) tightest-wins: either certifying
-    /// `d(q,x) > τ` skips the kernel evaluation. Rows flagged in `dead`
-    /// (serving-tier tombstones) are skipped before any bound fires and
-    /// are counted in neither the scanned nor the pruned tallies.
-    #[allow(clippy::too_many_arguments)] // internal, monomorphized per kernel
-    fn probe<K: DistanceKernel>(
+    /// The indexed half of the retrieval scan core: offers the rows of
+    /// this store that can still make query `qi`'s top-k into `top`,
+    /// under keys `key_offset + row id`, skipping rows flagged in `dead`,
+    /// and counts what it did into `stats` (everything but `queries`,
+    /// which belongs to the caller that owns the query). Bit-identical
+    /// to offering every live row through [`kernel::scan_offer_masked`].
+    ///
+    /// `top` is the caller's and may arrive full — the serving tier scans
+    /// a base and then its delta, a sharded snapshot every shard, into
+    /// one heap. `τ` is therefore read from the heap on entry to each
+    /// cell, so a heap filled elsewhere prunes from the first cell;
+    /// [`bound`]'s module docs say why a carried `τ` is admissible.
+    /// Tombstones are safe for the same reason: a dead row is skipped
+    /// before any bound or heap offer fires (it must never occupy a slot
+    /// a live row deserved — filtering after selection would displace
+    /// live rows), and skipping rows only ever *raises* `τ`.
+    ///
+    /// Panics if `queries` does not share the store's layout.
+    pub(crate) fn scan(
+        &self,
+        queries: &EmbeddingStore,
+        qi: usize,
+        dead: Option<&[bool]>,
+        key_offset: usize,
+        top: &mut TopK,
+        stats: &mut ProbeStats,
+    ) {
+        self.store.assert_query_layout(queries);
+        stats.cells += self.cells.len();
+        let (space, dim) = (self.space, self.store.dim());
+        match space {
+            _ if self.cells.is_empty() || top.k() == 0 => {}
+            BoundSpace::Euclidean => {
+                let kern = kernel::EuclideanKernel::bind(&self.store, queries, qi);
+                let bound = Triangle { space, dim };
+                return self.probe(&kern, &bound, queries, qi, dead, key_offset, top, stats);
+            }
+            BoundSpace::LorentzGeodesic { .. } => {
+                let kern = kernel::LorentzKernel::bind(&self.store, queries, qi);
+                let bound = Triangle { space, dim };
+                return self.probe(&kern, &bound, queries, qi, dead, key_offset, top, stats);
+            }
+            BoundSpace::ConvexMix { beta } if bound::mix_certifies_query(queries, qi) => {
+                let kern = kernel::FusedKernel::bind(&self.store, queries, qi);
+                let bound = MixBound::new(beta, dim);
+                return self.probe(&kern, &bound, queries, qi, dead, key_offset, top, stats);
+            }
+            BoundSpace::ConvexMix { .. } | BoundSpace::None => {}
+        }
+        // Nothing to prune with (no cells, or a fused query that
+        // certifies no bound): walking the cells would evaluate every row
+        // anyway, in scattered order — scan in storage order instead.
+        kernel::scan_offer_masked(&self.store, queries, qi, dead, key_offset, top, stats);
+    }
+
+    /// The one probe loop, monomorphized per (kernel, predicate pair).
+    /// Visits cells in ascending order of the bound's rank key and skips
+    /// cells / members whose slack-padded bound already exceeds the
+    /// current k-th best `τ`, re-mapping `τ` into bound space lazily —
+    /// only when the heap's worst survivor changes. Tombstoned rows are
+    /// counted in neither the scanned nor the pruned tallies.
+    #[allow(clippy::too_many_arguments)] // internal, monomorphized per kernel and bound
+    fn probe<K: DistanceKernel, P: PruneBound>(
         &self,
         kern: &K,
-        pq: &[f64],
-        pl: Option<&[f64]>,
-        order: &[(f64, u32)],
-        k: usize,
+        bound: &P,
+        queries: &EmbeddingStore,
+        qi: usize,
         dead: Option<&[bool]>,
+        key_offset: usize,
+        top: &mut TopK,
         stats: &mut ProbeStats,
-    ) -> TopK {
-        let dim = self.store.dim();
-        let metric = self.space.is_metric();
-        let budget = self.probe_budget.unwrap_or(usize::MAX);
-        let mut top = TopK::new(k);
+    ) {
+        stats.rows += self.store.len();
+        let (pq, mut order) = bound.rank_cells(&self.centroids, &self.cells, queries, qi);
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        let k = top.k();
         // τ in raw space (bit-tracked so NaN updates are seen) and its
         // bound-space image; ∞ while the heap is not yet full.
         let mut tau_bits = f64::INFINITY.to_bits();
-        let mut tau_p = f64::INFINITY;
-        for &(lb, j) in order {
-            if stats.cells_probed >= budget {
-                break;
-            }
+        let mut tau = bound.tau(f64::INFINITY);
+        for &(_, j) in &order {
             let cell = &self.cells[j as usize];
             if cell.members.is_empty() {
                 continue;
@@ -587,60 +391,37 @@ impl IndexedStore {
                 let worst = top.worst().expect("full heap").1;
                 if worst.to_bits() != tau_bits {
                     tau_bits = worst.to_bits();
-                    tau_p = self.space.map(worst);
+                    tau = bound.tau(worst);
                 }
             }
             let pqj = pq[j as usize];
-            // Cell bound: every member is at least `lb` away; a NaN bound
-            // or τ compares false and fails open into a probe.
-            if metric && lb > tau_p + self.space.slack(dim, pqj, cell.radius, tau_p) {
+            let mut thresh = bound.thresholds(tau, pqj, cell);
+            if P::skips_cell(thresh, pqj, cell) {
                 stats.cells_pruned += 1;
                 continue;
             }
             stats.cells_probed += 1;
-            let mut thresh = if metric {
-                tau_p + self.space.slack(dim, pqj, cell.radius, tau_p)
-            } else {
-                f64::INFINITY
-            };
-            for (&m, &dc) in cell.members.iter().zip(&cell.dcx) {
-                // Tombstoned rows are not part of the live snapshot.
-                if dead.is_some_and(|d| d[m as usize]) {
+            for (i, &m) in cell.members.iter().enumerate() {
+                let m = m as usize;
+                if dead.is_some_and(|d| d[m]) {
                     continue;
                 }
-                // Member bound: d(q,x) ≥ |d(q,c) − d(c,x)|.
-                if metric && (pqj - dc).abs() > thresh {
+                if P::skips_member(thresh, pqj, cell, i) {
                     stats.rows_pruned += 1;
                     continue;
                 }
-                // Second-level landmark bound, tightest-wins with the
-                // centroid bound: d(q,x) ≥ max_j |θ(q,l_j) − θ(l_j,x)|.
-                if let (Some(pl), Some(lm)) = (pl, self.landmarks.as_ref()) {
-                    if self
-                        .space
-                        .landmark_prunes(dim, pl, lm.features(m as usize), tau_p)
-                    {
-                        stats.rows_pruned += 1;
-                        stats.rows_pruned_landmark += 1;
-                        continue;
-                    }
-                }
-                let d = kern.distance_to(m as usize) as f64;
+                top.offer(key_offset + m, kern.distance_to(m) as f64);
                 stats.rows_scanned += 1;
-                top.offer(m as usize, d);
                 if top.len() == k {
                     let worst = top.worst().expect("full heap").1;
                     if worst.to_bits() != tau_bits {
                         tau_bits = worst.to_bits();
-                        tau_p = self.space.map(worst);
-                        if metric {
-                            thresh = tau_p + self.space.slack(dim, pqj, cell.radius, tau_p);
-                        }
+                        tau = bound.tau(worst);
+                        thresh = bound.thresholds(tau, pqj, cell);
                     }
                 }
             }
         }
-        top
     }
 }
 
@@ -658,7 +439,6 @@ mod tests {
     fn params(cells: usize) -> IndexParams {
         IndexParams {
             n_cells: Some(cells),
-            ..IndexParams::default()
         }
     }
 
@@ -688,19 +468,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn exactness_flags() {
-        let eu = IndexedStore::build(store_with_rows(PluginVariant::Original), params(2));
-        assert!(eu.is_exact());
-        assert!(!eu.clone().with_probe_budget(Some(1)).is_exact());
-        // A fused store with softplus-positive factors certifies the
-        // convex-mix bound: exact without a budget, like a metric one.
-        let fu = IndexedStore::build(store_with_rows(PluginVariant::FusionDist), params(2));
-        assert_eq!(fu.bound_space(), BoundSpace::ConvexMix { beta: 1.0 });
-        assert!(fu.is_exact(), "certified fused index prunes admissibly");
-        assert!(!fu.with_probe_budget(Some(1)).is_exact());
     }
 
     /// A fused row on `H(1)` at `(x, 0)` with the given factor row.
@@ -752,7 +519,7 @@ mod tests {
 
     /// A store or a query whose factors do not certify `α ∈ [0, 1]` is
     /// served exactly by the flat scan and prunes nothing — and a mask
-    /// is honoured on that path too.
+    /// is honoured on that path too. Such a store builds no cells.
     #[test]
     fn uncertified_fused_fails_open_to_the_flat_scan() {
         for bad in [-0.5, f32::NAN] {
@@ -760,7 +527,7 @@ mod tests {
             let (db, q) = fused_clusters(Some(bad));
             let ix = IndexedStore::build(db.clone(), params(2));
             assert_eq!(ix.bound_space(), BoundSpace::None);
-            assert!(ix.is_exact(), "no budget: the flat scan is exact");
+            assert_eq!((ix.num_cells(), ix.index_bytes()), (0, 0));
             let (hits, stats) = ix.knn_batch_with_stats(&q, 4);
             assert_eq!(bits(&hits[0]), bits(&db.knn(&q, 0, 4)));
             assert_eq!((stats.rows_pruned, stats.cells_pruned), (0, 0));
@@ -778,32 +545,38 @@ mod tests {
 
             let mut dead = vec![false; db.len()];
             dead[1] = true;
-            let (top, stats) = ix.knn_topk_masked(&q, 0, 4, Some(&dead));
+            let (mut top, mut stats) = (TopK::new(4), ProbeStats::default());
+            ix.scan(&q, 0, Some(&dead), 0, &mut top, &mut stats);
             assert!(top.into_sorted().iter().all(|&(i, _)| i != 1));
             assert_eq!(stats.rows_scanned, db.len() - 1);
         }
     }
 
+    /// The scan composes: a second segment offered into the heap a first
+    /// one filled — under a key offset, probing against the τ it finds —
+    /// returns the flat scan of the concatenation, and prunes from its
+    /// first cell. Two far-apart clusters as two segments: once the near
+    /// one has filled the heap, the far one is certified out cell and all.
     #[test]
-    fn empty_store_and_zero_k_serve_empty() {
-        let s = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
-        let ix = IndexedStore::with_default_params(s);
-        assert!(ix.is_empty());
-        assert_eq!(ix.num_cells(), 0);
-        let mut q = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
-        q.push(&[1.0, 2.0], None, None);
-        assert!(ix.knn(&q, 0, 5).is_empty());
-        let with_rows = IndexedStore::build(store_with_rows(PluginVariant::Original), params(2));
-        assert!(with_rows.knn(&q, 0, 0).is_empty());
-    }
-
-    #[test]
-    fn fused_budget_caps_probes() {
-        let s = store_with_rows(PluginVariant::FusionDist);
-        let ix = IndexedStore::build(s.clone(), params(3)).with_probe_budget(Some(1));
-        let (_, stats) = ix.knn_batch_with_stats(&s, 2);
-        assert!(stats.cells_probed <= s.len(), "≤ 1 probe per query");
-        assert!(stats.cells_probed <= stats.queries);
+    fn scan_into_a_prefilled_heap_prunes_from_the_first_cell() {
+        let mut near = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+        let mut far = near.empty_like();
+        for i in 0..8 {
+            near.push(&[i as f32 * 0.01, 0.0], None, None);
+            far.push(&[1000.0 + i as f32 * 0.01, 0.0], None, None);
+        }
+        let mut whole = near.clone();
+        (0..far.len()).for_each(|i| whole.push_row_from(&far, i));
+        let far_ix = IndexedStore::build(far, params(1));
+        for (k, far_cells_pruned) in [(4, 1), (12, 0)] {
+            let (mut top, mut stats) = (TopK::new(k), ProbeStats::default());
+            kernel::scan_offer_masked(&near, &near, 2, None, 0, &mut top, &mut stats);
+            far_ix.scan(&near, 2, None, near.len(), &mut top, &mut stats);
+            assert_eq!(stats.cells_pruned, far_cells_pruned, "k={k} {stats:?}");
+            assert_eq!(stats.rows_scanned, if k == 4 { 8 } else { 16 });
+            let want = whole.knn(&near, 2, k);
+            assert_eq!(bits(&results_from_topk(top)), bits(&want), "k={k}");
+        }
     }
 
     #[test]
@@ -861,91 +634,15 @@ mod tests {
         // The mix space keeps a second f64 per member and per cell.
         let (fused, _) = fused_clusters(None);
         let (n, certified) = (fused.len(), IndexedStore::build(fused, params(2)));
-        let (bad, _) = fused_clusters(Some(-1.0));
-        let uncertified = IndexedStore::build(bad, params(2));
-        let per_row = |ix: &IndexedStore, n: usize| {
-            (ix.index_bytes() - ix.centroids.payload_bytes() - ix.num_cells() * 8) / n
-        };
-        assert_eq!(per_row(&uncertified, n + 1), 12);
+        // A metric space keeps a row id and one f64 per member, and one
+        // radius per cell.
+        assert_eq!(
+            ix.index_bytes() - ix.centroids.payload_bytes(),
+            s.len() * 12 + 2 * 8
+        );
         assert_eq!(
             certified.index_bytes() - certified.centroids.payload_bytes(),
             n * 20 + 2 * 16
         );
-        // The landmark block is part of the accounted overhead.
-        let no_lm = IndexedStore::build(
-            s,
-            IndexParams {
-                n_cells: Some(2),
-                n_landmarks: 0,
-                ..IndexParams::default()
-            },
-        );
-        assert!(ix.index_bytes() > no_lm.index_bytes());
-    }
-
-    /// A single cell whose centroid sits midway between two far-apart
-    /// clusters: every member has nearly the same centroid distance, so
-    /// the Schubert bound `|d(q,c) − d(c,x)|` separates (almost) nothing.
-    /// The landmark bound — with farthest-point landmarks landing in both
-    /// clusters — certifies the far cluster out, keeping results
-    /// bit-identical while scanning fewer rows.
-    #[test]
-    fn landmark_bound_prunes_where_centroid_bound_cannot() {
-        let mut db = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
-        for i in 0..8 {
-            db.push(&[i as f32 * 0.01, 0.0], None, None);
-        }
-        for i in 0..8 {
-            db.push(&[1000.0 + i as f32 * 0.01, 0.0], None, None);
-        }
-        let mut q = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
-        q.push(&[0.02, 0.0], None, None);
-
-        let ix = IndexedStore::build(db.clone(), params(1));
-        assert_eq!(ix.num_landmarks(), 4);
-        let (hits, stats) = ix.knn_batch_with_stats(&q, 4);
-        assert_eq!(bits(&hits[0]), bits(&db.knn(&q, 0, 4)));
-        assert!(
-            stats.rows_pruned_landmark > 0,
-            "landmark bound must reject far-cluster members the centroid \
-             bound cannot separate: {stats:?}"
-        );
-        assert!(stats.rows_pruned >= stats.rows_pruned_landmark);
-
-        let no_lm = IndexedStore::build(
-            db.clone(),
-            IndexParams {
-                n_cells: Some(1),
-                n_landmarks: 0,
-                ..IndexParams::default()
-            },
-        );
-        assert_eq!(no_lm.num_landmarks(), 0);
-        let (hits0, stats0) = no_lm.knn_batch_with_stats(&q, 4);
-        assert_eq!(bits(&hits0[0]), bits(&hits[0]));
-        assert_eq!(stats0.rows_pruned_landmark, 0);
-        assert!(
-            stats.rows_scanned < stats0.rows_scanned,
-            "composed bound must scan fewer rows: {stats:?} vs {stats0:?}"
-        );
-    }
-
-    /// The fused variant's bound space is not a metric, so no landmark
-    /// block is built even when requested — and serving stays correct.
-    #[test]
-    fn fused_variant_builds_no_landmarks() {
-        let s = store_with_rows(PluginVariant::FusionDist);
-        let ix = IndexedStore::build(
-            s.clone(),
-            IndexParams {
-                n_cells: Some(2),
-                n_landmarks: 8,
-                ..IndexParams::default()
-            },
-        );
-        assert_eq!(ix.num_landmarks(), 0);
-        for qi in 0..s.len() {
-            assert_eq!(bits(&ix.knn(&s, qi, 3)), bits(&s.knn(&s, qi, 3)));
-        }
     }
 }

@@ -1,13 +1,20 @@
 //! Monomorphized distance kernels: one per plugin variant.
 //!
-//! The legacy scan matched on `PluginVariant` and re-sliced the query rows
-//! for every candidate pair. A [`DistanceKernel`] is bound once per
-//! (query, database) pair of stores — slicing the query's Euclidean /
-//! hyperbolic / factor rows a single time — and then evaluates candidates
-//! in a tight loop with no dispatch. The `match` survives exactly once per
-//! scan, in the crate-internal `scan_topk` / `distance_row` drivers, where
-//! it selects which monomorphized generic instantiation runs.
+//! A [`DistanceKernel`] is bound once per (query, database) pair of
+//! stores — slicing the query's Euclidean / hyperbolic / factor rows a
+//! single time — and then evaluates candidates in a tight loop with no
+//! dispatch. The `match` on `PluginVariant` survives exactly once per
+//! scan, in the crate-internal `scan_offer_masked` / `distance_row`
+//! drivers, where it selects which monomorphized generic instantiation
+//! runs.
+//!
+//! `scan_offer_masked` is the flat half of the retrieval scan core:
+//! every top-k over rows that no index covers — a whole
+//! [`EmbeddingStore`], a serving delta segment, a base without cells —
+//! is this one loop offering live rows into a caller-owned `TopK` under
+//! a key offset (the other half is `IndexedStore::scan`).
 
+use super::index::ProbeStats;
 use super::store::EmbeddingStore;
 use crate::config::PluginVariant;
 use crate::distance::{alpha_f32, euclidean_f32, fused_f32, lorentz_f32};
@@ -158,40 +165,34 @@ impl FusedKernel<'_> {
     }
 }
 
-/// Bounded-heap top-k scan of rows `start..end` over one kernel
-/// (monomorphized per kernel type). Offered indices are the database row
-/// indices themselves, so shard scans need no rebasing.
-fn topk_scan<K: DistanceKernel>(kernel: &K, k: usize, start: usize, end: usize) -> TopK {
-    let mut top = TopK::new(k);
-    for di in start..end {
-        top.offer(di, kernel.distance_to(di) as f64);
-    }
-    top
-}
-
-/// Masked offering scan over one kernel: feeds every unmasked row into an
-/// existing heap, offsetting offered keys by `key_offset`. This is the
-/// serving snapshot's overlay scan — `dead` marks tombstoned rows that
-/// must never reach the heap (filtering *after* selection could let a
-/// dead row displace a live one), and the key offset places delta rows
-/// after the base keyspace so tie-breaks match a flat scan of the
-/// materialized snapshot.
-fn masked_offer_scan<K: DistanceKernel>(
+/// The flat scan loop, monomorphized per kernel: feeds every unmasked
+/// row into an existing heap, offsetting offered keys by `key_offset`,
+/// and returns how many rows it evaluated. `dead` marks tombstoned rows
+/// that must never reach the heap (filtering *after* selection could let
+/// a dead row displace a live one), and the key offset places a segment's
+/// rows after the keyspace of the segments before it so tie-breaks match
+/// a flat scan of the materialized concatenation.
+fn offer_rows<K: DistanceKernel>(
     kernel: &K,
     dead: Option<&[bool]>,
     key_offset: usize,
     top: &mut TopK,
-) {
+) -> usize {
+    let mut scanned = 0;
     for di in 0..kernel.len() {
         if dead.is_some_and(|d| d[di]) {
             continue;
         }
         top.offer(key_offset + di, kernel.distance_to(di) as f64);
+        scanned += 1;
     }
+    scanned
 }
 
-/// Masked, key-offset scan of every row of `db` into `top` (the variant
-/// `match` happens exactly once; see [`masked_offer_scan`]).
+/// Masked, key-offset scan of every row of `db` into `top`, counted into
+/// `stats` (`rows`, `rows_scanned`). The variant `match` happens exactly
+/// once; the loop underneath is [`offer_rows`]. Panics if `queries` does
+/// not share `db`'s layout.
 pub(crate) fn scan_offer_masked(
     db: &EmbeddingStore,
     queries: &EmbeddingStore,
@@ -199,23 +200,28 @@ pub(crate) fn scan_offer_masked(
     dead: Option<&[bool]>,
     key_offset: usize,
     top: &mut TopK,
+    stats: &mut ProbeStats,
 ) {
-    debug_assert_eq!(db.variant, queries.variant);
+    db.assert_query_layout(queries);
     debug_assert!(dead.map_or(true, |d| d.len() == db.n));
-    match db.variant {
-        PluginVariant::Original => masked_offer_scan(
+    stats.rows += db.n;
+    if top.k() == 0 {
+        return;
+    }
+    stats.rows_scanned += match db.variant {
+        PluginVariant::Original => offer_rows(
             &EuclideanKernel::bind(db, queries, qi),
             dead,
             key_offset,
             top,
         ),
         PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
-            masked_offer_scan(&LorentzKernel::bind(db, queries, qi), dead, key_offset, top)
+            offer_rows(&LorentzKernel::bind(db, queries, qi), dead, key_offset, top)
         }
         PluginVariant::FusionDist => {
-            masked_offer_scan(&FusedKernel::bind(db, queries, qi), dead, key_offset, top)
+            offer_rows(&FusedKernel::bind(db, queries, qi), dead, key_offset, top)
         }
-    }
+    };
 }
 
 /// Full distance row over one kernel (monomorphized per kernel type).
@@ -225,44 +231,10 @@ fn row_scan<K: DistanceKernel>(kernel: &K) -> Vec<f64> {
         .collect()
 }
 
-/// Top-k of query row `qi` of `queries` against rows `start..end` of
-/// `db`. The variant `match` happens exactly once here; the loop
-/// underneath is the monomorphized kernel scan. This is the per-shard
-/// work unit of `ShardedStore::knn_batch`.
-pub(crate) fn scan_topk_range(
-    db: &EmbeddingStore,
-    queries: &EmbeddingStore,
-    qi: usize,
-    k: usize,
-    start: usize,
-    end: usize,
-) -> TopK {
-    debug_assert_eq!(db.variant, queries.variant);
-    debug_assert!(start <= end && end <= db.n);
-    match db.variant {
-        PluginVariant::Original => {
-            topk_scan(&EuclideanKernel::bind(db, queries, qi), k, start, end)
-        }
-        PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
-            topk_scan(&LorentzKernel::bind(db, queries, qi), k, start, end)
-        }
-        PluginVariant::FusionDist => topk_scan(&FusedKernel::bind(db, queries, qi), k, start, end),
-    }
-}
-
-/// Top-k of query row `qi` of `queries` against every row of `db`.
-pub(crate) fn scan_topk(
-    db: &EmbeddingStore,
-    queries: &EmbeddingStore,
-    qi: usize,
-    k: usize,
-) -> TopK {
-    scan_topk_range(db, queries, qi, k, 0, db.n)
-}
-
-/// Full distance row of query `qi` against every row of `db`.
+/// Full distance row of query `qi` against every row of `db` (the
+/// public callers check the layout once per call).
 pub(crate) fn distance_row(db: &EmbeddingStore, queries: &EmbeddingStore, qi: usize) -> Vec<f64> {
-    debug_assert_eq!(db.variant, queries.variant);
+    debug_assert!(db.same_layout(queries));
     match db.variant {
         PluginVariant::Original => row_scan(&EuclideanKernel::bind(db, queries, qi)),
         PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
@@ -325,12 +297,26 @@ mod tests {
         }
     }
 
+    /// `scan_offer_masked` into a fresh heap, with its accounting.
+    fn scan(
+        db: &EmbeddingStore,
+        q: &EmbeddingStore,
+        k: usize,
+        dead: Option<&[bool]>,
+        key_offset: usize,
+    ) -> (Vec<(usize, f64)>, ProbeStats) {
+        let (mut top, mut stats) = (TopK::new(k), ProbeStats::default());
+        scan_offer_masked(db, q, 0, dead, key_offset, &mut top, &mut stats);
+        (top.into_sorted(), stats)
+    }
+
     #[test]
-    fn scan_topk_orders_all_variants() {
+    fn scan_orders_all_variants_and_counts_rows() {
         for variant in PluginVariant::ABLATION {
             let s = store_with_rows(variant);
-            let hits = scan_topk(&s, &s, 0, s.len()).into_sorted();
+            let (hits, stats) = scan(&s, &s, s.len(), None, 0);
             assert_eq!(hits.len(), s.len(), "{}", variant.name());
+            assert_eq!((stats.rows, stats.rows_scanned), (s.len(), s.len()));
             for w in hits.windows(2) {
                 assert!(
                     w[0].1 < w[1].1 || (w[0].1 == w[1].1 && w[0].0 < w[1].0),
@@ -357,7 +343,21 @@ mod tests {
         let s = EmbeddingStore::new(4, PluginVariant::Original, 1.0, None);
         let mut q = EmbeddingStore::new(4, PluginVariant::Original, 1.0, None);
         q.push(&[0.0; 4], None, None);
-        assert!(scan_topk(&s, &q, 0, 5).into_sorted().is_empty());
+        assert!(scan(&s, &q, 5, None, 0).0.is_empty());
         assert!(distance_row(&s, &q, 0).is_empty());
+    }
+
+    /// Masked rows are neither offered nor counted, offered keys carry
+    /// the offset, and `k = 0` evaluates nothing.
+    #[test]
+    fn scan_honours_mask_key_offset_and_zero_k() {
+        let s = store_with_rows(PluginVariant::Original);
+        let (hits, stats) = scan(&s, &s, 3, Some(&[true, false, false]), 10);
+        let keys: Vec<usize> = hits.iter().map(|h| h.0).collect();
+        assert_eq!(keys, vec![11, 12], "row 0 is dead; (1,0) beats (0,3)");
+        assert_eq!((stats.rows, stats.rows_scanned), (3, 2));
+        let (hits, stats) = scan(&s, &s, 0, None, 0);
+        assert!(hits.is_empty());
+        assert_eq!((stats.rows, stats.rows_scanned), (3, 0));
     }
 }

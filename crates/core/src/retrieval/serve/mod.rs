@@ -22,9 +22,9 @@
 //! rows are skipped before any bound or heap offer fires.
 //!
 //! Compaction (`compact`) folds the delta and tombstones into a fresh
-//! base and re-attaches the pivot index whenever the base's bound space
-//! can prune (every metric variant, and `fusion-dist` through the
-//! convex-mix bound). The fold has two drivers. Under a
+//! base and rebuilds the pivot index over it — with cells whenever the
+//! base's bound space can prune (every metric variant, and `fusion-dist`
+//! through the convex-mix bound). The fold has two drivers. Under a
 //! [`sharded::ShardedServingStore`] with a background compactor — the
 //! default serving configuration — a shard that trips its threshold is
 //! *scheduled*, and the `compactor` thread runs the two-phase
@@ -46,9 +46,10 @@ pub mod snapshot;
 pub(crate) mod wal;
 
 use super::index::build::IndexParams;
+use super::index::IndexedStore;
 use super::store::EmbeddingStore;
 use parking_lot::{Mutex, RwLock};
-use snapshot::{Base, Snapshot};
+use snapshot::Snapshot;
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -107,11 +108,10 @@ impl From<StoreDecodeError> for ServeError {
 /// Configuration for a [`ServingStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
-    /// Attach the pivot index to compacted bases whose bound space can
-    /// prune — every variant a model emits; only a fused base whose
-    /// factors fail certification stays flat regardless.
-    pub index: bool,
-    /// Index build parameters.
+    /// Build parameters of the base's pivot index. A base gets cells
+    /// whenever its bound space can prune — every variant a model emits;
+    /// only a fused base whose factors fail certification is served by
+    /// the flat scan.
     pub index_params: IndexParams,
     /// Auto-compaction trigger: when `delta rows + tombstones` reaches
     /// this, the writer that tripped it compacts inline (a sharded store
@@ -126,7 +126,6 @@ pub struct ServingOptions {
 impl Default for ServingOptions {
     fn default() -> Self {
         ServingOptions {
-            index: true,
             index_params: IndexParams::default(),
             compact_threshold: 4096,
             fsync: false,
@@ -162,7 +161,7 @@ enum Loc {
 struct Writer {
     /// id → live location.
     loc: HashMap<u64, Loc>,
-    base: Arc<Base>,
+    base: Arc<IndexedStore>,
     base_ids: Arc<Vec<u64>>,
     base_dead: Vec<u32>,
     delta: EmbeddingStore,
@@ -358,7 +357,7 @@ impl ServingStore {
         let delta = base.empty_like();
         let writer = Writer {
             loc,
-            base: Arc::new(compact::wrap_base(base, &opts)),
+            base: Arc::new(IndexedStore::build(base, opts.index_params)),
             base_ids: Arc::new(ids),
             base_dead: Vec::new(),
             delta,
@@ -734,7 +733,9 @@ impl ServingStore {
 
 #[cfg(test)]
 mod tests {
+    use super::super::index::bound::BoundSpace;
     use super::super::store::tests::store_with_rows;
+    use super::super::store::RetrievalResult;
     use super::*;
     use crate::config::PluginVariant;
 
@@ -937,9 +938,50 @@ mod tests {
             .expect("upsert");
         store.compact().expect("compact");
         let snap = store.snapshot();
-        assert!(!snap.base_indexed(), "uncertifiable fused base stays flat");
+        assert!(
+            !snap.base_indexed(),
+            "uncertifiable fused base has no cells"
+        );
+        assert_eq!(snap.base.bound_space(), BoundSpace::None);
+        assert_eq!((snap.base.num_cells(), snap.base.len()), (0, 4));
         let q = store_with_rows(PluginVariant::FusionDist);
         assert_eq!(snap.knn(&q, 0, 10).len(), snap.len());
+
+        // The cell-less base serves bit-identically to a flat scan of the
+        // live rows under a tombstone mask, with a delta behind it, and
+        // after the next fold.
+        let served = |snap: &Snapshot| -> Vec<(u64, u32)> {
+            let hits = snap.knn_batch(&q, 3).concat();
+            hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+        };
+        let flat = |snap: &Snapshot| -> Vec<(u64, u32)> {
+            let (rows, ids) = snap.to_flat();
+            let hits = rows.knn_batch(&q, 3).concat();
+            let bits = |h: &RetrievalResult| (ids[h.index], h.distance.to_bits());
+            hits.iter().map(bits).collect()
+        };
+        store.remove(1).expect("remove");
+        let (eu, hy, fa) = row(7, PluginVariant::FusionDist);
+        store
+            .upsert(7, &eu, hy.as_deref(), fa.as_deref())
+            .expect("upsert");
+        let masked = store.snapshot();
+        assert_eq!(masked.base_dead, vec![1]);
+        assert_eq!(served(&masked), flat(&masked));
+        store.compact().expect("compact");
+        let folded = store.snapshot();
+        assert!(!folded.base_indexed() && folded.delta_rows() == 0);
+        assert_eq!(served(&folded), served(&masked));
+        assert_eq!(served(&folded), flat(&folded));
+    }
+
+    #[test]
+    #[should_panic(expected = "query store layout mismatch")]
+    fn snapshot_knn_rejects_a_query_store_of_another_width() {
+        let store = serving(PluginVariant::Original, 0);
+        let mut q = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
+        q.push(&[0.0; 3], None, None);
+        let _ = store.snapshot().knn(&q, 0, 1);
     }
 
     #[test]

@@ -8,28 +8,38 @@
 //! different shards proceed fully in parallel, and a fold in one shard
 //! never blocks another shard's writers.
 //!
-//! # Bit-identity of the sharded read path
+//! # Bit-identity of the sharded read path: one shared heap
 //!
 //! [`ShardedSnapshot::knn`] must equal a flat scan of the concatenated
-//! per-shard live rows ([`ShardedSnapshot::to_flat`]) bit-for-bit. The
-//! argument extends the single-store one (see [`snapshot`](super::snapshot)):
+//! per-shard live rows ([`ShardedSnapshot::to_flat`]) bit-for-bit. It
+//! scans every shard, in shard order, into **one** heap: shard s offers
+//! its rows under keys offset by the total key space of shards `0..s`,
+//! and keys are mapped back to external ids once, after selection. The
+//! argument extends the single-store one (see
+//! [`snapshot`](super::snapshot)):
 //!
-//! * each shard's heap selects by `(f64 distance, heap key)` where the
-//!   key order is a strictly monotone remap of that shard's flat row
-//!   order — so per-shard top-k keeps exactly the rows a flat scan of
-//!   that shard would keep, in the same order;
-//! * the merge offsets shard s's keys by the total key space of shards
-//!   `0..s`, making the global key order a strictly monotone remap of the
-//!   *concatenated* flat row order, and compares at the full `f64`
-//!   precision the heaps selected with (narrowing to `f32` first could
-//!   collapse distances that differ only below `f32` resolution and
-//!   reorder their tie-break);
-//! * the global top-k of a concatenation is always a subset of the union
-//!   of per-shard top-k, so merging S sorted lists of k loses nothing.
+//! * **Keys.** Within a shard the key order is a strictly monotone remap
+//!   of that shard's flat row order; the prefix offsets make the global
+//!   key order a strictly monotone remap of the *concatenated* flat row
+//!   order. The heap selects by `(f64 distance, key)`, so offering every
+//!   live row of every shard into it keeps exactly the rows, in exactly
+//!   the order, that a flat scan of the concatenation keeps.
+//! * **A carried τ is admissible.** Shard s does not offer every row: its
+//!   index probes against the k-th best of shards `0..s` from its first
+//!   cell on. The heap's worst survivor only ever improves as rows are
+//!   offered, so at any moment it is at least the final k-th best; and
+//!   every prune test is a strict comparison against a slack-padded `τ`
+//!   (`IndexedStore::scan`). A row shard s skips is therefore strictly
+//!   farther than the final k-th best — it could not have been returned
+//!   whatever its key, ties at `τ` included, which are never skipped.
+//! * **Narrowing still happens after selection.** The heap compares the
+//!   `f64` images of the `f32` kernel distances; hits are narrowed back
+//!   to `f32` (exactly — they came from `f32`) only once the k survivors
+//!   are fixed, exactly where the single-store path narrows, so no
+//!   comparison ever sees a value other than the one a flat scan ranks.
 //!
-//! The final `f64 → f32` narrowing happens after selection, exactly where
-//! the single-store path narrows. `tests/serving_sharded.rs` enforces the
-//! contract against both a single [`ServingStore`] and a BTreeMap model.
+//! `tests/serving_sharded.rs` enforces the contract against both a single
+//! [`ServingStore`] and a BTreeMap model.
 //!
 //! # Compaction lifecycle
 //!
@@ -50,6 +60,7 @@ use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 use traj_core::parallel::{default_threads, parallel_map};
+use traj_core::topk::TopK;
 
 /// Configuration for a [`ShardedServingStore`].
 #[derive(Debug, Clone, Copy)]
@@ -124,7 +135,7 @@ impl ShardedSnapshot {
     pub fn base_indexed(&self) -> bool {
         self.shards
             .iter()
-            .all(|s| s.base_indexed() || s.base.store().is_empty())
+            .all(|s| s.base_indexed() || s.base.is_empty())
     }
 
     /// External ids of every live row, in shard order then snapshot
@@ -152,29 +163,31 @@ impl ShardedSnapshot {
         (store, ids)
     }
 
-    /// Top-k nearest live rows across all shards. Bit-identical to a
-    /// flat scan of [`ShardedSnapshot::to_flat`] (see the module docs).
+    /// Top-k nearest live rows across all shards: every shard into one
+    /// heap at its prefix key offset, keys mapped to ids once.
+    /// Bit-identical to a flat scan of [`ShardedSnapshot::to_flat`] (see
+    /// the module docs). Panics if `queries` does not share the store's
+    /// layout.
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<ServeHit> {
-        // (distance, global key, id): per-shard keys offset by the key
-        // space of every shard before them, so global key order remaps
-        // the concatenated flat row order strictly monotonically.
-        let mut merged: Vec<(f64, usize, u64)> = Vec::with_capacity(self.shards.len() * k);
+        let mut top = TopK::new(k);
+        // First key of each shard, ascending.
+        let mut offsets = Vec::with_capacity(self.shards.len());
         let mut offset = 0usize;
         for s in &self.shards {
-            merged.extend(
-                s.knn_keyed(queries, qi, k)
-                    .into_iter()
-                    .map(|(key, id, d)| (d, offset + key, id)),
-            );
+            offsets.push(offset);
+            s.scan(queries, qi, &s.dead_masks(), offset, &mut top);
             offset += s.key_space();
         }
-        merged.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        merged.truncate(k);
-        merged
+        top.into_sorted()
             .into_iter()
-            .map(|(d, _, id)| ServeHit {
-                id,
-                distance: d as f32,
+            .map(|(key, distance)| {
+                // The last shard starting at or before `key` (empty
+                // shards share a start with the one after them).
+                let si = offsets.partition_point(|&start| start <= key) - 1;
+                ServeHit {
+                    id: self.shards[si].id_of_key(key - offsets[si]),
+                    distance: distance as f32,
+                }
             })
             .collect()
     }
@@ -436,4 +449,128 @@ fn partition(
         part_ids.push(id);
     }
     Ok(parts)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::PluginVariant;
+
+    /// Appends a row on the x axis (on `H(1)` for the hyperbolic part):
+    /// the same `f32` bits for the same `x`.
+    fn push_point(store: &mut EmbeddingStore, x: f32) {
+        let v = store.variant();
+        let hyper = [(x * x + 1.0).sqrt(), x, 0.0];
+        let factors = [0.5, 1.0, 0.7, 0.3];
+        store.push(
+            &[x, 0.0],
+            v.uses_hyperbolic().then_some(&hyper[..]),
+            v.uses_fusion().then_some(&factors[..]),
+        );
+    }
+
+    /// The first `count` ids that [`shard_of_id`] routes to `shard` of 3.
+    fn ids_in(shard: usize, count: usize) -> Vec<u64> {
+        let mine = |id: &u64| shard_of_id(*id, 3) == shard;
+        (0u64..).filter(mine).take(count).collect()
+    }
+
+    /// Asserts `snap.knn` ≡ a flat scan of `to_flat()` — ids and `f32`
+    /// bits — and returns the served ids.
+    fn assert_served_like_flat(snap: &ShardedSnapshot, q: &EmbeddingStore, k: usize) -> Vec<u64> {
+        let (rows, ids) = snap.to_flat();
+        let served = snap.knn(q, 0, k);
+        let flat = rows.knn(q, 0, k);
+        let got: Vec<(u64, u32)> = served
+            .iter()
+            .map(|h| (h.id, h.distance.to_bits()))
+            .collect();
+        let want: Vec<(u64, u32)> = flat
+            .iter()
+            .map(|h| (ids[h.index], h.distance.to_bits()))
+            .collect();
+        assert_eq!(got, want, "{} k={k}", rows.variant().name());
+        served.iter().map(|h| h.id).collect()
+    }
+
+    /// Ties at τ across the shared heap. Shard 0 alone fills a k = 4
+    /// heap; shards 1 and 2 hold exact duplicates of its k-th row — in
+    /// base and delta, some tombstoned — beside far rows their indexes
+    /// skip against the carried τ. A duplicate ties at τ, is never
+    /// pruned, and loses or wins its slot by key exactly as in a flat
+    /// scan of `to_flat()`: same ids, same `f32` bits, for every k.
+    #[test]
+    fn duplicates_of_the_kth_row_in_later_shards_tie_break_like_a_flat_scan() {
+        for variant in PluginVariant::ABLATION {
+            let (a, b, c) = (ids_in(0, 8), ids_in(1, 9), ids_in(2, 8));
+            let mut base = EmbeddingStore::new(2, variant, 1.0, variant.uses_fusion().then_some(2));
+            let mut q = base.empty_like();
+            push_point(&mut q, 0.0);
+            let mut ids = Vec::new();
+            let mut place = |id: u64, x: f32| {
+                push_point(&mut base, x);
+                ids.push(id);
+            };
+            for i in 0..4 {
+                place(a[i], 0.1 * (i + 1) as f32); // 0.4 is the 4th best
+                place(a[4 + i], 50.0 + i as f32);
+                place(b[3 + i], 60.0 + i as f32);
+                place(c[2 + i], 70.0 + i as f32);
+            }
+            for &id in b[..3].iter().chain(&c[..2]) {
+                place(id, 0.4);
+            }
+            let opts = ShardedServingOptions {
+                shards: 3,
+                background: false,
+                serving: ServingOptions {
+                    compact_threshold: 0,
+                    ..ServingOptions::default()
+                },
+            };
+            let store = ShardedServingStore::new(base, ids, opts).expect("unique ids");
+            let check = |snap: &ShardedSnapshot, top4: [u64; 4]| {
+                assert!(snap.base_indexed(), "{}", variant.name());
+                for k in [1, 3, 5, 7, 9, 30] {
+                    assert_served_like_flat(snap, &q, k);
+                }
+                assert_eq!(assert_served_like_flat(snap, &q, 4), top4);
+            };
+            // Shard 0 alone fills the heap; every duplicate loses its tie.
+            check(&store.snapshot(), [a[0], a[1], a[2], a[3]]);
+
+            // Duplicates into two deltas (one of them tombstoned again),
+            // a tombstone on a base duplicate, and one on a row of shard
+            // 0's four — so a duplicate from a later shard now makes k = 4.
+            let mut dup = q.empty_like();
+            push_point(&mut dup, 0.4);
+            let (hyper, factors) = (
+                variant.uses_hyperbolic().then(|| dup.hyper_row(0)),
+                variant.uses_fusion().then(|| dup.factor_row(0)),
+            );
+            for id in [b[7], c[6], c[7]] {
+                store
+                    .upsert(id, dup.eu_row(0), hyper, factors)
+                    .expect("upsert");
+            }
+            for id in [c[6], b[1], a[1]] {
+                assert!(store.remove(id).expect("remove"));
+            }
+            let churned = store.snapshot();
+            assert_eq!(churned.delta_rows(), 3);
+            check(&churned, [a[0], a[2], a[3], b[0]]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "query store layout mismatch")]
+    fn knn_rejects_a_query_store_of_another_width() {
+        let mut base = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+        push_point(&mut base, 1.0);
+        let store = ShardedServingStore::new(base, vec![7], ShardedServingOptions::default())
+            .expect("unique ids");
+        let mut q = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
+        q.push(&[0.0; 3], None, None);
+        let _ = store.snapshot().knn(&q, 0, 1);
+    }
 }

@@ -1,11 +1,17 @@
 //! Immutable point-in-time views of a [`ServingStore`](super::ServingStore).
 //!
 //! A [`Snapshot`] is what readers actually query: a shared compacted
-//! **base** segment (flat or with the pivot index attached), a copy of the
+//! **base** segment (always an [`IndexedStore`] — one without cells when
+//! the base is empty or its bound space cannot prune), a copy of the
 //! current **delta** segment (rows upserted since the last compaction),
 //! and tombstone sets over both. Snapshots are published behind
 //! `Arc` pointers, so cloning one is O(1) for the base (shared) and
 //! O(delta) for the mutable tail — bounded by the compaction threshold.
+//!
+//! A query is two calls into the scan core on one heap:
+//! `IndexedStore::scan` over the base at key offset 0, then
+//! `kernel::scan_offer_masked` over the delta at offset `n_base`
+//! (`Snapshot::scan`).
 //!
 //! # Bit-identity of the overlay
 //!
@@ -27,15 +33,14 @@
 //! * **Tombstones** are excluded *before* any heap offer (a dead row must
 //!   never occupy a slot a live row deserved), and inside the index probe
 //!   the skip happens before the bounds fire — skipping only raises the
-//!   running k-th-best τ, so every triangle-inequality, landmark and
-//!   convex-mix bound stays admissible (see
-//!   `IndexedStore::knn_topk_masked`).
+//!   running k-th-best τ, so every triangle-inequality and convex-mix
+//!   bound stays admissible (see `IndexedStore::scan`).
 //!
 //! `tests/serving_store.rs` enforces this property end-to-end, and the
 //! serve bench re-asserts it on sampled queries before every ledger
 //! append.
 
-use super::super::index::IndexedStore;
+use super::super::index::{IndexedStore, ProbeStats};
 use super::super::kernel;
 use super::super::store::EmbeddingStore;
 use super::ServeHit;
@@ -43,44 +48,12 @@ use std::sync::Arc;
 use traj_core::parallel::{default_threads, parallel_map};
 use traj_core::topk::TopK;
 
-/// The compacted base segment: a flat store, or one served through the
-/// pivot index — whenever the store's bound space can prune, which
-/// includes the fused distance through its convex-mix bound; flat only
-/// for an empty base, an uncertifiable fused one, or `index: false`.
-// One `Base` exists per compaction, always behind an `Arc` — the variant
-// size gap never multiplies across rows, and boxing would add a pointer
-// chase to every probe.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone)]
-pub(crate) enum Base {
-    /// Flat base: scanned with the monomorphized kernels.
-    Flat(EmbeddingStore),
-    /// Indexed base: probed with the space's admissible bounds
-    /// (triangle + landmark, or convex-mix), masked by the tombstone set.
-    Indexed(IndexedStore),
-}
-
-impl Base {
-    /// The underlying embedding store.
-    pub(crate) fn store(&self) -> &EmbeddingStore {
-        match self {
-            Base::Flat(s) => s,
-            Base::Indexed(ix) => ix.store(),
-        }
-    }
-
-    /// Whether the pivot index is attached.
-    pub(crate) fn is_indexed(&self) -> bool {
-        matches!(self, Base::Indexed(_))
-    }
-}
-
 /// An immutable point-in-time view of the serving store. See the module
 /// docs for the bit-identity contract.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Compacted base segment, shared across snapshots of one epoch run.
-    pub(crate) base: Arc<Base>,
+    pub(crate) base: Arc<IndexedStore>,
     /// External id of each base row, parallel to the base store.
     pub(crate) base_ids: Arc<Vec<u64>>,
     /// Tombstoned base rows, ascending.
@@ -93,6 +66,14 @@ pub struct Snapshot {
     pub(crate) delta_dead: Vec<u32>,
     /// Publication epoch: bumped by every successful write or compaction.
     pub(crate) epoch: u64,
+}
+
+/// A snapshot's two tombstone lists as dense masks, for
+/// [`Snapshot::scan`]. A [`Snapshot::knn_batch`] expands them once for
+/// every query.
+pub(crate) struct DeadMasks {
+    base: Option<Vec<bool>>,
+    delta: Option<Vec<bool>>,
 }
 
 /// Expands a sorted tombstone list into a dense mask (`None` when there
@@ -130,9 +111,11 @@ impl Snapshot {
         self.delta_ids.len()
     }
 
-    /// Whether the base segment is served through the pivot index.
+    /// Whether the base segment has pivot cells to prune with — false
+    /// for an empty base and for a fused one that certifies no bound,
+    /// which the flat scan serves.
     pub fn base_indexed(&self) -> bool {
-        self.base.is_indexed()
+        self.base.num_cells() > 0
     }
 
     /// External ids of every live row, in snapshot order (live base rows
@@ -156,59 +139,75 @@ impl Snapshot {
 
     /// Size of this snapshot's heap key space: base rows `0..n_base`,
     /// delta rows `n_base..n_base + n_delta` (dead rows hold their key
-    /// but are never offered). The sharded merge offsets each shard's
+    /// but are never offered). A sharded snapshot offsets each shard's
     /// keys by the key spaces before it, keeping the concatenated key
     /// order strictly monotone onto the concatenated [`Snapshot::to_flat`]
     /// row order.
     pub(crate) fn key_space(&self) -> usize {
-        self.base.store().len() + self.delta.len()
+        self.base.len() + self.delta.len()
+    }
+
+    /// The tombstone lists as dense masks.
+    pub(crate) fn dead_masks(&self) -> DeadMasks {
+        DeadMasks {
+            base: dead_mask(self.base.len(), &self.base_dead),
+            delta: dead_mask(self.delta.len(), &self.delta_dead),
+        }
+    }
+
+    /// Offers this snapshot's live rows into `top`: the base through its
+    /// index at `key_offset`, the delta through the flat scan behind it.
+    /// `masks` is this snapshot's [`Snapshot::dead_masks`].
+    pub(crate) fn scan(
+        &self,
+        queries: &EmbeddingStore,
+        qi: usize,
+        masks: &DeadMasks,
+        key_offset: usize,
+        top: &mut TopK,
+    ) {
+        // Counted and dropped: the serving tier reports no probe
+        // accounting yet (ROADMAP item 1).
+        let mut stats = ProbeStats::default();
+        let (base_dead, delta_dead) = (masks.base.as_deref(), masks.delta.as_deref());
+        self.base
+            .scan(queries, qi, base_dead, key_offset, top, &mut stats);
+        let delta_offset = key_offset + self.base.len();
+        kernel::scan_offer_masked(
+            &self.delta,
+            queries,
+            qi,
+            delta_dead,
+            delta_offset,
+            top,
+            &mut stats,
+        );
+    }
+
+    /// External id of the row [`Snapshot::scan`] offered under
+    /// `key_offset + key`.
+    pub(crate) fn id_of_key(&self, key: usize) -> u64 {
+        match key.checked_sub(self.base.len()) {
+            None => self.base_ids[key],
+            Some(j) => self.delta_ids[j],
+        }
     }
 
     /// Top-k nearest live rows to query row `qi` of `queries`, as
     /// external ids with model distances. Bit-identical to a flat scan of
-    /// [`Snapshot::to_flat`] (see the module docs).
+    /// [`Snapshot::to_flat`] (see the module docs). Panics if `queries`
+    /// does not share the store's layout.
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<ServeHit> {
-        self.knn_keyed(queries, qi, k)
-            .into_iter()
-            .map(|(_, id, distance)| ServeHit {
-                id,
-                distance: distance as f32,
-            })
-            .collect()
-    }
-
-    /// [`Snapshot::knn`] before the `f32` narrowing: sorted
-    /// `(heap key, external id, f64 distance)` triples. This is the
-    /// sharded-store merge surface — the merge must compare at the full
-    /// `f64` precision the heaps selected with (narrowing first could
-    /// reorder hits whose distances collide only in `f32`), and it
-    /// tie-breaks on the heap key so the cross-shard order stays the
-    /// strictly monotone remap of the concatenated flat-scan order.
-    pub(crate) fn knn_keyed(
-        &self,
-        queries: &EmbeddingStore,
-        qi: usize,
-        k: usize,
-    ) -> Vec<(usize, u64, f64)> {
-        let base_mask = dead_mask(self.base.store().len(), &self.base_dead);
-        let delta_mask = dead_mask(self.delta.len(), &self.delta_dead);
-        self.knn_masked(queries, qi, k, base_mask.as_deref(), delta_mask.as_deref())
+        self.knn_masked(queries, qi, k, &self.dead_masks())
     }
 
     /// Batched [`Snapshot::knn`], parallel across queries. Masks are
     /// expanded once and shared by every query.
     pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
-        let base_mask = dead_mask(self.base.store().len(), &self.base_dead);
-        let delta_mask = dead_mask(self.delta.len(), &self.delta_dead);
+        let masks = self.dead_masks();
         let nq = queries.len();
         parallel_map(nq, default_threads(nq), |qi| {
-            self.knn_masked(queries, qi, k, base_mask.as_deref(), delta_mask.as_deref())
-                .into_iter()
-                .map(|(_, id, distance)| ServeHit {
-                    id,
-                    distance: distance as f32,
-                })
-                .collect()
+            self.knn_masked(queries, qi, k, &masks)
         })
     }
 
@@ -217,35 +216,15 @@ impl Snapshot {
         queries: &EmbeddingStore,
         qi: usize,
         k: usize,
-        base_mask: Option<&[bool]>,
-        delta_mask: Option<&[bool]>,
-    ) -> Vec<(usize, u64, f64)> {
-        if k == 0 {
-            return Vec::new();
-        }
-        let n_base = self.base.store().len();
-        let mut top = match &*self.base {
-            Base::Indexed(ix) => ix.knn_topk_masked(queries, qi, k, base_mask).0,
-            Base::Flat(store) => {
-                let mut top = TopK::new(k);
-                if !store.is_empty() {
-                    kernel::scan_offer_masked(store, queries, qi, base_mask, 0, &mut top);
-                }
-                top
-            }
-        };
-        if !self.delta.is_empty() {
-            kernel::scan_offer_masked(&self.delta, queries, qi, delta_mask, n_base, &mut top);
-        }
+        masks: &DeadMasks,
+    ) -> Vec<ServeHit> {
+        let mut top = TopK::new(k);
+        self.scan(queries, qi, masks, 0, &mut top);
         top.into_sorted()
             .into_iter()
-            .map(|(key, distance)| {
-                let id = if key < n_base {
-                    self.base_ids[key]
-                } else {
-                    self.delta_ids[key - n_base]
-                };
-                (key, id, distance)
+            .map(|(key, distance)| ServeHit {
+                id: self.id_of_key(key),
+                distance: distance as f32,
             })
             .collect()
     }

@@ -2,11 +2,12 @@
 //!
 //! [`EmbeddingStore`] owns the three flat `f32` buffers (Euclidean,
 //! hyperbolic, fusion factors) for one trajectory collection. Scans are
-//! executed by the monomorphized kernels in [`super::kernel`]; the
-//! [`EmbeddingStore::knn`] method is the thin single-query compatibility
-//! wrapper over that engine, and [`super::shard::ShardedStore`] is the
-//! batched parallel surface.
+//! executed by the monomorphized kernels in [`super::kernel`]:
+//! [`EmbeddingStore::knn`] offers every row into one heap through the
+//! flat scan loop, and [`EmbeddingStore::knn_batch`] runs it in parallel
+//! across queries.
 
+use super::index::ProbeStats;
 use super::kernel;
 use crate::config::PluginVariant;
 use serde::{Deserialize, Serialize};
@@ -98,6 +99,33 @@ impl EmbeddingStore {
         EmbeddingStore::new(self.dim, self.variant, self.beta, self.factor_dim)
     }
 
+    /// Whether `other` has this store's layout: variant, width, factor
+    /// width and curvature (β compared by bits, so a NaN β matches
+    /// itself). Two stores can be scanned against each other, or one serve
+    /// as the other's centroid rows, only when this holds.
+    pub fn same_layout(&self, other: &EmbeddingStore) -> bool {
+        self.variant == other.variant
+            && self.dim == other.dim
+            && self.factor_dim == other.factor_dim
+            && self.beta.to_bits() == other.beta.to_bits()
+    }
+
+    /// Panics unless `queries` shares this store's layout. The kernels
+    /// slice rows by the database's widths and `zip` them against the
+    /// query's, so a mismatched query store would otherwise be ranked on
+    /// truncated rows — a wrong answer, not an error. Checked in release
+    /// builds too, once per scan.
+    pub(crate) fn assert_query_layout(&self, queries: &EmbeddingStore) {
+        let layout = |s: &EmbeddingStore| (s.variant.name(), s.dim, s.factor_dim, s.beta);
+        assert!(
+            self.same_layout(queries),
+            "query store layout mismatch (variant, dim, factor_dim, beta): \
+             database is {:?}, queries are {:?}",
+            layout(self),
+            layout(queries)
+        );
+    }
+
     /// Number of stored trajectories.
     pub fn len(&self) -> usize {
         self.n
@@ -164,63 +192,50 @@ impl EmbeddingStore {
     /// `self`, per the active variant.
     ///
     /// One-off surface: binds a kernel per call. Scans should use
-    /// [`EmbeddingStore::knn`] or
-    /// [`ShardedStore::knn_batch`](super::shard::ShardedStore::knn_batch),
-    /// which bind once per query.
+    /// [`EmbeddingStore::knn`] or [`EmbeddingStore::knn_batch`], which
+    /// bind once per query.
     pub fn distance_from(&self, queries: &EmbeddingStore, qi: usize, di: usize) -> f32 {
         debug_assert_eq!(self.variant, queries.variant);
         kernel::distance_one(self, queries, qi, di)
     }
 
     /// Full distance row from query `qi` to every database row
-    /// (monomorphized kernel scan).
+    /// (monomorphized kernel scan). Panics if `queries` does not share
+    /// this store's layout.
     pub fn distance_row_from(&self, queries: &EmbeddingStore, qi: usize) -> Vec<f64> {
+        self.assert_query_layout(queries);
         kernel::distance_row(self, queries, qi)
     }
 
     /// All distance rows from every query to every database row, computed
     /// in parallel across queries. This is the batched evaluation surface
-    /// `lh-core::pipeline` ranks with.
+    /// `lh-core::pipeline` ranks with. Panics if `queries` does not share
+    /// this store's layout.
     pub fn distance_rows_from(&self, queries: &EmbeddingStore) -> Vec<Vec<f64>> {
+        self.assert_query_layout(queries);
         let nq = queries.len();
         parallel_map(nq, default_threads(nq), |qi| {
             kernel::distance_row(self, queries, qi)
         })
     }
 
-    /// Top-k retrieval for query row `qi` of `queries`.
-    ///
-    /// Thin compatibility wrapper over the kernel engine: a monomorphized
-    /// O(n log k) bounded-heap scan, deterministic under ties and
-    /// non-finite distances (`total_cmp` + index tie-break). Sharded /
-    /// batched serving lives on [`super::shard::ShardedStore`].
+    /// Top-k retrieval for query row `qi` of `queries`: the flat scan
+    /// loop over every row into one bounded heap — O(n log k),
+    /// deterministic under ties and non-finite distances (`total_cmp` +
+    /// index tie-break). Panics if `queries` does not share this store's
+    /// layout ([`EmbeddingStore::same_layout`]).
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<RetrievalResult> {
-        results_from_topk(kernel::scan_topk(self, queries, qi, k))
+        let mut top = TopK::new(k);
+        let mut stats = ProbeStats::default();
+        kernel::scan_offer_masked(self, queries, qi, None, 0, &mut top, &mut stats);
+        results_from_topk(top)
     }
 
-    /// Legacy top-k: materializes and fully sorts all n candidates with a
-    /// per-pair variant dispatch, O(n log n). Retained as the regression
-    /// baseline the benches compare the kernel engine against; new code
-    /// should call [`EmbeddingStore::knn`].
-    pub fn knn_full_sort(
-        &self,
-        queries: &EmbeddingStore,
-        qi: usize,
-        k: usize,
-    ) -> Vec<RetrievalResult> {
-        let mut hits: Vec<RetrievalResult> = (0..self.n)
-            .map(|di| RetrievalResult {
-                index: di,
-                distance: self.distance_from(queries, qi, di),
-            })
-            .collect();
-        hits.sort_by(|a, b| {
-            a.distance
-                .total_cmp(&b.distance)
-                .then(a.index.cmp(&b.index))
-        });
-        hits.truncate(k);
-        hits
+    /// Batched [`EmbeddingStore::knn`]: one result list per query row,
+    /// parallel across queries like every other batch path.
+    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<RetrievalResult>> {
+        let nq = queries.len();
+        parallel_map(nq, default_threads(nq), |qi| self.knn(queries, qi, k))
     }
 }
 
@@ -265,21 +280,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn knn_matches_full_sort_baseline() {
-        for variant in PluginVariant::ABLATION {
-            let s = store_with_rows(variant);
-            for k in [0, 1, 2, 3, 10] {
-                assert_eq!(
-                    s.knn(&s, 1, k),
-                    s.knn_full_sort(&s, 1, k),
-                    "{} k={k}",
-                    variant.name()
-                );
-            }
-        }
-    }
-
-    #[test]
     #[allow(clippy::approx_constant)] // the single row lies on H(1): x0 = √2
     fn knn_edge_cases() {
         for variant in PluginVariant::ABLATION {
@@ -313,6 +313,26 @@ pub(crate) mod tests {
         }
     }
 
+    /// The batch path is the single-query scan per row — one (possibly
+    /// empty) list per query — so the corners `knn_edge_cases` pins (k = 0,
+    /// k ≥ n, empty store, single-row store, every variant) hold for it.
+    #[test]
+    fn knn_batch_is_knn_per_query_at_the_edge_cases() {
+        for variant in PluginVariant::ABLATION {
+            let s = store_with_rows(variant);
+            let mut single = s.empty_like();
+            single.push_row_from(&s, 1);
+            for db in [s.clone(), s.empty_like(), single] {
+                for k in [0, 1, 2, 3, 10] {
+                    let want: Vec<_> = (0..s.len()).map(|qi| db.knn(&s, qi, k)).collect();
+                    assert_eq!(db.knn_batch(&s, k), want, "{} k={k}", variant.name());
+                    assert!(want.iter().all(|hits| hits.len() == k.min(db.len())));
+                }
+                assert!(db.knn_batch(&s.empty_like(), 5).is_empty(), "no queries");
+            }
+        }
+    }
+
     #[test]
     fn knn_deterministic_with_nan_rows() {
         let mut s = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
@@ -324,14 +344,28 @@ pub(crate) mod tests {
         let order: Vec<usize> = hits.iter().map(|h| h.index).collect();
         // NaN distances sort after all finite ones, tie-broken by index.
         assert_eq!(order, vec![0, 2, 1, 3]);
-        // Byte-identical to the legacy baseline (f32 `==` is false for
-        // NaN, so compare bit patterns).
-        let bits = |hits: &[RetrievalResult]| -> Vec<(usize, u32)> {
-            hits.iter()
-                .map(|h| (h.index, h.distance.to_bits()))
-                .collect()
-        };
-        assert_eq!(bits(&hits), bits(&s.knn_full_sort(&s, 0, 4)));
+    }
+
+    #[test]
+    fn layout_is_variant_widths_and_curvature_bits() {
+        let s = store_with_rows(PluginVariant::FusionDist);
+        assert!(s.same_layout(&s.empty_like()));
+        let other = |dim, variant, beta, f| EmbeddingStore::new(dim, variant, beta, f);
+        assert!(!s.same_layout(&other(3, PluginVariant::FusionDist, 1.0, Some(2))));
+        assert!(!s.same_layout(&other(2, PluginVariant::LorentzCosh, 1.0, None)));
+        assert!(!s.same_layout(&other(2, PluginVariant::FusionDist, 2.0, Some(2))));
+        assert!(!s.same_layout(&other(2, PluginVariant::FusionDist, 1.0, Some(3))));
+        let nan = other(2, PluginVariant::Original, f32::NAN, None);
+        assert!(nan.same_layout(&nan.empty_like()), "β is compared by bits");
+    }
+
+    #[test]
+    #[should_panic(expected = "query store layout mismatch")]
+    fn distance_rows_reject_another_curvature() {
+        let s = store_with_rows(PluginVariant::LorentzCosh);
+        let mut q = EmbeddingStore::new(2, PluginVariant::LorentzCosh, 4.0, None);
+        q.push(&[0.0, 0.0], Some(&[2.0, 0.0, 0.0]), None);
+        let _ = s.distance_rows_from(&q);
     }
 
     #[test]

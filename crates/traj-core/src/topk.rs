@@ -113,29 +113,12 @@ impl TopK {
         }
     }
 
-    /// Merges another selector's survivors into this one.
-    pub fn merge(&mut self, other: &TopK) {
-        for c in other.heap.iter() {
-            self.offer(c.index, c.distance);
-        }
-    }
-
     /// Consumes the selector, returning survivors sorted ascending by
     /// `(distance, index)`.
     pub fn into_sorted(self) -> Vec<(usize, f64)> {
         let mut v = self.heap.into_vec();
         v.sort_unstable_by(|a, b| a.order(b));
         v.into_iter().map(|c| (c.index, c.distance)).collect()
-    }
-
-    /// Consumes the selector, returning survivors in unspecified order
-    /// (for callers that re-rank — e.g. merging shard results — and
-    /// should not pay the sort).
-    pub fn into_unsorted(self) -> Vec<(usize, f64)> {
-        self.heap
-            .into_iter()
-            .map(|c| (c.index, c.distance))
-            .collect()
     }
 }
 
@@ -196,37 +179,24 @@ mod tests {
         assert_eq!(order, vec![3, 1, 2, 0, 4]);
     }
 
+    /// The selection is a function of the offered set, not of the offer
+    /// order: segments offered into one selector in any order — the later
+    /// ones into an already full heap, ties at the cut included — select
+    /// what a single ascending pass selects.
     #[test]
-    fn merge_equals_single_pass() {
+    fn selection_is_independent_of_offer_order() {
         let d: Vec<f64> = (0..100).map(|i| ((i * 13) % 47) as f64).collect();
         let mut whole = TopK::new(7);
         for (i, &x) in d.iter().enumerate() {
             whole.offer(i, x);
         }
-        let mut left = TopK::new(7);
-        let mut right = TopK::new(7);
-        for (i, &x) in d.iter().enumerate() {
-            if i < 50 {
-                left.offer(i, x);
-            } else {
-                right.offer(i, x);
+        let mut shared = TopK::new(7);
+        for segment in [80..100, 0..50, 50..80] {
+            for i in segment.rev() {
+                shared.offer(i, d[i]);
             }
         }
-        left.merge(&right);
-        assert_eq!(left.into_sorted(), whole.into_sorted());
-    }
-
-    #[test]
-    fn unsorted_drain_holds_same_survivors() {
-        let d: Vec<f64> = (0..60).map(|i| ((i * 31) % 53) as f64).collect();
-        let mut top = TopK::new(9);
-        for (i, &x) in d.iter().enumerate() {
-            top.offer(i, x);
-        }
-        let sorted = top.clone().into_sorted();
-        let mut drained = top.into_unsorted();
-        drained.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        assert_eq!(drained, sorted);
+        assert_eq!(shared.into_sorted(), whole.into_sorted());
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! The ground-truth matrix construction pipeline.
 //!
-//! The legacy free functions handed `parallel_map` one task per row. For
-//! a symmetric matrix the workload is *triangular* — row `i` holds
-//! `n−i−1` pairs — so contiguous row chunks load the first thread with
-//! `O(n)` pairs per row while the last thread idles over near-empty rows,
-//! and wall-clock time is bounded by the most loaded thread instead of
-//! the hardware. [`MatrixBuilder`] replaces that with:
+//! For a symmetric matrix the workload is *triangular* — row `i` holds
+//! `n−i−1` pairs — so a static split into contiguous row chunks loads the
+//! first thread with `O(n)` pairs per row while the last thread idles
+//! over near-empty rows, and wall-clock time is bounded by the most
+//! loaded thread instead of the hardware. [`MatrixBuilder`] does this
+//! instead:
 //!
 //! * **Balanced dynamic scheduling** (the default): the upper-triangle
 //!   pair set is linearized, split into fixed-size batches, and handed
@@ -42,9 +42,7 @@ use crate::measure::Measure;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use traj_core::parallel::{
-    default_threads, parallel_for, parallel_for_chunks, parallel_map, DisjointSlice,
-};
+use traj_core::parallel::{default_threads, parallel_for, parallel_for_chunks, DisjointSlice};
 use traj_core::Trajectory;
 
 /// How pair work is distributed across threads.
@@ -52,10 +50,6 @@ use traj_core::Trajectory;
 pub enum Schedule {
     /// Single-threaded reference loop (the byte-identity oracle).
     Serial,
-    /// The legacy static split: one task per row, contiguous row chunks
-    /// per thread. Kept as the bench baseline — it loses to `Balanced`
-    /// on triangular or length-skewed workloads.
-    RowChunked,
     /// Dynamically scheduled pair batches from a shared work queue,
     /// written directly into the output buffer.
     #[default]
@@ -73,18 +67,12 @@ pub enum Schedule {
 impl Schedule {
     /// Every schedule, in display order — the single source of truth for
     /// CLI parsers and error messages listing the valid names.
-    pub const ALL: [Schedule; 4] = [
-        Schedule::Serial,
-        Schedule::RowChunked,
-        Schedule::Balanced,
-        Schedule::Wavefront,
-    ];
+    pub const ALL: [Schedule; 3] = [Schedule::Serial, Schedule::Balanced, Schedule::Wavefront];
 
     /// Display name (bench labels, logs).
     pub fn name(&self) -> &'static str {
         match self {
             Schedule::Serial => "serial",
-            Schedule::RowChunked => "row-chunked",
             Schedule::Balanced => "balanced",
             Schedule::Wavefront => "wavefront",
         }
@@ -440,28 +428,6 @@ impl MatrixBuilder {
                     }
                 }
             }
-            Schedule::RowChunked => {
-                // The legacy layout, preserved verbatim as the bench
-                // baseline: one upper-triangle segment per row, rows
-                // statically chunked across threads, merged afterwards.
-                let threads = self.threads.unwrap_or_else(|| default_threads(n));
-                let rows: Vec<Vec<f64>> = parallel_map(n, threads, |i| {
-                    let mut row = vec![0.0; n - i];
-                    for j in (i + 1)..n {
-                        let (d, by) = self.eval_at(screen, i, j, &trajs[i], &trajs[j]);
-                        tally(by);
-                        row[j - i] = d;
-                    }
-                    row
-                });
-                for (i, row) in rows.iter().enumerate() {
-                    for (off, &d) in row.iter().enumerate() {
-                        let j = i + off;
-                        data[i * n + j] = d;
-                        data[j * n + i] = d;
-                    }
-                }
-            }
             Schedule::Balanced => {
                 let batch = self.pair_batch;
                 let threads = self
@@ -620,23 +586,6 @@ impl MatrixBuilder {
                         tally(by);
                         data.push(d);
                     }
-                }
-            }
-            Schedule::RowChunked => {
-                let threads = self.threads.unwrap_or_else(|| default_threads(n));
-                let rows: Vec<Vec<f64>> = parallel_map(n, threads, |i| {
-                    base.iter()
-                        .enumerate()
-                        .map(|(j, b)| {
-                            let (d, by) = self.eval_at(screen, i, j, &queries[i], b);
-                            tally(by);
-                            d
-                        })
-                        .collect()
-                });
-                data = Vec::with_capacity(total_cells);
-                for row in rows {
-                    data.extend_from_slice(&row);
                 }
             }
             Schedule::Balanced => {
@@ -911,11 +860,7 @@ mod tests {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_pairwise(&ts);
-        for schedule in [
-            Schedule::RowChunked,
-            Schedule::Balanced,
-            Schedule::Wavefront,
-        ] {
+        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
             for threads in [1, 3, 8] {
                 let par = MatrixBuilder::new(measure)
                     .schedule(schedule)
@@ -941,11 +886,7 @@ mod tests {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_cross(&ts[..4], &ts);
-        for schedule in [
-            Schedule::RowChunked,
-            Schedule::Balanced,
-            Schedule::Wavefront,
-        ] {
+        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
             let par = MatrixBuilder::new(measure)
                 .schedule(schedule)
                 .threads(4)

@@ -39,8 +39,8 @@ fn bits(m: &DistanceMatrix) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Acceptance criterion: serial, legacy row-chunked, and balanced
-    /// builds are byte-identical for every measure.
+    /// Acceptance criterion: serial and balanced builds are
+    /// byte-identical for every measure.
     #[test]
     fn schedules_byte_identical_all_measures(
         ts in traj_set(),
@@ -52,16 +52,11 @@ proptest! {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_pairwise(&ts);
-        let row_chunked = MatrixBuilder::new(measure)
-            .schedule(Schedule::RowChunked)
-            .threads(threads)
-            .build_pairwise(&ts);
         let balanced = MatrixBuilder::new(measure)
             .schedule(Schedule::Balanced)
             .threads(threads)
             .pair_batch(batch)
             .build_pairwise(&ts);
-        prop_assert_eq!(bits(&serial.matrix), bits(&row_chunked.matrix));
         prop_assert_eq!(bits(&serial.matrix), bits(&balanced.matrix));
     }
 
@@ -78,14 +73,12 @@ proptest! {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_cross(&ts[..q], &ts);
-        for schedule in [Schedule::RowChunked, Schedule::Balanced] {
-            let par = MatrixBuilder::new(measure)
-                .schedule(schedule)
-                .threads(threads)
-                .pair_batch(batch)
-                .build_cross(&ts[..q], &ts);
-            prop_assert_eq!(bits(&serial.matrix), bits(&par.matrix));
-        }
+        let balanced = MatrixBuilder::new(measure)
+            .schedule(Schedule::Balanced)
+            .threads(threads)
+            .pair_batch(batch)
+            .build_cross(&ts[..q], &ts);
+        prop_assert_eq!(bits(&serial.matrix), bits(&balanced.matrix));
     }
 
     /// Pruning admissibility for every measure: sub-threshold entries are

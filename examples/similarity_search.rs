@@ -1,10 +1,10 @@
 //! Similarity search at scale: pre-embed a database once, then contrast
 //! query latency and agreement of (a) brute-force DTW, (b) the LH-plugin
-//! fused-distance scan, (c) the sharded batched top-k engine
-//! (`ShardedStore::knn_batch`) — the paper's core systems trade-off
+//! fused-distance scan, (c) the batched top-k scan
+//! (`EmbeddingStore::knn_batch`) — the paper's core systems trade-off
 //! (super-quadratic oracle vs O(d) embedding distance), plus what the
 //! retrieval engine adds on top: kernel monomorphization, bounded-heap
-//! top-k, and shard-parallel batching.
+//! top-k, and query-parallel batching.
 //!
 //! Run with: `cargo run --release --example similarity_search`
 
@@ -13,7 +13,7 @@ use lh_repro::dist::MeasureKind;
 use lh_repro::metrics::ranking::{hr_at_k, rank_by_distance};
 use lh_repro::models::{EncoderConfig, ModelKind};
 use lh_repro::plugin::trainer::{LhModel, Trainer, TrainerConfig};
-use lh_repro::plugin::{PluginConfig, ShardedStore};
+use lh_repro::plugin::PluginConfig;
 use lh_repro::traj::normalize::Normalizer;
 use std::time::Instant;
 
@@ -73,19 +73,18 @@ fn main() {
     }
     let fused_time = t.elapsed().as_secs_f64() / queries.len() as f64;
 
-    // (c) sharded batched top-10 through the query engine (zero-copy:
-    // the engine takes ownership of the same buffers scanned above).
-    let sharded = ShardedStore::new(db_store, 64);
-    let batch_hits = sharded.knn_batch(&q_store, 10); // warm-up
+    // (c) batched top-10 over the same buffers scanned above, parallel
+    // across queries.
+    let batch_hits = db_store.knn_batch(&q_store, 10); // warm-up
     const REPS: usize = 5; // average: one batch here is microseconds
     let t = Instant::now();
     for _ in 0..REPS {
-        std::hint::black_box(sharded.knn_batch(&q_store, 10));
+        std::hint::black_box(db_store.knn_batch(&q_store, 10));
     }
     let batch_time = t.elapsed().as_secs_f64() / (REPS * queries.len()) as f64;
-    // The engine returns exactly what a single-query scan would.
+    // The batch returns exactly what a single-query scan would.
     for (qi, hits) in batch_hits.iter().enumerate() {
-        assert_eq!(hits, &sharded.store().knn(&q_store, qi, 10));
+        assert_eq!(hits, &db_store.knn(&q_store, qi, 10));
     }
 
     // Agreement of the embedding ranking with the DTW oracle.
@@ -107,11 +106,7 @@ fn main() {
         fused_time * 1e3,
         dtw_time / fused_time.max(1e-12)
     );
-    println!(
-        "  sharded knn_batch@10 {:>10.3} ms   ({} shards of ≤64 rows)",
-        batch_time * 1e3,
-        sharded.num_shards()
-    );
+    println!("  knn_batch@10         {:>10.3} ms", batch_time * 1e3);
     println!("  ranking agreement    HR@10 = {hr10:.3}");
     // Variant / scale sweeps live in the `table5_retrieval_cost` bench.
 }

@@ -1,12 +1,12 @@
-//! Property-based tests for the retrieval query engine: the sharded
-//! batched top-k path must be byte-identical to the brute-force
-//! single-query scan for every plugin variant, and the binary payload
-//! codec must round-trip exactly (including the empty-store and
-//! fusion-factor cases) while rejecting truncated payloads with an error
-//! instead of a panic.
+//! Property-based tests for the retrieval query engine: the batched
+//! top-k path and the single-query heap scan must be byte-identical to a
+//! brute-force full sort of the distance row for every plugin variant,
+//! and the binary payload codec must round-trip exactly (including the
+//! empty-store and fusion-factor cases) while rejecting truncated
+//! payloads with an error instead of a panic.
 
 use bytes::Bytes;
-use lh_repro::plugin::{EmbeddingStore, PluginVariant, RetrievalResult, ShardedStore};
+use lh_repro::plugin::{EmbeddingStore, PluginVariant, RetrievalResult};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -48,40 +48,63 @@ fn bits(hits: &[RetrievalResult]) -> Vec<(usize, u32)> {
         .collect()
 }
 
+/// The independent oracle: materialize the whole distance row, sort all
+/// n candidates by `(total_cmp, index)`, keep k. Shares nothing with the
+/// scan core but the kernels.
+fn full_sort_knn(
+    db: &EmbeddingStore,
+    queries: &EmbeddingStore,
+    qi: usize,
+    k: usize,
+) -> Vec<RetrievalResult> {
+    let mut hits: Vec<RetrievalResult> = db
+        .distance_row_from(queries, qi)
+        .into_iter()
+        .enumerate()
+        .map(|(index, d)| RetrievalResult {
+            index,
+            distance: d as f32,
+        })
+        .collect();
+    hits.sort_by(|a, b| {
+        a.distance
+            .total_cmp(&b.distance)
+            .then(a.index.cmp(&b.index))
+    });
+    hits.truncate(k);
+    hits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// `knn_batch` over a sharded store == brute-force single-query scan,
-    /// byte for byte, for all four plugin variants and arbitrary shard
-    /// sizes / k.
+    /// `knn_batch` == single-query heap scan == brute-force full sort,
+    /// byte for byte, for all four plugin variants and arbitrary n / k.
     #[test]
-    fn sharded_batch_matches_single_query_scan(
+    fn batch_matches_single_query_scan(
         n in 0usize..40,
         n_queries in 1usize..5,
         dim in 1usize..6,
-        shard_rows in 1usize..17,
         k in 0usize..60,
         seed in 0u64..1_000_000,
     ) {
         for variant in PluginVariant::ABLATION {
             let queries = random_store(variant, n_queries, dim, seed ^ 0x5eed);
-            let sharded = ShardedStore::new(random_store(variant, n, dim, seed), shard_rows);
-            let db = sharded.store();
-            let batch = sharded.knn_batch(&queries, k);
+            let db = random_store(variant, n, dim, seed);
+            let batch = db.knn_batch(&queries, k);
             prop_assert_eq!(batch.len(), n_queries);
             for (qi, batch_hits) in batch.iter().enumerate() {
                 let single = db.knn(&queries, qi, k);
-                let legacy = db.knn_full_sort(&queries, qi, k);
                 prop_assert_eq!(
                     bits(batch_hits),
                     bits(&single),
-                    "{} n={} shard_rows={} k={} qi={}",
-                    variant.name(), n, shard_rows, k, qi
+                    "{} n={} k={} qi={}",
+                    variant.name(), n, k, qi
                 );
                 prop_assert_eq!(
                     bits(&single),
-                    bits(&legacy),
-                    "{} heap scan vs legacy full sort",
+                    bits(&full_sort_knn(&db, &queries, qi, k)),
+                    "{} heap scan vs full sort",
                     variant.name()
                 );
             }
@@ -138,12 +161,27 @@ fn batch_is_deterministic_with_nan_embeddings() {
     db.push(&[2.0, 0.0], None, None);
     db.push(&[f32::INFINITY, 0.0], None, None);
     db.push(&[1.0, 0.0], None, None);
-    let sharded = ShardedStore::new(db.clone(), 2);
-    let batch = sharded.knn_batch(&db, 5);
+    let batch = db.knn_batch(&db, 5);
     for (qi, batch_hits) in batch.iter().enumerate() {
         assert_eq!(bits(batch_hits), bits(&db.knn(&db, qi, 5)), "qi={qi}");
+        assert_eq!(bits(batch_hits), bits(&full_sort_knn(&db, &db, qi, 5)));
     }
     // Finite distances first, then +∞, then NaN — by total_cmp.
     let order: Vec<usize> = batch[0].iter().map(|h| h.index).collect();
     assert_eq!(order, vec![0, 4, 2, 3, 1]);
+}
+
+/// Built with `--release`, a mismatched query store used to be ranked on
+/// truncated rows (the kernels `zip`): this `dim`-2 query against `dim`-3
+/// rows returned row 0 at distance 0.0 — no panic, no error. Now it is a
+/// panic naming both layouts, in every profile.
+#[test]
+#[should_panic(expected = "query store layout mismatch")]
+fn knn_rejects_a_query_store_of_another_width() {
+    let mut db = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
+    db.push(&[0.0, 0.0, 9.0], None, None);
+    db.push(&[1.0, 0.0, 0.0], None, None);
+    let mut q = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+    q.push(&[0.0, 0.0], None, None);
+    let _ = db.knn(&q, 0, 1);
 }
