@@ -18,23 +18,22 @@
 //!
 //! Both modes record into shared lock-free histograms
 //! ([`lh_bench::hist`]), reported per op class as p50/p95/p99/p999 and
-//! the exact max. With background compaction (the default) the fold runs
-//! on the compactor thread and writers never pay it; `--inline-compact`
-//! restores the PR 9 behavior where the tripping writer folds in place —
-//! the ~12 ms query outliers in the v1 ledger records. `--max-query-us`
+//! the exact max. Every fold runs on the store's background compactor
+//! thread, so writers never pay it (the ~12 ms query outliers in the v1
+//! ledger records came from the removed inline fold). `--max-query-us`
 //! asserts no query sample exceeded the bound (the regression gate for
-//! "the fold left the hot path").
+//! "the fold stays off the hot path").
 //!
 //! Before anything is appended to the ledger, the harness re-asserts the
 //! serving tier's core contract on sampled queries: sharded snapshot kNN
-//! (per-shard masked probes + f64 key-offset merge) must be
+//! (every shard's masked probe into one key-offset heap) must be
 //! **bit-identical** to a flat scan of the concatenated live rows. A
 //! failed check aborts the run — no record is written from a store that
 //! broke determinism under churn.
 //!
 //! Usage: `cargo run --release -p lh-bench --bin serve_bench
 //!        [--n 50000] [--ops 20000] [--dim 16] [--k 10] [--threads 4]
-//!        [--shards 1] [--open-loop] [--rate 2000] [--inline-compact]
+//!        [--shards 1] [--open-loop] [--rate 2000]
 //!        [--max-query-us 0] [--query-pct 80] [--upsert-pct 15]
 //!        [--zipf 1.05] [--clusters 64] [--compact 4096]
 //!        [--query-pool 256] [--verify-queries 16] [--variants a,b]
@@ -198,7 +197,6 @@ fn main() {
     let shards = args.get("shards", 1usize);
     let open_loop = args.flag("open-loop");
     let rate = args.get("rate", 2000.0f64);
-    let inline_compact = args.flag("inline-compact");
     let max_query_us = args.get("max-query-us", 0.0f64);
     let query_pct = args.get("query-pct", 80usize);
     let upsert_pct = args.get("upsert-pct", 15usize);
@@ -220,11 +218,6 @@ fn main() {
         Mode::Closed
     };
     let mode_name = if open_loop { "open" } else { "closed" };
-    let compaction_name = if inline_compact {
-        "inline"
-    } else {
-        "background"
-    };
 
     let all_variants = [
         PluginVariant::Original,
@@ -248,7 +241,7 @@ fn main() {
         "serve_bench",
         &format!(
             "mixed serving load: n={n}, {ops} ops on {threads} threads, {shards} shard(s), \
-             {mode_name} loop{}, {compaction_name} compaction, {query_pct}/{upsert_pct}/{}% \
+             {mode_name} loop{}, {query_pct}/{upsert_pct}/{}% \
              query/upsert/remove, zipf s={zipf_s}",
             if open_loop {
                 format!(" @ {rate:.0} ops/s")
@@ -282,7 +275,6 @@ fn main() {
             (0..n as u64).collect(),
             ShardedServingOptions {
                 shards,
-                background: !inline_compact,
                 serving: ServingOptions {
                     compact_threshold,
                     ..ServingOptions::default()
@@ -326,8 +318,7 @@ fn main() {
             assert!(
                 query_max <= max_query_us,
                 "query latency outlier: max {query_max:.1} µs exceeds the \
-                 --max-query-us bound {max_query_us:.1} µs \
-                 ({compaction_name} compaction, {mode_name} loop)"
+                 --max-query-us bound {max_query_us:.1} µs ({mode_name} loop)"
             );
             println!(
                 "[serve_bench] query outlier bound: PASS \
@@ -383,16 +374,9 @@ fn main() {
     }
     table.print();
     println!(
-        "\nreads are lock-free snapshot scans fanned out per shard and merged\n\
-         at f64 precision; writers to different shards run in parallel, and\n\
-         with {compaction_name} compaction the base fold every \
-         {compact_threshold} changes\n\
-         {} the write path.",
-        if inline_compact {
-            "runs inline on"
-        } else {
-            "stays off"
-        }
+        "\nreads are lock-free snapshot scans of every shard into one heap;\n\
+         writers to different shards run in parallel, and the background\n\
+         fold every {compact_threshold} changes per shard stays off the write path."
     );
 
     if args.flag("no-append") {
@@ -407,7 +391,7 @@ fn main() {
         "  {{\n    \"schema\": \"serve-bench-v2\",\n    \"recorded_at_unix\": {recorded},\n    \
          \"n\": {n},\n    \"dim\": {dim},\n    \"k\": {k},\n    \"ops\": {ops},\n    \
          \"threads\": {threads},\n    \"zipf\": {zipf_s},\n    \"shards\": {shards},\n    \
-         \"mode\": \"{mode_name}\",\n    \"compaction\": \"{compaction_name}\",\n    \
+         \"mode\": \"{mode_name}\",\n    \"compaction\": \"background\",\n    \
          \"rate\": {rate_json:.1},\n    \"query_pct\": {query_pct},\n    \
          \"upsert_pct\": {upsert_pct},\n    \"compact_threshold\": {compact_threshold},\n    \
          \"rows\": [\n{}\n    ]\n  }}",

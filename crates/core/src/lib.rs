@@ -44,7 +44,7 @@ pub use pipeline::{run_experiment, ExperimentOutcome, ExperimentSpec};
 pub use projection::project_rows;
 pub use retrieval::{
     shard_of_id, BoundSpace, DistanceKernel, EmbeddingStore, IndexParams, IndexedStore, ProbeStats,
-    RetrievalResult, ServeError, ServeHit, ServeStats, ServingOptions, ServingStore,
-    ShardedServingOptions, ShardedServingStore, ShardedSnapshot, Snapshot, StoreDecodeError,
+    RetrievalResult, ServeError, ServeHit, ServeStats, ServingOptions, ShardedServingOptions,
+    ShardedServingStore, ShardedSnapshot, StoreDecodeError,
 };
 pub use trainer::{LhModel, TrainReport, Trainer, TrainerConfig};

@@ -33,16 +33,18 @@
 //!   thesis becomes a measured prune rate at serving time;
 //! * [`codec`] — streaming little-endian payload (de)serialization with
 //!   corruption guards ([`StoreDecodeError`]);
-//! * [`serve`] — [`ServingStore`]: the mutable serving tier. Writers
-//!   apply incremental upserts/removals into a delta segment and publish
-//!   immutable epoch snapshots behind an `RwLock<Arc<_>>` pointer swap,
-//!   so `knn_batch` readers never block on writers; compaction folds the
-//!   delta back into an indexed base, and a WAL + atomic-rename
-//!   checkpoint make the whole thing crash-safe. A [`Snapshot`] scans its
-//!   base at key offset 0 and its delta behind it; a [`ShardedSnapshot`]
-//!   scans every shard into one heap at that shard's prefix offset.
-//!   Snapshot reads are bit-identical to a flat scan of the live rows —
-//!   the frozen tiers' determinism contract carried into a mutable store.
+//! * [`serve`] — [`ShardedServingStore`]: the mutable serving tier, one
+//!   public type (a single store is `shards: 1`). Writers apply
+//!   incremental upserts/removals into a shard's delta segment and
+//!   publish immutable epoch snapshots behind an `RwLock<Arc<_>>` pointer
+//!   swap, so `knn_batch` readers never block on writers; a background
+//!   compactor folds a shard's delta back into an indexed base off the
+//!   write path, and a WAL + atomic-rename checkpoint per shard make the
+//!   whole thing crash-safe. A [`ShardedSnapshot`] scans every shard —
+//!   its base at the shard's prefix key offset, its delta behind it —
+//!   into one heap. Snapshot reads are bit-identical to a flat scan of
+//!   the live rows — the frozen tiers' determinism contract carried into
+//!   a mutable store.
 //!
 //! Ranking everywhere goes through `traj_core::topk::TopK` — O(n log k),
 //! `total_cmp`-deterministic with index tie-break — so
@@ -67,6 +69,5 @@ pub use kernel::DistanceKernel;
 pub use serve::sharded::{
     shard_of_id, ShardedServingOptions, ShardedServingStore, ShardedSnapshot,
 };
-pub use serve::snapshot::Snapshot;
-pub use serve::{ServeError, ServeHit, ServeStats, ServingOptions, ServingStore};
+pub use serve::{ServeError, ServeHit, ServeStats, ServingOptions};
 pub use store::{EmbeddingStore, RetrievalResult};

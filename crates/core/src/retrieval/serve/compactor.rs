@@ -1,12 +1,12 @@
-//! The background compactor: one dedicated thread that takes base folds
-//! off the write path.
+//! The background compactor: one dedicated thread that runs every
+//! scheduled shard fold off the write path.
 //!
-//! A shard that trips its churn threshold is *scheduled* (its id pushed
-//! onto an mpsc channel) rather than folded inline. The compactor thread
-//! drains the channel and runs [`ServingStore::compact_background`] per
-//! shard: pin a snapshot under a briefly-held writer lock, fold off-lock,
-//! swap the fresh base in under a microseconds-held lock. Writers never
-//! pay the fold; queries never see it at all.
+//! Every sharded serving store has one. A write whose published churn
+//! reaches the shard's threshold *schedules* the shard (its id pushed
+//! onto an mpsc channel); the compactor thread drains the channel and
+//! runs the shard's one fold, `Shard::fold`: pin a snapshot under a
+//! briefly held writer lock, fold off-lock, install under the writer
+//! lock. Writers never pay the fold; queries never see it at all.
 //!
 //! Scheduling is deduplicated with one atomic flag per shard — a shard
 //! sits in the queue at most once. The flag clears *before* the fold
@@ -17,12 +17,12 @@
 //!
 //! * [`Compactor::drain`] blocks until every scheduled fold has been
 //!   installed (or discarded as stale) and surfaces the first error any
-//!   fold hit — after it returns, reads reflect a fully-compacted store;
+//!   fold hit — after it returns, no fold is pending;
 //! * dropping the compactor closes the channel; the thread finishes the
 //!   remaining queue and exits, and the drop joins it (drain-on-shutdown,
 //!   so a durable store's final checkpoints always land).
 
-use super::{ServeError, ServingStore};
+use super::{ServeError, Shard};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -52,7 +52,7 @@ pub(crate) struct Compactor {
 
 impl Compactor {
     /// Spawns the compactor thread over `shards` (indexed by shard id).
-    pub(crate) fn spawn(shards: Vec<Arc<ServingStore>>) -> Compactor {
+    pub(crate) fn spawn(shards: Vec<Arc<Shard>>) -> Compactor {
         let shared = Arc::new(Shared {
             scheduled: (0..shards.len()).map(|_| AtomicBool::new(false)).collect(),
             inflight: Mutex::new(Inflight {
@@ -73,7 +73,7 @@ impl Compactor {
                     // lands after this point re-schedules the shard, so
                     // nothing above threshold is stranded.
                     worker_shared.scheduled[sid].store(false, Ordering::Release);
-                    let result = shards[sid].compact_background();
+                    let result = shards[sid].fold();
                     let mut inflight = worker_shared
                         .inflight
                         .lock()

@@ -2,7 +2,10 @@
 //! store that accepts incremental upserts and removals.
 //!
 //! Everything below this module serves *frozen* stores; real serving
-//! needs writes without pausing queries. A [`ServingStore`] holds:
+//! needs writes without pausing queries. The one public serving type is
+//! [`ShardedServingStore`](sharded::ShardedServingStore) — a single
+//! store is `shards: 1`. Each of its shards is a crate-internal `Shard`
+//! holding:
 //!
 //! * `RwLock<Arc<Snapshot>>` — the **published view**. The lock guards
 //!   only the pointer swap: readers clone the `Arc` (a refcount bump) and
@@ -10,45 +13,44 @@
 //!   writer and a writer never blocks a running query — it can only delay
 //!   the *next* snapshot acquisition by the nanoseconds of a pointer
 //!   store;
-//! * `Mutex<Writer>` — the **write path**. Writers are serialized;
-//!   each `upsert`/`remove` logs to the WAL (when durable), applies to
-//!   the delta segment, and publishes a fresh immutable [`Snapshot`].
-//!   Publication cost is O(delta) — bounded by the compaction threshold —
-//!   while the compacted base is shared by `Arc`.
+//! * `Mutex<Writer>` — the **write path**. Writers to one shard are
+//!   serialized; each `upsert`/`remove` logs to the WAL (when durable),
+//!   applies to the delta segment, publishes a fresh immutable snapshot,
+//!   and returns the churn it published so the wrapper can schedule a
+//!   fold without taking the lock again. Publication cost is O(delta) —
+//!   bounded by the compaction threshold — while the compacted base is
+//!   shared by `Arc`.
 //!
 //! Reads over any snapshot are **bit-identical** to a flat scan of that
-//! snapshot's live rows (see [`snapshot`] for the argument); the pivot
-//! index attached to the base stays exact under tombstones because dead
-//! rows are skipped before any bound or heap offer fires.
+//! snapshot's live rows (the `snapshot` module carries the argument); the
+//! pivot index attached to the base stays exact under tombstones because
+//! dead rows are skipped before any bound or heap offer fires.
 //!
-//! Compaction (`compact`) folds the delta and tombstones into a fresh
-//! base and rebuilds the pivot index over it — with cells whenever the
-//! base's bound space can prune (every metric variant, and `fusion-dist`
-//! through the convex-mix bound). The fold has two drivers. Under a
-//! [`sharded::ShardedServingStore`] with a background compactor — the
-//! default serving configuration — a shard that trips its threshold is
-//! *scheduled*, and the `compactor` thread runs the two-phase
-//! [`ServingStore::compact_background`]: pin a snapshot under a briefly
-//! held writer lock, fold off-lock, install under a microseconds-held
-//! lock, so no writer ever pays a fold. A standalone [`ServingStore`]
-//! has no such thread: there the writer that trips
-//! [`ServingOptions::compact_threshold`] folds inline under its own lock
-//! ([`ServingStore::compact`], also callable on demand). Either way
-//! readers keep querying the old snapshot until the new one is
-//! published. Durability (`wal`) is WAL + atomic-rename checkpoint:
-//! recovery loads the last checkpoint, replays the verified WAL prefix,
-//! and discards a torn tail.
+//! Compaction folds the delta and tombstones into a fresh base and
+//! rebuilds the pivot index over it — with cells whenever the base's
+//! bound space can prune (every metric variant, and `fusion-dist` through
+//! the convex-mix bound). A shard folds in exactly one way, `Shard::fold`:
+//! pin a snapshot under a briefly held writer lock, fold it off-lock,
+//! then install the result under the writer lock, re-expressing the
+//! writes that landed since the pin against the new base. The `compactor`
+//! thread runs it for every shard whose churn reaches
+//! [`ServingOptions::compact_threshold`], and
+//! [`ShardedServingStore::compact_inline`](sharded::ShardedServingStore::compact_inline)
+//! runs it on the calling thread; no writer ever pays the fold itself.
+//! Readers keep querying the old snapshot until the new one is published.
+//! Durability (`wal`) is WAL + atomic-rename checkpoint: recovery loads
+//! the last checkpoint, replays the verified WAL prefix, and discards a
+//! torn tail.
 
-pub(crate) mod compact;
 pub(crate) mod compactor;
 pub mod sharded;
-pub mod snapshot;
+pub(crate) mod snapshot;
 pub(crate) mod wal;
 
 use super::index::build::IndexParams;
 use super::index::IndexedStore;
 use super::store::EmbeddingStore;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use snapshot::Snapshot;
 use std::collections::HashMap;
 use std::fmt;
@@ -105,7 +107,8 @@ impl From<StoreDecodeError> for ServeError {
     }
 }
 
-/// Configuration for a [`ServingStore`].
+/// Per-shard configuration of a
+/// [`ShardedServingStore`](sharded::ShardedServingStore).
 #[derive(Debug, Clone, Copy)]
 pub struct ServingOptions {
     /// Build parameters of the base's pivot index. A base gets cells
@@ -113,10 +116,10 @@ pub struct ServingOptions {
     /// only a fused base whose factors fail certification is served by
     /// the flat scan.
     pub index_params: IndexParams,
-    /// Auto-compaction trigger: when `delta rows + tombstones` reaches
-    /// this, the writer that tripped it compacts inline (a sharded store
-    /// with a background compactor schedules the fold on its thread
-    /// instead). `0` disables auto-compaction (callers compact manually).
+    /// Per-shard fold trigger: a write that leaves `delta rows + base
+    /// tombstones` at or above this schedules the shard on the background
+    /// compactor. `0` disables scheduling (callers fold with
+    /// `compact_inline`).
     pub compact_threshold: usize,
     /// Fsync every WAL append (power-loss durable) instead of flushing to
     /// the OS (process-crash durable).
@@ -169,9 +172,9 @@ struct Writer {
     delta_dead: Vec<u32>,
     epoch: u64,
     /// Base generation: bumped every time a fresh base is swapped in.
-    /// A background fold pins the generation it started from; an install
-    /// against a different generation is stale and must be discarded
-    /// (its delta watermark indexes a delta that no longer exists).
+    /// A fold pins the generation it started from; an install against a
+    /// different generation is stale and must be discarded (its delta
+    /// watermark indexes a delta that no longer exists).
     generation: u64,
     compactions: u64,
     wal: Option<WalFile>,
@@ -191,7 +194,7 @@ impl Writer {
         }
     }
 
-    /// Delta growth since the last compaction — the auto-compact metric
+    /// Delta growth since the last compaction — the fold trigger metric
     /// and the per-publication clone cost.
     fn churn(&self) -> usize {
         self.delta_ids.len() + self.base_dead.len()
@@ -205,42 +208,34 @@ fn insert_sorted(v: &mut Vec<u32>, x: u32) {
     }
 }
 
-/// A mutable embedding store serving lock-free snapshot reads. See the
-/// module docs for the concurrency and bit-identity contracts.
-pub struct ServingStore {
+/// One shard of a sharded serving store: a writer, its WAL and
+/// checkpoint, and the published snapshot. See the module docs for the
+/// concurrency and bit-identity contracts.
+pub(crate) struct Shard {
     current: RwLock<Arc<Snapshot>>,
     writer: Mutex<Writer>,
     opts: ServingOptions,
 }
 
-impl fmt::Debug for ServingStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let stats = self.stats();
-        f.debug_struct("ServingStore")
-            .field("stats", &stats)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServingStore {
-    /// In-memory serving store over `base` rows with external `ids`
-    /// (parallel to the rows; must be unique). No persistence.
-    pub fn new(
+impl Shard {
+    /// In-memory shard over `base` rows with external `ids` (parallel to
+    /// the rows; must be unique). No persistence.
+    pub(crate) fn new(
         base: EmbeddingStore,
         ids: Vec<u64>,
         opts: ServingOptions,
-    ) -> Result<ServingStore, ServeError> {
+    ) -> Result<Shard, ServeError> {
         Self::assemble(base, ids, opts, None, None, 0)
     }
 
-    /// Creates a durable serving store in `dir`: writes the initial
-    /// checkpoint and an empty WAL, then serves like [`ServingStore::new`].
-    pub fn create_durable(
+    /// Creates a durable shard in `dir`: writes the initial checkpoint and
+    /// an empty WAL, then serves like [`Shard::new`].
+    pub(crate) fn create_durable(
         dir: &Path,
         base: EmbeddingStore,
         ids: Vec<u64>,
         opts: ServingOptions,
-    ) -> Result<ServingStore, ServeError> {
+    ) -> Result<Shard, ServeError> {
         std::fs::create_dir_all(dir)?;
         let ckpt = wal::Checkpoint {
             store: base,
@@ -261,11 +256,11 @@ impl ServingStore {
         )
     }
 
-    /// Recovers a durable serving store from `dir`: loads the last
-    /// checkpoint, replays the verified WAL prefix (discarding a torn
-    /// tail), and discards a stale WAL left by a crash between checkpoint
-    /// publication and WAL truncation.
-    pub fn recover(dir: &Path, opts: ServingOptions) -> Result<ServingStore, ServeError> {
+    /// Recovers a durable shard from `dir`: loads the last checkpoint,
+    /// replays the verified WAL prefix (discarding a torn tail), and
+    /// discards a stale WAL left by a crash between checkpoint publication
+    /// and WAL truncation.
+    pub(crate) fn recover(dir: &Path, opts: ServingOptions) -> Result<Shard, ServeError> {
         let ckpt = wal::read_checkpoint(&dir.join(wal::CKPT_FILE))?;
         let wal_path = dir.join(wal::WAL_FILE);
         let (ops, wal_file) = if wal_path.exists() {
@@ -287,7 +282,7 @@ impl ServingStore {
         };
         let mut wal_file = wal_file;
         wal_file.set_fsync(opts.fsync);
-        let store = Self::assemble(
+        let shard = Self::assemble(
             ckpt.store,
             ckpt.ids,
             opts,
@@ -295,39 +290,29 @@ impl ServingStore {
             Some(dir.to_path_buf()),
             ckpt.compactions,
         )?;
-        {
-            // Replay without re-logging: the ops are already on disk.
-            let mut w = store.writer.lock();
-            w.epoch = ckpt.epoch;
-            for op in ops {
-                match op {
-                    WalOp::Upsert {
-                        id,
-                        eu,
-                        hyper,
-                        factors,
-                    } => {
-                        store.apply_upsert(
-                            &mut w,
-                            id,
-                            &eu,
-                            hyper.as_deref(),
-                            factors.as_deref(),
-                        )?;
+        // Replay without re-logging: the ops are already on disk.
+        let mut w = shard.writer.lock();
+        w.epoch = ckpt.epoch;
+        for op in ops {
+            match op {
+                WalOp::Upsert {
+                    id,
+                    eu,
+                    hyper,
+                    factors,
+                } => {
+                    Self::apply_upsert(&mut w, id, &eu, hyper.as_deref(), factors.as_deref())?;
+                    w.epoch += 1;
+                }
+                WalOp::Remove { id } => {
+                    if Self::apply_remove(&mut w, id) {
                         w.epoch += 1;
-                    }
-                    WalOp::Remove { id } => {
-                        if Self::apply_remove(&mut w, id) {
-                            w.epoch += 1;
-                        }
                     }
                 }
             }
-            let snap = Arc::new(w.snapshot());
-            drop(w);
-            *store.current.write() = snap;
         }
-        Ok(store)
+        shard.publish(w);
+        Ok(shard)
     }
 
     fn assemble(
@@ -337,7 +322,7 @@ impl ServingStore {
         wal: Option<WalFile>,
         dir: Option<PathBuf>,
         compactions: u64,
-    ) -> Result<ServingStore, ServeError> {
+    ) -> Result<Shard, ServeError> {
         if base.len() != ids.len() {
             return Err(ServeError::Corrupt(format!(
                 "{} ids for {} rows",
@@ -370,7 +355,7 @@ impl ServingStore {
             dir,
         };
         let current = RwLock::new(Arc::new(writer.snapshot()));
-        Ok(ServingStore {
+        Ok(Shard {
             current,
             writer: Mutex::new(writer),
             opts,
@@ -379,18 +364,12 @@ impl ServingStore {
 
     /// The current published snapshot — an O(1) `Arc` clone; query it
     /// entirely lock-free for as long as needed.
-    pub fn snapshot(&self) -> Arc<Snapshot> {
+    pub(crate) fn snapshot(&self) -> Arc<Snapshot> {
         Arc::clone(&self.current.read())
     }
 
-    /// Batched top-k against the current snapshot (convenience for
-    /// callers that don't need to pin one view across calls).
-    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
-        self.snapshot().knn_batch(queries, k)
-    }
-
     /// Current occupancy and lifecycle counters.
-    pub fn stats(&self) -> ServeStats {
+    pub(crate) fn stats(&self) -> ServeStats {
         let w = self.writer.lock();
         ServeStats {
             epoch: w.epoch,
@@ -403,26 +382,21 @@ impl ServingStore {
     }
 
     /// Live rows.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.writer.lock().loc.len()
-    }
-
-    /// Whether no live row exists.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Inserts or replaces the row for `id`. `hyper` must be present iff
     /// the variant is hyperbolic, `factors` iff fusion is active, with
-    /// the layout's exact widths. Returns whether an existing row was
-    /// replaced. Publishes a new snapshot; may trigger inline compaction.
-    pub fn upsert(
+    /// the layout's exact widths. Publishes a new snapshot and returns
+    /// whether an existing row was replaced, plus the churn published.
+    pub(crate) fn upsert(
         &self,
         id: u64,
         eu: &[f32],
         hyper: Option<&[f32]>,
         factors: Option<&[f32]>,
-    ) -> Result<bool, ServeError> {
+    ) -> Result<(bool, usize), ServeError> {
         let mut w = self.writer.lock();
         Self::check_shape(&w.delta, eu, hyper, factors)?;
         if let Some(wal) = w.wal.as_mut() {
@@ -433,70 +407,58 @@ impl ServingStore {
                 factors: factors.map(<[f32]>::to_vec),
             })?;
         }
-        let replaced = self.apply_upsert(&mut w, id, eu, hyper, factors)?;
-        self.publish_and_maybe_compact(w)?;
-        Ok(replaced)
+        let replaced = Self::apply_upsert(&mut w, id, eu, hyper, factors)?;
+        w.epoch += 1;
+        Ok((replaced, self.publish(w)))
     }
 
     /// Removes the row for `id`. Returns whether it existed (publishing
-    /// only when it did).
-    pub fn remove(&self, id: u64) -> Result<bool, ServeError> {
+    /// only when it did), plus the shard's churn.
+    pub(crate) fn remove(&self, id: u64) -> Result<(bool, usize), ServeError> {
         let mut w = self.writer.lock();
         if !w.loc.contains_key(&id) {
-            return Ok(false);
+            return Ok((false, w.churn()));
         }
         if let Some(wal) = w.wal.as_mut() {
             wal.append(&WalOp::Remove { id })?;
         }
         let existed = Self::apply_remove(&mut w, id);
         debug_assert!(existed);
-        self.publish_and_maybe_compact(w)?;
-        Ok(true)
+        w.epoch += 1;
+        Ok((true, self.publish(w)))
     }
 
-    /// Folds delta + tombstones into a fresh (indexed) base now, bumps
-    /// the epoch, and — when durable — checkpoints and truncates the WAL.
-    /// The entire fold runs under the writer lock (writes queue behind
-    /// it); this is the inline escape hatch — [`ServingStore::
-    /// compact_background`] is the fold that stays off the write path.
-    pub fn compact(&self) -> Result<(), ServeError> {
-        let w = self.writer.lock();
-        self.compact_locked(w)
-    }
-
-    /// Two-phase compaction for a dedicated compactor thread: pins the
-    /// current snapshot (plus a delta watermark and base generation)
-    /// under a briefly-held writer lock, builds the fresh indexed base
-    /// *without holding any lock*, then re-acquires the writer lock only
-    /// for the catch-up install — writers never pay the fold. Returns
-    /// whether the fold was installed (`false` means another compaction
-    /// swapped the base first and this fold was discarded as stale).
-    pub fn compact_background(&self) -> Result<bool, ServeError> {
+    /// The one fold: folds delta + tombstones into a fresh indexed base
+    /// in three steps, and — when durable — checkpoints and truncates the
+    /// WAL. Returns whether the fold was installed (`false` means another
+    /// fold swapped the base first and this one was discarded as stale).
+    ///
+    /// 1. *Pin* the current state (snapshot, delta watermark, base
+    ///    generation) under a briefly held writer lock.
+    /// 2. *Fold* without holding any lock: materialize the pinned live
+    ///    rows in snapshot order through `Snapshot::to_flat`'s bytewise
+    ///    row copies and build the pivot index over them. The folded base
+    ///    has no tombstones, so queries against it stay bit-identical to
+    ///    queries against the pinned snapshot: same candidates, same
+    ///    `f32` bits, and a key order that is the same monotone remap of
+    ///    live ordinals on both sides. Readers keep querying published
+    ///    snapshots; writers keep appending to the current delta.
+    /// 3. *Install* under the writer lock ([`Shard::install_fold`]).
+    pub(crate) fn fold(&self) -> Result<bool, ServeError> {
         let (pinned, watermark, generation) = {
             let w = self.writer.lock();
             (w.snapshot(), w.delta_ids.len(), w.generation)
         };
-        // The fold: O(live rows) materialization + index build, off-lock.
-        // Readers keep querying published snapshots; writers keep
-        // appending to the (still current-generation) delta.
-        let folded = compact::compact_snapshot(&pinned, &self.opts);
+        let (rows, ids) = pinned.to_flat();
+        let base = Arc::new(IndexedStore::build(rows, self.opts.index_params));
         let w = self.writer.lock();
         if w.generation != generation {
-            // A competing compaction (inline escape hatch, or a racing
-            // background fold) already replaced the base; `watermark` no
-            // longer indexes the live delta. Drop the fold.
+            // A racing fold already replaced the base; `watermark` no
+            // longer indexes the live delta. Drop this one.
             return Ok(false);
         }
-        self.install_fold(w, folded, watermark)?;
+        self.install_fold(w, base, Arc::new(ids), watermark)?;
         Ok(true)
-    }
-
-    /// Churn accumulated since the last compaction (delta rows plus base
-    /// tombstones) — the metric `compact_threshold` triggers on. Offered
-    /// so an external compaction scheduler (the sharded store's
-    /// background compactor) can poll trip state without a snapshot.
-    pub fn churn_level(&self) -> usize {
-        self.writer.lock().churn()
     }
 
     fn check_shape(
@@ -530,7 +492,6 @@ impl ServingStore {
     /// Applies an upsert to the writer state (no WAL, no publication —
     /// shared by the live path and recovery replay).
     fn apply_upsert(
-        &self,
         w: &mut Writer,
         id: u64,
         eu: &[f32],
@@ -577,37 +538,22 @@ impl ServingStore {
         }
     }
 
-    /// Bumps the epoch, publishes a fresh snapshot, and compacts inline
-    /// when the churn threshold is tripped.
-    fn publish_and_maybe_compact(
-        &self,
-        mut w: parking_lot::MutexGuard<'_, Writer>,
-    ) -> Result<(), ServeError> {
-        w.epoch += 1;
-        if self.opts.compact_threshold > 0 && w.churn() >= self.opts.compact_threshold {
-            return self.compact_locked(w);
-        }
+    /// Publishes the writer's state as the current snapshot (the caller
+    /// has bumped the epoch) and returns the churn it published.
+    fn publish(&self, w: MutexGuard<'_, Writer>) -> usize {
+        let churn = w.churn();
         let snap = Arc::new(w.snapshot());
         drop(w);
         *self.current.write() = snap;
-        Ok(())
+        churn
     }
 
-    fn compact_locked(&self, w: parking_lot::MutexGuard<'_, Writer>) -> Result<(), ServeError> {
-        // Inline fold: the watermark is the full delta, so the catch-up
-        // below degenerates to "empty delta, no residual tombstones".
-        let watermark = w.delta_ids.len();
-        let folded = compact::compact_snapshot(&w.snapshot(), &self.opts);
-        self.install_fold(w, folded, watermark)
-    }
-
-    /// Swaps `folded` (the materialized live rows of the snapshot pinned
-    /// at `watermark` delta rows) in as the new base, re-expressing
+    /// Swaps the folded base (the materialized live rows of the snapshot
+    /// pinned at `watermark` delta rows, with their `ids`) in, re-expressing
     /// everything that happened since the pin against it:
     ///
     /// * delta rows `watermark..` survive as the new delta (bytewise row
-    ///   copies — O(churn since pin), which is what keeps this critical
-    ///   section in the microseconds band);
+    ///   copies — O(churn since pin));
     /// * a folded row whose id has since been superseded (re-upserted
     ///   past the watermark) or removed becomes a base tombstone;
     /// * post-watermark delta tombstones are rebased by the watermark.
@@ -618,8 +564,9 @@ impl ServingStore {
     /// installed state.
     fn install_fold(
         &self,
-        mut w: parking_lot::MutexGuard<'_, Writer>,
-        folded: compact::CompactedBase,
+        mut w: MutexGuard<'_, Writer>,
+        base: Arc<IndexedStore>,
+        ids: Arc<Vec<u64>>,
         watermark: usize,
     ) -> Result<(), ServeError> {
         // --- Catch-up against writes that landed after the pin. ---
@@ -636,7 +583,7 @@ impl ServingStore {
             .collect();
         let mut new_base_dead = Vec::new();
         let mut new_loc: HashMap<u64, Loc> = HashMap::with_capacity(w.loc.len());
-        for (r, &id) in folded.ids.iter().enumerate() {
+        for (r, &id) in ids.iter().enumerate() {
             // The folded copy of `id` is its pre-watermark version; it is
             // still live iff the id's current location predates the
             // watermark (tombstoning is monotone within a generation, so
@@ -674,8 +621,8 @@ impl ServingStore {
         w.compactions += 1;
         if let Some(dir) = w.dir.clone() {
             let ckpt = wal::Checkpoint {
-                store: folded.base.store().clone(),
-                ids: folded.ids.as_ref().clone(),
+                store: base.store().clone(),
+                ids: ids.as_ref().clone(),
                 epoch: w.epoch,
                 compactions: w.compactions,
             };
@@ -703,7 +650,7 @@ impl ServingStore {
             }
             let mut logged_removes = std::collections::HashSet::new();
             for &r in &new_base_dead {
-                let id = folded.ids[r as usize];
+                let id = ids[r as usize];
                 if !new_loc.contains_key(&id) && logged_removes.insert(id) {
                     fresh.append(&WalOp::Remove { id })?;
                 }
@@ -717,16 +664,14 @@ impl ServingStore {
         }
 
         // --- The swap itself: pointer stores and O(churn) moves. ---
-        w.base = folded.base;
-        w.base_ids = Arc::clone(&folded.ids);
+        w.base = base;
+        w.base_ids = ids;
         w.base_dead = new_base_dead;
         w.delta = new_delta;
         w.delta_ids = new_delta_ids;
         w.delta_dead = new_delta_dead;
         w.loc = new_loc;
-        let snap = Arc::new(w.snapshot());
-        drop(w);
-        *self.current.write() = snap;
+        self.publish(w);
         Ok(())
     }
 }
@@ -736,6 +681,7 @@ mod tests {
     use super::super::index::bound::BoundSpace;
     use super::super::store::tests::store_with_rows;
     use super::super::store::RetrievalResult;
+    use super::sharded::{ShardedServingOptions, ShardedServingStore, ShardedSnapshot};
     use super::*;
     use crate::config::PluginVariant;
 
@@ -753,18 +699,21 @@ mod tests {
         (eu, hyper, factors)
     }
 
-    fn serving(variant: PluginVariant, threshold: usize) -> ServingStore {
-        let base = store_with_rows(variant);
-        let n = base.len() as u64;
-        ServingStore::new(
-            base,
-            (0..n).collect(),
-            ServingOptions {
+    fn one_shard(threshold: usize) -> ShardedServingOptions {
+        ShardedServingOptions {
+            shards: 1,
+            serving: ServingOptions {
                 compact_threshold: threshold,
                 ..ServingOptions::default()
             },
-        )
-        .expect("valid store")
+        }
+    }
+
+    /// The single store: one shard over `store_with_rows`, ids `0..3`.
+    fn serving(variant: PluginVariant, threshold: usize) -> ShardedServingStore {
+        let base = store_with_rows(variant);
+        let n = base.len() as u64;
+        ShardedServingStore::new(base, (0..n).collect(), one_shard(threshold)).expect("valid store")
     }
 
     #[test]
@@ -832,11 +781,11 @@ mod tests {
     fn duplicate_or_mismatched_ids_rejected() {
         let base = store_with_rows(PluginVariant::Original);
         assert!(matches!(
-            ServingStore::new(base.clone(), vec![1, 1, 2], ServingOptions::default()),
+            ShardedServingStore::new(base.clone(), vec![1, 1, 2], one_shard(0)),
             Err(ServeError::Corrupt(_))
         ));
         assert!(matches!(
-            ServingStore::new(base, vec![1], ServingOptions::default()),
+            ShardedServingStore::new(base, vec![1], one_shard(0)),
             Err(ServeError::Corrupt(_))
         ));
     }
@@ -872,25 +821,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_compaction_folds_delta_into_indexed_base() {
-        let store = serving(PluginVariant::Original, 4);
-        for i in 0..6u64 {
-            let (eu, hy, fa) = row(i, PluginVariant::Original);
-            store
-                .upsert(100 + i, &eu, hy.as_deref(), fa.as_deref())
-                .expect("upsert");
-        }
-        let stats = store.stats();
-        assert!(stats.compactions >= 1, "threshold 4 must have tripped");
-        assert_eq!(stats.live_rows, 9);
-        let snap = store.snapshot();
-        assert!(snap.base_indexed(), "metric base re-indexed by compaction");
-        // Everything folded at the last compaction; only post-compaction
-        // churn remains in the delta.
-        assert!(snap.delta_rows() < 4);
-    }
-
-    #[test]
     fn compaction_preserves_results_bitwise() {
         for variant in PluginVariant::ABLATION {
             let store = serving(variant, 0);
@@ -907,7 +837,7 @@ mod tests {
                 .iter()
                 .map(|hits| hits.iter().map(|h| (h.id, h.distance.to_bits())).collect())
                 .collect();
-            store.compact().expect("compact");
+            store.compact_inline().expect("compact");
             assert_eq!(store.snapshot().delta_rows(), 0);
             let after: Vec<Vec<(u64, u32)>> = store
                 .knn_batch(&queries, 4)
@@ -918,10 +848,58 @@ mod tests {
         }
     }
 
+    /// A fold indexes its base exactly when the store is non-empty: an
+    /// empty store, or one emptied by churn, folds to a base with no
+    /// pivot cells, and refilling it folds to an indexed one again.
+    #[test]
+    fn fold_indexes_the_base_iff_the_store_is_nonempty() {
+        for variant in PluginVariant::ABLATION {
+            let empty = EmbeddingStore::new(2, variant, 1.0, Some(2));
+            let fresh = ShardedServingStore::new(empty, Vec::new(), one_shard(0)).expect("empty");
+            let emptied = serving(variant, 0);
+            for id in 0..3 {
+                assert!(emptied.remove(id).expect("remove"));
+            }
+            for store in [fresh, emptied] {
+                store.compact_inline().expect("compact");
+                let snap = store.snapshot();
+                assert!(snap.is_empty() && snap.delta_rows() == 0);
+                assert!(!snap.shards[0].base_indexed(), "{}", variant.name());
+                let (eu, hy, fa) = row(5, variant);
+                store
+                    .upsert(5, &eu, hy.as_deref(), fa.as_deref())
+                    .expect("upsert");
+                store.compact_inline().expect("compact");
+                let snap = store.snapshot();
+                assert!(snap.shards[0].base_indexed(), "{}", variant.name());
+            }
+        }
+    }
+
+    #[test]
+    fn auto_compaction_folds_delta_into_indexed_base() {
+        let store = serving(PluginVariant::Original, 4);
+        for i in 0..6u64 {
+            let (eu, hy, fa) = row(i, PluginVariant::Original);
+            store
+                .upsert(100 + i, &eu, hy.as_deref(), fa.as_deref())
+                .expect("upsert");
+        }
+        store.drain().expect("scheduled folds land");
+        let stats = store.stats();
+        assert!(stats.compactions >= 1, "threshold 4 must have tripped");
+        assert_eq!(stats.live_rows, 9);
+        let snap = store.snapshot();
+        assert!(snap.base_indexed(), "metric base re-indexed by compaction");
+        // Everything up to the last fold's pin is folded; only the churn
+        // after it remains in the delta.
+        assert!(snap.delta_rows() < 4);
+    }
+
     #[test]
     fn fused_base_is_indexed_when_its_factors_certify() {
         let store = serving(PluginVariant::FusionDist, 0);
-        store.compact().expect("compact");
+        store.compact_inline().expect("compact");
         assert!(
             store.snapshot().base_indexed(),
             "softplus-positive factors certify the convex-mix bound"
@@ -936,25 +914,26 @@ mod tests {
                 Some(&[1.0, -1.0, 1.0, 1.0]),
             )
             .expect("upsert");
-        store.compact().expect("compact");
+        store.compact_inline().expect("compact");
         let snap = store.snapshot();
+        let shard = &snap.shards[0];
         assert!(
-            !snap.base_indexed(),
+            !shard.base_indexed(),
             "uncertifiable fused base has no cells"
         );
-        assert_eq!(snap.base.bound_space(), BoundSpace::None);
-        assert_eq!((snap.base.num_cells(), snap.base.len()), (0, 4));
+        assert_eq!(shard.base.bound_space(), BoundSpace::None);
+        assert_eq!((shard.base.num_cells(), shard.base.len()), (0, 4));
         let q = store_with_rows(PluginVariant::FusionDist);
         assert_eq!(snap.knn(&q, 0, 10).len(), snap.len());
 
         // The cell-less base serves bit-identically to a flat scan of the
         // live rows under a tombstone mask, with a delta behind it, and
         // after the next fold.
-        let served = |snap: &Snapshot| -> Vec<(u64, u32)> {
+        let served = |snap: &ShardedSnapshot| -> Vec<(u64, u32)> {
             let hits = snap.knn_batch(&q, 3).concat();
             hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
         };
-        let flat = |snap: &Snapshot| -> Vec<(u64, u32)> {
+        let flat = |snap: &ShardedSnapshot| -> Vec<(u64, u32)> {
             let (rows, ids) = snap.to_flat();
             let hits = rows.knn_batch(&q, 3).concat();
             let bits = |h: &RetrievalResult| (ids[h.index], h.distance.to_bits());
@@ -966,35 +945,25 @@ mod tests {
             .upsert(7, &eu, hy.as_deref(), fa.as_deref())
             .expect("upsert");
         let masked = store.snapshot();
-        assert_eq!(masked.base_dead, vec![1]);
+        assert_eq!(masked.shards[0].base_dead, vec![1]);
         assert_eq!(served(&masked), flat(&masked));
-        store.compact().expect("compact");
+        store.compact_inline().expect("compact");
         let folded = store.snapshot();
-        assert!(!folded.base_indexed() && folded.delta_rows() == 0);
+        assert!(!folded.shards[0].base_indexed() && folded.delta_rows() == 0);
         assert_eq!(served(&folded), served(&masked));
         assert_eq!(served(&folded), flat(&folded));
     }
 
     #[test]
-    #[should_panic(expected = "query store layout mismatch")]
-    fn snapshot_knn_rejects_a_query_store_of_another_width() {
-        let store = serving(PluginVariant::Original, 0);
-        let mut q = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
-        q.push(&[0.0; 3], None, None);
-        let _ = store.snapshot().knn(&q, 0, 1);
-    }
-
-    #[test]
     fn concurrent_readers_and_writer_agree_with_model() {
-        let store = std::sync::Arc::new(serving(PluginVariant::Original, 8));
+        let store = serving(PluginVariant::Original, 8);
         let queries = store_with_rows(PluginVariant::Original);
         std::thread::scope(|s| {
-            let reader_store = std::sync::Arc::clone(&store);
-            let reader = s.spawn(move || {
+            let reader = s.spawn(|| {
                 // Every observed view must be internally consistent:
                 // len() matches live_ids(), knn returns only live ids.
                 for _ in 0..200 {
-                    let snap = reader_store.snapshot();
+                    let snap = store.snapshot();
                     let ids = snap.live_ids();
                     assert_eq!(ids.len(), snap.len());
                     for hits in snap.knn_batch(&queries, 3) {
@@ -1028,12 +997,9 @@ mod tests {
             std::fs::remove_dir_all(&dir).ok();
             let base = store_with_rows(variant);
             let queries = base.clone();
-            let opts = ServingOptions {
-                compact_threshold: 0,
-                ..ServingOptions::default()
-            };
-            let store =
-                ServingStore::create_durable(&dir, base, vec![0, 1, 2], opts).expect("create");
+            let opts = one_shard(0);
+            let store = ShardedServingStore::create_durable(&dir, base, vec![0, 1, 2], opts)
+                .expect("create");
             for i in 0..5u64 {
                 let (eu, hy, fa) = row(i, variant);
                 store
@@ -1041,28 +1007,26 @@ mod tests {
                     .expect("upsert");
             }
             store.remove(2).expect("remove");
-            store.compact().expect("compact mid-history");
+            store.compact_inline().expect("compact mid-history");
             for i in 5..8u64 {
                 let (eu, hy, fa) = row(i, variant);
                 store
                     .upsert(300 + i, &eu, hy.as_deref(), fa.as_deref())
                     .expect("upsert");
             }
-            let expect: Vec<Vec<(u64, u32)>> = store
-                .knn_batch(&queries, 5)
-                .iter()
-                .map(|hits| hits.iter().map(|h| (h.id, h.distance.to_bits())).collect())
-                .collect();
+            let bits = |store: &ShardedServingStore| -> Vec<Vec<(u64, u32)>> {
+                let hits = store.knn_batch(&queries, 5);
+                let bits = |h: &ServeHit| (h.id, h.distance.to_bits());
+                hits.iter()
+                    .map(|hs| hs.iter().map(bits).collect())
+                    .collect()
+            };
+            let expect = bits(&store);
             let expect_stats = store.stats();
             drop(store);
 
-            let back = ServingStore::recover(&dir, opts).expect("recover");
-            let got: Vec<Vec<(u64, u32)>> = back
-                .knn_batch(&queries, 5)
-                .iter()
-                .map(|hits| hits.iter().map(|h| (h.id, h.distance.to_bits())).collect())
-                .collect();
-            assert_eq!(got, expect, "{}", variant.name());
+            let back = ShardedServingStore::recover(&dir, opts).expect("recover");
+            assert_eq!(bits(&back), expect, "{}", variant.name());
             let got_stats = back.stats();
             assert_eq!(got_stats.live_rows, expect_stats.live_rows);
             assert_eq!(got_stats.compactions, expect_stats.compactions);

@@ -1,22 +1,22 @@
-//! Scale-out within the process: a serving store hash-partitioned across
-//! independent shards, with compaction pushed to a background thread.
+//! The public serving store: hash-partitioned across independent shards,
+//! with every fold on a background thread.
 //!
-//! A [`ShardedServingStore`] owns S [`ServingStore`]s. Every external id
-//! maps to exactly one shard via a splitmix64 hash ([`shard_of_id`]), so
-//! each shard has its *own* writer lock, delta segment, epoch counter,
-//! and (when durable) WAL + checkpoint under `shard-NNNN/` — writes to
-//! different shards proceed fully in parallel, and a fold in one shard
-//! never blocks another shard's writers.
+//! A [`ShardedServingStore`] owns S crate-internal shards (`Shard`, see
+//! the [`serve`](super) module docs); a single store is `shards: 1`. Every
+//! external id maps to exactly one shard via a splitmix64 hash
+//! ([`shard_of_id`]), so each shard has its *own* writer lock, delta
+//! segment, epoch counter, and (when durable) WAL + checkpoint under
+//! `shard-NNNN/` — writes to different shards proceed fully in parallel,
+//! and a fold in one shard never blocks another shard's writers.
 //!
-//! # Bit-identity of the sharded read path: one shared heap
+//! # Bit-identity of the read path: one shared heap
 //!
 //! [`ShardedSnapshot::knn`] must equal a flat scan of the concatenated
 //! per-shard live rows ([`ShardedSnapshot::to_flat`]) bit-for-bit. It
 //! scans every shard, in shard order, into **one** heap: shard s offers
 //! its rows under keys offset by the total key space of shards `0..s`,
 //! and keys are mapped back to external ids once, after selection. The
-//! argument extends the single-store one (see
-//! [`snapshot`](super::snapshot)):
+//! argument extends the per-shard one (see the `snapshot` module docs):
 //!
 //! * **Keys.** Within a shard the key order is a strictly monotone remap
 //!   of that shard's flat row order; the prefix offsets make the global
@@ -35,27 +35,29 @@
 //! * **Narrowing still happens after selection.** The heap compares the
 //!   `f64` images of the `f32` kernel distances; hits are narrowed back
 //!   to `f32` (exactly — they came from `f32`) only once the k survivors
-//!   are fixed, exactly where the single-store path narrows, so no
-//!   comparison ever sees a value other than the one a flat scan ranks.
+//!   are fixed, so no comparison ever sees a value other than the one a
+//!   flat scan ranks.
 //!
-//! `tests/serving_sharded.rs` enforces the contract against both a single
-//! [`ServingStore`] and a BTreeMap model.
+//! `tests/serving_store.rs` enforces the contract at `shards: 1` and
+//! `tests/serving_sharded.rs` at several shard counts, against a one-shard
+//! store and a BTreeMap model.
 //!
 //! # Compaction lifecycle
 //!
-//! With [`ShardedServingOptions::background`] set, shards never fold
-//! inline. After each write the wrapper polls the shard's churn and hands
-//! tripped shards to the crate-internal `Compactor` thread, which
-//! runs the two-phase pin → fold-off-lock → catch-up-install protocol of
-//! [`ServingStore::compact_background`]. [`ShardedServingStore::drain`]
-//! and [`ShardedServingStore::compact_inline`] are the determinism
-//! escape hatches for tests and shutdown.
+//! Shards never fold on the writer. Every write returns the churn it
+//! published; once that reaches [`ServingOptions::compact_threshold`] the
+//! wrapper schedules the shard on the crate-internal `Compactor` thread,
+//! which runs the shard's one fold: pin → fold off-lock → catch-up
+//! install. [`ShardedServingStore::drain`] waits for the scheduled folds;
+//! [`ShardedServingStore::compact_inline`] drains and then runs the same
+//! fold once per shard on the calling thread — the determinism escape
+//! hatch for tests and shutdown.
 
 use super::super::store::EmbeddingStore;
 use super::compactor::Compactor;
-use super::snapshot::Snapshot;
+use super::snapshot::{DeadMasks, Snapshot};
 use super::wal;
-use super::{ServeError, ServeHit, ServeStats, ServingOptions, ServingStore};
+use super::{ServeError, ServeHit, ServeStats, ServingOptions, Shard};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
@@ -69,11 +71,8 @@ pub struct ShardedServingOptions {
     /// partition function is keyed by it, so recovery reads the count
     /// from the manifest, not from this field.
     pub shards: usize,
-    /// Fold tripped shards on the background compactor thread instead of
-    /// inline on the tripping writer.
-    pub background: bool,
     /// Per-shard serving options. `compact_threshold` is the per-shard
-    /// churn trip level (inline or background per `background`).
+    /// churn level at which a write schedules a background fold.
     pub serving: ServingOptions,
 }
 
@@ -81,7 +80,6 @@ impl Default for ShardedServingOptions {
     fn default() -> Self {
         ShardedServingOptions {
             shards: 4,
-            background: true,
             serving: ServingOptions::default(),
         }
     }
@@ -98,14 +96,14 @@ pub fn shard_of_id(id: u64, shards: usize) -> usize {
     (z % shards as u64) as usize
 }
 
-/// A point-in-time view across every shard: one [`Snapshot`] per shard,
+/// A point-in-time view across every shard: one snapshot per shard,
 /// each internally consistent. The cut is per-shard, not global — but an
 /// id lives in exactly one shard, so every id reads at one consistent
 /// point, and a quiesced store (writes stopped, compactor drained)
 /// yields a fully consistent view.
 #[derive(Debug, Clone)]
 pub struct ShardedSnapshot {
-    shards: Vec<Arc<Snapshot>>,
+    pub(super) shards: Vec<Arc<Snapshot>>,
 }
 
 impl ShardedSnapshot {
@@ -169,13 +167,38 @@ impl ShardedSnapshot {
     /// the module docs). Panics if `queries` does not share the store's
     /// layout.
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<ServeHit> {
+        self.knn_masked(queries, qi, k, &self.dead_masks())
+    }
+
+    /// Batched [`ShardedSnapshot::knn`], parallel across queries. Each
+    /// shard's tombstone masks are expanded once and shared by every
+    /// query.
+    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
+        let masks = self.dead_masks();
+        let nq = queries.len();
+        parallel_map(nq, default_threads(nq), |qi| {
+            self.knn_masked(queries, qi, k, &masks)
+        })
+    }
+
+    fn dead_masks(&self) -> Vec<DeadMasks> {
+        self.shards.iter().map(|s| s.dead_masks()).collect()
+    }
+
+    fn knn_masked(
+        &self,
+        queries: &EmbeddingStore,
+        qi: usize,
+        k: usize,
+        masks: &[DeadMasks],
+    ) -> Vec<ServeHit> {
         let mut top = TopK::new(k);
         // First key of each shard, ascending.
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut offset = 0usize;
-        for s in &self.shards {
+        for (s, shard_masks) in self.shards.iter().zip(masks) {
             offsets.push(offset);
-            s.scan(queries, qi, &s.dead_masks(), offset, &mut top);
+            s.scan(queries, qi, shard_masks, offset, &mut top);
             offset += s.key_space();
         }
         top.into_sorted()
@@ -191,21 +214,14 @@ impl ShardedSnapshot {
             })
             .collect()
     }
-
-    /// Batched [`ShardedSnapshot::knn`], parallel across queries.
-    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
-        let nq = queries.len();
-        parallel_map(nq, default_threads(nq), |qi| self.knn(queries, qi, k))
-    }
 }
 
-/// A serving store hash-partitioned across independent shards. See the
-/// module docs for the partitioning, bit-identity, and compaction
-/// contracts.
+/// The serving store: hash-partitioned across independent shards (a
+/// single store is `shards: 1`). See the module docs for the
+/// partitioning, bit-identity, and compaction contracts.
 pub struct ShardedServingStore {
-    shards: Vec<Arc<ServingStore>>,
-    /// Present iff background compaction is on.
-    compactor: Option<Compactor>,
+    shards: Vec<Arc<Shard>>,
+    compactor: Compactor,
     /// Per-shard churn trip level (0 disables scheduling).
     threshold: usize,
 }
@@ -214,7 +230,6 @@ impl fmt::Debug for ShardedServingStore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShardedServingStore")
             .field("shards", &self.shards.len())
-            .field("background", &self.compactor.is_some())
             .field("stats", &self.stats())
             .finish_non_exhaustive()
     }
@@ -229,18 +244,16 @@ impl ShardedServingStore {
         ids: Vec<u64>,
         opts: ShardedServingOptions,
     ) -> Result<ShardedServingStore, ServeError> {
-        let parts = partition(&base, &ids, opts.shards)?;
-        let inner = inner_options(&opts);
-        let shards = parts
+        let shards = partition(&base, &ids, opts.shards)?
             .into_iter()
-            .map(|(store, ids)| ServingStore::new(store, ids, inner).map(Arc::new))
+            .map(|(store, ids)| Shard::new(store, ids, opts.serving).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self::assemble(shards, &opts))
     }
 
     /// Creates a durable sharded store in `dir`: writes the shard
-    /// manifest plus one serving directory per shard under
-    /// `shard-NNNN/`.
+    /// manifest plus one shard directory (checkpoint + WAL) per shard
+    /// under `shard-NNNN/`.
     pub fn create_durable(
         dir: &Path,
         base: EmbeddingStore,
@@ -250,13 +263,12 @@ impl ShardedServingStore {
         let parts = partition(&base, &ids, opts.shards)?;
         std::fs::create_dir_all(dir)?;
         wal::write_manifest(&dir.join(wal::MANIFEST_FILE), opts.shards as u32)?;
-        let inner = inner_options(&opts);
         let shards = parts
             .into_iter()
             .enumerate()
             .map(|(s, (store, ids))| {
-                ServingStore::create_durable(&dir.join(wal::shard_dir_name(s)), store, ids, inner)
-                    .map(Arc::new)
+                let shard_dir = dir.join(wal::shard_dir_name(s));
+                Shard::create_durable(&shard_dir, store, ids, opts.serving).map(Arc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self::assemble(shards, &opts))
@@ -265,25 +277,24 @@ impl ShardedServingStore {
     /// Recovers a durable sharded store from `dir`. The manifest's shard
     /// count is authoritative ([`ShardedServingOptions::shards`] is
     /// ignored — the partition function is keyed by the persisted
-    /// count). Each shard heals its own WAL independently, so one torn
-    /// shard log costs only that shard's torn tail.
+    /// count); a directory without one is an error. Each shard heals its
+    /// own WAL independently, so one torn shard log costs only that
+    /// shard's torn tail.
     pub fn recover(
         dir: &Path,
         opts: ShardedServingOptions,
     ) -> Result<ShardedServingStore, ServeError> {
         let shards = wal::read_manifest(&dir.join(wal::MANIFEST_FILE))? as usize;
-        let inner = inner_options(&opts);
         let shards = (0..shards)
-            .map(|s| ServingStore::recover(&dir.join(wal::shard_dir_name(s)), inner).map(Arc::new))
+            .map(|s| Shard::recover(&dir.join(wal::shard_dir_name(s)), opts.serving).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Self::assemble(shards, &opts))
     }
 
-    fn assemble(shards: Vec<Arc<ServingStore>>, opts: &ShardedServingOptions) -> Self {
-        let compactor = opts.background.then(|| Compactor::spawn(shards.clone()));
+    fn assemble(shards: Vec<Arc<Shard>>, opts: &ShardedServingOptions) -> Self {
         ShardedServingStore {
+            compactor: Compactor::spawn(shards.clone()),
             shards,
-            compactor,
             threshold: opts.serving.compact_threshold,
         }
     }
@@ -312,8 +323,8 @@ impl ShardedServingStore {
     }
 
     /// Inserts or replaces the row for `id` in its shard. Writes to
-    /// different shards run fully in parallel. May schedule (background)
-    /// or run (inline) a compaction of the tripped shard.
+    /// different shards run fully in parallel. Schedules a background
+    /// fold of the shard when the write trips its threshold.
     pub fn upsert(
         &self,
         id: u64,
@@ -322,8 +333,8 @@ impl ShardedServingStore {
         factors: Option<&[f32]>,
     ) -> Result<bool, ServeError> {
         let sid = self.shard_of(id);
-        let replaced = self.shards[sid].upsert(id, eu, hyper, factors)?;
-        self.maybe_schedule(sid);
+        let (replaced, churn) = self.shards[sid].upsert(id, eu, hyper, factors)?;
+        self.maybe_schedule(sid, churn);
         Ok(replaced)
     }
 
@@ -331,39 +342,36 @@ impl ShardedServingStore {
     /// existed.
     pub fn remove(&self, id: u64) -> Result<bool, ServeError> {
         let sid = self.shard_of(id);
-        let existed = self.shards[sid].remove(id)?;
-        self.maybe_schedule(sid);
+        let (existed, churn) = self.shards[sid].remove(id)?;
+        self.maybe_schedule(sid, churn);
         Ok(existed)
     }
 
-    fn maybe_schedule(&self, sid: usize) {
-        if let Some(compactor) = &self.compactor {
-            if self.threshold > 0 && self.shards[sid].churn_level() >= self.threshold {
-                compactor.schedule(sid);
-            }
+    fn maybe_schedule(&self, sid: usize, churn: usize) {
+        if self.threshold > 0 && churn >= self.threshold {
+            self.compactor.schedule(sid);
         }
     }
 
-    /// Folds every shard inline, on the calling thread — the
-    /// deterministic escape hatch (tests, shutdown checkpointing).
-    /// Background folds racing this are detected by the generation check
-    /// and discarded.
+    /// Drains the compactor, then folds every shard once on the calling
+    /// thread — the deterministic escape hatch (tests, shutdown
+    /// checkpointing). Absent concurrent writers, every shard ends with
+    /// an empty delta and no tombstones. A background fold scheduled by a
+    /// concurrent writer races this one through the generation check: of
+    /// two folds pinned at one generation, the later install is discarded.
     pub fn compact_inline(&self) -> Result<(), ServeError> {
+        self.drain()?;
         for shard in &self.shards {
-            shard.compact()?;
+            shard.fold()?;
         }
         Ok(())
     }
 
     /// Blocks until every scheduled background fold has landed and
-    /// surfaces the first error any fold hit. A no-op without background
-    /// compaction. After `drain` returns (and absent concurrent writes),
-    /// reads reflect a fully-compacted store.
+    /// surfaces the first error any fold hit. After `drain` returns (and
+    /// absent concurrent writes), no fold is pending.
     pub fn drain(&self) -> Result<(), ServeError> {
-        match &self.compactor {
-            Some(compactor) => compactor.drain(),
-            None => Ok(()),
-        }
+        self.compactor.drain()
     }
 
     /// Aggregate occupancy and lifecycle counters (sums over shards;
@@ -404,24 +412,9 @@ impl ShardedServingStore {
     }
 }
 
-/// Per-shard serving options: under background compaction the inner
-/// stores must never fold inline (threshold 0) — the wrapper schedules
-/// tripped shards onto the compactor instead.
-fn inner_options(opts: &ShardedServingOptions) -> ServingOptions {
-    ServingOptions {
-        compact_threshold: if opts.background {
-            0
-        } else {
-            opts.serving.compact_threshold
-        },
-        ..opts.serving
-    }
-}
-
 /// Splits `base`/`ids` into per-shard (store, ids) pairs by
 /// [`shard_of_id`]. Duplicate-id detection happens downstream in each
-/// shard's `ServingStore` constructor (an id collides only within its
-/// own shard).
+/// shard's constructor (an id collides only within its own shard).
 fn partition(
     base: &EmbeddingStore,
     ids: &[u64],
@@ -522,7 +515,6 @@ mod tests {
             }
             let opts = ShardedServingOptions {
                 shards: 3,
-                background: false,
                 serving: ServingOptions {
                     compact_threshold: 0,
                     ..ServingOptions::default()
@@ -572,5 +564,29 @@ mod tests {
         let mut q = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
         q.push(&[0.0; 3], None, None);
         let _ = store.snapshot().knn(&q, 0, 1);
+    }
+
+    /// The pre-sharding single-store layout — a bare `serve.ckpt` +
+    /// `serve.wal`, no manifest — is not a serving directory: recovery
+    /// returns a typed error instead of panicking or guessing a count.
+    #[test]
+    fn a_bare_single_store_directory_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("lh-serve-bare-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut base = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+        push_point(&mut base, 1.0);
+        let opts = ServingOptions::default();
+        let shard = Shard::create_durable(&dir, base, vec![7], opts).expect("create");
+        shard.upsert(8, &[2.0, 0.0], None, None).expect("upsert");
+        drop(shard);
+        assert!(dir.join(wal::CKPT_FILE).exists() && dir.join(wal::WAL_FILE).exists());
+        assert!(!dir.join(wal::MANIFEST_FILE).exists());
+        let err = ShardedServingStore::recover(&dir, ShardedServingOptions::default())
+            .expect_err("no manifest");
+        assert!(
+            matches!(&err, ServeError::Io(e) if e.kind() == std::io::ErrorKind::NotFound),
+            "{err}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,22 +1,24 @@
-//! Immutable point-in-time views of a [`ServingStore`](super::ServingStore).
+//! Immutable point-in-time views of one shard of the serving store.
 //!
-//! A [`Snapshot`] is what readers actually query: a shared compacted
-//! **base** segment (always an [`IndexedStore`] — one without cells when
-//! the base is empty or its bound space cannot prune), a copy of the
-//! current **delta** segment (rows upserted since the last compaction),
-//! and tombstone sets over both. Snapshots are published behind
-//! `Arc` pointers, so cloning one is O(1) for the base (shared) and
+//! A `Snapshot` is what readers actually query, always through a
+//! [`ShardedSnapshot`](super::sharded::ShardedSnapshot): a shared
+//! compacted **base** segment (always an [`IndexedStore`] — one without
+//! cells when the base is empty or its bound space cannot prune), a copy
+//! of the current **delta** segment (rows upserted since the last
+//! compaction), and tombstone sets over both. Snapshots are published
+//! behind `Arc` pointers, so cloning one is O(1) for the base (shared) and
 //! O(delta) for the mutable tail — bounded by the compaction threshold.
 //!
-//! A query is two calls into the scan core on one heap:
-//! `IndexedStore::scan` over the base at key offset 0, then
-//! `kernel::scan_offer_masked` over the delta at offset `n_base`
-//! (`Snapshot::scan`).
+//! A snapshot's share of a query is two calls into the scan core on the
+//! caller's heap: `IndexedStore::scan` over the base at the caller's key
+//! offset, then `kernel::scan_offer_masked` over the delta `n_base` keys
+//! later (`Snapshot::scan`); `Snapshot::id_of_key` maps a surviving key
+//! back to its external id.
 //!
 //! # Bit-identity of the overlay
 //!
-//! [`Snapshot::knn`] must return *exactly* what a flat scan of the
-//! materialized live rows ([`Snapshot::to_flat`]) returns — bit-for-bit,
+//! The rows a snapshot offers must select *exactly* what a flat scan of
+//! its materialized live rows (`Snapshot::to_flat`) selects — bit-for-bit,
 //! including tie-breaks and NaN ordering. The argument:
 //!
 //! * **Distances** bit-match because both paths run the same
@@ -36,22 +38,21 @@
 //!   running k-th-best τ, so every triangle-inequality and convex-mix
 //!   bound stays admissible (see `IndexedStore::scan`).
 //!
-//! `tests/serving_store.rs` enforces this property end-to-end, and the
-//! serve bench re-asserts it on sampled queries before every ledger
-//! append.
+//! The sharded read path composes this per-shard argument across shards
+//! (see the `sharded` module docs). `tests/serving_store.rs` enforces it
+//! end-to-end on one shard, `tests/serving_sharded.rs` on several, and the
+//! benchmark re-asserts it on sampled queries in every serving workload.
 
 use super::super::index::{IndexedStore, ProbeStats};
 use super::super::kernel;
 use super::super::store::EmbeddingStore;
-use super::ServeHit;
 use std::sync::Arc;
-use traj_core::parallel::{default_threads, parallel_map};
 use traj_core::topk::TopK;
 
-/// An immutable point-in-time view of the serving store. See the module
-/// docs for the bit-identity contract.
+/// An immutable point-in-time view of one shard. See the module docs for
+/// the bit-identity contract.
 #[derive(Debug, Clone)]
-pub struct Snapshot {
+pub(crate) struct Snapshot {
     /// Compacted base segment, shared across snapshots of one epoch run.
     pub(crate) base: Arc<IndexedStore>,
     /// External id of each base row, parallel to the base store.
@@ -69,8 +70,7 @@ pub struct Snapshot {
 }
 
 /// A snapshot's two tombstone lists as dense masks, for
-/// [`Snapshot::scan`]. A [`Snapshot::knn_batch`] expands them once for
-/// every query.
+/// [`Snapshot::scan`]. A batch expands them once for every query.
 pub(crate) struct DeadMasks {
     base: Option<Vec<bool>>,
     delta: Option<Vec<bool>>,
@@ -91,36 +91,36 @@ fn dead_mask(len: usize, dead: &[u32]) -> Option<Vec<bool>> {
 
 impl Snapshot {
     /// Publication epoch of this view.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Live rows (base + delta, tombstones excluded).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.base_ids.len() - self.base_dead.len() + self.delta_ids.len() - self.delta_dead.len()
     }
 
     /// Whether no live row exists.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Rows in the delta segment (including tombstoned ones) — the
     /// overlay-scan cost of this view.
-    pub fn delta_rows(&self) -> usize {
+    pub(crate) fn delta_rows(&self) -> usize {
         self.delta_ids.len()
     }
 
     /// Whether the base segment has pivot cells to prune with — false
     /// for an empty base and for a fused one that certifies no bound,
     /// which the flat scan serves.
-    pub fn base_indexed(&self) -> bool {
+    pub(crate) fn base_indexed(&self) -> bool {
         self.base.num_cells() > 0
     }
 
     /// External ids of every live row, in snapshot order (live base rows
     /// in row order, then live delta rows in row order).
-    pub fn live_ids(&self) -> Vec<u64> {
+    pub(crate) fn live_ids(&self) -> Vec<u64> {
         let base_mask = dead_mask(self.base_ids.len(), &self.base_dead);
         let delta_mask = dead_mask(self.delta_ids.len(), &self.delta_dead);
         let mut ids = Vec::with_capacity(self.len());
@@ -193,48 +193,11 @@ impl Snapshot {
         }
     }
 
-    /// Top-k nearest live rows to query row `qi` of `queries`, as
-    /// external ids with model distances. Bit-identical to a flat scan of
-    /// [`Snapshot::to_flat`] (see the module docs). Panics if `queries`
-    /// does not share the store's layout.
-    pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<ServeHit> {
-        self.knn_masked(queries, qi, k, &self.dead_masks())
-    }
-
-    /// Batched [`Snapshot::knn`], parallel across queries. Masks are
-    /// expanded once and shared by every query.
-    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
-        let masks = self.dead_masks();
-        let nq = queries.len();
-        parallel_map(nq, default_threads(nq), |qi| {
-            self.knn_masked(queries, qi, k, &masks)
-        })
-    }
-
-    fn knn_masked(
-        &self,
-        queries: &EmbeddingStore,
-        qi: usize,
-        k: usize,
-        masks: &DeadMasks,
-    ) -> Vec<ServeHit> {
-        let mut top = TopK::new(k);
-        self.scan(queries, qi, masks, 0, &mut top);
-        top.into_sorted()
-            .into_iter()
-            .map(|(key, distance)| ServeHit {
-                id: self.id_of_key(key),
-                distance: distance as f32,
-            })
-            .collect()
-    }
-
     /// Materializes the live rows into one flat store (live base rows in
     /// row order, then live delta rows in row order) with their external
     /// ids. This is the reference the bit-identity contract is stated
-    /// against, the input to compaction, and the verification surface the
-    /// serve bench flat-scans.
-    pub fn to_flat(&self) -> (EmbeddingStore, Vec<u64>) {
+    /// against and the input to a fold.
+    pub(crate) fn to_flat(&self) -> (EmbeddingStore, Vec<u64>) {
         let base_mask = dead_mask(self.base_ids.len(), &self.base_dead);
         let delta_mask = dead_mask(self.delta_ids.len(), &self.delta_dead);
         let base = self.base.store();

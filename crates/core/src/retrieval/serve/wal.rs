@@ -24,11 +24,12 @@
 //! bytes it discarded. A frame whose checksum verifies but whose body
 //! does not parse is *corruption*, not a torn write, and errors.
 //!
-//! `checkpoint_epoch` ties a WAL to the checkpoint it extends. Compaction
-//! first publishes the new checkpoint (tmp + rename), then replaces the
-//! WAL; a crash between the two leaves an old WAL whose ops are already
-//! folded into the checkpoint — recovery detects the epoch mismatch and
-//! discards it instead of double-applying.
+//! `checkpoint_epoch` ties a WAL to the checkpoint it extends. A shard's
+//! fold first publishes the new checkpoint (tmp + rename), then replaces
+//! the WAL, re-logging the writes that landed after its pin. A crash
+//! between the two leaves an old WAL whose ops are already folded into
+//! the checkpoint — recovery detects the epoch mismatch and discards it
+//! instead of double-applying.
 //!
 //! # Checkpoint format (`LHCP`, version 1)
 //!
@@ -43,12 +44,15 @@
 //! u32 magic "LHSM" | u32 version | u32 shards
 //! ```
 //!
-//! A sharded serving directory holds one manifest naming the shard count
-//! plus one `shard-NNNN/` subdirectory per shard, each an ordinary
-//! single-store serving directory (checkpoint + WAL). The manifest is
+//! A serving directory holds one manifest naming the shard count plus one
+//! `shard-NNNN/` subdirectory per shard, each holding that shard's
+//! checkpoint (`serve.ckpt`) and WAL (`serve.wal`). A single store is a
+//! one-shard directory: the manifest plus `shard-0000/`. The manifest is
 //! authoritative on recovery — the partition function is keyed by the
 //! shard count, so opening with a different count would route ids to the
-//! wrong shards.
+//! wrong shards — and a directory without one (such as the pre-sharding
+//! single-store layout, a bare `serve.ckpt` + `serve.wal`) does not
+//! recover: it is a typed I/O error.
 //!
 //! By default appends are flushed to the OS (process-crash-safe) but not
 //! fsynced; [`WalFile::set_fsync`] upgrades each append to power-loss

@@ -19,9 +19,7 @@
 
 pub mod analysis;
 pub mod lorentz;
-pub mod poincare;
 pub mod projection;
 
 pub use lorentz::{geodesic_distance, lorentz_distance, lorentz_inner, HyperbolicPoint};
-pub use poincare::{from_poincare, poincare_distance, to_poincare};
 pub use projection::{cosh_project, gamma_compress, vanilla_project, Projection, ProjectionKind};

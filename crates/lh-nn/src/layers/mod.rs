@@ -5,14 +5,12 @@
 //! them onto the active [`crate::tape::Tape`] during `forward`. This keeps
 //! parameters persistent across the per-batch tapes.
 
-mod attention;
 mod embedding;
 mod gat;
 mod gru;
 mod linear;
 pub mod lstm;
 
-pub use attention::SelfAttention;
 pub use embedding::Embedding;
 pub use gat::GatLayer;
 pub use gru::GruCell;

@@ -9,9 +9,8 @@
 //! * [`tape::Tape`] — reverse-mode autodiff with broadcast-aware binary
 //!   ops, fused Lorentz/row-dot products, embedding scatter-gradients,
 //!   and finite-difference-verified backward passes;
-//! * [`layers`] — Linear, LSTM, GRU, Embedding, scaled dot-product
-//!   (co-)attention, and graph attention;
-//! * [`optim`] — SGD (+momentum) and Adam with global-norm clipping;
+//! * [`layers`] — Linear, LSTM, GRU, Embedding, and graph attention;
+//! * [`optim`] — Adam with global-norm clipping;
 //! * [`loss`] — MSE/MAE, rank-weighted MSE, triplet margin.
 //!
 //! Design choice: tensors are strictly 2-D (batch × features). Sequences

@@ -1,10 +1,8 @@
-//! Optimizers: plain SGD and Adam, both with global-norm gradient clipping.
+//! The optimizer: Adam with global-norm gradient clipping.
 
 mod adam;
-mod sgd;
 
 pub use adam::Adam;
-pub use sgd::Sgd;
 
 use crate::params::ParamStore;
 use crate::tape::Tape;

@@ -12,7 +12,9 @@
 //! the models need — with gradients reduced back to the broadcast shape.
 //!
 //! Every op's gradient is verified against central finite differences in
-//! this module's tests and in `tests/gradcheck.rs`.
+//! this module's tests; the workspace's `tests/property_based.rs`
+//! (`autodiff_matches_finite_differences`) repeats the check on random
+//! inputs.
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;

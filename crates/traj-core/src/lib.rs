@@ -19,7 +19,6 @@ pub mod normalize;
 pub mod parallel;
 pub mod point;
 pub mod quadtree;
-pub mod simplify;
 pub mod topk;
 pub mod trajectory;
 
@@ -29,6 +28,5 @@ pub use error::{Result, TrajError};
 pub use grid::UniformGrid;
 pub use point::Point;
 pub use quadtree::{QuadTree, QuadTreeConfig};
-pub use simplify::douglas_peucker;
 pub use topk::TopK;
 pub use trajectory::Trajectory;

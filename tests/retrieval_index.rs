@@ -13,7 +13,7 @@ use bytes::Bytes;
 use lh_repro::plugin::retrieval::index::bound::mix_factor_cap;
 use lh_repro::plugin::{
     BoundSpace, EmbeddingStore, IndexParams, IndexedStore, PluginVariant, RetrievalResult,
-    ServingOptions, ServingStore,
+    ServingOptions, ShardedServingOptions, ShardedServingStore,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -282,12 +282,16 @@ proptest! {
 
         // The same rows as a serving base, a third of them tombstoned:
         // the masked probe against a flat scan of the live rows.
-        let opts = ServingOptions {
-            index_params: IndexParams { n_cells: Some(n_cells) },
-            compact_threshold: 0,
-            ..ServingOptions::default()
+        let opts = ShardedServingOptions {
+            shards: 1,
+            serving: ServingOptions {
+                index_params: IndexParams { n_cells: Some(n_cells) },
+                compact_threshold: 0,
+                ..ServingOptions::default()
+            },
         };
-        let store = ServingStore::new(db, (0..n as u64).collect(), opts).expect("unique ids");
+        let store =
+            ShardedServingStore::new(db, (0..n as u64).collect(), opts).expect("unique ids");
         prop_assert!(store.snapshot().base_indexed(), "certified fused base is indexed");
         for id in (0..n as u64).filter(|_| rng.gen_range(0..3) == 0) {
             store.remove(id).expect("remove");

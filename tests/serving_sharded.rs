@@ -2,18 +2,18 @@
 //! [`ShardedServingStore`] driven through interleaved
 //! upsert/remove/query/compact sequences must stay bit-identical to a
 //! flat scan of its own concatenated live rows (order-exact), agree with
-//! a single [`ServingStore`] and a naive `BTreeMap` model on the live id
-//! set and hit sets, keep pinned cross-shard snapshots immune to later
+//! a single store (`shards: 1`) and a naive `BTreeMap` model on the live
+//! id set and hit sets, keep pinned cross-shard snapshots immune to later
 //! writes, and — durably — recover a multi-shard directory with one torn
 //! shard WAL to "that shard at a logged prefix, every other shard
-//! complete". Background compaction (the compactor thread racing the
-//! writer between pin and install) runs through the same properties, and
-//! directed tests pin down the drain()/determinism and
+//! complete". The background compactor races the writer between pin and
+//! install through the same properties, and directed tests pin down the
+//! drain()/determinism, `compact_inline`-behind-a-queued-fold and
 //! residual-re-log/recovery contracts.
 
 use lh_repro::plugin::{
-    shard_of_id, EmbeddingStore, PluginVariant, ServeHit, ServingOptions, ServingStore,
-    ShardedServingOptions, ShardedServingStore, ShardedSnapshot,
+    shard_of_id, EmbeddingStore, PluginVariant, ServeHit, ServingOptions, ShardedServingOptions,
+    ShardedServingStore, ShardedSnapshot,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -171,10 +171,9 @@ fn flat_reference(
         .collect()
 }
 
-fn sharded_opts(shards: usize, background: bool, threshold: usize) -> ShardedServingOptions {
+fn sharded_opts(shards: usize, threshold: usize) -> ShardedServingOptions {
     ShardedServingOptions {
         shards,
-        background,
         serving: ServingOptions {
             compact_threshold: threshold,
             ..ServingOptions::default()
@@ -182,24 +181,16 @@ fn sharded_opts(shards: usize, background: bool, threshold: usize) -> ShardedSer
     }
 }
 
-fn single_opts(threshold: usize) -> ServingOptions {
-    ServingOptions {
-        compact_threshold: threshold,
-        ..ServingOptions::default()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The sharded store tracks both a single `ServingStore` and a
+    /// The sharded store tracks both a single store (`shards: 1`) and a
     /// `BTreeMap` model through interleaved upsert/remove/query/compact
-    /// sequences, for shard counts {1, 2, 7}, with inline or background
-    /// compaction: same live id set, same replace/exist reports, hit
-    /// *sets* equal to both references at every query point, and hit
-    /// *order* bit-identical to a flat scan of its own concatenated live
-    /// rows. With `background` the compactor thread races these writes,
-    /// so the watermark catch-up install is exercised under real
+    /// sequences, for shard counts {1, 2, 7}: same live id set, same
+    /// replace/exist reports, hit *sets* equal to both references at every
+    /// query point, and hit *order* bit-identical to a flat scan of its
+    /// own concatenated live rows. The compactor thread races these
+    /// writes, so the watermark catch-up install is exercised under real
     /// interleavings.
     #[test]
     fn sharded_tracks_single_store_and_model(
@@ -208,11 +199,9 @@ proptest! {
         n_ops in 0usize..40,
         k in 1usize..20,
         shard_sel in 0usize..3,
-        bg_sel in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
         let shards = SHARD_COUNTS[shard_sel];
-        let background = bg_sel == 1;
         // Aggressive threshold so sequences actually trip compaction.
         let threshold = 6;
         for variant in VARIANTS {
@@ -221,10 +210,10 @@ proptest! {
             let sharded = ShardedServingStore::new(
                 base.clone(),
                 ids.clone(),
-                sharded_opts(shards, background, threshold),
+                sharded_opts(shards, threshold),
             )
             .expect("unique seeded ids");
-            let single = ServingStore::new(base, ids, single_opts(threshold))
+            let single = ShardedServingStore::new(base, ids, sharded_opts(1, threshold))
                 .expect("unique seeded ids");
             let queries = {
                 let mut q = empty_store(variant, dim);
@@ -273,12 +262,13 @@ proptest! {
                     }
                     Op::Compact => {
                         sharded.compact_inline().expect("sharded compact");
-                        single.compact().expect("single compact");
+                        single.compact_inline().expect("single compact");
                     }
                 }
             }
-            // Quiesce the compactor before final assertions.
+            // Quiesce the compactors before final assertions.
             sharded.drain().expect("background folds");
+            single.drain().expect("background folds");
 
             let snap = sharded.snapshot();
             let mut live = snap.live_ids();
@@ -324,18 +314,16 @@ proptest! {
         n_ops in 1usize..30,
         k in 1usize..12,
         shard_sel in 0usize..3,
-        bg_sel in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
         let shards = SHARD_COUNTS[shard_sel];
-        let background = bg_sel == 1;
         for variant in VARIANTS {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xb1f05);
             let (base, ids, _model) = seed_rows(variant, dim, n0, &mut rng);
             let store = ShardedServingStore::new(
                 base,
                 ids,
-                sharded_opts(shards, background, 4),
+                sharded_opts(shards, 4),
             )
             .expect("unique ids");
             let queries = {
@@ -405,13 +393,13 @@ proptest! {
             ));
             let mut rng = StdRng::seed_from_u64(seed ^ 0x7042);
             let (base, ids, model0) = seed_rows(variant, dim, n0, &mut rng);
-            // Inline compaction off (threshold 0) so the WAL carries all
+            // Scheduled folds off (threshold 0) so the WAL carries all
             // post-checkpoint ops deterministically.
             let store = ShardedServingStore::create_durable(
                 &dir,
                 base,
                 ids,
-                sharded_opts(shards, false, 0),
+                sharded_opts(shards, 0),
             )
             .expect("create durable sharded store");
 
@@ -529,7 +517,7 @@ proptest! {
                 .expect("truncate wal");
 
             let recovered =
-                ShardedServingStore::recover(&dir, sharded_opts(shards, false, 0))
+                ShardedServingStore::recover(&dir, sharded_opts(shards, 0))
                     .expect("recover");
             prop_assert_eq!(recovered.num_shards(), shards, "manifest shard count");
             let snap = recovered.snapshot();
@@ -590,14 +578,7 @@ fn background_compactor_determinism() {
         let store = ShardedServingStore::new(
             empty_store(variant, dim),
             Vec::new(),
-            ShardedServingOptions {
-                shards,
-                background: true,
-                serving: ServingOptions {
-                    compact_threshold: threshold,
-                    ..ServingOptions::default()
-                },
-            },
+            sharded_opts(shards, threshold),
         )
         .expect("empty sharded store");
         let (shard_a_ids, shard_b_ids) = ids_for_two_shards(shards);
@@ -665,6 +646,74 @@ fn background_compactor_determinism() {
     }
 }
 
+/// `compact_inline` behind folds still queued on the compactor: trip two
+/// shards' thresholds exactly once each, then call it at once, without
+/// draining. It waits for the queued folds, then folds every shard once
+/// on the calling thread: each shard ends with an empty delta and no
+/// tombstones, hits equal a flat scan of the pre-call `to_flat()` (ids
+/// and `f32` bits, in order), and `compactions` counts exactly the queued
+/// folds plus one per shard.
+#[test]
+fn compact_inline_behind_a_queued_fold() {
+    let (shards, threshold, dim) = (4, 8, 3);
+    for variant in VARIANTS {
+        let mut rng = StdRng::seed_from_u64(0x91f0);
+        let (base, ids, _model) = seed_rows(variant, dim, 40, &mut rng);
+        let store = ShardedServingStore::new(base, ids, sharded_opts(shards, threshold))
+            .expect("unique ids");
+        let queries = {
+            let mut q = empty_store(variant, dim);
+            for _ in 0..3 {
+                let row = random_row(variant, dim, &mut rng);
+                q.push(&row.0, row.1.as_deref(), row.2.as_deref());
+            }
+            q
+        };
+        let tripped = [0usize, 1];
+        for sid in tripped {
+            // Two base tombstones, then fresh upserts: churn reaches the
+            // threshold on this shard's last write and not before, so the
+            // shard is scheduled exactly once.
+            let in_shard = |id: &u64| store.shard_of(*id) == sid;
+            for id in (0..40u64).filter(in_shard).take(2) {
+                assert!(store.remove(id).expect("remove"), "seeded id {id}");
+            }
+            for id in (1000u64..).filter(in_shard).take(threshold - 2) {
+                let row = random_row(variant, dim, &mut rng);
+                store
+                    .upsert(id, &row.0, row.1.as_deref(), row.2.as_deref())
+                    .expect("upsert");
+            }
+        }
+        let (flat, flat_ids) = store.snapshot().to_flat();
+        store.compact_inline().expect("compact_inline");
+
+        assert_eq!(
+            store.stats().compactions,
+            (tripped.len() + shards) as u64,
+            "{}: the queued folds plus one per shard",
+            variant.name()
+        );
+        for s in store.shard_stats() {
+            assert_eq!((s.delta_rows, s.tombstones), (0, 0), "{}", variant.name());
+        }
+        let snap = store.snapshot();
+        for qi in 0..queries.len() {
+            let want: Vec<(u64, u32)> = flat
+                .knn(&queries, qi, 10)
+                .iter()
+                .map(|h| (flat_ids[h.index], h.distance.to_bits()))
+                .collect();
+            assert_eq!(
+                ordered_hits(&snap.knn(&queries, qi, 10)),
+                want,
+                "{} qi={qi}: vs the pre-call flat scan",
+                variant.name()
+            );
+        }
+    }
+}
+
 /// A durable store whose background fold installed mid-churn re-logs the
 /// post-pin residue into the fresh WAL: recovery after a clean shutdown
 /// must reproduce the exact pre-shutdown state (ids and bit-exact hits),
@@ -681,14 +730,7 @@ fn background_fold_durable_recovery() {
         let _ = std::fs::remove_dir_all(&dir);
         let mut rng = StdRng::seed_from_u64(0xbead);
         let dim = 3;
-        let opts = ShardedServingOptions {
-            shards,
-            background: true,
-            serving: ServingOptions {
-                compact_threshold: 8,
-                ..ServingOptions::default()
-            },
-        };
+        let opts = sharded_opts(shards, 8);
         let store =
             ShardedServingStore::create_durable(&dir, empty_store(variant, dim), Vec::new(), opts)
                 .expect("create durable");
@@ -751,17 +793,13 @@ fn manifest_pins_shard_count_on_recovery() {
         let row = random_row(variant, 2, &mut rng);
         base.push(&row.0, row.1.as_deref(), row.2.as_deref());
     }
-    let store = ShardedServingStore::create_durable(
-        &dir,
-        base,
-        (0..6).collect(),
-        sharded_opts(3, false, 0),
-    )
-    .expect("create");
+    let store =
+        ShardedServingStore::create_durable(&dir, base, (0..6).collect(), sharded_opts(3, 0))
+            .expect("create");
     assert_eq!(store.num_shards(), 3);
     drop(store);
     // Ask for 7 shards; the manifest says 3.
-    let back = ShardedServingStore::recover(&dir, sharded_opts(7, false, 0)).expect("recover");
+    let back = ShardedServingStore::recover(&dir, sharded_opts(7, 0)).expect("recover");
     assert_eq!(back.num_shards(), 3, "manifest is authoritative");
     assert_eq!(back.len(), 6);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,13 +1,17 @@
-//! Property-based tests for the mutable serving tier: interleaved
-//! upsert/remove sequences must track a naive `BTreeMap` model (live id
-//! set, hit counts, and bit-identical distances against a flat rebuild
-//! of the model); a pinned snapshot must be immune to every later write;
+//! Property-based tests for the mutable serving tier as a single store —
+//! a `ShardedServingStore` with `shards: 1`: interleaved upsert/remove
+//! sequences must track a naive `BTreeMap` model (live id set, hit
+//! counts, and bit-identical distances against a flat rebuild of the
+//! model); a pinned snapshot must be immune to every later write;
 //! compaction must preserve query results bit for bit and match a flat
 //! scan of the folded store; and a durable store whose WAL is truncated
 //! at an arbitrary byte must recover to a consistent prefix of the
 //! logged history — never a torn mix, never a panic.
 
-use lh_repro::plugin::{EmbeddingStore, PluginVariant, ServeHit, ServingOptions, ServingStore};
+use lh_repro::plugin::{
+    EmbeddingStore, PluginVariant, ServeHit, ServingOptions, ShardedServingOptions,
+    ShardedServingStore,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,7 +107,7 @@ fn random_ops(
 
 /// Applies one op to the store and the model, asserting the store's
 /// replaced/existed report agrees with the model's.
-fn apply(store: &ServingStore, model: &mut BTreeMap<u64, Row>, op: &Op) {
+fn apply(store: &ShardedServingStore, model: &mut BTreeMap<u64, Row>, op: &Op) {
     match op {
         Op::Upsert(id, row) => {
             let replaced = store
@@ -170,10 +174,14 @@ fn ordered_hits(hits: &[ServeHit]) -> Vec<(u64, u32)> {
     hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
 }
 
-fn opts(compact_threshold: usize) -> ServingOptions {
-    ServingOptions {
-        compact_threshold,
-        ..ServingOptions::default()
+/// One shard: the single store.
+fn opts(compact_threshold: usize) -> ShardedServingOptions {
+    ShardedServingOptions {
+        shards: 1,
+        serving: ServingOptions {
+            compact_threshold,
+            ..ServingOptions::default()
+        },
     }
 }
 
@@ -184,7 +192,8 @@ proptest! {
     /// interleaved upserts and removes: same live id set, same replace
     /// reports, and top-k answers whose (id, distance-bits) sets equal a
     /// flat scan over a fresh rebuild of the model — across manual,
-    /// aggressive, and default compaction thresholds.
+    /// aggressive (the compactor folding behind the writes), and default
+    /// compaction thresholds.
     #[test]
     fn serving_tracks_btreemap_model(
         dim in 1usize..5,
@@ -198,7 +207,7 @@ proptest! {
         for variant in VARIANTS {
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5e47e);
             let (base, ids, mut model) = seed_rows(variant, dim, n0, &mut rng);
-            let store = ServingStore::new(base, ids, opts(threshold))
+            let store = ShardedServingStore::new(base, ids, opts(threshold))
                 .expect("unique seeded ids");
             let id_space = (2 * n0 + 8) as u64;
             for op in random_ops(variant, dim, n_ops, id_space, &mut rng) {
@@ -256,7 +265,7 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xb1f0);
             let (base, ids, mut model) = seed_rows(variant, dim, n0, &mut rng);
             // Aggressive threshold so the burst usually compacts too.
-            let store = ServingStore::new(base, ids, opts(4)).expect("unique ids");
+            let store = ShardedServingStore::new(base, ids, opts(4)).expect("unique ids");
 
             let queries = {
                 let mut q = empty_store(variant, dim);
@@ -303,7 +312,7 @@ proptest! {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xc0a4);
             let (base, ids, mut model) = seed_rows(variant, dim, n0, &mut rng);
             // Manual compaction only, so the delta is guaranteed nonempty.
-            let store = ServingStore::new(base, ids, opts(0)).expect("unique ids");
+            let store = ShardedServingStore::new(base, ids, opts(0)).expect("unique ids");
             for op in random_ops(variant, dim, n_ops, (2 * n0 + 8) as u64, &mut rng) {
                 apply(&store, &mut model, &op);
             }
@@ -322,14 +331,10 @@ proptest! {
                 .collect();
             let (flat, flat_ids) = before.to_flat();
 
-            store.compact().expect("in-memory compaction");
+            store.compact_inline().expect("in-memory compaction");
             let after = store.snapshot();
             prop_assert_eq!(after.delta_rows(), 0usize);
-            prop_assert_eq!(
-                after.base_indexed(),
-                !store.is_empty(),
-                "{} indexed-base contract", variant.name()
-            );
+            prop_assert!(after.base_indexed(), "{} indexed-base contract", variant.name());
             for (qi, want) in hits_before.iter().enumerate() {
                 let got = ordered_hits(&after.knn(&queries, qi, k));
                 prop_assert_eq!(&got, want, "{} qi={} order-exact", variant.name(), qi);
@@ -364,7 +369,7 @@ proptest! {
             ));
             let mut rng = StdRng::seed_from_u64(seed ^ 0x4a1);
             let (base, ids, model0) = seed_rows(variant, dim, n0, &mut rng);
-            let store = ServingStore::create_durable(&dir, base, ids, opts(0))
+            let store = ShardedServingStore::create_durable(&dir, base, ids, opts(0))
                 .expect("create durable store");
 
             // Fingerprint every prefix state of the model as we log ops.
@@ -394,7 +399,7 @@ proptest! {
 
             // Tear the log: keep the 16-byte header (written once at
             // create; a crash mid-append can only tear record frames).
-            let wal_path = dir.join("serve.wal");
+            let wal_path = dir.join("shard-0000").join("serve.wal");
             let len = std::fs::metadata(&wal_path).expect("wal exists").len();
             let body = len.saturating_sub(16);
             let keep = 16 + ((body as f64) * (1.0 - cut_frac)) as u64;
@@ -405,7 +410,7 @@ proptest! {
                 .set_len(keep)
                 .expect("truncate wal");
 
-            let recovered = ServingStore::recover(&dir, opts(0)).expect("recover");
+            let recovered = ShardedServingStore::recover(&dir, opts(0)).expect("recover");
             let snap = recovered.snapshot();
             let mut live = snap.live_ids();
             live.sort_unstable();
@@ -428,7 +433,7 @@ proptest! {
 
             // The heal rewrote the verified prefix: a second recovery
             // must land on exactly the same state.
-            let again = ServingStore::recover(&dir, opts(0)).expect("recover healed log");
+            let again = ShardedServingStore::recover(&dir, opts(0)).expect("recover healed log");
             let snap2 = again.snapshot();
             let mut live2 = snap2.live_ids();
             live2.sort_unstable();
@@ -448,7 +453,7 @@ proptest! {
 #[test]
 fn empty_store_grows_through_upserts() {
     let variant = PluginVariant::Original;
-    let store = ServingStore::new(empty_store(variant, 3), Vec::new(), opts(0))
+    let store = ShardedServingStore::new(empty_store(variant, 3), Vec::new(), opts(0))
         .expect("empty store is valid");
     assert!(store.is_empty());
     let mut rng = StdRng::seed_from_u64(7);
@@ -458,10 +463,10 @@ fn empty_store_grows_through_upserts() {
             .upsert(id, &row.0, row.1.as_deref(), row.2.as_deref())
             .expect("upsert"));
     }
-    store.compact().expect("compact");
+    store.compact_inline().expect("compact");
     let snap = store.snapshot();
     assert!(
-        snap.base_indexed(),
+        snap.base_indexed() && snap.delta_rows() == 0,
         "metric base must be indexed after compaction"
     );
     let q = {
