@@ -7,6 +7,7 @@ use lh_nn::ParamStore;
 use serde::{Deserialize, Serialize};
 use std::io;
 use std::path::Path;
+use traj_core::codec::write_atomic;
 
 /// A serializable training checkpoint.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -43,13 +44,14 @@ impl Checkpoint {
         }
     }
 
-    /// Writes the checkpoint as JSON.
+    /// Writes the checkpoint as JSON, atomically: a crash mid-save
+    /// leaves the previous checkpoint, never a truncated one.
     pub fn save(&self, path: &Path) -> io::Result<()> {
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
         }
         let json = serde_json::to_string(self).map_err(io::Error::other)?;
-        std::fs::write(path, json)
+        write_atomic(path, json.as_bytes())
     }
 
     /// Loads and validates a checkpoint.

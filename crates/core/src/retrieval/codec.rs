@@ -10,141 +10,78 @@
 //! u64 factor_len  | factor_len × f32
 //! ```
 //!
-//! The legacy encoder pushed one `put_f32_le` per element and the decoder
-//! popped one `get_f32_le` per element; both now stream whole buffers as
-//! byte chunks via the shared `codec_util` helpers. Decoding
-//! validates every length against the remaining bytes *before* reading
-//! and cross-checks the buffer lengths against `n`/`dim`/`variant`, so
-//! truncated or corrupt payloads return a [`StoreDecodeError`] instead of
-//! panicking mid-read.
+//! The store payload is a *body*, not a file: it is never written alone,
+//! but nested — length-prefixed — inside the `LHIX` index and `LHCP`
+//! checkpoint containers, whose `traj_core::codec` frame checksums it
+//! along with everything else. Buffers stream as whole byte chunks
+//! through the codec's `Reader` / `Writer`. Decoding validates every
+//! length against the remaining bytes *before* reading and cross-checks
+//! the buffer lengths against `n`/`dim`/`variant`, so truncated or
+//! corrupt payloads return a [`StoreDecodeError`] instead of panicking
+//! mid-read.
 
-use super::codec_util::{guard, put_f32_chunk, take_f32_chunk, take_u64};
 use super::store::EmbeddingStore;
 use crate::config::PluginVariant;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use traj_core::codec::{Reader, Writer};
 
-/// Why a binary payload failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StoreDecodeError {
-    /// The payload ended before a declared field.
-    Truncated {
-        /// Which field was being read.
-        field: &'static str,
-        /// Bytes the field needed.
-        needed: usize,
-        /// Bytes actually remaining.
-        remaining: usize,
-    },
-    /// The variant byte is not one of the four known tags.
-    BadVariantTag(u8),
-    /// A buffer length contradicts the header (`n`, `dim`, variant).
-    Inconsistent {
-        /// Which buffer disagreed.
-        field: &'static str,
-        /// Length the header implies.
-        expected: usize,
-        /// Length the payload declared.
-        actual: usize,
-    },
-    /// Bytes left over after a complete decode.
-    TrailingBytes(usize),
-    /// Header sizes (`n`, `dim`, `factor_dim`) so large their product
-    /// overflows — no genuine payload can reach this.
-    HeaderOverflow {
-        /// Which buffer's expected size overflowed.
-        field: &'static str,
-    },
-    /// A magic-number-prefixed payload (the index codec) does not start
-    /// with the expected magic.
-    BadMagic(u32),
-    /// A versioned payload (the index codec) declares a format version
-    /// this decoder does not understand.
-    UnsupportedVersion(u32),
-}
-
-impl std::fmt::Display for StoreDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreDecodeError::Truncated {
-                field,
-                needed,
-                remaining,
-            } => write!(
-                f,
-                "truncated payload: field `{field}` needs {needed} bytes, {remaining} remain"
-            ),
-            StoreDecodeError::BadVariantTag(tag) => {
-                write!(f, "unknown plugin variant tag {tag}")
-            }
-            StoreDecodeError::Inconsistent {
-                field,
-                expected,
-                actual,
-            } => write!(
-                f,
-                "corrupt payload: `{field}` is {actual}, header implies {expected}"
-            ),
-            StoreDecodeError::TrailingBytes(extra) => {
-                write!(f, "corrupt payload: {extra} trailing bytes after decode")
-            }
-            StoreDecodeError::HeaderOverflow { field } => {
-                write!(f, "corrupt payload: header sizes for `{field}` overflow")
-            }
-            StoreDecodeError::BadMagic(magic) => {
-                write!(f, "not an index payload: bad magic {magic:#010x}")
-            }
-            StoreDecodeError::UnsupportedVersion(version) => {
-                write!(f, "unsupported index payload version {version}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StoreDecodeError {}
+/// Why a binary payload failed to decode — the workspace's one decode
+/// error, under the name the retrieval tier has always exported.
+pub use traj_core::codec::DecodeError as StoreDecodeError;
 
 impl EmbeddingStore {
     /// Compact binary serialization (length-prefixed little-endian f32
     /// buffers, streamed as whole byte chunks).
     pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(self.payload_bytes() + 64);
-        buf.put_u64_le(self.n as u64);
-        buf.put_u64_le(self.dim as u64);
-        buf.put_u8(match self.variant {
+        let mut w = Writer::new();
+        self.encode(&mut w);
+        Bytes::from(w.finish())
+    }
+
+    /// [`EmbeddingStore::to_bytes`] into a writer — how the containers
+    /// that nest a payload write it, without a copy.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.reserve(self.payload_bytes() + 64);
+        w.u64(self.n as u64);
+        w.u64(self.dim as u64);
+        w.u8(match self.variant {
             PluginVariant::Original => 0,
             PluginVariant::LorentzVanilla => 1,
             PluginVariant::LorentzCosh => 2,
             PluginVariant::FusionDist => 3,
         });
-        buf.put_f32_le(self.beta);
-        buf.put_u64_le(self.factor_dim.unwrap_or(0) as u64);
+        w.u32(self.beta.to_bits());
+        w.u64(self.factor_dim.unwrap_or(0) as u64);
         for chunk in [&self.eu, &self.hyper, &self.factors] {
-            put_f32_chunk(&mut buf, chunk);
+            w.f32_chunk(chunk);
         }
-        buf.freeze()
     }
 
     /// Inverse of [`EmbeddingStore::to_bytes`]. Truncated or internally
     /// inconsistent payloads return a [`StoreDecodeError`].
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, StoreDecodeError> {
-        let n = take_u64(&mut data, "n")? as usize;
-        let dim = take_u64(&mut data, "dim")? as usize;
-        guard(&data, "variant", 1)?;
-        let variant = match data.get_u8() {
+    pub fn from_bytes(data: Bytes) -> Result<Self, StoreDecodeError> {
+        Self::decode(data.as_slice())
+    }
+
+    /// [`EmbeddingStore::from_bytes`] over a borrowed payload — how the
+    /// containers that nest one decode it, without a copy.
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, StoreDecodeError> {
+        let mut data = Reader::new(payload);
+        let n = data.count("n")?;
+        let dim = data.count("dim")?;
+        let variant = match data.u8("variant")? {
             0 => PluginVariant::Original,
             1 => PluginVariant::LorentzVanilla,
             2 => PluginVariant::LorentzCosh,
             3 => PluginVariant::FusionDist,
             tag => return Err(StoreDecodeError::BadVariantTag(tag)),
         };
-        guard(&data, "beta", 4)?;
-        let beta = data.get_f32_le();
-        let fd = take_u64(&mut data, "factor_dim")? as usize;
-        let eu = take_f32_chunk(&mut data, "eu")?;
-        let hyper = take_f32_chunk(&mut data, "hyper")?;
-        let factors = take_f32_chunk(&mut data, "factors")?;
-        if !data.is_empty() {
-            return Err(StoreDecodeError::TrailingBytes(data.remaining()));
-        }
+        let beta = f32::from_bits(data.u32("beta")?);
+        let fd = data.count("factor_dim")?;
+        let eu = data.f32_chunk("eu")?;
+        let hyper = data.f32_chunk("hyper")?;
+        let factors = data.f32_chunk("factors")?;
+        data.finish()?;
 
         // A non-fusion store never carries a factor width (the
         // constructor nulls it); reject payloads that claim one. The
@@ -288,16 +225,16 @@ mod tests {
         // n = dim = 2^32 with three empty buffers: n·dim wraps to 0 on
         // 64-bit if unchecked, which would match the empty `eu` buffer
         // and produce a store whose accessors panic. Must error instead.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1u64 << 32); // n
-        buf.put_u64_le(1u64 << 32); // dim
-        buf.put_u8(0); // Original
-        buf.put_f32_le(1.0);
-        buf.put_u64_le(0); // factor_dim
+        let mut w = Writer::new();
+        w.u64(1u64 << 32); // n
+        w.u64(1u64 << 32); // dim
+        w.u8(0); // Original
+        w.u32(1f32.to_bits());
+        w.u64(0); // factor_dim
         for _ in 0..3 {
-            buf.put_u64_le(0); // empty eu / hyper / factors
+            w.u64(0); // empty eu / hyper / factors
         }
-        let res = EmbeddingStore::from_bytes(buf.freeze());
+        let res = EmbeddingStore::decode(&w.finish());
         assert!(
             matches!(
                 res,
@@ -313,19 +250,16 @@ mod tests {
         // variant = FusionDist, n = 1, dim = 2, factor_dim = 0, buffers
         // internally consistent — the length checks alone would accept
         // this, and the resulting store's first kernel bind would panic.
-        let mut buf = BytesMut::new();
-        buf.put_u64_le(1); // n
-        buf.put_u64_le(2); // dim
-        buf.put_u8(3); // FusionDist
-        buf.put_f32_le(1.0);
-        buf.put_u64_le(0); // factor_dim = 0
-        for len in [2u64, 3, 0] {
-            buf.put_u64_le(len);
-            for _ in 0..len {
-                buf.put_f32_le(0.5);
-            }
+        let mut w = Writer::new();
+        w.u64(1); // n
+        w.u64(2); // dim
+        w.u8(3); // FusionDist
+        w.u32(1f32.to_bits());
+        w.u64(0); // factor_dim = 0
+        for len in [2, 3, 0] {
+            w.f32_chunk(&vec![0.5; len]);
         }
-        let err = EmbeddingStore::from_bytes(buf.freeze()).unwrap_err();
+        let err = EmbeddingStore::decode(&w.finish()).unwrap_err();
         assert!(matches!(
             err,
             StoreDecodeError::Inconsistent {
@@ -360,16 +294,5 @@ mod tests {
             EmbeddingStore::from_bytes(Bytes::from(raw)),
             Err(StoreDecodeError::TrailingBytes(1))
         );
-    }
-
-    #[test]
-    fn decode_error_messages_are_informative() {
-        let err = StoreDecodeError::Truncated {
-            field: "hyper",
-            needed: 40,
-            remaining: 8,
-        };
-        assert!(err.to_string().contains("hyper"));
-        assert!(StoreDecodeError::BadVariantTag(5).to_string().contains('5'));
     }
 }

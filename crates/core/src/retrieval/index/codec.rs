@@ -1,31 +1,31 @@
 //! Binary (de)serialization of a built [`IndexedStore`].
 //!
-//! Wire layout (all little-endian), following the `retrieval::codec`
-//! conventions — validate before every read, cross-check structure after:
+//! An index payload is one `traj_core::codec` frame (`LHIX`, version 4):
+//! magic, version, body length and body checksum, so a flipped bit
+//! anywhere — in a member id, a pivot distance, a nested row — is a
+//! decode error, never a silently different index. The body, all
+//! little-endian, validated before every read and cross-checked after:
 //!
 //! ```text
-//! u32 magic "LHIX" | u32 version (= 3)
 //! u64 store_len    | store payload    (EmbeddingStore::to_bytes)
 //! u64 centroid_len | centroid payload (EmbeddingStore::to_bytes)
 //! u64 n_cells
 //! per cell: u64 m | m × u32 members | m × f64 dcx
 //!           | m × f64 dcx_lo             (version ≥ 3, mix space only)
-//! u64 k_landmarks (= 0)                             (version ≥ 2)
+//! u64 k_landmarks (= 0)                  (versions 2 and 3 only)
 //! if k > 0: u64 lm_len | lm_len bytes | n·k × f64   (read and skipped)
 //! ```
 //!
-//! Version 2 appended a second-level landmark block, which the index no
-//! longer has (DESIGN.md, "measured and removed"). The encoder still
-//! writes version 3 with the count word at 0 — exactly the bytes the
-//! previous encoder wrote for an index without a block, so every old
-//! reader still reads what this one writes — and the decoder still
-//! accepts a version-2/3 payload that carries a block: its two lengths
-//! are checked against the remaining bytes and the block is skipped, so
-//! the decoded index equals a fresh build. Version-1 payloads end before
-//! the count word. Version 3 added the geodesic member distances of a
-//! [`BoundSpace::ConvexMix`] index after each cell's `dcx` — bytes only a
-//! certified `fusion-dist` payload carries; every other payload differs
-//! from version 2 in the version word alone.
+//! Versions 1–3 had no frame: the same body follows a bare magic and
+//! version word, and still decodes (unverified — there is no checksum to
+//! check). Version 2 appended a second-level landmark block, which the
+//! index no longer has (DESIGN.md, "measured and removed"); a version-2/3
+//! payload that carries one has its two lengths checked against the
+//! remaining bytes and the block skipped, so the decoded index equals a
+//! fresh build. Version 1 ends after the cells, and version 4 drops the
+//! always-zero count word. Version 3 added the geodesic member distances
+//! of a [`BoundSpace::ConvexMix`] index after each cell's `dcx` — bytes
+//! only a certified `fusion-dist` payload carries.
 //!
 //! The bound space is never on the wire: the decoder runs
 //! [`BoundSpace::for_store`] on the decoded store, so the factor
@@ -44,8 +44,8 @@
 //! the builder's own, so a roundtripped index answers queries
 //! bit-identically to the one that was encoded.
 //!
-//! Structural validation on decode: magic and version, nested store
-//! payloads (delegated to [`EmbeddingStore::from_bytes`]), centroid
+//! Structural validation on decode: the frame, nested store payloads
+//! (delegated to [`EmbeddingStore::from_bytes`]), centroid
 //! row-count/layout consistency with the header, every member id in
 //! range, no duplicate members, full coverage (the cells partition
 //! exactly the store's rows — or there are none, for a store that cannot
@@ -53,86 +53,57 @@
 //! corrupt payloads return a [`StoreDecodeError`], never panic.
 
 use super::super::codec::StoreDecodeError;
-use super::super::codec_util::{guard, take_chunk, take_f64_values, take_u32_values, take_u64};
 use super::super::store::EmbeddingStore;
 use super::bound::BoundSpace;
 use super::build::mix_cell;
 use super::{IndexCell, IndexedStore};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
+use traj_core::codec::Format;
 
-/// `LHIX` in little-endian byte order.
-const MAGIC: u32 = u32::from_le_bytes(*b"LHIX");
-const VERSION: u32 = 3;
-/// First layout with the landmark count word.
+/// `LHIX`: version 4 is framed; versions 1–3 still decode.
+const FORMAT: Format = Format {
+    magic: *b"LHIX",
+    version: 4,
+    oldest: 1,
+};
+/// First layout with the landmark count word (dropped again in 4).
 const VERSION_LANDMARKS: u32 = 2;
-/// Oldest layout still accepted on decode (ends after the cells).
-const VERSION_MIN: u32 = 1;
-
-/// Reads a nested length-prefixed [`EmbeddingStore`] payload.
-fn take_store(data: &mut Bytes, field: &'static str) -> Result<EmbeddingStore, StoreDecodeError> {
-    let len = take_u64(data, field)? as usize;
-    let chunk = take_chunk(data, field, len)?;
-    EmbeddingStore::from_bytes(Bytes::from(chunk))
-}
-
-/// Skips `len` bytes after checking they are there.
-fn skip(data: &mut Bytes, field: &'static str, len: usize) -> Result<(), StoreDecodeError> {
-    guard(data, field, len)?;
-    data.advance(len);
-    Ok(())
-}
+/// First layout with a cell's second, geodesic pivot array.
+const VERSION_MIX: u32 = 3;
 
 impl IndexedStore {
     /// Compact binary serialization of the store plus its index.
     pub fn to_bytes(&self) -> Bytes {
-        let store_payload = self.store.to_bytes();
-        let centroid_payload = self.centroids.to_bytes();
         let cell_bytes: usize = self
             .cells
             .iter()
             .map(|c| 8 + c.members.len() * 4 + (c.dcx.len() + c.dcx_lo.len()) * 8)
             .sum();
-        let mut buf =
-            BytesMut::with_capacity(40 + store_payload.len() + centroid_payload.len() + cell_bytes);
-        buf.put_u32_le(MAGIC);
-        buf.put_u32_le(VERSION);
-        for payload in [&store_payload, &centroid_payload] {
-            buf.put_u64_le(payload.len() as u64);
-            buf.put_slice(payload.as_slice());
+        let mut w = FORMAT.writer();
+        let payloads = self.store.payload_bytes() + self.centroids.payload_bytes();
+        w.reserve(256 + payloads + cell_bytes);
+        for payload in [&self.store, &self.centroids] {
+            w.chunk(|w| payload.encode(w));
         }
-        buf.put_u64_le(self.cells.len() as u64);
+        w.u64(self.cells.len() as u64);
         for cell in &self.cells {
-            buf.put_u64_le(cell.members.len() as u64);
-            for &m in &cell.members {
-                buf.put_u32_le(m);
-            }
-            // `dcx_lo` is empty outside the mix space.
-            for &d in cell.dcx.iter().chain(&cell.dcx_lo) {
-                buf.put_f64_le(d);
-            }
+            w.u64(cell.members.len() as u64);
+            w.values(&cell.members, u32::to_le_bytes);
+            w.values(&cell.dcx, f64::to_le_bytes);
+            // Empty outside the mix space.
+            w.values(&cell.dcx_lo, f64::to_le_bytes);
         }
-        // `k_landmarks`: always 0 (module docs).
-        buf.put_u64_le(0);
-        buf.freeze()
+        Bytes::from(FORMAT.finish(w))
     }
 
     /// Inverse of [`IndexedStore::to_bytes`]. Truncated or structurally
     /// inconsistent payloads return a [`StoreDecodeError`].
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, StoreDecodeError> {
-        guard(&data, "index magic", 4)?;
-        let magic = data.get_u32_le();
-        if magic != MAGIC {
-            return Err(StoreDecodeError::BadMagic(magic));
-        }
-        guard(&data, "index version", 4)?;
-        let version = data.get_u32_le();
-        if !(VERSION_MIN..=VERSION).contains(&version) {
-            return Err(StoreDecodeError::UnsupportedVersion(version));
-        }
-        let store = take_store(&mut data, "index store")?;
+    pub fn from_bytes(data: Bytes) -> Result<Self, StoreDecodeError> {
+        let (version, mut data) = FORMAT.unframe(data.as_slice())?;
+        let store = EmbeddingStore::decode(data.chunk("index store")?)?;
         let space = BoundSpace::for_store(&store);
-        let centroids = take_store(&mut data, "index centroids")?;
-        let n_cells = take_u64(&mut data, "n_cells")? as usize;
+        let centroids = EmbeddingStore::decode(data.chunk("index centroids")?)?;
+        let n_cells = data.count("n_cells")?;
 
         if centroids.len() != n_cells {
             return Err(StoreDecodeError::Inconsistent {
@@ -156,9 +127,9 @@ impl IndexedStore {
         let mut total = 0usize;
         let mut cells = Vec::with_capacity(n_cells.min(1 << 20));
         for j in 0..n_cells {
-            let m = take_u64(&mut data, "cell members")? as usize;
-            let members = take_u32_values(&mut data, "cell members", m)?;
-            let dcx = take_f64_values(&mut data, "cell dcx", m)?;
+            let m = data.count("cell members")?;
+            let members = data.values("cell members", m, u32::from_le_bytes)?;
+            let dcx = data.values("cell dcx", m, f64::from_le_bytes)?;
             for &member in &members {
                 let mi = member as usize;
                 if mi >= n {
@@ -179,8 +150,8 @@ impl IndexedStore {
             }
             total += members.len();
             cells.push(match space {
-                BoundSpace::ConvexMix { .. } if version >= VERSION => {
-                    let dcx_lo = take_f64_values(&mut data, "cell dcx_lo", m)?;
+                BoundSpace::ConvexMix { .. } if version >= VERSION_MIX => {
+                    let dcx_lo = data.values("cell dcx_lo", m, f64::from_le_bytes)?;
                     IndexCell::mix(members, dcx, dcx_lo)
                 }
                 BoundSpace::ConvexMix { beta } => mix_cell(&store, &centroids, beta, j, members),
@@ -196,23 +167,21 @@ impl IndexedStore {
                 actual: total,
             });
         }
-        if version >= VERSION_LANDMARKS {
-            let k = take_u64(&mut data, "landmark count")? as usize;
+        if (VERSION_LANDMARKS..FORMAT.version).contains(&version) {
+            let k = data.count("landmark count")?;
             if k > 0 {
-                let rows_len = take_u64(&mut data, "landmark rows")? as usize;
-                skip(&mut data, "landmark rows", rows_len)?;
+                let rows_len = data.count("landmark rows")?;
+                data.take("landmark rows", rows_len)?;
                 let features = n
                     .checked_mul(k)
                     .and_then(|count| count.checked_mul(8))
                     .ok_or(StoreDecodeError::HeaderOverflow {
                         field: "landmark features",
                     })?;
-                skip(&mut data, "landmark features", features)?;
+                data.take("landmark features", features)?;
             }
         }
-        if !data.is_empty() {
-            return Err(StoreDecodeError::TrailingBytes(data.remaining()));
-        }
+        data.finish()?;
         let (centroids, cells) = if space.prunes() {
             (centroids, cells)
         } else {
@@ -235,6 +204,9 @@ mod tests {
     use super::super::build::IndexParams;
     use super::*;
     use crate::config::PluginVariant;
+
+    /// Bytes of a frame before its body: magic, version, length, checksum.
+    const FRAME_LEN: usize = 24;
 
     fn built(variant: PluginVariant, cells: usize) -> IndexedStore {
         IndexedStore::build(
@@ -310,8 +282,21 @@ mod tests {
         assert_eq!(back.num_cells(), 0);
     }
 
+    /// The same index in the unframed layout of `version` (valid outside
+    /// the mix space, or at version 3): magic, version word, the body,
+    /// and from version 2 on the zero landmark count word.
+    fn legacy(ix: &IndexedStore, version: u32) -> Vec<u8> {
+        let mut raw = b"LHIX".to_vec();
+        raw.extend_from_slice(&version.to_le_bytes());
+        raw.extend_from_slice(&ix.to_bytes().as_slice()[FRAME_LEN..]);
+        if version >= VERSION_LANDMARKS {
+            raw.extend_from_slice(&0u64.to_le_bytes());
+        }
+        raw
+    }
+
     #[test]
-    fn every_truncation_errors_instead_of_panicking() {
+    fn every_truncation_and_bit_flip_of_a_v4_payload_errors() {
         // Fused (version-3 second pivot array) and Euclidean exercise
         // both cell layouts.
         for variant in [PluginVariant::FusionDist, PluginVariant::Original] {
@@ -321,8 +306,54 @@ mod tests {
                 let err = IndexedStore::from_bytes(Bytes::from(full[..cut].to_vec()));
                 assert!(err.is_err(), "cut at {cut} of {} must error", full.len());
             }
+            for byte in 0..full.len() {
+                for bit in 0..8 {
+                    let mut bad = full.clone();
+                    bad[byte] ^= 1 << bit;
+                    let err = IndexedStore::from_bytes(Bytes::from(bad));
+                    assert!(err.is_err(), "flip {byte}.{bit} must error");
+                }
+            }
             assert!(IndexedStore::from_bytes(Bytes::from(full)).is_ok());
         }
+    }
+
+    /// The experiment behind the frame, kept: a 400-row, 20-cell metric
+    /// index, each of three bit positions of every byte after the magic
+    /// and version word flipped in turn. In the unframed version-3 layout
+    /// most of those payloads decode — into an index that can answer
+    /// unlike a flat scan of its own rows; framed, none does.
+    #[test]
+    fn no_bit_flip_of_a_400_row_index_decodes() {
+        let mut store = EmbeddingStore::new(4, PluginVariant::Original, 1.0, None);
+        let mut z = 0x9E37_79B9_7F4A_7C15u64;
+        let mut coord = || {
+            z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (z >> 40) as f32 / (1u64 << 24) as f32 * 10.0
+        };
+        for _ in 0..400 {
+            let row = [coord(), coord(), coord(), coord()];
+            store.push(&row, None, None);
+        }
+        let ix = IndexedStore::build(store, IndexParams { n_cells: Some(20) });
+        assert_eq!(ix.num_cells(), 20);
+        let decoded = |raw: Vec<u8>| {
+            let mut count = 0;
+            for byte in 8..raw.len() {
+                for bit in [0, 3, 6] {
+                    let mut bad = raw.clone();
+                    bad[byte] ^= 1 << bit;
+                    count += IndexedStore::from_bytes(Bytes::from(bad)).is_ok() as usize;
+                }
+            }
+            count
+        };
+        let v4 = ix.to_bytes().to_vec();
+        assert_eq!(v4.len(), 11_834);
+        assert_eq!(decoded(v4), 0);
+        let v3 = legacy(&ix, 3);
+        assert_eq!(v3.len(), 11_826);
+        assert!(decoded(v3) > 3 * 11_818 / 2, "unframed flips mostly decode");
     }
 
     #[test]
@@ -347,9 +378,7 @@ mod tests {
     #[test]
     fn v1_payload_decodes() {
         let ix = built(PluginVariant::Original, 2);
-        let mut raw = ix.to_bytes().to_vec();
-        raw[4] = 1; // version 3 → 1: same bytes outside the mix space
-        raw.truncate(raw.len() - 8); // drop the k_landmarks = 0 word
+        let raw = legacy(&ix, 1);
         assert_eq!(IndexedStore::from_bytes(Bytes::from(raw)), Ok(ix));
     }
 
@@ -386,10 +415,13 @@ mod tests {
         for qi in 0..q.len() {
             assert_eq!(bits(&back.knn(&q, qi, 3)), bits(&q.knn(&q, qi, 3)));
         }
-        // Re-encoding upgrades: version 3 carries the second array.
-        let v3 = back.to_bytes().to_vec();
-        assert_eq!(v3[4], 3);
-        assert_eq!(v3.len(), raw.len() + 8 * q.len());
+        // The nested store payload is byte-identical to today's encoder.
+        assert_eq!(fresh.store().to_bytes().as_slice(), &raw[16..16 + 0xa1]);
+        // Re-encoding upgrades: version 4 carries the second array, and
+        // the frame's two words in place of the landmark count word.
+        let v4 = back.to_bytes().to_vec();
+        assert_eq!(v4[4], 4);
+        assert_eq!(v4.len(), raw.len() + 8 * q.len() + 8);
         // The same rows with the version word flipped to 1 and the
         // landmark trailer dropped are a version-1 payload.
         let mut v1 = raw;
@@ -529,8 +561,10 @@ mod tests {
         let err = IndexedStore::from_bytes(Bytes::from(fused)).unwrap_err();
         assert!(matches!(err, Truncated { .. }), "got {err:?}");
 
+        // Re-encoding drops the block and the count word for the frame's
+        // length and checksum.
         let back = IndexedStore::from_bytes(Bytes::from(raw.clone())).expect("valid payload");
-        assert_eq!(back.to_bytes().len(), raw.len() - (8 + 113 + 72));
+        assert_eq!(back.to_bytes().len(), raw.len() - (16 + 113 + 72) + 16);
     }
 
     /// The space is observed on decode, never read: a store that fails

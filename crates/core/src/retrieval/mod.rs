@@ -31,8 +31,10 @@
 //!   predicates of [`index::bound`]; a store with nothing to prune with
 //!   has no cells and is the flat loop. The paper's metric-violation
 //!   thesis becomes a measured prune rate at serving time;
-//! * [`codec`] — streaming little-endian payload (de)serialization with
-//!   corruption guards ([`StoreDecodeError`]);
+//! * [`codec`] — the store payload: streaming little-endian
+//!   (de)serialization with corruption guards ([`StoreDecodeError`]),
+//!   nested inside the index and checkpoint files, each of which is one
+//!   checksummed `traj_core::codec` frame;
 //! * [`serve`] — [`ShardedServingStore`]: the mutable serving tier, one
 //!   public type (a single store is `shards: 1`). Writers apply
 //!   incremental upserts/removals into a shard's delta segment and
@@ -55,7 +57,6 @@
 //! in release builds too, never a ranking over truncated rows.
 
 pub mod codec;
-pub(crate) mod codec_util;
 pub mod index;
 pub mod kernel;
 pub mod serve;

@@ -38,8 +38,10 @@
 //! [`ShardedServingStore::compact_inline`](sharded::ShardedServingStore::compact_inline)
 //! runs it on the calling thread; no writer ever pays the fold itself.
 //! Readers keep querying the old snapshot until the new one is published.
-//! Durability (`wal`) is WAL + atomic-rename checkpoint: recovery loads
-//! the last checkpoint, replays the verified WAL prefix, and discards a
+//! Durability (`wal`) is WAL + atomic-rename checkpoint: a fold's install
+//! commits at the checkpoint's rename and changes nothing if it fails
+//! before it; recovery loads the last checkpoint, rolls a committed
+//! staged WAL forward, replays the verified WAL prefix, and discards a
 //! torn tail.
 
 pub(crate) mod compactor;
@@ -178,6 +180,9 @@ struct Writer {
     generation: u64,
     compactions: u64,
     wal: Option<WalFile>,
+    /// The live WAL is still under its staging name: an install committed
+    /// its checkpoint but failed to rename the WAL into place.
+    wal_staged: bool,
     dir: Option<PathBuf>,
 }
 
@@ -237,50 +242,42 @@ impl Shard {
         opts: ServingOptions,
     ) -> Result<Shard, ServeError> {
         std::fs::create_dir_all(dir)?;
-        let ckpt = wal::Checkpoint {
-            store: base,
-            ids,
-            epoch: 0,
-            compactions: 0,
-        };
-        wal::write_checkpoint(&dir.join(wal::CKPT_FILE), &ckpt)?;
-        let mut wal_file = WalFile::create(&dir.join(wal::WAL_FILE), 0)?;
-        wal_file.set_fsync(opts.fsync);
-        Self::assemble(
-            ckpt.store,
-            ckpt.ids,
-            opts,
-            Some(wal_file),
-            Some(dir.to_path_buf()),
-            0,
-        )
+        wal::write_checkpoint(&dir.join(wal::CKPT_FILE), 0, 0, &ids, &base)?;
+        let wal_file = wal::stage_wal(dir, 0, [], opts.fsync)?;
+        wal::commit_wal(dir)?;
+        Self::assemble(base, ids, opts, Some(wal_file), Some(dir.to_path_buf()), 0)
     }
 
     /// Recovers a durable shard from `dir`: loads the last checkpoint,
-    /// replays the verified WAL prefix (discarding a torn tail), and
-    /// discards a stale WAL left by a crash between checkpoint publication
-    /// and WAL truncation.
+    /// rolls forward a WAL its install staged but did not rename into
+    /// place (or deletes one it never committed), replays the verified
+    /// WAL prefix (discarding a torn tail), and discards a stale WAL.
     pub(crate) fn recover(dir: &Path, opts: ServingOptions) -> Result<Shard, ServeError> {
         let ckpt = wal::read_checkpoint(&dir.join(wal::CKPT_FILE))?;
+        wal::roll_forward(dir, ckpt.epoch)?;
         let wal_path = dir.join(wal::WAL_FILE);
-        let (ops, wal_file) = if wal_path.exists() {
-            let (replay, wal_file) = wal::replay(&wal_path)?;
-            if replay.checkpoint_epoch < ckpt.epoch {
-                // Crash between checkpoint rename and WAL swap: these ops
-                // are already folded into the checkpoint.
-                (Vec::new(), WalFile::create(&wal_path, ckpt.epoch)?)
-            } else if replay.checkpoint_epoch > ckpt.epoch {
+        let replay = if wal_path.exists() {
+            Some(wal::replay(&wal_path)?)
+        } else {
+            None
+        };
+        let (ops, mut wal_file) = match replay {
+            Some((replay, wal_file)) if replay.checkpoint_epoch == ckpt.epoch => {
+                (replay.ops, wal_file)
+            }
+            Some((replay, _)) if replay.checkpoint_epoch > ckpt.epoch => {
                 return Err(ServeError::Corrupt(format!(
                     "wal is bound to epoch {} but checkpoint is at {}",
                     replay.checkpoint_epoch, ckpt.epoch
                 )));
-            } else {
-                (replay.ops, wal_file)
             }
-        } else {
-            (Vec::new(), WalFile::create(&wal_path, ckpt.epoch)?)
+            // No WAL, or a stale one whose ops the checkpoint holds.
+            _ => {
+                let fresh = wal::stage_wal(dir, ckpt.epoch, [], opts.fsync)?;
+                wal::commit_wal(dir)?;
+                (Vec::new(), fresh)
+            }
         };
-        let mut wal_file = wal_file;
         wal_file.set_fsync(opts.fsync);
         let shard = Self::assemble(
             ckpt.store,
@@ -352,6 +349,7 @@ impl Shard {
             generation: 0,
             compactions,
             wal,
+            wal_staged: false,
             dir,
         };
         let current = RwLock::new(Arc::new(writer.snapshot()));
@@ -561,7 +559,11 @@ impl Shard {
     /// When durable, the checkpoint persists the folded base and the
     /// fresh WAL is seeded with the residual ops (surviving upserts in
     /// delta order, then removals), so recovery replays to exactly the
-    /// installed state.
+    /// installed state. The install is all or nothing around the
+    /// checkpoint's rename: an error before it changes nothing — the shard
+    /// keeps serving its old base on its old WAL, and the next fold
+    /// retries — while after it the install completes in memory and then
+    /// reports a failed WAL rename or directory sync.
     fn install_fold(
         &self,
         mut w: MutexGuard<'_, Writer>,
@@ -612,30 +614,28 @@ impl Shard {
             "catch-up must keep every live id"
         );
 
-        // --- Persist first: the checkpoint must be on disk before the
-        // WAL that preceded it is dropped. A crash after the rename but
-        // before the WAL swap leaves a stale-epoch WAL that recovery
-        // discards (its ops are inside the checkpoint). ---
-        w.epoch += 1;
-        w.generation += 1;
-        w.compactions += 1;
+        // --- Persist, all or nothing: the writer is untouched until the
+        // checkpoint's rename commits the fold (`wal` module docs). ---
+        let epoch = w.epoch + 1;
+        let compactions = w.compactions + 1;
+        let mut fresh_wal = None;
+        let mut after_commit = Ok(());
         if let Some(dir) = w.dir.clone() {
-            let ckpt = wal::Checkpoint {
-                store: base.store().clone(),
-                ids: ids.as_ref().clone(),
-                epoch: w.epoch,
-                compactions: w.compactions,
-            };
-            wal::write_checkpoint(&dir.join(wal::CKPT_FILE), &ckpt)?;
-            let mut fresh = WalFile::create(&dir.join(wal::WAL_FILE), w.epoch)?;
-            fresh.set_fsync(self.opts.fsync);
+            if w.wal_staged {
+                // The last install committed but could not rename its
+                // WAL, which is still the live log; finish that first.
+                wal::commit_wal(&dir)?;
+                w.wal_staged = false;
+            }
             // Re-log the post-pin residue: upserts in delta order (so
             // replay rebuilds the same delta rows with the same
             // supersession tombstones), then removals for every id that
             // the residue leaves dead. Replay therefore reconstructs the
             // installed segment structure exactly, not just the live set.
-            for (j, &id) in new_delta_ids.iter().enumerate() {
-                fresh.append(&WalOp::Upsert {
+            let upserts = new_delta_ids
+                .iter()
+                .enumerate()
+                .map(|(j, &id)| WalOp::Upsert {
                     id,
                     eu: new_delta.eu_row(j).to_vec(),
                     hyper: new_delta
@@ -646,24 +646,44 @@ impl Shard {
                         .factor_dim()
                         .is_some()
                         .then(|| new_delta.factor_row(j).to_vec()),
-                })?;
-            }
+                });
             let mut logged_removes = std::collections::HashSet::new();
-            for &r in &new_base_dead {
-                let id = ids[r as usize];
-                if !new_loc.contains_key(&id) && logged_removes.insert(id) {
-                    fresh.append(&WalOp::Remove { id })?;
-                }
+            let removes = new_base_dead
+                .iter()
+                .map(|&r| ids[r as usize])
+                .chain(new_delta_ids.iter().copied())
+                .filter(|id| !new_loc.contains_key(id) && logged_removes.insert(*id))
+                .map(|id| WalOp::Remove { id });
+            let staged = wal::stage_wal(&dir, epoch, upserts.chain(removes), self.opts.fsync)?;
+            let ckpt_path = dir.join(wal::CKPT_FILE);
+            if let Err(e) =
+                wal::write_checkpoint(&ckpt_path, epoch, compactions, &ids, base.store())
+            {
+                let _ = std::fs::remove_file(dir.join(wal::STAGED_WAL_FILE));
+                return Err(e);
             }
-            for &id in &new_delta_ids {
-                if !new_loc.contains_key(&id) && logged_removes.insert(id) {
-                    fresh.append(&WalOp::Remove { id })?;
-                }
-            }
-            w.wal = Some(fresh);
+            // Committed: from here on recovery rolls the staged WAL
+            // forward, so the install proceeds whatever fails below. With
+            // fsync on, a directory sync makes the commit survive power
+            // loss (the WAL's rename need not: recovery finishes it).
+            let synced = if self.opts.fsync {
+                std::fs::File::open(&dir).and_then(|d| d.sync_all())
+            } else {
+                Ok(())
+            };
+            let renamed = wal::commit_wal(&dir);
+            w.wal_staged = renamed.is_err();
+            after_commit = synced.map_err(ServeError::from).and(renamed);
+            fresh_wal = Some(staged);
         }
 
         // --- The swap itself: pointer stores and O(churn) moves. ---
+        w.epoch = epoch;
+        w.generation += 1;
+        w.compactions = compactions;
+        if fresh_wal.is_some() {
+            w.wal = fresh_wal;
+        }
         w.base = base;
         w.base_ids = ids;
         w.base_dead = new_base_dead;
@@ -672,7 +692,7 @@ impl Shard {
         w.delta_dead = new_delta_dead;
         w.loc = new_loc;
         self.publish(w);
-        Ok(())
+        after_commit
     }
 }
 
@@ -684,6 +704,7 @@ mod tests {
     use super::sharded::{ShardedServingOptions, ShardedServingStore, ShardedSnapshot};
     use super::*;
     use crate::config::PluginVariant;
+    use std::collections::BTreeMap;
 
     fn row(seed: u64, variant: PluginVariant) -> (Vec<f32>, Option<Vec<f32>>, Option<Vec<f32>>) {
         let x = (seed % 17) as f32 * 0.37 - 2.0;
@@ -1032,5 +1053,226 @@ mod tests {
             assert_eq!(got_stats.compactions, expect_stats.compactions);
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    type Row = (Vec<f32>, Option<Vec<f32>>, Option<Vec<f32>>);
+
+    /// A durable one-shard `Original` store over `store_with_rows` (ids
+    /// `0..3`) in a fresh directory, and the BTreeMap model of its rows.
+    fn durable(tag: &str) -> (PathBuf, ShardedServingStore, BTreeMap<u64, Row>) {
+        let dir = std::env::temp_dir().join(format!("lh-serve-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let base = store_with_rows(PluginVariant::Original);
+        let model = (0..3).map(|r| (r as u64, (base.eu_row(r).to_vec(), None, None)));
+        let model = model.collect();
+        let store = ShardedServingStore::create_durable(&dir, base, vec![0, 1, 2], one_shard(0))
+            .expect("create");
+        (dir, store, model)
+    }
+
+    /// Upserts `row(seed)` under `id` into the store and the model.
+    fn put(store: &ShardedServingStore, model: &mut BTreeMap<u64, Row>, id: u64, seed: u64) {
+        let (eu, hy, fa) = row(seed, PluginVariant::Original);
+        store
+            .upsert(id, &eu, hy.as_deref(), fa.as_deref())
+            .expect("upsert");
+        model.insert(id, (eu, hy, fa));
+    }
+
+    /// The store's live rows by id, in the model's terms.
+    fn live_rows(store: &ShardedServingStore) -> BTreeMap<u64, Row> {
+        let (rows, ids) = store.snapshot().to_flat();
+        let row = |r: usize| (rows.eu_row(r).to_vec(), None, None);
+        ids.iter()
+            .enumerate()
+            .map(|(r, &id)| (id, row(r)))
+            .collect()
+    }
+
+    fn hit_bits(store: &ShardedServingStore) -> Vec<Vec<(u64, u32)>> {
+        let queries = store_with_rows(PluginVariant::Original);
+        let hits = store.knn_batch(&queries, 4);
+        let bits = |h: &ServeHit| (h.id, h.distance.to_bits());
+        hits.iter()
+            .map(|hs| hs.iter().map(bits).collect())
+            .collect()
+    }
+
+    /// Where a shard's install stages its WAL.
+    fn staged_wal(shard: &Path) -> PathBuf {
+        shard.join(wal::STAGED_WAL_FILE)
+    }
+
+    /// Where this process's `write_atomic` stages a shard's checkpoint.
+    fn staged_ckpt(shard: &Path) -> PathBuf {
+        shard.join(format!("{}.{}.tmp", wal::CKPT_FILE, std::process::id()))
+    }
+
+    /// An install that fails before its commit point — the staged WAL or
+    /// the checkpoint's tmp file cannot be created — changes nothing: the
+    /// fold is a typed I/O error, counters and hits stay as they were,
+    /// later writes land on the old WAL, and recovery equals the model.
+    #[test]
+    fn an_install_that_fails_before_its_commit_changes_nothing() {
+        for (tag, blocked) in [
+            ("fail-wal", staged_wal as fn(&Path) -> PathBuf),
+            ("fail-ckpt", staged_ckpt),
+        ] {
+            let (dir, store, mut model) = durable(tag);
+            let shard = dir.join(wal::shard_dir_name(0));
+            for i in 0..4 {
+                put(&store, &mut model, 200 + i, i);
+            }
+            store.remove(1).expect("remove");
+            model.remove(&1);
+            let (stats, hits) = (store.stats(), hit_bits(&store));
+            std::fs::create_dir(blocked(&shard)).expect("block the path");
+
+            let err = store
+                .compact_inline()
+                .expect_err("the install cannot write");
+            assert!(matches!(err, ServeError::Io(_)), "{tag}: {err}");
+            assert_eq!(store.stats(), stats, "{tag}");
+            assert_eq!(hit_bits(&store), hits, "{tag}");
+            assert_eq!(live_rows(&store), model, "{tag}");
+
+            put(&store, &mut model, 300, 9);
+            store.remove(0).expect("remove");
+            model.remove(&0);
+            assert_eq!(live_rows(&store), model, "{tag}");
+            std::fs::remove_dir(blocked(&shard)).expect("unblock");
+            drop(store);
+
+            let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
+            assert_eq!(live_rows(&back), model, "{tag}");
+            assert_eq!(back.stats().compactions, 0, "{tag}");
+            back.compact_inline().expect("the next fold lands");
+            assert_eq!(back.stats().compactions, 1, "{tag}");
+            drop(back);
+            let again = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
+            assert_eq!(live_rows(&again), model, "{tag}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// An install that fails after its commit — here the WAL's rename —
+    /// still installs and logs on to the staged WAL. Recovered right then,
+    /// the shard rolls that WAL forward; served on, its next install
+    /// renames it into place before anything else, so even when that
+    /// install then fails itself, no acknowledged write is lost.
+    #[test]
+    fn an_install_failing_after_its_commit_loses_no_write() {
+        for next_install in [false, true] {
+            let (dir, store, mut model) = durable(&format!("late-{next_install}"));
+            let shard = dir.join(wal::shard_dir_name(0));
+            let live = shard.join(wal::WAL_FILE);
+            put(&store, &mut model, 700, 1);
+            std::fs::remove_file(&live).expect("drop the live WAL's name");
+            std::fs::create_dir(&live).expect("and block it");
+            let err = store.compact_inline().expect_err("the WAL rename fails");
+            assert!(matches!(err, ServeError::Io(_)), "{err}");
+            assert_eq!(store.stats().compactions, 1, "committed, so installed");
+            put(&store, &mut model, 701, 2);
+            std::fs::remove_dir(&live).expect("unblock");
+
+            if next_install {
+                std::fs::create_dir(staged_ckpt(&shard)).expect("block the next checkpoint");
+                assert!(store.compact_inline().is_err());
+                assert!(live.is_file(), "the staged WAL was renamed first");
+                put(&store, &mut model, 702, 3);
+                std::fs::remove_dir(staged_ckpt(&shard)).expect("unblock");
+            }
+            drop(store);
+
+            let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
+            assert_eq!(live_rows(&back), model, "next_install={next_install}");
+            assert!(!staged_wal(&shard).exists());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A crash after the checkpoint's rename but before the WAL's leaves
+    /// a new checkpoint, the stale WAL, and the staged WAL holding the
+    /// residue: recovery applies the staged WAL's ops and moves it into
+    /// place. A staged WAL bound to any other epoch is from an install
+    /// that never committed: recovery ignores and deletes it, as it does a
+    /// checkpoint's leftover staging sibling.
+    #[test]
+    fn recovery_rolls_a_committed_staged_wal_forward_and_deletes_others() {
+        for committed in [true, false] {
+            let (dir, store, mut model) = durable(&format!("staged-{committed}"));
+            let shard = dir.join(wal::shard_dir_name(0));
+            for i in 0..3 {
+                put(&store, &mut model, 400 + i, i);
+            }
+            drop(store);
+
+            // The folded base, checkpointed at epoch 9 when committed.
+            let mut rows = store_with_rows(PluginVariant::Original).empty_like();
+            for (eu, _, _) in model.values() {
+                rows.push(eu, None, None);
+            }
+            let ids: Vec<u64> = model.keys().copied().collect();
+            if committed {
+                let ckpt = shard.join(wal::CKPT_FILE);
+                wal::write_checkpoint(&ckpt, 9, 1, &ids, &rows).expect("checkpoint");
+            }
+            let (eu, _, _) = row(7, PluginVariant::Original);
+            let residue = [
+                WalOp::Upsert {
+                    id: 500,
+                    eu: eu.clone(),
+                    hyper: None,
+                    factors: None,
+                },
+                WalOp::Remove { id: 400 },
+            ];
+            wal::stage_wal(&shard, 9, residue, false).expect("stage");
+            if committed {
+                model.insert(500, (eu, None, None));
+                model.remove(&400);
+            }
+            // A checkpoint write an earlier process's crash cut short.
+            let torn_ckpt = shard.join(format!("{}.1.tmp", wal::CKPT_FILE));
+            std::fs::write(&torn_ckpt, b"LHCP").expect("torn sibling");
+
+            let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
+            assert_eq!(live_rows(&back), model, "committed={committed}");
+            assert_eq!(back.stats().compactions, committed as u64);
+            assert!(!staged_wal(&shard).exists() && !torn_ckpt.exists());
+            drop(back);
+            let again = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
+            assert_eq!(live_rows(&again), model, "committed={committed}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A single flipped bit in a WAL header's epoch is a typed error. An
+    /// unframed header read a cleared set bit as an older epoch, and
+    /// recovery discarded the whole log as stale.
+    #[test]
+    fn a_flipped_wal_epoch_bit_is_a_typed_error() {
+        let (dir, store, mut model) = durable("epoch-flip");
+        put(&store, &mut model, 600, 1);
+        store.compact_inline().expect("fold");
+        put(&store, &mut model, 601, 2);
+        drop(store);
+        let path = dir.join(wal::shard_dir_name(0)).join(wal::WAL_FILE);
+        let mut raw = std::fs::read(&path).expect("read wal");
+        let at = 24; // the epoch follows the frame's 24-byte header
+        let epoch = u64::from_le_bytes(raw[at..at + 8].try_into().expect("epoch word"));
+        assert!(epoch > 0, "the fold bound the WAL to a later epoch");
+        let bit = epoch.trailing_zeros() as usize;
+        raw[at + bit / 8] ^= 1 << (bit % 8);
+        std::fs::write(&path, &raw).expect("flip");
+        let err = ShardedServingStore::recover(&dir, one_shard(0)).expect_err("flipped epoch");
+        assert!(
+            matches!(
+                err,
+                ServeError::Decode(StoreDecodeError::ChecksumMismatch { .. })
+            ),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,17 +1,17 @@
 //! Crash-safe persistence for the serving tier: write-ahead log plus
 //! atomic-rename checkpoints.
 //!
-//! The durability story mirrors the `matrix/cache` conventions elsewhere
-//! in the workspace: little-endian framing, magic + version headers,
-//! every declared length validated before reading (via
-//! [`codec_util`](super::super::codec_util)), and checkpoint files
-//! written to a temporary sibling then atomically renamed into place so a
-//! crash never leaves a half-written checkpoint under the real name.
+//! Every file here goes through `traj_core::codec`: a checkpoint and a
+//! manifest are each one frame (magic, version, body length, body
+//! checksum), a WAL opens with one, and checkpoints and manifests are
+//! published with its `write_atomic` (tmp sibling → sync → rename) so a
+//! crash never leaves a half-written file under the real name. A flipped
+//! bit in any of them is a typed error, never loaded state.
 //!
-//! # WAL format (`LHWL`, version 1)
+//! # WAL format (`LHWL`, version 2)
 //!
 //! ```text
-//! u32 magic "LHWL" | u32 version | u64 checkpoint_epoch
+//! frame: "LHWL" | 2 | body_len | checksum | body: u64 checkpoint_epoch
 //! repeated records:
 //!   u32 body_len | u64 fnv1a64(body) | body
 //! body:
@@ -19,30 +19,49 @@
 //!   upsert only: f32-chunk eu | u8 has_hyper [f32-chunk] | u8 has_factors [f32-chunk]
 //! ```
 //!
-//! Replay stops at the first frame that is incomplete or fails its
-//! checksum — a torn tail from a crash mid-append — and reports how many
-//! bytes it discarded. A frame whose checksum verifies but whose body
+//! Version 1 had the same records after a bare `"LHWL" | 1 | u64
+//! checkpoint_epoch` header, and still replays. Replay stops at the first
+//! record frame that is incomplete or fails its checksum — a torn tail
+//! from a crash mid-append — and truncates the file to the verified
+//! prefix, reporting how many bytes it discarded. A bad frame that is
+//! *not* the last is handled the same way: everything from it on is
+//! dropped as if torn. A frame whose checksum verifies but whose body
 //! does not parse is *corruption*, not a torn write, and errors.
 //!
-//! `checkpoint_epoch` ties a WAL to the checkpoint it extends. A shard's
-//! fold first publishes the new checkpoint (tmp + rename), then replaces
-//! the WAL, re-logging the writes that landed after its pin. A crash
-//! between the two leaves an old WAL whose ops are already folded into
-//! the checkpoint — recovery detects the epoch mismatch and discards it
-//! instead of double-applying.
+//! `checkpoint_epoch` ties a WAL to the checkpoint it extends, and a
+//! fold's install commits in one rename. It first *stages* a fresh WAL —
+//! header plus the writes that landed after its pin — under
+//! `serve.wal.tmp`, then publishes the new checkpoint: that rename is the
+//! commit point. Only then does the staged WAL replace the live one. A
+//! crash before the commit leaves the old checkpoint and its WAL intact
+//! and a staged WAL bound to an epoch no checkpoint has (or cut short
+//! inside its header), which recovery deletes; a crash after it leaves a
+//! staged WAL bound to the checkpoint's epoch, which recovery rolls
+//! forward. A staged WAL whose header does not decode beside a live WAL
+//! that is *not* bound to the checkpoint's epoch is a typed error, never
+//! deleted. With fsync on, the install syncs the directory right after
+//! the commit, so the commit survives power loss; the WAL's own rename
+//! need not, since recovery rolls the staged WAL forward. A WAL bound to
+//! an older epoch than the checkpoint's (left by an earlier release's
+//! install, which replaced the WAL after the rename) is stale: its ops are
+//! inside the checkpoint, and recovery discards it.
 //!
-//! # Checkpoint format (`LHCP`, version 1)
+//! # Checkpoint format (`LHCP`, version 2)
 //!
 //! ```text
-//! u32 magic "LHCP" | u32 version | u64 epoch | u64 compactions
-//! u64 n | n × u64 ids | u64 payload_len | store payload (store codec)
+//! frame: "LHCP" | 2 | body_len | checksum | body:
+//!   u64 epoch | u64 compactions | u64 n | n × u64 ids
+//!   | u64 payload_len | store payload (store codec)
 //! ```
 //!
-//! # Shard manifest format (`LHSM`, version 1)
+//! # Shard manifest format (`LHSM`, version 2)
 //!
 //! ```text
-//! u32 magic "LHSM" | u32 version | u32 shards
+//! frame: "LHSM" | 2 | body_len | checksum | body: u32 shards
 //! ```
+//!
+//! Version 1 of each wrote the same body after a bare magic and version
+//! word, and still decodes.
 //!
 //! A serving directory holds one manifest naming the shard count plus one
 //! `shard-NNNN/` subdirectory per shard, each holding that shard's
@@ -59,25 +78,35 @@
 //! durability at the usual throughput cost.
 
 use super::super::codec::StoreDecodeError;
-use super::super::codec_util::{guard, put_f32_chunk, take_chunk, take_f32_chunk, take_u64};
 use super::super::store::EmbeddingStore;
 use super::ServeError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
+use traj_core::codec::{write_atomic, Fnv64, Format, Reader, Writer};
 
-const WAL_MAGIC: u32 = u32::from_le_bytes(*b"LHWL");
-const CKPT_MAGIC: u32 = u32::from_le_bytes(*b"LHCP");
-const MANIFEST_MAGIC: u32 = u32::from_le_bytes(*b"LHSM");
-const VERSION: u32 = 1;
+const WAL: Format = Format {
+    magic: *b"LHWL",
+    version: 2,
+    oldest: 1,
+};
+const CHECKPOINT: Format = Format {
+    magic: *b"LHCP",
+    version: 2,
+    oldest: 1,
+};
+const MANIFEST: Format = Format {
+    magic: *b"LHSM",
+    version: 2,
+    oldest: 1,
+};
 const OP_UPSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
-/// Bytes of framing before a record body: u32 length + u64 checksum.
-const FRAME_HEADER: usize = 4 + 8;
 
 /// WAL file name inside a serving directory.
 pub(crate) const WAL_FILE: &str = "serve.wal";
+/// Where an install stages the WAL that replaces [`WAL_FILE`].
+pub(crate) const STAGED_WAL_FILE: &str = "serve.wal.tmp";
 /// Checkpoint file name inside a serving directory.
 pub(crate) const CKPT_FILE: &str = "serve.ckpt";
 /// Shard manifest file name inside a sharded serving directory.
@@ -88,57 +117,27 @@ pub(crate) fn shard_dir_name(s: usize) -> String {
     format!("shard-{s:04}")
 }
 
-/// Writes the shard manifest via tmp + atomic rename.
+/// Writes the shard manifest atomically.
 pub(crate) fn write_manifest(path: &Path, shards: u32) -> Result<(), ServeError> {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(MANIFEST_MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u32_le(shards);
-    let tmp = path.with_extension("manifest.tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf.freeze().to_vec())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
+    let mut w = MANIFEST.writer();
+    w.u32(shards);
+    write_atomic(path, &MANIFEST.finish(w))?;
     Ok(())
 }
 
 /// Reads and validates the shard manifest, returning the shard count.
 pub(crate) fn read_manifest(path: &Path) -> Result<u32, ServeError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let mut data = Bytes::from(raw);
-    let magic = take_u64_pair_u32(&mut data, "manifest magic")?;
-    if magic != MANIFEST_MAGIC {
-        return Err(ServeError::Decode(StoreDecodeError::BadMagic(magic)));
-    }
-    let version = take_u64_pair_u32(&mut data, "manifest version")?;
-    if version != VERSION {
-        return Err(ServeError::Decode(StoreDecodeError::UnsupportedVersion(
-            version,
-        )));
-    }
-    let shards = take_u64_pair_u32(&mut data, "manifest shard count")?;
-    if data.remaining() != 0 {
-        return Err(ServeError::Decode(StoreDecodeError::TrailingBytes(
-            data.remaining(),
-        )));
-    }
+    decode_manifest(&std::fs::read(path)?)
+}
+
+fn decode_manifest(raw: &[u8]) -> Result<u32, ServeError> {
+    let (_, mut body) = MANIFEST.unframe(raw)?;
+    let shards = body.u32("manifest shard count")?;
+    body.finish()?;
     if shards == 0 {
         return Err(ServeError::Corrupt("manifest names zero shards".into()));
     }
     Ok(shards)
-}
-
-/// FNV-1a over a record body — cheap, dependency-free, and plenty to
-/// detect the torn tail of a crashed append.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// One logical write, as logged and replayed.
@@ -157,7 +156,7 @@ pub(crate) enum WalOp {
 
 impl WalOp {
     fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut w = Writer::new();
         match self {
             WalOp::Upsert {
                 id,
@@ -165,40 +164,38 @@ impl WalOp {
                 hyper,
                 factors,
             } => {
-                buf.put_u8(OP_UPSERT);
-                buf.put_u64_le(*id);
-                put_f32_chunk(&mut buf, eu);
+                w.u8(OP_UPSERT);
+                w.u64(*id);
+                w.f32_chunk(eu);
                 for part in [hyper, factors] {
                     match part {
                         Some(vals) => {
-                            buf.put_u8(1);
-                            put_f32_chunk(&mut buf, vals);
+                            w.u8(1);
+                            w.f32_chunk(vals);
                         }
-                        None => buf.put_u8(0),
+                        None => w.u8(0),
                     }
                 }
             }
             WalOp::Remove { id } => {
-                buf.put_u8(OP_REMOVE);
-                buf.put_u64_le(*id);
+                w.u8(OP_REMOVE);
+                w.u64(*id);
             }
         }
-        buf.freeze().to_vec()
+        w.finish()
     }
 
-    fn decode(body: Vec<u8>) -> Result<WalOp, StoreDecodeError> {
-        let mut data = Bytes::from(body);
-        guard(&data, "wal op tag", 1)?;
-        let tag = data.get_u8();
-        let id = take_u64(&mut data, "wal op id")?;
+    fn decode(body: &[u8]) -> Result<WalOp, StoreDecodeError> {
+        let mut data = Reader::new(body);
+        let tag = data.u8("wal op tag")?;
+        let id = data.u64("wal op id")?;
         let op = match tag {
             OP_UPSERT => {
-                let eu = take_f32_chunk(&mut data, "wal eu row")?;
+                let eu = data.f32_chunk("wal eu row")?;
                 let mut optional = |field| -> Result<Option<Vec<f32>>, StoreDecodeError> {
-                    guard(&data, field, 1)?;
-                    match data.get_u8() {
+                    match data.u8(field)? {
                         0 => Ok(None),
-                        1 => Ok(Some(take_f32_chunk(&mut data, field)?)),
+                        1 => Ok(Some(data.f32_chunk(field)?)),
                         other => Err(StoreDecodeError::BadVariantTag(other)),
                     }
                 };
@@ -214,9 +211,7 @@ impl WalOp {
             OP_REMOVE => WalOp::Remove { id },
             other => return Err(StoreDecodeError::BadVariantTag(other)),
         };
-        if data.remaining() != 0 {
-            return Err(StoreDecodeError::TrailingBytes(data.remaining()));
-        }
+        data.finish()?;
         Ok(op)
     }
 }
@@ -229,48 +224,20 @@ pub(crate) struct WalFile {
 }
 
 impl WalFile {
-    /// Creates (truncating) a fresh WAL bound to `checkpoint_epoch`.
-    pub(crate) fn create(path: &Path, checkpoint_epoch: u64) -> Result<WalFile, ServeError> {
-        let mut header = BytesMut::new();
-        header.put_u32_le(WAL_MAGIC);
-        header.put_u32_le(VERSION);
-        header.put_u64_le(checkpoint_epoch);
-        let file = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        let mut writer = BufWriter::new(file);
-        writer.write_all(&header.freeze().to_vec())?;
-        writer.flush()?;
-        Ok(WalFile {
-            writer,
-            fsync: false,
-        })
-    }
-
-    /// Opens an existing WAL for appending (after replay).
-    fn open_append(path: &Path) -> Result<WalFile, ServeError> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(WalFile {
-            writer: BufWriter::new(file),
-            fsync: false,
-        })
-    }
-
     /// Whether each append is fsynced (power-loss durable) rather than
     /// just flushed to the OS (process-crash durable).
     pub(crate) fn set_fsync(&mut self, fsync: bool) {
         self.fsync = fsync;
     }
 
-    /// Appends one framed, checksummed record and flushes it.
+    /// Appends one framed, checksummed record (FNV-1a byte by byte, as
+    /// every version of the log has framed them) and flushes it.
     pub(crate) fn append(&mut self, op: &WalOp) -> Result<(), ServeError> {
         let body = op.encode();
-        let mut frame = BytesMut::new();
-        frame.put_u32_le(body.len() as u32);
-        frame.put_u64_le(fnv1a64(&body));
-        self.writer.write_all(&frame.freeze().to_vec())?;
+        let mut frame = Writer::new();
+        frame.u32(body.len() as u32);
+        frame.u64(Fnv64::hash(&body));
+        self.writer.write_all(&frame.finish())?;
         self.writer.write_all(&body)?;
         self.writer.flush()?;
         if self.fsync {
@@ -278,6 +245,105 @@ impl WalFile {
         }
         Ok(())
     }
+}
+
+/// Stages a fresh WAL for `dir` — bound to `epoch`, holding `ops` — as
+/// [`STAGED_WAL_FILE`], flushed (and synced when `fsync`), and returns it
+/// open for appending. The live WAL is untouched until [`commit_wal`]. On
+/// error the staged file is removed.
+pub(crate) fn stage_wal(
+    dir: &Path,
+    epoch: u64,
+    ops: impl IntoIterator<Item = WalOp>,
+    fsync: bool,
+) -> Result<WalFile, ServeError> {
+    let path = dir.join(STAGED_WAL_FILE);
+    let staged = (|| -> Result<WalFile, ServeError> {
+        let mut header = WAL.writer();
+        header.u64(epoch);
+        let mut writer = BufWriter::new(File::create(&path)?);
+        writer.write_all(&WAL.finish(header))?;
+        let mut wal = WalFile {
+            writer,
+            fsync: false,
+        };
+        for op in ops {
+            wal.append(&op)?;
+        }
+        wal.writer.flush()?;
+        if fsync {
+            wal.writer.get_ref().sync_all()?;
+        }
+        wal.set_fsync(fsync);
+        Ok(wal)
+    })();
+    if staged.is_err() {
+        let _ = std::fs::remove_file(&path);
+    }
+    staged
+}
+
+/// Renames the staged WAL over the live one. A handle returned by
+/// [`stage_wal`] keeps appending to the same file under its new name.
+pub(crate) fn commit_wal(dir: &Path) -> Result<(), ServeError> {
+    std::fs::rename(dir.join(STAGED_WAL_FILE), dir.join(WAL_FILE))?;
+    Ok(())
+}
+
+/// Finishes or undoes an install that stopped after staging its WAL.
+///
+/// An install stages its WAL, bound to the next epoch, before the
+/// checkpoint's rename commits it. So a staged WAL bound to the
+/// checkpoint's epoch was committed, and replaces the live WAL; one bound
+/// to another epoch never was, and is deleted. A staged WAL whose header
+/// does not decode is deleted only beside a live WAL bound to the
+/// checkpoint's epoch (its install never committed); anywhere else it
+/// may be the only log of acknowledged writes, and its decode error is
+/// returned. A checkpoint's staging sibling, left by a crash inside
+/// `write_atomic`, is deleted as well.
+pub(crate) fn roll_forward(dir: &Path, checkpoint_epoch: u64) -> Result<(), ServeError> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if name.starts_with(CKPT_FILE) && name.ends_with(".tmp") {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    let staged = dir.join(STAGED_WAL_FILE);
+    let raw = match std::fs::read(&staged) {
+        Ok(raw) => raw,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e.into()),
+    };
+    let committed = match read_header(&raw) {
+        Ok((epoch, _)) => epoch == checkpoint_epoch,
+        Err(e) => {
+            let live = std::fs::read(dir.join(WAL_FILE)).unwrap_or_default();
+            if !matches!(read_header(&live), Ok((epoch, _)) if epoch == checkpoint_epoch) {
+                return Err(e.into());
+            }
+            false
+        }
+    };
+    if committed {
+        commit_wal(dir)
+    } else {
+        Ok(std::fs::remove_file(&staged)?)
+    }
+}
+
+/// A WAL's checkpoint epoch, and a reader over its records.
+fn read_header(raw: &[u8]) -> Result<(u64, Reader<'_>), StoreDecodeError> {
+    let mut file = Reader::new(raw);
+    let (version, mut head) = WAL.unframe_prefix(&mut file)?;
+    let epoch = head.u64("wal checkpoint epoch")?;
+    if version == 1 {
+        // No frame: the records follow the epoch word directly.
+        return Ok((epoch, head));
+    }
+    head.finish()?;
+    Ok((epoch, file))
 }
 
 /// Result of replaying a WAL file.
@@ -288,49 +354,31 @@ pub(crate) struct WalReplay {
     /// The checkpoint epoch the WAL header binds to.
     pub checkpoint_epoch: u64,
     /// Bytes of torn tail discarded (0 after a clean shutdown).
-    #[cfg_attr(not(test), allow(dead_code))] // asserted by the wal tests
     pub truncated_bytes: usize,
 }
 
-/// Reads and verifies a WAL file, discarding any torn tail, and reopens
-/// it for appending. Returns the replay and the reopened handle.
-pub(crate) fn replay(path: &Path) -> Result<(WalReplay, WalFile), ServeError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let mut data = Bytes::from(raw);
-
-    let magic = take_u64_pair_u32(&mut data, "wal magic")?;
-    if magic != WAL_MAGIC {
-        return Err(ServeError::Decode(StoreDecodeError::BadMagic(magic)));
-    }
-    let version = take_u64_pair_u32(&mut data, "wal version")?;
-    if version != VERSION {
-        return Err(ServeError::Decode(StoreDecodeError::UnsupportedVersion(
-            version,
-        )));
-    }
-    let checkpoint_epoch =
-        take_u64(&mut data, "wal checkpoint epoch").map_err(ServeError::Decode)?;
-
+/// Parses a WAL: its header, then record frames up to the first one that
+/// is incomplete or fails its checksum.
+fn parse(raw: &[u8]) -> Result<WalReplay, ServeError> {
+    let (checkpoint_epoch, mut records) = read_header(raw)?;
     let mut ops = Vec::new();
     loop {
-        if data.remaining() < FRAME_HEADER {
+        // Read ahead on a copy, so a torn frame leaves `records` at its
+        // start and `remaining()` as the discard count.
+        let mut frame = records;
+        let Ok(len) = frame.u32("wal record length") else {
+            break;
+        };
+        let Ok(checksum) = frame.u64("wal record checksum") else {
+            break;
+        };
+        let Ok(body) = frame.take("wal record", len as usize) else {
+            break;
+        };
+        if Fnv64::hash(body) != checksum {
             break;
         }
-        // Peek the frame without consuming, so a torn tail leaves
-        // `data.remaining()` as the discard count.
-        let head = data.as_slice();
-        let body_len = u32::from_le_bytes([head[0], head[1], head[2], head[3]]) as usize;
-        let checksum = u64::from_le_bytes(head[4..12].try_into().expect("12-byte frame header"));
-        if data.remaining() < FRAME_HEADER + body_len {
-            break;
-        }
-        let body = &head[FRAME_HEADER..FRAME_HEADER + body_len];
-        if fnv1a64(body) != checksum {
-            break;
-        }
-        let body = body.to_vec();
-        data.advance(FRAME_HEADER + body_len);
+        records = frame;
         ops.push(WalOp::decode(body).map_err(|e| {
             ServeError::Corrupt(format!(
                 "wal record {} checksummed but unparseable: {e}",
@@ -338,32 +386,28 @@ pub(crate) fn replay(path: &Path) -> Result<(WalReplay, WalFile), ServeError> {
             ))
         })?);
     }
-    let truncated_bytes = data.remaining();
-
-    // Reopen for appending *after* the full read. If a tail was torn we
-    // rewrite the verified prefix so the file ends on a frame boundary.
-    let wal = if truncated_bytes == 0 {
-        WalFile::open_append(path)?
-    } else {
-        let mut fresh = WalFile::create(path, checkpoint_epoch)?;
-        for op in &ops {
-            fresh.append(op)?;
-        }
-        fresh
-    };
-    let replay = WalReplay {
+    Ok(WalReplay {
         ops,
         checkpoint_epoch,
-        truncated_bytes,
-    };
-    Ok((replay, wal))
+        truncated_bytes: records.remaining(),
+    })
 }
 
-/// Reads a little-endian u32 (helper so header reads share the u64 error
-/// plumbing without widening silently).
-fn take_u64_pair_u32(data: &mut Bytes, field: &'static str) -> Result<u32, ServeError> {
-    guard(data, field, 4).map_err(ServeError::Decode)?;
-    Ok(data.get_u32_le())
+/// Reads and verifies a WAL file, truncates any torn tail so the file
+/// ends on a frame boundary, and reopens it for appending. Returns the
+/// replay and the reopened handle.
+pub(crate) fn replay(path: &Path) -> Result<(WalReplay, WalFile), ServeError> {
+    let raw = std::fs::read(path)?;
+    let replay = parse(&raw)?;
+    let file = OpenOptions::new().append(true).open(path)?;
+    if replay.truncated_bytes > 0 {
+        file.set_len((raw.len() - replay.truncated_bytes) as u64)?;
+    }
+    let wal = WalFile {
+        writer: BufWriter::new(file),
+        fsync: false,
+    };
+    Ok((replay, wal))
 }
 
 /// A decoded checkpoint: the compacted base plus its ids and counters.
@@ -375,68 +419,40 @@ pub(crate) struct Checkpoint {
     pub compactions: u64,
 }
 
-/// Writes a checkpoint to `path` via a temporary sibling and atomic
-/// rename — readers of `path` see either the old checkpoint or the new
-/// one, never a torn mix.
-pub(crate) fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> Result<(), ServeError> {
-    let mut buf = BytesMut::new();
-    buf.put_u32_le(CKPT_MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u64_le(ckpt.epoch);
-    buf.put_u64_le(ckpt.compactions);
-    buf.put_u64_le(ckpt.ids.len() as u64);
-    for &id in &ckpt.ids {
-        buf.put_u64_le(id);
-    }
-    let payload = ckpt.store.to_bytes().to_vec();
-    buf.put_u64_le(payload.len() as u64);
-    let tmp = path.with_extension("ckpt.tmp");
-    let mut file = File::create(&tmp)?;
-    file.write_all(&buf.freeze().to_vec())?;
-    file.write_all(&payload)?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
+/// Writes a checkpoint of `store` (rows parallel to `ids`) to `path`
+/// atomically — readers of `path` see either the old checkpoint or the
+/// new one, never a torn mix.
+pub(crate) fn write_checkpoint(
+    path: &Path,
+    epoch: u64,
+    compactions: u64,
+    ids: &[u64],
+    store: &EmbeddingStore,
+) -> Result<(), ServeError> {
+    let mut w = CHECKPOINT.writer();
+    w.reserve(128 + ids.len() * 8 + store.payload_bytes());
+    w.u64(epoch);
+    w.u64(compactions);
+    w.u64(ids.len() as u64);
+    w.values(ids, u64::to_le_bytes);
+    w.chunk(|w| store.encode(w));
+    write_atomic(path, &CHECKPOINT.finish(w))?;
     Ok(())
 }
 
 /// Reads and validates a checkpoint file.
 pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, ServeError> {
-    let mut raw = Vec::new();
-    File::open(path)?.read_to_end(&mut raw)?;
-    let mut data = Bytes::from(raw);
-    let magic = take_u64_pair_u32(&mut data, "ckpt magic")?;
-    if magic != CKPT_MAGIC {
-        return Err(ServeError::Decode(StoreDecodeError::BadMagic(magic)));
-    }
-    let version = take_u64_pair_u32(&mut data, "ckpt version")?;
-    if version != VERSION {
-        return Err(ServeError::Decode(StoreDecodeError::UnsupportedVersion(
-            version,
-        )));
-    }
-    let epoch = take_u64(&mut data, "ckpt epoch").map_err(ServeError::Decode)?;
-    let compactions = take_u64(&mut data, "ckpt compactions").map_err(ServeError::Decode)?;
-    let n = take_u64(&mut data, "ckpt id count").map_err(ServeError::Decode)? as usize;
-    let id_bytes =
-        n.checked_mul(8)
-            .ok_or(ServeError::Decode(StoreDecodeError::HeaderOverflow {
-                field: "ckpt id count",
-            }))?;
-    let raw_ids = take_chunk(&mut data, "ckpt ids", id_bytes).map_err(ServeError::Decode)?;
-    let ids: Vec<u64> = raw_ids
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte id")))
-        .collect();
-    let payload_len =
-        take_u64(&mut data, "ckpt payload length").map_err(ServeError::Decode)? as usize;
-    let payload = take_chunk(&mut data, "ckpt payload", payload_len).map_err(ServeError::Decode)?;
-    if data.remaining() != 0 {
-        return Err(ServeError::Decode(StoreDecodeError::TrailingBytes(
-            data.remaining(),
-        )));
-    }
-    let store = EmbeddingStore::from_bytes(Bytes::from(payload)).map_err(ServeError::Decode)?;
+    decode_checkpoint(&std::fs::read(path)?)
+}
+
+fn decode_checkpoint(raw: &[u8]) -> Result<Checkpoint, ServeError> {
+    let (_, mut body) = CHECKPOINT.unframe(raw)?;
+    let epoch = body.u64("ckpt epoch")?;
+    let compactions = body.u64("ckpt compactions")?;
+    let n = body.count("ckpt id count")?;
+    let ids = body.values("ckpt ids", n, u64::from_le_bytes)?;
+    let store = EmbeddingStore::decode(body.chunk("ckpt payload")?)?;
+    body.finish()?;
     if store.len() != ids.len() {
         return Err(ServeError::Corrupt(format!(
             "checkpoint id/row mismatch: {} ids, {} rows",
@@ -454,13 +470,30 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, ServeError> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::super::store::tests::store_with_rows;
     use super::*;
+    use crate::config::PluginVariant;
     use std::path::PathBuf;
+
+    /// Bytes of a frame before its body: magic, version, length, checksum.
+    const FRAME_LEN: usize = 24;
+    /// Bytes of a version-2 WAL before its first record: the frame plus
+    /// the epoch word.
+    const WAL_HEADER: usize = FRAME_LEN + 8;
+    /// Bytes of framing before a record body: u32 length + u64 checksum.
+    const RECORD_HEADER: usize = 4 + 8;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("lh-serve-wal-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create tmpdir");
         dir
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+            .collect()
     }
 
     fn sample_ops() -> Vec<WalOp> {
@@ -485,15 +518,35 @@ mod tests {
         op.encode()
     }
 
+    /// A WAL bound to epoch 3 holding `sample_ops()`.
+    fn sample_wal(dir: &Path) -> PathBuf {
+        stage_wal(dir, 3, sample_ops(), false).expect("stage");
+        commit_wal(dir).expect("commit");
+        dir.join(WAL_FILE)
+    }
+
+    /// Every mutation of `raw` — each truncation, each single-bit flip —
+    /// through `decode`: `Err` from every one when `current` (a framed
+    /// current version), never a panic when not (a legacy fixture).
+    fn mutate(raw: &[u8], current: bool, decode: impl Fn(&[u8]) -> bool) {
+        for cut in 0..raw.len() {
+            let ok = decode(&raw[..cut]);
+            assert!(!(current && ok), "cut at {cut} of {} decoded", raw.len());
+        }
+        for byte in 0..raw.len() {
+            for bit in 0..8 {
+                let mut bad = raw.to_vec();
+                bad[byte] ^= 1 << bit;
+                let ok = decode(&bad);
+                assert!(!(current && ok), "flip {byte}.{bit} decoded");
+            }
+        }
+    }
+
     #[test]
     fn wal_roundtrips_ops() {
         let dir = tmpdir("roundtrip");
-        let path = dir.join(WAL_FILE);
-        let mut wal = WalFile::create(&path, 3).expect("create");
-        for op in sample_ops() {
-            wal.append(&op).expect("append");
-        }
-        drop(wal);
+        let path = sample_wal(&dir);
         let (replay, _wal) = replay(&path).expect("replay");
         assert_eq!(replay.checkpoint_epoch, 3);
         assert_eq!(replay.truncated_bytes, 0);
@@ -506,64 +559,76 @@ mod tests {
     #[test]
     fn torn_tail_is_discarded_and_healed() {
         let dir = tmpdir("torn");
-        let path = dir.join(WAL_FILE);
-        let mut wal = WalFile::create(&path, 0).expect("create");
-        for op in sample_ops() {
-            wal.append(&op).expect("append");
-        }
-        drop(wal);
+        let path = sample_wal(&dir);
         // Tear the last record mid-body.
         let full = std::fs::read(&path).expect("read");
         std::fs::write(&path, &full[..full.len() - 3]).expect("tear");
-        let (replay1, _wal) = replay(&path).expect("replay torn");
+        let (replay1, mut wal) = replay(&path).expect("replay torn");
         assert_eq!(replay1.ops.len(), sample_ops().len() - 1);
         assert!(replay1.truncated_bytes > 0);
-        // The heal rewrote a clean file: replaying again sees no tear.
+        // The heal cut the file back to the verified prefix, and appends
+        // land after it.
+        wal.append(&WalOp::Remove { id: 1 }).expect("append");
+        drop(wal);
         let (replay2, _wal) = replay(&path).expect("replay healed");
         assert_eq!(replay2.truncated_bytes, 0);
-        assert_eq!(replay2.ops.len(), replay1.ops.len());
+        assert_eq!(replay2.ops[..replay1.ops.len()], replay1.ops[..]);
+        assert_eq!(replay2.ops.last(), Some(&WalOp::Remove { id: 1 }));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn corrupt_checksum_stops_replay() {
         let dir = tmpdir("checksum");
-        let path = dir.join(WAL_FILE);
-        let mut wal = WalFile::create(&path, 0).expect("create");
-        for op in sample_ops() {
-            wal.append(&op).expect("append");
-        }
-        drop(wal);
+        let path = sample_wal(&dir);
         // Flip one byte in the *second* record's body: replay keeps the
         // first record and treats everything from the flip as torn.
         let mut full = std::fs::read(&path).expect("read");
         let first_body = sample_ops()[0].encode().len();
-        let second_start = 16 + FRAME_HEADER + first_body + FRAME_HEADER;
+        let second_start = WAL_HEADER + RECORD_HEADER + first_body + RECORD_HEADER;
         full[second_start] ^= 0xff;
-        std::fs::write(&path, &full).expect("corrupt");
-        let (replay1, _wal) = replay(&path).expect("replay");
-        assert_eq!(replay1.ops.len(), 1);
-        assert!(replay1.truncated_bytes > 0);
+        let replay = parse(&full).expect("parse");
+        assert_eq!(replay.ops.len(), 1);
+        assert!(replay.truncated_bytes > 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The header of a current WAL is a frame: every truncation of it and
+    /// every single-bit flip in it is a typed error — a flipped epoch bit
+    /// no longer reads as another epoch. (Record frames past the header
+    /// keep the torn-tail rule above.)
+    #[test]
+    fn every_wal_header_truncation_and_bit_flip_errors() {
+        let dir = tmpdir("header");
+        let raw = std::fs::read(sample_wal(&dir)).expect("read");
+        assert_eq!(&raw[4..8], &2u32.to_le_bytes());
+        for cut in 0..WAL_HEADER {
+            assert!(parse(&raw[..cut]).is_err(), "cut at {cut}");
+        }
+        for byte in 0..WAL_HEADER {
+            for bit in 0..8 {
+                let mut bad = raw.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(parse(&bad).is_err(), "flip {byte}.{bit}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_roundtrips_atomically() {
-        use crate::config::PluginVariant;
         let dir = tmpdir("ckpt");
         let path = dir.join(CKPT_FILE);
         let mut store = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
         store.push(&[1.0, 2.0], None, None);
         store.push(&[f32::NAN, -0.0], None, None);
-        let ckpt = Checkpoint {
-            store: store.clone(),
-            ids: vec![10, 20],
-            epoch: 5,
-            compactions: 2,
-        };
-        write_checkpoint(&path, &ckpt).expect("write");
+        write_checkpoint(&path, 5, 2, &[10, 20], &store).expect("write");
+        let mut names = std::fs::read_dir(&dir).expect("list").map(|e| {
+            let name = e.expect("entry").file_name();
+            name.to_string_lossy().into_owned()
+        });
         assert!(
-            !path.with_extension("ckpt.tmp").exists(),
+            names.all(|name| !name.ends_with(".tmp")),
             "tmp renamed away"
         );
         let back = read_checkpoint(&path).expect("read");
@@ -575,10 +640,106 @@ mod tests {
             store.to_bytes().to_vec(),
             "store payload bit-identical through the checkpoint"
         );
-        // Truncation errors instead of panicking.
+        // Every truncation and every flipped bit is an error.
         let full = std::fs::read(&path).expect("read raw");
-        std::fs::write(&path, &full[..full.len() - 2]).expect("truncate");
-        assert!(read_checkpoint(&path).is_err());
+        mutate(&full, true, |bytes| decode_checkpoint(bytes).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A staged WAL whose header does not decode is deleted only beside a
+    /// live WAL bound to the checkpoint's epoch, where its install cannot
+    /// have committed. Beside a stale live WAL it may be the committed log
+    /// (a crash between the two renames, or a failed WAL rename the
+    /// writer kept appending through), so a flipped bit is a typed error
+    /// and the file stays.
+    #[test]
+    fn an_undecodable_staged_wal_is_deleted_only_where_it_never_committed() {
+        for live_epoch in [4, 3] {
+            let dir = tmpdir(&format!("roll-{live_epoch}"));
+            stage_wal(&dir, live_epoch, [], false).expect("live");
+            commit_wal(&dir).expect("commit");
+            let staged = stage_wal(&dir, 4, sample_ops(), false).expect("stage");
+            drop(staged);
+            let path = dir.join(STAGED_WAL_FILE);
+            let mut raw = std::fs::read(&path).expect("read");
+            raw[FRAME_LEN] ^= 1;
+            std::fs::write(&path, &raw).expect("flip an epoch bit");
+            let rolled = roll_forward(&dir, 4);
+            if live_epoch == 4 {
+                assert!(rolled.is_ok(), "{rolled:?}");
+                assert!(!path.exists(), "an uncommitted stage is deleted");
+            } else {
+                assert!(
+                    matches!(
+                        rolled,
+                        Err(ServeError::Decode(
+                            StoreDecodeError::ChecksumMismatch { .. }
+                        ))
+                    ),
+                    "{rolled:?}"
+                );
+                assert_eq!(std::fs::read(&path).expect("kept"), raw);
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn manifest_roundtrips_and_rejects_every_mutation() {
+        let dir = tmpdir("manifest");
+        let path = dir.join(MANIFEST_FILE);
+        write_manifest(&path, 3).expect("write");
+        assert_eq!(read_manifest(&path).expect("read"), 3);
+        let full = std::fs::read(&path).expect("read raw");
+        assert_eq!(full.len(), FRAME_LEN + 4);
+        mutate(&full, true, |bytes| decode_manifest(bytes).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Version-1 files, as the last unframed encoder wrote them: a
+    /// checkpoint of `store_with_rows(LorentzCosh)` (ids 10, 20, 30,
+    /// epoch 5, two compactions), a three-shard manifest, and a WAL bound
+    /// to epoch 3 holding `sample_ops()`.
+    const LHCP_V1: &str = "\
+        4c48435001000000050000000000000002000000000000000300000000000000\
+        0a0000000000000014000000000000001e000000000000007100000000000000\
+        03000000000000000200000000000000020000803f0000000000000000060000\
+        000000000000000000000000000000803f000000000000000000004040090000\
+        00000000000000803f0000000000000000d504b53f0000803f00000000cc624a\
+        4000000000000040400000000000000000";
+    const LHSM_V1: &str = "4c48534d0100000003000000";
+    const LHWL_V1: &str = "\
+        4c48574c0100000003000000000000002f0000003aa6b0f4dc2adb4401070000\
+        000000000002000000000000000000803f000020c00103000000000000000000\
+        803f0000003f0000803e00090000008237f82cdad7e8af020700000000000000\
+        33000000bdcdc29a7a59dfcc01090000000000000002000000000000000000c0\
+        7f0000000000010400000000000000cdcccc3dcdcc4c3e9a99993ecdcccc3e";
+
+    /// Old files still load, to the state they were written from; their
+    /// nested store payload is byte-identical to what `to_bytes` writes
+    /// today; and a flipped bit in one is an error or a decode, never a
+    /// panic (there is no checksum to catch it).
+    #[test]
+    fn version_1_files_decode_to_the_state_they_were_written_from() {
+        let raw = unhex(LHCP_V1);
+        let ckpt = decode_checkpoint(&raw).expect("v1 checkpoint");
+        let store = store_with_rows(PluginVariant::LorentzCosh);
+        assert_eq!((ckpt.epoch, ckpt.compactions), (5, 2));
+        assert_eq!(ckpt.ids, vec![10, 20, 30]);
+        assert_eq!(ckpt.store, store);
+        assert_eq!(store.to_bytes().as_slice(), &raw[64..], "payload bytes");
+        mutate(&raw, false, |bytes| decode_checkpoint(bytes).is_ok());
+
+        let raw = unhex(LHSM_V1);
+        assert_eq!(decode_manifest(&raw).expect("v1 manifest"), 3);
+        mutate(&raw, false, |bytes| decode_manifest(bytes).is_ok());
+
+        let raw = unhex(LHWL_V1);
+        let replay = parse(&raw).expect("v1 wal");
+        assert_eq!((replay.checkpoint_epoch, replay.truncated_bytes), (3, 0));
+        let expect: Vec<Vec<u8>> = sample_ops().iter().map(bits).collect();
+        let got: Vec<Vec<u8>> = replay.ops.iter().map(bits).collect();
+        assert_eq!(got, expect);
+        mutate(&raw, false, |bytes| parse(bytes).is_ok());
     }
 }

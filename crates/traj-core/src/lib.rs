@@ -5,13 +5,15 @@
 //! datasets with bounding boxes and normalization, uniform spatial grids and
 //! quadtrees (used by the Neutraj- and TrajGAT-style encoders), a small
 //! scoped-thread parallel-map utility used to fill O(N²) ground-truth
-//! distance matrices, and the shared bounded [`topk`] selector every
-//! retrieval surface ranks with.
+//! distance matrices, the shared bounded [`topk`] selector every
+//! retrieval surface ranks with, and the framed binary container
+//! ([`codec`]) every file the workspace writes goes through.
 //!
 //! Everything here is deliberately framework-free `f64` geometry; the neural
 //! network substrate (`lh-nn`) works in `f32` and converts at its boundary.
 
 pub mod bbox;
+pub mod codec;
 pub mod dataset;
 pub mod error;
 pub mod grid;

@@ -42,6 +42,7 @@ use crate::measure::Measure;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use traj_core::codec::Fnv64;
 use traj_core::parallel::{default_threads, parallel_for, parallel_for_chunks, DisjointSlice};
 use traj_core::Trajectory;
 
@@ -689,23 +690,25 @@ impl MatrixBuilder {
     /// schedule-free): the cache holds only exact matrices, which serve
     /// exact *and* pruned requests — an exact entry satisfies every
     /// pruning contract — while pruned builds never store (see
-    /// [`MatrixBuilder::try_cache_store`]).
+    /// [`MatrixBuilder::try_cache_store`]). FNV-1a is plenty for keying: a
+    /// collision needs two inputs to hash identically *and* share a
+    /// shape, which the loader checks.
     fn fingerprint(&self, kind_tag: &[u8], traj_sets: &[&[Trajectory]]) -> u64 {
-        let mut h = Fnv::new();
+        let mut h = Fnv64::default();
         h.write(kind_tag);
-        h.write_u64(cache::VERSION as u64);
+        h.write(&(cache::FORMAT.version as u64).to_le_bytes());
         hash_measure(&mut h, &self.measure);
         for trajs in traj_sets {
-            h.write_u64(trajs.len() as u64);
+            h.write(&(trajs.len() as u64).to_le_bytes());
             for t in *trajs {
-                h.write_u64(t.len() as u64);
+                h.write(&(t.len() as u64).to_le_bytes());
                 for p in t.points() {
-                    h.write_u64(p.x.to_bits());
-                    h.write_u64(p.y.to_bits());
+                    h.write(&p.x.to_bits().to_le_bytes());
+                    h.write(&p.y.to_bits().to_le_bytes());
                     match p.t {
                         Some(t) => {
                             h.write(&[1]);
-                            h.write_u64(t.to_bits());
+                            h.write(&t.to_bits().to_le_bytes());
                         }
                         None => h.write(&[0]),
                     }
@@ -716,50 +719,24 @@ impl MatrixBuilder {
     }
 }
 
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty for cache keying —
-/// a collision requires two different datasets to hash identically *and*
-/// share a matrix shape, and the loader still validates shape.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.write(&v.to_le_bytes());
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Feeds the measure parameters into the fingerprint — only the ones
 /// this kind's kernel actually reads, so tweaking e.g. the EDR tolerance
 /// does not invalidate cached DTW/SSPD/… matrices whose contents cannot
 /// have changed.
-fn hash_measure(h: &mut Fnv, m: &Measure) {
+fn hash_measure(h: &mut Fnv64, m: &Measure) {
     use crate::measure::MeasureKind;
     h.write(m.kind.name().as_bytes());
     match m.kind {
-        MeasureKind::Edr => h.write_u64(m.edr_eps.to_bits()),
-        MeasureKind::Lcss => h.write_u64(m.lcss_eps.to_bits()),
+        MeasureKind::Edr => h.write(&m.edr_eps.to_bits().to_le_bytes()),
+        MeasureKind::Lcss => h.write(&m.lcss_eps.to_bits().to_le_bytes()),
         MeasureKind::Erp => {
-            h.write_u64(m.erp_gap.x.to_bits());
-            h.write_u64(m.erp_gap.y.to_bits());
+            h.write(&m.erp_gap.x.to_bits().to_le_bytes());
+            h.write(&m.erp_gap.y.to_bits().to_le_bytes());
         }
-        MeasureKind::Tp => h.write_u64(m.tp.time_weight.to_bits()),
+        MeasureKind::Tp => h.write(&m.tp.time_weight.to_bits().to_le_bytes()),
         MeasureKind::Dita => {
-            h.write_u64(m.dita.num_pivots as u64);
-            h.write_u64(m.dita.time_weight.to_bits());
+            h.write(&(m.dita.num_pivots as u64).to_le_bytes());
+            h.write(&m.dita.time_weight.to_bits().to_le_bytes());
         }
         MeasureKind::Dtw
         | MeasureKind::Sspd

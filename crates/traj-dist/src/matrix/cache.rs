@@ -3,51 +3,49 @@
 //! Re-running an experiment recomputes the exact same `Dist*(T_i, T_j)`
 //! matrix from scratch — the dominant CPU cost of every run. This module
 //! persists finished matrices to disk keyed by a fingerprint of
-//! (dataset, measure parameters, pruning config, shape) so re-runs load
-//! in milliseconds instead.
+//! (dataset, measure parameters, matrix kind, format version) so re-runs
+//! load in milliseconds instead.
 //!
-//! Wire layout (all little-endian):
+//! A checkpoint is one `traj_core::codec` frame of [`FORMAT`] (`LHGM`,
+//! version 2) — magic, version, body length and body checksum — whose
+//! body is, little-endian:
 //!
 //! ```text
-//! [0..4)   magic  b"LHGM"
-//! [4..8)   u32    format version (currently 1)
-//! [8..16)  u64    content fingerprint (FNV-1a over inputs, see builder)
-//! [16..24) u64    rows
-//! [24..32) u64    cols
-//! [32..)   rows·cols × f64  row-major matrix data
+//! u64 fingerprint | u64 rows | u64 cols | rows·cols × f64 (row-major)
 //! ```
 //!
-//! Decoding follows the `lh-core::retrieval::codec` conventions: every
-//! length is validated against the remaining bytes *before* reading, the
-//! shape product uses checked arithmetic, and trailing bytes are rejected
-//! — truncated or corrupt checkpoints return a [`CacheError`] instead of
-//! panicking (the builder then treats them as a miss and rebuilds).
-//! Writes go to a sibling temp file first and are renamed into place, so
-//! a crashed or concurrent run never leaves a half-written checkpoint
-//! under the final name.
+//! Version 1 carried the same fields behind a bare magic + version
+//! header, with no checksum. It is never opened: the fingerprint hashes
+//! the format version, so a version-1 file sits under a name no build
+//! asks for.
+//!
+//! A checkpoint that fails its frame (truncated, or any flipped bit), its
+//! fingerprint or its shape returns a [`CacheError`] instead of loading
+//! as data; the builder treats it as a miss and rebuilds. Writes go
+//! through `traj_core::codec::write_atomic`, so a crashed run never
+//! leaves a half-written checkpoint under the final name, and concurrent
+//! builders racing on one fingerprint each rename a complete file into
+//! place (the staging sibling is unique per process).
 
 use super::DistanceMatrix;
-use std::io::Write;
 use std::path::{Path, PathBuf};
+use traj_core::codec::{write_atomic, DecodeError, Format};
 
-/// File magic identifying an LH ground-truth matrix checkpoint.
-pub const MAGIC: [u8; 4] = *b"LHGM";
-
-/// Current checkpoint format version.
-pub const VERSION: u32 = 1;
-
-/// Bytes before the matrix payload: magic + version + fingerprint + shape.
-const HEADER_LEN: usize = 4 + 4 + 8 + 8 + 8;
+/// The checkpoint format: `LHGM`, version 2 (the only one read).
+pub const FORMAT: Format = Format {
+    magic: *b"LHGM",
+    version: 2,
+    oldest: 2,
+};
 
 /// Why a matrix checkpoint failed to load.
 #[derive(Debug)]
 pub enum CacheError {
     /// Filesystem error (missing file, permissions, short write, …).
     Io(std::io::Error),
-    /// The file does not start with [`MAGIC`].
-    BadMagic([u8; 4]),
-    /// The format version is not [`VERSION`].
-    BadVersion(u32),
+    /// The file is not an intact checkpoint: a bad frame (magic, version,
+    /// length, checksum) or a body that contradicts itself.
+    Decode(DecodeError),
     /// The stored fingerprint does not match the requested inputs — the
     /// checkpoint belongs to a different dataset/measure/pruning config.
     FingerprintMismatch {
@@ -56,41 +54,17 @@ pub enum CacheError {
         /// Fingerprint recorded in the file.
         found: u64,
     },
-    /// The file ended before a declared field.
-    Truncated {
-        /// Bytes the field needed.
-        needed: usize,
-        /// Bytes actually remaining.
-        remaining: usize,
-    },
-    /// `rows·cols·8` overflows — no genuine checkpoint can reach this.
-    HeaderOverflow,
-    /// Bytes left over after a complete decode.
-    TrailingBytes(usize),
 }
 
 impl std::fmt::Display for CacheError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CacheError::Io(e) => write!(f, "matrix cache I/O error: {e}"),
-            CacheError::BadMagic(m) => write!(f, "not a matrix checkpoint (magic {m:?})"),
-            CacheError::BadVersion(v) => {
-                write!(f, "unsupported checkpoint version {v} (expected {VERSION})")
-            }
+            CacheError::Decode(e) => write!(f, "corrupt matrix checkpoint: {e}"),
             CacheError::FingerprintMismatch { expected, found } => write!(
                 f,
                 "checkpoint fingerprint {found:016x} does not match requested {expected:016x}"
             ),
-            CacheError::Truncated { needed, remaining } => write!(
-                f,
-                "truncated checkpoint: needs {needed} more bytes, {remaining} remain"
-            ),
-            CacheError::HeaderOverflow => {
-                write!(f, "corrupt checkpoint: declared shape overflows")
-            }
-            CacheError::TrailingBytes(extra) => {
-                write!(f, "corrupt checkpoint: {extra} trailing bytes after decode")
-            }
         }
     }
 }
@@ -99,7 +73,8 @@ impl std::error::Error for CacheError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CacheError::Io(e) => Some(e),
-            _ => None,
+            CacheError::Decode(e) => Some(e),
+            CacheError::FingerprintMismatch { .. } => None,
         }
     }
 }
@@ -110,85 +85,59 @@ impl From<std::io::Error> for CacheError {
     }
 }
 
+impl From<DecodeError> for CacheError {
+    fn from(e: DecodeError) -> Self {
+        CacheError::Decode(e)
+    }
+}
+
 /// Canonical checkpoint path for a fingerprint inside a cache directory.
 pub fn cache_path(dir: &Path, fingerprint: u64) -> PathBuf {
     dir.join(format!("gt-{fingerprint:016x}.lhgm"))
 }
 
-/// Checks that `needed` bytes remain at `offset` before a read.
-fn guard(bytes: &[u8], offset: usize, needed: usize) -> Result<(), CacheError> {
-    let remaining = bytes.len().saturating_sub(offset);
-    if remaining < needed {
-        return Err(CacheError::Truncated { needed, remaining });
-    }
-    Ok(())
-}
-
-fn read_u64(bytes: &[u8], offset: usize) -> u64 {
-    u64::from_le_bytes(bytes[offset..offset + 8].try_into().expect("guarded read"))
-}
-
-/// Loads a checkpoint, validating magic, version, fingerprint, and exact
+/// Loads a checkpoint, validating its frame, fingerprint, and exact
 /// payload length before materializing the matrix.
 pub fn load(path: &Path, fingerprint: u64) -> Result<DistanceMatrix, CacheError> {
-    let bytes = std::fs::read(path)?;
-    guard(&bytes, 0, HEADER_LEN)?;
-    let magic: [u8; 4] = bytes[0..4].try_into().expect("guarded read");
-    if magic != MAGIC {
-        return Err(CacheError::BadMagic(magic));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("guarded read"));
-    if version != VERSION {
-        return Err(CacheError::BadVersion(version));
-    }
-    let found = read_u64(&bytes, 8);
+    decode(&std::fs::read(path)?, fingerprint)
+}
+
+fn decode(bytes: &[u8], fingerprint: u64) -> Result<DistanceMatrix, CacheError> {
+    let (_, mut body) = FORMAT.unframe(bytes)?;
+    let found = body.u64("fingerprint")?;
     if found != fingerprint {
         return Err(CacheError::FingerprintMismatch {
             expected: fingerprint,
             found,
         });
     }
-    let rows = read_u64(&bytes, 16) as usize;
-    let cols = read_u64(&bytes, 24) as usize;
-    let entries = rows.checked_mul(cols).ok_or(CacheError::HeaderOverflow)?;
-    let payload = entries.checked_mul(8).ok_or(CacheError::HeaderOverflow)?;
-    guard(&bytes, HEADER_LEN, payload)?;
-    if bytes.len() != HEADER_LEN + payload {
-        return Err(CacheError::TrailingBytes(
-            bytes.len() - HEADER_LEN - payload,
-        ));
-    }
-    let data: Vec<f64> = bytes[HEADER_LEN..]
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
-        .collect();
+    let rows = body.count("rows")?;
+    let cols = body.count("cols")?;
+    let entries = rows
+        .checked_mul(cols)
+        .ok_or(DecodeError::HeaderOverflow { field: "shape" })?;
+    let data = body.values("matrix data", entries, f64::from_le_bytes)?;
+    body.finish()?;
     Ok(DistanceMatrix::from_raw(rows, cols, data))
 }
 
-/// Writes a checkpoint atomically (temp file + rename) under `path`,
-/// creating parent directories as needed.
+fn encode(fingerprint: u64, matrix: &DistanceMatrix) -> Vec<u8> {
+    let mut w = FORMAT.writer();
+    w.reserve(24 + matrix.data().len() * 8);
+    w.u64(fingerprint);
+    w.u64(matrix.rows() as u64);
+    w.u64(matrix.cols() as u64);
+    w.values(matrix.data(), f64::to_le_bytes);
+    FORMAT.finish(w)
+}
+
+/// Writes a checkpoint atomically under `path`, creating parent
+/// directories as needed.
 pub fn store(path: &Path, fingerprint: u64, matrix: &DistanceMatrix) -> Result<(), CacheError> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut buf = Vec::with_capacity(HEADER_LEN + matrix.data().len() * 8);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&fingerprint.to_le_bytes());
-    buf.extend_from_slice(&(matrix.rows() as u64).to_le_bytes());
-    buf.extend_from_slice(&(matrix.cols() as u64).to_le_bytes());
-    for v in matrix.data() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-    // Process-unique temp name: concurrent builders racing on the same
-    // fingerprint each rename a fully written file into place.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(&buf)?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
+    write_atomic(path, &encode(fingerprint, matrix))?;
     Ok(())
 }
 
@@ -228,10 +177,7 @@ mod tests {
 
     #[test]
     fn fingerprint_mismatch_rejected() {
-        let dir = tmp_dir("fp");
-        let path = cache_path(&dir, 7);
-        store(&path, 7, &sample()).unwrap();
-        let err = load(&path, 8).unwrap_err();
+        let err = decode(&encode(7, &sample()), 8).unwrap_err();
         assert!(matches!(
             err,
             CacheError::FingerprintMismatch {
@@ -239,78 +185,73 @@ mod tests {
                 found: 7
             }
         ));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Every truncation and every single-bit flip is a typed error — a
+    /// flipped distance bit no longer loads as data.
     #[test]
-    fn every_truncation_errors_instead_of_panicking() {
-        let dir = tmp_dir("trunc");
-        let path = cache_path(&dir, 3);
-        store(&path, 3, &sample()).unwrap();
-        let full = std::fs::read(&path).unwrap();
-        let cut_path = dir.join("cut.lhgm");
+    fn every_truncation_and_bit_flip_errors() {
+        let full = encode(3, &sample());
+        assert_eq!(full.len(), 24 + 24 + 6 * 8);
         for cut in 0..full.len() {
-            std::fs::write(&cut_path, &full[..cut]).unwrap();
-            assert!(
-                load(&cut_path, 3).is_err(),
-                "cut at {cut} of {} must error",
-                full.len()
-            );
+            let err = decode(&full[..cut], 3).unwrap_err();
+            assert!(matches!(err, CacheError::Decode(_)), "cut at {cut}: {err}");
         }
-        assert!(load(&path, 3).is_ok());
-        let _ = std::fs::remove_dir_all(&dir);
+        for byte in 0..full.len() {
+            for bit in 0..8 {
+                let mut bad = full.clone();
+                bad[byte] ^= 1 << bit;
+                assert!(decode(&bad, 3).is_err(), "flip {byte}.{bit}");
+            }
+        }
+        assert!(decode(&full, 3).is_ok());
     }
 
     #[test]
     fn bad_magic_version_and_trailing_bytes_rejected() {
-        let dir = tmp_dir("hdr");
-        let path = cache_path(&dir, 3);
-        store(&path, 3, &sample()).unwrap();
-        let full = std::fs::read(&path).unwrap();
-
+        let full = encode(3, &sample());
         let mut bad_magic = full.clone();
         bad_magic[0] = b'X';
-        let p = dir.join("m.lhgm");
-        std::fs::write(&p, &bad_magic).unwrap();
-        assert!(matches!(load(&p, 3), Err(CacheError::BadMagic(_))));
-
-        let mut bad_version = full.clone();
-        bad_version[4] = 99;
-        std::fs::write(&p, &bad_version).unwrap();
-        assert!(matches!(load(&p, 3), Err(CacheError::BadVersion(99))));
-
-        let mut trailing = full.clone();
+        assert!(matches!(
+            decode(&bad_magic, 3),
+            Err(CacheError::Decode(DecodeError::BadMagic(_)))
+        ));
+        let mut v1 = full.clone();
+        v1[4] = 1;
+        assert!(matches!(
+            decode(&v1, 3),
+            Err(CacheError::Decode(DecodeError::UnsupportedVersion(1)))
+        ));
+        let mut trailing = full;
         trailing.push(0);
-        std::fs::write(&p, &trailing).unwrap();
-        assert!(matches!(load(&p, 3), Err(CacheError::TrailingBytes(1))));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert!(matches!(
+            decode(&trailing, 3),
+            Err(CacheError::Decode(DecodeError::TrailingBytes(1)))
+        ));
     }
 
     #[test]
     fn overflowing_shape_rejected() {
         // rows = cols = 2^62: the product wraps if unchecked, which would
-        // bypass the length guard and panic in from_raw.
-        let dir = tmp_dir("ovf");
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.extend_from_slice(&5u64.to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
-        buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
-        let p = dir.join("ovf.lhgm");
-        std::fs::write(&p, &buf).unwrap();
-        assert!(matches!(load(&p, 5), Err(CacheError::HeaderOverflow)));
-        let _ = std::fs::remove_dir_all(&dir);
+        // bypass the length check and panic in from_raw.
+        let mut w = FORMAT.writer();
+        w.u64(5);
+        w.u64(1 << 62);
+        w.u64(1 << 62);
+        assert!(matches!(
+            decode(&FORMAT.finish(w), 5),
+            Err(CacheError::Decode(DecodeError::HeaderOverflow { .. }))
+        ));
     }
 
     #[test]
     fn error_messages_are_informative() {
-        let err = CacheError::Truncated {
+        let err = CacheError::Decode(DecodeError::Truncated {
+            field: "matrix data",
             needed: 40,
             remaining: 8,
-        };
+        });
         assert!(err.to_string().contains("40"));
-        assert!(CacheError::BadVersion(9).to_string().contains('9'));
         assert!(CacheError::FingerprintMismatch {
             expected: 0xab,
             found: 0xcd

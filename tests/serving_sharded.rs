@@ -504,11 +504,11 @@ proptest! {
                 .collect();
             drop(store);
 
-            // Tear the chosen shard's log past its 16-byte header.
+            // Tear the chosen shard's log past its 32-byte header.
             let wal_path = dir.join(format!("shard-{torn:04}")).join("serve.wal");
             let len = std::fs::metadata(&wal_path).expect("wal exists").len();
-            let body = len.saturating_sub(16);
-            let keep = 16 + ((body as f64) * (1.0 - cut_frac)) as u64;
+            let body = len.saturating_sub(32);
+            let keep = 32 + ((body as f64) * (1.0 - cut_frac)) as u64;
             std::fs::OpenOptions::new()
                 .write(true)
                 .open(&wal_path)

@@ -397,12 +397,13 @@ proptest! {
             }
             drop(store);
 
-            // Tear the log: keep the 16-byte header (written once at
-            // create; a crash mid-append can only tear record frames).
+            // Tear the log: keep the 32-byte header (a 24-byte frame
+            // around the epoch word, written once at create; a crash
+            // mid-append can only tear record frames).
             let wal_path = dir.join("shard-0000").join("serve.wal");
             let len = std::fs::metadata(&wal_path).expect("wal exists").len();
-            let body = len.saturating_sub(16);
-            let keep = 16 + ((body as f64) * (1.0 - cut_frac)) as u64;
+            let body = len.saturating_sub(32);
+            let keep = 32 + ((body as f64) * (1.0 - cut_frac)) as u64;
             std::fs::OpenOptions::new()
                 .write(true)
                 .open(&wal_path)
