@@ -1,17 +1,17 @@
-//! Ground-truth matrix construction: balanced dynamic scheduling vs
-//! wavefront lockstep batching vs cached reload.
+//! Ground-truth matrix construction: the builder's executor vs cached
+//! reload.
 //!
 //! The workload is deliberately *asymmetric*: trajectory lengths descend
 //! with index, so early rows of the pairwise triangle hold both more
 //! pairs (row `i` has `n−i−1`) and more expensive pairs (longer DP
 //! tables) — the shape a static split by rows handles worst and the
-//! shared pair-batch queue is there for. `cached` measures the
+//! executor's shared work queue is there for. `cached` measures the
 //! checkpoint reload path (`MatrixBuilder::cache_dir`) against the same
 //! matrix — the steady-state cost of a re-run.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use traj_core::Trajectory;
-use traj_dist::{MatrixBuilder, MeasureKind, Schedule};
+use traj_dist::{MatrixBuilder, MeasureKind};
 
 /// Length-skewed synthetic trajectories: longest first.
 fn skewed_trajs(n: usize, min_len: usize, max_len: usize) -> Vec<Trajectory> {
@@ -36,12 +36,10 @@ fn bench_pairwise_build(c: &mut Criterion) {
     for n in [512usize, 2048] {
         let trajs = skewed_trajs(n, 4, 24);
         let measure = MeasureKind::Dtw.measure();
-        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
-            group.bench_with_input(BenchmarkId::new(schedule.name(), n), &trajs, |b, trajs| {
-                let builder = MatrixBuilder::new(measure).schedule(schedule);
-                b.iter(|| std::hint::black_box(builder.build_pairwise(trajs)))
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("wavefront", n), &trajs, |b, trajs| {
+            let builder = MatrixBuilder::new(measure);
+            b.iter(|| std::hint::black_box(builder.build_pairwise(trajs)))
+        });
         // Cached reload: one cold build populates the checkpoint, the
         // bench then times pure cache hits.
         let dir = std::env::temp_dir().join(format!("lhgm-bench-{}-{}", std::process::id(), n));

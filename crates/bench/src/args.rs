@@ -1,17 +1,6 @@
 //! Minimal `--key value` CLI parsing (no external dependencies).
 
 use std::collections::BTreeMap;
-use traj_dist::Schedule;
-
-/// Parses a `--schedule` value, with an error message that lists every
-/// valid name. The list is derived from [`Schedule::ALL`], so a schedule
-/// added to the builder shows up here without touching any bin.
-pub fn parse_schedule(name: &str) -> Result<Schedule, String> {
-    Schedule::from_name(name).ok_or_else(|| {
-        let valid: Vec<&str> = Schedule::ALL.iter().map(|s| s.name()).collect();
-        format!("unknown --schedule {name:?} (valid: {})", valid.join("|"))
-    })
-}
 
 /// Parsed command-line overrides.
 #[derive(Debug, Clone, Default)]
@@ -89,21 +78,5 @@ mod tests {
     fn bad_parse_falls_back() {
         let a = args(&["--n", "not-a-number"]);
         assert_eq!(a.get("n", 5usize), 5);
-    }
-
-    #[test]
-    fn schedule_names_round_trip() {
-        for s in Schedule::ALL {
-            assert_eq!(parse_schedule(s.name()), Ok(s));
-        }
-    }
-
-    #[test]
-    fn bad_schedule_lists_every_valid_name() {
-        let msg = parse_schedule("sideways").unwrap_err();
-        assert!(msg.contains("\"sideways\""), "echoes the bad value: {msg}");
-        for s in Schedule::ALL {
-            assert!(msg.contains(s.name()), "missing {:?} in: {msg}", s.name());
-        }
     }
 }

@@ -7,16 +7,12 @@
 //!
 //! Usage: `cargo run --release -p lh-bench --bin table1_constraint_variability
 //!        [--n 120] [--triplets 20000] [--edr-eps 0.02] [--seed 42]
-//!        [--cache-dir target/gt-cache] [--schedule balanced]
+//!        [--cache-dir target/gt-cache]
 //!        [--prune landmark|early-abandon] [--prune-threshold 0.25]`
 //!
 //! With `--cache-dir`, each of the 21 ground-truth matrices is
 //! checkpointed; a re-run at the same parameters loads them instead of
 //! recomputing (the final `gt cache hits` line reports how many).
-//! `--schedule` picks the builder work distribution (`serial`,
-//! `balanced`, `wavefront`); every schedule produces
-//! bit-identical matrices, so checkpoints written under one schedule are
-//! cache hits under any other.
 
 use lh_bench::printer::{pct, write_artifact};
 use lh_bench::{print_header, Args, Table};
@@ -24,7 +20,7 @@ use lh_data::DatasetPreset;
 use lh_metrics::{ratio_of_violation, sample_triplets};
 use serde::Serialize;
 use traj_core::normalize::Normalizer;
-use traj_dist::{MatrixBuilder, Measure, MeasureKind, Schedule};
+use traj_dist::{MatrixBuilder, Measure, MeasureKind};
 
 #[derive(Serialize)]
 struct Cell {
@@ -72,13 +68,6 @@ fn main() {
     let edr_eps = args.get("edr-eps", 0.02f64);
     let seed = args.get("seed", 42u64);
     let cache_dir = args.get_str("cache-dir").map(str::to_string);
-    let schedule = match args.get_str("schedule") {
-        Some(name) => lh_bench::args::parse_schedule(name).unwrap_or_else(|msg| {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }),
-        None => Schedule::default(),
-    };
     // `--prune landmark` routes every build through the layered landmark
     // screen + early-abandon pipeline. Checkpoints are fingerprinted
     // prune-free, so a pruned run against a cache written by an exact run
@@ -99,7 +88,7 @@ fn main() {
     let mut gt_hits = 0usize;
     let mut gt_seconds = 0.0f64;
     let mut build = |measure: Measure, trajs: &[traj_core::Trajectory]| {
-        let mut b = MatrixBuilder::new(measure).schedule(schedule);
+        let mut b = MatrixBuilder::new(measure);
         match prune.as_deref() {
             Some("landmark") => b = b.prune_landmark(prune_threshold),
             Some("early-abandon") => b = b.prune(prune_threshold),

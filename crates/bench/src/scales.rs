@@ -71,22 +71,12 @@ pub fn default_spec(args: &Args) -> ExperimentSpec {
         seed: args.get("seed", 42u64),
         eval_every_epoch: false,
         gt_cache_dir: args.get_str("cache-dir").map(str::to_string),
-        gt_schedule: args
-            .get_str("schedule")
-            .map(|name| {
-                crate::args::parse_schedule(name).unwrap_or_else(|msg| {
-                    eprintln!("{msg}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or_default(),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use traj_dist::Schedule;
 
     #[test]
     fn defaults_are_sane() {
@@ -108,8 +98,6 @@ mod tests {
                 "sspd",
                 "--model",
                 "neutraj",
-                "--schedule",
-                "wavefront",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -120,6 +108,5 @@ mod tests {
         assert_eq!(spec.n_queries, 40);
         assert_eq!(spec.measure, MeasureKind::Sspd);
         assert_eq!(spec.model, ModelKind::Neutraj);
-        assert_eq!(spec.gt_schedule, Schedule::Wavefront);
     }
 }

@@ -11,7 +11,7 @@ use lh_models::{EncoderConfig, ModelKind};
 use serde::{Deserialize, Serialize};
 use traj_core::normalize::Normalizer;
 use traj_core::TrajectoryDataset;
-use traj_dist::{MatrixBuilder, MeasureKind, Schedule};
+use traj_dist::{MatrixBuilder, MeasureKind};
 
 /// Everything needed to reproduce one table cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -41,11 +41,6 @@ pub struct ExperimentSpec {
     /// (fingerprint-keyed; see `traj_dist::MatrixBuilder`). `None`
     /// recomputes every run.
     pub gt_cache_dir: Option<String>,
-    /// Work distribution for the ground-truth builds. All schedules are
-    /// bit-identical (and share cache fingerprints), so this only moves
-    /// wall-clock time; `Wavefront` batches same-length pairs through
-    /// the lockstep DP tier. Defaults to `Balanced`.
-    pub gt_schedule: Schedule,
 }
 
 impl ExperimentSpec {
@@ -64,7 +59,6 @@ impl ExperimentSpec {
             seed: 42,
             eval_every_epoch: false,
             gt_cache_dir: None,
-            gt_schedule: Schedule::default(),
         }
     }
 }
@@ -159,10 +153,10 @@ pub fn run_experiment(spec: &ExperimentSpec) -> ExperimentOutcome {
     let (database, queries) = normalized.split(n_db as f64 / spec.n as f64);
 
     // 2. Ground truth: symmetric train matrix + query-db cross matrix,
-    // via the builder pipeline (schedule per the spec; checkpointed when
-    // the spec names a cache dir).
+    // via the builder pipeline (checkpointed when the spec names a cache
+    // dir).
     let measure = spec.measure.measure();
-    let mut builder = MatrixBuilder::new(measure).schedule(spec.gt_schedule);
+    let mut builder = MatrixBuilder::new(measure);
     if let Some(dir) = &spec.gt_cache_dir {
         builder = builder.cache_dir(dir);
     }
@@ -280,19 +274,6 @@ mod tests {
         );
         assert_eq!(cold.train_rv, warm.train_rv);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wavefront_gt_schedule_reproduces_balanced_results() {
-        let balanced = run_experiment(&tiny_spec());
-        let mut spec = tiny_spec();
-        spec.gt_schedule = Schedule::Wavefront;
-        let wavefront = run_experiment(&spec);
-        // Ground truth is bit-identical across schedules, and everything
-        // downstream is deterministic in it.
-        assert_eq!(balanced.eval, wavefront.eval);
-        assert_eq!(balanced.train_rv, wavefront.train_rv);
-        assert_eq!(balanced.gt_rows, wavefront.gt_rows);
     }
 
     #[test]

@@ -23,10 +23,18 @@
 //! checkpoint_epoch` header, and still replays. Replay stops at the first
 //! record frame that is incomplete or fails its checksum — a torn tail
 //! from a crash mid-append — and truncates the file to the verified
-//! prefix, reporting how many bytes it discarded. A bad frame that is
-//! *not* the last is handled the same way: everything from it on is
-//! dropped as if torn. A frame whose checksum verifies but whose body
-//! does not parse is *corruption*, not a torn write, and errors.
+//! prefix, reporting how many bytes it discarded. An append only ever
+//! tears the last frame, so a complete frame that fails its checksum
+//! *and* is followed by a complete frame that verifies is *corruption*
+//! (a flipped bit mid-log): replay errors and leaves the file untouched
+//! rather than drop the acknowledged writes behind it. A bad frame
+//! followed only by torn or unverifiable bytes — a zero-filled tail
+//! after a torn append, say — stays a torn tail. So does a frame whose
+//! *length* word took the flip: the frames behind it are then read at
+//! the wrong offsets, none verifies, and the log is cut there. Telling
+//! that case apart needs a storage fault injector and is not done yet.
+//! A frame whose checksum verifies but whose body does not parse is
+//! corruption too, and errors.
 //!
 //! `checkpoint_epoch` ties a WAL to the checkpoint it extends, and a
 //! fold's install commits in one rename. It first *stages* a fresh WAL —
@@ -357,8 +365,18 @@ pub(crate) struct WalReplay {
     pub truncated_bytes: usize,
 }
 
+/// The next record frame of `records`: its body and whether its checksum
+/// verifies, or `None` when too few bytes are left for a complete frame.
+fn next_frame<'a>(records: &mut Reader<'a>) -> Option<(&'a [u8], bool)> {
+    let len = records.u32("wal record length").ok()?;
+    let checksum = records.u64("wal record checksum").ok()?;
+    let body = records.take("wal record", len as usize).ok()?;
+    Some((body, Fnv64::hash(body) == checksum))
+}
+
 /// Parses a WAL: its header, then record frames up to the first one that
-/// is incomplete or fails its checksum.
+/// is incomplete or fails its checksum — an error instead when a later
+/// complete frame verifies.
 fn parse(raw: &[u8]) -> Result<WalReplay, ServeError> {
     let (checkpoint_epoch, mut records) = read_header(raw)?;
     let mut ops = Vec::new();
@@ -366,16 +384,19 @@ fn parse(raw: &[u8]) -> Result<WalReplay, ServeError> {
         // Read ahead on a copy, so a torn frame leaves `records` at its
         // start and `remaining()` as the discard count.
         let mut frame = records;
-        let Ok(len) = frame.u32("wal record length") else {
+        let Some((body, verified)) = next_frame(&mut frame) else {
             break;
         };
-        let Ok(checksum) = frame.u64("wal record checksum") else {
-            break;
-        };
-        let Ok(body) = frame.take("wal record", len as usize) else {
-            break;
-        };
-        if Fnv64::hash(body) != checksum {
+        if !verified {
+            let mut rest = frame;
+            while let Some((_, later_verified)) = next_frame(&mut rest) {
+                if later_verified {
+                    return Err(ServeError::Corrupt(format!(
+                        "wal record {} fails its checksum but a later record verifies",
+                        ops.len()
+                    )));
+                }
+            }
             break;
         }
         records = frame;
@@ -577,19 +598,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A flipped byte in the *second* of three records is corruption, not
+    /// a torn tail: the third record still verifies, so replay errors and
+    /// leaves the file as it was instead of cutting two acknowledged
+    /// writes.
     #[test]
-    fn corrupt_checksum_stops_replay() {
+    fn corrupt_checksum_mid_log_errors_and_keeps_the_file() {
         let dir = tmpdir("checksum");
         let path = sample_wal(&dir);
-        // Flip one byte in the *second* record's body: replay keeps the
-        // first record and treats everything from the flip as torn.
         let mut full = std::fs::read(&path).expect("read");
         let first_body = sample_ops()[0].encode().len();
         let second_start = WAL_HEADER + RECORD_HEADER + first_body + RECORD_HEADER;
         full[second_start] ^= 0xff;
-        let replay = parse(&full).expect("parse");
-        assert_eq!(replay.ops.len(), 1);
-        assert!(replay.truncated_bytes > 0);
+        std::fs::write(&path, &full).expect("flip");
+        let replayed = replay(&path);
+        assert!(
+            matches!(replayed, Err(ServeError::Corrupt(_))),
+            "{replayed:?}"
+        );
+        assert_eq!(std::fs::read(&path).expect("kept"), full);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A torn last record followed by zeros (a crash after the file grew
+    /// but before the append's bytes landed) is still a torn tail: no
+    /// frame after the bad one verifies, so replay keeps the prefix and
+    /// cuts the rest.
+    #[test]
+    fn zero_filled_tail_after_a_torn_record_is_healed() {
+        let dir = tmpdir("zero-tail");
+        let path = sample_wal(&dir);
+        let mut full = std::fs::read(&path).expect("read");
+        let last = sample_ops()[2].encode().len();
+        let prefix = full.len() - last;
+        full[prefix..].fill(0);
+        full.extend([0u8; 64]);
+        std::fs::write(&path, &full).expect("tear");
+        let (replayed, _wal) = replay(&path).expect("replay");
+        assert_eq!(replayed.ops, sample_ops()[..2]);
+        assert_eq!(
+            std::fs::metadata(&path).expect("stat").len() as usize,
+            prefix - RECORD_HEADER
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

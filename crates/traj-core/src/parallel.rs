@@ -3,16 +3,18 @@
 //! Filling an N×N ground-truth distance matrix with an O(L²) measure is the
 //! single most expensive CPU step of every experiment, so it is chunked
 //! across threads here. We intentionally avoid a full work-stealing pool:
-//! a shared-cursor work queue ([`parallel_for`], [`parallel_for_chunks`])
-//! is within a few percent of optimal for these workloads and keeps the
-//! dependency surface to the allowed crates. For non-uniform workloads
-//! (triangular pair sets, length-skewed rows) static chunking is *not*
-//! close to optimal — [`parallel_for_chunks`] plus a [`DisjointSlice`] is
-//! the dynamic-scheduling alternative the matrix builders use.
+//! a shared-cursor work queue ([`parallel_for_chunks`]) is within a few
+//! percent of optimal for these workloads and keeps the dependency
+//! surface to the allowed crates. For non-uniform workloads (triangular
+//! pair sets, length-skewed rows) static chunking is *not* close to
+//! optimal — [`parallel_for_chunks`] plus a [`DisjointSlice`] is the
+//! dynamic-scheduling alternative the matrix builder uses.
 
 use parking_lot::Mutex;
 use std::marker::PhantomData;
 use std::ops::Range;
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
 
 /// Number of worker threads to use: the available parallelism, capped so
 /// tiny inputs don't pay spawn overhead.
@@ -53,51 +55,10 @@ where
     out
 }
 
-/// Runs `f(i)` for every index in `0..n` purely for side effects guarded by
-/// the caller, in parallel. `f` must be safe to run concurrently.
-pub fn parallel_for<F>(n: usize, threads: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        for i in 0..n {
-            f(i);
-        }
-        return;
-    }
-    let next = Mutex::new(0usize);
-    let batch = (n / (threads * 8)).max(1);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let start = {
-                    let mut g = next.lock();
-                    let s = *g;
-                    if s >= n {
-                        return;
-                    }
-                    *g = (s + batch).min(n);
-                    s
-                };
-                for i in start..(start + batch).min(n) {
-                    f(i);
-                }
-            });
-        }
-    });
-}
-
 /// Runs `f` over every index range of `0..n`, split into batches of at
 /// most `batch` indices handed out dynamically from a shared cursor.
 ///
-/// Unlike [`parallel_for`]'s fixed heuristic batch, the caller picks the
-/// granularity: small batches balance skewed workloads (a thread that
+/// The caller picks the granularity: small batches balance skewed workloads (a thread that
 /// drew expensive items simply claims fewer batches), large batches
 /// amortize the cursor lock. With `threads == 1` the ranges are visited
 /// serially in order, still in `batch`-sized steps, so per-batch effects
@@ -142,8 +103,8 @@ where
 }
 
 /// A borrowed view of a mutable slice that scoped worker threads can
-/// write through concurrently, provided every index is written by at
-/// most one thread.
+/// write through concurrently, provided every index is written at most
+/// once.
 ///
 /// `parallel_map` returns per-task values and stitches them afterwards;
 /// for large flat outputs (an N×N distance matrix) that doubles peak
@@ -152,15 +113,22 @@ where
 /// *scheduler* guarantees disjointness (each work item owns fixed output
 /// indices), and [`DisjointSlice::write`] encodes the remaining contract
 /// as an `unsafe` fn.
+///
+/// Debug builds check that contract: they keep one flag per slot and
+/// panic on a second write to the same slot, whichever thread makes it.
+/// Release builds keep neither the flags nor the check.
 pub struct DisjointSlice<'a, T> {
     ptr: *mut T,
     len: usize,
+    #[cfg(debug_assertions)]
+    written: Vec<AtomicBool>,
     _marker: PhantomData<&'a mut [T]>,
 }
 
-// SAFETY: the view hands out no references, only index-checked writes,
-// and `write`'s contract forbids two threads touching the same index, so
-// sharing the view across scoped threads is sound for Send payloads.
+// SAFETY: `ptr`/`len` are a view that hands out no references, only
+// index-checked writes, and `write`'s contract forbids two threads
+// touching the same index, so sharing the view across scoped threads is
+// sound for Send payloads; the debug-only `written` flags are atomics.
 unsafe impl<T: Send> Send for DisjointSlice<'_, T> {}
 unsafe impl<T: Send> Sync for DisjointSlice<'_, T> {}
 
@@ -171,6 +139,8 @@ impl<'a, T> DisjointSlice<'a, T> {
         DisjointSlice {
             ptr: slice.as_mut_ptr(),
             len: slice.len(),
+            #[cfg(debug_assertions)]
+            written: (0..slice.len()).map(|_| AtomicBool::new(false)).collect(),
             _marker: PhantomData,
         }
     }
@@ -189,14 +159,24 @@ impl<'a, T> DisjointSlice<'a, T> {
     ///
     /// # Safety
     ///
-    /// No other thread may read or write `index` concurrently (disjoint
-    /// writes only, e.g. each parallel work item owning distinct output
-    /// cells). Out-of-bounds indices panic.
+    /// Each index is written at most once over the view's lifetime, and
+    /// no other thread reads it meanwhile (disjoint writes only, e.g. each
+    /// parallel work item owning distinct output cells). Out-of-bounds
+    /// indices panic, and so does (in debug builds) a second write to the
+    /// same index.
     pub unsafe fn write(&self, index: usize, value: T) {
         assert!(
             index < self.len,
             "index {index} out of bounds for DisjointSlice of len {}",
             self.len
+        );
+        // `swap` is one atomic read-modify-write, so of two writes to a
+        // slot exactly one sees `false`; the flag publishes nothing else,
+        // hence `Relaxed`.
+        #[cfg(debug_assertions)]
+        assert!(
+            !self.written[index].swap(true, std::sync::atomic::Ordering::Relaxed),
+            "DisjointSlice index {index} written twice"
         );
         // SAFETY: in-bounds by the assert; exclusivity by the caller.
         unsafe { self.ptr.add(index).write(value) };
@@ -221,16 +201,6 @@ mod tests {
     fn map_empty_and_tiny() {
         assert!(parallel_map(0, 4, |i| i).is_empty());
         assert_eq!(parallel_map(1, 4, |i| i + 1), vec![1]);
-    }
-
-    #[test]
-    fn for_visits_every_index_once() {
-        let n = 5000;
-        let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(n, 4, |i| {
-            counters[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(counters.iter().all(|c| c.load(Ordering::Relaxed) == 1));
     }
 
     #[test]
@@ -287,6 +257,22 @@ mod tests {
         assert!(!view.is_empty());
         // SAFETY: single-threaded; the call must panic on bounds.
         unsafe { view.write(4, 1) };
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "written twice")]
+    fn disjoint_slice_rejects_overlapping_writes_in_debug_builds() {
+        let mut out = vec![0usize; 64];
+        let view = DisjointSlice::new(&mut out);
+        // Two work items that both claim index 31, the overlap a broken
+        // scheduler would produce, run one after the other.
+        for start in [0, 31] {
+            for i in start..start + 33 {
+                // SAFETY: one thread; the second write to 31 must panic.
+                unsafe { view.write(i, i) };
+            }
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! is an **admissible lower bound** on the true distance, computable in
 //! O(k) after an O(k·n) one-time featurization. Three consumers share
 //! the mechanism: the [`crate::MatrixBuilder`] landmark pre-screen
-//! (`PruneStage::LandmarkScreen`), the pivot-partitioned retrieval
+//! (`MatrixBuilder::prune_landmark`), the pivot-partitioned retrieval
 //! index's second-level member bound (`lh-core/retrieval/index`), and
 //! the training-free `landmark` encoder in `lh-models`.
 //!

@@ -8,12 +8,11 @@
 //! All dynamic-programming measures use rolling row buffers (O(min(n,m))
 //! memory) and `f64` accumulation. [`matrix`] fills full and rectangular
 //! pairwise matrices in parallel through the [`MatrixBuilder`] pipeline:
-//! dynamically scheduled pair batches (balanced across the triangular
-//! workload), opt-in admissible early-abandon pruning for the DP
-//! measures, persistent fingerprint-keyed checkpoints, and a
-//! wavefront-batched execution tier ([`matrix::wavefront`]) that runs
-//! length-bucketed DTW/ERP/EDR pairs in SIMD lockstep along DP
-//! anti-diagonals — bit-identical to the scalar kernels.
+//! one executor that runs length-bucketed DTW/ERP/EDR pairs in SIMD
+//! lockstep along DP anti-diagonals ([`matrix::wavefront`], bit-identical
+//! to the scalar kernels) and every other pair in dynamically scheduled
+//! scalar batches, opt-in admissible pruning, and persistent
+//! fingerprint-keyed checkpoints.
 
 pub mod dtw;
 pub mod edr;
@@ -35,9 +34,8 @@ pub use hausdorff::hausdorff;
 pub use landmark::{LandmarkLowerBound, Landmarks};
 pub use lcss::lcss_distance;
 pub use matrix::{
-    batch_distances, cross_matrix, pairwise_matrix, BatchPlan, BuildReport, CacheError,
-    CacheOutcome, DistanceMatrix, MatrixBuild, MatrixBuilder, PruneStage, Schedule,
-    DEFAULT_LANDMARKS,
+    cross_matrix, pairwise_matrix, BuildReport, CacheError, CacheOutcome, DistanceMatrix,
+    MatrixBuild, MatrixBuilder, Schedule,
 };
 pub use measure::{Measure, MeasureKind, PrunedDistance};
 pub use sspd::sspd;

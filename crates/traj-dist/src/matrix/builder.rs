@@ -1,29 +1,33 @@
 //! The ground-truth matrix construction pipeline.
 //!
-//! For a symmetric matrix the workload is *triangular* — row `i` holds
-//! `n−i−1` pairs — so a static split into contiguous row chunks loads the
-//! first thread with `O(n)` pairs per row while the last thread idles
-//! over near-empty rows, and wall-clock time is bounded by the most
-//! loaded thread instead of the hardware. [`MatrixBuilder`] does this
-//! instead:
+//! A build is fingerprint → cache → screen → execute → report, and one
+//! private executor runs every build's pairs, pairwise or cross:
 //!
-//! * **Balanced dynamic scheduling** (the default): the upper-triangle
-//!   pair set is linearized, split into fixed-size batches, and handed
-//!   out from a shared work queue ([`traj_core::parallel::parallel_for_chunks`]);
-//!   workers write finished distances straight into the shared flat
-//!   buffer through a [`DisjointSlice`] — no per-row `Vec` allocations,
-//!   no merge pass. Because each pair's distance is computed by the same
-//!   kernel call and written to fixed cells, the result is **bit-identical**
-//!   across schedules and thread counts.
-//! * **Opt-in threshold pruning** as a layered [`PruneStage`] pipeline:
-//!   a cheap O(k) landmark lower-bound screen
-//!   ([`PruneStage::LandmarkScreen`], backed by [`crate::landmark`])
-//!   rejects pairs whose bound already exceeds the threshold before any
-//!   DP runs, and survivors fall through to the O(L²) row-min
-//!   early-abandon ([`PruneStage::EarlyAbandon`]) for the DP measures
-//!   (DTW/ERP/EDR). Every stage is admissible: entries ≤ threshold are
-//!   always bit-exact, larger entries may be certified lower bounds
-//!   (see [`crate::measure::PrunedDistance`]).
+//! * **One executor over a pair space.** A pairwise build's pairs are the
+//!   upper triangle, linearized (`p ↦ (i, j)`, written to `(i, j)` and
+//!   `(j, i)`); a cross build's are its cells, row-major. When the
+//!   measure has a lockstep kernel ([`Measure::supports_batch`]) and the
+//!   build prunes nothing, pairs are bucketed by length and run
+//!   [`wavefront::LANES`] at a time along DP anti-diagonals
+//!   ([`super::wavefront`]); every other pair — the plan's stragglers,
+//!   measures without a lockstep kernel, pruned builds — goes through a
+//!   queue of fixed-size pair batches. Groups and batches are handed out
+//!   from one shared work queue
+//!   ([`traj_core::parallel::parallel_for_chunks`]), so the triangular,
+//!   length-skewed workload balances across threads, and workers write
+//!   finished distances straight into the flat output buffer through a
+//!   [`DisjointSlice`] — no per-row `Vec`s, no merge pass. Each pair's
+//!   distance comes from the same kernel arithmetic and lands in fixed
+//!   cells, so the result is **bit-identical** to [`Schedule::Serial`],
+//!   the single-threaded oracle, at every thread count.
+//! * **Opt-in threshold pruning** ([`MatrixBuilder::prune`],
+//!   [`MatrixBuilder::prune_landmark`]): an optional O(k) landmark
+//!   lower-bound screen (backed by [`crate::landmark`]) rejects pairs
+//!   whose bound already exceeds the threshold before any DP runs, and
+//!   survivors get the O(L²) row-min early-abandon DP where the measure
+//!   has one (DTW/ERP/EDR). Both are admissible: entries ≤ threshold are
+//!   always bit-exact, larger entries may be certified lower bounds (see
+//!   [`crate::measure::PrunedDistance`]).
 //! * **Persistent checkpoints** ([`MatrixBuilder::cache_dir`]): finished
 //!   matrices are stored under a fingerprint of (dataset bits, measure
 //!   parameters, shape) in the [`super::cache`] binary format, so
@@ -43,83 +47,34 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use traj_core::codec::Fnv64;
-use traj_core::parallel::{default_threads, parallel_for, parallel_for_chunks, DisjointSlice};
+use traj_core::parallel::{default_threads, parallel_for_chunks, DisjointSlice};
 use traj_core::Trajectory;
 
-/// How pair work is distributed across threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// How a build runs its pairs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Single-threaded reference loop (the byte-identity oracle).
+    /// One thread, every pair through the scalar kernels in pair order:
+    /// the byte-identity oracle the builder suites compare against.
     Serial,
-    /// Dynamically scheduled pair batches from a shared work queue,
-    /// written directly into the output buffer.
+    /// The production executor: lockstep groups ([`super::wavefront`])
+    /// wherever a batched kernel exists and nothing is pruned, scalar
+    /// pair batches for everything else, all from one parallel work
+    /// queue.
     #[default]
-    Balanced,
-    /// Wavefront-batched lockstep execution ([`super::wavefront`]):
-    /// pairs are bucketed by length and evaluated [`wavefront::LANES`]
-    /// at a time along DP anti-diagonals (bit-identical to the scalar
-    /// kernels); stragglers run through the scalar path. Falls back to
-    /// `Balanced` when the measure has no batched kernel or pruning is
-    /// enabled (the batched tier always computes exact entries, so it
-    /// cannot honor an early-abandon threshold).
     Wavefront,
 }
 
-impl Schedule {
-    /// Every schedule, in display order — the single source of truth for
-    /// CLI parsers and error messages listing the valid names.
-    pub const ALL: [Schedule; 3] = [Schedule::Serial, Schedule::Balanced, Schedule::Wavefront];
+/// Pivot count of the landmark screen: eight features make the screen
+/// cost invisible next to even the shortest DP while pruning most
+/// supra-threshold pairs in practice.
+const LANDMARKS: usize = 8;
 
-    /// Display name (bench labels, logs).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Schedule::Serial => "serial",
-            Schedule::Balanced => "balanced",
-            Schedule::Wavefront => "wavefront",
-        }
-    }
-
-    /// Parses a display name back into a schedule (CLI flags).
-    pub fn from_name(name: &str) -> Option<Schedule> {
-        Schedule::ALL.iter().copied().find(|s| s.name() == name)
-    }
-}
-
-/// One layer of the pruning pipeline, ordered cheap → expensive.
-///
-/// Stages run in the order given to [`MatrixBuilder::prune_stages`]; a
-/// stage either certifies a lower bound above the threshold (the pair is
-/// *pruned* and later stages never run) or passes the pair on. A stage
-/// whose prerequisite the measure lacks (no admissible landmark bound,
-/// no early-abandon DP) is skipped, so the pipeline degrades gracefully
-/// to the exact kernel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PruneStage {
-    /// O(k) landmark feature screen ([`crate::landmark`]): features are
-    /// built once per input set (O(k·n) measure evaluations, not counted
-    /// in `pairs_computed`), then each pair costs k subtractions. Only
-    /// measures with [`Measure::supports_landmark_bound`] screen; others
-    /// skip this stage.
-    LandmarkScreen {
-        /// Number of landmark pivots (clamped to the set size).
-        k: usize,
-    },
-    /// Row-min early-abandon DP (DTW/ERP/EDR): abandons once a full DP
-    /// row exceeds the threshold. Measures without an early-abandon
-    /// kernel skip this stage and compute exactly.
-    EarlyAbandon,
-}
-
-/// Default pivot count for [`MatrixBuilder::prune_landmark`]: eight
-/// features make the screen cost invisible next to even the shortest DP
-/// while pruning most supra-threshold pairs in practice.
-pub const DEFAULT_LANDMARKS: usize = 8;
-
-/// A threshold plus the ordered stages that enforce it.
-#[derive(Debug, Clone)]
+/// A pruning threshold, and whether the landmark screen runs in front of
+/// the early-abandon DP.
+#[derive(Debug, Clone, Copy)]
 struct PrunePlan {
     threshold: f64,
-    stages: Vec<PruneStage>,
+    screen: bool,
 }
 
 /// Which stage (if any) certified a pair's lower bound.
@@ -205,8 +160,79 @@ pub struct MatrixBuilder {
 /// (a batch is hundreds of microseconds of DP work at typical lengths).
 const DEFAULT_PAIR_BATCH: usize = 256;
 
+/// The pairs one execution evaluates, and the output cells each fills.
+#[derive(Clone, Copy)]
+enum Space<'a> {
+    /// The upper triangle of one set: pair `p` is [`pair_at`]`(p, n)` and
+    /// fills cells `(i, j)` and `(j, i)` of the n×n matrix.
+    Pairwise(&'a [Trajectory]),
+    /// Every `(query, base)` pair, row-major: pair `p` is `(p / m, p % m)`
+    /// and fills cell `p`.
+    Cross(&'a [Trajectory], &'a [Trajectory]),
+    /// An explicit pair list: pair `p` fills slot `p`.
+    List(&'a [(&'a Trajectory, &'a Trajectory)]),
+}
+
+impl<'a> Space<'a> {
+    fn len(&self) -> usize {
+        match *self {
+            Space::Pairwise(trajs) => trajs.len() * trajs.len().saturating_sub(1) / 2,
+            Space::Cross(queries, base) => queries.len() * base.len(),
+            Space::List(pairs) => pairs.len(),
+        }
+    }
+
+    /// Pair `p`: its input indices (the landmark screen's key; a list is
+    /// never screened) and its trajectories.
+    #[inline]
+    fn pair(&self, p: usize) -> ((usize, usize), &'a Trajectory, &'a Trajectory) {
+        match *self {
+            Space::Pairwise(trajs) => {
+                let (i, j) = pair_at(p, trajs.len());
+                ((i, j), &trajs[i], &trajs[j])
+            }
+            Space::Cross(queries, base) => {
+                let (i, j) = (p / base.len(), p % base.len());
+                ((i, j), &queries[i], &base[j])
+            }
+            Space::List(pairs) => ((p, p), pairs[p].0, pairs[p].1),
+        }
+    }
+
+    /// Stores pair `p`'s value `d` (`ij` from [`Space::pair`]) in its
+    /// cells of `out`.
+    #[inline]
+    fn write(&self, out: &DisjointSlice<'_, f64>, p: usize, (i, j): (usize, usize), d: f64) {
+        // SAFETY: `execute` hands each pair index to exactly one work
+        // item, and pair `p`'s cells belong to it alone: `(i, j)` and
+        // `(j, i)` with `i < j` in the upper triangle (the diagonal is
+        // never written), cell `p` otherwise.
+        unsafe {
+            match *self {
+                Space::Pairwise(trajs) => {
+                    out.write(i * trajs.len() + j, d);
+                    out.write(j * trajs.len() + i, d);
+                }
+                Space::Cross(..) | Space::List(_) => out.write(p, d),
+            }
+        }
+    }
+}
+
+/// `measure` over an explicit pair list, in list order, on one thread:
+/// the executor of [`MatrixBuilder`] with nothing pruned, so lockstep
+/// groups run wherever a batched kernel exists. Backs
+/// [`Measure::distance_batch`].
+pub(crate) fn distances(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> Vec<f64> {
+    let mut out = vec![0.0; pairs.len()];
+    MatrixBuilder::new(*measure)
+        .threads(1)
+        .execute(Space::List(pairs), None, &mut out);
+    out
+}
+
 impl MatrixBuilder {
-    /// A builder with the balanced schedule, no pruning, no cache.
+    /// A builder with the default executor, no pruning, no cache.
     pub fn new(measure: Measure) -> Self {
         MatrixBuilder {
             measure,
@@ -218,20 +244,20 @@ impl MatrixBuilder {
         }
     }
 
-    /// Overrides the scheduling strategy.
+    /// Overrides the schedule ([`Schedule::Serial`] is the oracle).
     pub fn schedule(mut self, schedule: Schedule) -> Self {
         self.schedule = schedule;
         self
     }
 
     /// Pins the worker-thread count (default: hardware parallelism capped
-    /// by available batches).
+    /// by available work items).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
         self
     }
 
-    /// Overrides the balanced schedule's pair-batch size.
+    /// Overrides the size of the scalar pair batches.
     pub fn pair_batch(mut self, batch: usize) -> Self {
         self.pair_batch = batch.max(1);
         self
@@ -241,37 +267,25 @@ impl MatrixBuilder {
     /// whose true distance is ≤ `threshold` stay exact; larger entries
     /// may be replaced by a certified lower bound (still > `threshold`).
     /// Only DTW/ERP/EDR can abandon; other measures compute exactly.
-    /// Equivalent to `prune_stages(threshold, &[PruneStage::EarlyAbandon])`.
-    pub fn prune(self, threshold: f64) -> Self {
-        self.prune_stages(threshold, &[PruneStage::EarlyAbandon])
-    }
-
-    /// The full layered pipeline: an O(k) landmark screen in front of the
-    /// early-abandon DP, with `k = DEFAULT_LANDMARKS` pivots.
-    pub fn prune_landmark(self, threshold: f64) -> Self {
-        self.prune_stages(
+    pub fn prune(mut self, threshold: f64) -> Self {
+        self.prune = Some(PrunePlan {
             threshold,
-            &[
-                PruneStage::LandmarkScreen {
-                    k: DEFAULT_LANDMARKS,
-                },
-                PruneStage::EarlyAbandon,
-            ],
-        )
+            screen: false,
+        });
+        self
     }
 
-    /// Explicit pruning pipeline: `stages` run in order for every pair
-    /// (see [`PruneStage`] for the per-stage contracts). An empty stage
-    /// list disables pruning.
-    pub fn prune_stages(mut self, threshold: f64, stages: &[PruneStage]) -> Self {
-        self.prune = if stages.is_empty() {
-            None
-        } else {
-            Some(PrunePlan {
-                threshold,
-                stages: stages.to_vec(),
-            })
-        };
+    /// [`MatrixBuilder::prune`] with an O(k) landmark screen in front of
+    /// the early-abandon DP: features against eight pivots are built once
+    /// per input set (O(k·n) measure evaluations, not counted in
+    /// `pairs_computed`), then each pair costs k subtractions. Only
+    /// measures with [`Measure::supports_landmark_bound`] screen; for the
+    /// others this is plain [`MatrixBuilder::prune`].
+    pub fn prune_landmark(mut self, threshold: f64) -> Self {
+        self.prune = Some(PrunePlan {
+            threshold,
+            screen: true,
+        });
         self
     }
 
@@ -283,74 +297,100 @@ impl MatrixBuilder {
         self
     }
 
-    /// One pair evaluation through the pruning pipeline: stages run in
-    /// order, the first stage certifying a bound above the threshold
-    /// wins, and pairs surviving every stage get the exact kernel (or
-    /// the early-abandon DP's exact completion). `screen` is the
-    /// precomputed landmark oracle for this build's input set(s), `None`
-    /// when no screen stage applies.
+    /// One scalar pair evaluation: the landmark screen (`screen`, built
+    /// only when the plan asks for it) certifies a bound above the
+    /// threshold, or the early-abandon DP runs (exact for measures that
+    /// cannot abandon), or — unpruned — the exact kernel.
     #[inline]
     fn eval_at(
         &self,
         screen: Option<&LandmarkLowerBound>,
-        i: usize,
-        j: usize,
+        (i, j): (usize, usize),
         a: &Trajectory,
         b: &Trajectory,
     ) -> (f64, PrunedBy) {
-        if let Some(plan) = &self.prune {
-            let t = plan.threshold;
-            for stage in &plan.stages {
-                match *stage {
-                    PruneStage::LandmarkScreen { .. } => {
-                        if let Some(s) = screen {
-                            let lb = s.lb(i, j);
-                            if lb > t {
-                                return (lb, PrunedBy::Screen);
-                            }
+        let Some(plan) = self.prune else {
+            return (self.measure.distance(a, b), PrunedBy::None);
+        };
+        if let Some(lb) = screen.map(|s| s.lb(i, j)).filter(|&lb| lb > plan.threshold) {
+            return (lb, PrunedBy::Screen);
+        }
+        let p = self.measure.distance_pruned(a, b, plan.threshold);
+        let by = if p.abandoned() {
+            PrunedBy::Dp
+        } else {
+            PrunedBy::None
+        };
+        (p.value(), by)
+    }
+
+    /// Evaluates every pair of `space` into `out` and returns the
+    /// `(pruned, screened)` counts.
+    ///
+    /// A pair joins a lockstep group iff the measure has a batched kernel
+    /// and the build prunes nothing (the batched tier always computes
+    /// exact entries, so it cannot honor a threshold). The lockstep plan's
+    /// groups and the scalar pair batches — its stragglers, or every pair
+    /// when there is no plan — are the work items of one parallel phase.
+    fn execute(
+        &self,
+        space: Space<'_>,
+        screen: Option<&LandmarkLowerBound>,
+        out: &mut [f64],
+    ) -> (usize, usize) {
+        let pruned = AtomicUsize::new(0);
+        let screened = AtomicUsize::new(0);
+        let out = DisjointSlice::new(out);
+        let scalar = |p: usize| {
+            let (ij, a, b) = space.pair(p);
+            let (d, by) = self.eval_at(screen, ij, a, b);
+            if by != PrunedBy::None {
+                pruned.fetch_add(1, Ordering::Relaxed);
+            }
+            if by == PrunedBy::Screen {
+                screened.fetch_add(1, Ordering::Relaxed);
+            }
+            space.write(&out, p, ij, d);
+        };
+        if self.schedule == Schedule::Serial {
+            (0..space.len()).for_each(scalar);
+            return (pruned.into_inner(), screened.into_inner());
+        }
+
+        let plan = (self.measure.supports_batch() && self.prune.is_none()).then(|| {
+            wavefront::plan_batches((0..space.len()).map(|p| {
+                let (_, a, b) = space.pair(p);
+                wavefront::pair_len_key(&self.measure, a, b)
+            }))
+        });
+        let (groups, queued) = plan
+            .as_ref()
+            .map_or((0, space.len()), |plan| (plan.groups(), plan.stragglers()));
+        let batch = self.pair_batch;
+        let items = groups + queued.div_ceil(batch);
+        let threads = self.threads.unwrap_or_else(|| default_threads(items));
+        parallel_for_chunks(items, threads, 1, |items| {
+            for item in items {
+                match &plan {
+                    Some(plan) if item < groups => {
+                        let members: Vec<_> =
+                            plan.group(item).map(|p| (p, space.pair(p))).collect();
+                        let pairs: Vec<_> = members.iter().map(|&(_, (_, a, b))| (a, b)).collect();
+                        let values = wavefront::eval_batch(&self.measure, &pairs);
+                        for (&(p, (ij, ..)), d) in members.iter().zip(values) {
+                            space.write(&out, p, ij, d);
                         }
                     }
-                    PruneStage::EarlyAbandon if self.measure.supports_early_abandon() => {
-                        let p = self.measure.distance_pruned(a, b, t);
-                        let by = if p.abandoned() {
-                            PrunedBy::Dp
-                        } else {
-                            PrunedBy::None
-                        };
-                        return (p.value(), by);
+                    _ => {
+                        let start = (item - groups) * batch;
+                        for k in start..(start + batch).min(queued) {
+                            scalar(plan.as_ref().map_or(k, |plan| plan.straggler(k)));
+                        }
                     }
-                    PruneStage::EarlyAbandon => {}
                 }
             }
-        }
-        (self.measure.distance(a, b), PrunedBy::None)
-    }
-
-    /// The pivot count of the first applicable landmark-screen stage,
-    /// `None` when the pipeline has no screen or the measure admits no
-    /// landmark bound.
-    fn screen_k(&self) -> Option<usize> {
-        if !self.measure.supports_landmark_bound() {
-            return None;
-        }
-        self.prune.as_ref()?.stages.iter().find_map(|s| match *s {
-            PruneStage::LandmarkScreen { k } => Some(k),
-            PruneStage::EarlyAbandon => None,
-        })
-    }
-
-    /// The schedule actually executed: `Wavefront` demotes itself to
-    /// `Balanced` when the measure has no batched kernel or a pruning
-    /// pipeline is set (the batched tier always computes exact entries,
-    /// so it cannot honor an early-abandon threshold). Fingerprints never
-    /// include the schedule, so the demotion is invisible to the cache.
-    fn effective_schedule(&self) -> Schedule {
-        match self.schedule {
-            Schedule::Wavefront if !self.measure.supports_batch() || self.prune.is_some() => {
-                Schedule::Balanced
-            }
-            s => s,
-        }
+        });
+        (pruned.into_inner(), screened.into_inner())
     }
 
     /// Serves a build from cache if a valid checkpoint with the expected
@@ -384,304 +424,56 @@ impl MatrixBuilder {
     /// Full symmetric N×N matrix over `trajs` (upper triangle computed,
     /// mirrored into both halves; zero diagonal).
     pub fn build_pairwise(&self, trajs: &[Trajectory]) -> MatrixBuild {
-        let start = std::time::Instant::now();
-        let n = trajs.len();
-        let fingerprint = self.fingerprint(b"pairwise", &[trajs]);
-        if let Some(matrix) = self.try_cache_load(fingerprint, n, n) {
-            return MatrixBuild {
-                matrix,
-                report: BuildReport {
-                    seconds: start.elapsed().as_secs_f64(),
-                    cache: CacheOutcome::Hit,
-                    pairs_computed: 0,
-                    pairs_pruned: 0,
-                    pairs_screened: 0,
-                },
-            };
-        }
-
-        let screen = self
-            .screen_k()
-            .and_then(|k| LandmarkLowerBound::pairwise(&self.measure, trajs, k));
-        let screen = screen.as_ref();
-        let total_pairs = n * n.saturating_sub(1) / 2;
-        let pruned = AtomicUsize::new(0);
-        let screened = AtomicUsize::new(0);
-        let tally = |by: PrunedBy| match by {
-            PrunedBy::None => {}
-            PrunedBy::Screen => {
-                pruned.fetch_add(1, Ordering::Relaxed);
-                screened.fetch_add(1, Ordering::Relaxed);
-            }
-            PrunedBy::Dp => {
-                pruned.fetch_add(1, Ordering::Relaxed);
-            }
-        };
-        let mut data = vec![0.0; n * n];
-        match self.effective_schedule() {
-            Schedule::Serial => {
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        let (d, by) = self.eval_at(screen, i, j, &trajs[i], &trajs[j]);
-                        tally(by);
-                        data[i * n + j] = d;
-                        data[j * n + i] = d;
-                    }
-                }
-            }
-            Schedule::Balanced => {
-                let batch = self.pair_batch;
-                let threads = self
-                    .threads
-                    .unwrap_or_else(|| default_threads(total_pairs.div_ceil(batch)));
-                let view = DisjointSlice::new(&mut data);
-                parallel_for_chunks(total_pairs, threads, batch, |range| {
-                    let (mut i, mut j) = pair_at(range.start, n);
-                    for _ in range {
-                        let (d, by) = self.eval_at(screen, i, j, &trajs[i], &trajs[j]);
-                        tally(by);
-                        // SAFETY: pair (i, j) with i < j is claimed by
-                        // exactly one batch, and cells (i,j)/(j,i) belong
-                        // to that pair alone; the diagonal is untouched.
-                        unsafe {
-                            view.write(i * n + j, d);
-                            view.write(j * n + i, d);
-                        }
-                        j += 1;
-                        if j == n {
-                            i += 1;
-                            j = i + 1;
-                        }
-                    }
-                });
-            }
-            Schedule::Wavefront => {
-                // Materialize the upper-triangle pair list, bucket it by
-                // length, and hand one lockstep group per work item to the
-                // wavefront kernels; leftovers reuse the scalar path.
-                let pairs: Vec<(u32, u32)> = (0..n)
-                    .flat_map(|i| ((i + 1)..n).map(move |j| (i as u32, j as u32)))
-                    .collect();
-                let lens: Vec<(usize, usize)> = pairs
-                    .iter()
-                    .map(|&(i, j)| {
-                        wavefront::pair_len_key(
-                            &self.measure,
-                            &trajs[i as usize],
-                            &trajs[j as usize],
-                        )
-                    })
-                    .collect();
-                let plan = wavefront::plan_batches(&lens);
-                let view = DisjointSlice::new(&mut data);
-                let threads = self
-                    .threads
-                    .unwrap_or_else(|| default_threads(plan.groups.len()));
-                parallel_for(plan.groups.len(), threads, |g| {
-                    let idxs = plan.group(g);
-                    let group_pairs: Vec<(&Trajectory, &Trajectory)> = idxs
-                        .iter()
-                        .map(|&p| {
-                            let (i, j) = pairs[p];
-                            (&trajs[i as usize], &trajs[j as usize])
-                        })
-                        .collect();
-                    let vals = wavefront::eval_batch(&self.measure, &group_pairs);
-                    for (k, &p) in idxs.iter().enumerate() {
-                        let (i, j) = pairs[p];
-                        let (i, j) = (i as usize, j as usize);
-                        // SAFETY: each pair index is claimed by exactly
-                        // one group, and cells (i,j)/(j,i) belong to that
-                        // pair alone; the diagonal is untouched.
-                        unsafe {
-                            view.write(i * n + j, vals[k]);
-                            view.write(j * n + i, vals[k]);
-                        }
-                    }
-                });
-                let straggler_threads = self
-                    .threads
-                    .unwrap_or_else(|| default_threads(plan.stragglers.len()));
-                parallel_for_chunks(
-                    plan.stragglers.len(),
-                    straggler_threads,
-                    self.pair_batch,
-                    |range| {
-                        for s in range {
-                            let (i, j) = pairs[plan.stragglers[s]];
-                            let (i, j) = (i as usize, j as usize);
-                            // Pruning demotes wavefront to balanced, so
-                            // this eval is always exact (screen = None).
-                            let (d, _) = self.eval_at(screen, i, j, &trajs[i], &trajs[j]);
-                            // SAFETY: straggler pairs are disjoint from
-                            // every group and from each other.
-                            unsafe {
-                                view.write(i * n + j, d);
-                                view.write(j * n + i, d);
-                            }
-                        }
-                    },
-                );
-            }
-        }
-        let matrix = DistanceMatrix::from_raw(n, n, data);
-        self.try_cache_store(fingerprint, &matrix);
-        MatrixBuild {
-            matrix,
-            report: BuildReport {
-                seconds: start.elapsed().as_secs_f64(),
-                cache: if self.cache_dir.is_some() {
-                    CacheOutcome::Miss
-                } else {
-                    CacheOutcome::Disabled
-                },
-                pairs_computed: total_pairs,
-                pairs_pruned: pruned.into_inner(),
-                pairs_screened: screened.into_inner(),
-            },
-        }
+        let (n, space) = (trajs.len(), Space::Pairwise(trajs));
+        self.build(b"pairwise", &[trajs], (n, n), space, || {
+            LandmarkLowerBound::pairwise(&self.measure, trajs, LANDMARKS)
+        })
     }
 
     /// Rectangular |queries| × |base| matrix.
     pub fn build_cross(&self, queries: &[Trajectory], base: &[Trajectory]) -> MatrixBuild {
-        let start = std::time::Instant::now();
-        let (n, m) = (queries.len(), base.len());
-        let fingerprint = self.fingerprint(b"cross", &[queries, base]);
-        if let Some(matrix) = self.try_cache_load(fingerprint, n, m) {
-            return MatrixBuild {
-                matrix,
-                report: BuildReport {
-                    seconds: start.elapsed().as_secs_f64(),
-                    cache: CacheOutcome::Hit,
-                    pairs_computed: 0,
-                    pairs_pruned: 0,
-                    pairs_screened: 0,
-                },
-            };
-        }
+        let (shape, space) = ((queries.len(), base.len()), Space::Cross(queries, base));
+        self.build(b"cross", &[queries, base], shape, space, || {
+            LandmarkLowerBound::cross(&self.measure, queries, base, LANDMARKS)
+        })
+    }
 
-        let screen = self
-            .screen_k()
-            .and_then(|k| LandmarkLowerBound::cross(&self.measure, queries, base, k));
-        let screen = screen.as_ref();
-        let total_cells = n * m;
-        let pruned = AtomicUsize::new(0);
-        let screened = AtomicUsize::new(0);
-        let tally = |by: PrunedBy| match by {
-            PrunedBy::None => {}
-            PrunedBy::Screen => {
-                pruned.fetch_add(1, Ordering::Relaxed);
-                screened.fetch_add(1, Ordering::Relaxed);
-            }
-            PrunedBy::Dp => {
-                pruned.fetch_add(1, Ordering::Relaxed);
-            }
+    /// Fingerprint → cache → screen → execute → report, for a
+    /// `rows × cols` matrix over `space`; `screen` builds the landmark
+    /// oracle when the prune plan asks for one.
+    fn build(
+        &self,
+        kind_tag: &[u8],
+        inputs: &[&[Trajectory]],
+        (rows, cols): (usize, usize),
+        space: Space<'_>,
+        screen: impl FnOnce() -> Option<LandmarkLowerBound>,
+    ) -> MatrixBuild {
+        let start = std::time::Instant::now();
+        let fingerprint = self.fingerprint(kind_tag, inputs);
+        let report = |cache, pairs_computed, (pairs_pruned, pairs_screened)| BuildReport {
+            seconds: start.elapsed().as_secs_f64(),
+            cache,
+            pairs_computed,
+            pairs_pruned,
+            pairs_screened,
         };
-        let mut data;
-        match self.effective_schedule() {
-            Schedule::Serial => {
-                data = Vec::with_capacity(total_cells);
-                for (i, q) in queries.iter().enumerate() {
-                    for (j, b) in base.iter().enumerate() {
-                        let (d, by) = self.eval_at(screen, i, j, q, b);
-                        tally(by);
-                        data.push(d);
-                    }
-                }
-            }
-            Schedule::Balanced => {
-                data = vec![0.0; total_cells];
-                let batch = self.pair_batch;
-                let threads = self
-                    .threads
-                    .unwrap_or_else(|| default_threads(total_cells.div_ceil(batch)));
-                let view = DisjointSlice::new(&mut data);
-                parallel_for_chunks(total_cells, threads, batch, |range| {
-                    for cell in range {
-                        let (d, by) = self.eval_at(
-                            screen,
-                            cell / m,
-                            cell % m,
-                            &queries[cell / m],
-                            &base[cell % m],
-                        );
-                        tally(by);
-                        // SAFETY: each flat cell index is claimed by
-                        // exactly one batch.
-                        unsafe { view.write(cell, d) };
-                    }
-                });
-            }
-            Schedule::Wavefront => {
-                // Flat cell indices double as pair indices here, so the
-                // plan's groups/stragglers address the output directly.
-                data = vec![0.0; total_cells];
-                let lens: Vec<(usize, usize)> = (0..total_cells)
-                    .map(|cell| {
-                        wavefront::pair_len_key(&self.measure, &queries[cell / m], &base[cell % m])
-                    })
-                    .collect();
-                let plan = wavefront::plan_batches(&lens);
-                let view = DisjointSlice::new(&mut data);
-                let threads = self
-                    .threads
-                    .unwrap_or_else(|| default_threads(plan.groups.len()));
-                parallel_for(plan.groups.len(), threads, |g| {
-                    let idxs = plan.group(g);
-                    let group_pairs: Vec<(&Trajectory, &Trajectory)> = idxs
-                        .iter()
-                        .map(|&cell| (&queries[cell / m], &base[cell % m]))
-                        .collect();
-                    let vals = wavefront::eval_batch(&self.measure, &group_pairs);
-                    for (k, &cell) in idxs.iter().enumerate() {
-                        // SAFETY: each flat cell index is claimed by
-                        // exactly one group.
-                        unsafe { view.write(cell, vals[k]) };
-                    }
-                });
-                let straggler_threads = self
-                    .threads
-                    .unwrap_or_else(|| default_threads(plan.stragglers.len()));
-                parallel_for_chunks(
-                    plan.stragglers.len(),
-                    straggler_threads,
-                    self.pair_batch,
-                    |range| {
-                        for s in range {
-                            let cell = plan.stragglers[s];
-                            // Pruning demotes wavefront to balanced, so
-                            // this eval is always exact (screen = None).
-                            let (d, _) = self.eval_at(
-                                screen,
-                                cell / m,
-                                cell % m,
-                                &queries[cell / m],
-                                &base[cell % m],
-                            );
-                            // SAFETY: stragglers are disjoint from every
-                            // group and from each other.
-                            unsafe { view.write(cell, d) };
-                        }
-                    },
-                );
-            }
+        if let Some(matrix) = self.try_cache_load(fingerprint, rows, cols) {
+            let report = report(CacheOutcome::Hit, 0, (0, 0));
+            return MatrixBuild { matrix, report };
         }
-        let matrix = DistanceMatrix::from_raw(n, m, data);
+        let screen = self.prune.filter(|plan| plan.screen).and_then(|_| screen());
+        let mut data = vec![0.0; rows * cols];
+        let tally = self.execute(space, screen.as_ref(), &mut data);
+        let matrix = DistanceMatrix::from_raw(rows, cols, data);
         self.try_cache_store(fingerprint, &matrix);
-        MatrixBuild {
-            matrix,
-            report: BuildReport {
-                seconds: start.elapsed().as_secs_f64(),
-                cache: if self.cache_dir.is_some() {
-                    CacheOutcome::Miss
-                } else {
-                    CacheOutcome::Disabled
-                },
-                pairs_computed: total_cells,
-                pairs_pruned: pruned.into_inner(),
-                pairs_screened: screened.into_inner(),
-            },
-        }
+        let cache = if self.cache_dir.is_some() {
+            CacheOutcome::Miss
+        } else {
+            CacheOutcome::Disabled
+        };
+        let report = report(cache, space.len(), tally);
+        MatrixBuild { matrix, report }
     }
 
     /// Content fingerprint of a build: matrix kind, every input
@@ -837,20 +629,12 @@ mod tests {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_pairwise(&ts);
-        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
-            for threads in [1, 3, 8] {
-                let par = MatrixBuilder::new(measure)
-                    .schedule(schedule)
-                    .threads(threads)
-                    .pair_batch(5)
-                    .build_pairwise(&ts);
-                assert_eq!(
-                    bits(&serial.matrix),
-                    bits(&par.matrix),
-                    "{} threads={threads}",
-                    schedule.name()
-                );
-            }
+        for threads in [1, 3, 8] {
+            let par = MatrixBuilder::new(measure)
+                .threads(threads)
+                .pair_batch(5)
+                .build_pairwise(&ts);
+            assert_eq!(bits(&serial.matrix), bits(&par.matrix), "threads={threads}");
         }
         assert_eq!(serial.report.pairs_computed, 17 * 16 / 2);
         assert_eq!(serial.report.cache, CacheOutcome::Disabled);
@@ -863,19 +647,11 @@ mod tests {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_cross(&ts[..4], &ts);
-        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
-            let par = MatrixBuilder::new(measure)
-                .schedule(schedule)
-                .threads(4)
-                .pair_batch(3)
-                .build_cross(&ts[..4], &ts);
-            assert_eq!(
-                bits(&serial.matrix),
-                bits(&par.matrix),
-                "{}",
-                schedule.name()
-            );
-        }
+        let par = MatrixBuilder::new(measure)
+            .threads(4)
+            .pair_batch(3)
+            .build_cross(&ts[..4], &ts);
+        assert_eq!(bits(&serial.matrix), bits(&par.matrix));
         assert_eq!(serial.report.pairs_computed, 4 * 13);
     }
 
@@ -998,7 +774,7 @@ mod tests {
         let exact = MatrixBuilder::new(measure).build_pairwise(&ts);
         let threshold = exact.matrix.off_diagonal_mean();
         let screened = MatrixBuilder::new(measure)
-            .prune_stages(threshold, &[PruneStage::LandmarkScreen { k: 4 }])
+            .prune_landmark(threshold)
             .build_pairwise(&ts);
         assert!(screened.report.pairs_screened > 0);
         assert_eq!(
@@ -1093,8 +869,8 @@ mod tests {
 
     #[test]
     fn wavefront_cross_bit_identical_for_batched_measures() {
-        // The Sspd cross test above exercises the unsupported-measure
-        // fallback; this one drives the real batched cross path.
+        // The Sspd cross test above exercises the scalar queue; this one
+        // drives the lockstep cross path.
         let ts = skewed_trajs(14);
         for kind in [MeasureKind::Dtw, MeasureKind::Erp, MeasureKind::Edr] {
             let measure = kind.measure();
@@ -1102,7 +878,6 @@ mod tests {
                 .schedule(Schedule::Serial)
                 .build_cross(&ts[..5], &ts);
             let wf = MatrixBuilder::new(measure)
-                .schedule(Schedule::Wavefront)
                 .threads(3)
                 .build_cross(&ts[..5], &ts);
             assert_eq!(bits(&serial.matrix), bits(&wf.matrix), "{}", kind.name());
@@ -1110,51 +885,53 @@ mod tests {
     }
 
     #[test]
-    fn wavefront_with_pruning_demotes_to_balanced() {
-        let ts = skewed_trajs(12);
+    fn pruned_builds_skip_lockstep_and_match_the_oracle() {
+        let ts = spread_trajs(12);
         let measure = MeasureKind::Dtw.measure();
         let threshold = MatrixBuilder::new(measure)
             .build_pairwise(&ts)
             .matrix
             .off_diagonal_mean();
-        let balanced = MatrixBuilder::new(measure)
+        let serial = MatrixBuilder::new(measure)
+            .schedule(Schedule::Serial)
             .prune(threshold)
             .build_pairwise(&ts);
-        let wavefront = MatrixBuilder::new(measure)
-            .schedule(Schedule::Wavefront)
+        let pruned = MatrixBuilder::new(measure)
+            .threads(3)
             .prune(threshold)
             .build_pairwise(&ts);
-        // Demotion means the pruned builds agree bit for bit and the
-        // wavefront-requested build still reports its pruning work.
-        assert_eq!(bits(&balanced.matrix), bits(&wavefront.matrix));
-        assert_eq!(balanced.report.pairs_pruned, wavefront.report.pairs_pruned);
+        // A lockstep group would compute exact entries; the pruned
+        // default build reports the oracle's pruning work instead.
+        assert!(serial.report.pairs_pruned > 0);
+        assert_eq!(bits(&serial.matrix), bits(&pruned.matrix));
+        assert_eq!(serial.report.pairs_pruned, pruned.report.pairs_pruned);
     }
 
     #[test]
     fn wavefront_and_scalar_builds_share_cache_fingerprints() {
-        // The fingerprint excludes the schedule *because* the wavefront
-        // tier is bit-identical: a wavefront-built checkpoint must serve
-        // scalar builds and vice versa.
+        // The fingerprint excludes the schedule *because* the lockstep
+        // tier is bit-identical: a checkpoint built by the default
+        // executor must serve the serial oracle and vice versa.
         let dir = std::env::temp_dir().join(format!("lhgm-wavefront-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let ts = skewed_trajs(10);
         let measure = MeasureKind::Dtw.measure();
-        let cold = MatrixBuilder::new(measure)
-            .schedule(Schedule::Wavefront)
-            .cache_dir(&dir)
-            .build_pairwise(&ts);
-        assert_eq!(cold.report.cache, CacheOutcome::Miss);
-        let warm = MatrixBuilder::new(measure)
-            .schedule(Schedule::Balanced)
-            .cache_dir(&dir)
-            .build_pairwise(&ts);
-        assert_eq!(warm.report.cache, CacheOutcome::Hit);
-        assert_eq!(bits(&cold.matrix), bits(&warm.matrix));
-        let warm_serial = MatrixBuilder::new(measure)
-            .schedule(Schedule::Serial)
-            .cache_dir(&dir)
-            .build_pairwise(&ts);
-        assert_eq!(warm_serial.report.cache, CacheOutcome::Hit);
+        for (cold, warm) in [
+            (Schedule::Wavefront, Schedule::Serial),
+            (Schedule::Serial, Schedule::Wavefront),
+        ] {
+            let dir = dir.join(format!("{cold:?}"));
+            let build = |schedule| {
+                MatrixBuilder::new(measure)
+                    .schedule(schedule)
+                    .cache_dir(&dir)
+                    .build_pairwise(&ts)
+            };
+            let (cold, warm) = (build(cold), build(warm));
+            assert_eq!(cold.report.cache, CacheOutcome::Miss);
+            assert_eq!(warm.report.cache, CacheOutcome::Hit);
+            assert_eq!(bits(&cold.matrix), bits(&warm.matrix));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

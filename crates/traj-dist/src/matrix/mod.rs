@@ -2,24 +2,21 @@
 //!
 //! Training needs `Dist*(T_i, T_j)` for many pairs; with O(L²) measures and
 //! N trajectories this is the dominant CPU cost of every experiment. The
-//! [`builder`] submodule owns construction — a dynamically scheduled,
-//! optionally pruned and cached [`MatrixBuilder`] pipeline — while this
+//! [`builder`] submodule owns construction — one parallel executor behind
+//! an optionally pruned and cached [`MatrixBuilder`] pipeline — while this
 //! module keeps the dense [`DistanceMatrix`] container and the historical
 //! one-call entry points ([`pairwise_matrix`], [`cross_matrix`]), which are
 //! now thin wrappers over the builder's defaults. The [`wavefront`]
-//! submodule adds the batched execution tier: length-bucketed pairs run
-//! [`wavefront::LANES`] at a time along DP anti-diagonals, bit-identical
-//! to the scalar kernels.
+//! submodule holds the lockstep kernels the executor runs wherever a
+//! batched kernel exists: length-bucketed pairs run [`wavefront::LANES`]
+//! at a time along DP anti-diagonals, bit-identical to the scalar kernels.
 
 pub mod builder;
 pub mod cache;
 pub mod wavefront;
 
-pub use builder::{
-    BuildReport, CacheOutcome, MatrixBuild, MatrixBuilder, PruneStage, Schedule, DEFAULT_LANDMARKS,
-};
+pub use builder::{BuildReport, CacheOutcome, MatrixBuild, MatrixBuilder, Schedule};
 pub use cache::CacheError;
-pub use wavefront::{batch_distances, plan_batches, BatchPlan};
 
 use crate::measure::Measure;
 use serde::{Deserialize, Serialize};
@@ -133,7 +130,7 @@ impl DistanceMatrix {
 }
 
 /// Full symmetric N×N matrix of `measure` over `trajs`: the builder's
-/// balanced dynamic schedule with pruning and caching off.
+/// default executor with pruning and caching off.
 pub fn pairwise_matrix(trajs: &[Trajectory], measure: &Measure) -> DistanceMatrix {
     MatrixBuilder::new(*measure).build_pairwise(trajs).matrix
 }

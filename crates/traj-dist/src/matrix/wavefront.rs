@@ -41,8 +41,8 @@
 //! documented fallback contract is a relative error ≤ 1e-12 per entry —
 //! tested independently so the tolerance stays honest. Because results are
 //! bit-identical, [`super::builder::MatrixBuilder`] cache fingerprints
-//! deliberately exclude the schedule: a matrix built by the wavefront tier
-//! is byte-interchangeable with a scalar-built one.
+//! deliberately exclude the schedule: a matrix built through lockstep
+//! groups is byte-interchangeable with one built by the scalar oracle.
 
 use crate::measure::{Measure, MeasureKind};
 use traj_core::Trajectory;
@@ -62,71 +62,119 @@ const MIN_GROUP: usize = 2;
 const MIN_FILL: f64 = 0.5;
 
 /// A partition of pair indices into lockstep groups plus scalar
-/// stragglers. Produced by [`plan_batches`]; every input index appears
-/// exactly once in either `batched` or `stragglers`.
-#[derive(Debug, Clone)]
-pub struct BatchPlan {
-    /// Pair indices reordered so each group occupies a contiguous range.
-    pub batched: Vec<usize>,
-    /// `(start, len)` ranges into `batched`, one per lockstep group;
-    /// `len` is between the minimum group size (2) and [`LANES`].
-    pub groups: Vec<(usize, usize)>,
-    /// Pair indices that run through the scalar kernels instead.
-    pub stragglers: Vec<usize>,
+/// stragglers, produced by [`plan_batches`]: every input index appears
+/// exactly once.
+///
+/// The plan is one array of `u64` words, 8 bytes per pair: each word packs
+/// a pair's length key above its index, so sorting the words buckets pairs
+/// by length. Groups come first ([`LANES`] words each, only the last may
+/// be shorter), stragglers after.
+#[derive(Debug)]
+pub(crate) struct BatchPlan {
+    words: Vec<u64>,
+    /// Words in the group prefix.
+    batched: usize,
+    /// Low bits of a word that hold the pair index.
+    index_bits: u32,
 }
 
 impl BatchPlan {
-    /// Pair indices of group `g` (a slice into `batched`).
-    #[inline]
-    pub fn group(&self, g: usize) -> &[usize] {
-        let (start, len) = self.groups[g];
-        &self.batched[start..start + len]
+    fn index(&self, word: u64) -> usize {
+        (word & low_mask(self.index_bits)) as usize
     }
+
+    /// Number of lockstep groups.
+    pub(crate) fn groups(&self) -> usize {
+        self.batched.div_ceil(LANES)
+    }
+
+    /// Pair indices of group `g`.
+    pub(crate) fn group(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        let end = ((g + 1) * LANES).min(self.batched);
+        self.words[g * LANES..end].iter().map(|&w| self.index(w))
+    }
+
+    /// Number of pairs that run through the scalar kernels instead.
+    pub(crate) fn stragglers(&self) -> usize {
+        self.words.len() - self.batched
+    }
+
+    /// Pair index of straggler `s`.
+    pub(crate) fn straggler(&self, s: usize) -> usize {
+        self.index(self.words[self.batched + s])
+    }
+}
+
+/// The low `bits` bits set.
+fn low_mask(bits: u32) -> u64 {
+    1u64.checked_shl(bits).map_or(u64::MAX, |b| b - 1)
 }
 
 /// The bucketing key for a pair: DTW swaps operands so the shorter
 /// trajectory is the inner axis, so its buckets are keyed on the swapped
 /// shape; everything else buckets on the raw shape.
 #[inline]
-pub fn pair_len_key(measure: &Measure, a: &Trajectory, b: &Trajectory) -> (usize, usize) {
+pub(crate) fn pair_len_key(measure: &Measure, a: &Trajectory, b: &Trajectory) -> (usize, usize) {
     match measure.kind {
         MeasureKind::Dtw => (a.len().max(b.len()), a.len().min(b.len())),
         _ => (a.len(), b.len()),
     }
 }
 
-/// Buckets pairs by length for lockstep execution: sort indices by their
-/// `(rows, cols)` key, chunk into [`LANES`]-sized groups, and demote
-/// groups that are too small (`MIN_GROUP`) or too ragged (`MIN_FILL`)
-/// to the scalar straggler list. Deterministic: stable sort, input order
-/// breaks ties.
-pub fn plan_batches(lens: &[(usize, usize)]) -> BatchPlan {
-    let mut order: Vec<usize> = (0..lens.len()).collect();
-    order.sort_by_key(|&p| lens[p]);
+/// Buckets pairs by length for lockstep execution: sort pair indices by
+/// their `(rows, cols)` key (`keys` yields pair `p`'s key at position
+/// `p`), chunk into [`LANES`]-sized groups, and demote groups that are
+/// too small (`MIN_GROUP`) or too ragged (`MIN_FILL`) to stragglers.
+/// Deterministic: input order breaks key ties.
+///
+/// The index takes the bits it needs and each length the half of what is
+/// left, saturating; a saturated length (millions of points) only coarsens
+/// the grouping, and any grouping is bit-identical (module contract).
+pub(crate) fn plan_batches(keys: impl ExactSizeIterator<Item = (usize, usize)>) -> BatchPlan {
+    let index_bits = usize::BITS - keys.len().saturating_sub(1).leading_zeros();
+    let len_bits = (64 - index_bits) / 2;
+    let cap = low_mask(len_bits);
+    let mut words: Vec<u64> = keys
+        .enumerate()
+        .map(|(p, (rows, cols))| {
+            let (rows, cols) = ((rows as u64).min(cap), (cols as u64).min(cap));
+            (rows << (len_bits + index_bits)) | (cols << index_bits) | p as u64
+        })
+        .collect();
+    words.sort_unstable();
 
-    let mut batched = Vec::new();
-    let mut groups = Vec::new();
-    let mut stragglers = Vec::new();
-    for chunk in order.chunks(LANES) {
+    // Lengths as f64: the fill check multiplies three of them, which
+    // saturated lengths would overflow in integers.
+    let lens = |w: u64| {
+        let rows = (w >> (len_bits + index_bits)) as f64;
+        (rows, ((w >> index_bits) & cap) as f64)
+    };
+    let mut batched = 0;
+    for start in (0..words.len()).step_by(LANES) {
+        let end = (start + LANES).min(words.len());
+        let chunk = &words[start..end];
         if chunk.len() < MIN_GROUP {
-            stragglers.extend_from_slice(chunk);
             continue;
         }
-        let n_max = chunk.iter().map(|&p| lens[p].0).max().unwrap_or(1);
-        let m_max = chunk.iter().map(|&p| lens[p].1).max().unwrap_or(1);
-        let real: usize = chunk.iter().map(|&p| lens[p].0 * lens[p].1).sum();
-        let fill = real as f64 / (chunk.len() * n_max * m_max) as f64;
-        if fill < MIN_FILL {
-            stragglers.extend_from_slice(chunk);
-        } else {
-            groups.push((batched.len(), chunk.len()));
-            batched.extend_from_slice(chunk);
+        let n_max = chunk.iter().map(|&w| lens(w).0).fold(0.0, f64::max);
+        let m_max = chunk.iter().map(|&w| lens(w).1).fold(0.0, f64::max);
+        let real: f64 = chunk.iter().map(|&w| lens(w).0 * lens(w).1).sum();
+        if real / (chunk.len() as f64 * n_max * m_max) < MIN_FILL {
+            continue;
         }
+        // Swap the group down to the end of the prefix. Everything between
+        // the prefix and `start` is demoted, and the gap is a multiple of
+        // LANES, so the two ranges never overlap and the group keeps its
+        // order.
+        for k in 0..end - start {
+            words.swap(batched + k, start + k);
+        }
+        batched += end - start;
     }
     BatchPlan {
+        words,
         batched,
-        groups,
-        stragglers,
+        index_bits,
     }
 }
 
@@ -487,37 +535,6 @@ pub fn eval_batch(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> Ve
     out
 }
 
-/// Convenience entry point: plans buckets over all `pairs`, runs the
-/// lockstep groups, evaluates stragglers through the scalar kernels, and
-/// returns distances in input order. This is the serial reference for the
-/// parallel wavefront schedule in [`super::builder::MatrixBuilder`].
-pub fn batch_distances(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> Vec<f64> {
-    if pairs.is_empty() {
-        return Vec::new();
-    }
-    if !measure.supports_batch() {
-        return pairs.iter().map(|&(a, b)| measure.distance(a, b)).collect();
-    }
-    let lens: Vec<(usize, usize)> = pairs
-        .iter()
-        .map(|&(a, b)| pair_len_key(measure, a, b))
-        .collect();
-    let plan = plan_batches(&lens);
-    let mut out = vec![0.0; pairs.len()];
-    for g in 0..plan.groups.len() {
-        let idxs = plan.group(g);
-        let group_pairs: Vec<(&Trajectory, &Trajectory)> = idxs.iter().map(|&p| pairs[p]).collect();
-        let vals = eval_batch(measure, &group_pairs);
-        for (k, &p) in idxs.iter().enumerate() {
-            out[p] = vals[k];
-        }
-    }
-    for &p in &plan.stragglers {
-        out[p] = measure.distance(pairs[p].0, pairs[p].1);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -545,43 +562,64 @@ mod tests {
         ]
     }
 
+    fn plan(lens: &[(usize, usize)]) -> BatchPlan {
+        plan_batches(lens.iter().copied())
+    }
+
     #[test]
     fn plan_partitions_exactly_once() {
         let lens: Vec<(usize, usize)> = (0..23).map(|i| (3 + i % 5, 2 + (i * 7) % 6)).collect();
-        let plan = plan_batches(&lens);
+        let plan = plan(&lens);
         let mut seen = vec![0usize; lens.len()];
-        for &p in plan.batched.iter().chain(&plan.stragglers) {
-            seen[p] += 1;
+        for g in 0..plan.groups() {
+            let members: Vec<usize> = plan.group(g).collect();
+            assert!((MIN_GROUP..=LANES).contains(&members.len()));
+            // A group is one run of the key order.
+            assert!(members.windows(2).all(|w| lens[w[0]] <= lens[w[1]]));
+            members.iter().for_each(|&p| seen[p] += 1);
         }
+        (0..plan.stragglers()).for_each(|s| seen[plan.straggler(s)] += 1);
         assert!(
             seen.iter().all(|&c| c == 1),
             "partition not exact: {seen:?}"
         );
-        let covered: usize = plan.groups.iter().map(|&(_, len)| len).sum();
-        assert_eq!(covered, plan.batched.len());
-        for g in 0..plan.groups.len() {
-            let len = plan.group(g).len();
-            assert!((MIN_GROUP..=LANES).contains(&len));
-        }
     }
 
     #[test]
     fn plan_demotes_singletons_and_ragged_groups() {
         // A single pair can't form a lockstep group.
-        let plan = plan_batches(&[(5, 5)]);
-        assert!(plan.groups.is_empty());
-        assert_eq!(plan.stragglers, vec![0]);
+        let one = plan(&[(5, 5)]);
+        assert_eq!(
+            (one.groups(), one.stragglers(), one.straggler(0)),
+            (0, 1, 0)
+        );
         // A chunk of tiny pairs dragged to a huge pad by one long pair
         // fails the fill check and runs scalar.
         let mut lens = vec![(2, 2); 7];
         lens.push((100, 100));
-        let plan = plan_batches(&lens);
-        assert!(plan.groups.is_empty());
-        assert_eq!(plan.stragglers.len(), 8);
+        let ragged = plan(&lens);
+        assert_eq!((ragged.groups(), ragged.stragglers()), (0, 8));
         // Uniform lengths batch fully.
-        let plan = plan_batches(&[(10, 10); 16]);
-        assert_eq!(plan.groups.len(), 2);
-        assert!(plan.stragglers.is_empty());
+        let uniform = plan(&[(10, 10); 16]);
+        assert_eq!((uniform.groups(), uniform.stragglers()), (2, 0));
+        // A demoted chunk ahead of a group leaves the group whole.
+        let mut lens = vec![(2, 2); 7];
+        lens.push((100, 100));
+        lens.extend([(101, 101); 3]);
+        let mixed = plan(&lens);
+        assert_eq!((mixed.groups(), mixed.stragglers()), (1, 8));
+        assert_eq!(mixed.group(0).collect::<Vec<_>>(), vec![8, 9, 10]);
+    }
+
+    #[test]
+    fn plan_holds_one_word_per_pair_and_saturates_huge_lengths() {
+        let plan = plan(&[(usize::MAX, 3), (usize::MAX, 3), (7, usize::MAX)]);
+        assert_eq!(plan.words.len(), 3);
+        assert_eq!(std::mem::size_of_val(&plan.words[0]), 8);
+        let mut all: Vec<usize> = (0..plan.groups()).flat_map(|g| plan.group(g)).collect();
+        all.extend((0..plan.stragglers()).map(|s| plan.straggler(s)));
+        all.sort_unstable();
+        assert_eq!(all, vec![0, 1, 2]);
     }
 
     #[test]
@@ -641,7 +679,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_distances_covers_groups_and_stragglers() {
+    fn distance_batch_covers_groups_and_stragglers() {
         // 19 pairs: two full groups of 8, a 3-pair group or stragglers —
         // either way every result must be scalar-exact and in order.
         let trajs: Vec<Trajectory> = (0..19)
@@ -651,7 +689,7 @@ mod tests {
             .map(|i| (&trajs[i], &trajs[(i * 5 + 1) % 19]))
             .collect();
         for m in supported() {
-            let got = batch_distances(&m, &pairs);
+            let got = m.distance_batch(&pairs);
             for (k, &(a, b)) in pairs.iter().enumerate() {
                 assert_eq!(
                     got[k].to_bits(),
@@ -669,8 +707,49 @@ mod tests {
         let b = wiggle(7, 0.4);
         let m = MeasureKind::Sspd.measure();
         assert!(!m.supports_batch());
-        let got = batch_distances(&m, &[(&a, &b)]);
+        let got = m.distance_batch(&[(&a, &b)]);
         assert_eq!(got[0].to_bits(), m.distance(&a, &b).to_bits());
+    }
+
+    /// On an AVX2 host the runtime dispatch never takes the portable
+    /// `run_diagonals`, so nothing else runs it: run both instantiations
+    /// on the same ragged group and require equal bits (and scalar bits).
+    /// The AVX2 half is skipped where the CPU lacks AVX2.
+    #[test]
+    fn portable_and_avx2_paths_agree_bit_for_bit() {
+        let trajs: Vec<Trajectory> = [1usize, 2, 3, 5, 8, 13, 21, 34]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| wiggle(len, i as f64 * 0.3))
+            .collect();
+        let pairs: Vec<(&Trajectory, &Trajectory)> = (0..trajs.len())
+            .map(|i| (&trajs[i], &trajs[(i + 5) % trajs.len()]))
+            .collect();
+        for m in supported() {
+            let ctx = build_ctx(&m, &pairs);
+            let mut portable = vec![0.0; pairs.len()];
+            match m.kind {
+                MeasureKind::Dtw => run_diagonals::<DtwKernel>(&ctx, 0.0, &mut portable),
+                MeasureKind::Erp => run_diagonals::<ErpKernel>(&ctx, 0.0, &mut portable),
+                _ => run_diagonals::<EdrKernel>(&ctx, m.edr_eps, &mut portable),
+            }
+            let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            let scalar: Vec<f64> = pairs.iter().map(|&(a, b)| m.distance(a, b)).collect();
+            assert_eq!(bits(&portable), bits(&scalar), "{} portable", m.kind.name());
+            #[cfg(target_arch = "x86_64")]
+            if std::arch::is_x86_feature_detected!("avx2") {
+                let mut wide = vec![0.0; pairs.len()];
+                // SAFETY: AVX2 support was just verified at runtime.
+                unsafe {
+                    match m.kind {
+                        MeasureKind::Dtw => avx2::dtw(&ctx, &mut wide),
+                        MeasureKind::Erp => avx2::erp(&ctx, &mut wide),
+                        _ => avx2::edr(&ctx, m.edr_eps, &mut wide),
+                    }
+                }
+                assert_eq!(bits(&wide), bits(&portable), "{} avx2", m.kind.name());
+            }
+        }
     }
 
     #[test]

@@ -176,12 +176,13 @@ impl Measure {
         )
     }
 
-    /// Evaluates many pairs at once through the wavefront-batched tier
-    /// (bit-identical to per-pair [`Measure::distance`] calls; see the
-    /// [`crate::matrix::wavefront`] contract). Measures without a batched
-    /// kernel evaluate pair by pair.
+    /// Evaluates many pairs at once on one thread, through the matrix
+    /// builder's executor: lockstep groups where a batched kernel exists,
+    /// scalar calls for the rest (bit-identical to per-pair
+    /// [`Measure::distance`] calls; see the [`crate::matrix::wavefront`]
+    /// contract).
     pub fn distance_batch(&self, pairs: &[(&Trajectory, &Trajectory)]) -> Vec<f64> {
-        crate::matrix::wavefront::batch_distances(self, pairs)
+        crate::matrix::builder::distances(self, pairs)
     }
 
     /// Whether [`crate::landmark`] feature maps give an admissible lower

@@ -1,8 +1,9 @@
 //! Property suite for the landmark tier: admissibility of the O(k)
 //! lower bound over *random* trajectory pairs for every gated measure
 //! (the in-module tests cover fixed deterministic sets), and the
-//! pruned-vs-unpruned contract for the layered
-//! LandmarkScreen → EarlyAbandon pipeline under every `Schedule`.
+//! pruned-vs-unpruned contract for the layered landmark screen →
+//! early-abandon pipeline under the `Serial` oracle and the default
+//! executor.
 
 use proptest::prelude::*;
 use traj_core::Trajectory;
@@ -107,7 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The layered pipeline honors the pruning contract against the
-    /// unpruned matrix under every `Schedule`, for every measure:
+    /// unpruned matrix under both schedules, for every measure:
     /// sub-threshold entries are bit-identical to the exact build, every
     /// entry lower-bounds the exact distance, and no pruned entry sinks
     /// below the threshold. The pruned matrix itself is also
@@ -118,6 +119,8 @@ proptest! {
         ts in traj_set(),
         kind_idx in 0usize..9,
         quantile in 0.1f64..0.9,
+        threads in 1usize..5,
+        batch in 1usize..8,
     ) {
         let measure = ALL_KINDS[kind_idx].measure();
         let exact = MatrixBuilder::new(measure).build_pairwise(&ts).matrix;
@@ -125,9 +128,11 @@ proptest! {
         vals.sort_by(f64::total_cmp);
         let threshold = vals[((vals.len() - 1) as f64 * quantile) as usize];
         let mut reference: Option<Vec<u64>> = None;
-        for schedule in Schedule::ALL {
+        for schedule in [Schedule::Serial, Schedule::Wavefront] {
             let pruned = MatrixBuilder::new(measure)
                 .schedule(schedule)
+                .threads(threads)
+                .pair_batch(batch)
                 .prune_landmark(threshold)
                 .build_pairwise(&ts)
                 .matrix;

@@ -1,6 +1,6 @@
 //! Property suite for the `MatrixBuilder` pipeline: the byte-identity
-//! guarantee across schedules, cache roundtrips, and pruning
-//! admissibility — across every `MeasureKind`.
+//! guarantee of the default executor against the `Serial` oracle, cache
+//! roundtrips, and pruning admissibility — across every `MeasureKind`.
 
 use proptest::prelude::*;
 use traj_core::Trajectory;
@@ -39,8 +39,9 @@ fn bits(m: &DistanceMatrix) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Acceptance criterion: serial and balanced builds are
-    /// byte-identical for every measure.
+    /// The default executor (lockstep groups for DTW/ERP/EDR, scalar
+    /// batches otherwise) is byte-identical to the serial oracle for every
+    /// measure, at every thread count and batch size.
     #[test]
     fn schedules_byte_identical_all_measures(
         ts in traj_set(),
@@ -52,12 +53,11 @@ proptest! {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_pairwise(&ts);
-        let balanced = MatrixBuilder::new(measure)
-            .schedule(Schedule::Balanced)
+        let default = MatrixBuilder::new(measure)
             .threads(threads)
             .pair_batch(batch)
             .build_pairwise(&ts);
-        prop_assert_eq!(bits(&serial.matrix), bits(&balanced.matrix));
+        prop_assert_eq!(bits(&serial.matrix), bits(&default.matrix));
     }
 
     /// Same guarantee for rectangular cross matrices.
@@ -73,12 +73,11 @@ proptest! {
         let serial = MatrixBuilder::new(measure)
             .schedule(Schedule::Serial)
             .build_cross(&ts[..q], &ts);
-        let balanced = MatrixBuilder::new(measure)
-            .schedule(Schedule::Balanced)
+        let default = MatrixBuilder::new(measure)
             .threads(threads)
             .pair_batch(batch)
             .build_cross(&ts[..q], &ts);
-        prop_assert_eq!(bits(&serial.matrix), bits(&balanced.matrix));
+        prop_assert_eq!(bits(&serial.matrix), bits(&default.matrix));
     }
 
     /// Pruning admissibility for every measure: sub-threshold entries are
@@ -161,8 +160,7 @@ proptest! {
 }
 
 /// The legacy free functions still answer with the builder's default
-/// (balanced) result — the drop-in surface the rest of the workspace
-/// uses.
+/// result — the drop-in surface the rest of the workspace uses.
 #[test]
 fn free_functions_match_builder_default() {
     let ts: Vec<Trajectory> = (0..7)

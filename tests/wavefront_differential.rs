@@ -19,7 +19,7 @@
 //! [`Trajectory`] construction, which is what makes lane-wise `f64::min`
 //! order-independent inside the kernels).
 
-use lh_repro::dist::matrix::wavefront::{batch_distances, eval_batch};
+use lh_repro::dist::matrix::wavefront::eval_batch;
 use lh_repro::dist::{MatrixBuilder, MeasureKind, Schedule};
 use lh_repro::traj::Trajectory;
 use proptest::prelude::*;
@@ -62,7 +62,7 @@ proptest! {
             .map(|k| (&trajs[(k * 7 + seed) % n], &trajs[(k * 3 + 1) % n]))
             .collect();
         for m in bucketed_measures() {
-            let batched = batch_distances(&m, &pairs);
+            let batched = m.distance_batch(&pairs);
             for (k, &(a, b)) in pairs.iter().enumerate() {
                 let scalar = m.distance(a, b);
                 prop_assert!(
@@ -124,9 +124,7 @@ proptest! {
             })
             .collect();
         for m in bucketed_measures() {
-            let exact = MatrixBuilder::new(m)
-                .schedule(Schedule::Wavefront)
-                .build_pairwise(&trajs);
+            let exact = MatrixBuilder::new(m).build_pairwise(&trajs);
             let threshold = exact.matrix.off_diagonal_mean() * factor;
             let pruned = MatrixBuilder::new(m).prune(threshold).build_pairwise(&trajs);
             for i in 0..trajs.len() {
@@ -195,7 +193,7 @@ fn bucket_remainders_are_exact() {
             .map(|k| (&trajs[k], &trajs[(k + 5) % trajs.len()]))
             .collect();
         for m in bucketed_measures() {
-            let got = batch_distances(&m, &pairs);
+            let got = m.distance_batch(&pairs);
             for (k, &(a, b)) in pairs.iter().enumerate() {
                 assert_eq!(
                     got[k].to_bits(),
@@ -255,7 +253,7 @@ fn non_finite_coordinates_are_rejected_at_construction() {
     }
 }
 
-/// Schedules are interchangeable end to end: wavefront, balanced, and
+/// Schedules are interchangeable end to end: default (lockstep) and
 /// serial builds of the same matrix agree bit for bit, so downstream
 /// cache fingerprints legitimately exclude the schedule.
 #[test]
@@ -273,23 +271,13 @@ fn wavefront_schedule_is_bit_identical_end_to_end() {
         let serial = MatrixBuilder::new(m)
             .schedule(Schedule::Serial)
             .build_pairwise(&trajs);
-        for schedule in [Schedule::Balanced, Schedule::Wavefront] {
-            let other = MatrixBuilder::new(m)
-                .schedule(schedule)
-                .threads(2)
-                .build_pairwise(&trajs);
-            let same = serial
-                .matrix
-                .data()
-                .iter()
-                .zip(other.matrix.data())
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(
-                same,
-                "{} {} diverged from serial",
-                m.kind.name(),
-                schedule.name()
-            );
-        }
+        let other = MatrixBuilder::new(m).threads(2).build_pairwise(&trajs);
+        let same = serial
+            .matrix
+            .data()
+            .iter()
+            .zip(other.matrix.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(same, "{} diverged from serial", m.kind.name());
     }
 }
