@@ -7,10 +7,17 @@
 //! the recurrence but the exact floating-point evaluation order. Any
 //! future "optimization" that reassociates a sum or reorders a `min`
 //! chain trips these proptests immediately.
+//!
+//! SSPD, Hausdorff and discrete Fréchet get the same treatment against
+//! the plain per-pair loops: a `sqrt` per segment or cell and no early
+//! exit. Their kernels compare squared distances and take one `sqrt` at
+//! the end, which is exact because `sqrt` is correctly rounded and hence
+//! monotone, so it commutes with `min` and `max` bit for bit.
 
 use proptest::prelude::*;
+use traj_core::point::point_segment_distance;
 use traj_core::{Point, Trajectory};
-use traj_dist::{dtw, edr, erp, lcss_distance};
+use traj_dist::{discrete_frechet, dtw, edr, erp, hausdorff, lcss_distance, sspd};
 
 /// Textbook DTW over a full (n+1)×(m+1) table, no operand swap: the
 /// rolling kernel's long/short swap must be value-transparent (it is —
@@ -101,13 +108,143 @@ fn lcss_full(a: &Trajectory, b: &Trajectory, eps: f64) -> usize {
     dp[n * w + m] as usize
 }
 
+/// Directed segment-path distance, one `sqrt` per point–segment pair.
+fn spd_loop(a: &Trajectory, b: &Trajectory) -> f64 {
+    let bp = b.points();
+    let mut acc = 0.0;
+    for p in a.points() {
+        let mut best = f64::INFINITY;
+        if bp.len() == 1 {
+            best = p.dist(&bp[0]);
+        } else {
+            for w in bp.windows(2) {
+                let d = point_segment_distance(p, &w[0], &w[1]);
+                if d < best {
+                    best = d;
+                }
+            }
+        }
+        acc += best;
+    }
+    acc / a.len() as f64
+}
+
+fn sspd_loop(a: &Trajectory, b: &Trajectory) -> f64 {
+    0.5 * (spd_loop(a, b) + spd_loop(b, a))
+}
+
+/// Directed Hausdorff distance by a full scan: every point of `a`
+/// against every point of `b`, no early exit.
+fn directed_hausdorff_scan(a: &Trajectory, b: &Trajectory) -> f64 {
+    let mut worst = 0.0f64;
+    for p in a.points() {
+        let mut best = f64::INFINITY;
+        for q in b.points() {
+            let d = p.dist_sq(q);
+            if d < best {
+                best = d;
+            }
+        }
+        if best > worst {
+            worst = best;
+        }
+    }
+    worst.sqrt()
+}
+
+fn hausdorff_scan(a: &Trajectory, b: &Trajectory) -> f64 {
+    directed_hausdorff_scan(a, b).max(directed_hausdorff_scan(b, a))
+}
+
+/// Full-table discrete Fréchet with a `sqrt` per cell.
+fn frechet_full(a: &Trajectory, b: &Trajectory) -> f64 {
+    let (ap, bp) = (a.points(), b.points());
+    let (n, m) = (ap.len(), bp.len());
+    let mut dp = vec![0.0f64; n * m];
+    for i in 0..n {
+        for j in 0..m {
+            let d = ap[i].dist(&bp[j]);
+            dp[i * m + j] = if i == 0 && j == 0 {
+                d
+            } else if i == 0 {
+                dp[j - 1].max(d)
+            } else if j == 0 {
+                dp[(i - 1) * m].max(d)
+            } else {
+                dp[(i - 1) * m + (j - 1)]
+                    .min(dp[(i - 1) * m + j])
+                    .min(dp[i * m + (j - 1)])
+                    .max(d)
+            };
+        }
+    }
+    dp[n * m - 1]
+}
+
 fn traj_strategy() -> impl Strategy<Value = Trajectory> {
     prop::collection::vec((-10.0f64..10.0, -10.0f64..10.0), 1..24)
         .prop_map(|pts| Trajectory::from_xy(&pts).expect("finite points"))
 }
 
+fn raw_traj_strategy() -> impl Strategy<Value = Trajectory> {
+    prop::collection::vec((3.9e5f64..4.1e5, -3.1e5f64..-2.9e5), 1..24)
+        .prop_map(|pts| Trajectory::from_xy(&pts).expect("finite points"))
+}
+
+/// One coordinate: mostly continuous, sometimes a signed zero, a lattice
+/// value or a value 1e-9 off one, so trajectories repeat points and form
+/// degenerate segments.
+fn coord(pick: u8, r: f64) -> f64 {
+    match pick {
+        0 => -0.0,
+        1 => 0.0,
+        2 => 1.0,
+        3 => 1.0 + 1e-9,
+        _ => r,
+    }
+}
+
+/// Trajectories of 1–12 points drawn with [`coord`]: one-point
+/// trajectories, repeated points and `-0.0` all occur.
+fn awkward_traj_strategy() -> impl Strategy<Value = Trajectory> {
+    let c = || (0u8..8, -3.0f64..3.0);
+    prop::collection::vec((c(), c()), 1..12).prop_map(|pts| {
+        let pts: Vec<(f64, f64)> = pts
+            .into_iter()
+            .map(|((px, x), (py, y))| (coord(px, x), coord(py, y)))
+            .collect();
+        Trajectory::from_xy(&pts).expect("finite points")
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// SSPD, Hausdorff and discrete Fréchet are bit-identical to the
+    /// per-pair loops, in both orientations.
+    #[test]
+    fn geometric_kernels_match_loop_oracles_bits(
+        a in awkward_traj_strategy(),
+        b in awkward_traj_strategy(),
+    ) {
+        for (x, y) in [(&a, &b), (&b, &a)] {
+            prop_assert_eq!(sspd(x, y).to_bits(), sspd_loop(x, y).to_bits());
+            prop_assert_eq!(hausdorff(x, y).to_bits(), hausdorff_scan(x, y).to_bits());
+            prop_assert_eq!(discrete_frechet(x, y).to_bits(), frechet_full(x, y).to_bits());
+        }
+    }
+
+    /// The same on raw, unnormalized coordinates (metres in a projected
+    /// CRS) and longer trajectories.
+    #[test]
+    fn geometric_kernels_match_loop_oracles_on_raw_coordinates(
+        a in raw_traj_strategy(),
+        b in raw_traj_strategy(),
+    ) {
+        prop_assert_eq!(sspd(&a, &b).to_bits(), sspd_loop(&a, &b).to_bits());
+        prop_assert_eq!(hausdorff(&a, &b).to_bits(), hausdorff_scan(&a, &b).to_bits());
+        prop_assert_eq!(discrete_frechet(&a, &b).to_bits(), frechet_full(&a, &b).to_bits());
+    }
 
     /// Rolling-buffer DTW is bit-identical to the full-matrix oracle —
     /// including across the long/short operand swap.
