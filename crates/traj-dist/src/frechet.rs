@@ -5,10 +5,16 @@
 //! metric** on sequences-as-curves (up to reparametrization), making it the
 //! second in-repo control measure, and is one of the three spatio-temporal
 //! target measures of the paper's Table IV (there called "discret Fréchet").
+//!
+//! The recurrence runs on *squared* point distances and takes one `sqrt`
+//! of the final cell: `min` and `max` commute with the monotone `sqrt`,
+//! so every cell is the square of the per-cell-`sqrt` table's value and
+//! the result is bit-identical (see the [`crate::matrix::wavefront`]
+//! contract, whose lockstep kernel evaluates the same recurrence).
 
 use traj_core::Trajectory;
 
-/// Discrete Fréchet distance. `O(n·m)` time, rolling rows.
+/// Discrete Fréchet distance. `O(n·m)` time, rolling rows, squared domain.
 pub fn discrete_frechet(a: &Trajectory, b: &Trajectory) -> f64 {
     let ap = a.points();
     let bp = b.points();
@@ -19,7 +25,7 @@ pub fn discrete_frechet(a: &Trajectory, b: &Trajectory) -> f64 {
 
     for (i, pa) in ap.iter().enumerate() {
         for (j, pb) in bp.iter().enumerate() {
-            let d = pa.dist(pb);
+            let d = pa.dist_sq(pb);
             let reach = if i == 0 && j == 0 {
                 d
             } else if i == 0 {
@@ -33,7 +39,7 @@ pub fn discrete_frechet(a: &Trajectory, b: &Trajectory) -> f64 {
         }
         std::mem::swap(&mut prev, &mut cur);
     }
-    prev[m - 1]
+    prev[m - 1].sqrt()
 }
 
 #[cfg(test)]

@@ -8,11 +8,13 @@
 //! All dynamic-programming measures use rolling row buffers (O(min(n,m))
 //! memory) and `f64` accumulation. [`matrix`] fills full and rectangular
 //! pairwise matrices in parallel through the [`MatrixBuilder`] pipeline:
-//! one executor that runs length-bucketed DTW/ERP/EDR pairs in SIMD
-//! lockstep along DP anti-diagonals ([`matrix::wavefront`], bit-identical
-//! to the scalar kernels) and every other pair in dynamically scheduled
-//! scalar batches, opt-in admissible pruning, and persistent
-//! fingerprint-keyed checkpoints.
+//! one executor that runs length-bucketed pairs of the lockstep measures
+//! (DTW, ERP, EDR, discrete Fréchet) in SIMD along DP anti-diagonals
+//! ([`matrix::wavefront`], bit-identical to the scalar kernels) and
+//! every other pair in dynamically scheduled scalar batches, opt-in
+//! admissible pruning, and persistent fingerprint-keyed checkpoints.
+//! SSPD and Hausdorff are not DPs; their scalar kernels are lane-blocked
+//! over points in the squared domain instead ([`sspd`], [`hausdorff`]).
 
 pub mod dtw;
 pub mod edr;

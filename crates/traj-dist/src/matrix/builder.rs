@@ -6,12 +6,13 @@
 //! * **One executor over a pair space.** A pairwise build's pairs are the
 //!   upper triangle, linearized (`p ↦ (i, j)`, written to `(i, j)` and
 //!   `(j, i)`); a cross build's are its cells, row-major. When the
-//!   measure has a lockstep kernel ([`Measure::supports_batch`]) and the
-//!   build prunes nothing, pairs are bucketed by length and run
-//!   [`wavefront::LANES`] at a time along DP anti-diagonals
-//!   ([`super::wavefront`]); every other pair — the plan's stragglers,
-//!   measures without a lockstep kernel, pruned builds — goes through a
-//!   queue of fixed-size pair batches. Groups and batches are handed out
+//!   measure has a lockstep kernel ([`Measure::supports_batch`]: DTW,
+//!   ERP, EDR, discrete Fréchet) and the build prunes nothing, pairs are
+//!   bucketed by length and run [`wavefront::LANES`] at a time along DP
+//!   anti-diagonals ([`super::wavefront`]); every other pair — the
+//!   plan's stragglers, measures without a lockstep kernel (SSPD,
+//!   Hausdorff, LCSS, TP, DITA), pruned builds — goes through a queue of
+//!   fixed-size pair batches. Groups and batches are handed out
 //!   from one shared work queue
 //!   ([`traj_core::parallel::parallel_for_chunks`]), so the triangular,
 //!   length-skewed workload balances across threads, and workers write

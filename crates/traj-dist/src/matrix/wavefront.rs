@@ -1,7 +1,7 @@
 //! Wavefront-batched DP kernels: B pairs evaluated in lockstep.
 //!
 //! The scalar DP kernels ([`crate::dtw::dtw`], [`crate::erp::erp`],
-//! [`crate::edr::edr`])
+//! [`crate::edr::edr`], [`crate::frechet::discrete_frechet`])
 //! walk the recurrence row by row, so each cell's `min` chain is a serial
 //! dependency and the compiler cannot vectorize across cells. This module
 //! ports the anti-diagonal *wavefront* shape of GPU trajectory kernels to
@@ -22,8 +22,9 @@
 //!
 //! * the same operands in the same order (`cost + diag.min(up).min(left)`
 //!   for DTW, the `match/del_a/del_b` min chain for ERP, the integer
-//!   recurrence for EDR, which is exact in f64 for any real edit count);
-//! * `f64::min` is exact and, absent NaN, order-independent;
+//!   recurrence for EDR, which is exact in f64 for any real edit count,
+//!   `diag.min(up).min(left).max(d²)` for discrete Fréchet);
+//! * `f64::min`/`max` are exact and, absent NaN, order-independent;
 //!   `+`/`−`/`*`/`sqrt` are correctly rounded and never reassociated
 //!   across lanes (there is no horizontal reduction);
 //! * DTW's long/short operand swap is applied per lane before batching,
@@ -32,6 +33,15 @@
 //!   `i > n_l` or `j > m_l`, which no real cell ever reads (dependencies
 //!   flow from strictly smaller indices), and each lane's result is
 //!   captured from its own final diagonal `n_l + m_l`.
+//!
+//! **Squared domain.** Discrete Fréchet here, and the scalar SSPD,
+//! Hausdorff and Fréchet kernels, compare squared distances and take one
+//! `sqrt` at the end. That is exact, not approximate: `sqrt` is correctly
+//! rounded, hence monotone non-decreasing, so for finite non-negative
+//! inputs `sqrt(min(x, y)) == min(sqrt(x), sqrt(y))` and
+//! `sqrt(max(x, y)) == max(sqrt(x), sqrt(y))` bit for bit, and by
+//! induction over a `min`/`max` recurrence the squared-domain result's
+//! `sqrt` is the per-cell-`sqrt` result.
 //!
 //! Trajectory coordinates are validated finite at construction
 //! ([`traj_core::Trajectory::new`] rejects NaN/∞), so the NaN caveat on
@@ -255,8 +265,9 @@ fn build_ctx(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> BatchCt
     }
 
     match measure.kind {
-        MeasureKind::Dtw => {
-            // dp[0][0] = 0, every other boundary cell is +∞.
+        MeasureKind::Dtw | MeasureKind::DiscreteFrechet => {
+            // dp[0][0] = 0, every other boundary cell is +∞ (for Fréchet,
+            // cell (1,1) is then `0.max(d²) = d²`, the scalar origin).
             col0[lanes..].fill(f64::INFINITY);
             row0[lanes..].fill(f64::INFINITY);
         }
@@ -417,6 +428,35 @@ impl DiagKernel for EdrKernel {
     }
 }
 
+struct FrechetKernel;
+
+impl DiagKernel for FrechetKernel {
+    #[inline(always)]
+    fn lane_cells(
+        cur: &mut [f64],
+        diag: &[f64],
+        up: &[f64],
+        left: &[f64],
+        ax: &[f64],
+        ay: &[f64],
+        bx: &[f64],
+        by: &[f64],
+        _ga: &[f64],
+        _gb: &[f64],
+        _eps: f64,
+    ) {
+        let n = cur.len();
+        let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
+        let (ax, ay, bx, by) = (&ax[..n], &ay[..n], &bx[..n], &by[..n]);
+        for l in 0..n {
+            // Squared domain: `eval_batch` takes the one `sqrt`.
+            let dx = ax[l] - bx[l];
+            let dy = ay[l] - by[l];
+            cur[l] = diag[l].min(up[l]).min(left[l]).max(dx * dx + dy * dy);
+        }
+    }
+}
+
 /// The wavefront driver: iterates anti-diagonals `it = 1..=n_max+m_max`
 /// over a rotating 3-diagonal buffer, writing boundary cells from the
 /// precomputed `col0`/`row0` arrays and capturing each lane's result from
@@ -495,6 +535,11 @@ mod avx2 {
     pub unsafe fn edr(ctx: &BatchCtx, eps: f64, out: &mut [f64]) {
         run_diagonals::<EdrKernel>(ctx, eps, out);
     }
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn frechet(ctx: &BatchCtx, out: &mut [f64]) {
+        run_diagonals::<FrechetKernel>(ctx, 0.0, out);
+    }
 }
 
 fn dispatch(measure: &Measure, ctx: &BatchCtx, out: &mut [f64]) {
@@ -506,6 +551,7 @@ fn dispatch(measure: &Measure, ctx: &BatchCtx, out: &mut [f64]) {
                 MeasureKind::Dtw => avx2::dtw(ctx, out),
                 MeasureKind::Erp => avx2::erp(ctx, out),
                 MeasureKind::Edr => avx2::edr(ctx, measure.edr_eps, out),
+                MeasureKind::DiscreteFrechet => avx2::frechet(ctx, out),
                 _ => unreachable!("eval_batch gates on supports_batch()"),
             }
         }
@@ -515,6 +561,7 @@ fn dispatch(measure: &Measure, ctx: &BatchCtx, out: &mut [f64]) {
         MeasureKind::Dtw => run_diagonals::<DtwKernel>(ctx, 0.0, out),
         MeasureKind::Erp => run_diagonals::<ErpKernel>(ctx, 0.0, out),
         MeasureKind::Edr => run_diagonals::<EdrKernel>(ctx, measure.edr_eps, out),
+        MeasureKind::DiscreteFrechet => run_diagonals::<FrechetKernel>(ctx, 0.0, out),
         _ => unreachable!("eval_batch gates on supports_batch()"),
     }
 }
@@ -532,6 +579,10 @@ pub fn eval_batch(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> Ve
     let ctx = build_ctx(measure, pairs);
     let mut out = vec![0.0; pairs.len()];
     dispatch(measure, &ctx, &mut out);
+    if measure.kind == MeasureKind::DiscreteFrechet {
+        // The lockstep Fréchet table is squared (module contract).
+        out.iter_mut().for_each(|d| *d = d.sqrt());
+    }
     out
 }
 
@@ -554,11 +605,12 @@ mod tests {
         Trajectory::from_xy(&pts).unwrap()
     }
 
-    fn supported() -> [Measure; 3] {
+    fn supported() -> [Measure; 4] {
         [
             MeasureKind::Dtw.measure(),
             MeasureKind::Erp.measure(),
             MeasureKind::Edr.measure().with_edr_eps(0.2),
+            MeasureKind::DiscreteFrechet.measure(),
         ]
     }
 
@@ -731,8 +783,16 @@ mod tests {
             match m.kind {
                 MeasureKind::Dtw => run_diagonals::<DtwKernel>(&ctx, 0.0, &mut portable),
                 MeasureKind::Erp => run_diagonals::<ErpKernel>(&ctx, 0.0, &mut portable),
-                _ => run_diagonals::<EdrKernel>(&ctx, m.edr_eps, &mut portable),
+                MeasureKind::Edr => run_diagonals::<EdrKernel>(&ctx, m.edr_eps, &mut portable),
+                _ => run_diagonals::<FrechetKernel>(&ctx, 0.0, &mut portable),
             }
+            // Fréchet's table is squared; `eval_batch` takes the root.
+            let finish = |v: &mut [f64]| {
+                if m.kind == MeasureKind::DiscreteFrechet {
+                    v.iter_mut().for_each(|d| *d = d.sqrt());
+                }
+            };
+            finish(&mut portable);
             let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
             let scalar: Vec<f64> = pairs.iter().map(|&(a, b)| m.distance(a, b)).collect();
             assert_eq!(bits(&portable), bits(&scalar), "{} portable", m.kind.name());
@@ -744,9 +804,11 @@ mod tests {
                     match m.kind {
                         MeasureKind::Dtw => avx2::dtw(&ctx, &mut wide),
                         MeasureKind::Erp => avx2::erp(&ctx, &mut wide),
-                        _ => avx2::edr(&ctx, m.edr_eps, &mut wide),
+                        MeasureKind::Edr => avx2::edr(&ctx, m.edr_eps, &mut wide),
+                        _ => avx2::frechet(&ctx, &mut wide),
                     }
                 }
+                finish(&mut wide);
                 assert_eq!(bits(&wide), bits(&portable), "{} avx2", m.kind.name());
             }
         }

@@ -166,13 +166,17 @@ impl Measure {
     }
 
     /// Whether the measure has a wavefront-batched kernel
-    /// ([`crate::matrix::wavefront`]): the same DP measures that admit
-    /// early abandoning (DTW, ERP, EDR) — their recurrences read only the
-    /// three neighbor cells, so anti-diagonal lockstep execution applies.
+    /// ([`crate::matrix::wavefront`]): DTW, ERP, EDR and discrete Fréchet,
+    /// whose DP recurrences read only the three neighbor cells, so
+    /// anti-diagonal lockstep execution applies. This is not the
+    /// [`Measure::supports_early_abandon`] set: Fréchet batches but cannot
+    /// abandon. SSPD and Hausdorff are not DPs; their kernels are
+    /// lane-blocked within one pair instead. LCSS, TP and DITA have no
+    /// batched kernel.
     pub fn supports_batch(&self) -> bool {
         matches!(
             self.kind,
-            MeasureKind::Dtw | MeasureKind::Erp | MeasureKind::Edr
+            MeasureKind::Dtw | MeasureKind::Erp | MeasureKind::Edr | MeasureKind::DiscreteFrechet
         )
     }
 
@@ -290,13 +294,19 @@ mod tests {
     fn batch_support_and_dispatch() {
         let a = t(&[(0.0, 0.0), (0.3, 0.2), (0.5, 0.5), (0.9, 0.1)]);
         let b = t(&[(0.1, 0.0), (0.6, 0.4)]);
-        for kind in [MeasureKind::Dtw, MeasureKind::Erp, MeasureKind::Edr] {
+        for kind in [
+            MeasureKind::Dtw,
+            MeasureKind::Erp,
+            MeasureKind::Edr,
+            MeasureKind::DiscreteFrechet,
+        ] {
             let m = kind.measure();
             assert!(m.supports_batch());
             let got = m.distance_batch(&[(&a, &b), (&b, &a)]);
             assert_eq!(got[0].to_bits(), m.distance(&a, &b).to_bits());
             assert_eq!(got[1].to_bits(), m.distance(&b, &a).to_bits());
         }
+        assert!(!MeasureKind::Sspd.measure().supports_batch());
         assert!(!MeasureKind::Hausdorff.measure().supports_batch());
         assert!(!MeasureKind::Lcss.measure().supports_batch());
     }

@@ -2,10 +2,15 @@
 //!
 //! Proptest catches drift only when the generator happens to hit a
 //! sensitive input; these fixtures pin the exact IEEE-754 bits of
-//! DTW/ERP/EDR/LCSS over a small deliberately awkward trajectory set
-//! (duplicate points, single points, near-tolerance deltas, negative
-//! coordinates), so *any* change to kernel arithmetic — reassociation,
-//! min-order, boundary handling — fails loudly and immediately.
+//! DTW/ERP/EDR/LCSS/SSPD/Hausdorff/discrete Fréchet over a small
+//! deliberately awkward trajectory set (duplicate points, single points,
+//! near-tolerance deltas, negative coordinates), so *any* change to
+//! kernel arithmetic — reassociation, min-order, boundary handling —
+//! fails loudly and immediately. A second fixture pins SSPD, Hausdorff
+//! and discrete Fréchet on geometry their kernels special-case: signed
+//! zeros, a segment shorter than `√ε` (the degenerate-segment cutoff of
+//! `traj_core::point::point_segment_distance`), collinear revisits, a
+//! one-point trajectory and raw, unnormalized coordinates.
 //!
 //! The expected values are hex-encoded `f64::to_bits` (exact, no
 //! parsing/rounding ambiguity). To regenerate after an *intentional*

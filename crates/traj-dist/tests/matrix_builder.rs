@@ -39,8 +39,8 @@ fn bits(m: &DistanceMatrix) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The default executor (lockstep groups for DTW/ERP/EDR, scalar
-    /// batches otherwise) is byte-identical to the serial oracle for every
+    /// The default executor (lockstep groups for the measures with a
+    /// batched kernel, scalar batches otherwise) is byte-identical to the serial oracle for every
     /// measure, at every thread count and batch size.
     #[test]
     fn schedules_byte_identical_all_measures(

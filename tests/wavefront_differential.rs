@@ -2,7 +2,8 @@
 //!
 //! The batched path ([`lh_repro::dist::matrix::wavefront`]) claims
 //! **bit identity** with the scalar kernels for every bucketed measure
-//! (DTW, ERP, EDR). This suite enforces that claim two ways:
+//! (the lockstep measures: DTW, ERP, EDR and discrete Fréchet). This
+//! suite enforces that claim two ways:
 //!
 //! 1. the *hard* check — `to_bits()` equality between batched and scalar
 //!    results over randomized batches, ragged buckets, and schedules;
@@ -33,11 +34,12 @@ fn within_contract(scalar: f64, batched: f64) -> bool {
     (batched - scalar).abs() <= REL_TOL * scalar.abs().max(1.0)
 }
 
-fn bucketed_measures() -> [lh_repro::dist::Measure; 3] {
+fn bucketed_measures() -> [lh_repro::dist::Measure; 4] {
     [
         MeasureKind::Dtw.measure(),
         MeasureKind::Erp.measure(),
         MeasureKind::Edr.measure().with_edr_eps(0.5),
+        MeasureKind::DiscreteFrechet.measure(),
     ]
 }
 
