@@ -13,7 +13,7 @@
 //! [`crate::matrix::wavefront`] contract). A point's scan stops as soon
 //! as its running minimum is `<= worst`: its own minimum can then no
 //! longer raise `worst`, so the result is the full scan's value exactly.
-//! The scan runs over [`LANES`]-point chunks of `b`'s coordinate columns,
+//! The scan runs over `LANES`-point chunks of `b`'s coordinate columns,
 //! compiled to packed instructions under the AVX2 path selected at run
 //! time. Each scan starts at the chunk where the previous point's scan
 //! stopped (wrapping around), since consecutive trajectory points tend

@@ -14,7 +14,8 @@
 //! every other pair in dynamically scheduled scalar batches, opt-in
 //! admissible pruning, and persistent fingerprint-keyed checkpoints.
 //! SSPD and Hausdorff are not DPs; their scalar kernels are lane-blocked
-//! over points in the squared domain instead ([`sspd`], [`hausdorff`]).
+//! over points in the squared domain instead ([`mod@sspd`],
+//! [`mod@hausdorff`]).
 
 pub mod dtw;
 pub mod edr;

@@ -11,7 +11,7 @@
 //! Each point's minimum runs over *squared* point–projection distances
 //! and takes one `sqrt` at the end, which is bit-identical to a `sqrt`
 //! per segment because `sqrt` is monotone (the argument is stated in the
-//! [`crate::matrix::wavefront`] contract). [`LANES`] points of `a` run
+//! [`crate::matrix::wavefront`] contract). `LANES` points of `a` run
 //! against one segment of `b` at a time, with `b`'s segments tabulated
 //! once per directed half, so the inner loop is a branch-free expression
 //! over independent lanes that compiles to packed instructions under the
@@ -47,22 +47,17 @@ fn segments(b: &[Point]) -> Vec<Segment> {
         let abx = b.x - a.x;
         let aby = b.y - a.y;
         let len_sq = abx * abx + aby * aby;
-        if len_sq <= f64::EPSILON {
-            Segment {
-                ax: a.x,
-                ay: a.y,
-                abx: 0.0,
-                aby: 0.0,
-                len_sq: 1.0,
-            }
+        let (abx, aby, len_sq) = if len_sq <= f64::EPSILON {
+            (0.0, 0.0, 1.0)
         } else {
-            Segment {
-                ax: a.x,
-                ay: a.y,
-                abx,
-                aby,
-                len_sq,
-            }
+            (abx, aby, len_sq)
+        };
+        Segment {
+            ax: a.x,
+            ay: a.y,
+            abx,
+            aby,
+            len_sq,
         }
     };
     match b {
