@@ -45,6 +45,6 @@ pub use projection::project_rows;
 pub use retrieval::{
     shard_of_id, BoundSpace, DistanceKernel, EmbeddingStore, IndexParams, IndexedStore, ProbeStats,
     RetrievalResult, ServeError, ServeHit, ServeStats, ServingOptions, ShardedServingOptions,
-    ShardedServingStore, ShardedSnapshot, StoreDecodeError,
+    ShardedServingStore, ShardedSnapshot,
 };
 pub use trainer::{LhModel, TrainReport, Trainer, TrainerConfig};

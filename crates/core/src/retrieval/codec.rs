@@ -1,7 +1,6 @@
 //! Compact binary (de)serialization of [`EmbeddingStore`] payloads.
 //!
-//! Wire layout (all little-endian, unchanged from the legacy format so
-//! existing payloads keep loading):
+//! Wire layout (all little-endian):
 //!
 //! ```text
 //! u64 n | u64 dim | u8 variant | f32 beta | u64 factor_dim
@@ -17,17 +16,13 @@
 //! through the codec's `Reader` / `Writer`. Decoding validates every
 //! length against the remaining bytes *before* reading and cross-checks
 //! the buffer lengths against `n`/`dim`/`variant`, so truncated or
-//! corrupt payloads return a [`StoreDecodeError`] instead of panicking
+//! corrupt payloads return a [`DecodeError`] instead of panicking
 //! mid-read.
 
 use super::store::EmbeddingStore;
 use crate::config::PluginVariant;
 use bytes::Bytes;
-use traj_core::codec::{Reader, Writer};
-
-/// Why a binary payload failed to decode — the workspace's one decode
-/// error, under the name the retrieval tier has always exported.
-pub use traj_core::codec::DecodeError as StoreDecodeError;
+use traj_core::codec::{DecodeError, Reader, Writer};
 
 impl EmbeddingStore {
     /// Compact binary serialization (length-prefixed little-endian f32
@@ -58,14 +53,14 @@ impl EmbeddingStore {
     }
 
     /// Inverse of [`EmbeddingStore::to_bytes`]. Truncated or internally
-    /// inconsistent payloads return a [`StoreDecodeError`].
-    pub fn from_bytes(data: Bytes) -> Result<Self, StoreDecodeError> {
+    /// inconsistent payloads return a [`DecodeError`].
+    pub fn from_bytes(data: Bytes) -> Result<Self, DecodeError> {
         Self::decode(data.as_slice())
     }
 
     /// [`EmbeddingStore::from_bytes`] over a borrowed payload — how the
     /// containers that nest one decode it, without a copy.
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, StoreDecodeError> {
+    pub(crate) fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
         let mut data = Reader::new(payload);
         let n = data.count("n")?;
         let dim = data.count("dim")?;
@@ -74,7 +69,7 @@ impl EmbeddingStore {
             1 => PluginVariant::LorentzVanilla,
             2 => PluginVariant::LorentzCosh,
             3 => PluginVariant::FusionDist,
-            tag => return Err(StoreDecodeError::BadVariantTag(tag)),
+            tag => return Err(DecodeError::BadVariantTag(tag)),
         };
         let beta = f32::from_bits(data.u32("beta")?);
         let fd = data.count("factor_dim")?;
@@ -89,14 +84,14 @@ impl EmbeddingStore {
         // factor width would fail its first kernel bind, so reject that
         // here too (an *empty* fusion store may legitimately have fd=0).
         if !variant.uses_fusion() && fd != 0 {
-            return Err(StoreDecodeError::Inconsistent {
+            return Err(DecodeError::Inconsistent {
                 field: "factor_dim",
                 expected: 0,
                 actual: fd,
             });
         }
         if variant.uses_fusion() && fd == 0 && n > 0 {
-            return Err(StoreDecodeError::Inconsistent {
+            return Err(DecodeError::Inconsistent {
                 field: "factor_dim",
                 expected: 1,
                 actual: 0,
@@ -108,7 +103,7 @@ impl EmbeddingStore {
         // past the validation (and then panicking in later accessors).
         let expect = |field: &'static str, a: usize, b: usize| {
             a.checked_mul(b)
-                .ok_or(StoreDecodeError::HeaderOverflow { field })
+                .ok_or(DecodeError::HeaderOverflow { field })
         };
         let checks: [(&'static str, usize, usize); 3] = [
             ("eu", expect("eu", n, dim)?, eu.len()),
@@ -118,7 +113,7 @@ impl EmbeddingStore {
                     // n·(dim+1) = n·dim + n, all checked.
                     expect("hyper", n, dim)?
                         .checked_add(n)
-                        .ok_or(StoreDecodeError::HeaderOverflow { field: "hyper" })?
+                        .ok_or(DecodeError::HeaderOverflow { field: "hyper" })?
                 } else {
                     0
                 },
@@ -131,7 +126,7 @@ impl EmbeddingStore {
                         "factors",
                         n,
                         fd.checked_mul(2)
-                            .ok_or(StoreDecodeError::HeaderOverflow { field: "factors" })?,
+                            .ok_or(DecodeError::HeaderOverflow { field: "factors" })?,
                     )?
                 } else {
                     0
@@ -141,7 +136,7 @@ impl EmbeddingStore {
         ];
         for (field, expected, actual) in checks {
             if expected != actual {
-                return Err(StoreDecodeError::Inconsistent {
+                return Err(DecodeError::Inconsistent {
                     field,
                     expected,
                     actual,
@@ -163,9 +158,67 @@ impl EmbeddingStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::super::store::tests::store_with_rows;
     use super::*;
+    use traj_core::codec::Format;
+
+    /// Every truncation of `body`, every single-bit flip of it, and
+    /// `body` with one byte appended: what a buggy writer could checksum.
+    pub(crate) fn forged(body: &[u8]) -> impl Iterator<Item = Vec<u8>> + '_ {
+        let cuts = (0..body.len()).map(|cut| body[..cut].to_vec());
+        let flips = (0..body.len() * 8).map(|i| {
+            let mut bad = body.to_vec();
+            bad[i / 8] ^= 1 << (i % 8);
+            bad
+        });
+        cuts.chain(flips)
+            .chain(std::iter::once([body, &[0]].concat()))
+    }
+
+    /// `body` as a `format` file whose frame verifies.
+    pub(crate) fn framed(format: Format, body: &[u8]) -> Vec<u8> {
+        let mut w = format.writer();
+        w.values(body, u8::to_le_bytes);
+        format.finish(w)
+    }
+
+    fn unhex(hex: &str) -> Vec<u8> {
+        (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+            .collect()
+    }
+
+    /// `store_with_rows(LorentzCosh)` and `store_with_rows(FusionDist)` as
+    /// the index and checkpoint files have always nested them.
+    const LORENTZ_PAYLOAD: &str = "\
+        03000000000000000200000000000000020000803f0000000000000000060000\
+        000000000000000000000000000000803f000000000000000000004040090000\
+        00000000000000803f0000000000000000d504b53f0000803f00000000cc624a\
+        4000000000000040400000000000000000\
+    ";
+    const FUSED_PAYLOAD: &str = "\
+        03000000000000000200000000000000030000803f0200000000000000060000\
+        000000000000000000000000000000803f000000000000000000004040090000\
+        00000000000000803f0000000000000000d504b53f0000803f00000000cc624a\
+        4000000000000040400c000000000000000000803f0000803f0000803f000080\
+        3f000000400000803f0000003f0000003f0000003f0000003f00000040000000\
+        40\
+    ";
+
+    /// The payload's exact bytes: a change to the layout shows here
+    /// before it reaches any file that nests one.
+    #[test]
+    fn payload_bytes_are_pinned() {
+        for (variant, hex) in [
+            (PluginVariant::LorentzCosh, LORENTZ_PAYLOAD),
+            (PluginVariant::FusionDist, FUSED_PAYLOAD),
+        ] {
+            let store = store_with_rows(variant);
+            assert_eq!(store.to_bytes().to_vec(), unhex(hex), "{}", variant.name());
+        }
+    }
 
     #[test]
     fn bytes_roundtrip() {
@@ -204,7 +257,7 @@ mod tests {
         raw[16] = 9; // the variant byte follows the two u64 header words
         assert_eq!(
             EmbeddingStore::from_bytes(Bytes::from(raw)),
-            Err(StoreDecodeError::BadVariantTag(9))
+            Err(DecodeError::BadVariantTag(9))
         );
     }
 
@@ -214,10 +267,7 @@ mod tests {
         let mut raw = s.to_bytes().to_vec();
         raw[0] = 7; // claim n = 7 while buffers hold 3 rows
         let err = EmbeddingStore::from_bytes(Bytes::from(raw)).unwrap_err();
-        assert!(matches!(
-            err,
-            StoreDecodeError::Inconsistent { field: "eu", .. }
-        ));
+        assert!(matches!(err, DecodeError::Inconsistent { field: "eu", .. }));
     }
 
     #[test]
@@ -238,8 +288,7 @@ mod tests {
         assert!(
             matches!(
                 res,
-                Err(StoreDecodeError::HeaderOverflow { .. })
-                    | Err(StoreDecodeError::Inconsistent { .. })
+                Err(DecodeError::HeaderOverflow { .. }) | Err(DecodeError::Inconsistent { .. })
             ),
             "got {res:?}"
         );
@@ -262,7 +311,7 @@ mod tests {
         let err = EmbeddingStore::decode(&w.finish()).unwrap_err();
         assert!(matches!(
             err,
-            StoreDecodeError::Inconsistent {
+            DecodeError::Inconsistent {
                 field: "factor_dim",
                 ..
             }
@@ -277,7 +326,7 @@ mod tests {
         let err = EmbeddingStore::from_bytes(Bytes::from(raw)).unwrap_err();
         assert_eq!(
             err,
-            StoreDecodeError::Inconsistent {
+            DecodeError::Inconsistent {
                 field: "factor_dim",
                 expected: 0,
                 actual: 3
@@ -292,7 +341,7 @@ mod tests {
         raw.push(0);
         assert_eq!(
             EmbeddingStore::from_bytes(Bytes::from(raw)),
-            Err(StoreDecodeError::TrailingBytes(1))
+            Err(DecodeError::TrailingBytes(1))
         );
     }
 }

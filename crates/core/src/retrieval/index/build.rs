@@ -71,10 +71,8 @@ impl IndexParams {
 
 /// Cell `j` of a [`BoundSpace::ConvexMix`] index: each member's raw
 /// Euclidean distance and geodesic `θ` against the centroid's `eu` /
-/// `hyper` rows — query-independent, so stored once. The builder and the
-/// decoder of pre-version-3 payloads (which carry no such arrays) share
-/// this, so both produce the same bits.
-pub(crate) fn mix_cell(
+/// `hyper` rows — query-independent, so stored once.
+fn mix_cell(
     store: &EmbeddingStore,
     centroids: &EmbeddingStore,
     beta: f64,

@@ -32,7 +32,8 @@
 //!   has no cells and is the flat loop. The paper's metric-violation
 //!   thesis becomes a measured prune rate at serving time;
 //! * [`codec`] — the store payload: streaming little-endian
-//!   (de)serialization with corruption guards ([`StoreDecodeError`]),
+//!   (de)serialization with corruption guards
+//!   ([`DecodeError`](traj_core::codec::DecodeError)),
 //!   nested inside the index and checkpoint files, each of which is one
 //!   checksummed `traj_core::codec` frame;
 //! * [`serve`] — [`ShardedServingStore`]: the mutable serving tier, one
@@ -62,7 +63,6 @@ pub mod kernel;
 pub mod serve;
 pub mod store;
 
-pub use codec::StoreDecodeError;
 pub use index::bound::BoundSpace;
 pub use index::build::IndexParams;
 pub use index::{IndexedStore, ProbeStats};

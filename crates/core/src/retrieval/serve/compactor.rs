@@ -52,7 +52,8 @@ pub(crate) struct Compactor {
 
 impl Compactor {
     /// Spawns the compactor thread over `shards` (indexed by shard id).
-    pub(crate) fn spawn(shards: Vec<Arc<Shard>>) -> Compactor {
+    /// Fails only when the OS refuses the thread.
+    pub(crate) fn spawn(shards: Vec<Arc<Shard>>) -> Result<Compactor, ServeError> {
         let shared = Arc::new(Shared {
             scheduled: (0..shards.len()).map(|_| AtomicBool::new(false)).collect(),
             inflight: Mutex::new(Inflight {
@@ -86,13 +87,12 @@ impl Compactor {
                         worker_shared.done.notify_all();
                     }
                 }
-            })
-            .expect("spawn serve-compactor thread");
-        Compactor {
+            })?;
+        Ok(Compactor {
             tx: Some(tx),
             worker: Some(worker),
             shared,
-        }
+        })
     }
 
     /// Queues shard `sid` for a background fold; a no-op if it is already

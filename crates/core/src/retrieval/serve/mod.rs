@@ -58,9 +58,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use traj_core::codec::DecodeError;
 use wal::{WalFile, WalOp};
-
-pub use super::codec::StoreDecodeError;
 
 /// One serving-tier retrieval hit: external id plus model distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,7 +76,7 @@ pub enum ServeError {
     /// Filesystem failure on the WAL or checkpoint.
     Io(std::io::Error),
     /// Persistent state failed structural validation.
-    Decode(StoreDecodeError),
+    Decode(DecodeError),
     /// Persistent state parsed but is inconsistent.
     Corrupt(String),
     /// An upserted row does not match the store layout.
@@ -103,8 +102,8 @@ impl From<std::io::Error> for ServeError {
     }
 }
 
-impl From<StoreDecodeError> for ServeError {
-    fn from(e: StoreDecodeError) -> Self {
+impl From<DecodeError> for ServeError {
+    fn from(e: DecodeError) -> Self {
         ServeError::Decode(e)
     }
 }
@@ -1269,7 +1268,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                ServeError::Decode(StoreDecodeError::ChecksumMismatch { .. })
+                ServeError::Decode(DecodeError::ChecksumMismatch { .. })
             ),
             "{err}"
         );

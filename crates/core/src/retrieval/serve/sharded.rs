@@ -248,7 +248,7 @@ impl ShardedServingStore {
             .into_iter()
             .map(|(store, ids)| Shard::new(store, ids, opts.serving).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::assemble(shards, &opts))
+        Self::assemble(shards, &opts)
     }
 
     /// Creates a durable sharded store in `dir`: writes the shard
@@ -271,7 +271,7 @@ impl ShardedServingStore {
                 Shard::create_durable(&shard_dir, store, ids, opts.serving).map(Arc::new)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::assemble(shards, &opts))
+        Self::assemble(shards, &opts)
     }
 
     /// Recovers a durable sharded store from `dir`. The manifest's shard
@@ -288,15 +288,15 @@ impl ShardedServingStore {
         let shards = (0..shards)
             .map(|s| Shard::recover(&dir.join(wal::shard_dir_name(s)), opts.serving).map(Arc::new))
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self::assemble(shards, &opts))
+        Self::assemble(shards, &opts)
     }
 
-    fn assemble(shards: Vec<Arc<Shard>>, opts: &ShardedServingOptions) -> Self {
-        ShardedServingStore {
-            compactor: Compactor::spawn(shards.clone()),
+    fn assemble(shards: Vec<Arc<Shard>>, opts: &ShardedServingOptions) -> Result<Self, ServeError> {
+        Ok(ShardedServingStore {
+            compactor: Compactor::spawn(shards.clone())?,
             shards,
             threshold: opts.serving.compact_threshold,
-        }
+        })
     }
 
     /// Number of shards.

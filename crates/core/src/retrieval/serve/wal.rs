@@ -19,15 +19,13 @@
 //!   upsert only: f32-chunk eu | u8 has_hyper [f32-chunk] | u8 has_factors [f32-chunk]
 //! ```
 //!
-//! Version 1 had the same records after a bare `"LHWL" | 1 | u64
-//! checkpoint_epoch` header, and still replays. Replay stops at the first
-//! record frame that is incomplete or fails its checksum — a torn tail
-//! from a crash mid-append — and truncates the file to the verified
-//! prefix, reporting how many bytes it discarded. An append only ever
-//! tears the last frame, so a complete frame that fails its checksum
-//! *and* is followed by a complete frame that verifies is *corruption*
-//! (a flipped bit mid-log): replay errors and leaves the file untouched
-//! rather than drop the acknowledged writes behind it. A bad frame
+//! Replay stops at the first record frame that is incomplete or fails
+//! its checksum — a torn tail from a crash mid-append — and truncates the
+//! file to the verified prefix, reporting how many bytes it discarded. An
+//! append only ever tears the last frame, so a complete frame that fails
+//! its checksum *and* is followed by a complete frame that verifies is
+//! *corruption* (a flipped bit mid-log): replay errors and leaves the
+//! file untouched rather than drop the acknowledged writes behind it. A bad frame
 //! followed only by torn or unverifiable bytes — a zero-filled tail
 //! after a torn append, say — stays a torn tail. So does a frame whose
 //! *length* word took the flip: the frames behind it are then read at
@@ -68,8 +66,9 @@
 //! frame: "LHSM" | 2 | body_len | checksum | body: u32 shards
 //! ```
 //!
-//! Version 1 of each wrote the same body after a bare magic and version
-//! word, and still decodes.
+//! Each of the three reads exactly the version it writes; a file of any
+//! other version is an `UnsupportedVersion` error, and the store is
+//! rebuilt from its source rows.
 //!
 //! A serving directory holds one manifest naming the shard count plus one
 //! `shard-NNNN/` subdirectory per shard, each holding that shard's
@@ -85,28 +84,24 @@
 //! fsynced; [`WalFile::set_fsync`] upgrades each append to power-loss
 //! durability at the usual throughput cost.
 
-use super::super::codec::StoreDecodeError;
 use super::super::store::EmbeddingStore;
 use super::ServeError;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::Path;
-use traj_core::codec::{write_atomic, Fnv64, Format, Reader, Writer};
+use traj_core::codec::{write_atomic, DecodeError, Fnv64, Format, Reader, Writer};
 
 const WAL: Format = Format {
     magic: *b"LHWL",
     version: 2,
-    oldest: 1,
 };
 const CHECKPOINT: Format = Format {
     magic: *b"LHCP",
     version: 2,
-    oldest: 1,
 };
 const MANIFEST: Format = Format {
     magic: *b"LHSM",
     version: 2,
-    oldest: 1,
 };
 const OP_UPSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
@@ -139,7 +134,7 @@ pub(crate) fn read_manifest(path: &Path) -> Result<u32, ServeError> {
 }
 
 fn decode_manifest(raw: &[u8]) -> Result<u32, ServeError> {
-    let (_, mut body) = MANIFEST.unframe(raw)?;
+    let mut body = MANIFEST.unframe(raw)?;
     let shards = body.u32("manifest shard count")?;
     body.finish()?;
     if shards == 0 {
@@ -193,18 +188,18 @@ impl WalOp {
         w.finish()
     }
 
-    fn decode(body: &[u8]) -> Result<WalOp, StoreDecodeError> {
+    fn decode(body: &[u8]) -> Result<WalOp, DecodeError> {
         let mut data = Reader::new(body);
         let tag = data.u8("wal op tag")?;
         let id = data.u64("wal op id")?;
         let op = match tag {
             OP_UPSERT => {
                 let eu = data.f32_chunk("wal eu row")?;
-                let mut optional = |field| -> Result<Option<Vec<f32>>, StoreDecodeError> {
+                let mut optional = |field| -> Result<Option<Vec<f32>>, DecodeError> {
                     match data.u8(field)? {
                         0 => Ok(None),
                         1 => Ok(Some(data.f32_chunk(field)?)),
-                        other => Err(StoreDecodeError::BadVariantTag(other)),
+                        other => Err(DecodeError::BadVariantTag(other)),
                     }
                 };
                 let hyper = optional("wal hyper row")?;
@@ -217,7 +212,7 @@ impl WalOp {
                 }
             }
             OP_REMOVE => WalOp::Remove { id },
-            other => return Err(StoreDecodeError::BadVariantTag(other)),
+            other => return Err(DecodeError::BadVariantTag(other)),
         };
         data.finish()?;
         Ok(op)
@@ -238,8 +233,8 @@ impl WalFile {
         self.fsync = fsync;
     }
 
-    /// Appends one framed, checksummed record (FNV-1a byte by byte, as
-    /// every version of the log has framed them) and flushes it.
+    /// Appends one framed record, checksummed by FNV-1a's byte step, and
+    /// flushes it.
     pub(crate) fn append(&mut self, op: &WalOp) -> Result<(), ServeError> {
         let body = op.encode();
         let mut frame = Writer::new();
@@ -342,14 +337,10 @@ pub(crate) fn roll_forward(dir: &Path, checkpoint_epoch: u64) -> Result<(), Serv
 }
 
 /// A WAL's checkpoint epoch, and a reader over its records.
-fn read_header(raw: &[u8]) -> Result<(u64, Reader<'_>), StoreDecodeError> {
+fn read_header(raw: &[u8]) -> Result<(u64, Reader<'_>), DecodeError> {
     let mut file = Reader::new(raw);
-    let (version, mut head) = WAL.unframe_prefix(&mut file)?;
+    let mut head = WAL.unframe_prefix(&mut file)?;
     let epoch = head.u64("wal checkpoint epoch")?;
-    if version == 1 {
-        // No frame: the records follow the epoch word directly.
-        return Ok((epoch, head));
-    }
     head.finish()?;
     Ok((epoch, file))
 }
@@ -467,7 +458,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, ServeError> {
 }
 
 fn decode_checkpoint(raw: &[u8]) -> Result<Checkpoint, ServeError> {
-    let (_, mut body) = CHECKPOINT.unframe(raw)?;
+    let mut body = CHECKPOINT.unframe(raw)?;
     let epoch = body.u64("ckpt epoch")?;
     let compactions = body.u64("ckpt compactions")?;
     let n = body.count("ckpt id count")?;
@@ -491,6 +482,7 @@ fn decode_checkpoint(raw: &[u8]) -> Result<Checkpoint, ServeError> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::super::codec::tests::{forged, framed};
     use super::super::super::store::tests::store_with_rows;
     use super::*;
     use crate::config::PluginVariant;
@@ -508,13 +500,6 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("lh-serve-wal-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("create tmpdir");
         dir
-    }
-
-    fn unhex(hex: &str) -> Vec<u8> {
-        (0..hex.len())
-            .step_by(2)
-            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
-            .collect()
     }
 
     fn sample_ops() -> Vec<WalOp> {
@@ -546,20 +531,21 @@ mod tests {
         dir.join(WAL_FILE)
     }
 
-    /// Every mutation of `raw` — each truncation, each single-bit flip —
-    /// through `decode`: `Err` from every one when `current` (a framed
-    /// current version), never a panic when not (a legacy fixture).
-    fn mutate(raw: &[u8], current: bool, decode: impl Fn(&[u8]) -> bool) {
+    /// Every truncation of `raw` and every single-bit flip of it fails
+    /// to `decode`.
+    fn mutate(raw: &[u8], decode: impl Fn(&[u8]) -> bool) {
         for cut in 0..raw.len() {
-            let ok = decode(&raw[..cut]);
-            assert!(!(current && ok), "cut at {cut} of {} decoded", raw.len());
+            assert!(
+                !decode(&raw[..cut]),
+                "cut at {cut} of {} decoded",
+                raw.len()
+            );
         }
         for byte in 0..raw.len() {
             for bit in 0..8 {
                 let mut bad = raw.to_vec();
                 bad[byte] ^= 1 << bit;
-                let ok = decode(&bad);
-                assert!(!(current && ok), "flip {byte}.{bit} decoded");
+                assert!(!decode(&bad), "flip {byte}.{bit} decoded");
             }
         }
     }
@@ -692,7 +678,7 @@ mod tests {
         );
         // Every truncation and every flipped bit is an error.
         let full = std::fs::read(&path).expect("read raw");
-        mutate(&full, true, |bytes| decode_checkpoint(bytes).is_ok());
+        mutate(&full, |bytes| decode_checkpoint(bytes).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -722,9 +708,7 @@ mod tests {
                 assert!(
                     matches!(
                         rolled,
-                        Err(ServeError::Decode(
-                            StoreDecodeError::ChecksumMismatch { .. }
-                        ))
+                        Err(ServeError::Decode(DecodeError::ChecksumMismatch { .. }))
                     ),
                     "{rolled:?}"
                 );
@@ -742,54 +726,90 @@ mod tests {
         assert_eq!(read_manifest(&path).expect("read"), 3);
         let full = std::fs::read(&path).expect("read raw");
         assert_eq!(full.len(), FRAME_LEN + 4);
-        mutate(&full, true, |bytes| decode_manifest(bytes).is_ok());
+        mutate(&full, |bytes| decode_manifest(bytes).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Version-1 files, as the last unframed encoder wrote them: a
-    /// checkpoint of `store_with_rows(LorentzCosh)` (ids 10, 20, 30,
-    /// epoch 5, two compactions), a three-shard manifest, and a WAL bound
-    /// to epoch 3 holding `sample_ops()`.
-    const LHCP_V1: &str = "\
-        4c48435001000000050000000000000002000000000000000300000000000000\
-        0a0000000000000014000000000000001e000000000000007100000000000000\
-        03000000000000000200000000000000020000803f0000000000000000060000\
-        000000000000000000000000000000803f000000000000000000004040090000\
-        00000000000000803f0000000000000000d504b53f0000803f00000000cc624a\
-        4000000000000040400000000000000000";
-    const LHSM_V1: &str = "4c48534d0100000003000000";
-    const LHWL_V1: &str = "\
-        4c48574c0100000003000000000000002f0000003aa6b0f4dc2adb4401070000\
-        000000000002000000000000000000803f000020c00103000000000000000000\
-        803f0000003f0000803e00090000008237f82cdad7e8af020700000000000000\
-        33000000bdcdc29a7a59dfcc01090000000000000002000000000000000000c0\
-        7f0000000000010400000000000000cdcccc3dcdcc4c3e9a99993ecdcccc3e";
-
-    /// Old files still load, to the state they were written from; their
-    /// nested store payload is byte-identical to what `to_bytes` writes
-    /// today; and a flipped bit in one is an error or a decode, never a
-    /// panic (there is no checksum to catch it).
+    /// Only version 2 is read: a checkpoint, manifest or WAL whose
+    /// version word says 1 is unsupported, whatever follows it.
     #[test]
-    fn version_1_files_decode_to_the_state_they_were_written_from() {
-        let raw = unhex(LHCP_V1);
-        let ckpt = decode_checkpoint(&raw).expect("v1 checkpoint");
+    fn version_1_files_are_unsupported() {
+        let dir = tmpdir("v1");
+        let ckpt = dir.join(CKPT_FILE);
         let store = store_with_rows(PluginVariant::LorentzCosh);
-        assert_eq!((ckpt.epoch, ckpt.compactions), (5, 2));
-        assert_eq!(ckpt.ids, vec![10, 20, 30]);
-        assert_eq!(ckpt.store, store);
-        assert_eq!(store.to_bytes().as_slice(), &raw[64..], "payload bytes");
-        mutate(&raw, false, |bytes| decode_checkpoint(bytes).is_ok());
+        write_checkpoint(&ckpt, 5, 2, &[10, 20, 30], &store).expect("write");
+        let manifest = dir.join(MANIFEST_FILE);
+        write_manifest(&manifest, 3).expect("write");
+        let wal = sample_wal(&dir);
+        let v1 = |path: &Path| {
+            let mut raw = std::fs::read(path).expect("read");
+            raw[4..8].copy_from_slice(&1u32.to_le_bytes());
+            raw
+        };
+        let unsupported = |err: ServeError| {
+            assert!(
+                matches!(err, ServeError::Decode(DecodeError::UnsupportedVersion(1))),
+                "{err}"
+            );
+        };
+        unsupported(decode_checkpoint(&v1(&ckpt)).unwrap_err());
+        unsupported(decode_manifest(&v1(&manifest)).unwrap_err());
+        unsupported(parse(&v1(&wal)).unwrap_err());
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
-        let raw = unhex(LHSM_V1);
-        assert_eq!(decode_manifest(&raw).expect("v1 manifest"), 3);
-        mutate(&raw, false, |bytes| decode_manifest(bytes).is_ok());
+    /// A body that passes its checksum is still read field by field:
+    /// every forged checkpoint, manifest and WAL-header body, and every
+    /// forged record body behind a valid header, is a typed error or a
+    /// decode — never a panic — and a decode re-encodes to the bytes it
+    /// came from.
+    #[test]
+    fn forged_checksummed_bodies_error_or_decode() {
+        let dir = tmpdir("forged");
+        let ckpt = dir.join(CKPT_FILE);
+        let store = store_with_rows(PluginVariant::FusionDist);
+        write_checkpoint(&ckpt, 5, 2, &[10, 20, 30], &store).expect("write");
+        let raw = std::fs::read(&ckpt).expect("read");
+        for file in forged(&raw[FRAME_LEN..]).map(|body| framed(CHECKPOINT, &body)) {
+            if let Ok(back) = decode_checkpoint(&file) {
+                let again = dir.join("again.ckpt");
+                write_checkpoint(&again, back.epoch, back.compactions, &back.ids, &back.store)
+                    .expect("rewrite");
+                assert_eq!(std::fs::read(&again).expect("read"), file);
+            }
+        }
+        for file in forged(&3u32.to_le_bytes()).map(|body| framed(MANIFEST, &body)) {
+            if let Ok(shards) = decode_manifest(&file) {
+                assert_eq!(file[FRAME_LEN..], shards.to_le_bytes());
+            }
+        }
 
-        let raw = unhex(LHWL_V1);
-        let replay = parse(&raw).expect("v1 wal");
-        assert_eq!((replay.checkpoint_epoch, replay.truncated_bytes), (3, 0));
-        let expect: Vec<Vec<u8>> = sample_ops().iter().map(bits).collect();
-        let got: Vec<Vec<u8>> = replay.ops.iter().map(bits).collect();
-        assert_eq!(got, expect);
-        mutate(&raw, false, |bytes| parse(bytes).is_ok());
+        let raw = std::fs::read(sample_wal(&dir)).expect("read");
+        for mut file in forged(&3u64.to_le_bytes()).map(|body| framed(WAL, &body)) {
+            file.extend_from_slice(&raw[WAL_HEADER..]);
+            if let Ok(replay) = parse(&file) {
+                assert_eq!(
+                    file[FRAME_LEN..WAL_HEADER],
+                    replay.checkpoint_epoch.to_le_bytes()
+                );
+            }
+        }
+        for op in sample_ops() {
+            for body in forged(&op.encode()) {
+                let mut file = raw[..WAL_HEADER].to_vec();
+                let mut record = Writer::new();
+                record.u32(body.len() as u32);
+                record.u64(Fnv64::hash(&body));
+                record.values(&body, u8::to_le_bytes);
+                file.extend_from_slice(&record.finish());
+                match parse(&file) {
+                    Ok(replay) => {
+                        assert_eq!(replay.ops.iter().map(bits).collect::<Vec<_>>(), [body])
+                    }
+                    Err(err) => assert!(matches!(err, ServeError::Corrupt(_)), "{err}"),
+                }
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -11,20 +11,18 @@
 //! ```
 //!
 //! all little-endian. [`Format::unframe`] is the one place a magic or a
-//! version number is checked. For the current version it checks the
-//! magic, the version, that exactly `body_len` bytes follow, and that
-//! they hash to `checksum`. For an older version the format still reads,
-//! it hands back the bytes after the version word unverified, as they
-//! were written before the frame existed.
+//! version number is checked: it checks the magic, the version, that
+//! exactly `body_len` bytes follow, and that they hash to `checksum`, and
+//! only then hands the body to the decoder. A format reads exactly the
+//! version it writes; any other is [`DecodeError::UnsupportedVersion`],
+//! and the upgrade path is to rebuild the file from its source.
 //!
-//! No single-bit flip of a current-version file decodes: magic, version,
-//! length and checksum are each compared for equality, and the checksum
-//! (the word step of [`Fnv64`]) folds the body in one 8-byte word at a
-//! time through `h ← (h ⊕ w) · p` with `p` odd — a bijection of `h` for a
-//! fixed word and of the word for a fixed `h` — so a change confined to
-//! one word always changes the result. Current version numbers are chosen
-//! so that no single-bit flip of one is a legacy version (`2` is never one
-//! flip from `1`, nor `4` from `1..=3`).
+//! No single-bit flip of a file decodes: magic, version, length and
+//! checksum are each compared for equality, and the checksum (the word
+//! step of [`Fnv64`]) folds the body in one 8-byte word at a time through
+//! `h ← (h ⊕ w) · p` with `p` odd — a bijection of `h` for a fixed word
+//! and of the word for a fixed `h` — so a change confined to one word
+//! always changes the result.
 //!
 //! Around the frame sits what every codec needs: a bounds-checked
 //! [`Reader`] (each declared length is checked against the remaining
@@ -184,15 +182,14 @@ impl Fnv64 {
     }
 }
 
-/// One binary file format: its magic and the versions it reads.
+/// One binary file format: its magic and the one version it writes and
+/// reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Format {
     /// Four ASCII bytes at the start of every file of the format.
     pub magic: [u8; 4],
-    /// The version the encoder writes — the only framed one.
+    /// The version the encoder writes and the decoder reads.
     pub version: u32,
-    /// The oldest version the decoder still reads.
-    pub oldest: u32,
 }
 
 impl Format {
@@ -218,43 +215,35 @@ impl Format {
         buf
     }
 
-    /// Reads a file that is exactly one container: its version, and a
-    /// reader over the body (the verified body of a current-version
-    /// frame, or everything after a legacy version word).
-    pub fn unframe<'a>(&self, data: &'a [u8]) -> Result<(u32, Reader<'a>), DecodeError> {
+    /// Reads a file that is exactly one frame: a reader over its
+    /// verified body.
+    pub fn unframe<'a>(&self, data: &'a [u8]) -> Result<Reader<'a>, DecodeError> {
         let mut file = Reader::new(data);
-        let unframed = self.unframe_prefix(&mut file)?;
+        let body = self.unframe_prefix(&mut file)?;
         file.finish()?;
-        Ok(unframed)
+        Ok(body)
     }
 
-    /// [`Format::unframe`] for a container at the front of `data` that
-    /// more bytes may follow (the WAL's records follow its header):
-    /// advances `data` past the frame. A legacy container has no length,
-    /// so it takes all of `data`.
-    pub fn unframe_prefix<'a>(
-        &self,
-        data: &mut Reader<'a>,
-    ) -> Result<(u32, Reader<'a>), DecodeError> {
+    /// [`Format::unframe`] for a frame at the front of `data` that more
+    /// bytes may follow (the WAL's records follow its header): advances
+    /// `data` past the frame.
+    pub fn unframe_prefix<'a>(&self, data: &mut Reader<'a>) -> Result<Reader<'a>, DecodeError> {
         let magic = data.u32("magic")?;
         if magic != u32::from_le_bytes(self.magic) {
             return Err(DecodeError::BadMagic(magic));
         }
         let version = data.u32("version")?;
-        if version == self.version {
-            let len = data.count("body length")?;
-            let expected = data.u64("checksum")?;
-            let body = data.take("body", len)?;
-            let found = Fnv64::checksum(body);
-            if found != expected {
-                return Err(DecodeError::ChecksumMismatch { expected, found });
-            }
-            Ok((version, Reader::new(body)))
-        } else if (self.oldest..self.version).contains(&version) {
-            Ok((version, std::mem::replace(data, Reader::new(&[]))))
-        } else {
-            Err(DecodeError::UnsupportedVersion(version))
+        if version != self.version {
+            return Err(DecodeError::UnsupportedVersion(version));
         }
+        let len = data.count("body length")?;
+        let expected = data.u64("checksum")?;
+        let body = data.take("body", len)?;
+        let found = Fnv64::checksum(body);
+        if found != expected {
+            return Err(DecodeError::ChecksumMismatch { expected, found });
+        }
+        Ok(Reader::new(body))
     }
 }
 
@@ -465,7 +454,6 @@ mod tests {
     const TEST: Format = Format {
         magic: *b"TEST",
         version: 2,
-        oldest: 1,
     };
 
     #[test]
@@ -506,8 +494,7 @@ mod tests {
     fn frame_roundtrips() {
         let raw = sample_frame();
         assert_eq!(raw.len(), FRAME_LEN + 8 + 8 + 12 + 1);
-        let (version, mut body) = TEST.unframe(&raw).expect("valid frame");
-        assert_eq!(version, 2);
+        let mut body = TEST.unframe(&raw).expect("valid frame");
         assert_eq!(body.u64("n"), Ok(7));
         let vals = body.f32_chunk("vals").expect("vals");
         let bits: Vec<u32> = vals.iter().map(|v| v.to_bits()).collect();
@@ -552,8 +539,13 @@ mod tests {
             TEST.unframe(&bad).unwrap_err()
         };
         assert!(matches!(with(0, b'X'), DecodeError::BadMagic(_)));
-        assert_eq!(with(4, 9), DecodeError::UnsupportedVersion(9));
-        assert_eq!(with(4, 0), DecodeError::UnsupportedVersion(0));
+        // Every version but the current one, older ones included.
+        for version in [0, 1, 3, 9] {
+            assert_eq!(
+                with(4, version),
+                DecodeError::UnsupportedVersion(version.into())
+            );
+        }
         assert!(matches!(with(8, 0xff), DecodeError::Truncated { .. }));
         assert!(matches!(
             with(16, !raw[16]),
@@ -565,23 +557,14 @@ mod tests {
         ));
     }
 
-    /// A legacy version is handed back unverified: everything after its
-    /// version word, with no length or checksum read.
+    /// A prefix read leaves what follows a frame.
     #[test]
-    fn legacy_version_hands_back_the_remainder() {
-        let mut raw = b"TEST".to_vec();
-        raw.extend_from_slice(&1u32.to_le_bytes());
-        raw.extend_from_slice(&[5, 6, 7]);
-        let (version, body) = TEST.unframe(&raw).expect("legacy");
-        assert_eq!(version, 1);
-        assert_eq!(body.remaining(), 3);
-
-        // A prefix read leaves what follows a current frame.
+    fn a_prefix_read_stops_at_the_frame() {
         let mut stream = sample_frame();
         stream.extend_from_slice(&[9, 9]);
         let mut data = Reader::new(&stream);
-        let (version, _) = TEST.unframe_prefix(&mut data).expect("frame");
-        assert_eq!((version, data.remaining()), (2, 2));
+        let body = TEST.unframe_prefix(&mut data).expect("frame");
+        assert_eq!((body.remaining(), data.remaining()), (8 + 8 + 12 + 1, 2));
     }
 
     #[test]

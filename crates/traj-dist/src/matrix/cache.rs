@@ -14,10 +14,9 @@
 //! u64 fingerprint | u64 rows | u64 cols | rows·cols × f64 (row-major)
 //! ```
 //!
-//! Version 1 carried the same fields behind a bare magic + version
-//! header, with no checksum. It is never opened: the fingerprint hashes
-//! the format version, so a version-1 file sits under a name no build
-//! asks for.
+//! Any other version is `UnsupportedVersion`; the fingerprint hashes the
+//! format version too, so a file of another version sits under a name no
+//! build asks for.
 //!
 //! A checkpoint that fails its frame (truncated, or any flipped bit), its
 //! fingerprint or its shape returns a [`CacheError`] instead of loading
@@ -31,11 +30,10 @@ use super::DistanceMatrix;
 use std::path::{Path, PathBuf};
 use traj_core::codec::{write_atomic, DecodeError, Format};
 
-/// The checkpoint format: `LHGM`, version 2 (the only one read).
+/// The checkpoint format: `LHGM`, version 2.
 pub const FORMAT: Format = Format {
     magic: *b"LHGM",
     version: 2,
-    oldest: 2,
 };
 
 /// Why a matrix checkpoint failed to load.
@@ -103,7 +101,7 @@ pub fn load(path: &Path, fingerprint: u64) -> Result<DistanceMatrix, CacheError>
 }
 
 fn decode(bytes: &[u8], fingerprint: u64) -> Result<DistanceMatrix, CacheError> {
-    let (_, mut body) = FORMAT.unframe(bytes)?;
+    let mut body = FORMAT.unframe(bytes)?;
     let found = body.u64("fingerprint")?;
     if found != fingerprint {
         return Err(CacheError::FingerprintMismatch {
@@ -205,6 +203,33 @@ mod tests {
             }
         }
         assert!(decode(&full, 3).is_ok());
+    }
+
+    /// A body that passes its checksum is still read field by field:
+    /// each truncation, single-bit flip and one-byte extension of a body,
+    /// re-framed with a valid checksum, is a typed error or a matrix that
+    /// re-encodes to the same bytes — never a panic.
+    #[test]
+    fn forged_checksummed_bodies_error_or_decode() {
+        let full = encode(3, &sample());
+        let body = &full[24..];
+        let cuts = (0..body.len()).map(|cut| body[..cut].to_vec());
+        let flips = (0..body.len() * 8).map(|i| {
+            let mut bad = body.to_vec();
+            bad[i / 8] ^= 1 << (i % 8);
+            bad
+        });
+        for bad in cuts
+            .chain(flips)
+            .chain(std::iter::once([body, &[0]].concat()))
+        {
+            let mut w = FORMAT.writer();
+            w.values(&bad, u8::to_le_bytes);
+            let file = FORMAT.finish(w);
+            if let Ok(m) = decode(&file, 3) {
+                assert_eq!(encode(3, &m), file);
+            }
+        }
     }
 
     #[test]
