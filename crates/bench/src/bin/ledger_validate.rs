@@ -2,10 +2,9 @@
 //!
 //! With no arguments, checks every ledger in
 //! [`lh_bench::ledger::COMMITTED_LEDGERS`] at the repo root (a missing
-//! file fails — a deleted ledger is drift too, unless `--allow-missing`
-//! is passed for bootstrap situations). With `--file <path>` checks one
-//! file, inferring the spec from the first record's `schema` tag or
-//! taking it from `--schema <tag>`.
+//! file fails — a deleted ledger is drift too). With `--file <path>`
+//! checks one file, inferring the spec from the first record's `schema`
+//! tag.
 //!
 //! Exit code 0 means every checked ledger parsed and satisfied its
 //! contract: correct schema tag, required record/row fields present,
@@ -13,7 +12,7 @@
 //! exits 1 — this is the `ledger-validate` CI gate.
 //!
 //! Usage: `cargo run --release -p lh-bench --bin ledger_validate
-//!        [--file BENCH_x.json [--schema serve-bench-v1]] [--allow-missing]`
+//!        [--file BENCH_x.json]`
 
 use lh_bench::ledger::{self, LedgerSpec};
 use lh_bench::Args;
@@ -54,37 +53,15 @@ fn main() {
     let args = Args::parse();
     let mut failures = 0usize;
     if let Some(path) = args.get_str("file") {
-        let single: [&LedgerSpec; 1];
-        let specs: &[&LedgerSpec] = match args.get_str("schema") {
-            Some(tag) => {
-                // An explicit tag pins exactly that generation.
-                single =
-                    [ledger::spec_for(tag).unwrap_or_else(|| panic!("unknown schema `{tag}`"))];
-                &single
-            }
-            None => match infer_specs(path) {
-                Ok(specs) => specs,
-                Err(e) => {
-                    eprintln!("[ledger_validate] FAIL — {e}");
-                    std::process::exit(1);
-                }
-            },
-        };
-        if let Err(e) = check(path, specs) {
+        let checked = infer_specs(path).and_then(|specs| check(path, specs));
+        if let Err(e) = checked {
             eprintln!("[ledger_validate] FAIL — {e}");
             failures += 1;
         }
     } else {
         for (path, specs) in ledger::COMMITTED_LEDGERS {
             if !std::path::Path::new(path).exists() {
-                if args.flag("allow-missing") {
-                    println!("[ledger_validate] {path}: missing (allowed)");
-                    continue;
-                }
-                eprintln!(
-                    "[ledger_validate] FAIL — {path}: missing (a deleted ledger is drift; \
-                     pass --allow-missing only while bootstrapping)"
-                );
+                eprintln!("[ledger_validate] FAIL — {path}: missing (a deleted ledger is drift)");
                 failures += 1;
                 continue;
             }

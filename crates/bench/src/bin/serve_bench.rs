@@ -1,10 +1,10 @@
 //! Mutable serving tier under a mixed read/write load, tracked over time.
 //!
-//! `retrieval_bench` measures frozen stores; this harness measures the
-//! [`ShardedServingStore`] doing what frozen stores cannot: answering
-//! queries *while* absorbing upserts and removals. It seeds a clustered
-//! store hash-partitioned across `--shards` shards, then drives a mixed
-//! workload in one of two modes:
+//! The benchmark's `frozen-*` workloads measure frozen stores; this
+//! harness measures the [`ShardedServingStore`] doing what frozen stores
+//! cannot: answering queries *while* absorbing upserts and removals. It
+//! seeds a clustered store hash-partitioned across `--shards` shards,
+//! then drives a mixed workload in one of two modes:
 //!
 //! * **closed loop** (default): each worker pulls the next op off a
 //!   shared counter and issues it as soon as the previous one finishes —

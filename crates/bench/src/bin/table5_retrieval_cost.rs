@@ -202,8 +202,8 @@ fn main() {
          fused >= min(d_Lo, d_Eu) for the plugin); prune and cells probed\n\
          are measured per row — the gap between the two rows is what the\n\
          fused distance's triangle-inequality violations cost. Rows here\n\
-         are uniform noise, the worst case for any partition: see\n\
-         retrieval_bench for clustered rows."
+         are uniform noise, the worst case for any partition: the\n\
+         benchmark's frozen-* workloads serve clustered rows."
     );
     let path = write_artifact("table5_retrieval_cost", &rows);
     println!("artifact: {}", path.display());

@@ -15,6 +15,6 @@ pub mod scales;
 pub mod synth;
 
 pub use args::Args;
-pub use perf::{append_record, best_of};
+pub use perf::append_record;
 pub use printer::{print_header, write_artifact, Table};
 pub use scales::default_spec;

@@ -1,12 +1,12 @@
-//! Shared synthetic workload generation for the bench binaries.
+//! Synthetic workload generation for `serve_bench`.
 //!
-//! `retrieval_bench` and `serve_bench` must index/serve the same kind of
-//! data: clustered embeddings (a Gaussian mixture — real embedding
-//! collections are clustered; uniform noise is the known ANN worst case
-//! and would understate every index ever built), with valid hyperboloid
-//! rows for the Lorentz variants and positive factor rows for fusion.
-//! This module is the single home of that generator plus the zipf rank
-//! sampler the serving bench skews its id/query popularity with.
+//! The serving bench needs realistic data to index and serve: clustered
+//! embeddings (a Gaussian mixture — real embedding collections are
+//! clustered; uniform noise is the known ANN worst case and would
+//! understate every index ever built), with valid hyperboloid rows for
+//! the Lorentz variants and positive factor rows for fusion. This module
+//! is the single home of that generator plus the zipf rank sampler the
+//! serving bench skews its id/query popularity with.
 
 use lh_core::config::PluginConfig;
 use lh_core::EmbeddingStore;
