@@ -20,7 +20,7 @@ use traj_dist::MatrixBuilder;
 
 /// Mean relative violation of the query's neighborhood triples.
 fn query_violation_degree(gt_row: &[f64], db_matrix: &traj_dist::DistanceMatrix, k: usize) -> f64 {
-    let ranking = rank_by_distance(gt_row, None);
+    let ranking = rank_by_distance(gt_row);
     let top: Vec<usize> = ranking.into_iter().take(k).collect();
     let mut acc = 0.0;
     let mut cnt = 0usize;
@@ -44,8 +44,8 @@ fn per_query_hr(out: &ExperimentOutcome) -> Vec<f64> {
     (0..out.queries.len())
         .map(|qi| {
             let pred = db.distance_row_from(&q, qi);
-            let t_rank = rank_by_distance(&out.gt_rows[qi], None);
-            let p_rank = rank_by_distance(&pred, None);
+            let t_rank = rank_by_distance(&out.gt_rows[qi]);
+            let p_rank = rank_by_distance(&pred);
             hr_at_k(&t_rank, &p_rank, 10)
         })
         .collect()

@@ -7,8 +7,7 @@
 //!
 //! Usage: `cargo run --release -p lh-bench --bin table1_constraint_variability
 //!        [--n 120] [--triplets 20000] [--edr-eps 0.02] [--seed 42]
-//!        [--cache-dir target/gt-cache]
-//!        [--prune landmark|early-abandon] [--prune-threshold 0.25]`
+//!        [--cache-dir target/gt-cache]`
 //!
 //! With `--cache-dir`, each of the 21 ground-truth matrices is
 //! checkpointed; a re-run at the same parameters loads them instead of
@@ -68,19 +67,6 @@ fn main() {
     let edr_eps = args.get("edr-eps", 0.02f64);
     let seed = args.get("seed", 42u64);
     let cache_dir = args.get_str("cache-dir").map(str::to_string);
-    // `--prune landmark` routes every build through the layered landmark
-    // screen + early-abandon pipeline. Checkpoints are fingerprinted
-    // prune-free, so a pruned run against a cache written by an exact run
-    // still hits and returns the exact matrices bit-identically (the CI
-    // smoke test asserts exactly this via the `gt cache hits` line).
-    let prune = args.get_str("prune").map(str::to_string);
-    let prune_threshold = args.get("prune-threshold", 0.25f64);
-    if let Some(mode) = prune.as_deref() {
-        if !matches!(mode, "landmark" | "early-abandon") {
-            eprintln!("unknown --prune {mode:?} (valid: landmark|early-abandon)");
-            std::process::exit(2);
-        }
-    }
 
     // One builder per measure config; tracks cache hits across all 21
     // matrix builds for the summary line (and the CI cache smoke test).
@@ -89,11 +75,6 @@ fn main() {
     let mut gt_seconds = 0.0f64;
     let mut build = |measure: Measure, trajs: &[traj_core::Trajectory]| {
         let mut b = MatrixBuilder::new(measure);
-        match prune.as_deref() {
-            Some("landmark") => b = b.prune_landmark(prune_threshold),
-            Some("early-abandon") => b = b.prune(prune_threshold),
-            _ => {}
-        }
         if let Some(dir) = &cache_dir {
             b = b.cache_dir(dir);
         }

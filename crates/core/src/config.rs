@@ -44,11 +44,6 @@ impl PluginVariant {
     pub fn uses_fusion(&self) -> bool {
         matches!(self, PluginVariant::FusionDist)
     }
-
-    /// Whether the Cosh (vs vanilla) projection is used.
-    pub fn uses_cosh(&self) -> bool {
-        matches!(self, PluginVariant::LorentzCosh | PluginVariant::FusionDist)
-    }
 }
 
 /// Full plugin configuration.
@@ -122,8 +117,6 @@ mod tests {
     fn capability_flags() {
         assert!(!PluginVariant::Original.uses_hyperbolic());
         assert!(PluginVariant::LorentzVanilla.uses_hyperbolic());
-        assert!(!PluginVariant::LorentzVanilla.uses_cosh());
-        assert!(PluginVariant::LorentzCosh.uses_cosh());
         assert!(!PluginVariant::LorentzCosh.uses_fusion());
         assert!(PluginVariant::FusionDist.uses_fusion());
     }

@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn alpha_is_trainable_toward_targets() {
-        use lh_nn::optim::{Adam, Optimizer};
+        use lh_nn::optim::Adam;
         // Push α(t0,t1) toward 1: the Lorentz factors must grow.
         let (mut store, enc) = build();
         let ts = trajs();

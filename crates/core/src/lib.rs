@@ -26,7 +26,6 @@
 //! [`config::PluginVariant`] selects `original` (Euclidean only),
 //! `lh-vanilla`, `lh-cosh`, or `fusion-dist`.
 
-pub mod checkpoint;
 pub mod config;
 pub mod distance;
 pub mod fusion;
@@ -36,7 +35,6 @@ pub mod retrieval;
 pub mod sampler;
 pub mod trainer;
 
-pub use checkpoint::Checkpoint;
 pub use config::{PluginConfig, PluginVariant};
 pub use distance::{euclidean_distance_rows, fused_distance_rows, lorentz_distance_rows};
 pub use fusion::FactorEncoder;

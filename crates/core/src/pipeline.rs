@@ -136,7 +136,7 @@ pub fn evaluate_stores(
     gt_rows: &[Vec<f64>],
 ) -> RankingEval {
     let pred_rows = db_store.distance_rows_from(q_store);
-    RankingEval::evaluate(gt_rows, &pred_rows, false)
+    RankingEval::evaluate(gt_rows, &pred_rows)
 }
 
 /// Runs one full experiment.

@@ -24,49 +24,33 @@ pub struct TrainPair {
     pub weight: f64,
 }
 
-/// Pair-sampling configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplerConfig {
-    /// Nearest neighbors per anchor.
-    pub k_near: usize,
-    /// Random counterparts per anchor.
-    pub k_rand: usize,
-    /// Weight multiplier for the near pairs.
-    pub near_weight: f64,
-}
-
-impl Default for SamplerConfig {
-    fn default() -> Self {
-        SamplerConfig {
-            k_near: 4,
-            k_rand: 4,
-            near_weight: 2.0,
-        }
-    }
-}
+/// Loss weight of a near pair (a random pair weighs 1).
+pub const NEAR_WEIGHT: f64 = 2.0;
 
 /// Samples one epoch of training pairs from a symmetric ground-truth
-/// matrix; anchor order is shuffled.
+/// matrix: per anchor, its `k_near` nearest neighbors and `k_rand` random
+/// counterparts; anchor order is shuffled.
 pub fn sample_epoch_pairs(
     matrix: &DistanceMatrix,
-    config: &SamplerConfig,
+    k_near: usize,
+    k_rand: usize,
     rng: &mut StdRng,
 ) -> Vec<TrainPair> {
     let n = matrix.rows();
     let mut anchors: Vec<usize> = (0..n).collect();
     anchors.shuffle(rng);
-    let mut pairs = Vec::with_capacity(n * (config.k_near + config.k_rand));
+    let mut pairs = Vec::with_capacity(n * (k_near + k_rand));
     for &a in &anchors {
-        let near = matrix.knn_of_row(a, config.k_near, Some(a));
+        let near = matrix.knn_of_row(a, k_near, Some(a));
         for b in near {
             pairs.push(TrainPair {
                 a,
                 b,
                 target: matrix.get(a, b),
-                weight: config.near_weight,
+                weight: NEAR_WEIGHT,
             });
         }
-        for _ in 0..config.k_rand {
+        for _ in 0..k_rand {
             let b = rng.gen_range(0..n);
             if b == a {
                 continue;
@@ -102,16 +86,11 @@ mod tests {
     fn near_pairs_are_nearest() {
         let m = toy_matrix(10);
         let mut rng = StdRng::seed_from_u64(0);
-        let cfg = SamplerConfig {
-            k_near: 2,
-            k_rand: 0,
-            near_weight: 2.0,
-        };
-        let pairs = sample_epoch_pairs(&m, &cfg, &mut rng);
+        let pairs = sample_epoch_pairs(&m, 2, 0, &mut rng);
         assert_eq!(pairs.len(), 20);
         for p in &pairs {
             assert!(p.target <= 2.0, "near pair too far: {p:?}");
-            assert_eq!(p.weight, 2.0);
+            assert_eq!(p.weight, NEAR_WEIGHT);
         }
     }
 
@@ -119,7 +98,7 @@ mod tests {
     fn targets_match_matrix() {
         let m = toy_matrix(8);
         let mut rng = StdRng::seed_from_u64(1);
-        let pairs = sample_epoch_pairs(&m, &SamplerConfig::default(), &mut rng);
+        let pairs = sample_epoch_pairs(&m, 4, 4, &mut rng);
         for p in &pairs {
             assert_eq!(p.target, m.get(p.a, p.b));
             assert_ne!(p.a, p.b, "self-pairs are useless supervision");
@@ -129,19 +108,17 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let m = toy_matrix(8);
-        let cfg = SamplerConfig::default();
-        let a = sample_epoch_pairs(&m, &cfg, &mut StdRng::seed_from_u64(3));
-        let b = sample_epoch_pairs(&m, &cfg, &mut StdRng::seed_from_u64(3));
+        let a = sample_epoch_pairs(&m, 4, 4, &mut StdRng::seed_from_u64(3));
+        let b = sample_epoch_pairs(&m, 4, 4, &mut StdRng::seed_from_u64(3));
         assert_eq!(a, b);
     }
 
     #[test]
     fn epochs_differ() {
         let m = toy_matrix(8);
-        let cfg = SamplerConfig::default();
         let mut rng = StdRng::seed_from_u64(4);
-        let e1 = sample_epoch_pairs(&m, &cfg, &mut rng);
-        let e2 = sample_epoch_pairs(&m, &cfg, &mut rng);
+        let e1 = sample_epoch_pairs(&m, 4, 4, &mut rng);
+        let e2 = sample_epoch_pairs(&m, 4, 4, &mut rng);
         assert_ne!(e1, e2, "random halves must resample across epochs");
     }
 }

@@ -12,9 +12,9 @@ use crate::distance::{euclidean_distance_rows, fused_distance_rows, lorentz_dist
 use crate::fusion::FactorEncoder;
 use crate::projection::project_rows;
 use crate::retrieval::EmbeddingStore;
-use crate::sampler::{sample_epoch_pairs, SamplerConfig, TrainPair};
+use crate::sampler::{sample_epoch_pairs, TrainPair};
 use lh_models::{EncoderConfig, ModelKind, TrajectoryEncoder};
-use lh_nn::optim::{Adam, Optimizer};
+use lh_nn::optim::Adam;
 use lh_nn::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,7 +31,7 @@ pub struct TrainerConfig {
     pub batch_pairs: usize,
     /// Adam learning rate.
     pub lr: f32,
-    /// Nearest/random pair counts per anchor.
+    /// Nearest neighbors per anchor.
     pub k_near: usize,
     /// Random counterparts per anchor.
     pub k_rand: usize,
@@ -116,7 +116,7 @@ impl LhModel {
         &self.plugin
     }
 
-    /// The parameter store (e.g. for checkpoint inspection).
+    /// The trained parameters.
     pub fn store(&self) -> &ParamStore {
         &self.store
     }
@@ -124,11 +124,6 @@ impl LhModel {
     /// Distance normalization scale currently applied to targets.
     pub fn scale(&self) -> f64 {
         self.scale
-    }
-
-    /// Base encoder name.
-    pub fn encoder_name(&self) -> &'static str {
-        self.encoder.name()
     }
 
     /// Computes the batch of predicted distances for `pairs` over `trajs`
@@ -179,40 +174,6 @@ impl LhModel {
                 fused_distance_rows(tape, alpha, d_lo, d_eu)
             }
         }
-    }
-
-    /// Exports a training checkpoint (parameters + plugin config + scale).
-    pub fn to_checkpoint(&self) -> crate::checkpoint::Checkpoint {
-        crate::checkpoint::Checkpoint::new(
-            self.plugin,
-            self.scale,
-            self.encoder.name(),
-            self.store.clone(),
-        )
-    }
-
-    /// Restores parameters and scale from a checkpoint. The base encoder
-    /// and plugin config must match the one the checkpoint was saved from
-    /// (same encoder name; the caller rebuilds the model structure).
-    pub fn restore(&mut self, ck: &crate::checkpoint::Checkpoint) -> Result<(), String> {
-        if ck.encoder != self.encoder.name() {
-            return Err(format!(
-                "checkpoint is for encoder `{}`, model is `{}`",
-                ck.encoder,
-                self.encoder.name()
-            ));
-        }
-        if ck.plugin != self.plugin {
-            return Err("plugin configuration mismatch".to_string());
-        }
-        for name in ck.params.names() {
-            if !self.store.contains(name) {
-                return Err(format!("checkpoint parameter `{name}` unknown to model"));
-            }
-        }
-        self.store = ck.params.clone();
-        self.scale = ck.scale;
-        Ok(())
     }
 
     /// Embeds trajectories into an [`EmbeddingStore`] for retrieval
@@ -283,15 +244,11 @@ impl Trainer {
         let scale = gt.off_diagonal_mean().max(f64::EPSILON);
         model.scale = scale;
 
-        let sampler = SamplerConfig {
-            k_near: self.config.k_near,
-            k_rand: self.config.k_rand,
-            near_weight: 2.0,
-        };
         let mut history = Vec::with_capacity(self.config.epochs);
         let mut batches = 0usize;
         for epoch in 0..self.config.epochs {
-            let pairs = sample_epoch_pairs(gt, &sampler, &mut self.rng);
+            let pairs =
+                sample_epoch_pairs(gt, self.config.k_near, self.config.k_rand, &mut self.rng);
             let mut epoch_loss = 0.0f64;
             let mut epoch_batches = 0usize;
             for batch in pairs.chunks(self.config.batch_pairs) {
@@ -424,47 +381,6 @@ mod tests {
         assert_eq!(report.history[2].eval_metric, Some(2.0));
         assert!(report.batches > 0);
         assert!(report.seconds >= 0.0);
-    }
-
-    #[test]
-    fn checkpoint_roundtrip_restores_behaviour() {
-        let ds = tiny_dataset();
-        let gt = pairwise_matrix(ds.trajectories(), &MeasureKind::Dtw.measure());
-        let mut model = LhModel::new(
-            ModelKind::Traj2SimVec,
-            EncoderConfig::default(),
-            PluginConfig::paper_default(),
-            &ds,
-            13,
-        );
-        let mut trainer = Trainer::new(quick_config());
-        let _ = trainer.train(&mut model, ds.trajectories(), &gt, |_, _| None);
-        let before = model.embed(ds.trajectories());
-        let ck = model.to_checkpoint();
-
-        // Fresh model with different seed: embeddings differ before
-        // restore and match exactly after.
-        let mut fresh = LhModel::new(
-            ModelKind::Traj2SimVec,
-            EncoderConfig::default(),
-            PluginConfig::paper_default(),
-            &ds,
-            999,
-        );
-        assert_ne!(fresh.embed(ds.trajectories()), before);
-        fresh.restore(&ck).expect("same architecture restores");
-        assert_eq!(fresh.embed(ds.trajectories()), before);
-        assert_eq!(fresh.scale(), model.scale());
-
-        // Mismatched architectures are rejected.
-        let mut other = LhModel::new(
-            ModelKind::Neutraj,
-            EncoderConfig::default(),
-            PluginConfig::paper_default(),
-            &ds,
-            1,
-        );
-        assert!(other.restore(&ck).is_err());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! top-k similarity retrieval has meaningful answers.
 
 pub mod citysim;
-pub mod io;
 pub mod noise;
 pub mod presets;
 

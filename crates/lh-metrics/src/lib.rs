@@ -11,12 +11,10 @@
 //! [`histogram`] bins RVS populations into densities for the Fig. 5
 //! reproduction.
 
-pub mod correlation;
 pub mod histogram;
 pub mod ranking;
 pub mod violation;
 
-pub use correlation::{pearson, spearman};
 pub use histogram::Histogram;
 pub use ranking::{hr_at_k, ndcg_at_k, rank_by_distance, RankingEval};
 pub use violation::{

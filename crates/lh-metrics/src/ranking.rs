@@ -8,16 +8,15 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Indices of `0..n` sorted ascending by `distances` (ties by index),
-/// excluding `skip` (typically the query itself).
+/// Indices of `0..n` sorted ascending by `distances` (ties by index).
 ///
 /// Ordering is [`f64::total_cmp`] with the index as tie-break — the
 /// `traj_core::topk` convention — so rankings are deterministic even when
 /// a model emits NaN distances: NaNs sort after +∞ instead of collapsing
 /// into `Ordering::Equal` and leaving the order at the mercy of the
 /// sort's element visit order.
-pub fn rank_by_distance(distances: &[f64], skip: Option<usize>) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..distances.len()).filter(|&i| Some(i) != skip).collect();
+pub fn rank_by_distance(distances: &[f64]) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..distances.len()).collect();
     idx.sort_by(|&a, &b| distances[a].total_cmp(&distances[b]).then(a.cmp(&b)));
     idx
 }
@@ -84,17 +83,14 @@ pub struct RankingEval {
 
 impl RankingEval {
     /// Evaluates all five metrics averaged over queries. `truth` and `pred`
-    /// are per-query distance rows over the same candidates; `skip_self`
-    /// excludes candidate `q` for query index `q` (self-retrieval) when the
-    /// query set is a prefix of the candidate set.
-    pub fn evaluate(truth: &[Vec<f64>], pred: &[Vec<f64>], skip_self: bool) -> RankingEval {
+    /// are per-query distance rows over the same candidates.
+    pub fn evaluate(truth: &[Vec<f64>], pred: &[Vec<f64>]) -> RankingEval {
         assert_eq!(truth.len(), pred.len(), "query count mismatch");
         let mut acc = RankingEval::default();
-        for (q, (t_row, p_row)) in truth.iter().zip(pred).enumerate() {
+        for (t_row, p_row) in truth.iter().zip(pred) {
             assert_eq!(t_row.len(), p_row.len(), "candidate count mismatch");
-            let skip = if skip_self { Some(q) } else { None };
-            let t_rank = rank_by_distance(t_row, skip);
-            let p_rank = rank_by_distance(p_row, skip);
+            let t_rank = rank_by_distance(t_row);
+            let p_rank = rank_by_distance(p_row);
             acc.hr5 += hr_at_k(&t_rank, &p_rank, 5);
             acc.hr10 += hr_at_k(&t_rank, &p_rank, 10);
             acc.hr50 += hr_at_k(&t_rank, &p_rank, 50);
@@ -118,10 +114,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rank_orders_ascending_and_skips() {
+    fn rank_orders_ascending() {
         let d = [3.0, 1.0, 2.0, 0.5];
-        assert_eq!(rank_by_distance(&d, None), vec![3, 1, 2, 0]);
-        assert_eq!(rank_by_distance(&d, Some(3)), vec![1, 2, 0]);
+        assert_eq!(rank_by_distance(&d), vec![3, 1, 2, 0]);
     }
 
     #[test]
@@ -130,12 +125,11 @@ mod tests {
         // everything and scramble the sort), and exact ties must break
         // by index.
         let d = [0.5, f64::NAN, 0.5, 0.1, f64::NAN, 0.5];
-        assert_eq!(rank_by_distance(&d, None), vec![3, 0, 2, 5, 1, 4]);
-        assert_eq!(rank_by_distance(&d, Some(0)), vec![3, 2, 5, 1, 4]);
+        assert_eq!(rank_by_distance(&d), vec![3, 0, 2, 5, 1, 4]);
         // The ranking of the finite prefix is unaffected by NaN tail
         // candidates (they cannot displace real neighbors).
         let clean = [0.5, f64::INFINITY, 0.5, 0.1, f64::INFINITY, 0.5];
-        assert_eq!(rank_by_distance(&clean, None), rank_by_distance(&d, None));
+        assert_eq!(rank_by_distance(&clean), rank_by_distance(&d));
     }
 
     #[test]
@@ -200,20 +194,10 @@ mod tests {
             vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
             vec![0.0, 1.0, 2.0, 3.0, 4.0, 5.0],
         ];
-        let eval = RankingEval::evaluate(&truth, &pred, false);
+        let eval = RankingEval::evaluate(&truth, &pred);
         assert_eq!(eval.queries, 2);
         // q0 perfect (1.0); q1 top-5 of truth {5,4,3,2,1} vs pred {0,1,2,3,4}
         // → overlap 4/5.
         assert!((eval.hr5 - (1.0 + 0.8) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn skip_self_excludes_query_index() {
-        let truth = vec![vec![0.0, 1.0, 2.0]];
-        let pred = vec![vec![0.0, 2.0, 1.0]];
-        let with_self = RankingEval::evaluate(&truth, &pred, false);
-        let without_self = RankingEval::evaluate(&truth, &pred, true);
-        // Without self, candidates {1,2}: truth rank [1,2], pred rank [2,1].
-        assert!(without_self.hr5 <= with_self.hr5 + 1e-12);
     }
 }

@@ -2,12 +2,13 @@
 //!
 //! The paper plugs the LH-plugin into five published encoders (its Table
 //! II): Neutraj (grid cells + RNN), TrajGAT (quadtree + graph attention),
-//! Traj2SimVec (RNN + sub-trajectory supervision), ST2Vec (spatio-temporal
-//! co-attention) and Tedj (3-D st-grid + RNN). The original codebases are
-//! PyTorch; these are structurally faithful reconstructions — same
-//! preprocessing family, same network family, same output contract (a
-//! Euclidean embedding per trajectory) — with documented simplifications
-//! listed per module.
+//! Traj2SimVec (an LSTM, trained by full-trajectory distance regression
+//! only: the original's sub-trajectory supervision is not reproduced),
+//! ST2Vec (spatio-temporal co-attention) and Tedj (3-D st-grid + RNN).
+//! The original codebases are PyTorch; these are structurally faithful
+//! reconstructions — same preprocessing family, same network family, same
+//! output contract (a Euclidean embedding per trajectory) — with
+//! documented simplifications listed per module.
 //!
 //! Every model implements [`TrajectoryEncoder`]: batch-encode trajectories
 //! into a `B×d` Euclidean embedding matrix on the active tape. The

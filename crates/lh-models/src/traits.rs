@@ -51,7 +51,7 @@ pub enum ModelKind {
     Neutraj,
     /// Quadtree + graph attention (TrajGAT-style).
     TrajGat,
-    /// LSTM + sub-trajectory robustness (Traj2SimVec-style).
+    /// LSTM over point features (Traj2SimVec-style; no sub-trajectory term).
     Traj2SimVec,
     /// Spatial/temporal LSTMs + gated co-attention fusion (ST2Vec-style).
     St2Vec,

@@ -1,13 +1,11 @@
-//! Traj2SimVec-style encoder: LSTM with sub-trajectory robustness.
+//! Traj2SimVec-style encoder: an LSTM over point features.
 //!
 //! Structure preserved from the original (Zhang et al., IJCAI'20): an LSTM
-//! over point features with supervision designed around sub-trajectories.
-//! Simplification: instead of the original's sub-trajectory distance
-//! supervision (which needs ground-truth distances over all prefixes), the
-//! encoder exposes [`Traj2SimVecEncoder::encode_prefixes`] so the trainer
-//! can tie prefix embeddings to full-trajectory embeddings — the same
-//! regularization pressure (stability of the representation under
-//! truncation) without an extra O(N²·L) oracle pass.
+//! over point features, then a linear head. Simplification: the original
+//! adds sub-trajectory distance supervision (which needs ground-truth
+//! distances over all prefixes); this reproduction trains Traj2SimVec
+//! like every other encoder, by full-trajectory distance regression only —
+//! no prefix embedding is computed or tied to anything.
 
 use crate::features::{batch_steps, point_features, SPATIAL_DIM};
 use crate::traits::{EncoderConfig, TrajectoryEncoder};
@@ -16,7 +14,7 @@ use lh_nn::{ParamStore, Tape, Var};
 use rand::rngs::StdRng;
 use traj_core::Trajectory;
 
-/// LSTM + sub-trajectory encoder.
+/// LSTM + linear-head encoder.
 pub struct Traj2SimVecEncoder {
     lstm: LstmCell,
     head: Linear,
@@ -33,22 +31,6 @@ impl Traj2SimVecEncoder {
             head,
             embed_dim: config.embed_dim,
         }
-    }
-
-    /// Encodes the half-length prefixes of a batch (the sub-trajectory
-    /// auxiliary signal).
-    pub fn encode_prefixes(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        trajs: &[&Trajectory],
-    ) -> Var {
-        let prefixes: Vec<Trajectory> = trajs
-            .iter()
-            .map(|t| t.prefix((t.len() / 2).max(1)))
-            .collect();
-        let refs: Vec<&Trajectory> = prefixes.iter().collect();
-        self.encode_batch(tape, store, &refs)
     }
 }
 
@@ -98,35 +80,6 @@ mod tests {
         let mut tape = Tape::new();
         let out = enc.encode_batch(&mut tape, &store, &refs);
         assert_eq!(tape.value(out).shape(), (2, 16));
-    }
-
-    #[test]
-    fn prefix_embedding_shapes_match() {
-        let (store, enc) = build();
-        let ts = trajs();
-        let refs: Vec<&Trajectory> = ts.iter().collect();
-        let mut tape = Tape::new();
-        let full = enc.encode_batch(&mut tape, &store, &refs);
-        let pre = enc.encode_prefixes(&mut tape, &store, &refs);
-        assert_eq!(tape.value(full).shape(), tape.value(pre).shape());
-    }
-
-    #[test]
-    fn prefix_differs_from_full_for_long_trajectories() {
-        let (store, enc) = build();
-        let ts = trajs();
-        let refs = vec![&ts[0]];
-        let mut tape = Tape::new();
-        let full = enc.encode_batch(&mut tape, &store, &refs);
-        let pre = enc.encode_prefixes(&mut tape, &store, &refs);
-        let d: f32 = tape
-            .value(full)
-            .row(0)
-            .iter()
-            .zip(tape.value(pre).row(0))
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        assert!(d > 1e-5, "prefix must change the embedding");
     }
 
     #[test]

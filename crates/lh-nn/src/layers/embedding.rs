@@ -50,7 +50,7 @@ impl Embedding {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use crate::tensor::Tensor;
     use rand::SeedableRng;
 

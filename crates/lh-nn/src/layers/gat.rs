@@ -93,7 +93,7 @@ impl GatLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use crate::tensor::Tensor;
     use rand::SeedableRng;
 

@@ -123,7 +123,7 @@ impl GruCell {
 mod tests {
     use super::*;
     use crate::layers::lstm::sequence_masks;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
 
     fn setup() -> (ParamStore, GruCell) {

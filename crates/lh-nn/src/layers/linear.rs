@@ -56,7 +56,7 @@ impl Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use crate::tensor::Tensor;
     use rand::SeedableRng;
 

@@ -153,7 +153,7 @@ pub fn sequence_masks(tape: &mut Tape, lens: &[usize], max_len: usize) -> Vec<Va
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optim::{Adam, Optimizer};
+    use crate::optim::Adam;
     use rand::SeedableRng;
 
     fn setup(hidden: usize) -> (ParamStore, LstmCell) {

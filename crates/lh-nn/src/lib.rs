@@ -7,11 +7,13 @@
 //!
 //! * [`tensor::Tensor`] — dense row-major 2-D `f32` matrices;
 //! * [`tape::Tape`] — reverse-mode autodiff with broadcast-aware binary
-//!   ops, fused Lorentz/row-dot products, embedding scatter-gradients,
-//!   and finite-difference-verified backward passes;
+//!   ops, one elementwise path for every unary op, fused Lorentz/row-dot
+//!   products, embedding scatter-gradients, and finite-difference-verified
+//!   backward passes;
 //! * [`layers`] — Linear, LSTM, GRU, Embedding, and graph attention;
-//! * [`optim`] — Adam with global-norm clipping;
-//! * [`loss`] — MSE/MAE, rank-weighted MSE, triplet margin.
+//! * [`optim`] — Adam (fixed β₁ = 0.9, β₂ = 0.999, ε = 1e-8) with a
+//!   global-norm gradient clip of 5;
+//! * [`loss`] — the rank-weighted MSE the trainer minimizes.
 //!
 //! Design choice: tensors are strictly 2-D (batch × features). Sequences
 //! are lists of per-step matrices with `B×1` masks, which covers every

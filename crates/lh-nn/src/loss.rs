@@ -1,21 +1,7 @@
-//! Loss functions over tape variables.
+//! The training loss over tape variables.
 
 use crate::tape::{Tape, Var};
 use crate::tensor::Tensor;
-
-/// Mean squared error between `pred` and `target` (same shape) → scalar.
-pub fn mse(tape: &mut Tape, pred: Var, target: Var) -> Var {
-    let d = tape.sub(pred, target);
-    let sq = tape.square(d);
-    tape.mean_all(sq)
-}
-
-/// Mean absolute error → scalar.
-pub fn mae(tape: &mut Tape, pred: Var, target: Var) -> Var {
-    let d = tape.sub(pred, target);
-    let a = tape.abs(d);
-    tape.mean_all(a)
-}
 
 /// Weighted MSE: `mean(w ⊙ (pred − target)²)`; `weights` must broadcast
 /// against `pred`. Used for the Neutraj-style rank-weighted regression
@@ -28,37 +14,9 @@ pub fn weighted_mse(tape: &mut Tape, pred: Var, target: Var, weights: &Tensor) -
     tape.mean_all(wsq)
 }
 
-/// Margin-based triplet loss on distances: `mean(relu(d_pos − d_neg +
-/// margin))`. `d_pos`/`d_neg` are `B×1` predicted distances to a positive
-/// (similar) and negative (dissimilar) example.
-pub fn triplet_margin(tape: &mut Tape, d_pos: Var, d_neg: Var, margin: f32) -> Var {
-    let diff = tape.sub(d_pos, d_neg);
-    let shifted = tape.add_const(diff, margin);
-    let hinge = tape.relu(shifted);
-    tape.mean_all(hinge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mse_value() {
-        let mut tape = Tape::new();
-        let p = tape.constant(Tensor::from_vec(2, 1, vec![1.0, 3.0]));
-        let t = tape.constant(Tensor::from_vec(2, 1, vec![0.0, 1.0]));
-        let l = mse(&mut tape, p, t);
-        assert!((tape.value(l).item() - 2.5).abs() < 1e-6); // (1+4)/2
-    }
-
-    #[test]
-    fn mae_value() {
-        let mut tape = Tape::new();
-        let p = tape.constant(Tensor::from_vec(2, 1, vec![1.0, -3.0]));
-        let t = tape.constant(Tensor::from_vec(2, 1, vec![0.0, 0.0]));
-        let l = mae(&mut tape, p, t);
-        assert!((tape.value(l).item() - 2.0).abs() < 1e-6);
-    }
 
     #[test]
     fn weighted_mse_weights_matter() {
@@ -71,29 +29,12 @@ mod tests {
     }
 
     #[test]
-    fn triplet_zero_when_separated() {
-        let mut tape = Tape::new();
-        let pos = tape.constant(Tensor::from_vec(1, 1, vec![0.1]));
-        let neg = tape.constant(Tensor::from_vec(1, 1, vec![5.0]));
-        let l = triplet_margin(&mut tape, pos, neg, 1.0);
-        assert_eq!(tape.value(l).item(), 0.0);
-    }
-
-    #[test]
-    fn triplet_positive_when_violated() {
-        let mut tape = Tape::new();
-        let pos = tape.constant(Tensor::from_vec(1, 1, vec![2.0]));
-        let neg = tape.constant(Tensor::from_vec(1, 1, vec![1.0]));
-        let l = triplet_margin(&mut tape, pos, neg, 0.5);
-        assert!((tape.value(l).item() - 1.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn losses_are_differentiable() {
         let mut tape = Tape::new();
         let p = tape.constant(Tensor::from_vec(2, 1, vec![1.0, 3.0]));
         let t = tape.constant(Tensor::from_vec(2, 1, vec![0.0, 1.0]));
-        let l = mse(&mut tape, p, t);
+        let w = Tensor::from_vec(2, 1, vec![1.0, 1.0]);
+        let l = weighted_mse(&mut tape, p, t, &w);
         tape.backward(l);
         let g = tape.grad(p);
         // d/dp mean((p−t)²) = 2(p−t)/n = (1, 2).

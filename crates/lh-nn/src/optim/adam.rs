@@ -1,39 +1,36 @@
 //! Adam (Kingma & Ba, 2015) with bias correction.
 
-use super::{collect_clipped_grads, Optimizer};
+use super::collect_clipped_grads;
 use crate::params::ParamStore;
 use crate::tape::Tape;
 use crate::tensor::Tensor;
 use std::collections::BTreeMap;
+
+/// First-moment decay.
+const BETA1: f32 = 0.9;
+/// Second-moment decay.
+const BETA2: f32 = 0.999;
+/// Numerical-stability epsilon.
+const EPS: f32 = 1e-8;
+/// Global-norm gradient clip (keeps early LSTM training stable at our
+/// small batch sizes).
+const CLIP_NORM: f32 = 5.0;
 
 /// Adam optimizer state.
 #[derive(Debug, Clone)]
 pub struct Adam {
     /// Learning rate (paper-style default 1e-3).
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability epsilon.
-    pub eps: f32,
-    /// Optional global-norm gradient clip.
-    pub clip_norm: Option<f32>,
     t: u64,
     m: BTreeMap<String, Tensor>,
     v: BTreeMap<String, Tensor>,
 }
 
 impl Adam {
-    /// Adam with standard hyper-parameters and a global clip of 5 (the
-    /// clip keeps early LSTM training stable at our small batch sizes).
+    /// Adam with standard hyper-parameters and a global clip of 5.
     pub fn new(lr: f32) -> Self {
         Adam {
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            clip_norm: Some(5.0),
             t: 0,
             m: BTreeMap::new(),
             v: BTreeMap::new(),
@@ -44,15 +41,14 @@ impl Adam {
     pub fn steps(&self) -> u64 {
         self.t
     }
-}
 
-impl Optimizer for Adam {
-    fn step(&mut self, store: &mut ParamStore, tape: &Tape) {
+    /// Applies one update from the tape's watched gradients onto `store`.
+    pub fn step(&mut self, store: &mut ParamStore, tape: &Tape) {
         self.t += 1;
         let t = self.t as i32;
-        let bc1 = 1.0 - self.beta1.powi(t);
-        let bc2 = 1.0 - self.beta2.powi(t);
-        for (name, grad) in collect_clipped_grads(tape, self.clip_norm) {
+        let bc1 = 1.0 - BETA1.powi(t);
+        let bc2 = 1.0 - BETA2.powi(t);
+        for (name, grad) in collect_clipped_grads(tape, CLIP_NORM) {
             let m = self
                 .m
                 .entry(name.clone())
@@ -64,13 +60,13 @@ impl Optimizer for Adam {
             let p = store.get_mut(&name);
             for i in 0..grad.len() {
                 let g = grad.data()[i];
-                let mi = self.beta1 * m.data()[i] + (1.0 - self.beta1) * g;
-                let vi = self.beta2 * v.data()[i] + (1.0 - self.beta2) * g * g;
+                let mi = BETA1 * m.data()[i] + (1.0 - BETA1) * g;
+                let vi = BETA2 * v.data()[i] + (1.0 - BETA2) * g * g;
                 m.data_mut()[i] = mi;
                 v.data_mut()[i] = vi;
                 let m_hat = mi / bc1;
                 let v_hat = vi / bc2;
-                p.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+                p.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + EPS);
             }
         }
     }

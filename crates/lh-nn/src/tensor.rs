@@ -42,15 +42,6 @@ impl Tensor {
         Tensor { rows, cols, data }
     }
 
-    /// A `1×n` row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
-        Tensor {
-            rows: 1,
-            cols: data.len(),
-            data,
-        }
-    }
-
     /// A `1×1` scalar.
     pub fn scalar(v: f32) -> Self {
         Tensor {
@@ -196,14 +187,6 @@ impl Tensor {
         }
     }
 
-    /// In-place `self += alpha * other` (same shape).
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape(), other.shape());
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Sum of all elements.
     pub fn sum(&self) -> f32 {
         self.data.iter().sum()
@@ -274,11 +257,10 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_add_assign() {
-        let mut a = Tensor::zeros(1, 2);
+    fn add_assign_sums_elementwise() {
+        let mut a = Tensor::from_vec(1, 2, vec![0.5, 1.0]);
         let b = Tensor::from_vec(1, 2, vec![1.0, 2.0]);
         a.add_assign(&b);
-        a.axpy(0.5, &b);
         assert_eq!(a.data(), &[1.5, 3.0]);
     }
 

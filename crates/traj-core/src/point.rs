@@ -44,12 +44,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Chebyshev (L∞) distance, used by some grid heuristics.
-    #[inline]
-    pub fn dist_linf(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs().max((self.y - other.y).abs())
-    }
-
     /// Absolute timestamp difference; zero when either side lacks a time.
     #[inline]
     pub fn time_gap(&self, other: &Point) -> f64 {
@@ -112,13 +106,6 @@ mod tests {
         let b = Point::new(-0.5, 9.0);
         assert_eq!(a.dist(&b), b.dist(&a));
         assert_eq!(a.dist(&a), 0.0);
-    }
-
-    #[test]
-    fn linf_distance() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(-2.0, 1.0);
-        assert_eq!(a.dist_linf(&b), 2.0);
     }
 
     #[test]

@@ -86,17 +86,6 @@ impl Trajectory {
             .sum::<f64>()
     }
 
-    /// Time span covered, zero for untimestamped trajectories.
-    pub fn duration(&self) -> f64 {
-        match (
-            self.points.first().and_then(|p| p.t),
-            self.points.last().and_then(|p| p.t),
-        ) {
-            (Some(a), Some(b)) => b - a,
-            _ => 0.0,
-        }
-    }
-
     /// Axis-aligned bounding box of the trajectory.
     pub fn bbox(&self) -> BoundingBox {
         let mut bb = BoundingBox::empty();
@@ -114,16 +103,6 @@ impl Trajectory {
             .iter()
             .fold((0.0, 0.0), |(sx, sy), p| (sx + p.x, sy + p.y));
         Point::new(sx / n, sy / n)
-    }
-
-    /// Prefix sub-trajectory containing the first `k` points (clamped to at
-    /// least 1, at most `len`). Used by the Traj2SimVec-style sub-trajectory
-    /// supervision.
-    pub fn prefix(&self, k: usize) -> Trajectory {
-        let k = k.clamp(1, self.points.len());
-        Trajectory {
-            points: self.points[..k].to_vec(),
-        }
     }
 
     /// Uniformly resamples the polyline to exactly `m ≥ 2` points by arc
@@ -162,20 +141,6 @@ impl Trajectory {
         }
         out.push(*self.points.last().expect("non-empty"));
         Trajectory::new(out)
-    }
-
-    /// Downsamples by keeping every `stride`-th point (always keeping the
-    /// final point), simulating lower GPS sampling rates.
-    pub fn downsample(&self, stride: usize) -> Result<Trajectory> {
-        if stride == 0 {
-            return Err(TrajError::InvalidConfig("stride must be positive".into()));
-        }
-        let mut pts: Vec<Point> = self.points.iter().copied().step_by(stride).collect();
-        let last = *self.points.last().expect("non-empty");
-        if pts.last() != Some(&last) {
-            pts.push(last);
-        }
-        Trajectory::new(pts)
     }
 }
 
@@ -229,11 +194,10 @@ mod tests {
     }
 
     #[test]
-    fn duration_and_timestamps() {
+    fn timestamps_are_detected() {
         let t = Trajectory::from_xyt(&[(0.0, 0.0, 10.0), (1.0, 0.0, 25.0)]).unwrap();
         assert!(t.is_timestamped());
-        assert_eq!(t.duration(), 15.0);
-        assert_eq!(zigzag().duration(), 0.0);
+        assert!(!zigzag().is_timestamped());
     }
 
     #[test]
@@ -241,14 +205,6 @@ mod tests {
         let c = zigzag().centroid();
         assert!((c.x - 1.0).abs() < 1e-12);
         assert!((c.y - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prefix_clamps() {
-        let t = zigzag();
-        assert_eq!(t.prefix(2).len(), 2);
-        assert_eq!(t.prefix(0).len(), 1);
-        assert_eq!(t.prefix(99).len(), 4);
     }
 
     #[test]
@@ -270,15 +226,6 @@ mod tests {
         let mid = r[1];
         assert!((mid.x - 5.0).abs() < 1e-9);
         assert!((mid.t.unwrap() - 50.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn downsample_keeps_last_point() {
-        let t = zigzag();
-        let d = t.downsample(3).unwrap();
-        assert_eq!(d.len(), 2);
-        assert_eq!(d[1], t[3]);
-        assert!(t.downsample(0).is_err());
     }
 
     #[test]

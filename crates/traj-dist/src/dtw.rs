@@ -83,41 +83,6 @@ pub fn dtw_early_abandon(a: &Trajectory, b: &Trajectory, threshold: f64) -> Prun
     PrunedDistance::Exact(prev[m])
 }
 
-/// DTW with a Sakoe–Chiba band of half-width `band` (indices farther than
-/// `band` apart on the normalized diagonal are not matched). `band ≥
-/// |n−m|` is required for a finite result; the band is widened to that
-/// automatically. Used by the efficiency benches to contrast constrained
-/// and unconstrained alignment costs.
-pub fn dtw_banded(a: &Trajectory, b: &Trajectory, band: usize) -> f64 {
-    let ap = a.points();
-    let bp = b.points();
-    let (n, m) = (ap.len(), bp.len());
-    let band = band.max(n.abs_diff(m));
-
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut cur = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-
-    for i in 1..=n {
-        let lo = i.saturating_sub(band).max(1);
-        let hi = (i + band).min(m);
-        cur[lo - 1] = f64::INFINITY;
-        for j in lo..=hi {
-            let cost = ap[i - 1].dist(&bp[j - 1]);
-            let best = prev[j - 1].min(prev[j]).min(cur[j - 1]);
-            cur[j] = cost + best;
-        }
-        if hi < m {
-            cur[hi + 1..].fill(f64::INFINITY);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        // `cur` (old prev) is fully overwritten next iteration within band;
-        // reset entries before the band start to keep stale values out.
-        cur[..lo].fill(f64::INFINITY);
-    }
-    prev[m]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,26 +129,6 @@ mod tests {
         let many = t(&[(1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
         // All of `many` aligns against the single point: 1 + 2 + 3.
         assert!((dtw(&one, &many) - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn banded_with_full_band_matches_exact() {
-        let ta = t(&[(0.0, 0.0), (0.0, 1.0), (0.0, 3.0)]);
-        let tc = t(&[(3.0, 0.0), (3.0, 1.0), (4.0, 3.0), (5.0, 3.0)]);
-        let exact = dtw(&ta, &tc);
-        let banded = dtw_banded(&ta, &tc, 10);
-        assert!((exact - banded).abs() < 1e-9);
-    }
-
-    #[test]
-    fn banded_is_upper_bound() {
-        let ta = t(&[(0.0, 0.0), (5.0, 0.0), (5.0, 5.0), (0.0, 5.0), (0.0, 1.0)]);
-        let tb = t(&[(1.0, 1.0), (4.0, 0.5), (5.5, 4.0), (1.0, 4.0), (0.5, 0.0)]);
-        let exact = dtw(&ta, &tb);
-        for band in 0..5 {
-            let approx = dtw_banded(&ta, &tb, band);
-            assert!(approx >= exact - 1e-9, "band={band}");
-        }
     }
 
     #[test]

@@ -151,26 +151,12 @@ impl Measure {
         }
     }
 
-    /// Whether [`Measure::distance_pruned`] can actually abandon early
-    /// for this measure.
-    ///
-    /// The DP measures with non-negative cell costs (DTW, ERP, EDR) admit
-    /// a row-minimum lower bound: once every cell of a DP row exceeds the
-    /// threshold, no completion can come back under it. The remaining
-    /// measures fall back to the exact kernel.
-    pub fn supports_early_abandon(&self) -> bool {
-        matches!(
-            self.kind,
-            MeasureKind::Dtw | MeasureKind::Erp | MeasureKind::Edr
-        )
-    }
-
     /// Whether the measure has a wavefront-batched kernel
     /// ([`crate::matrix::wavefront`]): DTW, ERP, EDR and discrete Fréchet,
     /// whose DP recurrences read only the three neighbor cells, so
-    /// anti-diagonal lockstep execution applies. This is not the
-    /// [`Measure::supports_early_abandon`] set: Fréchet batches but cannot
-    /// abandon. SSPD and Hausdorff are not DPs; their kernels are
+    /// anti-diagonal lockstep execution applies. This is not the set whose
+    /// [`Measure::distance_pruned`] abandons early (DTW, ERP, EDR):
+    /// Fréchet batches but cannot abandon. SSPD and Hausdorff are not DPs; their kernels are
     /// lane-blocked within one pair instead. LCSS, TP and DITA have no
     /// batched kernel.
     pub fn supports_batch(&self) -> bool {

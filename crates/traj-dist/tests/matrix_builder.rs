@@ -138,12 +138,17 @@ proptest! {
         prop_assert_eq!(warm.report.cache, CacheOutcome::Hit);
         prop_assert_eq!(bits(&cold.matrix), bits(&warm.matrix));
         // Fingerprints are prune-free: a pruned request over the same
-        // inputs is served from the exact checkpoint (an exact matrix
-        // satisfies every pruning contract), for every measure.
-        let pruned_builder = MatrixBuilder::new(measure).cache_dir(&dir).prune(0.25);
-        let pruned = pruned_builder.build_pairwise(&ts);
-        prop_assert_eq!(pruned.report.cache, CacheOutcome::Hit);
-        prop_assert_eq!(bits(&cold.matrix), bits(&pruned.matrix));
+        // inputs, with or without the landmark screen, is served from the
+        // exact checkpoint (an exact matrix satisfies every pruning
+        // contract), for every measure.
+        for pruned_builder in [
+            MatrixBuilder::new(measure).cache_dir(&dir).prune(0.25),
+            MatrixBuilder::new(measure).cache_dir(&dir).prune_landmark(0.25),
+        ] {
+            let pruned = pruned_builder.build_pairwise(&ts);
+            prop_assert_eq!(pruned.report.cache, CacheOutcome::Hit);
+            prop_assert_eq!(bits(&cold.matrix), bits(&pruned.matrix));
+        }
         // And the other direction: pruned builds never store, so a cold
         // pruned build cannot poison the cache for a later exact one.
         let dir2 = dir.join("pruned-first");

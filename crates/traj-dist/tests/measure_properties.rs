@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use traj_core::{Point, Trajectory};
-use traj_dist::dtw::{dtw, dtw_banded};
+use traj_dist::dtw::dtw;
 use traj_dist::edr::edr;
 use traj_dist::hausdorff::{directed_hausdorff, hausdorff};
 use traj_dist::lcss::{lcss_distance, lcss_len};
@@ -13,48 +13,8 @@ fn traj() -> impl Strategy<Value = Trajectory> {
         .prop_map(|pts| Trajectory::from_xy(&pts).unwrap())
 }
 
-/// Longer and more length-variable than [`traj`]: pairs drawn from this
-/// regularly differ in length by more than the band, exercising the
-/// automatic band widening and both edges of the banded row window.
-fn long_traj() -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 1..28)
-        .prop_map(|pts| Trajectory::from_xy(&pts).unwrap())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Banded DTW upper-bounds exact DTW and matches it for a full band.
-    #[test]
-    fn banded_dtw_bounds(a in traj(), b in traj(), band in 0usize..6) {
-        let exact = dtw(&a, &b);
-        let banded = dtw_banded(&a, &b, band);
-        prop_assert!(banded >= exact - 1e-9);
-        let full = dtw_banded(&a, &b, a.len().max(b.len()));
-        prop_assert!((full - exact).abs() < 1e-9);
-    }
-
-    /// Band-boundary stress for the stale-cell reset logic in
-    /// `dtw_banded` (crates/traj-dist/src/dtw.rs): longer,
-    /// length-asymmetric trajectories where the band window slides off
-    /// both edges of the row buffer. A stale cell surviving outside the
-    /// band would surface as `banded < exact` (an illegal shortcut
-    /// through a forbidden cell); band-monotonicity and exact equality
-    /// at full width pin the window bookkeeping from the other side.
-    #[test]
-    fn banded_dtw_band_boundaries(a in long_traj(), b in long_traj(), band in 0usize..14) {
-        let exact = dtw(&a, &b);
-        let banded = dtw_banded(&a, &b, band);
-        prop_assert!(banded.is_finite());
-        prop_assert!(banded >= exact - 1e-9, "band={band} cut below exact");
-        // Widening the band only adds alignments: cost is non-increasing.
-        let wider = dtw_banded(&a, &b, band + 1);
-        prop_assert!(wider <= banded + 1e-9, "band={band} not monotone");
-        // Any band covering the length difference plus the full square
-        // is exact.
-        let full = dtw_banded(&a, &b, a.len().max(b.len()));
-        prop_assert!((full - exact).abs() < 1e-9, "full band diverged");
-    }
 
     /// DTW is bounded below by the worst-case single point alignment:
     /// every point of the longer trajectory is matched at least once, so

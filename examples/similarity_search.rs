@@ -90,8 +90,8 @@ fn main() {
     // Agreement of the embedding ranking with the DTW oracle.
     let mut hr10 = 0.0;
     for qi in 0..queries.len() {
-        let t_rank = rank_by_distance(&dtw_rows[qi], None);
-        let p_rank = rank_by_distance(&fused_rows[qi], None);
+        let t_rank = rank_by_distance(&dtw_rows[qi]);
+        let p_rank = rank_by_distance(&fused_rows[qi]);
         hr10 += hr_at_k(&t_rank, &p_rank, 10);
     }
     hr10 /= queries.len() as f64;

@@ -2,8 +2,10 @@
 //!
 //! Wraps `std::sync` primitives behind `parking_lot`'s poison-free API:
 //! `lock()`/`read()`/`write()` return guards directly instead of
-//! `Result`s. A poisoned std lock (a panic while held) propagates the
-//! panic, which matches how this workspace treats worker panics anyway.
+//! `Result`s. Like `parking_lot`, which has no poisoning, a std lock
+//! poisoned by a panic while held is not an error here: every accessor
+//! (`lock`, `read`, `write`, `into_inner`, `get_mut`) recovers the guard or
+//! value with `PoisonError::into_inner` and carries on.
 //! See the workspace `Cargo.toml` for why external deps are shimmed.
 
 use std::fmt;

@@ -119,7 +119,7 @@ proptest! {
         dists in prop::collection::vec(0.0f64..100.0, 5..40),
         k in 1usize..10,
     ) {
-        let rank = rank_by_distance(&dists, None);
+        let rank = rank_by_distance(&dists);
         prop_assert_eq!(hr_at_k(&rank, &rank, k), 1.0);
         prop_assert!((ndcg_at_k(&rank, &rank, k) - 1.0).abs() < 1e-9);
         // Against an arbitrary other ranking, both stay in [0, 1].
