@@ -65,6 +65,10 @@ fn main() {
     let n = args.get("n", 120usize);
     let max_triplets = args.get("triplets", 20_000usize);
     let edr_eps = args.get("edr-eps", 0.02f64);
+    if !(edr_eps.is_finite() && edr_eps >= 0.0) {
+        eprintln!("usage: --edr-eps takes a finite, non-negative tolerance (got {edr_eps})");
+        std::process::exit(2);
+    }
     let seed = args.get("seed", 42u64);
     let cache_dir = args.get_str("cache-dir").map(str::to_string);
 

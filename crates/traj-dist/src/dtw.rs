@@ -5,82 +5,33 @@
 //! a metric: the paper's Example 1 (reproduced in the tests below) violates
 //! the triangle inequality.
 
-use crate::measure::PrunedDistance;
+use crate::dp::{self, Cell, Pt};
 use traj_core::Trajectory;
+
+/// DTW's recurrence: boundary `+∞` (origin 0), cell
+/// `d(a_i, b_j) + min(diag, up, left)`, the shorter trajectory inner.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Dtw;
+
+impl Cell for Dtw {
+    const SWAP: bool = true;
+    const ABANDONS: bool = true;
+
+    #[inline(always)]
+    fn edge(&self, _k: usize, _prev: f64, _p: Pt) -> f64 {
+        f64::INFINITY
+    }
+
+    #[inline(always)]
+    fn cell(&self, diag: f64, up: f64, left: f64, a: Pt, b: Pt) -> f64 {
+        a.dist(b) + diag.min(up).min(left)
+    }
+}
 
 /// Dynamic-time-warping distance between two trajectories with Euclidean
 /// point costs. `O(n·m)` time, `O(min(n,m))` memory.
-///
-/// This is the scalar reference; the wavefront tier
-/// ([`crate::matrix::wavefront`]) evaluates batches of pairs in SIMD
-/// lockstep with bit-identical results (the batched cells replicate this
-/// loop's expressions operand for operand, including the long/short
-/// operand swap below).
 pub fn dtw(a: &Trajectory, b: &Trajectory) -> f64 {
-    // Keep the shorter trajectory on the inner (column) axis.
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let lp = long.points();
-    let sp = short.points();
-    let m = sp.len();
-
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut cur = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-
-    for pi in lp {
-        cur[0] = f64::INFINITY;
-        for (j, qj) in sp.iter().enumerate() {
-            let cost = pi.dist(qj);
-            let best = prev[j].min(prev[j + 1]).min(cur[j]);
-            cur[j + 1] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m]
-}
-
-/// How often the early-abandon kernels test the row-minimum bound. Every
-/// row would be admissible too, but the O(m) scan then costs a constant
-/// fraction of the DP itself; every 4th row keeps the overhead near
-/// noise while abandoning at most 3 rows late.
-pub const ABANDON_CHECK_INTERVAL: usize = 4;
-
-/// DTW with early abandoning at `threshold`.
-///
-/// Identical loop structure (and therefore bit-identical results when the
-/// DP completes) to [`dtw`], plus a periodic check: every warping path
-/// crosses every row of the longer trajectory, and point costs are
-/// non-negative, so the minimum cell of a DP row is an admissible lower
-/// bound on the final distance. Once that minimum exceeds `threshold` the
-/// row scan stops and the bound is returned. The final row is never
-/// abandoned — at that point the exact value is already paid for.
-pub fn dtw_early_abandon(a: &Trajectory, b: &Trajectory, threshold: f64) -> PrunedDistance {
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let lp = long.points();
-    let sp = short.points();
-    let m = sp.len();
-
-    let mut prev = vec![f64::INFINITY; m + 1];
-    let mut cur = vec![f64::INFINITY; m + 1];
-    prev[0] = 0.0;
-
-    let last = lp.len() - 1;
-    for (i, pi) in lp.iter().enumerate() {
-        cur[0] = f64::INFINITY;
-        for (j, qj) in sp.iter().enumerate() {
-            let cost = pi.dist(qj);
-            let best = prev[j].min(prev[j + 1]).min(cur[j]);
-            cur[j + 1] = cost + best;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        if i < last && i % ABANDON_CHECK_INTERVAL == ABANDON_CHECK_INTERVAL - 1 {
-            let row_min = prev[1..].iter().copied().fold(f64::INFINITY, f64::min);
-            if row_min > threshold {
-                return PrunedDistance::LowerBound(row_min);
-            }
-        }
-    }
-    PrunedDistance::Exact(prev[m])
+    dp::distance(Dtw, a, b)
 }
 
 #[cfg(test)]

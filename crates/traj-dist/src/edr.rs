@@ -6,87 +6,37 @@
 //! triangle inequality (it is famously only "almost" a metric; the paper's
 //! Table I finds 9%–54% violating triplets).
 
-use traj_core::{Point, Trajectory};
+use crate::dp::{self, Cell, Pt};
+use traj_core::Trajectory;
 
-/// Whether two points match under the EDR tolerance (L∞ ball, the original
-/// paper's definition).
-#[inline]
-fn matches(p: &Point, q: &Point, eps: f64) -> bool {
-    (p.x - q.x).abs() <= eps && (p.y - q.y).abs() <= eps
+/// EDR's recurrence with tolerance `eps`: boundary `k` (delete
+/// everything), cell `min(diag + miss, up + 1, left + 1)`, where two
+/// points match when both coordinate deltas are within `eps` (the
+/// original paper's L∞ ball). Edit counts are small integers, exact in
+/// f64.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Edr {
+    pub eps: f64,
+}
+
+impl Cell for Edr {
+    const ABANDONS: bool = true;
+
+    #[inline(always)]
+    fn edge(&self, k: usize, _prev: f64, _p: Pt) -> f64 {
+        k as f64
+    }
+
+    #[inline(always)]
+    fn cell(&self, diag: f64, up: f64, left: f64, a: Pt, b: Pt) -> f64 {
+        let miss = if a.within(b, self.eps) { 0.0 } else { 1.0 };
+        (diag + miss).min(up + 1.0).min(left + 1.0)
+    }
 }
 
 /// EDR distance with tolerance `eps`, returned as `f64` (edit count).
-///
-/// Scalar reference for the wavefront tier ([`crate::matrix::wavefront`]);
-/// the batched lanes run the same recurrence in f64 (exact for any real
-/// edit count) and agree with this kernel bit for bit.
 pub fn edr(a: &Trajectory, b: &Trajectory, eps: f64) -> f64 {
-    let ap = a.points();
-    let bp = b.points();
-    let (n, m) = (ap.len(), bp.len());
-
-    // dp[j] = EDR(a[..i], b[..j]) for the current row i.
-    let mut prev: Vec<u32> = (0..=m as u32).collect();
-    let mut cur = vec![0u32; m + 1];
-    for i in 1..=n {
-        cur[0] = i as u32;
-        for j in 1..=m {
-            let sub_cost = if matches(&ap[i - 1], &bp[j - 1], eps) {
-                0
-            } else {
-                1
-            };
-            cur[j] = (prev[j - 1] + sub_cost)
-                .min(prev[j] + 1)
-                .min(cur[j - 1] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m] as f64
-}
-
-/// EDR with early abandoning at `threshold`.
-///
-/// Same DP as [`edr`] (bit-identical completions — EDR is integer-valued,
-/// so "bit-identical" is simply equality), plus a periodic check (every
-/// [`crate::dtw::ABANDON_CHECK_INTERVAL`] rows): edit costs are
-/// non-negative and every edit path crosses every row, so the row minimum
-/// (including the all-deletions column 0) lower-bounds the final count.
-/// The final row is never abandoned.
-pub fn edr_early_abandon(
-    a: &Trajectory,
-    b: &Trajectory,
-    eps: f64,
-    threshold: f64,
-) -> crate::measure::PrunedDistance {
-    use crate::measure::PrunedDistance;
-    let ap = a.points();
-    let bp = b.points();
-    let (n, m) = (ap.len(), bp.len());
-
-    let mut prev: Vec<u32> = (0..=m as u32).collect();
-    let mut cur = vec![0u32; m + 1];
-    for i in 1..=n {
-        cur[0] = i as u32;
-        for j in 1..=m {
-            let sub_cost = if matches(&ap[i - 1], &bp[j - 1], eps) {
-                0
-            } else {
-                1
-            };
-            cur[j] = (prev[j - 1] + sub_cost)
-                .min(prev[j] + 1)
-                .min(cur[j - 1] + 1);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        if i < n && i % crate::dtw::ABANDON_CHECK_INTERVAL == 0 {
-            let row_min = *prev.iter().min().expect("row is non-empty");
-            if row_min as f64 > threshold {
-                return PrunedDistance::LowerBound(row_min as f64);
-            }
-        }
-    }
-    PrunedDistance::Exact(prev[m] as f64)
+    dp::distance(Edr { eps }, a, b)
 }
 
 /// A scale-aware default tolerance: a fraction of the combined bounding-box

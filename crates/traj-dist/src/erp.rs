@@ -5,78 +5,42 @@
 //! compared against the same `g`. Included both for completeness of the
 //! measure library and as a third metric control.
 
-use crate::measure::PrunedDistance;
+use crate::dp::{self, Cell, Pt};
 use traj_core::{Point, Trajectory};
 
-/// ERP distance with gap-reference point `g`.
-///
-/// Scalar reference for the wavefront tier ([`crate::matrix::wavefront`]),
-/// which replicates this recurrence — including the sequential prefix-sum
-/// boundary rows — bit for bit across batched lanes.
-pub fn erp(a: &Trajectory, b: &Trajectory, g: &Point) -> f64 {
-    let ap = a.points();
-    let bp = b.points();
-    let (n, m) = (ap.len(), bp.len());
-
-    let mut prev = vec![0.0f64; m + 1];
-    let mut cur = vec![0.0f64; m + 1];
-    // First row: delete all of b against g.
-    for j in 1..=m {
-        prev[j] = prev[j - 1] + bp[j - 1].dist(g);
-    }
-    for i in 1..=n {
-        cur[0] = prev[0] + ap[i - 1].dist(g);
-        for j in 1..=m {
-            let match_cost = prev[j - 1] + ap[i - 1].dist(&bp[j - 1]);
-            let del_a = prev[j] + ap[i - 1].dist(g);
-            let del_b = cur[j - 1] + bp[j - 1].dist(g);
-            cur[j] = match_cost.min(del_a).min(del_b);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m]
+/// ERP's recurrence against gap point `g`: boundary `prev + d(p, g)`
+/// (sequential prefix sums), cell
+/// `min(diag + d(a_i, b_j), up + d(a_i, g), left + d(b_j, g))`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Erp {
+    pub g: Point,
 }
 
-/// ERP with early abandoning at `threshold`.
-///
-/// Same loop structure (bit-identical completions) as [`erp`], plus a
-/// periodic admissibility check (every
-/// [`crate::dtw::ABANDON_CHECK_INTERVAL`] rows): ERP edit costs are
-/// non-negative and every edit path crosses every row, so the row minimum
-/// (including the all-deletions column 0) lower-bounds the final
-/// distance. The final row is never abandoned.
-pub fn erp_early_abandon(
-    a: &Trajectory,
-    b: &Trajectory,
-    g: &Point,
-    threshold: f64,
-) -> PrunedDistance {
-    let ap = a.points();
-    let bp = b.points();
-    let (n, m) = (ap.len(), bp.len());
+impl Cell for Erp {
+    const ABANDONS: bool = true;
 
-    let mut prev = vec![0.0f64; m + 1];
-    let mut cur = vec![0.0f64; m + 1];
-    for j in 1..=m {
-        prev[j] = prev[j - 1] + bp[j - 1].dist(g);
+    #[inline(always)]
+    fn gap(&self, p: &Point) -> f64 {
+        p.dist(&self.g)
     }
-    for i in 1..=n {
-        cur[0] = prev[0] + ap[i - 1].dist(g);
-        for j in 1..=m {
-            let match_cost = prev[j - 1] + ap[i - 1].dist(&bp[j - 1]);
-            let del_a = prev[j] + ap[i - 1].dist(g);
-            let del_b = cur[j - 1] + bp[j - 1].dist(g);
-            cur[j] = match_cost.min(del_a).min(del_b);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-        if i < n && i % crate::dtw::ABANDON_CHECK_INTERVAL == 0 {
-            let row_min = prev.iter().copied().fold(f64::INFINITY, f64::min);
-            if row_min > threshold {
-                return PrunedDistance::LowerBound(row_min);
-            }
-        }
+
+    #[inline(always)]
+    fn edge(&self, _k: usize, prev: f64, p: Pt) -> f64 {
+        prev + p.gap
     }
-    PrunedDistance::Exact(prev[m])
+
+    #[inline(always)]
+    fn cell(&self, diag: f64, up: f64, left: f64, a: Pt, b: Pt) -> f64 {
+        let match_cost = diag + a.dist(b);
+        let del_a = up + a.gap;
+        let del_b = left + b.gap;
+        match_cost.min(del_a).min(del_b)
+    }
+}
+
+/// ERP distance with gap-reference point `g`.
+pub fn erp(a: &Trajectory, b: &Trajectory, g: &Point) -> f64 {
+    dp::distance(Erp { g: *g }, a, b)
 }
 
 /// ERP with the origin as the gap reference (common convention once data is

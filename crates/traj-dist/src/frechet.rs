@@ -12,34 +12,35 @@
 //! the result is bit-identical (see the [`crate::matrix::wavefront`]
 //! contract, whose lockstep kernel evaluates the same recurrence).
 
+use crate::dp::{self, Cell, Pt};
 use traj_core::Trajectory;
+
+/// Discrete Fréchet's recurrence in the squared domain: boundary `+∞`
+/// (origin 0, so cell (1,1) is `d²`), cell `max(min(diag, up, left), d²)`,
+/// finish `sqrt`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Frechet;
+
+impl Cell for Frechet {
+    #[inline(always)]
+    fn edge(&self, _k: usize, _prev: f64, _p: Pt) -> f64 {
+        f64::INFINITY
+    }
+
+    #[inline(always)]
+    fn cell(&self, diag: f64, up: f64, left: f64, a: Pt, b: Pt) -> f64 {
+        diag.min(up).min(left).max(a.dist_sq(b))
+    }
+
+    #[inline(always)]
+    fn finish(&self, last: f64, _n: usize, _m: usize) -> f64 {
+        last.sqrt()
+    }
+}
 
 /// Discrete Fréchet distance. `O(n·m)` time, rolling rows, squared domain.
 pub fn discrete_frechet(a: &Trajectory, b: &Trajectory) -> f64 {
-    let ap = a.points();
-    let bp = b.points();
-    let m = bp.len();
-
-    let mut prev = vec![f64::INFINITY; m];
-    let mut cur = vec![f64::INFINITY; m];
-
-    for (i, pa) in ap.iter().enumerate() {
-        for (j, pb) in bp.iter().enumerate() {
-            let d = pa.dist_sq(pb);
-            let reach = if i == 0 && j == 0 {
-                d
-            } else if i == 0 {
-                cur[j - 1].max(d)
-            } else if j == 0 {
-                prev[0].max(d)
-            } else {
-                prev[j - 1].min(prev[j]).min(cur[j - 1]).max(d)
-            };
-            cur[j] = reach;
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m - 1].sqrt()
+    dp::distance(Frechet, a, b)
 }
 
 #[cfg(test)]

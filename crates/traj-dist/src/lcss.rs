@@ -4,37 +4,46 @@
 //! `lcss_distance = 1 − LCSS/min(n,m)` is the standard normalization into
 //! `[0,1]`. Like EDR it is tolerance-based and **not** a metric.
 
-use traj_core::{Point, Trajectory};
+use crate::dp::{self, Cell, Pt};
+use traj_core::Trajectory;
 
-#[inline]
-fn matches(p: &Point, q: &Point, eps: f64) -> bool {
-    (p.x - q.x).abs() <= eps && (p.y - q.y).abs() <= eps
+/// LCSS's recurrence with tolerance `eps`: boundary 0, cell `diag + 1`
+/// on a match (the L∞ ball of EDR) and `max(up, left)` otherwise, finish
+/// `1 − lcs / min(n, m)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lcss {
+    pub eps: f64,
+}
+
+impl Cell for Lcss {
+    #[inline(always)]
+    fn edge(&self, _k: usize, _prev: f64, _p: Pt) -> f64 {
+        0.0
+    }
+
+    #[inline(always)]
+    fn cell(&self, diag: f64, up: f64, left: f64, a: Pt, b: Pt) -> f64 {
+        if a.within(b, self.eps) {
+            diag + 1.0
+        } else {
+            up.max(left)
+        }
+    }
+
+    #[inline(always)]
+    fn finish(&self, last: f64, n: usize, m: usize) -> f64 {
+        1.0 - last / (n.min(m) as f64)
+    }
 }
 
 /// Raw LCSS length (number of matched pairs in the best common chain).
 pub fn lcss_len(a: &Trajectory, b: &Trajectory, eps: f64) -> usize {
-    let ap = a.points();
-    let bp = b.points();
-    let m = bp.len();
-    let mut prev = vec![0u32; m + 1];
-    let mut cur = vec![0u32; m + 1];
-    for pa in ap {
-        for (j, pb) in bp.iter().enumerate() {
-            cur[j + 1] = if matches(pa, pb, eps) {
-                prev[j] + 1
-            } else {
-                prev[j + 1].max(cur[j])
-            };
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m] as usize
+    dp::last_cell(Lcss { eps }, a, b) as usize
 }
 
 /// LCSS distance: `1 − LCSS / min(n, m)` ∈ [0, 1].
 pub fn lcss_distance(a: &Trajectory, b: &Trajectory, eps: f64) -> f64 {
-    let lcs = lcss_len(a, b, eps) as f64;
-    1.0 - lcs / (a.len().min(b.len()) as f64)
+    dp::distance(Lcss { eps }, a, b)
 }
 
 #[cfg(test)]

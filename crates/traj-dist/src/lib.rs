@@ -5,18 +5,22 @@
 //! DITA) are **not metrics**: they violate the triangle inequality on real
 //! trajectory populations, which is the entire motivation of the LH-plugin.
 //!
-//! All dynamic-programming measures use rolling row buffers (O(min(n,m))
-//! memory) and `f64` accumulation. [`matrix`] fills full and rectangular
-//! pairwise matrices in parallel through the [`MatrixBuilder`] pipeline:
-//! one executor that runs length-bucketed pairs of the lockstep measures
-//! (DTW, ERP, EDR, discrete Fréchet) in SIMD along DP anti-diagonals
-//! ([`matrix::wavefront`], bit-identical to the scalar kernels) and
+//! The dynamic-programming measures (DTW, ERP, EDR, discrete Fréchet,
+//! LCSS) each write their recurrence once, as a private `Cell`, and two
+//! drivers walk it: row by row over rolling buffers (O(min(n,m)) memory,
+//! `f64` accumulation, optional early abandoning), and in SIMD lockstep
+//! along anti-diagonals for a batch of pairs ([`matrix::wavefront`]).
+//! Sharing the cell makes the two tiers bit-identical by construction.
+//! [`matrix`] fills full and rectangular pairwise matrices in parallel
+//! through the [`MatrixBuilder`] pipeline: one executor that runs
+//! length-bucketed pairs of the DP measures in lockstep groups and
 //! every other pair in dynamically scheduled scalar batches, opt-in
 //! admissible pruning, and persistent fingerprint-keyed checkpoints.
 //! SSPD and Hausdorff are not DPs; their scalar kernels are lane-blocked
 //! over points in the squared domain instead ([`mod@sspd`],
 //! [`mod@hausdorff`]).
 
+mod dp;
 pub mod dtw;
 pub mod edr;
 pub mod erp;

@@ -7,11 +7,11 @@
 //!   upper triangle, linearized (`p ↦ (i, j)`, written to `(i, j)` and
 //!   `(j, i)`); a cross build's are its cells, row-major. When the
 //!   measure has a lockstep kernel ([`Measure::supports_batch`]: DTW,
-//!   ERP, EDR, discrete Fréchet) and the build prunes nothing, pairs are
-//!   bucketed by length and run [`wavefront::LANES`] at a time along DP
-//!   anti-diagonals ([`super::wavefront`]); every other pair — the
+//!   ERP, EDR, discrete Fréchet, LCSS) and the build prunes nothing, pairs
+//!   are bucketed by length and run [`wavefront::LANES`] at a time along
+//!   DP anti-diagonals ([`super::wavefront`]); every other pair — the
 //!   plan's stragglers, measures without a lockstep kernel (SSPD,
-//!   Hausdorff, LCSS, TP, DITA), pruned builds — goes through a queue of
+//!   Hausdorff, TP, DITA), pruned builds — goes through a queue of
 //!   fixed-size pair batches. Groups and batches are handed out
 //!   from one shared work queue
 //!   ([`traj_core::parallel::parallel_for_chunks`]), so the triangular,
@@ -658,8 +658,8 @@ mod tests {
 
     #[test]
     fn pruning_counts_and_admissibility() {
-        // Long enough that the periodic abandon check (every
-        // ABANDON_CHECK_INTERVAL rows) fires well before the final row.
+        // Long enough that the periodic abandon check (after every 4th
+        // row) fires well before the final row.
         let ts: Vec<Trajectory> = (0..12)
             .map(|i| {
                 let pts: Vec<(f64, f64)> = (0..20)

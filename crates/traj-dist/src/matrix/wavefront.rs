@@ -1,11 +1,12 @@
 //! Wavefront-batched DP kernels: B pairs evaluated in lockstep.
 //!
 //! The scalar DP kernels ([`crate::dtw::dtw`], [`crate::erp::erp`],
-//! [`crate::edr::edr`], [`crate::frechet::discrete_frechet`])
-//! walk the recurrence row by row, so each cell's `min` chain is a serial
-//! dependency and the compiler cannot vectorize across cells. This module
-//! ports the anti-diagonal *wavefront* shape of GPU trajectory kernels to
-//! CPU SIMD: all cells on the anti-diagonal `i + j = it` of a DP table
+//! [`crate::edr::edr`], [`crate::frechet::discrete_frechet`],
+//! [`crate::lcss::lcss_distance`]) walk their recurrence row by row, so
+//! each cell's `min` chain is a serial dependency and the compiler cannot
+//! vectorize across cells. This module walks the same recurrence along
+//! anti-diagonals, the *wavefront* shape of GPU trajectory kernels ported
+//! to CPU SIMD: all cells on the anti-diagonal `i + j = it` of a DP table
 //! depend only on diagonals `it−1` and `it−2`, so a *batch* of B pairs can
 //! advance one diagonal per step with the B lanes laid out innermost —
 //! a branch-light loop over independent f64 lanes that LLVM turns into
@@ -18,17 +19,20 @@
 //! ## Numerical contract
 //!
 //! The batched path is **bit-identical** to the scalar kernels, not merely
-//! close. Each lane replicates the scalar cell expression exactly:
+//! close, by construction: both drivers are generic over the measure's one
+//! `Cell` (`crate::dp`), so each lane evaluates the scalar kernel's own
+//! boundary, cell and finish expressions.
 //!
-//! * the same operands in the same order (`cost + diag.min(up).min(left)`
-//!   for DTW, the `match/del_a/del_b` min chain for ERP, the integer
-//!   recurrence for EDR, which is exact in f64 for any real edit count,
-//!   `diag.min(up).min(left).max(d²)` for discrete Fréchet);
-//! * `f64::min`/`max` are exact and, absent NaN, order-independent;
-//!   `+`/`−`/`*`/`sqrt` are correctly rounded and never reassociated
-//!   across lanes (there is no horizontal reduction);
-//! * DTW's long/short operand swap is applied per lane before batching,
-//!   so even the operand *orientation* matches the scalar kernel;
+//! * Each cell receives the same operands in the same roles (`diag`, `up`,
+//!   `left`, `a_i`, `b_j`); per-point terms (ERP's gap costs) and the
+//!   boundary prefix sums are computed by the same `Cell` methods in the
+//!   same order;
+//! * `+`/`−`/`*`/`sqrt` are correctly rounded and never reassociated
+//!   across lanes (there is no horizontal reduction), and Rust never fuses
+//!   into FMA, so the AVX2 and portable instantiations agree too;
+//! * the `Cell`'s operand swap (DTW keeps the shorter trajectory inner) is
+//!   applied per lane before batching, so even the operand *orientation*
+//!   matches the scalar kernel;
 //! * padding lanes to the bucket's (N_max, M_max) only writes cells with
 //!   `i > n_l` or `j > m_l`, which no real cell ever reads (dependencies
 //!   flow from strictly smaller indices), and each lane's result is
@@ -45,7 +49,9 @@
 //!
 //! Trajectory coordinates are validated finite at construction
 //! ([`traj_core::Trajectory::new`] rejects NaN/∞), so the NaN caveat on
-//! `f64::min` cannot trigger. The differential suite in
+//! `f64::min` cannot trigger. A NaN *tolerance* (EDR, LCSS) is no
+//! exception to bit identity either: the shared match test is false for
+//! it, in both tiers. The differential suite in
 //! `tests/wavefront_differential.rs` asserts bit equality; should a future
 //! SIMD backend (e.g. FMA contraction) break exact replication, the
 //! documented fallback contract is a relative error ≤ 1e-12 per entry —
@@ -54,7 +60,8 @@
 //! deliberately exclude the schedule: a matrix built through lockstep
 //! groups is byte-interchangeable with one built by the scalar oracle.
 
-use crate::measure::{Measure, MeasureKind};
+use crate::dp::{with_cell, Cell, Pt};
+use crate::measure::Measure;
 use traj_core::Trajectory;
 
 /// Target lanes per lockstep group: 8 f64 lanes = two AVX2 vectors (or one
@@ -120,15 +127,12 @@ fn low_mask(bits: u32) -> u64 {
     1u64.checked_shl(bits).map_or(u64::MAX, |b| b - 1)
 }
 
-/// The bucketing key for a pair: DTW swaps operands so the shorter
-/// trajectory is the inner axis, so its buckets are keyed on the swapped
-/// shape; everything else buckets on the raw shape.
+/// The bucketing key for a pair: its table shape, after the measure's
+/// operand orientation (DTW keeps the shorter trajectory inner).
 #[inline]
 pub(crate) fn pair_len_key(measure: &Measure, a: &Trajectory, b: &Trajectory) -> (usize, usize) {
-    match measure.kind {
-        MeasureKind::Dtw => (a.len().max(b.len()), a.len().min(b.len())),
-        _ => (a.len(), b.len()),
-    }
+    let (rows, cols) = with_cell!(measure, c => c.orient(a, b), _ => (a, b));
+    (rows.len(), cols.len())
 }
 
 /// Buckets pairs by length for lockstep execution: sort pair indices by
@@ -188,322 +192,157 @@ pub(crate) fn plan_batches(keys: impl ExactSizeIterator<Item = (usize, usize)>) 
     }
 }
 
-/// SoA-transposed, padded inputs for one lockstep group.
+/// One axis of a lockstep group (the row points `a_i` or the column
+/// points `b_j` of every lane), SoA-transposed and padded.
 ///
-/// Coordinates live at `row * lanes + lane` so the innermost loop strides
+/// [`Pt`] fields live at `k * lanes + lane` so the innermost loop strides
 /// by one lane. Short lanes are padded by repeating their last point:
 /// padded cells never feed a real cell (see the module contract), and the
 /// repeats keep every arithmetic result finite.
-struct BatchCtx {
-    lanes: usize,
-    n_max: usize,
-    m_max: usize,
-    ax: Vec<f64>,
-    ay: Vec<f64>,
-    bx: Vec<f64>,
-    by: Vec<f64>,
-    /// ERP gap costs `d(a_i, g)` / `d(b_j, g)` per lane (zeros for
-    /// measures that don't read them — never loaded by their kernels).
-    ga: Vec<f64>,
-    gb: Vec<f64>,
-    /// Column-0 boundary `dp[i][0]` per lane, `(n_max+1)·lanes`.
-    col0: Vec<f64>,
-    /// Row-0 boundary `dp[0][j]` per lane, `(m_max+1)·lanes`.
-    row0: Vec<f64>,
-    /// Per-lane final diagonal `n_l + m_l`.
-    fin: Vec<usize>,
-    /// Per-lane result column `m_l`.
-    mcol: Vec<usize>,
+struct Axis {
+    /// Points per lane after padding.
+    len: usize,
+    x: Vec<f64>,
+    y: Vec<f64>,
+    gap: Vec<f64>,
+    /// The boundary cells `dp[k][0]` (rows) or `dp[0][k]` (columns),
+    /// `k = 0..=len`, from [`Cell::edge`].
+    edge: Vec<f64>,
 }
 
-fn build_ctx(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> BatchCtx {
-    let lanes = pairs.len();
-    // DTW keeps the shorter trajectory on the inner axis, exactly like the
-    // scalar kernel, so batched operand orientation matches bit for bit.
-    let oriented: Vec<(&Trajectory, &Trajectory)> = pairs
-        .iter()
-        .map(|&(a, b)| match measure.kind {
-            MeasureKind::Dtw if b.len() > a.len() => (b, a),
-            _ => (a, b),
-        })
-        .collect();
-    let n_max = oriented.iter().map(|(a, _)| a.len()).max().unwrap_or(1);
-    let m_max = oriented.iter().map(|(_, b)| b.len()).max().unwrap_or(1);
-
-    let mut ax = vec![0.0; n_max * lanes];
-    let mut ay = vec![0.0; n_max * lanes];
-    let mut bx = vec![0.0; m_max * lanes];
-    let mut by = vec![0.0; m_max * lanes];
-    let mut ga = vec![0.0; n_max * lanes];
-    let mut gb = vec![0.0; m_max * lanes];
-    let mut col0 = vec![0.0; (n_max + 1) * lanes];
-    let mut row0 = vec![0.0; (m_max + 1) * lanes];
-    let mut fin = vec![0usize; lanes];
-    let mut mcol = vec![0usize; lanes];
-
-    let erp = measure.kind == MeasureKind::Erp;
-    for (l, &(a, b)) in oriented.iter().enumerate() {
-        let (ap, bp) = (a.points(), b.points());
-        for i in 0..n_max {
-            let p = &ap[i.min(ap.len() - 1)];
-            ax[i * lanes + l] = p.x;
-            ay[i * lanes + l] = p.y;
-            if erp {
-                ga[i * lanes + l] = p.dist(&measure.erp_gap);
+impl Axis {
+    fn new<C: Cell>(cell: C, trajs: &[&Trajectory]) -> Axis {
+        let lanes = trajs.len();
+        let len = trajs.iter().map(|t| t.len()).max().unwrap_or(1);
+        let mut axis = Axis {
+            len,
+            x: vec![0.0; len * lanes],
+            y: vec![0.0; len * lanes],
+            gap: vec![0.0; len * lanes],
+            edge: vec![0.0; (len + 1) * lanes],
+        };
+        for (l, t) in trajs.iter().enumerate() {
+            let pts = t.points();
+            for k in 0..len {
+                let p = cell.pt(&pts[k.min(pts.len() - 1)]);
+                let at = k * lanes + l;
+                axis.x[at] = p.x;
+                axis.y[at] = p.y;
+                axis.gap[at] = p.gap;
+                // Padded tail entries keep accumulating harmlessly: no
+                // real cell reads them.
+                axis.edge[at + lanes] = cell.edge(k + 1, axis.edge[at], p);
             }
         }
-        for j in 0..m_max {
-            let q = &bp[j.min(bp.len() - 1)];
-            bx[j * lanes + l] = q.x;
-            by[j * lanes + l] = q.y;
-            if erp {
-                gb[j * lanes + l] = q.dist(&measure.erp_gap);
-            }
-        }
-        fin[l] = ap.len() + bp.len();
-        mcol[l] = bp.len();
+        axis
     }
 
-    match measure.kind {
-        MeasureKind::Dtw | MeasureKind::DiscreteFrechet => {
-            // dp[0][0] = 0, every other boundary cell is +∞ (for Fréchet,
-            // cell (1,1) is then `0.max(d²) = d²`, the scalar origin).
-            col0[lanes..].fill(f64::INFINITY);
-            row0[lanes..].fill(f64::INFINITY);
-        }
-        MeasureKind::Erp => {
-            // Sequential per-lane prefix sums of gap costs, replicating
-            // the scalar accumulation order exactly (padded tail entries
-            // keep accumulating harmlessly — no real cell reads them).
-            for i in 1..=n_max {
-                for l in 0..lanes {
-                    col0[i * lanes + l] = col0[(i - 1) * lanes + l] + ga[(i - 1) * lanes + l];
-                }
-            }
-            for j in 1..=m_max {
-                for l in 0..lanes {
-                    row0[j * lanes + l] = row0[(j - 1) * lanes + l] + gb[(j - 1) * lanes + l];
-                }
-            }
-        }
-        MeasureKind::Edr => {
-            // dp[i][0] = i, dp[0][j] = j (delete everything).
-            for i in 1..=n_max {
-                col0[i * lanes..(i + 1) * lanes].fill(i as f64);
-            }
-            for j in 1..=m_max {
-                row0[j * lanes..(j + 1) * lanes].fill(j as f64);
-            }
-        }
-        _ => unreachable!("eval_batch gates on supports_batch()"),
-    }
-
-    BatchCtx {
-        lanes,
-        n_max,
-        m_max,
-        ax,
-        ay,
-        bx,
-        by,
-        ga,
-        gb,
-        col0,
-        row0,
-        fin,
-        mcol,
-    }
-}
-
-/// One interior anti-diagonal position for all lanes: computes `cur[l]`
-/// from the three DP neighbors and the lane's point data. All slices have
-/// exactly `lanes` elements; implementations must replicate the scalar
-/// kernel's cell expression operand for operand (see the module contract).
-trait DiagKernel {
-    #[allow(clippy::too_many_arguments)]
-    fn lane_cells(
-        cur: &mut [f64],
-        diag: &[f64],
-        up: &[f64],
-        left: &[f64],
-        ax: &[f64],
-        ay: &[f64],
-        bx: &[f64],
-        by: &[f64],
-        ga: &[f64],
-        gb: &[f64],
-        eps: f64,
-    );
-}
-
-struct DtwKernel;
-
-impl DiagKernel for DtwKernel {
+    /// Point `k` (0-based) of every lane, as `[x, y, gap]` slices.
     #[inline(always)]
-    fn lane_cells(
-        cur: &mut [f64],
-        diag: &[f64],
-        up: &[f64],
-        left: &[f64],
-        ax: &[f64],
-        ay: &[f64],
-        bx: &[f64],
-        by: &[f64],
-        _ga: &[f64],
-        _gb: &[f64],
-        _eps: f64,
-    ) {
-        let n = cur.len();
-        let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
-        let (ax, ay, bx, by) = (&ax[..n], &ay[..n], &bx[..n], &by[..n]);
-        for l in 0..n {
-            let dx = ax[l] - bx[l];
-            let dy = ay[l] - by[l];
-            let cost = (dx * dx + dy * dy).sqrt();
-            cur[l] = cost + diag[l].min(up[l]).min(left[l]);
+    fn point(&self, k: usize, lanes: usize) -> [&[f64]; 3] {
+        let at = k * lanes..(k + 1) * lanes;
+        [&self.x[at.clone()], &self.y[at.clone()], &self.gap[at]]
+    }
+}
+
+/// A lockstep group's inputs: each pair in the cell's orientation, its
+/// row and column points transposed, and its table shape.
+struct Group {
+    rows: Axis,
+    cols: Axis,
+    /// Per-lane table shape `(n_l, m_l)`.
+    dims: Vec<(usize, usize)>,
+}
+
+impl Group {
+    fn new<C: Cell>(cell: C, pairs: &[(&Trajectory, &Trajectory)]) -> Group {
+        let (rows, cols): (Vec<_>, Vec<_>) = pairs.iter().map(|&(a, b)| cell.orient(a, b)).unzip();
+        Group {
+            rows: Axis::new(cell, &rows),
+            cols: Axis::new(cell, &cols),
+            dims: rows
+                .iter()
+                .zip(&cols)
+                .map(|(a, b)| (a.len(), b.len()))
+                .collect(),
         }
     }
 }
 
-struct ErpKernel;
-
-impl DiagKernel for ErpKernel {
-    #[inline(always)]
-    fn lane_cells(
-        cur: &mut [f64],
-        diag: &[f64],
-        up: &[f64],
-        left: &[f64],
-        ax: &[f64],
-        ay: &[f64],
-        bx: &[f64],
-        by: &[f64],
-        ga: &[f64],
-        gb: &[f64],
-        _eps: f64,
-    ) {
-        let n = cur.len();
-        let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
-        let (ax, ay, bx, by) = (&ax[..n], &ay[..n], &bx[..n], &by[..n]);
-        let (ga, gb) = (&ga[..n], &gb[..n]);
-        for l in 0..n {
-            let dx = ax[l] - bx[l];
-            let dy = ay[l] - by[l];
-            let match_cost = diag[l] + (dx * dx + dy * dy).sqrt();
-            let del_a = up[l] + ga[l];
-            let del_b = left[l] + gb[l];
-            cur[l] = match_cost.min(del_a).min(del_b);
-        }
-    }
-}
-
-struct EdrKernel;
-
-impl DiagKernel for EdrKernel {
-    #[inline(always)]
-    fn lane_cells(
-        cur: &mut [f64],
-        diag: &[f64],
-        up: &[f64],
-        left: &[f64],
-        ax: &[f64],
-        ay: &[f64],
-        bx: &[f64],
-        by: &[f64],
-        _ga: &[f64],
-        _gb: &[f64],
-        eps: f64,
-    ) {
-        let n = cur.len();
-        let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
-        let (ax, ay, bx, by) = (&ax[..n], &ay[..n], &bx[..n], &by[..n]);
-        for l in 0..n {
-            // L∞ match test, branchless; edit counts are small integers,
-            // exact in f64, so the scalar u32 recurrence is replicated
-            // value for value.
-            let miss = ((ax[l] - bx[l]).abs() > eps) | ((ay[l] - by[l]).abs() > eps);
-            let sub = miss as u8 as f64;
-            cur[l] = (diag[l] + sub).min(up[l] + 1.0).min(left[l] + 1.0);
-        }
-    }
-}
-
-struct FrechetKernel;
-
-impl DiagKernel for FrechetKernel {
-    #[inline(always)]
-    fn lane_cells(
-        cur: &mut [f64],
-        diag: &[f64],
-        up: &[f64],
-        left: &[f64],
-        ax: &[f64],
-        ay: &[f64],
-        bx: &[f64],
-        by: &[f64],
-        _ga: &[f64],
-        _gb: &[f64],
-        _eps: f64,
-    ) {
-        let n = cur.len();
-        let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
-        let (ax, ay, bx, by) = (&ax[..n], &ay[..n], &bx[..n], &by[..n]);
-        for l in 0..n {
-            // Squared domain: `eval_batch` takes the one `sqrt`.
-            let dx = ax[l] - bx[l];
-            let dy = ay[l] - by[l];
-            cur[l] = diag[l].min(up[l]).min(left[l]).max(dx * dx + dy * dy);
-        }
+/// One interior anti-diagonal position for all lanes: `cur[l]` from the
+/// three neighbours and the lane's two points.
+#[inline(always)]
+fn lane_cells<C: Cell>(
+    cell: C,
+    cur: &mut [f64],
+    [diag, up, left]: [&[f64]; 3],
+    [ax, ay, ag]: [&[f64]; 3],
+    [bx, by, bg]: [&[f64]; 3],
+) {
+    let n = cur.len();
+    let (diag, up, left) = (&diag[..n], &up[..n], &left[..n]);
+    let (ax, ay, ag) = (&ax[..n], &ay[..n], &ag[..n]);
+    let (bx, by, bg) = (&bx[..n], &by[..n], &bg[..n]);
+    for l in 0..n {
+        let a = Pt {
+            x: ax[l],
+            y: ay[l],
+            gap: ag[l],
+        };
+        let b = Pt {
+            x: bx[l],
+            y: by[l],
+            gap: bg[l],
+        };
+        cur[l] = cell.cell(diag[l], up[l], left[l], a, b);
     }
 }
 
 /// The wavefront driver: iterates anti-diagonals `it = 1..=n_max+m_max`
 /// over a rotating 3-diagonal buffer, writing boundary cells from the
-/// precomputed `col0`/`row0` arrays and capturing each lane's result from
-/// its own final diagonal. `#[inline(always)]` so the `target_feature`
-/// wrappers below compile the whole loop nest — not just a call — under
-/// the widened ISA.
+/// precomputed `col0`/`row0` arrays and capturing each lane's final cell
+/// from its own final diagonal. `#[inline(always)]` so the
+/// `target_feature` entry point below compiles the whole loop nest — not
+/// just a call — under the widened ISA.
 #[inline(always)]
-fn run_diagonals<K: DiagKernel>(ctx: &BatchCtx, eps: f64, out: &mut [f64]) {
-    let lanes = ctx.lanes;
-    let width = (ctx.m_max + 1) * lanes;
+fn run_diagonals<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
+    let (a, b, dims) = (&group.rows, &group.cols, &group.dims);
+    let lanes = dims.len();
+    let width = (b.len + 1) * lanes;
     // prev2/prev/cur hold diagonals it−2 / it−1 / it; position p on a
-    // diagonal holds cell (it−p, p) for all lanes.
+    // diagonal holds cell (it−p, p) for all lanes. Diagonal 0 is the
+    // origin, 0 for every cell.
     let mut prev2 = vec![0.0f64; width];
     let mut prev = vec![0.0f64; width];
     let mut cur = vec![0.0f64; width];
-    // Diagonal 0 is the single cell (0,0) = dp origin (0 for all kernels).
-    prev[..lanes].copy_from_slice(&ctx.col0[..lanes]);
 
-    for it in 1..=(ctx.n_max + ctx.m_max) {
-        if it <= ctx.n_max {
-            cur[..lanes].copy_from_slice(&ctx.col0[it * lanes..(it + 1) * lanes]);
+    for it in 1..=(a.len + b.len) {
+        if it <= a.len {
+            cur[..lanes].copy_from_slice(&a.edge[it * lanes..(it + 1) * lanes]);
         }
-        if it <= ctx.m_max {
+        if it <= b.len {
             cur[it * lanes..(it + 1) * lanes]
-                .copy_from_slice(&ctx.row0[it * lanes..(it + 1) * lanes]);
+                .copy_from_slice(&b.edge[it * lanes..(it + 1) * lanes]);
         }
-        let j_lo = it.saturating_sub(ctx.n_max).max(1);
-        let j_hi = (it - 1).min(ctx.m_max);
+        let j_lo = it.saturating_sub(a.len).max(1);
+        let j_hi = (it - 1).min(b.len);
         for j in j_lo..=j_hi {
             let i = it - j;
-            K::lane_cells(
+            lane_cells(
+                cell,
                 &mut cur[j * lanes..(j + 1) * lanes],
-                &prev2[(j - 1) * lanes..j * lanes],
-                &prev[j * lanes..(j + 1) * lanes],
-                &prev[(j - 1) * lanes..j * lanes],
-                &ctx.ax[(i - 1) * lanes..i * lanes],
-                &ctx.ay[(i - 1) * lanes..i * lanes],
-                &ctx.bx[(j - 1) * lanes..j * lanes],
-                &ctx.by[(j - 1) * lanes..j * lanes],
-                &ctx.ga[(i - 1) * lanes..i * lanes],
-                &ctx.gb[(j - 1) * lanes..j * lanes],
-                eps,
+                [
+                    &prev2[(j - 1) * lanes..],
+                    &prev[j * lanes..],
+                    &prev[(j - 1) * lanes..],
+                ],
+                a.point(i - 1, lanes),
+                b.point(j - 1, lanes),
             );
         }
-        for l in 0..lanes {
-            if ctx.fin[l] == it {
-                out[l] = cur[ctx.mcol[l] * lanes + l];
+        for (l, &(n, m)) in dims.iter().enumerate() {
+            if n + m == it {
+                out[l] = cur[m * lanes + l];
             }
         }
         // Rotate (prev2, prev, cur) ← (prev, cur, scratch).
@@ -512,58 +351,44 @@ fn run_diagonals<K: DiagKernel>(ctx: &BatchCtx, eps: f64, out: &mut [f64]) {
     }
 }
 
-/// AVX2-compiled instantiations of the driver, selected at runtime. The
-/// portable `run_diagonals` is the fallback and the semantics reference;
-/// these merely recompile the identical IEEE expressions with packed
+/// The driver compiled for AVX2, selected at runtime by [`dispatch`]. The
+/// portable [`run_diagonals`] is the fallback and the semantics reference;
+/// this merely recompiles the identical IEEE expressions with packed
 /// instructions (no FMA contraction — Rust never fuses, so results stay
 /// bit-identical across paths).
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::*;
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn dtw(ctx: &BatchCtx, out: &mut [f64]) {
-        run_diagonals::<DtwKernel>(ctx, 0.0, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn erp(ctx: &BatchCtx, out: &mut [f64]) {
-        run_diagonals::<ErpKernel>(ctx, 0.0, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn edr(ctx: &BatchCtx, eps: f64, out: &mut [f64]) {
-        run_diagonals::<EdrKernel>(ctx, eps, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn frechet(ctx: &BatchCtx, out: &mut [f64]) {
-        run_diagonals::<FrechetKernel>(ctx, 0.0, out);
-    }
+#[target_feature(enable = "avx2")]
+// SAFETY: AVX2 support is the one precondition, passed to the caller;
+// the body is safe code.
+unsafe fn run_diagonals_avx2<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
+    run_diagonals(cell, group, out);
 }
 
-fn dispatch(measure: &Measure, ctx: &BatchCtx, out: &mut [f64]) {
+/// Runs the widest driver the CPU supports.
+fn dispatch<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        unsafe {
-            match measure.kind {
-                MeasureKind::Dtw => avx2::dtw(ctx, out),
-                MeasureKind::Erp => avx2::erp(ctx, out),
-                MeasureKind::Edr => avx2::edr(ctx, measure.edr_eps, out),
-                MeasureKind::DiscreteFrechet => avx2::frechet(ctx, out),
-                _ => unreachable!("eval_batch gates on supports_batch()"),
-            }
-        }
+        // SAFETY: AVX2 support, the entry point's one precondition, was
+        // just detected at runtime.
+        unsafe { run_diagonals_avx2(cell, group, out) };
         return;
     }
-    match measure.kind {
-        MeasureKind::Dtw => run_diagonals::<DtwKernel>(ctx, 0.0, out),
-        MeasureKind::Erp => run_diagonals::<ErpKernel>(ctx, 0.0, out),
-        MeasureKind::Edr => run_diagonals::<EdrKernel>(ctx, measure.edr_eps, out),
-        MeasureKind::DiscreteFrechet => run_diagonals::<FrechetKernel>(ctx, 0.0, out),
-        _ => unreachable!("eval_batch gates on supports_batch()"),
+    run_diagonals(cell, group, out);
+}
+
+/// One lockstep group through the driver, finished per lane.
+fn lockstep<C: Cell>(cell: C, pairs: &[(&Trajectory, &Trajectory)]) -> Vec<f64> {
+    let group = Group::new(cell, pairs);
+    let mut out = vec![0.0; pairs.len()];
+    dispatch(cell, &group, &mut out);
+    for (d, &(n, m)) in out.iter_mut().zip(&group.dims) {
+        *d = cell.finish(*d, n, m);
     }
+    out
 }
 
 /// Evaluates one lockstep group of pairs (any runtime batch size ≥ 1,
@@ -573,22 +398,15 @@ pub fn eval_batch(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> Ve
     if pairs.is_empty() {
         return Vec::new();
     }
-    if !measure.supports_batch() {
-        return pairs.iter().map(|&(a, b)| measure.distance(a, b)).collect();
-    }
-    let ctx = build_ctx(measure, pairs);
-    let mut out = vec![0.0; pairs.len()];
-    dispatch(measure, &ctx, &mut out);
-    if measure.kind == MeasureKind::DiscreteFrechet {
-        // The lockstep Fréchet table is squared (module contract).
-        out.iter_mut().for_each(|d| *d = d.sqrt());
-    }
-    out
+    with_cell!(measure, c => lockstep(c, pairs),
+        _ => pairs.iter().map(|&(a, b)| measure.distance(a, b)).collect(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::MeasureKind;
 
     fn t(coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::from_xy(coords).unwrap()
@@ -605,12 +423,16 @@ mod tests {
         Trajectory::from_xy(&pts).unwrap()
     }
 
-    fn supported() -> [Measure; 4] {
+    fn supported() -> [Measure; 5] {
         [
             MeasureKind::Dtw.measure(),
             MeasureKind::Erp.measure(),
             MeasureKind::Edr.measure().with_edr_eps(0.2),
             MeasureKind::DiscreteFrechet.measure(),
+            Measure {
+                lcss_eps: 0.2,
+                ..MeasureKind::Lcss.measure()
+            },
         ]
     }
 
@@ -778,40 +600,42 @@ mod tests {
             .map(|i| (&trajs[i], &trajs[(i + 5) % trajs.len()]))
             .collect();
         for m in supported() {
-            let ctx = build_ctx(&m, &pairs);
-            let mut portable = vec![0.0; pairs.len()];
-            match m.kind {
-                MeasureKind::Dtw => run_diagonals::<DtwKernel>(&ctx, 0.0, &mut portable),
-                MeasureKind::Erp => run_diagonals::<ErpKernel>(&ctx, 0.0, &mut portable),
-                MeasureKind::Edr => run_diagonals::<EdrKernel>(&ctx, m.edr_eps, &mut portable),
-                _ => run_diagonals::<FrechetKernel>(&ctx, 0.0, &mut portable),
-            }
-            // Fréchet's table is squared; `eval_batch` takes the root.
-            let finish = |v: &mut [f64]| {
-                if m.kind == MeasureKind::DiscreteFrechet {
-                    v.iter_mut().for_each(|d| *d = d.sqrt());
-                }
-            };
-            finish(&mut portable);
+            let (portable, wide) = with_cell!(&m, c => both_paths(c, &pairs),
+                _ => unreachable!("supported() holds DP measures"),
+            );
             let bits = |v: &[f64]| v.iter().map(|d| d.to_bits()).collect::<Vec<_>>();
             let scalar: Vec<f64> = pairs.iter().map(|&(a, b)| m.distance(a, b)).collect();
             assert_eq!(bits(&portable), bits(&scalar), "{} portable", m.kind.name());
-            #[cfg(target_arch = "x86_64")]
-            if std::arch::is_x86_feature_detected!("avx2") {
-                let mut wide = vec![0.0; pairs.len()];
-                // SAFETY: AVX2 support was just verified at runtime.
-                unsafe {
-                    match m.kind {
-                        MeasureKind::Dtw => avx2::dtw(&ctx, &mut wide),
-                        MeasureKind::Erp => avx2::erp(&ctx, &mut wide),
-                        MeasureKind::Edr => avx2::edr(&ctx, m.edr_eps, &mut wide),
-                        _ => avx2::frechet(&ctx, &mut wide),
-                    }
-                }
-                finish(&mut wide);
+            if let Some(wide) = wide {
                 assert_eq!(bits(&wide), bits(&portable), "{} avx2", m.kind.name());
             }
         }
+    }
+
+    /// Finished distances through the portable driver and, where the CPU
+    /// has AVX2, through the AVX2 entry point.
+    fn both_paths<C: Cell>(
+        cell: C,
+        pairs: &[(&Trajectory, &Trajectory)],
+    ) -> (Vec<f64>, Option<Vec<f64>>) {
+        let group = Group::new(cell, pairs);
+        let finish = |mut v: Vec<f64>| {
+            for (d, &(n, m)) in v.iter_mut().zip(&group.dims) {
+                *d = cell.finish(*d, n, m);
+            }
+            v
+        };
+        let mut portable = vec![0.0; pairs.len()];
+        run_diagonals(cell, &group, &mut portable);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            let mut wide = vec![0.0; pairs.len()];
+            // SAFETY: AVX2 support, the entry point's one precondition,
+            // was just detected at runtime.
+            unsafe { run_diagonals_avx2(cell, &group, &mut wide) };
+            return (finish(portable), Some(finish(wide)));
+        }
+        (finish(portable), None)
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! paper's tables do; [`MeasureKind`] is the serializable registry and
 //! [`Measure`] the configured, callable form.
 
+use crate::dp::{self, with_cell};
 use crate::st::{DitaConfig, TpConfig};
 use serde::{Deserialize, Serialize};
 use traj_core::{Point, Trajectory};
@@ -138,32 +139,23 @@ impl Measure {
 
     /// Evaluates the distance between two trajectories.
     pub fn distance(&self, a: &Trajectory, b: &Trajectory) -> f64 {
-        match self.kind {
-            MeasureKind::Dtw => crate::dtw::dtw(a, b),
+        with_cell!(self, c => dp::distance(c, a, b),
             MeasureKind::Sspd => crate::sspd::sspd(a, b),
-            MeasureKind::Edr => crate::edr::edr(a, b, self.edr_eps),
             MeasureKind::Hausdorff => crate::hausdorff::hausdorff(a, b),
-            MeasureKind::DiscreteFrechet => crate::frechet::discrete_frechet(a, b),
-            MeasureKind::Erp => crate::erp::erp(a, b, &self.erp_gap),
-            MeasureKind::Lcss => crate::lcss::lcss_distance(a, b, self.lcss_eps),
             MeasureKind::Tp => crate::st::tp(a, b, self.tp),
             MeasureKind::Dita => crate::st::dita(a, b, self.dita),
-        }
+        )
     }
 
     /// Whether the measure has a wavefront-batched kernel
-    /// ([`crate::matrix::wavefront`]): DTW, ERP, EDR and discrete Fréchet,
-    /// whose DP recurrences read only the three neighbor cells, so
-    /// anti-diagonal lockstep execution applies. This is not the set whose
-    /// [`Measure::distance_pruned`] abandons early (DTW, ERP, EDR):
-    /// Fréchet batches but cannot abandon. SSPD and Hausdorff are not DPs; their kernels are
-    /// lane-blocked within one pair instead. LCSS, TP and DITA have no
-    /// batched kernel.
+    /// ([`crate::matrix::wavefront`]): the DP measures — DTW, ERP, EDR,
+    /// discrete Fréchet and LCSS — whose cells read only their three
+    /// neighbours, so anti-diagonal lockstep execution applies. This is not
+    /// the set whose [`Measure::distance_pruned`] abandons early (DTW, ERP,
+    /// EDR). SSPD and Hausdorff are not DPs; their kernels are lane-blocked
+    /// within one pair instead. TP and DITA have no batched kernel.
     pub fn supports_batch(&self) -> bool {
-        matches!(
-            self.kind,
-            MeasureKind::Dtw | MeasureKind::Erp | MeasureKind::Edr | MeasureKind::DiscreteFrechet
-        )
+        with_cell!(self, _c => true, _ => false)
     }
 
     /// Evaluates many pairs at once on one thread, through the matrix
@@ -218,12 +210,9 @@ impl Measure {
         b: &Trajectory,
         threshold: f64,
     ) -> PrunedDistance {
-        match self.kind {
-            MeasureKind::Dtw => crate::dtw::dtw_early_abandon(a, b, threshold),
-            MeasureKind::Erp => crate::erp::erp_early_abandon(a, b, &self.erp_gap, threshold),
-            MeasureKind::Edr => crate::edr::edr_early_abandon(a, b, self.edr_eps, threshold),
+        with_cell!(self, c => dp::distance_pruned(c, a, b, threshold),
             _ => PrunedDistance::Exact(self.distance(a, b)),
-        }
+        )
     }
 }
 
@@ -285,6 +274,7 @@ mod tests {
             MeasureKind::Erp,
             MeasureKind::Edr,
             MeasureKind::DiscreteFrechet,
+            MeasureKind::Lcss,
         ] {
             let m = kind.measure();
             assert!(m.supports_batch());
@@ -294,7 +284,8 @@ mod tests {
         }
         assert!(!MeasureKind::Sspd.measure().supports_batch());
         assert!(!MeasureKind::Hausdorff.measure().supports_batch());
-        assert!(!MeasureKind::Lcss.measure().supports_batch());
+        assert!(!MeasureKind::Tp.measure().supports_batch());
+        assert!(!MeasureKind::Dita.measure().supports_batch());
     }
 
     #[test]

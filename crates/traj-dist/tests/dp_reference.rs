@@ -13,16 +13,27 @@
 //! exit. Their kernels compare squared distances and take one `sqrt` at
 //! the end, which is exact because `sqrt` is correctly rounded and hence
 //! monotone, so it commutes with `min` and `max` bit for bit.
+//!
+//! The same full tables pin early abandoning: `distance_pruned` must stop
+//! at the oracle's row with the oracle's row-minimum bits.
 
 use proptest::prelude::*;
 use traj_core::point::point_segment_distance;
 use traj_core::{Point, Trajectory};
-use traj_dist::{discrete_frechet, dtw, edr, erp, hausdorff, lcss_distance, sspd};
+use traj_dist::{
+    discrete_frechet, dtw, edr, erp, hausdorff, lcss_distance, sspd, Measure, MeasureKind,
+    PrunedDistance,
+};
 
 /// Textbook DTW over a full (n+1)×(m+1) table, no operand swap: the
 /// rolling kernel's long/short swap must be value-transparent (it is —
 /// `(a−b)² == (b−a)²` exactly and the min set is transposed unchanged).
 fn dtw_full(a: &Trajectory, b: &Trajectory) -> f64 {
+    *dtw_table(a, b).last().unwrap()
+}
+
+/// The (n+1)×(m+1) DTW table, row-major.
+fn dtw_table(a: &Trajectory, b: &Trajectory) -> Vec<f64> {
     let (ap, bp) = (a.points(), b.points());
     let (n, m) = (ap.len(), bp.len());
     let mut dp = vec![f64::INFINITY; (n + 1) * (m + 1)];
@@ -36,12 +47,17 @@ fn dtw_full(a: &Trajectory, b: &Trajectory) -> f64 {
             dp[i * (m + 1) + j] = cost + diag.min(up).min(left);
         }
     }
-    dp[n * (m + 1) + m]
+    dp
 }
 
 /// Full-table ERP with the same boundary accumulation order as the
 /// rolling kernel (sequential prefix sums of gap costs).
 fn erp_full(a: &Trajectory, b: &Trajectory, g: &Point) -> f64 {
+    *erp_table(a, b, g).last().unwrap()
+}
+
+/// The (n+1)×(m+1) ERP table, row-major.
+fn erp_table(a: &Trajectory, b: &Trajectory, g: &Point) -> Vec<f64> {
     let (ap, bp) = (a.points(), b.points());
     let (n, m) = (ap.len(), bp.len());
     let w = m + 1;
@@ -58,11 +74,16 @@ fn erp_full(a: &Trajectory, b: &Trajectory, g: &Point) -> f64 {
             dp[i * w + j] = match_cost.min(del_a).min(del_b);
         }
     }
-    dp[n * w + m]
+    dp
 }
 
 /// Full-table EDR (integer edit counts; "bit identity" is plain equality).
 fn edr_full(a: &Trajectory, b: &Trajectory, eps: f64) -> f64 {
+    *edr_table(a, b, eps).last().unwrap() as f64
+}
+
+/// The (n+1)×(m+1) EDR table, row-major.
+fn edr_table(a: &Trajectory, b: &Trajectory, eps: f64) -> Vec<u32> {
     let (ap, bp) = (a.points(), b.points());
     let (n, m) = (ap.len(), bp.len());
     let w = m + 1;
@@ -85,7 +106,28 @@ fn edr_full(a: &Trajectory, b: &Trajectory, eps: f64) -> f64 {
                 .min(dp[i * w + (j - 1)] + 1);
         }
     }
-    dp[n * w + m] as f64
+    dp
+}
+
+/// The early-abandon contract on a full row-major table of `width`
+/// columns: after every 4th row, never after the last, the row minimum
+/// (column 0 included) is checked, and the first one above `threshold`
+/// is the lower bound. Otherwise the final cell is exact.
+fn abandon_full(table: &[f64], width: usize, threshold: f64) -> PrunedDistance {
+    let last_row = table.len() / width - 1;
+    for i in (4..last_row).step_by(4) {
+        let row = &table[i * width..(i + 1) * width];
+        let row_min = row.iter().copied().fold(f64::INFINITY, f64::min);
+        if row_min > threshold {
+            return PrunedDistance::LowerBound(row_min);
+        }
+    }
+    PrunedDistance::Exact(table[table.len() - 1])
+}
+
+/// Same variant, same bits.
+fn same(x: PrunedDistance, y: PrunedDistance) -> bool {
+    x.abandoned() == y.abandoned() && x.value().to_bits() == y.value().to_bits()
 }
 
 /// Full-table LCSS length.
@@ -275,5 +317,42 @@ proptest! {
     fn lcss_rolling_matches_full_matrix(a in traj_strategy(), b in traj_strategy(), eps in 0.01f64..5.0) {
         let expected = 1.0 - lcss_full(&a, &b, eps) as f64 / (a.len().min(b.len()) as f64);
         prop_assert_eq!(lcss_distance(&a, &b, eps).to_bits(), expected.to_bits());
+    }
+
+    /// `distance_pruned` abandons at exactly the full-table oracle's row,
+    /// with the same lower-bound bits, for DTW (long trajectory on the
+    /// rows), ERP and EDR; below every checked row minimum it is exact.
+    /// Fréchet and LCSS never abandon.
+    #[test]
+    fn pruned_matches_full_table_abandon_oracle(
+        a in traj_strategy(),
+        b in traj_strategy(),
+        factor in 0.0f64..1.5,
+        eps in 0.01f64..5.0,
+    ) {
+        let (long, short) = if a.len() >= b.len() { (&a, &b) } else { (&b, &a) };
+        let g = Point::new(1.5, -0.25);
+        let dtw_m = MeasureKind::Dtw.measure();
+        let erp_m = Measure { erp_gap: g, ..MeasureKind::Erp.measure() };
+        let edr_m = MeasureKind::Edr.measure().with_edr_eps(eps);
+        let edr_t: Vec<f64> = edr_table(&a, &b, eps).into_iter().map(f64::from).collect();
+        let cases = [
+            (dtw_m, dtw_table(long, short), short.len() + 1),
+            (erp_m, erp_table(&a, &b, &g), b.len() + 1),
+            (edr_m, edr_t, b.len() + 1),
+        ];
+        for (m, table, width) in cases {
+            let threshold = factor * table[table.len() - 1];
+            let got = m.distance_pruned(&a, &b, threshold);
+            let want = abandon_full(&table, width, threshold);
+            prop_assert!(same(got, want), "{}: {:?} vs oracle {:?}", m.kind.name(), got, want);
+        }
+        let frechet_m = MeasureKind::DiscreteFrechet.measure();
+        let lcss_m = Measure { lcss_eps: eps, ..MeasureKind::Lcss.measure() };
+        for m in [frechet_m, lcss_m] {
+            let exact = PrunedDistance::Exact(m.distance(&a, &b));
+            let got = m.distance_pruned(&a, &b, factor * exact.value());
+            prop_assert!(same(got, exact), "{}: {:?} vs {:?}", m.kind.name(), got, exact);
+        }
     }
 }

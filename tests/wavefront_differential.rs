@@ -2,7 +2,7 @@
 //!
 //! The batched path ([`lh_repro::dist::matrix::wavefront`]) claims
 //! **bit identity** with the scalar kernels for every bucketed measure
-//! (the lockstep measures: DTW, ERP, EDR and discrete Fréchet). This
+//! (the lockstep measures: DTW, ERP, EDR, discrete Fréchet and LCSS). This
 //! suite enforces that claim two ways:
 //!
 //! 1. the *hard* check — `to_bits()` equality between batched and scalar
@@ -21,7 +21,7 @@
 //! order-independent inside the kernels).
 
 use lh_repro::dist::matrix::wavefront::eval_batch;
-use lh_repro::dist::{MatrixBuilder, MeasureKind, Schedule};
+use lh_repro::dist::{MatrixBuilder, Measure, MeasureKind, Schedule};
 use lh_repro::traj::Trajectory;
 use proptest::prelude::*;
 
@@ -34,12 +34,16 @@ fn within_contract(scalar: f64, batched: f64) -> bool {
     (batched - scalar).abs() <= REL_TOL * scalar.abs().max(1.0)
 }
 
-fn bucketed_measures() -> [lh_repro::dist::Measure; 4] {
+fn bucketed_measures() -> [Measure; 5] {
     [
         MeasureKind::Dtw.measure(),
         MeasureKind::Erp.measure(),
         MeasureKind::Edr.measure().with_edr_eps(0.5),
         MeasureKind::DiscreteFrechet.measure(),
+        Measure {
+            lcss_eps: 0.5,
+            ..MeasureKind::Lcss.measure()
+        },
     ]
 }
 
@@ -281,5 +285,51 @@ fn wavefront_schedule_is_bit_identical_end_to_end() {
             .zip(other.matrix.data())
             .all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(same, "{} diverged from serial", m.kind.name());
+    }
+}
+
+/// A NaN tolerance matches no pair of points, in every tier: EDR counts
+/// every alignment as a miss and LCSS finds no common point, whether a
+/// pair runs scalar, in a lockstep group, or through either schedule of
+/// a matrix build (cache fingerprints exclude the schedule, so those two
+/// must agree).
+#[test]
+fn nan_tolerance_matches_nothing_in_every_tier() {
+    let trajs: Vec<Trajectory> = (0..12)
+        .map(|i| {
+            let pts: Vec<(f64, f64)> = (0..3 + i % 4).map(|k| (k as f64 * 0.1, 0.0)).collect();
+            Trajectory::from_xy(&pts).unwrap()
+        })
+        .collect();
+    let pairs: Vec<(&Trajectory, &Trajectory)> = trajs.windows(2).map(|w| (&w[0], &w[1])).collect();
+    let edr = MeasureKind::Edr.measure().with_edr_eps(f64::NAN);
+    let lcss = Measure {
+        lcss_eps: f64::NAN,
+        ..MeasureKind::Lcss.measure()
+    };
+    for &(a, b) in &pairs {
+        assert_eq!(edr.distance(a, b), a.len().max(b.len()) as f64);
+        assert_eq!(lcss.distance(a, b), 1.0);
+    }
+    for m in [edr, lcss] {
+        let batched = eval_batch(&m, &pairs);
+        for (k, &(a, b)) in pairs.iter().enumerate() {
+            assert_eq!(
+                batched[k].to_bits(),
+                m.distance(a, b).to_bits(),
+                "{} lane {k}",
+                m.kind.name()
+            );
+        }
+        let serial = MatrixBuilder::new(m)
+            .schedule(Schedule::Serial)
+            .build_pairwise(&trajs);
+        let default = MatrixBuilder::new(m).build_pairwise(&trajs);
+        assert_eq!(
+            serial.matrix.data(),
+            default.matrix.data(),
+            "{} schedules disagree",
+            m.kind.name()
+        );
     }
 }
