@@ -116,6 +116,20 @@
 //! least the final k-th best certifies only rows the flat scan would not
 //! have returned, ties included.
 //!
+//! # Stopping the cell visit early
+//!
+//! The loop visits cells lazily, in ascending order of a per-cell key,
+//! and a bound may end the visit before the last cell (`exits`). For
+//! `Triangle` the key is `max(0, p(q,c) − r)`, exactly the left side of
+//! its cell test, and the test's right side `τ + slack(dim, p, r, τ)`
+//! grows with `p + r`. So once a popped key exceeds `τ` plus the slack at
+//! the largest `p + r` of any cell, that cell and every cell still
+//! queued — all of a key at least as large — would fail their own tests:
+//! the loop counts them pruned and stops, exactly as walking them would
+//! have. A NaN or `∞` in `τ` or in any `p + r` makes the exit test
+//! compare false. `MixBound` ranks by fused centroid distance, which is
+//! not its cell test's left side, and never stops early.
+//!
 //! # Exactness under floating point (single-space tests)
 //!
 //! Kernel distances are f32 with bounded rounding error, so every prune
@@ -249,16 +263,33 @@ pub(crate) trait PruneBound {
     /// `d(q,x) ≥ |p(q,c) − p(c,x)|`.
     fn skips_member(thresh: Self::Dist, pq: Self::Dist, cell: &IndexCell, i: usize) -> bool;
 
-    /// One O(num_cells · d) centroid scan for query `qi`: per cell, the
-    /// query's bound-space centroid distance and the key cells are
-    /// visited by, ascending.
+    /// One O(num_cells · d) centroid scan for query `qi`.
     fn rank_cells(
         &self,
         centroids: &EmbeddingStore,
         cells: &[IndexCell],
         queries: &EmbeddingStore,
         qi: usize,
-    ) -> (Vec<Self::Dist>, Vec<(f64, u32)>);
+    ) -> CellRanking<Self::Dist>;
+
+    /// Whether the cell visit may stop at a cell of visit key `key`
+    /// under `tau` (module docs, "Stopping the cell visit early"): true
+    /// only when that cell and every cell of a larger key is one
+    /// `skips_cell` would skip. `reach` is [`CellRanking::reach`].
+    fn exits(&self, tau: Self::Dist, reach: f64, key: f64) -> bool;
+}
+
+/// What one centroid scan yields for one query.
+pub(crate) struct CellRanking<D> {
+    /// Per cell, the query's bound-space centroid distance `p(q,c)`.
+    pub(crate) pq: Vec<D>,
+    /// Per cell, the key cells are visited by: ascending `total_cmp`
+    /// order, ties by cell id.
+    pub(crate) keys: Vec<f64>,
+    /// `max_j(p(q,c_j) + r_j)` over the cells, NaN as soon as one term
+    /// is — what [`PruneBound::exits`] needs to bound every cell's slack
+    /// at once. Unused by a bound that never exits.
+    pub(crate) reach: f64,
 }
 
 /// The single triangle-inequality test of a metric space
@@ -301,17 +332,34 @@ impl PruneBound for Triangle {
         cells: &[IndexCell],
         queries: &EmbeddingStore,
         qi: usize,
-    ) -> (Vec<f64>, Vec<(f64, u32)>) {
+    ) -> CellRanking<f64> {
         let dqc = centroids.distance_row_from(queries, qi);
         let pq: Vec<f64> = dqc.iter().map(|&d| self.space.map(d)).collect();
-        let order = cells
+        let keys = cells
             .iter()
             .zip(&pq)
-            .enumerate()
-            .map(|(j, (cell, &p))| ((p - cell.radius).max(0.0), j as u32))
+            .map(|(cell, &p)| (p - cell.radius).max(0.0))
             .collect();
-        (pq, order)
+        let reach = reach(&pq, cells);
+        CellRanking { pq, keys, reach }
     }
+
+    /// `key > τ + slack(dim, reach, 0, τ)`. The key is the cell test's
+    /// own left side, and the right side is at least every cell's
+    /// threshold `τ + slack(dim, p_j, r_j, τ)`: `slack` rounds
+    /// monotonically in `a + b`, and `reach ≥ fl(p_j + r_j)`.
+    #[inline]
+    fn exits(&self, tau: f64, reach: f64, key: f64) -> bool {
+        key > tau + self.space.slack(self.dim, reach, 0.0, tau)
+    }
+}
+
+/// [`CellRanking::reach`] of a metric space: `max_j(pq_j + r_j)`, a max
+/// that keeps a NaN once it has seen one.
+fn reach(pq: &[f64], cells: &[IndexCell]) -> f64 {
+    (cells.iter().zip(pq))
+        .map(|(cell, &p)| p + cell.radius)
+        .fold(0.0, |m, x| if x > m || x.is_nan() { x } else { m })
 }
 
 /// The two single-space tests of a [`BoundSpace::ConvexMix`] probe: a
@@ -385,14 +433,27 @@ impl PruneBound for MixBound {
         cells: &[IndexCell],
         queries: &EmbeddingStore,
         qi: usize,
-    ) -> (Vec<(f64, f64)>, Vec<(f64, u32)>) {
+    ) -> CellRanking<(f64, f64)> {
         let kern = FusedKernel::bind(centroids, queries, qi);
-        (0..cells.len())
+        let (pq, keys) = (0..cells.len())
             .map(|j| {
                 let (fused, lo, eu) = kern.distance_and_components(j);
-                ((eu as f64, self.theta(lo as f64)), (fused as f64, j as u32))
+                ((eu as f64, self.theta(lo as f64)), fused as f64)
             })
-            .unzip()
+            .unzip();
+        CellRanking {
+            pq,
+            keys,
+            reach: f64::NAN,
+        }
+    }
+
+    /// Never: the visit key is the fused centroid distance, not the cell
+    /// test's left side, so a large key says nothing about the cells
+    /// after it.
+    #[inline]
+    fn exits(&self, _tau: (f64, f64), _reach: f64, _key: f64) -> bool {
+        false
     }
 }
 
@@ -697,6 +758,97 @@ mod tests {
         let small = s.slack(16, 1.0, 1.0, 1.0);
         let large = s.slack(16, 1e3, 1e3, 1e3);
         assert!(small > 0.0 && large > 500.0 * small);
+    }
+
+    /// `Triangle`'s early exit is admissible: wherever it fires at a key
+    /// `κ`, every cell of key `≥ κ` (in visit order) is one its own
+    /// `skips_cell` skips — in both metric spaces, on seeded cells whose
+    /// keys tie, sit at `±0` and straddle the threshold. A NaN or `∞` in
+    /// a centroid distance, a radius, the reach or `τ` never fires it, and
+    /// `MixBound` never does.
+    #[test]
+    fn triangle_exit_is_admissible_and_fails_open() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut fired = 0;
+        for space in [
+            BoundSpace::Euclidean,
+            BoundSpace::LorentzGeodesic { beta: 1.0 },
+        ] {
+            let tri = Triangle { space, dim: 8 };
+            for _ in 0..300 {
+                let scale = 10f64.powi(rng.gen_range(-3..4));
+                let n = rng.gen_range(1..24usize);
+                let pq: Vec<f64> = (0..n)
+                    .map(|_| match rng.gen_range(0..8) {
+                        0 => 0.0,
+                        1 => -0.0,
+                        _ => (rng.gen_range(0..64) as f64 / 16.0) * scale,
+                    })
+                    .collect();
+                let cells: Vec<IndexCell> = (0..n)
+                    .map(|_| {
+                        let r = (rng.gen_range(0..32) as f64 / 16.0) * scale;
+                        IndexCell::new(vec![0], vec![r])
+                    })
+                    .collect();
+                let keys: Vec<f64> = (cells.iter().zip(&pq))
+                    .map(|(c, &p)| (p - c.radius).max(0.0))
+                    .collect();
+                let max_reach = reach(&pq, &cells);
+                // τ away from, at, and a hair below each key.
+                let mut taus: Vec<f64> = keys
+                    .iter()
+                    .flat_map(|&key| [key, key * (1.0 - 1e-6), key * 0.5])
+                    .collect();
+                taus.extend([0.0, scale]);
+                for &tau in &taus {
+                    for &kappa in &keys {
+                        if !tri.exits(tau, max_reach, kappa) {
+                            continue;
+                        }
+                        fired += 1;
+                        for (j, cell) in cells.iter().enumerate() {
+                            if keys[j].total_cmp(&kappa).is_ge() {
+                                let t = tri.thresholds(tau, pq[j], cell);
+                                assert!(
+                                    Triangle::skips_cell(t, pq[j], cell),
+                                    "{space:?} τ={tau} κ={kappa}: cell {j} (p={}, r={}) probes",
+                                    pq[j],
+                                    cell.radius
+                                );
+                            }
+                        }
+                    }
+                }
+                // One non-finite input anywhere: the exit never fires.
+                for bad in [f64::NAN, f64::INFINITY] {
+                    let (mut bad_pq, mut bad_cells) = (pq.clone(), cells.clone());
+                    let at = rng.gen_range(0..n);
+                    if rng.gen_range(0..2) == 0 {
+                        bad_pq[at] = bad;
+                    } else {
+                        bad_cells[at] = IndexCell::new(vec![0], vec![bad]);
+                    }
+                    let bad_reach = reach(&bad_pq, &bad_cells);
+                    for &tau in &taus {
+                        for kappa in keys.iter().copied().chain([1e300, f64::INFINITY]) {
+                            assert!(!tri.exits(tau, bad_reach, kappa), "{bad} at {at}");
+                            assert!(!tri.exits(tau, bad, kappa), "reach {bad}");
+                            assert!(!tri.exits(bad, max_reach, kappa), "τ {bad}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fired > 1000, "the fixtures must reach the exit: {fired}");
+        let mix = MixBound::new(1.0, 8);
+        for tau in [0.0, 0.5, f64::INFINITY, f64::NAN] {
+            for key in [0.0, 1.0, 1e300, f64::INFINITY] {
+                assert!(!mix.exits(mix.tau(tau), 0.0, key));
+            }
+        }
     }
 
     /// The triangle predicates: a strict, slack-padded comparison that an

@@ -6,10 +6,14 @@
 //! centroid row (served through the same monomorphized
 //! [`DistanceKernel`](super::kernel) machinery as the flat scans), the
 //! bound-space centroid distance of every member, and the cell radius.
-//! A query scans the `√n`-ish centroids, orders the cells, and then one
-//! probe loop — `IndexedStore::scan`, monomorphized per kernel and per
-//! prune-predicate pair ([`bound`]) — offers the surviving members into
-//! the caller's heap:
+//! A query scans the `√n`-ish centroids and queues the cells in a
+//! min-heap by visit key. One probe loop — `IndexedStore::scan`,
+//! monomorphized per kernel and per prune-predicate pair ([`bound`]) —
+//! then pops them in key order, stops as soon as the bound certifies
+//! every queued cell out (so the few cells a query probes are never paid
+//! for by sorting all of them), and offers the surviving members into
+//! the caller's heap, prefetching each member's scattered row a few
+//! members before the kernel reads it:
 //!
 //! * **metric spaces** (Euclidean, Lorentz — see [`bound::BoundSpace`])
 //!   skip every cell whose triangle lower bound `max(0, d(q,c) − r_cell)`
@@ -49,12 +53,14 @@ pub mod bound;
 pub mod build;
 mod codec;
 
-use super::kernel::{self, DistanceKernel};
+use super::kernel::{self, Prefetch};
 use super::store::{results_from_topk, EmbeddingStore, RetrievalResult};
 use crate::config::PluginVariant;
 use bound::{BoundSpace, MixBound, PruneBound, Triangle};
 use build::IndexParams;
 use serde::Serialize;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use traj_core::parallel::{default_threads, parallel_map};
 use traj_core::topk::TopK;
 
@@ -356,13 +362,21 @@ impl IndexedStore {
     }
 
     /// The one probe loop, monomorphized per (kernel, predicate pair).
-    /// Visits cells in ascending order of the bound's rank key and skips
-    /// cells / members whose slack-padded bound already exceeds the
-    /// current k-th best `τ`, re-mapping `τ` into bound space lazily —
-    /// only when the heap's worst survivor changes. Tombstoned rows are
-    /// counted in neither the scanned nor the pruned tallies.
+    /// Visits cells in ascending order of the bound's rank key (`total_cmp`,
+    /// ties by cell id), popped one at a time from a min-heap built in
+    /// O(cells) — so a query that probes five cells of hundreds never
+    /// sorts the rest — and skips cells / members whose slack-padded bound
+    /// already exceeds the current k-th best `τ`, re-mapping `τ` into
+    /// bound space lazily — only when the heap's worst survivor changes.
+    /// Once the bound says every cell still queued would be skipped
+    /// ([`PruneBound::exits`]) they are counted pruned and the visit
+    /// ends. Inside a probed cell each member's row is prefetched
+    /// [`PREFETCH_AHEAD`] members before it is evaluated: the members are
+    /// scattered over the store, and the hint hides the cache misses
+    /// behind the kernel work. Tombstoned rows are counted in neither the
+    /// scanned nor the pruned tallies.
     #[allow(clippy::too_many_arguments)] // internal, monomorphized per kernel and bound
-    fn probe<K: DistanceKernel, P: PruneBound>(
+    fn probe<K: Prefetch, P: PruneBound>(
         &self,
         kern: &K,
         bound: &P,
@@ -374,19 +388,22 @@ impl IndexedStore {
         stats: &mut ProbeStats,
     ) {
         stats.rows += self.store.len();
-        let (pq, mut order) = bound.rank_cells(&self.centroids, &self.cells, queries, qi);
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let ranking = bound.rank_cells(&self.centroids, &self.cells, queries, qi);
+        // Empty cells are neither probed nor pruned: they never queue.
+        let mut queue: BinaryHeap<Reverse<(u64, u32)>> = (ranking.keys.iter().zip(&self.cells))
+            .enumerate()
+            .filter(|(_, (_, cell))| !cell.members.is_empty())
+            .map(|(j, (&key, _))| Reverse((total_order_bits(key), j as u32)))
+            .collect();
 
         let k = top.k();
         // τ in raw space (bit-tracked so NaN updates are seen) and its
         // bound-space image; ∞ while the heap is not yet full.
         let mut tau_bits = f64::INFINITY.to_bits();
         let mut tau = bound.tau(f64::INFINITY);
-        for &(_, j) in &order {
-            let cell = &self.cells[j as usize];
-            if cell.members.is_empty() {
-                continue;
-            }
+        while let Some(Reverse((_, j))) = queue.pop() {
+            let j = j as usize;
+            let cell = &self.cells[j];
             if top.len() == k {
                 let worst = top.worst().expect("full heap").1;
                 if worst.to_bits() != tau_bits {
@@ -394,14 +411,26 @@ impl IndexedStore {
                     tau = bound.tau(worst);
                 }
             }
-            let pqj = pq[j as usize];
+            if bound.exits(tau, ranking.reach, ranking.keys[j]) {
+                stats.cells_pruned += 1 + queue.len();
+                return;
+            }
+            let pqj = ranking.pq[j];
             let mut thresh = bound.thresholds(tau, pqj, cell);
             if P::skips_cell(thresh, pqj, cell) {
                 stats.cells_pruned += 1;
                 continue;
             }
             stats.cells_probed += 1;
+            // The first members are hinted here, every later one
+            // `PREFETCH_AHEAD` members before its turn.
+            for &m in cell.members.iter().take(PREFETCH_AHEAD) {
+                kern.prefetch(m as usize);
+            }
             for (i, &m) in cell.members.iter().enumerate() {
+                if let Some(&ahead) = cell.members.get(i + PREFETCH_AHEAD) {
+                    kern.prefetch(ahead as usize);
+                }
                 let m = m as usize;
                 if dead.is_some_and(|d| d[m]) {
                     continue;
@@ -425,8 +454,26 @@ impl IndexedStore {
     }
 }
 
+/// How many members ahead of the one being evaluated the probe loop
+/// prefetches: far enough that a row arrives from memory while the
+/// kernel works through the members before it.
+const PREFETCH_AHEAD: usize = 12;
+
+/// `x`'s bits remapped so that unsigned order is `f64::total_cmp` order:
+/// a negative value has every bit flipped, a positive one its sign bit.
+#[inline]
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::super::kernel::DistanceKernel;
     use super::super::store::tests::store_with_rows;
     use super::*;
 
@@ -622,6 +669,241 @@ mod tests {
             "far cluster must be pruned: {stats:?}"
         );
         assert_eq!(stats.cells_probed + stats.cells_pruned, stats.cells);
+    }
+
+    /// The probe loop as it was before the lazy visit order: rank every
+    /// cell, sort all of them by `(key, id)`, walk every one. It also
+    /// checks the early exit on live data: from the first cell where
+    /// `exits` holds, every cell walked must be one `skips_cell` skips.
+    /// Returns how many cells it walked past that point.
+    #[allow(clippy::too_many_arguments)]
+    fn sorted_probe<K: DistanceKernel, P: PruneBound>(
+        ix: &IndexedStore,
+        kern: &K,
+        bound: &P,
+        queries: &EmbeddingStore,
+        qi: usize,
+        dead: Option<&[bool]>,
+        key_offset: usize,
+        top: &mut TopK,
+        stats: &mut ProbeStats,
+    ) -> usize {
+        stats.rows += ix.store.len();
+        let ranking = bound.rank_cells(&ix.centroids, &ix.cells, queries, qi);
+        let mut order: Vec<(f64, u32)> = (ranking.keys.iter().enumerate())
+            .map(|(j, &key)| (key, j as u32))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+
+        let k = top.k();
+        let mut tau_bits = f64::INFINITY.to_bits();
+        let mut tau = bound.tau(f64::INFINITY);
+        let (mut exited, mut past_exit) = (false, 0);
+        for &(key, j) in &order {
+            let cell = &ix.cells[j as usize];
+            if cell.members.is_empty() {
+                continue;
+            }
+            if top.len() == k {
+                let worst = top.worst().expect("full heap").1;
+                if worst.to_bits() != tau_bits {
+                    tau_bits = worst.to_bits();
+                    tau = bound.tau(worst);
+                }
+            }
+            let pqj = ranking.pq[j as usize];
+            let mut thresh = bound.thresholds(tau, pqj, cell);
+            let skipped = P::skips_cell(thresh, pqj, cell);
+            exited |= bound.exits(tau, ranking.reach, key);
+            assert!(
+                !exited || skipped,
+                "exit fired before cell {j}, which probes"
+            );
+            past_exit += usize::from(exited);
+            if skipped {
+                stats.cells_pruned += 1;
+                continue;
+            }
+            stats.cells_probed += 1;
+            for (i, &m) in cell.members.iter().enumerate() {
+                let m = m as usize;
+                if dead.is_some_and(|d| d[m]) {
+                    continue;
+                }
+                if P::skips_member(thresh, pqj, cell, i) {
+                    stats.rows_pruned += 1;
+                    continue;
+                }
+                top.offer(key_offset + m, kern.distance_to(m) as f64);
+                stats.rows_scanned += 1;
+                if top.len() == k {
+                    let worst = top.worst().expect("full heap").1;
+                    if worst.to_bits() != tau_bits {
+                        tau_bits = worst.to_bits();
+                        tau = bound.tau(worst);
+                        thresh = bound.thresholds(tau, pqj, cell);
+                    }
+                }
+            }
+        }
+        past_exit
+    }
+
+    /// [`IndexedStore::scan`]'s dispatch around [`sorted_probe`].
+    fn sorted_scan(
+        ix: &IndexedStore,
+        queries: &EmbeddingStore,
+        qi: usize,
+        dead: Option<&[bool]>,
+        key_offset: usize,
+        top: &mut TopK,
+        stats: &mut ProbeStats,
+    ) -> usize {
+        stats.cells += ix.cells.len();
+        let (space, dim, db) = (ix.space, ix.store.dim(), &ix.store);
+        if !ix.cells.is_empty() && top.k() > 0 {
+            let tri = Triangle { space, dim };
+            match space {
+                BoundSpace::Euclidean => {
+                    let kern = kernel::EuclideanKernel::bind(db, queries, qi);
+                    return sorted_probe(
+                        ix, &kern, &tri, queries, qi, dead, key_offset, top, stats,
+                    );
+                }
+                BoundSpace::LorentzGeodesic { .. } => {
+                    let kern = kernel::LorentzKernel::bind(db, queries, qi);
+                    return sorted_probe(
+                        ix, &kern, &tri, queries, qi, dead, key_offset, top, stats,
+                    );
+                }
+                BoundSpace::ConvexMix { beta } if bound::mix_certifies_query(queries, qi) => {
+                    let (kern, mix) = (
+                        kernel::FusedKernel::bind(db, queries, qi),
+                        MixBound::new(beta, dim),
+                    );
+                    return sorted_probe(
+                        ix, &kern, &mix, queries, qi, dead, key_offset, top, stats,
+                    );
+                }
+                _ => {}
+            }
+        }
+        kernel::scan_offer_masked(db, queries, qi, dead, key_offset, top, stats);
+        0
+    }
+
+    /// `n` seeded rows in six tight clusters, so cells prune and the visit
+    /// stops early. With `poison`, about one row in twelve carries a NaN
+    /// or `±∞` coordinate in both its Euclidean and its hyperbolic row —
+    /// its cell's radius is then not finite, which keeps the visit from
+    /// stopping early anywhere. Fused factors are certified.
+    fn clustered_store(
+        variant: PluginVariant,
+        n: usize,
+        poison: bool,
+        seed: u64,
+    ) -> EmbeddingStore {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let (dim, mut rng) = (4, StdRng::seed_from_u64(seed));
+        let fd = variant.uses_fusion().then_some(2);
+        let mut s = EmbeddingStore::new(dim, variant, 1.0, fd);
+        let centers: Vec<Vec<f32>> = (0..6)
+            .map(|_| (0..dim).map(|_| rng.gen_range(-3.0f32..3.0)).collect())
+            .collect();
+        for _ in 0..n {
+            let c = &centers[rng.gen_range(0..centers.len())];
+            let mut eu: Vec<f32> = c.iter().map(|&x| x + rng.gen_range(-0.1f32..0.1)).collect();
+            let nsq: f32 = eu.iter().map(|v| v * v).sum();
+            let mut hy = vec![(nsq + 1.0).sqrt()];
+            hy.extend_from_slice(&eu);
+            if poison && rng.gen_range(0..12) == 0 {
+                let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.gen_range(0..3usize)];
+                let at = rng.gen_range(0..dim);
+                (eu[at], hy[1 + at]) = (bad, bad);
+            }
+            let fa: Vec<f32> = (0..4).map(|_| rng.gen_range(0.01f32..1.0)).collect();
+            s.push(
+                &eu,
+                variant.uses_hyperbolic().then_some(&hy[..]),
+                fd.map(|_| &fa[..]),
+            );
+        }
+        s
+    }
+
+    /// The lazy visit order and the early exit change nothing observable:
+    /// on seeded stores in every pruning space, with poisoned rows, every
+    /// `k` regime, tombstones and a heap an earlier segment filled, the
+    /// probe returns the sort-then-walk loop's hit bits and `ProbeStats`.
+    #[test]
+    fn probe_matches_the_sort_then_walk_oracle() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for variant in [
+            PluginVariant::Original,
+            PluginVariant::LorentzCosh,
+            PluginVariant::FusionDist,
+        ] {
+            let mut past_exit = 0;
+            for seed in 0..6 {
+                let poison = seed % 2 == 1;
+                let db = clustered_store(variant, 300, poison, seed);
+                let ix = IndexedStore::build(db, params(17));
+                assert!(ix.bound_space().prunes() && ix.num_cells() > 0);
+                let earlier = clustered_store(variant, 40, poison, seed + 100);
+                let queries = clustered_store(variant, 12, poison, seed + 200);
+                let mut rng = StdRng::seed_from_u64(seed + 300);
+                let mask: Vec<bool> = (0..ix.len()).map(|_| rng.gen_range(0..5) == 0).collect();
+                for dead in [None, Some(&mask[..])] {
+                    for k in [0, 1, 10, ix.len() + 7] {
+                        for prefill in [false, true] {
+                            for qi in 0..queries.len() {
+                                let run = |oracle: bool| {
+                                    let (mut top, mut stats) =
+                                        (TopK::new(k), ProbeStats::default());
+                                    let offset = if prefill {
+                                        kernel::scan_offer_masked(
+                                            &earlier, &queries, qi, None, 0, &mut top, &mut stats,
+                                        );
+                                        earlier.len()
+                                    } else {
+                                        0
+                                    };
+                                    let past = if oracle {
+                                        sorted_scan(
+                                            &ix, &queries, qi, dead, offset, &mut top, &mut stats,
+                                        )
+                                    } else {
+                                        ix.scan(&queries, qi, dead, offset, &mut top, &mut stats);
+                                        0
+                                    };
+                                    (bits(&results_from_topk(top)), stats, past)
+                                };
+                                let (want, want_stats, past) = run(true);
+                                let (got, got_stats, _) = run(false);
+                                let ctx = format!(
+                                    "{} seed={seed} poison={poison} dead={} k={k} prefill={prefill} qi={qi}",
+                                    variant.name(),
+                                    dead.is_some()
+                                );
+                                assert_eq!(got, want, "{ctx}");
+                                assert_eq!(got_stats, want_stats, "{ctx}");
+                                past_exit += past;
+                            }
+                        }
+                    }
+                }
+            }
+            // The metric fixtures do reach the early exit; the mix bound
+            // never takes it.
+            assert_eq!(
+                past_exit > 0,
+                variant != PluginVariant::FusionDist,
+                "{}",
+                variant.name()
+            );
+        }
     }
 
     #[test]

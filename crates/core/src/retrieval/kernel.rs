@@ -38,6 +38,35 @@ pub trait DistanceKernel {
     fn distance_to(&self, di: usize) -> f32;
 }
 
+/// The crate-internal half of a [`DistanceKernel`]: a cache hint, kept
+/// off the public trait because it is a tuning detail of the index's
+/// probe loop, which visits scattered rows and hints each one a few
+/// members ahead.
+pub(crate) trait Prefetch: DistanceKernel {
+    /// Hints that `distance_to(di)` comes soon: asks the cache for every
+    /// line of row `di` that the kernel reads. Changes no result.
+    fn prefetch(&self, di: usize);
+}
+
+/// `f32`s per 64-byte cache line.
+const LINE: usize = 64 / std::mem::size_of::<f32>();
+
+/// Asks the cache for every line `row` spans: one hint per line-sized
+/// step from its first element, and one at its last element, so a row
+/// that straddles a line boundary is covered too. A no-op off x86_64.
+#[inline(always)]
+fn prefetch_row(row: &[f32]) {
+    #[cfg(target_arch = "x86_64")]
+    for x in row.iter().step_by(LINE).chain(row.last()) {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        // SAFETY: a prefetch is a hint that never faults, and `x` is an
+        // in-bounds element of `row`.
+        unsafe { _mm_prefetch::<_MM_HINT_T0>((x as *const f32).cast::<i8>()) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = row;
+}
+
 /// Euclidean distance over the base embeddings (`original` variant).
 pub struct EuclideanKernel<'a> {
     db: &'a [f32],
@@ -67,6 +96,13 @@ impl DistanceKernel for EuclideanKernel<'_> {
     #[inline]
     fn distance_to(&self, di: usize) -> f32 {
         euclidean_f32(self.q, &self.db[di * self.dim..(di + 1) * self.dim])
+    }
+}
+
+impl Prefetch for EuclideanKernel<'_> {
+    #[inline]
+    fn prefetch(&self, di: usize) {
+        prefetch_row(&self.db[di * self.dim..(di + 1) * self.dim]);
     }
 }
 
@@ -103,6 +139,13 @@ impl DistanceKernel for LorentzKernel<'_> {
             &self.db[di * self.width..(di + 1) * self.width],
             self.beta,
         )
+    }
+}
+
+impl Prefetch for LorentzKernel<'_> {
+    #[inline]
+    fn prefetch(&self, di: usize) {
+        prefetch_row(&self.db[di * self.width..(di + 1) * self.width]);
     }
 }
 
@@ -143,6 +186,16 @@ impl DistanceKernel for FusedKernel<'_> {
     #[inline]
     fn distance_to(&self, di: usize) -> f32 {
         self.distance_and_components(di).0
+    }
+}
+
+impl Prefetch for FusedKernel<'_> {
+    #[inline]
+    fn prefetch(&self, di: usize) {
+        let w = 2 * self.factor_dim;
+        self.eu.prefetch(di);
+        self.lo.prefetch(di);
+        prefetch_row(&self.db_factors[di * w..(di + 1) * w]);
     }
 }
 

@@ -193,9 +193,10 @@ impl EmbeddingStore {
     ///
     /// One-off surface: binds a kernel per call. Scans should use
     /// [`EmbeddingStore::knn`] or [`EmbeddingStore::knn_batch`], which
-    /// bind once per query.
+    /// bind once per query. Panics if `queries` does not share this
+    /// store's layout.
     pub fn distance_from(&self, queries: &EmbeddingStore, qi: usize, di: usize) -> f32 {
-        debug_assert_eq!(self.variant, queries.variant);
+        self.assert_query_layout(queries);
         kernel::distance_one(self, queries, qi, di)
     }
 

@@ -185,3 +185,15 @@ fn knn_rejects_a_query_store_of_another_width() {
     q.push(&[0.0, 0.0], None, None);
     let _ = db.knn(&q, 0, 1);
 }
+
+/// The one-off distance surface checks the layout too: in `--release` the
+/// same `dim`-2 query against row `[0, 0, 9]` used to read `0.0`.
+#[test]
+#[should_panic(expected = "query store layout mismatch")]
+fn distance_from_rejects_a_query_store_of_another_width() {
+    let mut db = EmbeddingStore::new(3, PluginVariant::Original, 1.0, None);
+    db.push(&[0.0, 0.0, 9.0], None, None);
+    let mut q = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+    q.push(&[0.0, 0.0], None, None);
+    let _ = db.distance_from(&q, 0, 0);
+}
