@@ -70,6 +70,12 @@ pub fn lorentz_f32(a_h: &[f32], b_h: &[f32], beta: f32) -> f32 {
 pub fn alpha_f32(v_lo_a: &[f32], v_lo_b: &[f32], v_eu_a: &[f32], v_eu_b: &[f32]) -> f32 {
     let lo: f32 = v_lo_a.iter().zip(v_lo_b).map(|(x, y)| x * y).sum();
     let eu: f32 = v_eu_a.iter().zip(v_eu_b).map(|(x, y)| x * y).sum();
+    alpha_from_dots(lo, eu)
+}
+
+/// [`alpha_f32`] from its two factor dot products.
+#[inline]
+pub(crate) fn alpha_from_dots(lo: f32, eu: f32) -> f32 {
     lo / (lo + eu).max(f32::MIN_POSITIVE)
 }
 

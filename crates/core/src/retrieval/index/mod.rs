@@ -797,7 +797,7 @@ mod tests {
     /// or `±∞` coordinate in both its Euclidean and its hyperbolic row —
     /// its cell's radius is then not finite, which keeps the visit from
     /// stopping early anywhere. Fused factors are certified.
-    fn clustered_store(
+    pub(super) fn clustered_store(
         variant: PluginVariant,
         n: usize,
         poison: bool,
@@ -903,6 +903,44 @@ mod tests {
                 "{}",
                 variant.name()
             );
+        }
+    }
+
+    /// One row with a NaN or `±∞` coordinate must not collapse the
+    /// partition: it is kept out of the k-means training, so the index of
+    /// a 2 000-row store keeps about as many non-empty cells and scans
+    /// about as few rows per query as without it — and stays exact.
+    #[test]
+    fn a_non_finite_row_keeps_the_partition() {
+        for variant in PluginVariant::ABLATION {
+            let clean = clustered_store(variant, 2000, false, 7);
+            let queries = clustered_store(variant, 32, false, 8);
+            let profile = |db: &EmbeddingStore| {
+                let ix = IndexedStore::with_default_params(db.clone());
+                let (hits, stats) = ix.knn_batch_with_stats(&queries, 10);
+                for (qi, hits) in hits.iter().enumerate() {
+                    assert_eq!(bits(hits), bits(&db.knn(&queries, qi, 10)));
+                }
+                let non_empty = ix.cells.iter().filter(|c| !c.members.is_empty());
+                let scanned = stats.rows_scanned as f64 / stats.queries as f64;
+                (non_empty.count(), scanned)
+            };
+            let (cells, scanned) = profile(&clean);
+            assert!(cells > 1, "{}", variant.name());
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                let mut db = clean.clone();
+                db.eu[1234 * db.dim] = bad;
+                if variant.uses_hyperbolic() {
+                    db.hyper[1234 * (db.dim + 1)] = bad;
+                }
+                let (bad_cells, bad_scanned) = profile(&db);
+                assert!(
+                    2 * bad_cells >= cells && bad_scanned <= 2.0 * scanned,
+                    "{} {bad}: {bad_cells} non-empty cells, {bad_scanned} rows \
+                     scanned per query; clean: {cells}, {scanned}",
+                    variant.name()
+                );
+            }
         }
     }
 

@@ -17,7 +17,7 @@
 use super::index::ProbeStats;
 use super::store::EmbeddingStore;
 use crate::config::PluginVariant;
-use crate::distance::{alpha_f32, euclidean_f32, fused_f32, lorentz_f32};
+use crate::distance::{alpha_f32, alpha_from_dots, euclidean_f32, fused_f32, lorentz_f32};
 use traj_core::topk::TopK;
 
 /// A distance function bound to one query row and one database store.
@@ -314,6 +314,164 @@ pub(crate) fn distance_one(
     }
 }
 
+/// Rows per group of a [`LaneBlock`]: one distance per lane, eight at a
+/// time. Fixed-width `[f32; LANES]` loops that the compiler turns into
+/// vector instructions on any target, with no intrinsics.
+pub(crate) const LANES: usize = 8;
+
+/// One `f32` per lane of a [`LaneBlock`] group.
+pub(crate) type Lanes = [f32; LANES];
+
+/// Rows of one store copied column-major, [`LANES`] rows to a group, so
+/// that one row's distances to a whole group come out of a single pass
+/// over the group's columns — the shape of the index build's scans, which
+/// take each row against many (every centroid, or every sample row).
+/// Only the buffers the variant's kernel reads are copied. Lanes past the
+/// last row repeat it, so each holds the last row's distance bits under
+/// a higher index: a selection that breaks ties toward the lower index
+/// never picks one, and a scan needs no mask.
+///
+/// Every lane runs its scalar kernel's arithmetic in the same order —
+/// [`euclidean_f32`], [`lorentz_f32`], [`alpha_f32`] (from the start
+/// value of its `.sum()`) and [`fused_f32`] — so each distance is the
+/// bits of [`DistanceKernel::distance_to`] with the scanned row as the
+/// query and the block's row as the database row, up to the sign and
+/// payload of a NaN (which Rust leaves unspecified in either loop).
+pub(crate) struct LaneBlock {
+    variant: PluginVariant,
+    beta: f32,
+    len: usize,
+    /// Row widths of the copied `eu`, `hyper` and `factors` buffers; 0
+    /// for a buffer the variant's kernel does not read.
+    widths: [usize; 3],
+    /// Column `c` of group `g` is entry `g * width + c` of each buffer.
+    eu: Vec<Lanes>,
+    hyper: Vec<Lanes>,
+    factors: Vec<Lanes>,
+}
+
+impl LaneBlock {
+    /// Copies rows `row(0), …, row(len - 1)` of `store` into lane groups.
+    pub(crate) fn gather(store: &EmbeddingStore, len: usize, row: impl Fn(usize) -> usize) -> Self {
+        let (variant, dim) = (store.variant, store.dim);
+        let (eu_width, hyper_width) = match variant {
+            PluginVariant::Original => (dim, 0),
+            PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => (0, dim + 1),
+            PluginVariant::FusionDist => (dim, dim + 1),
+        };
+        let widths = [eu_width, hyper_width, 2 * store.factor_dim.unwrap_or(0)];
+        let groups = len.div_ceil(LANES);
+        let [mut eu, mut hyper, mut factors] = widths.map(|w| vec![[0.0f32; LANES]; groups * w]);
+        for i in 0..groups * LANES {
+            let (g, l, r) = (i / LANES, i % LANES, row(i.min(len - 1)));
+            for (cols, w, src) in [
+                (&mut eu, widths[0], &store.eu),
+                (&mut hyper, widths[1], &store.hyper),
+                (&mut factors, widths[2], &store.factors),
+            ] {
+                for (c, &v) in src[r * w..(r + 1) * w].iter().enumerate() {
+                    cols[g * w + c][l] = v;
+                }
+            }
+        }
+        LaneBlock {
+            variant,
+            beta: store.beta,
+            len,
+            widths,
+            eu,
+            hyper,
+            factors,
+        }
+    }
+
+    /// Calls `visit(g, d)` for every group `g` in ascending order, where
+    /// `d[l]` is the distance from row `qi` of `queries` to row
+    /// `g * LANES + l` of the block (to the last row, past it). `visit`
+    /// has this one call site, so it is inlined into the loop; the
+    /// variant `match` inside the loop is invariant and predicted.
+    /// `queries` must share the gathered store's layout.
+    pub(crate) fn scan(
+        &self,
+        queries: &EmbeddingStore,
+        qi: usize,
+        mut visit: impl FnMut(usize, &Lanes),
+    ) {
+        debug_assert_eq!(
+            (queries.variant, queries.beta.to_bits()),
+            (self.variant, self.beta.to_bits())
+        );
+        let [ew, hw, fw] = self.widths;
+        let q_eu = &queries.eu[qi * ew..(qi + 1) * ew];
+        let q_hyper = &queries.hyper[qi * hw..(qi + 1) * hw];
+        let q_factors = &queries.factors[qi * fw..(qi + 1) * fw];
+        for g in 0..self.len.div_ceil(LANES) {
+            let eu = &self.eu[g * ew..(g + 1) * ew];
+            let hyper = &self.hyper[g * hw..(g + 1) * hw];
+            let d = match self.variant {
+                PluginVariant::Original => euclidean_lanes(q_eu, eu),
+                PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
+                    lorentz_lanes(q_hyper, hyper, self.beta)
+                }
+                PluginVariant::FusionDist => {
+                    let (f, factors) = (fw / 2, &self.factors[g * fw..(g + 1) * fw]);
+                    let lo_dot = dot_lanes(&q_factors[..f], &factors[..f]);
+                    let eu_dot = dot_lanes(&q_factors[f..], &factors[f..]);
+                    let (lo, eu) = (
+                        lorentz_lanes(q_hyper, hyper, self.beta),
+                        euclidean_lanes(q_eu, eu),
+                    );
+                    let mut fused = [0.0f32; LANES];
+                    for l in 0..LANES {
+                        fused[l] = fused_f32(alpha_from_dots(lo_dot[l], eu_dot[l]), lo[l], eu[l]);
+                    }
+                    fused
+                }
+            };
+            visit(g, &d);
+        }
+    }
+}
+
+/// [`euclidean_f32`] from `q` to every lane of `cols`.
+#[inline(always)]
+fn euclidean_lanes(q: &[f32], cols: &[Lanes]) -> Lanes {
+    let mut s = [0.0f32; LANES];
+    for (&x, col) in q.iter().zip(cols) {
+        for l in 0..LANES {
+            let d = x - col[l];
+            s[l] += d * d;
+        }
+    }
+    s.map(f32::sqrt)
+}
+
+/// [`lorentz_f32`] from `q` to every lane of `cols`.
+#[inline(always)]
+fn lorentz_lanes(q: &[f32], cols: &[Lanes], beta: f32) -> Lanes {
+    let mut inner = cols[0].map(|y| -q[0] * y);
+    for (&x, col) in q[1..].iter().zip(&cols[1..]) {
+        for l in 0..LANES {
+            inner[l] += x * col[l];
+        }
+    }
+    inner.map(|v| v.abs() - beta)
+}
+
+/// One of [`alpha_f32`]'s dot products from `q` to every lane of `cols`,
+/// accumulated from the value an `f32` `.sum()` starts at.
+#[inline(always)]
+fn dot_lanes(q: &[f32], cols: &[Lanes]) -> Lanes {
+    let start: f32 = std::iter::empty::<f32>().sum();
+    let mut s = [start; LANES];
+    for (&x, col) in q.iter().zip(cols) {
+        for l in 0..LANES {
+            s[l] += x * col[l];
+        }
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::super::store::tests::store_with_rows;
@@ -347,6 +505,125 @@ mod tests {
                 let expect = fused_f32(alpha, lo.distance_to(di), eu.distance_to(di));
                 assert_eq!(fu.distance_to(di), expect);
             }
+        }
+    }
+
+    /// A distance's bits, every NaN as one value (`None`).
+    fn bits_or_nan(d: f32) -> Option<u32> {
+        (!d.is_nan()).then(|| d.to_bits())
+    }
+
+    /// A store of `n` rows of width `dim`. About one row in four draws a
+    /// third of its values, factors included, from the special ones — NaN,
+    /// `±∞` and `±0`; the rest are ordinary numbers.
+    fn special_store(
+        variant: PluginVariant,
+        n: usize,
+        dim: usize,
+        beta: f32,
+        rng: &mut rand::rngs::StdRng,
+    ) -> EmbeddingStore {
+        use rand::Rng;
+        const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.0, -0.0];
+        let fd = 1 + dim % 3;
+        let mut s = EmbeddingStore::new(dim, variant, beta, Some(fd));
+        for _ in 0..n {
+            let special = rng.gen_range(0..4) == 0;
+            let mut value = |_| {
+                if special && rng.gen_range(0..3) == 0 {
+                    SPECIAL[rng.gen_range(0..SPECIAL.len())]
+                } else {
+                    rng.gen_range(-3.0f32..3.0)
+                }
+            };
+            let eu: Vec<f32> = (0..dim).map(&mut value).collect();
+            let hyper: Vec<f32> = (0..=dim).map(&mut value).collect();
+            let factors: Vec<f32> = (0..2 * fd).map(&mut value).collect();
+            s.push(&eu, Some(&hyper), Some(&factors));
+        }
+        s
+    }
+
+    /// Every lane of a [`LaneBlock`] scan is the bits of
+    /// `DistanceKernel::distance_to` for the same (query, row) pair: all
+    /// three kernels, widths 1–20, row counts on and off a multiple of
+    /// [`LANES`], rows gathered in any order and more than once, special
+    /// values in every buffer, and `β ≠ 1`. A NaN only has to meet a NaN:
+    /// Rust leaves the sign and payload of a NaN result unspecified, and
+    /// when two NaNs meet in an add, which one survives depends on the
+    /// operand order the compiler picked for that loop — the scalar
+    /// kernel's own NaN bits differ between debug and release builds.
+    #[test]
+    fn lane_scan_matches_scalar_kernel_bits() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x1a7e);
+        for variant in PluginVariant::ABLATION {
+            for dim in 1..=20 {
+                for n in [1, 7, 8, 9, 20] {
+                    let beta = [1.0, 0.5, 2.5][dim % 3];
+                    let db = special_store(variant, n, dim, beta, &mut rng);
+                    let queries = special_store(variant, 3, dim, beta, &mut rng);
+                    let rows: Vec<usize> = (0..n + n / 2)
+                        .map(|i| {
+                            if i < n {
+                                n - 1 - i
+                            } else {
+                                rng.gen_range(0..n)
+                            }
+                        })
+                        .collect();
+                    let block = LaneBlock::gather(&db, rows.len(), |i| rows[i]);
+                    for qi in 0..queries.len() {
+                        let scalar: Vec<Option<u32>> = rows
+                            .iter()
+                            .map(|&r| match variant {
+                                PluginVariant::Original => {
+                                    EuclideanKernel::bind(&db, &queries, qi).distance_to(r)
+                                }
+                                PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
+                                    LorentzKernel::bind(&db, &queries, qi).distance_to(r)
+                                }
+                                PluginVariant::FusionDist => {
+                                    FusedKernel::bind(&db, &queries, qi).distance_to(r)
+                                }
+                            })
+                            .map(bits_or_nan)
+                            .collect();
+                        let mut lanes = Vec::new();
+                        let mut next = 0;
+                        block.scan(&queries, qi, |g, d| {
+                            assert_eq!(g, next, "groups visited in order");
+                            next += 1;
+                            lanes.extend(d.iter().copied().map(bits_or_nan));
+                        });
+                        assert_eq!(lanes.len(), rows.len().div_ceil(LANES) * LANES);
+                        assert_eq!(
+                            lanes[..rows.len()],
+                            scalar[..],
+                            "{} dim={dim} n={n} qi={qi}",
+                            variant.name()
+                        );
+                        // Padding lanes repeat the last row.
+                        let last = scalar[rows.len() - 1];
+                        assert!(lanes[rows.len()..].iter().all(|&d| d == last));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lane dot product is `alpha_f32`'s `.sum()` bit for bit, down to
+    /// the sign of a zero: the sum of `-0.0` products is `-0.0` only
+    /// from the start value `.sum()` uses.
+    #[test]
+    fn lane_dot_starts_where_sum_starts() {
+        for (x, y) in [(-0.0f32, 1.0f32), (0.0, -2.0), (0.0, 3.0), (1.5, -0.25)] {
+            let q = [x, x];
+            let cols = [[y; LANES]; 2];
+            let want: f32 = q.iter().map(|v| v * y).sum();
+            assert!(dot_lanes(&q, &cols)
+                .iter()
+                .all(|d| d.to_bits() == want.to_bits()));
         }
     }
 

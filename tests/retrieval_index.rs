@@ -415,3 +415,45 @@ fn indexed_knn_rejects_a_query_store_of_another_variant() {
     let ix = build(random_store(PluginVariant::LorentzCosh, 9, 3, 1), 2);
     let _ = ix.knn(&random_store(PluginVariant::Original, 1, 3, 2), 0, 1);
 }
+
+/// `(variant, rows, width, FNV-1a of IndexedStore::to_bytes())` for one
+/// seeded finite store per variant, built with the default `⌈√n⌉`
+/// cells. The last store is larger than the build's 16 384-row training
+/// sample, so its seeding and Lloyd run on the sampled path. Every
+/// centroid, member list, pivot distance and radius bit is in the hash:
+/// a build change that is meant to be exact must keep these values.
+#[rustfmt::skip]
+const INDEX_GOLDEN: &[(PluginVariant, usize, usize, u64)] = &[
+    (PluginVariant::Original, 2_500, 6, 0x0a1e_cf07_e7b5_936f),
+    (PluginVariant::LorentzVanilla, 2_500, 6, 0x13de_f9dd_002b_e564),
+    (PluginVariant::LorentzCosh, 2_500, 6, 0xab24_5210_3e37_ca58),
+    (PluginVariant::FusionDist, 2_500, 6, 0x419b_9bad_3e91_5c00),
+    (PluginVariant::LorentzCosh, 20_000, 8, 0x8fea_b378_20ef_bb2a),
+];
+
+/// [`random_store`] plus exact repeats of every seventh row, so ties
+/// between equal distances are in the golden bits too.
+fn golden_store(variant: PluginVariant, n: usize, dim: usize) -> EmbeddingStore {
+    let mut store = random_store(variant, n, dim, 0x901d ^ n as u64);
+    let src = store.clone();
+    for i in (0..n).step_by(7) {
+        store.push_row_from(&src, i);
+    }
+    store
+}
+
+#[test]
+fn index_bytes_match_the_golden_hashes() {
+    use lh_repro::traj::codec::Fnv64;
+    for &(variant, n, dim, want) in INDEX_GOLDEN {
+        let ix = IndexedStore::with_default_params(golden_store(variant, n, dim));
+        assert!(ix.num_cells() > 1, "{}", variant.name());
+        let got = Fnv64::hash(ix.to_bytes().as_slice());
+        assert_eq!(
+            got,
+            want,
+            "{} n={n}: index bytes moved ({got:#018x})",
+            variant.name()
+        );
+    }
+}
