@@ -33,6 +33,13 @@ impl EmbeddingStore {
         Bytes::from(w.finish())
     }
 
+    /// Bytes [`EmbeddingStore::encode`] writes: the 29-byte header, then
+    /// three count-prefixed buffers. A container nests the payload under
+    /// this length, declared before the payload is written.
+    pub(crate) fn encoded_len(&self) -> usize {
+        29 + 3 * 8 + self.payload_bytes()
+    }
+
     /// [`EmbeddingStore::to_bytes`] into a writer — how the containers
     /// that nest a payload write it, without a copy.
     pub(crate) fn encode(&self, w: &mut Writer) {
@@ -225,6 +232,7 @@ pub(crate) mod tests {
         for variant in PluginVariant::ABLATION {
             let s = store_with_rows(variant);
             let b = s.to_bytes();
+            assert_eq!(b.len(), s.encoded_len(), "{}", variant.name());
             let back = EmbeddingStore::from_bytes(b).expect("valid payload");
             assert_eq!(back, s, "{}", variant.name());
         }
@@ -233,6 +241,7 @@ pub(crate) mod tests {
     #[test]
     fn empty_store_roundtrips() {
         let s = EmbeddingStore::new(7, PluginVariant::FusionDist, 2.5, Some(3));
+        assert_eq!(s.to_bytes().len(), s.encoded_len());
         let back = EmbeddingStore::from_bytes(s.to_bytes()).expect("valid payload");
         assert_eq!(back, s);
         assert_eq!(back.factor_dim(), Some(3));

@@ -60,7 +60,7 @@ impl IndexedStore {
         let payloads = self.store.payload_bytes() + self.centroids.payload_bytes();
         w.reserve(256 + payloads + cell_bytes);
         for payload in [&self.store, &self.centroids] {
-            w.chunk(|w| payload.encode(w));
+            w.chunk(payload.encoded_len(), |w| payload.encode(w));
         }
         w.u64(self.cells.len() as u64);
         for cell in &self.cells {

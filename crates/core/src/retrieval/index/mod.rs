@@ -55,6 +55,7 @@ mod codec;
 
 use super::kernel::{self, Prefetch};
 use super::store::{results_from_topk, EmbeddingStore, RetrievalResult};
+use super::tombstones::Mask;
 use crate::config::PluginVariant;
 use bound::{BoundSpace, MixBound, PruneBound, Triangle};
 use build::IndexParams;
@@ -328,7 +329,7 @@ impl IndexedStore {
         &self,
         queries: &EmbeddingStore,
         qi: usize,
-        dead: Option<&[bool]>,
+        dead: Option<Mask<'_>>,
         key_offset: usize,
         top: &mut TopK,
         stats: &mut ProbeStats,
@@ -382,7 +383,7 @@ impl IndexedStore {
         bound: &P,
         queries: &EmbeddingStore,
         qi: usize,
-        dead: Option<&[bool]>,
+        dead: Option<Mask<'_>>,
         key_offset: usize,
         top: &mut TopK,
         stats: &mut ProbeStats,
@@ -432,7 +433,7 @@ impl IndexedStore {
                     kern.prefetch(ahead as usize);
                 }
                 let m = m as usize;
-                if dead.is_some_and(|d| d[m]) {
+                if dead.is_some_and(|d| d.get(m)) {
                     continue;
                 }
                 if P::skips_member(thresh, pqj, cell, i) {
@@ -475,6 +476,7 @@ fn total_order_bits(x: f64) -> u64 {
 mod tests {
     use super::super::kernel::DistanceKernel;
     use super::super::store::tests::store_with_rows;
+    use super::super::tombstones::Tombstones;
     use super::*;
 
     fn bits(hits: &[RetrievalResult]) -> Vec<(usize, u32)> {
@@ -590,10 +592,10 @@ mod tests {
             assert_eq!(bits(&hits[0]), bits(&db.knn(&q, 0, 4)));
             assert_eq!((stats.rows_pruned, stats.cells_pruned), (0, 0));
 
-            let mut dead = vec![false; db.len()];
-            dead[1] = true;
+            let mut dead = Tombstones::default();
+            dead.insert(1);
             let (mut top, mut stats) = (TopK::new(4), ProbeStats::default());
-            ix.scan(&q, 0, Some(&dead), 0, &mut top, &mut stats);
+            ix.scan(&q, 0, dead.mask(), 0, &mut top, &mut stats);
             assert!(top.into_sorted().iter().all(|&(i, _)| i != 1));
             assert_eq!(stats.rows_scanned, db.len() - 1);
         }
@@ -683,7 +685,7 @@ mod tests {
         bound: &P,
         queries: &EmbeddingStore,
         qi: usize,
-        dead: Option<&[bool]>,
+        dead: Option<Mask<'_>>,
         key_offset: usize,
         top: &mut TopK,
         stats: &mut ProbeStats,
@@ -727,7 +729,7 @@ mod tests {
             stats.cells_probed += 1;
             for (i, &m) in cell.members.iter().enumerate() {
                 let m = m as usize;
-                if dead.is_some_and(|d| d[m]) {
+                if dead.is_some_and(|d| d.get(m)) {
                     continue;
                 }
                 if P::skips_member(thresh, pqj, cell, i) {
@@ -754,7 +756,7 @@ mod tests {
         ix: &IndexedStore,
         queries: &EmbeddingStore,
         qi: usize,
-        dead: Option<&[bool]>,
+        dead: Option<Mask<'_>>,
         key_offset: usize,
         top: &mut TopK,
         stats: &mut ProbeStats,
@@ -854,8 +856,13 @@ mod tests {
                 let earlier = clustered_store(variant, 40, poison, seed + 100);
                 let queries = clustered_store(variant, 12, poison, seed + 200);
                 let mut rng = StdRng::seed_from_u64(seed + 300);
-                let mask: Vec<bool> = (0..ix.len()).map(|_| rng.gen_range(0..5) == 0).collect();
-                for dead in [None, Some(&mask[..])] {
+                let mut mask = Tombstones::default();
+                for r in 0..ix.len() {
+                    if rng.gen_range(0..5) == 0 {
+                        mask.insert(r);
+                    }
+                }
+                for dead in [None, mask.mask()] {
                     for k in [0, 1, 10, ix.len() + 7] {
                         for prefill in [false, true] {
                             for qi in 0..queries.len() {

@@ -16,6 +16,7 @@
 
 use super::index::ProbeStats;
 use super::store::EmbeddingStore;
+use super::tombstones::Mask;
 use crate::config::PluginVariant;
 use crate::distance::{alpha_f32, alpha_from_dots, euclidean_f32, fused_f32, lorentz_f32};
 use traj_core::topk::TopK;
@@ -220,24 +221,27 @@ impl FusedKernel<'_> {
 
 /// The flat scan loop, monomorphized per kernel: feeds every unmasked
 /// row into an existing heap, offsetting offered keys by `key_offset`,
-/// and returns how many rows it evaluated. `dead` marks tombstoned rows
+/// and returns how many rows it evaluated. `dead` holds tombstoned rows
 /// that must never reach the heap (filtering *after* selection could let
 /// a dead row displace a live one), and the key offset places a segment's
 /// rows after the keyspace of the segments before it so tie-breaks match
-/// a flat scan of the materialized concatenation.
+/// a flat scan of the materialized concatenation. A segment without
+/// tombstones takes a loop that tests no bit.
 fn offer_rows<K: DistanceKernel>(
     kernel: &K,
-    dead: Option<&[bool]>,
+    dead: Option<Mask<'_>>,
     key_offset: usize,
     top: &mut TopK,
 ) -> usize {
     let mut scanned = 0;
-    for di in 0..kernel.len() {
-        if dead.is_some_and(|d| d[di]) {
-            continue;
-        }
+    let mut offer = |di: usize| {
         top.offer(key_offset + di, kernel.distance_to(di) as f64);
         scanned += 1;
+    };
+    let rows = 0..kernel.len();
+    match dead {
+        None => rows.for_each(&mut offer),
+        Some(dead) => rows.filter(|&di| !dead.get(di)).for_each(&mut offer),
     }
     scanned
 }
@@ -250,13 +254,12 @@ pub(crate) fn scan_offer_masked(
     db: &EmbeddingStore,
     queries: &EmbeddingStore,
     qi: usize,
-    dead: Option<&[bool]>,
+    dead: Option<Mask<'_>>,
     key_offset: usize,
     top: &mut TopK,
     stats: &mut ProbeStats,
 ) {
     db.assert_query_layout(queries);
-    debug_assert!(dead.map_or(true, |d| d.len() == db.n));
     stats.rows += db.n;
     if top.k() == 0 {
         return;
@@ -475,6 +478,7 @@ fn dot_lanes(q: &[f32], cols: &[Lanes]) -> Lanes {
 #[cfg(test)]
 mod tests {
     use super::super::store::tests::store_with_rows;
+    use super::super::tombstones::Tombstones;
     use super::*;
 
     /// The kernels must reproduce the reference formulas exactly —
@@ -632,7 +636,7 @@ mod tests {
         db: &EmbeddingStore,
         q: &EmbeddingStore,
         k: usize,
-        dead: Option<&[bool]>,
+        dead: Option<Mask<'_>>,
         key_offset: usize,
     ) -> (Vec<(usize, f64)>, ProbeStats) {
         let (mut top, mut stats) = (TopK::new(k), ProbeStats::default());
@@ -682,7 +686,9 @@ mod tests {
     #[test]
     fn scan_honours_mask_key_offset_and_zero_k() {
         let s = store_with_rows(PluginVariant::Original);
-        let (hits, stats) = scan(&s, &s, 3, Some(&[true, false, false]), 10);
+        let mut dead = Tombstones::default();
+        dead.insert(0);
+        let (hits, stats) = scan(&s, &s, 3, dead.mask(), 10);
         let keys: Vec<usize> = hits.iter().map(|h| h.0).collect();
         assert_eq!(keys, vec![11, 12], "row 0 is dead; (1,0) beats (0,3)");
         assert_eq!((stats.rows, stats.rows_scanned), (3, 2));

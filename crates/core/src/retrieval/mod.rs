@@ -62,6 +62,7 @@ pub mod index;
 pub mod kernel;
 pub mod serve;
 pub mod store;
+pub(crate) mod tombstones;
 
 pub use index::bound::BoundSpace;
 pub use index::build::IndexParams;

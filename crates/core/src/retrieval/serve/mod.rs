@@ -17,9 +17,11 @@
 //!   serialized; each `upsert`/`remove` logs to the WAL (when durable),
 //!   applies to the delta segment, publishes a fresh immutable snapshot,
 //!   and returns the churn it published so the wrapper can schedule a
-//!   fold without taking the lock again. Publication cost is O(delta) —
-//!   bounded by the compaction threshold — while the compacted base is
-//!   shared by `Arc`.
+//!   fold without taking the lock again. Publication copies pointers,
+//!   whatever the delta's size: the base, its ids, the delta's sealed
+//!   chunks and both tombstone bitsets are shared by `Arc` and updated
+//!   copy-on-write, so a write copies at most the open delta chunk and
+//!   one bitset page (see the `snapshot` module).
 //!
 //! Reads over any snapshot are **bit-identical** to a flat scan of that
 //! snapshot's live rows (the `snapshot` module carries the argument); the
@@ -52,8 +54,9 @@ pub(crate) mod wal;
 use super::index::build::IndexParams;
 use super::index::IndexedStore;
 use super::store::EmbeddingStore;
+use super::tombstones::Tombstones;
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use snapshot::Snapshot;
+use snapshot::{Delta, Snapshot};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -165,13 +168,10 @@ enum Loc {
 struct Writer {
     /// id → live location.
     loc: HashMap<u64, Loc>,
-    base: Arc<IndexedStore>,
-    base_ids: Arc<Vec<u64>>,
-    base_dead: Vec<u32>,
-    delta: EmbeddingStore,
-    delta_ids: Vec<u64>,
-    delta_dead: Vec<u32>,
-    epoch: u64,
+    /// The segments as the next publication shows them. Every part is
+    /// shared by `Arc` with the published snapshots and updated
+    /// copy-on-write, so publishing is a clone of a few pointers.
+    view: Snapshot,
     /// Base generation: bumped every time a fresh base is swapped in.
     /// A fold pins the generation it started from; an install against a
     /// different generation is stale and must be discarded (its delta
@@ -186,30 +186,31 @@ struct Writer {
 }
 
 impl Writer {
-    fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            base: Arc::clone(&self.base),
-            base_ids: Arc::clone(&self.base_ids),
-            base_dead: self.base_dead.clone(),
-            delta: self.delta.clone(),
-            delta_ids: self.delta_ids.clone(),
-            delta_dead: self.delta_dead.clone(),
-            epoch: self.epoch,
-        }
+    /// Delta growth since the last compaction — the fold trigger metric,
+    /// and the rows a query scans past the base's index. (Publication
+    /// does not grow with it: it copies pointers.)
+    fn churn(&self) -> usize {
+        self.view.delta.len() + self.view.base_dead.len()
     }
 
-    /// Delta growth since the last compaction — the fold trigger metric
-    /// and the per-publication clone cost.
-    fn churn(&self) -> usize {
-        self.delta_ids.len() + self.base_dead.len()
+    /// Tombstones the live row at `loc`: one bit, set copy-on-write in
+    /// one page of the segment's bitset.
+    fn tombstone(&mut self, loc: Loc) {
+        let fresh = match loc {
+            Loc::Base(r) => Arc::make_mut(&mut self.view.base_dead).insert(r as usize),
+            Loc::Delta(j) => Arc::make_mut(&mut self.view.delta_dead).insert(j as usize),
+        };
+        debug_assert!(fresh, "a live row carries no tombstone");
     }
 }
 
-/// Inserts into a sorted tombstone list (idempotent).
-fn insert_sorted(v: &mut Vec<u32>, x: u32) {
-    if let Err(pos) = v.binary_search(&x) {
-        v.insert(pos, x);
-    }
+/// A fold's starting point ([`Shard::fold`] step 1): the snapshot it
+/// folds, the delta rows that snapshot holds, and the base generation
+/// the fold replaces.
+struct Pin {
+    snapshot: Snapshot,
+    watermark: usize,
+    generation: u64,
 }
 
 /// One shard of a sharded serving store: a writer, its WAL and
@@ -288,7 +289,7 @@ impl Shard {
         )?;
         // Replay without re-logging: the ops are already on disk.
         let mut w = shard.writer.lock();
-        w.epoch = ckpt.epoch;
+        w.view.epoch = ckpt.epoch;
         for op in ops {
             match op {
                 WalOp::Upsert {
@@ -298,11 +299,11 @@ impl Shard {
                     factors,
                 } => {
                     Self::apply_upsert(&mut w, id, &eu, hyper.as_deref(), factors.as_deref())?;
-                    w.epoch += 1;
+                    w.view.epoch += 1;
                 }
                 WalOp::Remove { id } => {
                     if Self::apply_remove(&mut w, id) {
-                        w.epoch += 1;
+                        w.view.epoch += 1;
                     }
                 }
             }
@@ -335,23 +336,25 @@ impl Shard {
                 return Err(ServeError::Corrupt(format!("duplicate id {id}")));
             }
         }
-        let delta = base.empty_like();
-        let writer = Writer {
-            loc,
+        let delta = Delta::new(&base);
+        let view = Snapshot {
             base: Arc::new(IndexedStore::build(base, opts.index_params)),
             base_ids: Arc::new(ids),
-            base_dead: Vec::new(),
+            base_dead: Arc::default(),
             delta,
-            delta_ids: Vec::new(),
-            delta_dead: Vec::new(),
+            delta_dead: Arc::default(),
             epoch: 0,
+        };
+        let writer = Writer {
+            loc,
+            view,
             generation: 0,
             compactions,
             wal,
             wal_staged: false,
             dir,
         };
-        let current = RwLock::new(Arc::new(writer.snapshot()));
+        let current = RwLock::new(Arc::new(writer.view.clone()));
         Ok(Shard {
             current,
             writer: Mutex::new(writer),
@@ -369,11 +372,11 @@ impl Shard {
     pub(crate) fn stats(&self) -> ServeStats {
         let w = self.writer.lock();
         ServeStats {
-            epoch: w.epoch,
+            epoch: w.view.epoch,
             live_rows: w.loc.len(),
-            base_rows: w.base_ids.len(),
-            delta_rows: w.delta_ids.len(),
-            tombstones: w.base_dead.len() + w.delta_dead.len(),
+            base_rows: w.view.base_ids.len(),
+            delta_rows: w.view.delta.len(),
+            tombstones: w.view.base_dead.len() + w.view.delta_dead.len(),
             compactions: w.compactions,
         }
     }
@@ -395,7 +398,7 @@ impl Shard {
         factors: Option<&[f32]>,
     ) -> Result<(bool, usize), ServeError> {
         let mut w = self.writer.lock();
-        Self::check_shape(&w.delta, eu, hyper, factors)?;
+        Self::check_shape(w.view.delta.layout(), eu, hyper, factors)?;
         if let Some(wal) = w.wal.as_mut() {
             wal.append(&WalOp::Upsert {
                 id,
@@ -405,7 +408,7 @@ impl Shard {
             })?;
         }
         let replaced = Self::apply_upsert(&mut w, id, eu, hyper, factors)?;
-        w.epoch += 1;
+        w.view.epoch += 1;
         Ok((replaced, self.publish(w)))
     }
 
@@ -421,7 +424,7 @@ impl Shard {
         }
         let existed = Self::apply_remove(&mut w, id);
         debug_assert!(existed);
-        w.epoch += 1;
+        w.view.epoch += 1;
         Ok((true, self.publish(w)))
     }
 
@@ -442,19 +445,30 @@ impl Shard {
     ///    snapshots; writers keep appending to the current delta.
     /// 3. *Install* under the writer lock ([`Shard::install_fold`]).
     pub(crate) fn fold(&self) -> Result<bool, ServeError> {
-        let (pinned, watermark, generation) = {
-            let w = self.writer.lock();
-            (w.snapshot(), w.delta_ids.len(), w.generation)
-        };
-        let (rows, ids) = pinned.to_flat();
+        self.fold_pinned(self.pin())
+    }
+
+    /// Step 1 of [`Shard::fold`].
+    fn pin(&self) -> Pin {
+        let w = self.writer.lock();
+        Pin {
+            snapshot: w.view.clone(),
+            watermark: w.view.delta.len(),
+            generation: w.generation,
+        }
+    }
+
+    /// Steps 2 and 3 of [`Shard::fold`], from `pin`.
+    fn fold_pinned(&self, pin: Pin) -> Result<bool, ServeError> {
+        let (rows, ids) = pin.snapshot.to_flat();
         let base = Arc::new(IndexedStore::build(rows, self.opts.index_params));
         let w = self.writer.lock();
-        if w.generation != generation {
-            // A racing fold already replaced the base; `watermark` no
+        if w.generation != pin.generation {
+            // A racing fold already replaced the base; the watermark no
             // longer indexes the live delta. Drop this one.
             return Ok(false);
         }
-        self.install_fold(w, base, Arc::new(ids), watermark)?;
+        self.install_fold(w, base, Arc::new(ids), pin.watermark)?;
         Ok(true)
     }
 
@@ -495,51 +509,36 @@ impl Shard {
         hyper: Option<&[f32]>,
         factors: Option<&[f32]>,
     ) -> Result<bool, ServeError> {
-        Self::check_shape(&w.delta, eu, hyper, factors)?;
-        if w.delta_ids.len() >= u32::MAX as usize {
+        Self::check_shape(w.view.delta.layout(), eu, hyper, factors)?;
+        let j = w.view.delta.len();
+        if j >= u32::MAX as usize {
             return Err(ServeError::Corrupt(
                 "delta exceeds u32::MAX rows".to_string(),
             ));
         }
-        let replaced = match w.loc.get(&id).copied() {
-            Some(Loc::Base(r)) => {
-                insert_sorted(&mut w.base_dead, r);
-                true
-            }
-            Some(Loc::Delta(j)) => {
-                insert_sorted(&mut w.delta_dead, j);
-                true
-            }
-            None => false,
-        };
-        let j = w.delta_ids.len() as u32;
-        w.delta.push(eu, hyper, factors);
-        w.delta_ids.push(id);
-        w.loc.insert(id, Loc::Delta(j));
-        Ok(replaced)
+        let old = w.loc.insert(id, Loc::Delta(j as u32));
+        if let Some(old) = old {
+            w.tombstone(old);
+        }
+        w.view.delta.push(id, eu, hyper, factors);
+        Ok(old.is_some())
     }
 
     /// Applies a removal to the writer state. Returns whether `id` was
     /// live.
     fn apply_remove(w: &mut Writer, id: u64) -> bool {
-        match w.loc.remove(&id) {
-            Some(Loc::Base(r)) => {
-                insert_sorted(&mut w.base_dead, r);
-                true
-            }
-            Some(Loc::Delta(j)) => {
-                insert_sorted(&mut w.delta_dead, j);
-                true
-            }
-            None => false,
+        let old = w.loc.remove(&id);
+        if let Some(old) = old {
+            w.tombstone(old);
         }
+        old.is_some()
     }
 
     /// Publishes the writer's state as the current snapshot (the caller
     /// has bumped the epoch) and returns the churn it published.
     fn publish(&self, w: MutexGuard<'_, Writer>) -> usize {
         let churn = w.churn();
-        let snap = Arc::new(w.snapshot());
+        let snap = Arc::new(w.view.clone());
         drop(w);
         *self.current.write() = snap;
         churn
@@ -571,19 +570,16 @@ impl Shard {
         watermark: usize,
     ) -> Result<(), ServeError> {
         // --- Catch-up against writes that landed after the pin. ---
-        let mut new_delta = w.delta.empty_like();
-        for j in watermark..w.delta_ids.len() {
-            new_delta.push_row_from(&w.delta, j);
+        let delta = &w.view.delta;
+        let mut new_delta = Delta::new(delta.layout());
+        for j in watermark..delta.len() {
+            new_delta.push_row_from(delta, j);
         }
-        let new_delta_ids: Vec<u64> = w.delta_ids[watermark..].to_vec();
-        let new_delta_dead: Vec<u32> = w
-            .delta_dead
-            .iter()
-            .filter(|&&d| d as usize >= watermark)
-            .map(|&d| d - watermark as u32)
-            .collect();
-        let mut new_base_dead = Vec::new();
-        let mut new_loc: HashMap<u64, Loc> = HashMap::with_capacity(w.loc.len());
+        let mut new_delta_dead = Tombstones::default();
+        for d in w.view.delta_dead.iter().filter(|&d| d >= watermark) {
+            new_delta_dead.insert(d - watermark);
+        }
+        let mut new_base_dead = Tombstones::default();
         for (r, &id) in ids.iter().enumerate() {
             // The folded copy of `id` is its pre-watermark version; it is
             // still live iff the id's current location predates the
@@ -594,28 +590,14 @@ impl Shard {
                 Some(Loc::Delta(j)) => (*j as usize) < watermark,
                 None => false,
             };
-            if live {
-                new_loc.insert(id, Loc::Base(r as u32));
-            } else {
-                new_base_dead.push(r as u32); // ascending by construction
+            if !live {
+                new_base_dead.insert(r);
             }
         }
-        for (&id, &l) in w.loc.iter() {
-            if let Loc::Delta(j) = l {
-                if j as usize >= watermark {
-                    new_loc.insert(id, Loc::Delta(j - watermark as u32));
-                }
-            }
-        }
-        debug_assert_eq!(
-            new_loc.len(),
-            w.loc.len(),
-            "catch-up must keep every live id"
-        );
 
         // --- Persist, all or nothing: the writer is untouched until the
         // checkpoint's rename commits the fold (`wal` module docs). ---
-        let epoch = w.epoch + 1;
+        let epoch = w.view.epoch + 1;
         let compactions = w.compactions + 1;
         let mut fresh_wal = None;
         let mut after_commit = Ok(());
@@ -631,27 +613,21 @@ impl Shard {
             // supersession tombstones), then removals for every id that
             // the residue leaves dead. Replay therefore reconstructs the
             // installed segment structure exactly, not just the live set.
-            let upserts = new_delta_ids
-                .iter()
-                .enumerate()
-                .map(|(j, &id)| WalOp::Upsert {
-                    id,
-                    eu: new_delta.eu_row(j).to_vec(),
-                    hyper: new_delta
-                        .variant()
-                        .uses_hyperbolic()
-                        .then(|| new_delta.hyper_row(j).to_vec()),
-                    factors: new_delta
-                        .factor_dim()
-                        .is_some()
-                        .then(|| new_delta.factor_row(j).to_vec()),
-                });
+            let residue = || (0..new_delta.len()).map(|j| (new_delta.id(j), new_delta.row(j)));
+            let upserts = residue().map(|(id, (rows, i))| WalOp::Upsert {
+                id,
+                eu: rows.eu_row(i).to_vec(),
+                hyper: (rows.variant().uses_hyperbolic()).then(|| rows.hyper_row(i).to_vec()),
+                factors: rows.factor_dim().map(|_| rows.factor_row(i).to_vec()),
+            });
+            // The catch-up keeps every live id, so the ids live after the
+            // install are the ids live now.
             let mut logged_removes = std::collections::HashSet::new();
             let removes = new_base_dead
                 .iter()
-                .map(|&r| ids[r as usize])
-                .chain(new_delta_ids.iter().copied())
-                .filter(|id| !new_loc.contains_key(id) && logged_removes.insert(*id))
+                .map(|r| ids[r])
+                .chain(residue().map(|(id, _)| id))
+                .filter(|id| !w.loc.contains_key(id) && logged_removes.insert(*id))
                 .map(|id| WalOp::Remove { id });
             let staged = wal::stage_wal(&dir, epoch, upserts.chain(removes), self.opts.fsync)?;
             let ckpt_path = dir.join(wal::CKPT_FILE);
@@ -676,20 +652,35 @@ impl Shard {
             fresh_wal = Some(staged);
         }
 
-        // --- The swap itself: pointer stores and O(churn) moves. ---
-        w.epoch = epoch;
+        // --- The swap itself: pointer stores, O(churn) moves, and `loc`
+        // re-expressed in place: every folded row still live now points
+        // at its base row, and every post-watermark delta row is rebased
+        // (in that order, so no pre-watermark row is rebased). ---
+        let dead = new_base_dead.mask();
+        for (r, &id) in ids.iter().enumerate() {
+            if !dead.is_some_and(|d| d.get(r)) {
+                w.loc.insert(id, Loc::Base(r as u32));
+            }
+        }
+        for l in w.loc.values_mut() {
+            if let Loc::Delta(j) = l {
+                debug_assert!(*j as usize >= watermark, "pre-watermark rows were folded");
+                *j -= watermark as u32;
+            }
+        }
         w.generation += 1;
         w.compactions = compactions;
         if fresh_wal.is_some() {
             w.wal = fresh_wal;
         }
-        w.base = base;
-        w.base_ids = ids;
-        w.base_dead = new_base_dead;
-        w.delta = new_delta;
-        w.delta_ids = new_delta_ids;
-        w.delta_dead = new_delta_dead;
-        w.loc = new_loc;
+        w.view = Snapshot {
+            base,
+            base_ids: ids,
+            base_dead: Arc::new(new_base_dead),
+            delta: new_delta,
+            delta_dead: Arc::new(new_delta_dead),
+            epoch,
+        };
         self.publish(w);
         after_commit
     }
@@ -965,7 +956,7 @@ mod tests {
             .upsert(7, &eu, hy.as_deref(), fa.as_deref())
             .expect("upsert");
         let masked = store.snapshot();
-        assert_eq!(masked.shards[0].base_dead, vec![1]);
+        assert_eq!(masked.shards[0].base_dead.iter().collect::<Vec<_>>(), [1]);
         assert_eq!(served(&masked), flat(&masked));
         store.compact_inline().expect("compact");
         let folded = store.snapshot();

@@ -55,7 +55,7 @@
 
 use super::super::store::EmbeddingStore;
 use super::compactor::Compactor;
-use super::snapshot::{DeadMasks, Snapshot};
+use super::snapshot::Snapshot;
 use super::wal;
 use super::{ServeError, ServeHit, ServeStats, ServingOptions, Shard};
 use std::fmt;
@@ -146,17 +146,17 @@ impl ShardedSnapshot {
         ids
     }
 
-    /// Materializes all live rows into one flat store: shard 0's live
-    /// rows (base order then delta order), then shard 1's, … This is the
-    /// reference surface of the sharded bit-identity contract.
+    /// Materializes all live rows into one flat store, sized exactly:
+    /// shard 0's live rows (base order then delta order), then shard 1's,
+    /// … each appended straight into it. This is the reference surface of
+    /// the sharded bit-identity contract.
     pub fn to_flat(&self) -> (EmbeddingStore, Vec<u64>) {
-        let (mut store, mut ids) = self.shards[0].to_flat();
-        for s in &self.shards[1..] {
-            let (part, part_ids) = s.to_flat();
-            for r in 0..part.len() {
-                store.push_row_from(&part, r);
-            }
-            ids.extend(part_ids);
+        let len = self.len();
+        let mut store = self.shards[0].base.store().empty_like();
+        store.reserve_rows(len);
+        let mut ids = Vec::with_capacity(len);
+        for s in &self.shards {
+            s.append_live(&mut store, &mut ids);
         }
         (store, ids)
     }
@@ -167,38 +167,13 @@ impl ShardedSnapshot {
     /// the module docs). Panics if `queries` does not share the store's
     /// layout.
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<ServeHit> {
-        self.knn_masked(queries, qi, k, &self.dead_masks())
-    }
-
-    /// Batched [`ShardedSnapshot::knn`], parallel across queries. Each
-    /// shard's tombstone masks are expanded once and shared by every
-    /// query.
-    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
-        let masks = self.dead_masks();
-        let nq = queries.len();
-        parallel_map(nq, default_threads(nq), |qi| {
-            self.knn_masked(queries, qi, k, &masks)
-        })
-    }
-
-    fn dead_masks(&self) -> Vec<DeadMasks> {
-        self.shards.iter().map(|s| s.dead_masks()).collect()
-    }
-
-    fn knn_masked(
-        &self,
-        queries: &EmbeddingStore,
-        qi: usize,
-        k: usize,
-        masks: &[DeadMasks],
-    ) -> Vec<ServeHit> {
         let mut top = TopK::new(k);
         // First key of each shard, ascending.
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut offset = 0usize;
-        for (s, shard_masks) in self.shards.iter().zip(masks) {
+        for s in &self.shards {
             offsets.push(offset);
-            s.scan(queries, qi, shard_masks, offset, &mut top);
+            s.scan(queries, qi, offset, &mut top);
             offset += s.key_space();
         }
         top.into_sorted()
@@ -213,6 +188,12 @@ impl ShardedSnapshot {
                 }
             })
             .collect()
+    }
+
+    /// Batched [`ShardedSnapshot::knn`], parallel across queries.
+    pub fn knn_batch(&self, queries: &EmbeddingStore, k: usize) -> Vec<Vec<ServeHit>> {
+        let nq = queries.len();
+        parallel_map(nq, default_threads(nq), |qi| self.knn(queries, qi, k))
     }
 }
 
@@ -446,8 +427,10 @@ fn partition(
 
 #[cfg(test)]
 mod tests {
+    use super::super::snapshot::CHUNK;
     use super::*;
     use crate::config::PluginVariant;
+    use std::collections::BTreeMap;
 
     /// Appends a row on the x axis (on `H(1)` for the hyperbolic part):
     /// the same `f32` bits for the same `x`.
@@ -588,5 +571,265 @@ mod tests {
             "{err}"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A row of `variant`'s layout, keyed by its Euclidean bits: a model
+    /// entry.
+    type Row = (Vec<f32>, Option<Vec<f32>>, Option<Vec<f32>>);
+
+    fn random_row(variant: PluginVariant, rng: &mut impl rand::Rng) -> Row {
+        let (x, y) = (rng.gen_range(-3.0f32..3.0), rng.gen_range(-3.0f32..3.0));
+        let hyper = variant
+            .uses_hyperbolic()
+            .then(|| vec![(x * x + y * y + 1.0).sqrt(), x, y]);
+        let factors =
+            (variant.uses_fusion()).then(|| (0..4).map(|_| rng.gen_range(0.05f32..1.0)).collect());
+        (vec![x, y], hyper, factors)
+    }
+
+    fn put(store: &ShardedServingStore, model: &mut BTreeMap<u64, Row>, id: u64, row: Row) {
+        let replaced = store
+            .upsert(id, &row.0, row.1.as_deref(), row.2.as_deref())
+            .expect("upsert");
+        assert_eq!(replaced, model.insert(id, row).is_some(), "id {id}");
+    }
+
+    fn drop_id(store: &ShardedServingStore, model: &mut BTreeMap<u64, Row>, id: u64) {
+        let existed = store.remove(id).expect("remove");
+        assert_eq!(existed, model.remove(&id).is_some(), "id {id}");
+    }
+
+    /// The snapshot equals the model row for row, and serves every query
+    /// of `queries` like a flat scan of its own `to_flat()`.
+    fn assert_matches(
+        snap: &ShardedSnapshot,
+        model: &BTreeMap<u64, Row>,
+        queries: &EmbeddingStore,
+    ) {
+        let (rows, ids) = snap.to_flat();
+        let mut got: BTreeMap<u64, Row> = BTreeMap::new();
+        for (r, &id) in ids.iter().enumerate() {
+            let v = rows.variant();
+            let row = (
+                rows.eu_row(r).to_vec(),
+                v.uses_hyperbolic().then(|| rows.hyper_row(r).to_vec()),
+                v.uses_fusion().then(|| rows.factor_row(r).to_vec()),
+            );
+            assert!(got.insert(id, row).is_none(), "id {id} twice");
+        }
+        assert!(got == *model, "live rows differ from the model");
+        assert_eq!(snap.len(), model.len());
+        assert_eq!(snap.live_ids(), ids);
+        for qi in 0..queries.len() {
+            let mut q = queries.empty_like();
+            q.push_row_from(queries, qi);
+            for k in [1, 7, 40] {
+                assert_served_like_flat(snap, &q, k);
+            }
+        }
+    }
+
+    /// The chunked delta and the bitset tombstones at their edges, at one
+    /// shard and at three: writes cross three chunks, tombstones land on
+    /// bits 63 and 64 and on a chunk's last row of both segments, a fold
+    /// pins mid-chunk while writes land after the pin, and the store is
+    /// then recovered. Every snapshot equals the BTreeMap model and
+    /// serves like a flat scan of its own `to_flat()`.
+    #[test]
+    fn the_chunked_delta_tracks_the_model_at_its_edges() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for (shards, variant) in [
+            (1, PluginVariant::LorentzCosh),
+            (3, PluginVariant::FusionDist),
+        ] {
+            let mut rng = StdRng::seed_from_u64(shards as u64);
+            let dir = std::env::temp_dir()
+                .join(format!("lh-serve-chunks-{shards}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let opts = ShardedServingOptions {
+                shards,
+                serving: ServingOptions {
+                    compact_threshold: 0,
+                    ..ServingOptions::default()
+                },
+            };
+            let mut base = EmbeddingStore::new(2, variant, 1.0, variant.uses_fusion().then_some(2));
+            let mut model = BTreeMap::new();
+            for id in 0..(2 * CHUNK * shards) as u64 {
+                let row = random_row(variant, &mut rng);
+                base.push(&row.0, row.1.as_deref(), row.2.as_deref());
+                model.insert(id, row);
+            }
+            let ids: Vec<u64> = model.keys().copied().collect();
+            let mut queries = base.empty_like();
+            for _ in 0..4 {
+                let row = random_row(variant, &mut rng);
+                queries.push(&row.0, row.1.as_deref(), row.2.as_deref());
+            }
+            let store = ShardedServingStore::create_durable(&dir, base, ids, opts).expect("create");
+            let edges = [63, 64, CHUNK - 1];
+
+            // Base tombstones on bits 63, 64 and CHUNK − 1 of every shard:
+            // one removed, two superseded.
+            let snap = store.snapshot();
+            for shard in &snap.shards {
+                assert!(
+                    shard.base_ids.len() > CHUNK,
+                    "every shard has a chunk's worth"
+                );
+                drop_id(&store, &mut model, shard.base_ids[edges[0]]);
+                for &r in &edges[1..] {
+                    put(
+                        &store,
+                        &mut model,
+                        shard.base_ids[r],
+                        random_row(variant, &mut rng),
+                    );
+                }
+            }
+            for (s, shard) in store.snapshot().shards.iter().enumerate() {
+                let dead: Vec<usize> = shard.base_dead.iter().collect();
+                assert_eq!(dead, edges, "shard {s}");
+            }
+            assert_matches(&store.snapshot(), &model, &queries);
+
+            // Writes cross three chunks in every shard: new ids and
+            // updates of live ones.
+            let mut next_id = 10_000u64;
+            while store
+                .snapshot()
+                .shards
+                .iter()
+                .any(|s| s.delta.len() < 3 * CHUNK + 5)
+            {
+                if rng.gen_range(0..4) == 0 {
+                    let live: Vec<u64> = model.keys().copied().collect();
+                    let id = live[rng.gen_range(0..live.len())];
+                    put(&store, &mut model, id, random_row(variant, &mut rng));
+                } else {
+                    put(&store, &mut model, next_id, random_row(variant, &mut rng));
+                    next_id += 1;
+                }
+            }
+            assert_matches(&store.snapshot(), &model, &queries);
+
+            // Delta tombstones on bits 63, 64 and CHUNK − 1 of every
+            // shard's delta: one removed, two superseded.
+            let snap = store.snapshot();
+            for shard in &snap.shards {
+                let dead = shard.delta_dead.mask();
+                let live = |j: usize| !dead.is_some_and(|d| d.get(j));
+                if live(edges[0]) {
+                    drop_id(&store, &mut model, shard.delta.id(edges[0]));
+                }
+                for &j in edges[1..].iter().filter(|&&j| live(j)) {
+                    put(
+                        &store,
+                        &mut model,
+                        shard.delta.id(j),
+                        random_row(variant, &mut rng),
+                    );
+                }
+            }
+            for shard in &store.snapshot().shards {
+                let dead = shard.delta_dead.mask().expect("delta tombstones");
+                assert!(edges.iter().all(|&j| dead.get(j)));
+            }
+            assert_matches(&store.snapshot(), &model, &queries);
+
+            // Each shard's fold pins mid-chunk; writes then land after the
+            // pin — new rows, updates of rows the fold copies, removals —
+            // before the fold installs.
+            for (s, shard) in store.shards.iter().enumerate() {
+                while store.snapshot().shards[s].delta.len() % CHUNK == 0 {
+                    let id = (next_id..)
+                        .find(|&id| shard_of_id(id, shards) == s)
+                        .expect("an id");
+                    put(&store, &mut model, id, random_row(variant, &mut rng));
+                    next_id = id + 1;
+                }
+                let pin = shard.pin();
+                let mine: Vec<u64> = (model.keys().copied())
+                    .filter(|&id| shard_of_id(id, shards) == s)
+                    .collect();
+                let mut upserts = 0;
+                for _ in 0..2 * CHUNK {
+                    let id = mine[rng.gen_range(0..mine.len())];
+                    match rng.gen_range(0..3) {
+                        0 if model.contains_key(&id) => drop_id(&store, &mut model, id),
+                        _ => {
+                            put(&store, &mut model, id, random_row(variant, &mut rng));
+                            upserts += 1;
+                        }
+                    }
+                }
+                assert_matches(&store.snapshot(), &model, &queries);
+                assert!(shard.fold_pinned(pin).expect("install"), "shard {s}");
+                let snap = store.snapshot();
+                assert_eq!(
+                    snap.shards[s].delta.len(),
+                    upserts,
+                    "the post-pin rows stay"
+                );
+                assert!(upserts > CHUNK);
+                assert_matches(&snap, &model, &queries);
+            }
+            for _ in 0..50 {
+                put(&store, &mut model, next_id, random_row(variant, &mut rng));
+                next_id += 1;
+            }
+            let before = store.snapshot();
+            assert_matches(&before, &model, &queries);
+            let hits = before.knn_batch(&queries, 10);
+            drop((before, store));
+
+            let back = ShardedServingStore::recover(&dir, opts).expect("recover");
+            let snap = back.snapshot();
+            assert_matches(&snap, &model, &queries);
+            assert_eq!(snap.knn_batch(&queries, 10), hits, "shards={shards}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Publication copies pointers: two consecutive snapshots share every
+    /// sealed chunk, and share the sealed list and both bitsets unless the
+    /// write between them sealed a chunk or set a bit.
+    #[test]
+    fn consecutive_snapshots_share_every_sealed_chunk() {
+        let mut base = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+        for i in 0..10 {
+            push_point(&mut base, i as f32);
+        }
+        let opts = ShardedServingOptions {
+            shards: 1,
+            serving: ServingOptions {
+                compact_threshold: 0,
+                ..ServingOptions::default()
+            },
+        };
+        let store = ShardedServingStore::new(base, (0..10).collect(), opts).expect("unique ids");
+        let mut before = store.snapshot();
+        for i in 0..3 * CHUNK as u64 + 5 {
+            let id = if i % 7 == 3 { i % 10 } else { 100 + i };
+            store
+                .upsert(id, &[i as f32, 1.0], None, None)
+                .expect("upsert");
+            let after = store.snapshot();
+            let (a, b) = (&before.shards[0], &after.shards[0]);
+            assert!(b.delta.sealed.len() - a.delta.sealed.len() <= 1);
+            for (x, y) in a.delta.sealed.iter().zip(b.delta.sealed.iter()) {
+                assert!(Arc::ptr_eq(x, y), "write {i}: a sealed chunk was copied");
+            }
+            let sealed = b.delta.sealed.len() > a.delta.sealed.len();
+            assert_eq!(Arc::ptr_eq(&a.delta.sealed, &b.delta.sealed), !sealed);
+            let dead = |s: &Snapshot| s.base_dead.len() + s.delta_dead.len();
+            let tombstoned = dead(b) > dead(a);
+            assert!(Arc::ptr_eq(&a.base_dead, &b.base_dead) || tombstoned);
+            assert!(Arc::ptr_eq(&a.delta_dead, &b.delta_dead) || tombstoned);
+            assert!(Arc::ptr_eq(&a.base, &b.base));
+            before = after;
+        }
+        assert_eq!(before.shards[0].delta.sealed.len(), 3);
     }
 }

@@ -433,7 +433,8 @@ pub(crate) struct Checkpoint {
 
 /// Writes a checkpoint of `store` (rows parallel to `ids`) to `path`
 /// atomically — readers of `path` see either the old checkpoint or the
-/// new one, never a torn mix.
+/// new one, never a torn mix. The body is streamed to the file, so the
+/// file is never whole in memory.
 pub(crate) fn write_checkpoint(
     path: &Path,
     epoch: u64,
@@ -441,14 +442,13 @@ pub(crate) fn write_checkpoint(
     ids: &[u64],
     store: &EmbeddingStore,
 ) -> Result<(), ServeError> {
-    let mut w = CHECKPOINT.writer();
-    w.reserve(128 + ids.len() * 8 + store.payload_bytes());
-    w.u64(epoch);
-    w.u64(compactions);
-    w.u64(ids.len() as u64);
-    w.values(ids, u64::to_le_bytes);
-    w.chunk(|w| store.encode(w));
-    write_atomic(path, &CHECKPOINT.finish(w))?;
+    CHECKPOINT.write_atomic(path, |w| {
+        w.u64(epoch);
+        w.u64(compactions);
+        w.u64(ids.len() as u64);
+        w.values(ids, u64::to_le_bytes);
+        w.chunk(store.encoded_len(), |w| store.encode(w));
+    })?;
     Ok(())
 }
 
@@ -679,6 +679,49 @@ mod tests {
         // Every truncation and every flipped bit is an error.
         let full = std::fs::read(&path).expect("read raw");
         mutate(&full, |bytes| decode_checkpoint(bytes).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The streamed checkpoint is the file the in-memory frame gave, byte
+    /// for byte: for every variant, for an empty store, and for stores
+    /// large enough to cross the stream's blocks. (A checkpoint body is
+    /// never a whole number of words: the store payload's 29-byte header
+    /// is odd and everything else is whole words or `f32`s.)
+    #[test]
+    fn a_streamed_checkpoint_is_the_in_memory_frame() {
+        let dir = tmpdir("streamed");
+        let path = dir.join(CKPT_FILE);
+        for variant in PluginVariant::ABLATION {
+            let fd = variant.uses_fusion().then_some(2);
+            let empty = EmbeddingStore::new(2, variant, 1.0, fd);
+            let mut big = empty.clone();
+            for i in 0..5000 {
+                let x = i as f32 * 0.01;
+                let (hyper, factors) = ([1.0, x, -x], [x, 0.5, 0.25, x]);
+                big.push(
+                    &[x, -x],
+                    variant.uses_hyperbolic().then_some(&hyper[..]),
+                    fd.map(|_| &factors[..]),
+                );
+            }
+            for store in [store_with_rows(variant), empty, big] {
+                let ids: Vec<u64> = (0..store.len() as u64).map(|i| i * 7 + 1).collect();
+                let mut w = CHECKPOINT.writer();
+                w.u64(9);
+                w.u64(4);
+                w.u64(ids.len() as u64);
+                w.values(&ids, u64::to_le_bytes);
+                let payload = store.to_bytes();
+                w.u64(payload.len() as u64);
+                w.values(payload.as_slice(), u8::to_le_bytes);
+                let want = CHECKPOINT.finish(w);
+                assert_ne!((want.len() - FRAME_LEN) % 8, 0);
+
+                write_checkpoint(&path, 9, 4, &ids, &store).expect("write");
+                let got = std::fs::read(&path).expect("read");
+                assert!(got == want, "{} n={}", variant.name(), store.len());
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

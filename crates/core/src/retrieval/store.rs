@@ -92,6 +92,30 @@ impl EmbeddingStore {
         self.n += 1;
     }
 
+    /// Appends every row of `src`, which must share this store's layout,
+    /// bytewise — [`EmbeddingStore::push_row_from`] for each row in one
+    /// copy per buffer.
+    pub(crate) fn extend_from(&mut self, src: &EmbeddingStore) {
+        assert!(self.same_layout(src), "layout mismatch");
+        self.eu.extend_from_slice(&src.eu);
+        self.hyper.extend_from_slice(&src.hyper);
+        self.factors.extend_from_slice(&src.factors);
+        self.n += src.n;
+    }
+
+    /// Reserves room for exactly `rows` more rows in every buffer the
+    /// layout uses — one allocation each when the count is known up
+    /// front.
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        self.eu.reserve_exact(rows * self.dim);
+        if self.variant.uses_hyperbolic() {
+            self.hyper.reserve_exact(rows * (self.dim + 1));
+        }
+        if let Some(f_dim) = self.factor_dim {
+            self.factors.reserve_exact(rows * 2 * f_dim);
+        }
+    }
+
     /// An empty store with this store's exact layout (variant, width,
     /// curvature, factor width) — the template the serving tier grows
     /// delta segments and compacted bases from.

@@ -30,9 +30,16 @@
 //! corrupt header errors instead of wrapping past a check), a [`Writer`]
 //! that streams buffers as whole byte chunks, one [`DecodeError`], and
 //! [`write_atomic`], the one tmp → sync → rename.
+//!
+//! A frame is written one of two ways, with one header and one checksum:
+//! built in memory ([`Format::writer`] then [`Format::finish`]), or —
+//! for a file too large to hold twice, such as a serving checkpoint —
+//! streamed to its file by [`Format::write_atomic`], which hashes and
+//! writes the body a block at a time and fills the header in last. The
+//! two give the same bytes.
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Bytes of a frame before its body: magic, version, length, checksum.
@@ -164,21 +171,31 @@ impl Fnv64 {
         h.finish()
     }
 
-    /// The word-step hash of `body` alone: a frame's checksum.
-    fn checksum(body: &[u8]) -> u64 {
-        let mut h = Fnv64::default();
-        let mut words = body.chunks_exact(8);
-        for word in &mut words {
+    /// Word step over `words`, whose length is a multiple of 8.
+    fn write_words(&mut self, words: &[u8]) {
+        for word in words.chunks_exact(8) {
             let w = u64::from_le_bytes(word.try_into().expect("chunks_exact(8)"));
-            h.0 = (h.0 ^ w).wrapping_mul(Self::PRIME);
+            self.0 = (self.0 ^ w).wrapping_mul(Self::PRIME);
         }
-        let tail = words.remainder();
+    }
+
+    /// Ends a word-step hash with `tail` (under 8 bytes), zero-padded to
+    /// one last word when it is not empty.
+    fn finish_words(mut self, tail: &[u8]) -> u64 {
         if !tail.is_empty() {
             let mut last = [0u8; 8];
             last[..tail.len()].copy_from_slice(tail);
-            h.0 = (h.0 ^ u64::from_le_bytes(last)).wrapping_mul(Self::PRIME);
+            self.write_words(&last);
         }
-        h.0
+        self.0
+    }
+
+    /// The word-step hash of `body` alone: a frame's checksum.
+    fn checksum(body: &[u8]) -> u64 {
+        let (words, tail) = body.split_at(body.len() / 8 * 8);
+        let mut h = Fnv64::default();
+        h.write_words(words);
+        h.finish_words(tail)
     }
 }
 
@@ -197,22 +214,55 @@ impl Format {
     /// to be closed by [`Format::finish`].
     pub fn writer(&self) -> Writer {
         let mut w = Writer::new();
-        w.bytes(&self.magic);
-        w.u32(self.version);
-        w.u64(0); // body length, set by `finish`
-        w.u64(0); // checksum, set by `finish`
+        w.bytes(&[0; FRAME_LEN]); // the header, set by `finish`
         w
     }
 
-    /// The frame of a [`Format::writer`]: its bytes, with the body length
-    /// and checksum filled in.
+    /// The frame of a [`Format::writer`]: its bytes, with the header
+    /// filled in.
     pub fn finish(&self, w: Writer) -> Vec<u8> {
         let mut buf = w.finish();
         let body = &buf[FRAME_LEN..];
-        let (len, sum) = (body.len() as u64, Fnv64::checksum(body));
-        buf[8..16].copy_from_slice(&len.to_le_bytes());
-        buf[16..FRAME_LEN].copy_from_slice(&sum.to_le_bytes());
+        let header = self.header(body.len() as u64, Fnv64::checksum(body));
+        buf[..FRAME_LEN].copy_from_slice(&header);
         buf
+    }
+
+    /// Publishes one frame at `path` by [`write_atomic`]'s protocol, with
+    /// the body `body` writes streamed to the file instead of built in
+    /// memory: the writer hands each block of whole words to the file
+    /// and to a running word-step checksum as it fills, and once the body
+    /// is done the header is written over the placeholder it began with.
+    /// The file is byte for byte what [`Format::finish`] returns for the
+    /// same writes, while at most one block is ever held in memory.
+    pub fn write_atomic(&self, path: &Path, body: impl FnOnce(&mut Writer)) -> io::Result<()> {
+        publish(path, |mut file| {
+            file.write_all(&[0; FRAME_LEN])?; // the header, written last
+            let mut w = Writer {
+                buf: Vec::with_capacity(STREAM_BLOCK + SCRATCH_BYTES),
+                sink: Some(Sink {
+                    file,
+                    sum: Fnv64::default(),
+                    written: 0,
+                    error: None,
+                }),
+            };
+            body(&mut w);
+            let (mut file, len, sum) = w.close()?;
+            file.seek(SeekFrom::Start(0))?;
+            file.write_all(&self.header(len, sum))?;
+            Ok(file)
+        })
+    }
+
+    /// The frame header of a body of `len` bytes that hashes to `sum`.
+    fn header(&self, len: u64, sum: u64) -> [u8; FRAME_LEN] {
+        let mut header = [0; FRAME_LEN];
+        header[..4].copy_from_slice(&self.magic);
+        header[4..8].copy_from_slice(&self.version.to_le_bytes());
+        header[8..16].copy_from_slice(&len.to_le_bytes());
+        header[16..].copy_from_slice(&sum.to_le_bytes());
+        header
     }
 
     /// Reads a file that is exactly one frame: a reader over its
@@ -342,11 +392,32 @@ impl<'a> Reader<'a> {
     }
 }
 
-/// A little-endian byte buffer, bare ([`Writer::new`]) or the body of a
-/// frame ([`Format::writer`]).
+/// Bytes a streamed writer holds before it hands them to its file.
+const STREAM_BLOCK: usize = 64 * 1024;
+/// Stack scratch [`Writer::values`] converts through.
+const SCRATCH_BYTES: usize = 16 * 1024;
+
+/// A little-endian byte buffer, bare ([`Writer::new`]), the body of a
+/// frame ([`Format::writer`]), or the body of a frame streamed to its
+/// file ([`Format::write_atomic`]).
 #[derive(Debug, Default)]
 pub struct Writer {
     buf: Vec<u8>,
+    /// Where a streamed body goes; `None` in memory.
+    sink: Option<Sink>,
+}
+
+/// The file behind a streamed [`Writer`].
+#[derive(Debug)]
+struct Sink {
+    file: File,
+    /// Word-step checksum of the bytes written so far.
+    sum: Fnv64,
+    /// Bytes written so far.
+    written: u64,
+    /// The first write error: later bytes are dropped, and the stream's
+    /// close returns it.
+    error: Option<io::Error>,
 }
 
 impl Writer {
@@ -355,13 +426,60 @@ impl Writer {
         Writer::default()
     }
 
-    /// Reserves room for `additional` more bytes.
+    /// Reserves room for `additional` more bytes (a streamed writer never
+    /// holds more than a block, and ignores this).
     pub fn reserve(&mut self, additional: usize) {
-        self.buf.reserve(additional);
+        if self.sink.is_none() {
+            self.buf.reserve(additional);
+        }
     }
 
     fn bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+        if self.sink.is_some() && self.buf.len() >= STREAM_BLOCK {
+            self.spill();
+        }
+    }
+
+    /// Hands the buffer's whole words to the sink — hashed a word at a
+    /// time, then written — and keeps the tail of under 8 bytes.
+    fn spill(&mut self) {
+        let Some(sink) = self.sink.as_mut() else {
+            return;
+        };
+        let whole = self.buf.len() / 8 * 8;
+        sink.sum.write_words(&self.buf[..whole]);
+        sink.written += whole as u64;
+        if sink.error.is_none() {
+            sink.error = sink.file.write_all(&self.buf[..whole]).err();
+        }
+        self.buf.drain(..whole);
+    }
+
+    /// Bytes written so far, streamed or buffered.
+    fn written(&self) -> u64 {
+        self.sink.as_ref().map_or(0, |sink| sink.written) + self.buf.len() as u64
+    }
+
+    /// Ends a streamed body: writes the rest and returns the file, the
+    /// body's length and its checksum — or the first write error.
+    fn close(mut self) -> io::Result<(File, u64, u64)> {
+        self.spill();
+        let Sink {
+            mut file,
+            sum,
+            written,
+            error,
+        } = self.sink.take().expect("close ends a streamed writer");
+        if let Some(e) = error {
+            return Err(e);
+        }
+        file.write_all(&self.buf)?;
+        Ok((
+            file,
+            written + self.buf.len() as u64,
+            sum.finish_words(&self.buf),
+        ))
     }
 
     /// One byte.
@@ -379,14 +497,19 @@ impl Writer {
         self.bytes(&v.to_le_bytes());
     }
 
-    /// A `u64`-length-prefixed byte chunk (a nested payload) that `body`
-    /// writes in place, so the payload is never built apart first.
-    pub fn chunk(&mut self, body: impl FnOnce(&mut Writer)) {
-        let at = self.buf.len();
-        self.u64(0); // length, set below
+    /// A `u64`-length-prefixed byte chunk (a nested payload) of `len`
+    /// bytes that `body` writes in place, so the payload is never built
+    /// apart first. The length goes first, so a streamed writer never
+    /// looks back; panics if `body` writes any other number of bytes.
+    pub fn chunk(&mut self, len: usize, body: impl FnOnce(&mut Writer)) {
+        self.u64(len as u64);
+        let start = self.written();
         body(self);
-        let len = (self.buf.len() - at - 8) as u64;
-        self.buf[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        assert_eq!(
+            self.written() - start,
+            len as u64,
+            "a chunk's body must be as long as it declared"
+        );
     }
 
     /// A `u64`-count-prefixed `f32` buffer.
@@ -400,7 +523,7 @@ impl Writer {
     /// in 16 KiB of stack scratch, then appended: one pass over the
     /// output, where zero-filling it first would take two.
     pub fn values<T: Copy, const W: usize>(&mut self, vals: &[T], to: impl Fn(T) -> [u8; W]) {
-        let mut scratch = [0u8; 16 * 1024];
+        let mut scratch = [0u8; SCRATCH_BYTES];
         for block in vals.chunks(scratch.len() / W) {
             let bytes = &mut scratch[..block.len() * W];
             for (dst, &v) in bytes.chunks_exact_mut(W).zip(block) {
@@ -434,10 +557,18 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// The sibling is unique per process, so processes racing on one path
 /// (two builders caching one matrix) each rename a complete file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    publish(path, |mut file| {
+        file.write_all(bytes)?;
+        Ok(file)
+    })
+}
+
+/// The one tmp → sync → rename: `fill` writes the staging sibling, and
+/// the rest is [`write_atomic`]'s contract.
+fn publish(path: &Path, fill: impl FnOnce(File) -> io::Result<File>) -> io::Result<()> {
     let tmp = tmp_path(path);
     let published = (|| {
-        let mut file = File::create(&tmp)?;
-        file.write_all(bytes)?;
+        let file = fill(File::create(&tmp)?)?;
         file.sync_all()?;
         std::fs::rename(&tmp, path)
     })();
@@ -599,8 +730,8 @@ mod tests {
         w.values(&[1.5, -2.25, f64::INFINITY], f64::to_le_bytes);
         w.values(&[7, 0, u32::MAX], u32::to_le_bytes);
         w.values(&[u64::MAX, 1], u64::to_le_bytes);
-        w.chunk(|nested| nested.bytes(b"nest"));
-        w.chunk(|_| ());
+        w.chunk(4, |nested| nested.bytes(b"nest"));
+        w.chunk(0, |_| ());
         let raw = w.finish();
         let mut r = Reader::new(&raw);
         let f = r.values("f", 3, f64::from_le_bytes);
@@ -616,6 +747,54 @@ mod tests {
         assert_eq!(r.chunk("nest"), Ok(&b"nest"[..]));
         assert_eq!(r.chunk("empty"), Ok(&b""[..]));
         assert_eq!(r.finish(), Ok(()));
+    }
+
+    /// Writes of every kind, `n` values long: `7 + 4 + n·12` body bytes
+    /// plus a nested chunk.
+    fn mixed_body(w: &mut Writer, n: usize) {
+        w.u8(1);
+        w.u32(n as u32);
+        w.values(&(0..n as u64).collect::<Vec<_>>(), u64::to_le_bytes);
+        w.chunk(n * 4 + 2, |nested| {
+            nested.values(&vec![0.5f32; n], f32::to_le_bytes);
+            nested.bytes(b"ok");
+        });
+        w.u8(2);
+    }
+
+    /// A streamed frame is the in-memory frame, byte for byte: for an
+    /// empty body, bodies that do and do not end on a word, and one that
+    /// crosses the stream's block several times (its `n` values take
+    /// 12 bytes each, three blocks' worth) with a tail.
+    #[test]
+    fn a_streamed_frame_is_the_frame_finish_builds() {
+        let dir = std::env::temp_dir().join(format!("traj-core-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join("frame.bin");
+        let bodies: [&dyn Fn(&mut Writer); 5] = [
+            &|_| (),
+            &|w| w.bytes(b"abcde"),
+            &|w| w.u64(7),
+            &|w| mixed_body(w, 3),
+            &|w| mixed_body(w, STREAM_BLOCK / 4 + 13),
+        ];
+        for (i, body) in bodies.iter().enumerate() {
+            let mut w = TEST.writer();
+            body(&mut w);
+            let want = TEST.finish(w);
+            TEST.write_atomic(&path, body).expect("stream");
+            let got = std::fs::read(&path).expect("read");
+            assert_eq!(got.len(), want.len(), "body {i}");
+            assert!(got == want, "body {i}: streamed bytes differ");
+            assert!(TEST.unframe(&got).is_ok(), "body {i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "as long as it declared")]
+    fn a_chunk_of_another_length_panics() {
+        Writer::new().chunk(3, |w| w.u64(1));
     }
 
     #[test]
@@ -634,6 +813,7 @@ mod tests {
         // old file in place; so does a rename that cannot replace `path`.
         std::fs::create_dir(tmp_path(&path)).expect("block the sibling");
         assert!(write_atomic(&path, b"newer").is_err());
+        assert!(TEST.write_atomic(&path, |w| w.u8(1)).is_err(), "streamed");
         assert_eq!(std::fs::read(&path).expect("read"), b"new");
         std::fs::remove_dir(tmp_path(&path)).expect("unblock");
         let target = dir.join("dir.bin");
