@@ -40,11 +40,12 @@
 //! [`ShardedServingStore::compact_inline`](sharded::ShardedServingStore::compact_inline)
 //! runs it on the calling thread; no writer ever pays the fold itself.
 //! Readers keep querying the old snapshot until the new one is published.
-//! Durability (`wal`) is WAL + atomic-rename checkpoint: a fold's install
-//! commits at the checkpoint's rename and changes nothing if it fails
-//! before it; recovery loads the last checkpoint, rolls a committed
-//! staged WAL forward, replays the verified WAL prefix, and discards a
-//! torn tail.
+//! Durability (`wal`) is WAL + atomic-rename checkpoint, each log named
+//! by the checkpoint epoch it extends: a fold's install writes the next
+//! epoch's log, commits at the checkpoint's rename, and changes nothing
+//! if it fails before it; recovery loads the last checkpoint, deletes
+//! every other epoch's log, replays the verified prefix of its own, and
+//! discards a torn tail.
 
 pub(crate) mod compactor;
 pub mod sharded;
@@ -172,16 +173,12 @@ struct Writer {
     /// shared by `Arc` with the published snapshots and updated
     /// copy-on-write, so publishing is a clone of a few pointers.
     view: Snapshot,
-    /// Base generation: bumped every time a fresh base is swapped in.
-    /// A fold pins the generation it started from; an install against a
-    /// different generation is stale and must be discarded (its delta
-    /// watermark indexes a delta that no longer exists).
-    generation: u64,
+    /// Folds installed: bumped at the one point where a fresh base is
+    /// swapped in. A fold pins the count it started from; an install
+    /// against a different count is stale and must be discarded (its
+    /// delta watermark indexes a delta that no longer exists).
     compactions: u64,
     wal: Option<WalFile>,
-    /// The live WAL is still under its staging name: an install committed
-    /// its checkpoint but failed to rename the WAL into place.
-    wal_staged: bool,
     dir: Option<PathBuf>,
 }
 
@@ -205,12 +202,12 @@ impl Writer {
 }
 
 /// A fold's starting point ([`Shard::fold`] step 1): the snapshot it
-/// folds, the delta rows that snapshot holds, and the base generation
-/// the fold replaces.
+/// folds, the delta rows that snapshot holds, and the compaction count
+/// of the base the fold replaces.
 struct Pin {
     snapshot: Snapshot,
     watermark: usize,
-    generation: u64,
+    compactions: u64,
 }
 
 /// One shard of a sharded serving store: a writer, its WAL and
@@ -243,42 +240,16 @@ impl Shard {
     ) -> Result<Shard, ServeError> {
         std::fs::create_dir_all(dir)?;
         wal::write_checkpoint(&dir.join(wal::CKPT_FILE), 0, 0, &ids, &base)?;
-        let wal_file = wal::stage_wal(dir, 0, [], opts.fsync)?;
-        wal::commit_wal(dir)?;
+        let wal_file = wal::create_wal(dir, 0, [], opts.fsync)?;
         Self::assemble(base, ids, opts, Some(wal_file), Some(dir.to_path_buf()), 0)
     }
 
     /// Recovers a durable shard from `dir`: loads the last checkpoint,
-    /// rolls forward a WAL its install staged but did not rename into
-    /// place (or deletes one it never committed), replays the verified
-    /// WAL prefix (discarding a torn tail), and discards a stale WAL.
+    /// deletes every other epoch's log, and replays the verified prefix
+    /// of the checkpoint epoch's log (discarding a torn tail).
     pub(crate) fn recover(dir: &Path, opts: ServingOptions) -> Result<Shard, ServeError> {
         let ckpt = wal::read_checkpoint(&dir.join(wal::CKPT_FILE))?;
-        wal::roll_forward(dir, ckpt.epoch)?;
-        let wal_path = dir.join(wal::WAL_FILE);
-        let replay = if wal_path.exists() {
-            Some(wal::replay(&wal_path)?)
-        } else {
-            None
-        };
-        let (ops, mut wal_file) = match replay {
-            Some((replay, wal_file)) if replay.checkpoint_epoch == ckpt.epoch => {
-                (replay.ops, wal_file)
-            }
-            Some((replay, _)) if replay.checkpoint_epoch > ckpt.epoch => {
-                return Err(ServeError::Corrupt(format!(
-                    "wal is bound to epoch {} but checkpoint is at {}",
-                    replay.checkpoint_epoch, ckpt.epoch
-                )));
-            }
-            // No WAL, or a stale one whose ops the checkpoint holds.
-            _ => {
-                let fresh = wal::stage_wal(dir, ckpt.epoch, [], opts.fsync)?;
-                wal::commit_wal(dir)?;
-                (Vec::new(), fresh)
-            }
-        };
-        wal_file.set_fsync(opts.fsync);
+        let (ops, wal_file) = wal::recover_wal(dir, ckpt.epoch, opts.fsync)?;
         let shard = Self::assemble(
             ckpt.store,
             ckpt.ids,
@@ -348,10 +319,8 @@ impl Shard {
         let writer = Writer {
             loc,
             view,
-            generation: 0,
             compactions,
             wal,
-            wal_staged: false,
             dir,
         };
         let current = RwLock::new(Arc::new(writer.view.clone()));
@@ -433,8 +402,8 @@ impl Shard {
     /// WAL. Returns whether the fold was installed (`false` means another
     /// fold swapped the base first and this one was discarded as stale).
     ///
-    /// 1. *Pin* the current state (snapshot, delta watermark, base
-    ///    generation) under a briefly held writer lock.
+    /// 1. *Pin* the current state (snapshot, delta watermark, compaction
+    ///    count) under a briefly held writer lock.
     /// 2. *Fold* without holding any lock: materialize the pinned live
     ///    rows in snapshot order through `Snapshot::to_flat`'s bytewise
     ///    row copies and build the pivot index over them. The folded base
@@ -454,7 +423,7 @@ impl Shard {
         Pin {
             snapshot: w.view.clone(),
             watermark: w.view.delta.len(),
-            generation: w.generation,
+            compactions: w.compactions,
         }
     }
 
@@ -463,7 +432,7 @@ impl Shard {
         let (rows, ids) = pin.snapshot.to_flat();
         let base = Arc::new(IndexedStore::build(rows, self.opts.index_params));
         let w = self.writer.lock();
-        if w.generation != pin.generation {
+        if w.compactions != pin.compactions {
             // A racing fold already replaced the base; the watermark no
             // longer indexes the live delta. Drop this one.
             return Ok(false);
@@ -554,14 +523,14 @@ impl Shard {
     ///   past the watermark) or removed becomes a base tombstone;
     /// * post-watermark delta tombstones are rebased by the watermark.
     ///
-    /// When durable, the checkpoint persists the folded base and the
-    /// fresh WAL is seeded with the residual ops (surviving upserts in
+    /// When durable, the checkpoint persists the folded base and the next
+    /// epoch's log is seeded with the residual ops (surviving upserts in
     /// delta order, then removals), so recovery replays to exactly the
     /// installed state. The install is all or nothing around the
     /// checkpoint's rename: an error before it changes nothing — the shard
-    /// keeps serving its old base on its old WAL, and the next fold
+    /// keeps serving its old base on its old log, and the next fold
     /// retries — while after it the install completes in memory and then
-    /// reports a failed WAL rename or directory sync.
+    /// reports a failed directory sync.
     fn install_fold(
         &self,
         mut w: MutexGuard<'_, Writer>,
@@ -583,7 +552,7 @@ impl Shard {
         for (r, &id) in ids.iter().enumerate() {
             // The folded copy of `id` is its pre-watermark version; it is
             // still live iff the id's current location predates the
-            // watermark (tombstoning is monotone within a generation, so
+            // watermark (tombstoning is monotone between folds, so
             // "live now in a pre-watermark slot" implies "live at pin").
             let live = match w.loc.get(&id) {
                 Some(Loc::Base(_)) => true,
@@ -599,15 +568,8 @@ impl Shard {
         // checkpoint's rename commits the fold (`wal` module docs). ---
         let epoch = w.view.epoch + 1;
         let compactions = w.compactions + 1;
-        let mut fresh_wal = None;
-        let mut after_commit = Ok(());
+        let mut synced = Ok(());
         if let Some(dir) = w.dir.clone() {
-            if w.wal_staged {
-                // The last install committed but could not rename its
-                // WAL, which is still the live log; finish that first.
-                wal::commit_wal(&dir)?;
-                w.wal_staged = false;
-            }
             // Re-log the post-pin residue: upserts in delta order (so
             // replay rebuilds the same delta rows with the same
             // supersession tombstones), then removals for every id that
@@ -629,27 +591,23 @@ impl Shard {
                 .chain(residue().map(|(id, _)| id))
                 .filter(|id| !w.loc.contains_key(id) && logged_removes.insert(*id))
                 .map(|id| WalOp::Remove { id });
-            let staged = wal::stage_wal(&dir, epoch, upserts.chain(removes), self.opts.fsync)?;
+            let fresh = wal::create_wal(&dir, epoch, upserts.chain(removes), self.opts.fsync)?;
             let ckpt_path = dir.join(wal::CKPT_FILE);
             if let Err(e) =
                 wal::write_checkpoint(&ckpt_path, epoch, compactions, &ids, base.store())
             {
-                let _ = std::fs::remove_file(dir.join(wal::STAGED_WAL_FILE));
+                fresh.discard();
                 return Err(e);
             }
-            // Committed: from here on recovery rolls the staged WAL
-            // forward, so the install proceeds whatever fails below. With
-            // fsync on, a directory sync makes the commit survive power
-            // loss (the WAL's rename need not: recovery finishes it).
-            let synced = if self.opts.fsync {
-                std::fs::File::open(&dir).and_then(|d| d.sync_all())
-            } else {
-                Ok(())
-            };
-            let renamed = wal::commit_wal(&dir);
-            w.wal_staged = renamed.is_err();
-            after_commit = synced.map_err(ServeError::from).and(renamed);
-            fresh_wal = Some(staged);
+            // Committed. With fsync on, a directory sync makes the commit
+            // survive power loss; only once it has may the old log go.
+            if self.opts.fsync {
+                synced = std::fs::File::open(&dir).and_then(|d| d.sync_all());
+            }
+            let old = w.wal.replace(fresh);
+            if let (Some(old), Ok(())) = (old, &synced) {
+                old.discard();
+            }
         }
 
         // --- The swap itself: pointer stores, O(churn) moves, and `loc`
@@ -668,11 +626,7 @@ impl Shard {
                 *j -= watermark as u32;
             }
         }
-        w.generation += 1;
         w.compactions = compactions;
-        if fresh_wal.is_some() {
-            w.wal = fresh_wal;
-        }
         w.view = Snapshot {
             base,
             base_ids: ids,
@@ -682,12 +636,13 @@ impl Shard {
             epoch,
         };
         self.publish(w);
-        after_commit
+        Ok(synced?)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::codec::tests::framed;
     use super::super::index::bound::BoundSpace;
     use super::super::store::tests::store_with_rows;
     use super::super::store::RetrievalResult;
@@ -1019,6 +974,9 @@ mod tests {
             }
             store.remove(2).expect("remove");
             store.compact_inline().expect("compact mid-history");
+            let shard = dir.join(wal::shard_dir_name(0));
+            let installed = wal::wal_name(store.stats().epoch);
+            assert_eq!(files(&shard), [installed.as_str(), wal::CKPT_FILE]);
             for i in 5..8u64 {
                 let (eu, hy, fa) = row(i, variant);
                 store
@@ -1088,24 +1046,35 @@ mod tests {
             .collect()
     }
 
-    /// Where a shard's install stages its WAL.
-    fn staged_wal(shard: &Path) -> PathBuf {
-        shard.join(wal::STAGED_WAL_FILE)
+    /// The names in a shard directory, sorted.
+    fn files(shard: &Path) -> Vec<String> {
+        let entries = std::fs::read_dir(shard).expect("list shard");
+        let mut names: Vec<String> = entries
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The log a shard's next install creates, at publication `epoch`.
+    fn next_log(shard: &Path, epoch: u64) -> PathBuf {
+        shard.join(wal::wal_name(epoch + 1))
     }
 
     /// Where this process's `write_atomic` stages a shard's checkpoint.
-    fn staged_ckpt(shard: &Path) -> PathBuf {
+    fn staged_ckpt(shard: &Path, _epoch: u64) -> PathBuf {
         shard.join(format!("{}.{}.tmp", wal::CKPT_FILE, std::process::id()))
     }
 
-    /// An install that fails before its commit point — the staged WAL or
-    /// the checkpoint's tmp file cannot be created — changes nothing: the
-    /// fold is a typed I/O error, counters and hits stay as they were,
-    /// later writes land on the old WAL, and recovery equals the model.
+    /// An install that fails before its commit point — the next epoch's
+    /// log or the checkpoint's tmp file cannot be created — changes
+    /// nothing: the fold is a typed I/O error, counters and hits stay as
+    /// they were, later writes land on the old log, and recovery equals
+    /// the model.
     #[test]
     fn an_install_that_fails_before_its_commit_changes_nothing() {
         for (tag, blocked) in [
-            ("fail-wal", staged_wal as fn(&Path) -> PathBuf),
+            ("fail-wal", next_log as fn(&Path, u64) -> PathBuf),
             ("fail-ckpt", staged_ckpt),
         ] {
             let (dir, store, mut model) = durable(tag);
@@ -1116,7 +1085,8 @@ mod tests {
             store.remove(1).expect("remove");
             model.remove(&1);
             let (stats, hits) = (store.stats(), hit_bits(&store));
-            std::fs::create_dir(blocked(&shard)).expect("block the path");
+            let blocked = blocked(&shard, stats.epoch);
+            std::fs::create_dir(&blocked).expect("block the path");
 
             let err = store
                 .compact_inline()
@@ -1130,7 +1100,7 @@ mod tests {
             store.remove(0).expect("remove");
             model.remove(&0);
             assert_eq!(live_rows(&store), model, "{tag}");
-            std::fs::remove_dir(blocked(&shard)).expect("unblock");
+            std::fs::remove_dir(&blocked).expect("unblock");
             drop(store);
 
             let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
@@ -1145,68 +1115,25 @@ mod tests {
         }
     }
 
-    /// An install that fails after its commit — here the WAL's rename —
-    /// still installs and logs on to the staged WAL. Recovered right then,
-    /// the shard rolls that WAL forward; served on, its next install
-    /// renames it into place before anything else, so even when that
-    /// install then fails itself, no acknowledged write is lost.
+    /// The two crash points of an install, on hand-built directories. A
+    /// crash after the next epoch's log is written but before the
+    /// checkpoint's rename recovers the pre-install state and deletes the
+    /// uncommitted log; a crash after the rename but before the old log
+    /// is deleted recovers the installed state — the residue in the new
+    /// log applied — and deletes the stale log. Either way a checkpoint's
+    /// leftover staging sibling is deleted too.
     #[test]
-    fn an_install_failing_after_its_commit_loses_no_write() {
-        for next_install in [false, true] {
-            let (dir, store, mut model) = durable(&format!("late-{next_install}"));
-            let shard = dir.join(wal::shard_dir_name(0));
-            let live = shard.join(wal::WAL_FILE);
-            put(&store, &mut model, 700, 1);
-            std::fs::remove_file(&live).expect("drop the live WAL's name");
-            std::fs::create_dir(&live).expect("and block it");
-            let err = store.compact_inline().expect_err("the WAL rename fails");
-            assert!(matches!(err, ServeError::Io(_)), "{err}");
-            assert_eq!(store.stats().compactions, 1, "committed, so installed");
-            put(&store, &mut model, 701, 2);
-            std::fs::remove_dir(&live).expect("unblock");
-
-            if next_install {
-                std::fs::create_dir(staged_ckpt(&shard)).expect("block the next checkpoint");
-                assert!(store.compact_inline().is_err());
-                assert!(live.is_file(), "the staged WAL was renamed first");
-                put(&store, &mut model, 702, 3);
-                std::fs::remove_dir(staged_ckpt(&shard)).expect("unblock");
-            }
-            drop(store);
-
-            let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
-            assert_eq!(live_rows(&back), model, "next_install={next_install}");
-            assert!(!staged_wal(&shard).exists());
-            std::fs::remove_dir_all(&dir).ok();
-        }
-    }
-
-    /// A crash after the checkpoint's rename but before the WAL's leaves
-    /// a new checkpoint, the stale WAL, and the staged WAL holding the
-    /// residue: recovery applies the staged WAL's ops and moves it into
-    /// place. A staged WAL bound to any other epoch is from an install
-    /// that never committed: recovery ignores and deletes it, as it does a
-    /// checkpoint's leftover staging sibling.
-    #[test]
-    fn recovery_rolls_a_committed_staged_wal_forward_and_deletes_others() {
-        for committed in [true, false] {
-            let (dir, store, mut model) = durable(&format!("staged-{committed}"));
+    fn recovery_keeps_the_committed_log_and_deletes_the_other() {
+        for committed in [false, true] {
+            let (dir, store, mut model) = durable(&format!("crash-{committed}"));
             let shard = dir.join(wal::shard_dir_name(0));
             for i in 0..3 {
                 put(&store, &mut model, 400 + i, i);
             }
             drop(store);
 
-            // The folded base, checkpointed at epoch 9 when committed.
-            let mut rows = store_with_rows(PluginVariant::Original).empty_like();
-            for (eu, _, _) in model.values() {
-                rows.push(eu, None, None);
-            }
-            let ids: Vec<u64> = model.keys().copied().collect();
-            if committed {
-                let ckpt = shard.join(wal::CKPT_FILE);
-                wal::write_checkpoint(&ckpt, 9, 1, &ids, &rows).expect("checkpoint");
-            }
+            // The next epoch's log holding the residue, and, once
+            // committed, the folded base checkpointed at its epoch.
             let (eu, _, _) = row(7, PluginVariant::Original);
             let residue = [
                 WalOp::Upsert {
@@ -1217,24 +1144,70 @@ mod tests {
                 },
                 WalOp::Remove { id: 400 },
             ];
-            wal::stage_wal(&shard, 9, residue, false).expect("stage");
+            drop(wal::create_wal(&shard, 9, residue, false).expect("next log"));
             if committed {
+                let mut rows = store_with_rows(PluginVariant::Original).empty_like();
+                for (eu, _, _) in model.values() {
+                    rows.push(eu, None, None);
+                }
+                let ids: Vec<u64> = model.keys().copied().collect();
+                let ckpt = shard.join(wal::CKPT_FILE);
+                wal::write_checkpoint(&ckpt, 9, 1, &ids, &rows).expect("checkpoint");
                 model.insert(500, (eu, None, None));
                 model.remove(&400);
             }
             // A checkpoint write an earlier process's crash cut short.
             let torn_ckpt = shard.join(format!("{}.1.tmp", wal::CKPT_FILE));
             std::fs::write(&torn_ckpt, b"LHCP").expect("torn sibling");
+            assert_eq!(files(&shard).len(), 4);
 
             let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
             assert_eq!(live_rows(&back), model, "committed={committed}");
             assert_eq!(back.stats().compactions, committed as u64);
-            assert!(!staged_wal(&shard).exists() && !torn_ckpt.exists());
+            let kept = wal::wal_name(if committed { 9 } else { 0 });
+            assert_eq!(files(&shard), [kept.as_str(), wal::CKPT_FILE]);
             drop(back);
             let again = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
             assert_eq!(live_rows(&again), model, "committed={committed}");
             std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// A directory in the layout of manifest version 2 — one `serve.wal`
+    /// per shard — fails recovery with a typed `UnsupportedVersion` and
+    /// leaves every file as it was: its log is neither deleted as
+    /// belonging to no epoch nor skipped.
+    #[test]
+    fn a_version_2_directory_is_unsupported_and_untouched() {
+        let (dir, store, mut model) = durable("v2-layout");
+        put(&store, &mut model, 800, 1);
+        drop(store);
+        let shard = dir.join(wal::shard_dir_name(0));
+        std::fs::rename(shard.join(wal::wal_name(0)), shard.join("serve.wal")).expect("rename");
+        let v2 = traj_core::codec::Format {
+            magic: *b"LHSM",
+            version: 2,
+        };
+        let manifest = dir.join(wal::MANIFEST_FILE);
+        std::fs::write(&manifest, framed(v2, &1u32.to_le_bytes())).expect("v2 manifest");
+        let read_all = || {
+            [
+                manifest.clone(),
+                shard.join(wal::CKPT_FILE),
+                shard.join("serve.wal"),
+            ]
+            .map(|path| std::fs::read(path).expect("read"))
+        };
+        let before = read_all();
+
+        let err = ShardedServingStore::recover(&dir, one_shard(0)).expect_err("old layout");
+        assert!(
+            matches!(err, ServeError::Decode(DecodeError::UnsupportedVersion(2))),
+            "{err}"
+        );
+        assert_eq!(read_all(), before);
+        assert_eq!(files(&shard), [wal::CKPT_FILE, "serve.wal"]);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A single flipped bit in a WAL header's epoch is a typed error. An
@@ -1247,7 +1220,7 @@ mod tests {
         store.compact_inline().expect("fold");
         put(&store, &mut model, 601, 2);
         drop(store);
-        let path = dir.join(wal::shard_dir_name(0)).join(wal::WAL_FILE);
+        let path = dir.join(wal::shard_dir_name(0)).join(wal::wal_name(2));
         let mut raw = std::fs::read(&path).expect("read wal");
         let at = 24; // the epoch follows the frame's 24-byte header
         let epoch = u64::from_le_bytes(raw[at..at + 8].try_into().expect("epoch word"));

@@ -338,8 +338,9 @@ impl ShardedServingStore {
     /// thread — the deterministic escape hatch (tests, shutdown
     /// checkpointing). Absent concurrent writers, every shard ends with
     /// an empty delta and no tombstones. A background fold scheduled by a
-    /// concurrent writer races this one through the generation check: of
-    /// two folds pinned at one generation, the later install is discarded.
+    /// concurrent writer races this one through the shard's compaction
+    /// count: of two folds pinned at one count, the later install is
+    /// discarded.
     pub fn compact_inline(&self) -> Result<(), ServeError> {
         self.drain()?;
         for shard in &self.shards {
@@ -549,8 +550,8 @@ mod tests {
         let _ = store.snapshot().knn(&q, 0, 1);
     }
 
-    /// The pre-sharding single-store layout — a bare `serve.ckpt` +
-    /// `serve.wal`, no manifest — is not a serving directory: recovery
+    /// The pre-sharding single-store layout — a bare checkpoint and log,
+    /// no manifest — is not a serving directory: recovery
     /// returns a typed error instead of panicking or guessing a count.
     #[test]
     fn a_bare_single_store_directory_is_a_typed_error() {
@@ -562,7 +563,7 @@ mod tests {
         let shard = Shard::create_durable(&dir, base, vec![7], opts).expect("create");
         shard.upsert(8, &[2.0, 0.0], None, None).expect("upsert");
         drop(shard);
-        assert!(dir.join(wal::CKPT_FILE).exists() && dir.join(wal::WAL_FILE).exists());
+        assert!(dir.join(wal::CKPT_FILE).exists() && dir.join(wal::wal_name(0)).exists());
         assert!(!dir.join(wal::MANIFEST_FILE).exists());
         let err = ShardedServingStore::recover(&dir, ShardedServingOptions::default())
             .expect_err("no manifest");

@@ -34,23 +34,19 @@
 //! A frame whose checksum verifies but whose body does not parse is
 //! corruption too, and errors.
 //!
-//! `checkpoint_epoch` ties a WAL to the checkpoint it extends, and a
-//! fold's install commits in one rename. It first *stages* a fresh WAL —
-//! header plus the writes that landed after its pin — under
-//! `serve.wal.tmp`, then publishes the new checkpoint: that rename is the
-//! commit point. Only then does the staged WAL replace the live one. A
-//! crash before the commit leaves the old checkpoint and its WAL intact
-//! and a staged WAL bound to an epoch no checkpoint has (or cut short
-//! inside its header), which recovery deletes; a crash after it leaves a
-//! staged WAL bound to the checkpoint's epoch, which recovery rolls
-//! forward. A staged WAL whose header does not decode beside a live WAL
-//! that is *not* bound to the checkpoint's epoch is a typed error, never
-//! deleted. With fsync on, the install syncs the directory right after
-//! the commit, so the commit survives power loss; the WAL's own rename
-//! need not, since recovery rolls the staged WAL forward. A WAL bound to
-//! an older epoch than the checkpoint's (left by an earlier release's
-//! install, which replaced the WAL after the rename) is stale: its ops are
-//! inside the checkpoint, and recovery discards it.
+//! `checkpoint_epoch` ties a WAL to the checkpoint it extends, and so
+//! does its name: a shard's log is `<epoch>.wal` ([`wal_name`]). A fold's
+//! install commits in one rename. It first creates the log of the next
+//! epoch complete — header plus the writes that landed after its pin,
+//! flushed once and, with fsync on, synced — then publishes the new
+//! checkpoint: that rename is the commit point. With fsync on, the
+//! install then syncs the directory, so the commit survives power loss.
+//! Only after that does it delete the previous epoch's log, best effort.
+//! Recovery reads the checkpoint, deletes every log of another epoch —
+//! an install's log that never committed, or the log a committed one had
+//! not yet deleted — and any checkpoint staging sibling, then replays
+//! `<checkpoint epoch>.wal`, creating it empty if it is missing. A log
+//! whose header names another epoch than its file name is corruption.
 //!
 //! # Checkpoint format (`LHCP`, version 2)
 //!
@@ -60,10 +56,10 @@
 //!   | u64 payload_len | store payload (store codec)
 //! ```
 //!
-//! # Shard manifest format (`LHSM`, version 2)
+//! # Shard manifest format (`LHSM`, version 3)
 //!
 //! ```text
-//! frame: "LHSM" | 2 | body_len | checksum | body: u32 shards
+//! frame: "LHSM" | 3 | body_len | checksum | body: u32 shards
 //! ```
 //!
 //! Each of the three reads exactly the version it writes; a file of any
@@ -72,23 +68,26 @@
 //!
 //! A serving directory holds one manifest naming the shard count plus one
 //! `shard-NNNN/` subdirectory per shard, each holding that shard's
-//! checkpoint (`serve.ckpt`) and WAL (`serve.wal`). A single store is a
-//! one-shard directory: the manifest plus `shard-0000/`. The manifest is
-//! authoritative on recovery — the partition function is keyed by the
-//! shard count, so opening with a different count would route ids to the
-//! wrong shards — and a directory without one (such as the pre-sharding
-//! single-store layout, a bare `serve.ckpt` + `serve.wal`) does not
-//! recover: it is a typed I/O error.
+//! checkpoint (`serve.ckpt`) and its log (`<epoch>.wal`). A single store
+//! is a one-shard directory: the manifest plus `shard-0000/`. The
+//! manifest is authoritative on recovery — the partition function is
+//! keyed by the shard count, so opening with a different count would
+//! route ids to the wrong shards — and a directory without one (such as
+//! the pre-sharding single-store layout, a bare `serve.ckpt` +
+//! `serve.wal`) does not recover: it is a typed I/O error. Manifest
+//! version 2 went with one `serve.wal` per shard, so that layout fails
+//! with `UnsupportedVersion` before recovery touches a file.
 //!
 //! By default appends are flushed to the OS (process-crash-safe) but not
-//! fsynced; [`WalFile::set_fsync`] upgrades each append to power-loss
-//! durability at the usual throughput cost.
+//! fsynced; [`ServingOptions::fsync`](super::ServingOptions::fsync)
+//! upgrades each append to power-loss durability at the usual throughput
+//! cost.
 
 use super::super::store::EmbeddingStore;
 use super::ServeError;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use traj_core::codec::{write_atomic, DecodeError, Fnv64, Format, Reader, Writer};
 
 const WAL: Format = Format {
@@ -101,15 +100,11 @@ const CHECKPOINT: Format = Format {
 };
 const MANIFEST: Format = Format {
     magic: *b"LHSM",
-    version: 2,
+    version: 3,
 };
 const OP_UPSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
 
-/// WAL file name inside a serving directory.
-pub(crate) const WAL_FILE: &str = "serve.wal";
-/// Where an install stages the WAL that replaces [`WAL_FILE`].
-pub(crate) const STAGED_WAL_FILE: &str = "serve.wal.tmp";
 /// Checkpoint file name inside a serving directory.
 pub(crate) const CKPT_FILE: &str = "serve.ckpt";
 /// Shard manifest file name inside a sharded serving directory.
@@ -118,6 +113,18 @@ pub(crate) const MANIFEST_FILE: &str = "serve.manifest";
 /// Name of shard `s`'s subdirectory inside a sharded serving directory.
 pub(crate) fn shard_dir_name(s: usize) -> String {
     format!("shard-{s:04}")
+}
+
+/// Name of the log that extends checkpoint `epoch`, inside a shard
+/// directory.
+pub(crate) fn wal_name(epoch: u64) -> String {
+    format!("{epoch}.wal")
+}
+
+/// The epoch of a log named by [`wal_name`]; `None` for any other name.
+fn wal_epoch(name: &str) -> Option<u64> {
+    let epoch = name.strip_suffix(".wal")?.parse().ok()?;
+    (wal_name(epoch) == name).then_some(epoch)
 }
 
 /// Writes the shard manifest atomically.
@@ -224,116 +231,107 @@ impl WalOp {
 pub(crate) struct WalFile {
     writer: BufWriter<File>,
     fsync: bool,
+    path: PathBuf,
 }
 
 impl WalFile {
-    /// Whether each append is fsynced (power-loss durable) rather than
-    /// just flushed to the OS (process-crash durable).
-    pub(crate) fn set_fsync(&mut self, fsync: bool) {
-        self.fsync = fsync;
-    }
-
-    /// Appends one framed record, checksummed by FNV-1a's byte step, and
-    /// flushes it.
+    /// Appends one record and flushes it (and syncs it when fsync is on).
     pub(crate) fn append(&mut self, op: &WalOp) -> Result<(), ServeError> {
-        let body = op.encode();
-        let mut frame = Writer::new();
-        frame.u32(body.len() as u32);
-        frame.u64(Fnv64::hash(&body));
-        self.writer.write_all(&frame.finish())?;
-        self.writer.write_all(&body)?;
+        write_record(&mut self.writer, op)?;
         self.writer.flush()?;
         if self.fsync {
             self.writer.get_ref().sync_data()?;
         }
         Ok(())
     }
+
+    /// Closes the log and deletes its file, best effort: the log of an
+    /// install that did not commit, or the one a commit superseded
+    /// (recovery deletes either if this fails).
+    pub(crate) fn discard(self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
 }
 
-/// Stages a fresh WAL for `dir` — bound to `epoch`, holding `ops` — as
-/// [`STAGED_WAL_FILE`], flushed (and synced when `fsync`), and returns it
-/// open for appending. The live WAL is untouched until [`commit_wal`]. On
-/// error the staged file is removed.
-pub(crate) fn stage_wal(
+/// Writes one framed record, checksummed by FNV-1a's byte step.
+fn write_record(out: &mut impl Write, op: &WalOp) -> std::io::Result<()> {
+    let body = op.encode();
+    let mut frame = Writer::new();
+    frame.u32(body.len() as u32);
+    frame.u64(Fnv64::hash(&body));
+    out.write_all(&frame.finish())?;
+    out.write_all(&body)
+}
+
+/// Creates the log that extends checkpoint `epoch` in `dir`, holding
+/// `ops`: written through one buffer and flushed once, then synced when
+/// `fsync`. Returns it open for appending. On error the file is removed.
+pub(crate) fn create_wal(
     dir: &Path,
     epoch: u64,
     ops: impl IntoIterator<Item = WalOp>,
     fsync: bool,
 ) -> Result<WalFile, ServeError> {
-    let path = dir.join(STAGED_WAL_FILE);
-    let staged = (|| -> Result<WalFile, ServeError> {
+    let path = dir.join(wal_name(epoch));
+    let created = (|| -> Result<WalFile, ServeError> {
         let mut header = WAL.writer();
         header.u64(epoch);
         let mut writer = BufWriter::new(File::create(&path)?);
         writer.write_all(&WAL.finish(header))?;
-        let mut wal = WalFile {
-            writer,
-            fsync: false,
-        };
         for op in ops {
-            wal.append(&op)?;
+            write_record(&mut writer, &op)?;
         }
-        wal.writer.flush()?;
+        writer.flush()?;
         if fsync {
-            wal.writer.get_ref().sync_all()?;
+            writer.get_ref().sync_all()?;
         }
-        wal.set_fsync(fsync);
-        Ok(wal)
+        let path = path.clone();
+        Ok(WalFile {
+            writer,
+            fsync,
+            path,
+        })
     })();
-    if staged.is_err() {
+    if created.is_err() {
         let _ = std::fs::remove_file(&path);
     }
-    staged
+    created
 }
 
-/// Renames the staged WAL over the live one. A handle returned by
-/// [`stage_wal`] keeps appending to the same file under its new name.
-pub(crate) fn commit_wal(dir: &Path) -> Result<(), ServeError> {
-    std::fs::rename(dir.join(STAGED_WAL_FILE), dir.join(WAL_FILE))?;
-    Ok(())
-}
-
-/// Finishes or undoes an install that stopped after staging its WAL.
-///
-/// An install stages its WAL, bound to the next epoch, before the
-/// checkpoint's rename commits it. So a staged WAL bound to the
-/// checkpoint's epoch was committed, and replaces the live WAL; one bound
-/// to another epoch never was, and is deleted. A staged WAL whose header
-/// does not decode is deleted only beside a live WAL bound to the
-/// checkpoint's epoch (its install never committed); anywhere else it
-/// may be the only log of acknowledged writes, and its decode error is
-/// returned. A checkpoint's staging sibling, left by a crash inside
-/// `write_atomic`, is deleted as well.
-pub(crate) fn roll_forward(dir: &Path, checkpoint_epoch: u64) -> Result<(), ServeError> {
+/// Opens the log of the shard in `dir` whose checkpoint is at `epoch`,
+/// and returns the ops it holds. First deletes what no commit left in
+/// force: every other epoch's log and any checkpoint staging sibling (a
+/// crash inside `write_atomic`). Then replays `<epoch>.wal` (healing a
+/// torn tail), or creates it empty if it is missing. A log whose header
+/// names another epoch is corrupt.
+pub(crate) fn recover_wal(
+    dir: &Path,
+    epoch: u64,
+    fsync: bool,
+) -> Result<(Vec<WalOp>, WalFile), ServeError> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if name.starts_with(CKPT_FILE) && name.ends_with(".tmp") {
+        let other_log = wal_epoch(&name).is_some_and(|e| e != epoch);
+        if other_log || (name.starts_with(CKPT_FILE) && name.ends_with(".tmp")) {
             std::fs::remove_file(entry.path())?;
         }
     }
-    let staged = dir.join(STAGED_WAL_FILE);
-    let raw = match std::fs::read(&staged) {
-        Ok(raw) => raw,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
-        Err(e) => return Err(e.into()),
-    };
-    let committed = match read_header(&raw) {
-        Ok((epoch, _)) => epoch == checkpoint_epoch,
-        Err(e) => {
-            let live = std::fs::read(dir.join(WAL_FILE)).unwrap_or_default();
-            if !matches!(read_header(&live), Ok((epoch, _)) if epoch == checkpoint_epoch) {
-                return Err(e.into());
-            }
-            false
-        }
-    };
-    if committed {
-        commit_wal(dir)
-    } else {
-        Ok(std::fs::remove_file(&staged)?)
+    let path = dir.join(wal_name(epoch));
+    if !path.try_exists()? {
+        return Ok((Vec::new(), create_wal(dir, epoch, [], fsync)?));
     }
+    let (replay, mut wal) = replay(&path)?;
+    if replay.checkpoint_epoch != epoch {
+        return Err(ServeError::Corrupt(format!(
+            "log {} is bound to epoch {}",
+            wal_name(epoch),
+            replay.checkpoint_epoch
+        )));
+    }
+    wal.fsync = fsync;
+    Ok((replay.ops, wal))
 }
 
 /// A WAL's checkpoint epoch, and a reader over its records.
@@ -418,6 +416,7 @@ pub(crate) fn replay(path: &Path) -> Result<(WalReplay, WalFile), ServeError> {
     let wal = WalFile {
         writer: BufWriter::new(file),
         fsync: false,
+        path: path.to_path_buf(),
     };
     Ok((replay, wal))
 }
@@ -526,9 +525,8 @@ mod tests {
 
     /// A WAL bound to epoch 3 holding `sample_ops()`.
     fn sample_wal(dir: &Path) -> PathBuf {
-        stage_wal(dir, 3, sample_ops(), false).expect("stage");
-        commit_wal(dir).expect("commit");
-        dir.join(WAL_FILE)
+        create_wal(dir, 3, sample_ops(), false).expect("create");
+        dir.join(wal_name(3))
     }
 
     /// Every truncation of `raw` and every single-bit flip of it fails
@@ -725,40 +723,68 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A staged WAL whose header does not decode is deleted only beside a
-    /// live WAL bound to the checkpoint's epoch, where its install cannot
-    /// have committed. Beside a stale live WAL it may be the committed log
-    /// (a crash between the two renames, or a failed WAL rename the
-    /// writer kept appending through), so a flipped bit is a typed error
-    /// and the file stays.
+    /// A log created with its ops in one write is, byte for byte, the
+    /// log those ops appended one at a time give.
     #[test]
-    fn an_undecodable_staged_wal_is_deleted_only_where_it_never_committed() {
-        for live_epoch in [4, 3] {
-            let dir = tmpdir(&format!("roll-{live_epoch}"));
-            stage_wal(&dir, live_epoch, [], false).expect("live");
-            commit_wal(&dir).expect("commit");
-            let staged = stage_wal(&dir, 4, sample_ops(), false).expect("stage");
-            drop(staged);
-            let path = dir.join(STAGED_WAL_FILE);
-            let mut raw = std::fs::read(&path).expect("read");
-            raw[FRAME_LEN] ^= 1;
-            std::fs::write(&path, &raw).expect("flip an epoch bit");
-            let rolled = roll_forward(&dir, 4);
-            if live_epoch == 4 {
-                assert!(rolled.is_ok(), "{rolled:?}");
-                assert!(!path.exists(), "an uncommitted stage is deleted");
-            } else {
-                assert!(
-                    matches!(
-                        rolled,
-                        Err(ServeError::Decode(DecodeError::ChecksumMismatch { .. }))
-                    ),
-                    "{rolled:?}"
-                );
-                assert_eq!(std::fs::read(&path).expect("kept"), raw);
-            }
-            std::fs::remove_dir_all(&dir).ok();
+    fn a_log_created_whole_is_the_appended_log() {
+        let (whole, appended) = (tmpdir("whole"), tmpdir("appended"));
+        create_wal(&whole, 3, sample_ops(), false).expect("create");
+        let mut wal = create_wal(&appended, 3, [], false).expect("create");
+        for op in sample_ops() {
+            wal.append(&op).expect("append");
         }
+        drop(wal);
+        let read = |dir: &Path| std::fs::read(dir.join(wal_name(3))).expect("read");
+        assert_eq!(read(&whole), read(&appended));
+        std::fs::remove_dir_all(&whole).ok();
+        std::fs::remove_dir_all(&appended).ok();
+    }
+
+    /// Recovery keeps the checkpoint epoch's log and deletes every other
+    /// epoch's and every checkpoint staging sibling; names that are not
+    /// a log's stay. A missing log is created empty.
+    #[test]
+    fn recovery_keeps_only_the_checkpoint_epochs_log() {
+        let dir = tmpdir("recover");
+        for epoch in [2, 3, 4] {
+            create_wal(&dir, epoch, sample_ops(), false).expect("create");
+        }
+        let keep = ["03.wal", "serve.wal", "notes"];
+        for name in keep.iter().chain(&["serve.ckpt.7.tmp"]) {
+            std::fs::write(dir.join(name), b"x").expect("write");
+        }
+        let (ops, _wal) = recover_wal(&dir, 3, false).expect("recover");
+        let expect: Vec<Vec<u8>> = sample_ops().iter().map(bits).collect();
+        assert_eq!(ops.iter().map(bits).collect::<Vec<_>>(), expect);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .expect("list")
+            .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["03.wal", "3.wal", "notes", "serve.wal"]);
+
+        let (ops, _wal) = recover_wal(&dir, 5, false).expect("recover");
+        assert!(ops.is_empty());
+        let (replayed, _wal) = replay(&dir.join(wal_name(5))).expect("created");
+        assert_eq!((replayed.checkpoint_epoch, replayed.ops.len()), (5, 0));
+        assert!(!dir.join(wal_name(3)).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A log whose header names another epoch than its file name is a
+    /// typed error, and the file stays.
+    #[test]
+    fn a_log_bound_to_another_epoch_than_its_name_is_corrupt() {
+        let dir = tmpdir("misnamed");
+        let raw = std::fs::read(sample_wal(&dir)).expect("read");
+        std::fs::rename(dir.join(wal_name(3)), dir.join(wal_name(4))).expect("rename");
+        let recovered = recover_wal(&dir, 4, false);
+        assert!(
+            matches!(recovered, Err(ServeError::Corrupt(_))),
+            "{recovered:?}"
+        );
+        assert_eq!(std::fs::read(dir.join(wal_name(4))).expect("kept"), raw);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -773,8 +799,8 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Only version 2 is read: a checkpoint, manifest or WAL whose
-    /// version word says 1 is unsupported, whatever follows it.
+    /// Only the current version is read: a checkpoint, manifest or WAL
+    /// whose version word says 1 is unsupported, whatever follows it.
     #[test]
     fn version_1_files_are_unsupported() {
         let dir = tmpdir("v1");

@@ -3,16 +3,15 @@
 //! Filling an N×N ground-truth distance matrix with an O(L²) measure is the
 //! single most expensive CPU step of every experiment, so it is chunked
 //! across threads here. We intentionally avoid a full work-stealing pool:
-//! a shared-cursor work queue ([`parallel_for_chunks`]) is within a few
+//! a shared-cursor work queue ([`parallel_for_each`]) is within a few
 //! percent of optimal for these workloads and keeps the dependency
 //! surface to the allowed crates. For non-uniform workloads (triangular
 //! pair sets, length-skewed rows) static chunking is *not* close to
-//! optimal — [`parallel_for_chunks`] plus a [`DisjointSlice`] is the
+//! optimal — [`parallel_for_each`] plus a [`DisjointSlice`] is the
 //! dynamic-scheduling alternative the matrix builder uses.
 
 use parking_lot::Mutex;
 use std::marker::PhantomData;
-use std::ops::Range;
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicBool;
 
@@ -55,48 +54,35 @@ where
     out
 }
 
-/// Runs `f` over every index range of `0..n`, split into batches of at
-/// most `batch` indices handed out dynamically from a shared cursor.
+/// Runs `f` on every index of `0..n`, handed out one at a time from a
+/// shared cursor to up to `threads` scoped threads.
 ///
-/// The caller picks the granularity: small batches balance skewed workloads (a thread that
-/// drew expensive items simply claims fewer batches), large batches
-/// amortize the cursor lock. With `threads == 1` the ranges are visited
-/// serially in order, still in `batch`-sized steps, so per-batch effects
-/// are identical across thread counts.
-pub fn parallel_for_chunks<F>(n: usize, threads: usize, batch: usize, f: F)
+/// The caller sizes the work items: a thread that drew expensive items
+/// simply claims fewer, so skewed workloads balance. With `threads == 1`
+/// the indices are visited serially in order.
+pub fn parallel_for_each<F>(n: usize, threads: usize, f: F)
 where
-    F: Fn(Range<usize>) + Sync,
+    F: Fn(usize) + Sync,
 {
-    if n == 0 {
-        return;
-    }
-    let batch = batch.max(1);
-    let threads = threads.clamp(1, n.div_ceil(batch));
+    let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
-        let mut start = 0;
-        while start < n {
-            let end = (start + batch).min(n);
-            f(start..end);
-            start = end;
-        }
+        (0..n).for_each(f);
         return;
     }
     let next = Mutex::new(0usize);
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let next = &next;
-            let f = &f;
+            let (next, f) = (&next, &f);
             scope.spawn(move || loop {
-                let start = {
+                let item = {
                     let mut g = next.lock();
-                    let s = *g;
-                    if s >= n {
-                        return;
-                    }
-                    *g = (s + batch).min(n);
-                    s
+                    *g += 1;
+                    *g - 1
                 };
-                f(start..(start + batch).min(n));
+                if item >= n {
+                    return;
+                }
+                f(item);
             });
         }
     });
@@ -204,34 +190,19 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_every_index_once() {
-        let n = 4973; // deliberately not a multiple of any batch below
-        for threads in [1, 2, 4] {
-            for batch in [1, 7, 64, 10_000] {
-                let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                parallel_for_chunks(n, threads, batch, |range| {
-                    assert!(range.len() <= batch);
-                    for i in range {
-                        counters[i].fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-                assert!(
-                    counters.iter().all(|c| c.load(Ordering::Relaxed) == 1),
-                    "threads={threads} batch={batch}"
-                );
-            }
+    fn each_index_is_visited_once() {
+        let n = 4973;
+        for threads in [1, 2, 4, 8] {
+            let counters: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            parallel_for_each(n, threads, |i| {
+                counters[i].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                counters.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                "threads={threads}"
+            );
         }
-    }
-
-    #[test]
-    fn chunks_empty_and_zero_batch() {
-        parallel_for_chunks(0, 4, 16, |_| panic!("no work"));
-        // batch = 0 is clamped to 1 instead of looping forever.
-        let hits = AtomicUsize::new(0);
-        parallel_for_chunks(3, 2, 0, |r| {
-            hits.fetch_add(r.len(), Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 3);
+        parallel_for_each(0, 4, |_| panic!("no work"));
     }
 
     #[test]
@@ -239,11 +210,9 @@ mod tests {
         let n = 2048;
         let mut out = vec![0usize; n];
         let view = DisjointSlice::new(&mut out);
-        parallel_for_chunks(n, 4, 32, |range| {
-            for i in range {
-                // SAFETY: each index is claimed by exactly one batch.
-                unsafe { view.write(i, i * 3) };
-            }
+        parallel_for_each(n, 4, |i| {
+            // SAFETY: each index is handed out exactly once.
+            unsafe { view.write(i, i * 3) };
         });
         assert!(out.iter().enumerate().all(|(i, &v)| v == i * 3));
     }

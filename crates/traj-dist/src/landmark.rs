@@ -13,11 +13,10 @@
 //! ```
 //!
 //! is an **admissible lower bound** on the true distance, computable in
-//! O(k) after an O(k·n) one-time featurization. Three consumers share
+//! O(k) after an O(k·n) one-time featurization. Two consumers share
 //! the mechanism: the [`crate::MatrixBuilder`] landmark pre-screen
-//! (`MatrixBuilder::prune_landmark`), the pivot-partitioned retrieval
-//! index's second-level member bound (`lh-core/retrieval/index`), and
-//! the training-free `landmark` encoder in `lh-models`.
+//! (`MatrixBuilder::prune_landmark`) and the training-free `landmark`
+//! encoder in `lh-models`.
 //!
 //! # Why each gated measure admits the bound (constant 1)
 //!

@@ -14,7 +14,7 @@
 //!   Hausdorff, TP, DITA), pruned builds — goes through a queue of
 //!   fixed-size pair batches. Groups and batches are handed out
 //!   from one shared work queue
-//!   ([`traj_core::parallel::parallel_for_chunks`]), so the triangular,
+//!   ([`traj_core::parallel::parallel_for_each`]), so the triangular,
 //!   length-skewed workload balances across threads, and workers write
 //!   finished distances straight into the flat output buffer through a
 //!   [`DisjointSlice`] — no per-row `Vec`s, no merge pass. Each pair's
@@ -48,7 +48,7 @@ use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use traj_core::codec::Fnv64;
-use traj_core::parallel::{default_threads, parallel_for_chunks, DisjointSlice};
+use traj_core::parallel::{default_threads, parallel_for_each, DisjointSlice};
 use traj_core::Trajectory;
 
 /// How a build runs its pairs.
@@ -151,15 +151,14 @@ pub struct MatrixBuilder {
     measure: Measure,
     schedule: Schedule,
     threads: Option<usize>,
-    pair_batch: usize,
     prune: Option<PrunePlan>,
     cache_dir: Option<PathBuf>,
 }
 
-/// Default pair-batch size: small enough that a thread drawing expensive
+/// Pairs per scalar batch: small enough that a thread drawing expensive
 /// pairs claims fewer batches, large enough to amortize the queue lock
 /// (a batch is hundreds of microseconds of DP work at typical lengths).
-const DEFAULT_PAIR_BATCH: usize = 256;
+const PAIR_BATCH: usize = 256;
 
 /// The pairs one execution evaluates, and the output cells each fills.
 #[derive(Clone, Copy)]
@@ -239,7 +238,6 @@ impl MatrixBuilder {
             measure,
             schedule: Schedule::default(),
             threads: None,
-            pair_batch: DEFAULT_PAIR_BATCH,
             prune: None,
             cache_dir: None,
         }
@@ -255,12 +253,6 @@ impl MatrixBuilder {
     /// by available work items).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads.max(1));
-        self
-    }
-
-    /// Overrides the size of the scalar pair batches.
-    pub fn pair_batch(mut self, batch: usize) -> Self {
-        self.pair_batch = batch.max(1);
         self
     }
 
@@ -367,27 +359,21 @@ impl MatrixBuilder {
         let (groups, queued) = plan
             .as_ref()
             .map_or((0, space.len()), |plan| (plan.groups(), plan.stragglers()));
-        let batch = self.pair_batch;
-        let items = groups + queued.div_ceil(batch);
+        let items = groups + queued.div_ceil(PAIR_BATCH);
         let threads = self.threads.unwrap_or_else(|| default_threads(items));
-        parallel_for_chunks(items, threads, 1, |items| {
-            for item in items {
-                match &plan {
-                    Some(plan) if item < groups => {
-                        let members: Vec<_> =
-                            plan.group(item).map(|p| (p, space.pair(p))).collect();
-                        let pairs: Vec<_> = members.iter().map(|&(_, (_, a, b))| (a, b)).collect();
-                        let values = wavefront::eval_batch(&self.measure, &pairs);
-                        for (&(p, (ij, ..)), d) in members.iter().zip(values) {
-                            space.write(&out, p, ij, d);
-                        }
-                    }
-                    _ => {
-                        let start = (item - groups) * batch;
-                        for k in start..(start + batch).min(queued) {
-                            scalar(plan.as_ref().map_or(k, |plan| plan.straggler(k)));
-                        }
-                    }
+        parallel_for_each(items, threads, |item| match &plan {
+            Some(plan) if item < groups => {
+                let members: Vec<_> = plan.group(item).map(|p| (p, space.pair(p))).collect();
+                let pairs: Vec<_> = members.iter().map(|&(_, (_, a, b))| (a, b)).collect();
+                let values = wavefront::eval_batch(&self.measure, &pairs);
+                for (&(p, (ij, ..)), d) in members.iter().zip(values) {
+                    space.write(&out, p, ij, d);
+                }
+            }
+            _ => {
+                let start = (item - groups) * PAIR_BATCH;
+                for k in start..(start + PAIR_BATCH).min(queued) {
+                    scalar(plan.as_ref().map_or(k, |plan| plan.straggler(k)));
                 }
             }
         });
@@ -633,7 +619,6 @@ mod tests {
         for threads in [1, 3, 8] {
             let par = MatrixBuilder::new(measure)
                 .threads(threads)
-                .pair_batch(5)
                 .build_pairwise(&ts);
             assert_eq!(bits(&serial.matrix), bits(&par.matrix), "threads={threads}");
         }
@@ -650,7 +635,6 @@ mod tests {
             .build_cross(&ts[..4], &ts);
         let par = MatrixBuilder::new(measure)
             .threads(4)
-            .pair_batch(3)
             .build_cross(&ts[..4], &ts);
         assert_eq!(bits(&serial.matrix), bits(&par.matrix));
         assert_eq!(serial.report.pairs_computed, 4 * 13);

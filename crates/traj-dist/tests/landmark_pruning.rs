@@ -120,7 +120,6 @@ proptest! {
         kind_idx in 0usize..9,
         quantile in 0.1f64..0.9,
         threads in 1usize..5,
-        batch in 1usize..8,
     ) {
         let measure = ALL_KINDS[kind_idx].measure();
         let exact = MatrixBuilder::new(measure).build_pairwise(&ts).matrix;
@@ -132,7 +131,6 @@ proptest! {
             let pruned = MatrixBuilder::new(measure)
                 .schedule(schedule)
                 .threads(threads)
-                .pair_batch(batch)
                 .prune_landmark(threshold)
                 .build_pairwise(&ts)
                 .matrix;

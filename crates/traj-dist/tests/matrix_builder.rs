@@ -41,13 +41,12 @@ proptest! {
 
     /// The default executor (lockstep groups for the measures with a
     /// batched kernel, scalar batches otherwise) is byte-identical to the serial oracle for every
-    /// measure, at every thread count and batch size.
+    /// measure, at every thread count.
     #[test]
     fn schedules_byte_identical_all_measures(
         ts in traj_set(),
         kind_idx in 0usize..9,
         threads in 1usize..5,
-        batch in 1usize..8,
     ) {
         let measure = ALL_KINDS[kind_idx].measure();
         let serial = MatrixBuilder::new(measure)
@@ -55,7 +54,6 @@ proptest! {
             .build_pairwise(&ts);
         let default = MatrixBuilder::new(measure)
             .threads(threads)
-            .pair_batch(batch)
             .build_pairwise(&ts);
         prop_assert_eq!(bits(&serial.matrix), bits(&default.matrix));
     }
@@ -66,7 +64,6 @@ proptest! {
         ts in traj_set(),
         kind_idx in 0usize..9,
         threads in 1usize..5,
-        batch in 1usize..8,
     ) {
         let measure = ALL_KINDS[kind_idx].measure();
         let q = ts.len() / 2;
@@ -75,7 +72,6 @@ proptest! {
             .build_cross(&ts[..q], &ts);
         let default = MatrixBuilder::new(measure)
             .threads(threads)
-            .pair_batch(batch)
             .build_cross(&ts[..q], &ts);
         prop_assert_eq!(bits(&serial.matrix), bits(&default.matrix));
     }

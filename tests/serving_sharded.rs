@@ -19,6 +19,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const FACTOR_DIM: usize = 3;
@@ -169,6 +170,17 @@ fn flat_reference(
         .iter()
         .map(|h| (ids[h.index], h.distance.to_bits()))
         .collect()
+}
+
+/// A shard directory's one log, `<checkpoint epoch>.wal`.
+fn shard_log(shard: &Path) -> PathBuf {
+    let logs: Vec<PathBuf> = std::fs::read_dir(shard)
+        .expect("list shard")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+        .collect();
+    assert_eq!(logs.len(), 1, "one log per shard: {logs:?}");
+    logs[0].clone()
 }
 
 fn sharded_opts(shards: usize, threshold: usize) -> ShardedServingOptions {
@@ -505,7 +517,7 @@ proptest! {
             drop(store);
 
             // Tear the chosen shard's log past its 32-byte header.
-            let wal_path = dir.join(format!("shard-{torn:04}")).join("serve.wal");
+            let wal_path = shard_log(&dir.join(format!("shard-{torn:04}")));
             let len = std::fs::metadata(&wal_path).expect("wal exists").len();
             let body = len.saturating_sub(32);
             let keep = 32 + ((body as f64) * (1.0 - cut_frac)) as u64;
@@ -803,4 +815,79 @@ fn manifest_pins_shard_count_on_recovery() {
     assert_eq!(back.num_shards(), 3, "manifest is authoritative");
     assert_eq!(back.len(), 6);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every shard's delta grown past three 128-row chunks before it is
+/// queried, replayed and folded, in a durable two-shard store: hits equal
+/// the model's as sets and the store's own flat scan in order, and stay
+/// bit for bit the same through recovery and through the fold, after
+/// which each shard directory holds one checkpoint and one log.
+#[test]
+fn deltas_past_three_chunks_recover_and_fold_exactly() {
+    let (shards, dim) = (2, 3);
+    for variant in [PluginVariant::LorentzCosh, PluginVariant::FusionDist] {
+        let dir = std::env::temp_dir().join(format!(
+            "lh-serve-shard-chunks-{}-{}",
+            variant.name(),
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut rng = StdRng::seed_from_u64(0x3c4a);
+        let (base, ids, mut model) = seed_rows(variant, dim, 60, &mut rng);
+        let opts = sharded_opts(shards, 0);
+        let store = ShardedServingStore::create_durable(&dir, base, ids, opts).expect("create");
+        while store.shard_stats().iter().any(|s| s.delta_rows <= 3 * 128) {
+            let id = rng.gen_range(0..1200u64);
+            if rng.gen_range(0..100u32) < 80 {
+                let row = random_row(variant, dim, &mut rng);
+                store
+                    .upsert(id, &row.0, row.1.as_deref(), row.2.as_deref())
+                    .expect("upsert");
+                model.insert(id, row);
+            } else {
+                store.remove(id).expect("remove");
+                model.remove(&id);
+            }
+        }
+        let mut queries = empty_store(variant, dim);
+        for _ in 0..4 {
+            let row = random_row(variant, dim, &mut rng);
+            queries.push(&row.0, row.1.as_deref(), row.2.as_deref());
+        }
+        let (flat, flat_ids) = model_store(variant, dim, &model);
+        let hits = |snap: &ShardedSnapshot| -> Vec<Vec<(u64, u32)>> {
+            let mut all = Vec::new();
+            for qi in 0..queries.len() {
+                for k in [1, 10, 60] {
+                    let served = snap.knn(&queries, qi, k);
+                    let want = canon_flat(&flat, &flat_ids, &queries, qi, k);
+                    assert_eq!(canon_hits(&served), want, "{} vs model", variant.name());
+                    let own = flat_reference(snap, &queries, qi, k);
+                    assert_eq!(ordered_hits(&served), own, "{}", variant.name());
+                    all.push(own);
+                }
+            }
+            all
+        };
+        let expect = hits(&store.snapshot());
+        drop(store);
+
+        let back = ShardedServingStore::recover(&dir, opts).expect("recover");
+        assert_eq!(
+            hits(&back.snapshot()),
+            expect,
+            "{} replayed",
+            variant.name()
+        );
+        back.compact_inline().expect("fold");
+        assert_eq!(back.snapshot().delta_rows(), 0);
+        assert_eq!(hits(&back.snapshot()), expect, "{} folded", variant.name());
+        for s in 0..shards {
+            let shard = dir.join(format!("shard-{s:04}"));
+            shard_log(&shard);
+            assert_eq!(std::fs::read_dir(&shard).expect("list").count(), 2);
+        }
+        drop(back);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -10,12 +10,13 @@
 
 use lh_repro::plugin::{
     EmbeddingStore, PluginVariant, ServeHit, ServingOptions, ShardedServingOptions,
-    ShardedServingStore,
+    ShardedServingStore, ShardedSnapshot,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const FACTOR_DIM: usize = 3;
@@ -172,6 +173,17 @@ fn canon_flat(
 /// before and after an operation that promises identical ordering.
 fn ordered_hits(hits: &[ServeHit]) -> Vec<(u64, u32)> {
     hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+}
+
+/// A shard directory's one log, `<checkpoint epoch>.wal`.
+fn shard_log(shard: &Path) -> PathBuf {
+    let logs: Vec<PathBuf> = std::fs::read_dir(shard)
+        .expect("list shard")
+        .map(|e| e.expect("entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
+        .collect();
+    assert_eq!(logs.len(), 1, "one log per shard: {logs:?}");
+    logs[0].clone()
 }
 
 /// One shard: the single store.
@@ -400,7 +412,7 @@ proptest! {
             // Tear the log: keep the 32-byte header (a 24-byte frame
             // around the epoch word, written once at create; a crash
             // mid-append can only tear record frames).
-            let wal_path = dir.join("shard-0000").join("serve.wal");
+            let wal_path = shard_log(&dir.join("shard-0000"));
             let len = std::fs::metadata(&wal_path).expect("wal exists").len();
             let body = len.saturating_sub(32);
             let keep = 32 + ((body as f64) * (1.0 - cut_frac)) as u64;
@@ -477,4 +489,50 @@ fn empty_store_grows_through_upserts() {
         q
     };
     assert_eq!(snap.knn(&q, 0, 10).len(), 5, "k ≥ n returns all live rows");
+}
+
+/// A delta grown past three 128-row chunks before it is queried and
+/// folded: every hit list equals the model's as a set and the store's own
+/// flat scan in order, and the fold keeps the hits bit for bit.
+#[test]
+fn a_delta_past_three_chunks_serves_and_folds_exactly() {
+    let dim = 3;
+    for variant in VARIANTS {
+        let mut rng = StdRng::seed_from_u64(0xc4a2);
+        let (base, ids, mut model) = seed_rows(variant, dim, 40, &mut rng);
+        let store = ShardedServingStore::new(base, ids, opts(0)).expect("unique ids");
+        while store.snapshot().delta_rows() <= 3 * 128 {
+            for op in random_ops(variant, dim, 32, 600, &mut rng) {
+                apply(&store, &mut model, &op);
+            }
+        }
+        let mut queries = empty_store(variant, dim);
+        for _ in 0..4 {
+            let row = random_row(variant, dim, &mut rng);
+            queries.push(&row.0, row.1.as_deref(), row.2.as_deref());
+        }
+        let (flat, flat_ids) = model_store(variant, dim, &model);
+        let hits = |snap: &ShardedSnapshot| -> Vec<Vec<(u64, u32)>> {
+            let (own, own_ids) = snap.to_flat();
+            let mut all = Vec::new();
+            for qi in 0..queries.len() {
+                for k in [1, 10, 60] {
+                    let served = snap.knn(&queries, qi, k);
+                    let want = canon_flat(&flat, &flat_ids, &queries, qi, k);
+                    assert_eq!(canon_hits(&served), want, "{} vs model", variant.name());
+                    let own_hits: Vec<(u64, u32)> = (own.knn(&queries, qi, k).iter())
+                        .map(|h| (own_ids[h.index], h.distance.to_bits()))
+                        .collect();
+                    assert_eq!(ordered_hits(&served), own_hits, "{}", variant.name());
+                    all.push(own_hits);
+                }
+            }
+            all
+        };
+        let before = hits(&store.snapshot());
+        store.compact_inline().expect("fold");
+        let after = store.snapshot();
+        assert_eq!(after.delta_rows(), 0);
+        assert_eq!(hits(&after), before, "{} across the fold", variant.name());
+    }
 }
