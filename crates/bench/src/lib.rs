@@ -6,6 +6,8 @@
 //! writing under `target/experiments/`, and the default experiment scales
 //! (small enough for CPU, large enough to show the paper's shapes).
 
+#![forbid(unsafe_code)]
+
 pub mod args;
 pub mod hist;
 pub mod ledger;

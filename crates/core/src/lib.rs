@@ -26,6 +26,8 @@
 //! [`config::PluginVariant`] selects `original` (Euclidean only),
 //! `lh-vanilla`, `lh-cosh`, or `fusion-dist`.
 
+#![deny(unsafe_code)]
+
 pub mod config;
 pub mod distance;
 pub mod fusion;

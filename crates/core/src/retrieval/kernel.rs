@@ -56,6 +56,7 @@ const LINE: usize = 64 / std::mem::size_of::<f32>();
 /// step from its first element, and one at its last element, so a row
 /// that straddles a line boundary is covered too. A no-op off x86_64.
 #[inline(always)]
+#[allow(unsafe_code)]
 fn prefetch_row(row: &[f32]) {
     #[cfg(target_arch = "x86_64")]
     for x in row.iter().step_by(LINE).chain(row.last()) {

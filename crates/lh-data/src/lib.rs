@@ -12,6 +12,8 @@
 //! *routes* and then emits several noisy/resampled variants of each, so
 //! top-k similarity retrieval has meaningful answers.
 
+#![forbid(unsafe_code)]
+
 pub mod citysim;
 pub mod noise;
 pub mod presets;

@@ -17,6 +17,8 @@
 //! mathematical reference. The trainable `f32` versions live in `lh-core`
 //! and are tested against this reference.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod lorentz;
 pub mod projection;

@@ -11,6 +11,8 @@
 //! [`histogram`] bins RVS populations into densities for the Fig. 5
 //! reproduction.
 
+#![forbid(unsafe_code)]
+
 pub mod histogram;
 pub mod ranking;
 pub mod violation;

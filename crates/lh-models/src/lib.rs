@@ -15,6 +15,8 @@
 //! LH-plugin (in `lh-core`) is deliberately model-agnostic: it only ever
 //! touches that output matrix, which is precisely the paper's claim.
 
+#![forbid(unsafe_code)]
+
 pub mod features;
 pub mod landmark;
 pub mod neutraj;

@@ -19,6 +19,8 @@
 //! are lists of per-step matrices with `B×1` masks, which covers every
 //! model in the paper while eliminating N-d stride bookkeeping.
 
+#![forbid(unsafe_code)]
+
 pub mod init;
 pub mod layers;
 pub mod loss;

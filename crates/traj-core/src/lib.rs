@@ -12,6 +12,8 @@
 //! Everything here is deliberately framework-free `f64` geometry; the neural
 //! network substrate (`lh-nn`) works in `f32` and converts at its boundary.
 
+#![forbid(unsafe_code)]
+
 pub mod bbox;
 pub mod codec;
 pub mod dataset;

@@ -56,7 +56,7 @@ impl Point {
     /// True when all coordinates (and the timestamp, if present) are finite.
     #[inline]
     pub fn is_finite(&self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.t.map_or(true, |t| t.is_finite())
+        self.x.is_finite() && self.y.is_finite() && self.t.is_none_or(|t| t.is_finite())
     }
 
     /// Linear interpolation between `self` and `other` at fraction `u ∈ [0,1]`.

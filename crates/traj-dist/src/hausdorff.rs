@@ -20,6 +20,7 @@
 //! to share nearest neighbours, and the second direction starts from the
 //! first direction's `worst`.
 
+use crate::simd;
 use traj_core::{Point, Trajectory};
 
 /// Points of `b` compared with one point of `a` per step: two AVX2
@@ -47,8 +48,8 @@ fn columns(b: &[Point]) -> Columns {
 /// running minimum, so a chunk costs one packed `min` and one packed
 /// compare against `worst`; the lanes are folded only after a full scan,
 /// which means every distance exceeded `worst` and the fold is the
-/// point's new, larger minimum. `#[inline(always)]` so the AVX2 wrapper
-/// below compiles the loop nest under the widened ISA.
+/// point's new, larger minimum. `#[inline(always)]` so [`simd::widest`]
+/// compiles the loop nest under the widened ISA.
 #[inline(always)]
 fn directed_sq(a: &[Point], b: &Columns, mut worst: f64) -> f64 {
     let chunks = b.xs.len() / LANES;
@@ -77,31 +78,10 @@ fn directed_sq(a: &[Point], b: &Columns, mut worst: f64) -> f64 {
     worst
 }
 
-/// AVX2 instantiation of [`directed_sq`], selected at run time. It
-/// recompiles the identical IEEE expressions with packed instructions;
-/// Rust never contracts to FMA, so both paths return the same bits.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::*;
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn directed_sq(a: &[Point], b: &Columns, worst: f64) -> f64 {
-        super::directed_sq(a, b, worst)
-    }
-}
-
 /// [`directed_sq`] on the widest path the CPU supports.
 fn directed(a: &[Point], b: &[Point], worst: f64) -> f64 {
     let b = columns(b);
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe { avx2::directed_sq(a, &b, worst) };
-    }
-    directed_sq(a, &b, worst)
+    simd::widest(|| directed_sq(a, &b, worst))
 }
 
 /// Directed Hausdorff distance: `max_{a∈A} min_{b∈B} d(a,b)`.
@@ -180,11 +160,8 @@ mod tests {
                 let full = scan(&a, &b).max(scan(&b, &a));
                 let portable = directed_sq(&b, &ca, directed_sq(&a, &cb, 0.0));
                 assert_eq!(portable.to_bits(), full.to_bits(), "portable {n}x{m}");
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 support was just verified at runtime.
-                    let wide =
-                        unsafe { avx2::directed_sq(&b, &ca, avx2::directed_sq(&a, &cb, 0.0)) };
+                if simd::has_avx2() {
+                    let wide = simd::widest(|| directed_sq(&b, &ca, directed_sq(&a, &cb, 0.0)));
                     assert_eq!(wide.to_bits(), portable.to_bits(), "avx2 {n}x{m}");
                 }
             }

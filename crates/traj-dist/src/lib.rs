@@ -18,7 +18,11 @@
 //! admissible pruning, and persistent fingerprint-keyed checkpoints.
 //! SSPD and Hausdorff are not DPs; their scalar kernels are lane-blocked
 //! over points in the squared domain instead ([`mod@sspd`],
-//! [`mod@hausdorff`]).
+//! [`mod@hausdorff`]). One private dispatcher runs all three lane loops
+//! compiled for AVX2 where the CPU has it; its call is the crate's only
+//! `unsafe` code.
+
+#![deny(unsafe_code)]
 
 mod dp;
 pub mod dtw;
@@ -30,6 +34,7 @@ pub mod landmark;
 pub mod lcss;
 pub mod matrix;
 pub mod measure;
+mod simd;
 pub mod sspd;
 pub mod st;
 

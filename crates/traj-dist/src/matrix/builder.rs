@@ -15,12 +15,14 @@
 //!   fixed-size pair batches. Groups and batches are handed out
 //!   from one shared work queue
 //!   ([`traj_core::parallel::parallel_for_each`]), so the triangular,
-//!   length-skewed workload balances across threads, and workers write
-//!   finished distances straight into the flat output buffer through a
-//!   [`DisjointSlice`] — no per-row `Vec`s, no merge pass. Each pair's
-//!   distance comes from the same kernel arithmetic and lands in fixed
-//!   cells, so the result is **bit-identical** to [`Schedule::Serial`],
-//!   the single-threaded oracle, at every thread count.
+//!   length-skewed workload balances across threads. Each work item
+//!   evaluates its pairs into a local buffer, then locks the flat output
+//!   buffer once and stores them: a worker holds one batch at a time, no
+//!   n²-sized staging buffer and no merge pass, and the store is safe
+//!   code. Each pair's distance comes from the same kernel arithmetic
+//!   and lands in fixed cells, so the result is **bit-identical** to
+//!   [`Schedule::Serial`], the single-threaded oracle, at every thread
+//!   count.
 //! * **Opt-in threshold pruning** ([`MatrixBuilder::prune`],
 //!   [`MatrixBuilder::prune_landmark`]): an optional O(k) landmark
 //!   lower-bound screen (backed by [`crate::landmark`]) rejects pairs
@@ -47,8 +49,9 @@ use crate::measure::Measure;
 use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use traj_core::codec::Fnv64;
-use traj_core::parallel::{default_threads, parallel_for_each, DisjointSlice};
+use traj_core::parallel::{default_threads, parallel_for_each};
 use traj_core::Trajectory;
 
 /// How a build runs its pairs.
@@ -200,21 +203,16 @@ impl<'a> Space<'a> {
     }
 
     /// Stores pair `p`'s value `d` (`ij` from [`Space::pair`]) in its
-    /// cells of `out`.
+    /// cells of `out`: `(i, j)` and `(j, i)` of a pairwise matrix, cell
+    /// `p` otherwise.
     #[inline]
-    fn write(&self, out: &DisjointSlice<'_, f64>, p: usize, (i, j): (usize, usize), d: f64) {
-        // SAFETY: `execute` hands each pair index to exactly one work
-        // item, and pair `p`'s cells belong to it alone: `(i, j)` and
-        // `(j, i)` with `i < j` in the upper triangle (the diagonal is
-        // never written), cell `p` otherwise.
-        unsafe {
-            match *self {
-                Space::Pairwise(trajs) => {
-                    out.write(i * trajs.len() + j, d);
-                    out.write(j * trajs.len() + i, d);
-                }
-                Space::Cross(..) | Space::List(_) => out.write(p, d),
+    fn write(&self, out: &mut [f64], p: usize, (i, j): (usize, usize), d: f64) {
+        match *self {
+            Space::Pairwise(trajs) => {
+                out[i * trajs.len() + j] = d;
+                out[j * trajs.len() + i] = d;
             }
+            Space::Cross(..) | Space::List(_) => out[p] = d,
         }
     }
 }
@@ -325,6 +323,8 @@ impl MatrixBuilder {
     /// exact entries, so it cannot honor a threshold). The lockstep plan's
     /// groups and the scalar pair batches — its stragglers, or every pair
     /// when there is no plan — are the work items of one parallel phase.
+    /// Each item evaluates its pairs into a local buffer, then locks `out`
+    /// once to store them, so a worker holds at most one batch.
     fn execute(
         &self,
         space: Space<'_>,
@@ -333,7 +333,6 @@ impl MatrixBuilder {
     ) -> (usize, usize) {
         let pruned = AtomicUsize::new(0);
         let screened = AtomicUsize::new(0);
-        let out = DisjointSlice::new(out);
         let scalar = |p: usize| {
             let (ij, a, b) = space.pair(p);
             let (d, by) = self.eval_at(screen, ij, a, b);
@@ -343,10 +342,12 @@ impl MatrixBuilder {
             if by == PrunedBy::Screen {
                 screened.fetch_add(1, Ordering::Relaxed);
             }
-            space.write(&out, p, ij, d);
+            (p, ij, d)
         };
         if self.schedule == Schedule::Serial {
-            (0..space.len()).for_each(scalar);
+            for (p, ij, d) in (0..space.len()).map(scalar) {
+                space.write(out, p, ij, d);
+            }
             return (pruned.into_inner(), screened.into_inner());
         }
 
@@ -361,20 +362,26 @@ impl MatrixBuilder {
             .map_or((0, space.len()), |plan| (plan.groups(), plan.stragglers()));
         let items = groups + queued.div_ceil(PAIR_BATCH);
         let threads = self.threads.unwrap_or_else(|| default_threads(items));
-        parallel_for_each(items, threads, |item| match &plan {
-            Some(plan) if item < groups => {
-                let members: Vec<_> = plan.group(item).map(|p| (p, space.pair(p))).collect();
-                let pairs: Vec<_> = members.iter().map(|&(_, (_, a, b))| (a, b)).collect();
-                let values = wavefront::eval_batch(&self.measure, &pairs);
-                for (&(p, (ij, ..)), d) in members.iter().zip(values) {
-                    space.write(&out, p, ij, d);
+        let out = Mutex::new(out);
+        parallel_for_each(items, threads, |item| {
+            let values: Vec<_> = match &plan {
+                Some(plan) if item < groups => {
+                    let members: Vec<_> = plan.group(item).map(|p| (p, space.pair(p))).collect();
+                    let pairs: Vec<_> = members.iter().map(|&(_, (_, a, b))| (a, b)).collect();
+                    let values = wavefront::eval_batch(&self.measure, &pairs);
+                    let cells = members.iter().zip(values);
+                    cells.map(|(&(p, (ij, ..)), d)| (p, ij, d)).collect()
                 }
-            }
-            _ => {
-                let start = (item - groups) * PAIR_BATCH;
-                for k in start..(start + PAIR_BATCH).min(queued) {
-                    scalar(plan.as_ref().map_or(k, |plan| plan.straggler(k)));
+                _ => {
+                    let start = (item - groups) * PAIR_BATCH;
+                    (start..(start + PAIR_BATCH).min(queued))
+                        .map(|k| scalar(plan.as_ref().map_or(k, |plan| plan.straggler(k))))
+                        .collect()
                 }
+            };
+            let mut out = out.lock().expect("a store panicked in another worker");
+            for (p, ij, d) in values {
+                space.write(&mut out, p, ij, d);
             }
         });
         (pruned.into_inner(), screened.into_inner())
@@ -609,21 +616,33 @@ mod tests {
         m.data().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Every worker count gives the serial oracle's bits. n = 48 is
+    /// 1 128 pairs: several [`PAIR_BATCH`] scalar batches (SSPD) or many
+    /// lockstep groups (DTW), drawn by up to eight threads, so a batch or
+    /// group whose pairs land in the wrong cells shows.
     #[test]
     fn schedules_are_bit_identical() {
-        let ts = skewed_trajs(17);
-        let measure = MeasureKind::Dtw.measure();
-        let serial = MatrixBuilder::new(measure)
-            .schedule(Schedule::Serial)
-            .build_pairwise(&ts);
-        for threads in [1, 3, 8] {
-            let par = MatrixBuilder::new(measure)
-                .threads(threads)
+        const { assert!(48 * 47 / 2 > 4 * PAIR_BATCH) };
+        for (n, kind) in [
+            (17, MeasureKind::Dtw),
+            (48, MeasureKind::Dtw),
+            (48, MeasureKind::Sspd),
+        ] {
+            let ts = skewed_trajs(n);
+            let measure = kind.measure();
+            let serial = MatrixBuilder::new(measure)
+                .schedule(Schedule::Serial)
                 .build_pairwise(&ts);
-            assert_eq!(bits(&serial.matrix), bits(&par.matrix), "threads={threads}");
+            for threads in [1, 2, 3, 8] {
+                let par = MatrixBuilder::new(measure)
+                    .threads(threads)
+                    .build_pairwise(&ts);
+                let tag = format!("{} n={n} threads={threads}", kind.name());
+                assert_eq!(bits(&serial.matrix), bits(&par.matrix), "{tag}");
+            }
+            assert_eq!(serial.report.pairs_computed, n * (n - 1) / 2);
+            assert_eq!(serial.report.cache, CacheOutcome::Disabled);
         }
-        assert_eq!(serial.report.pairs_computed, 17 * 16 / 2);
-        assert_eq!(serial.report.cache, CacheOutcome::Disabled);
     }
 
     #[test]
@@ -638,6 +657,22 @@ mod tests {
             .build_cross(&ts[..4], &ts);
         assert_eq!(bits(&serial.matrix), bits(&par.matrix));
         assert_eq!(serial.report.pairs_computed, 4 * 13);
+        // 24 × 48 = 1 152 cells: several scalar batches (SSPD) or lockstep
+        // groups (DTW) across threads.
+        let ts = skewed_trajs(48);
+        for kind in [MeasureKind::Sspd, MeasureKind::Dtw] {
+            let measure = kind.measure();
+            let serial = MatrixBuilder::new(measure)
+                .schedule(Schedule::Serial)
+                .build_cross(&ts[..24], &ts);
+            for threads in [1, 2, 3, 8] {
+                let par = MatrixBuilder::new(measure)
+                    .threads(threads)
+                    .build_cross(&ts[..24], &ts);
+                let tag = format!("{} threads={threads}", kind.name());
+                assert_eq!(bits(&serial.matrix), bits(&par.matrix), "{tag}");
+            }
+        }
     }
 
     #[test]

@@ -62,6 +62,7 @@
 
 use crate::dp::{with_cell, Cell, Pt};
 use crate::measure::Measure;
+use crate::simd;
 use traj_core::Trajectory;
 
 /// Target lanes per lockstep group: 8 f64 lanes = two AVX2 vectors (or one
@@ -301,9 +302,9 @@ fn lane_cells<C: Cell>(
 /// The wavefront driver: iterates anti-diagonals `it = 1..=n_max+m_max`
 /// over a rotating 3-diagonal buffer, writing boundary cells from the
 /// precomputed `col0`/`row0` arrays and capturing each lane's final cell
-/// from its own final diagonal. `#[inline(always)]` so the
-/// `target_feature` entry point below compiles the whole loop nest — not
-/// just a call — under the widened ISA.
+/// from its own final diagonal. `#[inline(always)]` so
+/// [`simd::widest`] compiles the whole loop nest — not just a call —
+/// under the widened ISA.
 #[inline(always)]
 fn run_diagonals<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
     let (a, b, dims) = (&group.rows, &group.cols, &group.dims);
@@ -351,40 +352,16 @@ fn run_diagonals<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
     }
 }
 
-/// The driver compiled for AVX2, selected at runtime by [`dispatch`]. The
-/// portable [`run_diagonals`] is the fallback and the semantics reference;
-/// this merely recompiles the identical IEEE expressions with packed
-/// instructions (no FMA contraction — Rust never fuses, so results stay
-/// bit-identical across paths).
-///
-/// # Safety
-///
-/// The CPU must support AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-// SAFETY: AVX2 support is the one precondition, passed to the caller;
-// the body is safe code.
-unsafe fn run_diagonals_avx2<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
-    run_diagonals(cell, group, out);
-}
-
-/// Runs the widest driver the CPU supports.
-fn dispatch<C: Cell>(cell: C, group: &Group, out: &mut [f64]) {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support, the entry point's one precondition, was
-        // just detected at runtime.
-        unsafe { run_diagonals_avx2(cell, group, out) };
-        return;
-    }
-    run_diagonals(cell, group, out);
-}
-
 /// One lockstep group through the driver, finished per lane.
+/// `#[inline(always)]` so [`simd::widest`] compiles all of it as one
+/// function that owns the group and the output. Run through a closure
+/// that captures `&group` and `&mut out` instead, the driver's per-cell
+/// loop reloads the group's fields and runs 5–10 % slower.
+#[inline(always)]
 fn lockstep<C: Cell>(cell: C, pairs: &[(&Trajectory, &Trajectory)]) -> Vec<f64> {
     let group = Group::new(cell, pairs);
     let mut out = vec![0.0; pairs.len()];
-    dispatch(cell, &group, &mut out);
+    run_diagonals(cell, &group, &mut out);
     for (d, &(n, m)) in out.iter_mut().zip(&group.dims) {
         *d = cell.finish(*d, n, m);
     }
@@ -398,7 +375,7 @@ pub fn eval_batch(measure: &Measure, pairs: &[(&Trajectory, &Trajectory)]) -> Ve
     if pairs.is_empty() {
         return Vec::new();
     }
-    with_cell!(measure, c => lockstep(c, pairs),
+    with_cell!(measure, c => simd::widest(|| lockstep(c, pairs)),
         _ => pairs.iter().map(|&(a, b)| measure.distance(a, b)).collect(),
     )
 }
@@ -586,7 +563,7 @@ mod tests {
     }
 
     /// On an AVX2 host the runtime dispatch never takes the portable
-    /// `run_diagonals`, so nothing else runs it: run both instantiations
+    /// `lockstep`, so nothing else runs it: run both instantiations
     /// on the same ragged group and require equal bits (and scalar bits).
     /// The AVX2 half is skipped where the CPU lacks AVX2.
     #[test]
@@ -613,29 +590,13 @@ mod tests {
     }
 
     /// Finished distances through the portable driver and, where the CPU
-    /// has AVX2, through the AVX2 entry point.
+    /// has AVX2, through the AVX2 instantiation.
     fn both_paths<C: Cell>(
         cell: C,
         pairs: &[(&Trajectory, &Trajectory)],
     ) -> (Vec<f64>, Option<Vec<f64>>) {
-        let group = Group::new(cell, pairs);
-        let finish = |mut v: Vec<f64>| {
-            for (d, &(n, m)) in v.iter_mut().zip(&group.dims) {
-                *d = cell.finish(*d, n, m);
-            }
-            v
-        };
-        let mut portable = vec![0.0; pairs.len()];
-        run_diagonals(cell, &group, &mut portable);
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            let mut wide = vec![0.0; pairs.len()];
-            // SAFETY: AVX2 support, the entry point's one precondition,
-            // was just detected at runtime.
-            unsafe { run_diagonals_avx2(cell, &group, &mut wide) };
-            return (finish(portable), Some(finish(wide)));
-        }
-        (finish(portable), None)
+        let wide = simd::has_avx2().then(|| simd::widest(|| lockstep(cell, pairs)));
+        (lockstep(cell, pairs), wide)
     }
 
     #[test]

@@ -22,6 +22,7 @@
 //! sign of a zero that squaring erases, so no lane needs a branch. Lane
 //! results are summed in point order, exactly as a per-point loop would.
 
+use crate::simd;
 use traj_core::{Point, Trajectory};
 
 /// Points of `a` evaluated together against each segment: two AVX2
@@ -67,8 +68,8 @@ fn segments(b: &[Point]) -> Vec<Segment> {
 }
 
 /// Sum over points of `a` of the distance to the polyline `segs`, in
-/// point order. `#[inline(always)]` so the AVX2 wrapper below compiles
-/// the whole loop nest under the widened ISA.
+/// point order. `#[inline(always)]` so [`simd::widest`] compiles the
+/// whole loop nest under the widened ISA.
 #[inline(always)]
 fn spd_sum(a: &[Point], segs: &[Segment]) -> f64 {
     let mut acc = 0.0;
@@ -98,32 +99,11 @@ fn spd_sum(a: &[Point], segs: &[Segment]) -> f64 {
     acc
 }
 
-/// AVX2 instantiation of [`spd_sum`], selected at run time. It recompiles
-/// the identical IEEE expressions with packed instructions; Rust never
-/// contracts to FMA, so both paths return the same bits.
-#[cfg(target_arch = "x86_64")]
-mod avx2 {
-    use super::*;
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn spd_sum(a: &[Point], segs: &[Segment]) -> f64 {
-        super::spd_sum(a, segs)
-    }
-}
-
 /// Directed segment-path distance: mean distance from each point of `a` to
 /// the polyline of `b`.
 pub fn spd(a: &Trajectory, b: &Trajectory) -> f64 {
     let segs = segments(b.points());
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
-        // SAFETY: AVX2 support was just verified at runtime.
-        return unsafe { avx2::spd_sum(a.points(), &segs) } / a.len() as f64;
-    }
-    spd_sum(a.points(), &segs) / a.len() as f64
+    simd::widest(|| spd_sum(a.points(), &segs)) / a.len() as f64
 }
 
 /// Symmetric segment-path distance: `(SPD(a→b) + SPD(b→a)) / 2`.
@@ -222,10 +202,8 @@ mod tests {
                     })
                     .fold(0.0, |acc, d| acc + d);
                 assert_eq!(portable.to_bits(), looped.to_bits(), "portable, len {len}");
-                #[cfg(target_arch = "x86_64")]
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: AVX2 support was just verified at runtime.
-                    let wide = unsafe { avx2::spd_sum(&a, &segs) };
+                if simd::has_avx2() {
+                    let wide = simd::widest(|| spd_sum(&a, &segs));
                     assert_eq!(wide.to_bits(), portable.to_bits(), "avx2, len {len}");
                 }
             }

@@ -4,6 +4,8 @@
 //! integration tests can `use lh_repro::...`. See `DESIGN.md` for the full
 //! system inventory and `EXPERIMENTS.md` for reproduction results.
 
+#![forbid(unsafe_code)]
+
 pub use lh_core as plugin;
 pub use lh_data as data;
 pub use lh_hyperbolic as hyperbolic;

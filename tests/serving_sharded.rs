@@ -12,30 +12,21 @@
 //! residual-re-log/recovery contracts.
 
 use lh_repro::plugin::{
-    shard_of_id, EmbeddingStore, PluginVariant, ServeHit, ServingOptions, ShardedServingOptions,
+    shard_of_id, EmbeddingStore, PluginVariant, ServingOptions, ShardedServingOptions,
     ShardedServingStore, ShardedSnapshot,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-const FACTOR_DIM: usize = 3;
-const BETA: f32 = 1.0;
+mod common;
+use common::*;
 
 /// The shard counts the issue calls out: degenerate (1), even (2), and a
 /// prime that leaves most shards sparsely populated (7).
 const SHARD_COUNTS: [usize; 3] = [1, 2, 7];
-
-const VARIANTS: [PluginVariant; 3] = [
-    PluginVariant::Original,
-    PluginVariant::LorentzCosh,
-    PluginVariant::FusionDist,
-];
-
-type Row = (Vec<f32>, Option<Vec<f32>>, Option<Vec<f32>>);
 
 /// One step of an interleaved sequence (queries and compactions are ops
 /// too — the issue's "interleaved upsert/remove/query/compact").
@@ -44,49 +35,6 @@ enum Op {
     Remove(u64),
     Query,
     Compact,
-}
-
-fn random_row(variant: PluginVariant, dim: usize, rng: &mut StdRng) -> Row {
-    let eu: Vec<f32> = (0..dim).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-    let hyper = variant.uses_hyperbolic().then(|| {
-        let nsq: f32 = eu.iter().map(|v| v * v).sum();
-        let mut hy = vec![(nsq + BETA).sqrt()];
-        hy.extend_from_slice(&eu);
-        hy
-    });
-    let factors = variant.uses_fusion().then(|| {
-        (0..2 * FACTOR_DIM)
-            .map(|_| rng.gen_range(0.01f32..1.0))
-            .collect()
-    });
-    (eu, hyper, factors)
-}
-
-fn empty_store(variant: PluginVariant, dim: usize) -> EmbeddingStore {
-    EmbeddingStore::new(
-        dim,
-        variant,
-        BETA,
-        variant.uses_fusion().then_some(FACTOR_DIM),
-    )
-}
-
-fn seed_rows(
-    variant: PluginVariant,
-    dim: usize,
-    n: usize,
-    rng: &mut StdRng,
-) -> (EmbeddingStore, Vec<u64>, BTreeMap<u64, Row>) {
-    let mut store = empty_store(variant, dim);
-    let mut ids = Vec::with_capacity(n);
-    let mut model = BTreeMap::new();
-    for i in 0..n {
-        let row = random_row(variant, dim, rng);
-        store.push(&row.0, row.1.as_deref(), row.2.as_deref());
-        ids.push(i as u64);
-        model.insert(i as u64, row);
-    }
-    (store, ids, model)
 }
 
 fn random_ops(
@@ -112,51 +60,6 @@ fn random_ops(
         .collect()
 }
 
-fn model_store(
-    variant: PluginVariant,
-    dim: usize,
-    model: &BTreeMap<u64, Row>,
-) -> (EmbeddingStore, Vec<u64>) {
-    let mut store = empty_store(variant, dim);
-    let mut ids = Vec::with_capacity(model.len());
-    for (&id, row) in model {
-        store.push(&row.0, row.1.as_deref(), row.2.as_deref());
-        ids.push(id);
-    }
-    (store, ids)
-}
-
-/// Order-insensitive bit-exact view of a hit list (stores enumerating
-/// rows in different orders tie-break equal distances differently, so
-/// only the (distance-bits, id) *set* is comparable across them).
-fn canon_hits(hits: &[ServeHit]) -> Vec<(u32, u64)> {
-    let mut v: Vec<(u32, u64)> = hits.iter().map(|h| (h.distance.to_bits(), h.id)).collect();
-    v.sort_unstable();
-    v
-}
-
-fn canon_flat(
-    store: &EmbeddingStore,
-    ids: &[u64],
-    queries: &EmbeddingStore,
-    qi: usize,
-    k: usize,
-) -> Vec<(u32, u64)> {
-    let mut v: Vec<(u32, u64)> = store
-        .knn(queries, qi, k)
-        .iter()
-        .map(|h| (h.distance.to_bits(), ids[h.index]))
-        .collect();
-    v.sort_unstable();
-    v
-}
-
-/// In-order bit-exact view — the sharded store's own contract is
-/// order-exact against its concatenated flat materialization.
-fn ordered_hits(hits: &[ServeHit]) -> Vec<(u64, u32)> {
-    hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
-}
-
 /// Order-exact reference: flat scan of the sharded snapshot's own
 /// `to_flat`, ids mapped through the concatenated id column.
 fn flat_reference(
@@ -170,17 +73,6 @@ fn flat_reference(
         .iter()
         .map(|h| (ids[h.index], h.distance.to_bits()))
         .collect()
-}
-
-/// A shard directory's one log, `<checkpoint epoch>.wal`.
-fn shard_log(shard: &Path) -> PathBuf {
-    let logs: Vec<PathBuf> = std::fs::read_dir(shard)
-        .expect("list shard")
-        .map(|e| e.expect("entry").path())
-        .filter(|p| p.extension().is_some_and(|x| x == "wal"))
-        .collect();
-    assert_eq!(logs.len(), 1, "one log per shard: {logs:?}");
-    logs[0].clone()
 }
 
 fn sharded_opts(shards: usize, threshold: usize) -> ShardedServingOptions {
