@@ -264,7 +264,7 @@ impl Trainer {
                     1,
                     batch.iter().map(|p| p.weight as f32).collect(),
                 );
-                let t = tape.constant(targets);
+                let t = tape.input(targets);
                 let loss = lh_nn::loss::weighted_mse(&mut tape, pred, t, &weights);
                 let loss_val = tape.value(loss).item() as f64;
                 tape.backward(loss);

@@ -45,9 +45,10 @@ pub fn point_features(traj: &Trajectory) -> Vec<[f32; FEAT_DIM]> {
     out
 }
 
-/// Builds padded per-step batch constants for a set of feature sequences,
-/// keeping only columns `cols.0..cols.1`. Returns `(steps, masks, lens)`:
-/// `steps[t]` is `B×(cols.1−cols.0)`, `masks[t]` is `B×1`.
+/// Builds padded per-step batch inputs (data leaves, see [`Tape::input`])
+/// for a set of feature sequences, keeping only columns `cols.0..cols.1`.
+/// Returns `(steps, masks, lens)`: `steps[t]` is `B×(cols.1−cols.0)`,
+/// `masks[t]` is `B×1`.
 pub fn batch_steps(
     tape: &mut Tape,
     seqs: &[Vec<[f32; FEAT_DIM]>],
@@ -68,7 +69,7 @@ pub fn batch_steps(
                 }
             }
         }
-        steps.push(tape.constant(m));
+        steps.push(tape.input(m));
     }
     let masks = lh_nn::layers::sequence_masks(tape, &lens, max_len);
     (steps, masks)

@@ -58,7 +58,7 @@ impl TrajectoryEncoder for LandmarkEncoder {
         for t in trajs {
             data.extend(self.landmarks.features(t).into_iter().map(|f| f as f32));
         }
-        tape.constant(Tensor::from_vec(trajs.len(), k, data))
+        tape.input(Tensor::from_vec(trajs.len(), k, data))
     }
 }
 

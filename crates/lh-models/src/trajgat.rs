@@ -14,6 +14,7 @@ use crate::traits::{EncoderConfig, TrajectoryEncoder};
 use lh_nn::layers::{GatLayer, Linear};
 use lh_nn::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
+use std::collections::{HashMap, HashSet};
 use traj_core::{Point, QuadTree, QuadTreeConfig, Trajectory, TrajectoryDataset};
 
 /// Quadtree + GAT encoder.
@@ -66,32 +67,29 @@ impl TrajGatEncoder {
         &self.tree
     }
 
-    /// Builds the per-trajectory graph: node features and adjacency.
-    /// Returns `(features, neighbors, num_point_nodes)`.
+    /// Builds the per-trajectory graph: node features and adjacency, in
+    /// O(points · tree depth). Returns `(features, neighbors,
+    /// num_point_nodes)`.
     fn build_graph(&self, traj: &Trajectory) -> (Tensor, Vec<Vec<usize>>, usize) {
         let feats = point_features(traj);
         let n_pts = feats.len();
         let max_depth = self.tree.depth().max(1) as f32;
 
-        // Collect unique tree nodes on the paths of all points.
+        // Number the tree nodes on the points' paths in first-seen order,
+        // after the points, and keep each path as graph indices.
         let mut tree_nodes: Vec<usize> = Vec::new();
+        let mut tree_index: HashMap<usize, usize> = HashMap::new();
         let mut paths: Vec<Vec<usize>> = Vec::with_capacity(n_pts);
         for p in traj.points() {
             let path = self.tree.path_to_leaf(p);
-            for &n in &path {
-                if !tree_nodes.contains(&n) {
-                    tree_nodes.push(n);
-                }
-            }
-            paths.push(path);
+            let path = path.iter().map(|&arena| {
+                *tree_index.entry(arena).or_insert_with(|| {
+                    tree_nodes.push(arena);
+                    n_pts + tree_nodes.len() - 1
+                })
+            });
+            paths.push(path.collect());
         }
-        let tree_index = |arena: usize| {
-            n_pts
-                + tree_nodes
-                    .iter()
-                    .position(|&x| x == arena)
-                    .expect("tree node indexed")
-        };
 
         let total = n_pts + tree_nodes.len();
         let mut x = Tensor::zeros(total, NODE_DIM);
@@ -108,12 +106,16 @@ impl TrajGatEncoder {
             x.set(n_pts + j, 3, node.depth as f32 / max_depth);
         }
 
+        // Each list starts with its self-loop; `seen` holds every directed
+        // edge listed so far, so an edge is appended once, in first-seen
+        // order.
         let mut neighbors: Vec<Vec<usize>> = (0..total).map(|i| vec![i]).collect();
+        let mut seen: HashSet<(usize, usize)> = (0..total).map(|i| (i, i)).collect();
         let mut connect = |a: usize, b: usize| {
-            if !neighbors[a].contains(&b) {
+            if seen.insert((a, b)) {
                 neighbors[a].push(b);
             }
-            if !neighbors[b].contains(&a) {
+            if seen.insert((b, a)) {
                 neighbors[b].push(a);
             }
         };
@@ -124,11 +126,11 @@ impl TrajGatEncoder {
         // Membership edges point → every tree node on its path, and tree
         // child → parent edges along the path.
         for (i, path) in paths.iter().enumerate() {
-            for &arena in path {
-                connect(i, tree_index(arena));
+            for &node in path {
+                connect(i, node);
             }
             for w in path.windows(2) {
-                connect(tree_index(w[0]), tree_index(w[1]));
+                connect(w[0], w[1]);
             }
         }
         (x, neighbors, n_pts)
@@ -149,7 +151,7 @@ impl TrajectoryEncoder for TrajGatEncoder {
         let mut rows = Vec::with_capacity(trajs.len());
         for traj in trajs {
             let (x, neighbors, n_pts) = self.build_graph(traj);
-            let xv = tape.constant(x);
+            let xv = tape.input(x);
             let h0 = self.in_proj.forward(tape, store, xv);
             let h0a = tape.tanh(h0);
             let h1 = self.gat1.forward(tape, store, h0a, &neighbors);
@@ -161,7 +163,7 @@ impl TrajectoryEncoder for TrajGatEncoder {
             for c in 0..n_pts {
                 pool.set(0, c, 1.0 / n_pts as f32);
             }
-            let poolv = tape.constant(pool);
+            let poolv = tape.input(pool);
             let pooled = tape.matmul(poolv, h2); // 1×h
             rows.push(pooled);
         }
@@ -250,6 +252,101 @@ mod tests {
             .map(|(a, b)| (a - b).abs())
             .sum();
         assert!(diff > 1e-4);
+    }
+
+    /// 72 points clustered near the origin plus two spread trajectories:
+    /// enough for the quadtree to split to its depth cap, so graphs carry
+    /// tree nodes at every depth and hub nodes with long neighbour lists.
+    fn deep_dataset() -> TrajectoryDataset {
+        let trajs = (0..8)
+            .map(|i| {
+                let pts: Vec<(f64, f64)> = (0..12)
+                    .map(|s| {
+                        let (s, i) = (s as f64, i as f64);
+                        if i < 6.0 {
+                            (0.01 * s + 0.002 * i, 0.01 * (s % 3.0) + 0.003 * i)
+                        } else {
+                            (0.08 * s, 1.0 - 0.07 * s * (i - 5.0))
+                        }
+                    })
+                    .collect();
+                Trajectory::from_xy(&pts).unwrap()
+            })
+            .collect();
+        TrajectoryDataset::new("deep", trajs)
+    }
+
+    /// FNV-1a over every graph of `ds`: point count, feature bits and
+    /// neighbour lists, in order.
+    fn graphs_hash(enc: &TrajGatEncoder, ds: &TrajectoryDataset) -> u64 {
+        let mut h = traj_core::codec::Fnv64::default();
+        for t in ds.trajectories() {
+            let (x, neighbors, n_pts) = enc.build_graph(t);
+            h.write(&(n_pts as u64).to_le_bytes());
+            for v in x.data() {
+                h.write(&v.to_bits().to_le_bytes());
+            }
+            for nb in &neighbors {
+                h.write(&(nb.len() as u64).to_le_bytes());
+                for &j in nb {
+                    h.write(&(j as u64).to_le_bytes());
+                }
+            }
+        }
+        h.finish()
+    }
+
+    /// Node order and neighbour order decide the fused GAT op's CSR, and so
+    /// every trained TrajGAT bit: both are pinned here as `build_graph`
+    /// produced them before it used an index map.
+    #[test]
+    fn graphs_are_pinned() {
+        let (_, enc, ds) = build();
+        let (x, neighbors, n_pts) = enc.build_graph(&ds.trajectories()[0]);
+        assert_eq!(n_pts, 4);
+        assert_eq!(
+            neighbors,
+            [
+                vec![0, 1, 4],
+                vec![1, 0, 2, 4],
+                vec![2, 1, 3, 4],
+                vec![3, 2, 4],
+                vec![4, 0, 1, 2, 3]
+            ]
+        );
+        let bits: Vec<u32> = x.data().iter().map(|v| v.to_bits()).collect();
+        #[rustfmt::skip]
+        assert_eq!(bits, [
+            0x0, 0x0, 0x3f800000, 0x0,
+            0x3d638e39, 0x3de38e39, 0x3f800000, 0x0,
+            0x3de38e39, 0x3d638e39, 0x3f800000, 0x0,
+            0x3e2aaaab, 0x3e638e39, 0x3f800000, 0x0,
+            0x3f000000, 0x3de38e39, 0x0, 0x0,
+        ]);
+        assert_eq!(graphs_hash(&enc, &ds), 0x91e75069097505cf);
+
+        let deep = deep_dataset();
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut store = ParamStore::new();
+        let enc = TrajGatEncoder::new(EncoderConfig::default(), &deep, &mut store, &mut rng);
+        assert_eq!(enc.tree().depth(), 4);
+        let (_, neighbors, n_pts) = enc.build_graph(&deep.trajectories()[4]);
+        assert_eq!(n_pts, 12);
+        #[rustfmt::skip]
+        assert_eq!(neighbors, [
+            vec![0, 1, 12, 13, 14, 15, 16], vec![1, 0, 2, 12, 13, 14, 15, 16],
+            vec![2, 1, 3, 12, 13, 14, 15, 16], vec![3, 2, 4, 12, 13, 14, 15, 16],
+            vec![4, 3, 5, 12, 13, 14, 15, 16], vec![5, 4, 6, 12, 13, 14, 15, 17],
+            vec![6, 5, 7, 12, 13, 14, 15, 17], vec![7, 6, 8, 12, 13, 14, 15, 17],
+            vec![8, 7, 9, 12, 13, 14, 15, 17], vec![9, 8, 10, 12, 13, 14, 15, 17],
+            vec![10, 9, 11, 12, 13, 14, 15, 17], vec![11, 10, 12, 13, 14, 18],
+            vec![12, 0, 13, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            vec![13, 0, 12, 14, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
+            vec![14, 0, 13, 15, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 18],
+            vec![15, 0, 14, 16, 1, 2, 3, 4, 5, 17, 6, 7, 8, 9, 10],
+            vec![16, 0, 15, 1, 2, 3, 4], vec![17, 5, 15, 6, 7, 8, 9, 10], vec![18, 11, 14],
+        ]);
+        assert_eq!(graphs_hash(&enc, &deep), 0x7b7fb0761c1a54ae);
     }
 
     #[test]

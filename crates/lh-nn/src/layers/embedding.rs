@@ -9,7 +9,8 @@ use rand::rngs::StdRng;
 /// A `V×d` embedding table.
 #[derive(Debug, Clone)]
 pub struct Embedding {
-    name: String,
+    /// Parameter name `name.table`, built once.
+    table: String,
     vocab: usize,
     dim: usize,
 }
@@ -23,11 +24,9 @@ impl Embedding {
         store: &mut ParamStore,
         rng: &mut StdRng,
     ) -> Self {
-        let name = name.into();
-        store.get_or_insert_with(&format!("{name}.table"), || {
-            init::embedding_uniform(vocab, dim, rng)
-        });
-        Embedding { name, vocab, dim }
+        let table = format!("{}.table", name.into());
+        store.get_or_insert_with(&table, || init::embedding_uniform(vocab, dim, rng));
+        Embedding { table, vocab, dim }
     }
 
     /// Vocabulary size `V`.
@@ -42,7 +41,7 @@ impl Embedding {
 
     /// Looks up `ids` → `len(ids)×d`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, ids: &[usize]) -> Var {
-        let table = tape.watch(store, &format!("{}.table", self.name));
+        let table = tape.watch(store, &self.table);
         tape.select_rows(table, ids)
     }
 }

@@ -12,7 +12,8 @@ use rand::rngs::StdRng;
 /// candidate.
 #[derive(Debug, Clone)]
 pub struct GruCell {
-    name: String,
+    /// Parameter names `name.{wxrz, whrz, brz, wxn, whn, bn}`, built once.
+    names: [String; 6],
     input_dim: usize,
     hidden_dim: usize,
 }
@@ -27,22 +28,20 @@ impl GruCell {
         rng: &mut StdRng,
     ) -> Self {
         let name = name.into();
-        store.get_or_insert_with(&format!("{name}.wxrz"), || {
+        let names = ["wxrz", "whrz", "brz", "wxn", "whn", "bn"].map(|p| format!("{name}.{p}"));
+        let [wxrz, whrz, brz, wxn, whn, bn] = &names;
+        store.get_or_insert_with(wxrz, || {
             init::xavier_uniform(input_dim, 2 * hidden_dim, rng)
         });
-        store.get_or_insert_with(&format!("{name}.whrz"), || {
+        store.get_or_insert_with(whrz, || {
             init::xavier_uniform(hidden_dim, 2 * hidden_dim, rng)
         });
-        store.get_or_insert_with(&format!("{name}.brz"), || init::zeros(1, 2 * hidden_dim));
-        store.get_or_insert_with(&format!("{name}.wxn"), || {
-            init::xavier_uniform(input_dim, hidden_dim, rng)
-        });
-        store.get_or_insert_with(&format!("{name}.whn"), || {
-            init::xavier_uniform(hidden_dim, hidden_dim, rng)
-        });
-        store.get_or_insert_with(&format!("{name}.bn"), || init::zeros(1, hidden_dim));
+        store.get_or_insert_with(brz, || init::zeros(1, 2 * hidden_dim));
+        store.get_or_insert_with(wxn, || init::xavier_uniform(input_dim, hidden_dim, rng));
+        store.get_or_insert_with(whn, || init::xavier_uniform(hidden_dim, hidden_dim, rng));
+        store.get_or_insert_with(bn, || init::zeros(1, hidden_dim));
         GruCell {
-            name,
+            names,
             input_dim,
             hidden_dim,
         }
@@ -60,17 +59,12 @@ impl GruCell {
 
     /// Zero hidden state `B×H`.
     pub fn zero_state(&self, tape: &mut Tape, batch: usize) -> Var {
-        tape.constant(Tensor::zeros(batch, self.hidden_dim))
+        tape.input(Tensor::zeros(batch, self.hidden_dim))
     }
 
     /// One step: `x (B×I)`, `h (B×H)` → `h' (B×H)`.
     pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, h: Var) -> Var {
-        let wxrz = tape.watch(store, &format!("{}.wxrz", self.name));
-        let whrz = tape.watch(store, &format!("{}.whrz", self.name));
-        let brz = tape.watch(store, &format!("{}.brz", self.name));
-        let wxn = tape.watch(store, &format!("{}.wxn", self.name));
-        let whn = tape.watch(store, &format!("{}.whn", self.name));
-        let bn = tape.watch(store, &format!("{}.bn", self.name));
+        let [wxrz, whrz, brz, wxn, whn, bn] = self.names.each_ref().map(|n| tape.watch(store, n));
 
         let xg = tape.matmul(x, wxrz);
         let hg = tape.matmul(h, whrz);

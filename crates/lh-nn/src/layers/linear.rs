@@ -8,7 +8,9 @@ use rand::rngs::StdRng;
 /// A fully connected layer.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    name: String,
+    /// Parameter names `name.w` and `name.b`, built once.
+    w: String,
+    b: String,
     in_dim: usize,
     out_dim: usize,
 }
@@ -23,12 +25,12 @@ impl Linear {
         rng: &mut StdRng,
     ) -> Self {
         let name = name.into();
-        store.get_or_insert_with(&format!("{name}.w"), || {
-            init::xavier_uniform(in_dim, out_dim, rng)
-        });
-        store.get_or_insert_with(&format!("{name}.b"), || init::zeros(1, out_dim));
+        let (w, b) = (format!("{name}.w"), format!("{name}.b"));
+        store.get_or_insert_with(&w, || init::xavier_uniform(in_dim, out_dim, rng));
+        store.get_or_insert_with(&b, || init::zeros(1, out_dim));
         Linear {
-            name,
+            w,
+            b,
             in_dim,
             out_dim,
         }
@@ -46,8 +48,8 @@ impl Linear {
 
     /// `x(B×in) → B×out`.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: Var) -> Var {
-        let w = tape.watch(store, &format!("{}.w", self.name));
-        let b = tape.watch(store, &format!("{}.b", self.name));
+        let w = tape.watch(store, &self.w);
+        let b = tape.watch(store, &self.b);
         let xw = tape.matmul(x, w);
         tape.add(xw, b)
     }

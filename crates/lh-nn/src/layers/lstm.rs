@@ -15,7 +15,10 @@ use rand::rngs::StdRng;
 /// Gate order along columns: input, forget, candidate, output.
 #[derive(Debug, Clone)]
 pub struct LstmCell {
-    name: String,
+    /// Parameter names `name.wx`, `name.wh` and `name.b`, built once.
+    wx: String,
+    wh: String,
+    b: String,
     input_dim: usize,
     hidden_dim: usize,
 }
@@ -40,13 +43,16 @@ impl LstmCell {
         rng: &mut StdRng,
     ) -> Self {
         let name = name.into();
-        store.get_or_insert_with(&format!("{name}.wx"), || {
-            init::xavier_uniform(input_dim, 4 * hidden_dim, rng)
-        });
-        store.get_or_insert_with(&format!("{name}.wh"), || {
+        let (wx, wh, b) = (
+            format!("{name}.wx"),
+            format!("{name}.wh"),
+            format!("{name}.b"),
+        );
+        store.get_or_insert_with(&wx, || init::xavier_uniform(input_dim, 4 * hidden_dim, rng));
+        store.get_or_insert_with(&wh, || {
             init::xavier_uniform(hidden_dim, 4 * hidden_dim, rng)
         });
-        store.get_or_insert_with(&format!("{name}.b"), || {
+        store.get_or_insert_with(&b, || {
             let mut b = Tensor::zeros(1, 4 * hidden_dim);
             for c in hidden_dim..2 * hidden_dim {
                 b.set(0, c, 1.0);
@@ -54,7 +60,9 @@ impl LstmCell {
             b
         });
         LstmCell {
-            name,
+            wx,
+            wh,
+            b,
             input_dim,
             hidden_dim,
         }
@@ -73,16 +81,16 @@ impl LstmCell {
     /// Zero initial state for a batch of `batch` rows.
     pub fn zero_state(&self, tape: &mut Tape, batch: usize) -> LstmState {
         LstmState {
-            h: tape.constant(Tensor::zeros(batch, self.hidden_dim)),
-            c: tape.constant(Tensor::zeros(batch, self.hidden_dim)),
+            h: tape.input(Tensor::zeros(batch, self.hidden_dim)),
+            c: tape.input(Tensor::zeros(batch, self.hidden_dim)),
         }
     }
 
     /// One step: `x (B×I)`, state `(B×H)` → new state.
     pub fn step(&self, tape: &mut Tape, store: &ParamStore, x: Var, state: LstmState) -> LstmState {
-        let wx = tape.watch(store, &format!("{}.wx", self.name));
-        let wh = tape.watch(store, &format!("{}.wh", self.name));
-        let b = tape.watch(store, &format!("{}.b", self.name));
+        let wx = tape.watch(store, &self.wx);
+        let wh = tape.watch(store, &self.wh);
+        let b = tape.watch(store, &self.b);
         let xg = tape.matmul(x, wx);
         let hg = tape.matmul(state.h, wh);
         let sum = tape.add(xg, hg);
@@ -136,8 +144,8 @@ impl LstmCell {
     }
 }
 
-/// Builds the `B×1` mask constants for a batch of sequence lengths padded
-/// to `max_len`.
+/// Builds the `B×1` mask inputs (data leaves, see [`Tape::input`]) for a
+/// batch of sequence lengths padded to `max_len`.
 pub fn sequence_masks(tape: &mut Tape, lens: &[usize], max_len: usize) -> Vec<Var> {
     (0..max_len)
         .map(|t| {
@@ -145,7 +153,7 @@ pub fn sequence_masks(tape: &mut Tape, lens: &[usize], max_len: usize) -> Vec<Va
                 .iter()
                 .map(|&l| if t < l { 1.0 } else { 0.0 })
                 .collect();
-            tape.constant(Tensor::from_vec(lens.len(), 1, col))
+            tape.input(Tensor::from_vec(lens.len(), 1, col))
         })
         .collect()
 }

@@ -8,8 +8,10 @@
 //! * [`tensor::Tensor`] — dense row-major 2-D `f32` matrices;
 //! * [`tape::Tape`] — reverse-mode autodiff with broadcast-aware binary
 //!   ops, one elementwise path for every unary op, fused Lorentz/row-dot
-//!   products, embedding scatter-gradients, and finite-difference-verified
-//!   backward passes;
+//!   products, embedding scatter-gradients, a GAT layer's attention as one
+//!   op, and finite-difference-verified backward passes that differentiate
+//!   only what can reach a parameter (model data enters as
+//!   [`tape::Tape::input`]);
 //! * [`layers`] — Linear, LSTM, GRU, Embedding, and graph attention;
 //! * [`optim`] — Adam (fixed β₁ = 0.9, β₂ = 0.999, ε = 1e-8) with a
 //!   global-norm gradient clip of 5;

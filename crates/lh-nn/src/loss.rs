@@ -7,7 +7,7 @@ use crate::tensor::Tensor;
 /// against `pred`. Used for the Neutraj-style rank-weighted regression
 /// (nearer neighbors get larger weights).
 pub fn weighted_mse(tape: &mut Tape, pred: Var, target: Var, weights: &Tensor) -> Var {
-    let w = tape.constant(weights.clone());
+    let w = tape.input(weights.clone());
     let d = tape.sub(pred, target);
     let sq = tape.square(d);
     let wsq = tape.mul(sq, w);

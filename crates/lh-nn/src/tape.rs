@@ -6,16 +6,37 @@
 //! [`crate::params::ParamStore`] and registers the node under the parameter
 //! name so optimizers can collect gradients after [`Tape::backward`].
 //!
+//! Leaves come in two kinds. A watched parameter and a [`Tape::constant`]
+//! are *differentiated*: [`Tape::backward`] leaves their gradients in place
+//! for [`Tape::grad`]. Model data — input steps, masks, zero states, graph
+//! features, targets, loss weights — enters through [`Tape::input`] and is
+//! never differentiated. Every node records whether a differentiated leaf
+//! is among its ancestors, and `backward` skips every node and every
+//! parent gradient for which none is: that work cannot reach a parameter.
+//! It visits the remaining nodes in reverse creation order, giving each
+//! parent its contributions in the same order as a full pass would, so the
+//! gradients it does compute are bit for bit those of a full pass.
+//! Interior gradients are moved, not cloned, and each is dropped once it
+//! has been propagated, so after `backward` [`Tape::grad`] of an interior
+//! node (and of a data leaf) reads zeros.
+//!
 //! Shapes are strictly 2-D (`rows × cols`). Binary elementwise ops support
 //! right-hand broadcast of a row vector (`1×n`), a column vector (`m×1`),
 //! or a scalar (`1×1`) against an `m×n` left operand — the only patterns
 //! the models need — with gradients reduced back to the broadcast shape.
-//! The four of them share one forward loop.
+//! The four of them share one forward loop, which runs row by row over
+//! contiguous slices.
 //!
 //! Every unary elementwise op (`tanh`, `sqrt`, `cosh`, …) is one `Op`
 //! variant carrying a private `Unary` that knows the op's value at `x` and
 //! the gradient it carries back given `x` and `y = f(x)`, so the forward
 //! pass and `backward` each have a single elementwise path for all of them.
+//!
+//! [`Tape::gat_attend`] is one graph-attention layer's neighbourhood
+//! softmax and mix as a single node; its forward and backward replay, in
+//! the same order, every `f32` operation of the per-node composition of
+//! `select_rows`, `transpose`, `add`, `leaky_relu`, `softmax_rows`,
+//! `matmul` and `stack_rows` it replaces.
 //!
 //! Every op's gradient is verified against central finite differences in
 //! this module's tests; the workspace's `tests/property_based.rs`
@@ -36,7 +57,7 @@ impl Var {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Op {
     Leaf,
     Add(usize, usize),
@@ -56,7 +77,55 @@ enum Op {
     StackRows(Vec<usize>),
     LorentzInner(usize, usize),
     RowDot(usize, usize),
+    GatAttend(Box<GatAttend>),
 }
+
+impl Op {
+    /// Whether `f` holds for any input of the op.
+    fn any_input(&self, f: impl Fn(usize) -> bool) -> bool {
+        match self {
+            Op::Leaf => false,
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::Div(a, b)
+            | Op::Matmul(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::LorentzInner(a, b)
+            | Op::RowDot(a, b) => f(*a) || f(*b),
+            Op::Unary(a, _)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::RowSum(a)
+            | Op::SoftmaxRows(a)
+            | Op::SliceCols(a, _, _)
+            | Op::Transpose(a)
+            | Op::SelectRows(a, _) => f(*a),
+            Op::StackRows(ids) => ids.iter().any(|&i| f(i)),
+            Op::GatAttend(g) => f(g.wh) || f(g.s1) || f(g.s2),
+        }
+    }
+}
+
+/// What [`Tape::gat_attend`] keeps for its backward: the inputs, the
+/// neighbour lists in CSR form, and per edge the pre-activation logit and
+/// the attention weight.
+#[derive(Debug)]
+struct GatAttend {
+    wh: usize,
+    s1: usize,
+    s2: usize,
+    /// Node `i`'s neighbours are `ids[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    ids: Vec<usize>,
+    /// `s1[i] + s2[j]` per edge, before the leaky ReLU.
+    logits: Vec<f32>,
+    /// Softmax weight `α_ij` per edge.
+    alpha: Vec<f32>,
+}
+
+/// Negative slope of the leaky ReLU on GAT attention logits.
+const GAT_SLOPE: f32 = 0.2;
 
 /// An elementwise op `y = f(x)`: its value and its derivative, each
 /// written in the one operation order every trained bit depends on. Both
@@ -87,7 +156,7 @@ impl Unary {
             Unary::Powf(p) => x.map(|x| x.powf(p)),
             Unary::Tanh => x.map(f32::tanh),
             Unary::Sigmoid => x.map(|x| 1.0 / (1.0 + (-x).exp())),
-            Unary::LeakyRelu(alpha) => x.map(|x| if x >= 0.0 { x } else { alpha * x }),
+            Unary::LeakyRelu(alpha) => x.map(|x| leaky_relu(x, alpha)),
             Unary::Sqrt => x.map(f32::sqrt),
             Unary::Cosh => x.map(f32::cosh),
             Unary::Sinh => x.map(f32::sinh),
@@ -106,9 +175,7 @@ impl Unary {
             Unary::Powf(p) => chain(g, x, y, |g, x, _| g * (p * x.powf(p - 1.0))),
             Unary::Tanh => chain(g, x, y, |g, _, y| g * (1.0 - y * y)),
             Unary::Sigmoid => chain(g, x, y, |g, _, y| g * (y * (1.0 - y))),
-            Unary::LeakyRelu(alpha) => {
-                chain(g, x, y, |g, x, _| if x < 0.0 { g * alpha } else { g })
-            }
+            Unary::LeakyRelu(alpha) => chain(g, x, y, |g, x, _| leaky_relu_grad(g, x, alpha)),
             Unary::Sqrt => chain(g, x, y, |g, _, y| g * (0.5 / y.max(1e-12))),
             Unary::Cosh => chain(g, x, y, |g, x, _| g * x.sinh()),
             Unary::Sinh => chain(g, x, y, |g, x, _| g * x.cosh()),
@@ -116,6 +183,24 @@ impl Unary {
             Unary::Square => chain(g, x, y, |g, x, _| g * (2.0 * x)),
             Unary::Softplus => chain(g, x, y, |g, x, _| g * (1.0 / (1.0 + (-x).exp()))),
         }
+    }
+}
+
+#[inline]
+fn leaky_relu(x: f32, alpha: f32) -> f32 {
+    if x >= 0.0 {
+        x
+    } else {
+        alpha * x
+    }
+}
+
+#[inline]
+fn leaky_relu_grad(g: f32, x: f32, alpha: f32) -> f32 {
+    if x < 0.0 {
+        g * alpha
+    } else {
+        g
     }
 }
 
@@ -129,6 +214,8 @@ fn chain(g: &mut Tensor, x: &Tensor, y: &Tensor, d: impl Fn(f32, f32, f32) -> f3
 struct Node {
     value: Tensor,
     op: Op,
+    /// Whether a differentiated leaf is this node or one of its ancestors.
+    tracked: bool,
 }
 
 /// The autodiff graph. Create one per forward/backward pass.
@@ -136,6 +223,8 @@ pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
     watched: Vec<(String, Var)>,
+    /// Nodes whose backward rule ran in the last [`Tape::backward`].
+    visited: usize,
 }
 
 impl Default for Tape {
@@ -151,27 +240,95 @@ fn broadcast_check(a: (usize, usize), b: (usize, usize)) {
     assert!(ok, "cannot broadcast {b:?} against {a:?}");
 }
 
-#[inline]
-fn bcast_get(t: &Tensor, r: usize, c: usize) -> f32 {
-    let (br, bc) = t.shape();
-    t.get(if br == 1 { 0 } else { r }, if bc == 1 { 0 } else { c })
+/// A broadcast right-hand operand against one row of the left one.
+enum Bcast<'a> {
+    /// Same shape or a row vector: one value per column.
+    Row(&'a [f32]),
+    /// A column vector or a scalar: one value for the whole row.
+    Splat(f32),
 }
 
-/// Sums `grad` (shaped like the broadcast output) down to `shape`.
-fn reduce_to_shape(grad: &Tensor, shape: (usize, usize)) -> Tensor {
-    if grad.shape() == shape {
-        return grad.clone();
+/// `b`'s values against row `r` of a left operand it broadcasts to.
+#[inline]
+fn bcast_row(b: &Tensor, r: usize) -> Bcast<'_> {
+    match b.shape() {
+        (1, 1) => Bcast::Splat(b.data()[0]),
+        (_, 1) => Bcast::Splat(b.data()[r]),
+        (1, _) => Bcast::Row(b.data()),
+        _ => Bcast::Row(b.row(r)),
     }
-    let mut out = Tensor::zeros(shape.0, shape.1);
-    for r in 0..grad.rows() {
-        for c in 0..grad.cols() {
-            let tr = if shape.0 == 1 { 0 } else { r };
-            let tc = if shape.1 == 1 { 0 } else { c };
-            let v = out.get(tr, tc) + grad.get(r, c);
-            out.set(tr, tc, v);
+}
+
+/// `f(a, b)` per element of `a`, with `b` broadcast against it, row by
+/// row in row-major order.
+fn broadcast_map(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+    let (rows, cols) = a.shape();
+    let mut out = Vec::with_capacity(rows * cols);
+    for r in 0..rows {
+        let xa = a.row(r);
+        match bcast_row(b, r) {
+            Bcast::Row(yb) => out.extend(xa.iter().zip(yb).map(|(&x, &y)| f(x, y))),
+            Bcast::Splat(y) => out.extend(xa.iter().map(|&x| f(x, y))),
         }
     }
-    out
+    Tensor::from_vec(rows, cols, out)
+}
+
+/// Sums `grad` (shaped like the broadcast output) down to `shape`, adding
+/// each target's terms to `0.0` in row-major order.
+fn reduce_to_shape(grad: Tensor, shape: (usize, usize)) -> Tensor {
+    if grad.shape() == shape {
+        return grad;
+    }
+    match shape {
+        (1, 1) => {
+            let mut s = 0.0;
+            for &v in grad.data() {
+                s += v;
+            }
+            Tensor::scalar(s)
+        }
+        (1, cols) => {
+            let mut out = vec![0.0; cols];
+            for r in 0..grad.rows() {
+                for (o, &v) in out.iter_mut().zip(grad.row(r)) {
+                    *o += v;
+                }
+            }
+            Tensor::from_vec(1, cols, out)
+        }
+        (rows, _) => {
+            let out = (0..rows)
+                .map(|r| {
+                    let mut s = 0.0;
+                    for &v in grad.row(r) {
+                        s += v;
+                    }
+                    s
+                })
+                .collect();
+            Tensor::from_vec(rows, 1, out)
+        }
+    }
+}
+
+/// One upstream gradient handed to up to two parents: a clone only when
+/// both need it.
+fn fan_out(g: Tensor, to_a: bool, to_b: bool) -> (Option<Tensor>, Option<Tensor>) {
+    match (to_a, to_b) {
+        (true, true) => (Some(g.clone()), Some(g)),
+        (true, false) => (Some(g), None),
+        (false, true) => (None, Some(g)),
+        (false, false) => (None, None),
+    }
+}
+
+/// Adds one contribution to a node's gradient (the first one is moved in).
+fn accumulate(grads: &mut [Option<Tensor>], node: usize, grad: Tensor) {
+    match &mut grads[node] {
+        Some(g) => g.add_assign(&grad),
+        slot @ None => *slot = Some(grad),
+    }
 }
 
 impl Tape {
@@ -181,11 +338,22 @@ impl Tape {
             nodes: Vec::with_capacity(256),
             grads: Vec::new(),
             watched: Vec::new(),
+            visited: 0,
         }
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        self.nodes.push(Node { value, op });
+        let tracked = op.any_input(|p| self.nodes[p].tracked);
+        self.nodes.push(Node { value, op, tracked });
+        Var(self.nodes.len() - 1)
+    }
+
+    fn leaf(&mut self, value: Tensor, tracked: bool) -> Var {
+        self.nodes.push(Node {
+            value,
+            op: Op::Leaf,
+            tracked,
+        });
         Var(self.nodes.len() - 1)
     }
 
@@ -199,9 +367,18 @@ impl Tape {
         self.nodes.is_empty()
     }
 
-    /// Inserts a constant (non-parameter) input.
+    /// Inserts a constant (non-parameter) input that is still
+    /// differentiated: after [`Tape::backward`], [`Tape::grad`] returns its
+    /// gradient (what gradient checks read).
     pub fn constant(&mut self, value: Tensor) -> Var {
-        self.push(value, Op::Leaf)
+        self.leaf(value, true)
+    }
+
+    /// Inserts model data: a leaf [`Tape::backward`] never differentiates,
+    /// so no gradient flows into it or into anything computed from data
+    /// alone. Its [`Tape::grad`] is zeros.
+    pub fn input(&mut self, value: Tensor) -> Var {
+        self.leaf(value, false)
     }
 
     /// Inserts a named parameter from the store; repeated watches of the
@@ -210,7 +387,7 @@ impl Tape {
         if let Some((_, var)) = self.watched.iter().find(|(n, _)| n == name) {
             return *var;
         }
-        let v = self.push(store.get(name).clone(), Op::Leaf);
+        let v = self.leaf(store.get(name).clone(), true);
         self.watched.push((name.to_string(), v));
         v
     }
@@ -225,8 +402,11 @@ impl Tape {
         &self.nodes[v.0].value
     }
 
-    /// Gradient of a node after [`Tape::backward`]; zeros if the node did
-    /// not influence the loss.
+    /// Gradient of a differentiated leaf (a watched parameter or a
+    /// [`Tape::constant`]) after [`Tape::backward`]; zeros if it did not
+    /// influence the loss. Zeros too for a data leaf ([`Tape::input`]) and
+    /// for every interior node, whose gradient `backward` drops once it has
+    /// been propagated.
     pub fn grad(&self, v: Var) -> Tensor {
         match &self.grads.get(v.0) {
             Some(Some(g)) => g.clone(),
@@ -235,6 +415,13 @@ impl Tape {
                 Tensor::zeros(r, c)
             }
         }
+    }
+
+    /// How many nodes had their backward rule run by the last
+    /// [`Tape::backward`]: the interior nodes that both reach the loss and
+    /// descend from a differentiated leaf.
+    pub fn backward_visits(&self) -> usize {
+        self.visited
     }
 
     fn shape(&self, v: Var) -> (usize, usize) {
@@ -247,14 +434,7 @@ impl Tape {
     /// element of `a`, with `b` broadcast against it.
     fn binary(&mut self, a: Var, b: Var, f: impl Fn(f32, f32) -> f32, op: Op) -> Var {
         broadcast_check(self.shape(a), self.shape(b));
-        let (ar, ac) = self.shape(a);
-        let (va, vb) = (&self.nodes[a.0].value, &self.nodes[b.0].value);
-        let mut out = Tensor::zeros(ar, ac);
-        for r in 0..ar {
-            for c in 0..ac {
-                out.set(r, c, f(va.get(r, c), bcast_get(vb, r, c)));
-            }
-        }
+        let out = broadcast_map(&self.nodes[a.0].value, &self.nodes[b.0].value, f);
         self.push(out, op)
     }
 
@@ -283,7 +463,6 @@ impl Tape {
         let out = self.nodes[a.0].value.matmul(&self.nodes[b.0].value);
         self.push(out, Op::Matmul(a.0, b.0))
     }
-
     // ---- unary ops ------------------------------------------------------
 
     fn unary(&mut self, a: Var, f: Unary) -> Var {
@@ -480,106 +659,186 @@ impl Tape {
         self.push(out, Op::RowDot(a.0, b.0))
     }
 
-    // ---- backward -------------------------------------------------------
-
-    fn accumulate(&mut self, node: usize, grad: Tensor) {
-        match &mut self.grads[node] {
-            Some(g) => g.add_assign(&grad),
-            slot @ None => *slot = Some(grad),
+    /// One graph-attention layer's attend-and-mix step as a single node.
+    /// For projected node features `wh (N×out)` and attention scores
+    /// `s1, s2 (N×1)`, row `i` of the `N×out` output is
+    /// `Σ_j α_ij · wh_j` over `j ∈ neighbors[i]`, with
+    /// `α_i = softmax_j(LeakyReLU₀.₂(s1_i + s2_j))`; a neighbour listed
+    /// twice counts twice.
+    ///
+    /// Forward and backward run, in the same order, the `f32` operations
+    /// of the per-node composition `select_rows` → `transpose` → `add` →
+    /// `leaky_relu` → `softmax_rows` → `matmul`, then `stack_rows`. The
+    /// gradients are bit-identical to that composition's when this op is
+    /// the last consumer of `wh`, `s1` and `s2`, which must be three
+    /// distinct nodes.
+    pub fn gat_attend(&mut self, wh: Var, s1: Var, s2: Var, neighbors: &[Vec<usize>]) -> Var {
+        assert!(
+            wh != s1 && wh != s2 && s1 != s2,
+            "gat_attend needs three distinct inputs"
+        );
+        let n = neighbors.len();
+        let (vwh, vs1, vs2) = (
+            &self.nodes[wh.0].value,
+            &self.nodes[s1.0].value,
+            &self.nodes[s2.0].value,
+        );
+        assert_eq!(vwh.rows(), n, "gat_attend: one neighbour list per row");
+        assert_eq!(vs1.shape(), (n, 1), "gat_attend: s1 must be N×1");
+        assert_eq!(vs2.shape(), (n, 1), "gat_attend: s2 must be N×1");
+        let edges = neighbors.iter().map(Vec::len).sum();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut ids = Vec::with_capacity(edges);
+        let mut logits = Vec::with_capacity(edges);
+        let mut alpha = Vec::with_capacity(edges);
+        let (mut act, mut exps) = (Vec::new(), Vec::new());
+        let mut out = Tensor::zeros(n, vwh.cols());
+        offsets.push(0);
+        for (i, nbrs) in neighbors.iter().enumerate() {
+            assert!(!nbrs.is_empty(), "node {i} has an empty neighborhood");
+            let start = ids.len();
+            let s1_i = vs1.data()[i];
+            for &j in nbrs {
+                assert!(j < n, "row id {j} out of range {n}");
+                ids.push(j);
+                logits.push(vs2.data()[j] + s1_i);
+            }
+            // The row softmax, as `softmax_rows` computes it.
+            act.clear();
+            act.extend(logits[start..].iter().map(|&x| leaky_relu(x, GAT_SLOPE)));
+            let max = act.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
+            exps.clear();
+            exps.extend(act.iter().map(|&x| (x - max).exp()));
+            let sum: f32 = exps.iter().sum();
+            alpha.extend(exps.iter().map(|e| e / sum));
+            // The 1×k · k×out mix, as `Tensor::matmul` computes it.
+            let row = out.row_mut(i);
+            for (&a, &j) in alpha[start..].iter().zip(nbrs) {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in row.iter_mut().zip(vwh.row(j)) {
+                    *o += a * b;
+                }
+            }
+            offsets.push(ids.len());
         }
+        let op = GatAttend {
+            wh: wh.0,
+            s1: s1.0,
+            s2: s2.0,
+            offsets,
+            ids,
+            logits,
+            alpha,
+        };
+        self.push(out, Op::GatAttend(Box::new(op)))
     }
 
+    // ---- backward -------------------------------------------------------
+
     /// Runs reverse-mode differentiation from scalar `loss` (`1×1`).
-    /// Gradients of all ancestors become available through [`Tape::grad`].
+    /// Gradients of the differentiated leaves that influence the loss
+    /// become available through [`Tape::grad`]; see the module docs for
+    /// what is skipped and dropped.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.shape(loss), (1, 1), "backward requires a scalar loss");
-        self.grads = (0..self.nodes.len()).map(|_| None).collect();
-        self.grads[loss.0] = Some(Tensor::scalar(1.0));
+        let nodes = &self.nodes;
+        let grads = &mut self.grads;
+        grads.clear();
+        grads.resize_with(nodes.len(), || None);
+        grads[loss.0] = Some(Tensor::scalar(1.0));
+        let need = |p: usize| nodes[p].tracked;
+        let shape = |p: usize| nodes[p].value.shape();
+        let mut visited = 0;
 
-        for i in (0..self.nodes.len()).rev() {
-            let Some(g) = self.grads[i].clone() else {
+        for (i, node) in nodes.iter().enumerate().rev() {
+            if !node.tracked || matches!(node.op, Op::Leaf) {
+                continue;
+            }
+            let Some(g) = grads[i].take() else {
                 continue;
             };
-            // Clone op metadata to appease the borrow checker; ops are tiny.
-            let op = self.nodes[i].op.clone();
-            match op {
-                Op::Leaf => {}
-                Op::Add(a, b) => {
-                    let sb = self.nodes[b].value.shape();
-                    self.accumulate(a, g.clone());
-                    self.accumulate(b, reduce_to_shape(&g, sb));
-                }
-                Op::Sub(a, b) => {
-                    let sb = self.nodes[b].value.shape();
-                    self.accumulate(a, g.clone());
-                    let neg = g.map(|v| -v);
-                    self.accumulate(b, reduce_to_shape(&neg, sb));
-                }
-                Op::Mul(a, b) => {
-                    let (ar, ac) = self.nodes[a].value.shape();
-                    let sb = self.nodes[b].value.shape();
-                    let mut ga = Tensor::zeros(ar, ac);
-                    let mut gb_full = Tensor::zeros(ar, ac);
-                    for r in 0..ar {
-                        for c in 0..ac {
-                            let av = self.nodes[a].value.get(r, c);
-                            let bv = bcast_get(&self.nodes[b].value, r, c);
-                            ga.set(r, c, g.get(r, c) * bv);
-                            gb_full.set(r, c, g.get(r, c) * av);
-                        }
+            visited += 1;
+            let mut acc = |p: usize, t: Tensor| accumulate(grads, p, t);
+            match &node.op {
+                Op::Leaf => unreachable!("leaves keep their gradient"),
+                &Op::Add(a, b) => {
+                    let (ga, gb) = fan_out(g, need(a), need(b));
+                    if let Some(ga) = ga {
+                        acc(a, ga);
                     }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, reduce_to_shape(&gb_full, sb));
-                }
-                Op::Div(a, b) => {
-                    let (ar, ac) = self.nodes[a].value.shape();
-                    let sb = self.nodes[b].value.shape();
-                    let mut ga = Tensor::zeros(ar, ac);
-                    let mut gb_full = Tensor::zeros(ar, ac);
-                    for r in 0..ar {
-                        for c in 0..ac {
-                            let av = self.nodes[a].value.get(r, c);
-                            let bv = bcast_get(&self.nodes[b].value, r, c);
-                            ga.set(r, c, g.get(r, c) / bv);
-                            gb_full.set(r, c, -g.get(r, c) * av / (bv * bv));
-                        }
+                    if let Some(gb) = gb {
+                        acc(b, reduce_to_shape(gb, shape(b)));
                     }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, reduce_to_shape(&gb_full, sb));
                 }
-                Op::Matmul(a, b) => {
-                    let bt = self.nodes[b].value.transpose();
-                    let at = self.nodes[a].value.transpose();
-                    self.accumulate(a, g.matmul(&bt));
-                    self.accumulate(b, at.matmul(&g));
+                &Op::Sub(a, b) => {
+                    let (ga, gb) = fan_out(g, need(a), need(b));
+                    if let Some(ga) = ga {
+                        acc(a, ga);
+                    }
+                    if let Some(mut gb) = gb {
+                        for v in gb.data_mut() {
+                            *v = -*v;
+                        }
+                        acc(b, reduce_to_shape(gb, shape(b)));
+                    }
                 }
-                Op::Unary(a, f) => {
+                &Op::Mul(a, b) => {
+                    let (va, vb) = (&nodes[a].value, &nodes[b].value);
+                    if need(a) {
+                        acc(a, broadcast_map(&g, vb, |g, y| g * y));
+                    }
+                    if need(b) {
+                        acc(
+                            b,
+                            reduce_to_shape(broadcast_map(&g, va, |g, x| g * x), shape(b)),
+                        );
+                    }
+                }
+                &Op::Div(a, b) => {
+                    let (va, vb) = (&nodes[a].value, &nodes[b].value);
+                    if need(a) {
+                        acc(a, broadcast_map(&g, vb, |g, y| g / y));
+                    }
+                    if need(b) {
+                        let num = broadcast_map(&g, va, |g, x| -g * x);
+                        let full = broadcast_map(&num, vb, |t, y| t / (y * y));
+                        acc(b, reduce_to_shape(full, shape(b)));
+                    }
+                }
+                &Op::Matmul(a, b) => {
+                    if need(a) {
+                        acc(a, g.matmul(&nodes[b].value.transpose()));
+                    }
+                    if need(b) {
+                        acc(b, nodes[a].value.transpose().matmul(&g));
+                    }
+                }
+                &Op::Unary(a, f) => {
                     let mut ga = g;
-                    f.grad(&mut ga, &self.nodes[a].value, &self.nodes[i].value);
-                    self.accumulate(a, ga);
+                    f.grad(&mut ga, &nodes[a].value, &node.value);
+                    acc(a, ga);
                 }
-                Op::SumAll(a) => {
-                    let (r, c) = self.nodes[a].value.shape();
-                    self.accumulate(a, Tensor::full(r, c, g.item()));
+                &Op::SumAll(a) => {
+                    let (r, c) = shape(a);
+                    acc(a, Tensor::full(r, c, g.item()));
                 }
-                Op::MeanAll(a) => {
-                    let (r, c) = self.nodes[a].value.shape();
+                &Op::MeanAll(a) => {
+                    let (r, c) = shape(a);
                     let scale = g.item() / (r * c).max(1) as f32;
-                    self.accumulate(a, Tensor::full(r, c, scale));
+                    acc(a, Tensor::full(r, c, scale));
                 }
-                Op::RowSum(a) => {
-                    let (r, c) = self.nodes[a].value.shape();
+                &Op::RowSum(a) => {
+                    let (r, c) = shape(a);
                     let mut ga = Tensor::zeros(r, c);
                     for rr in 0..r {
-                        let gv = g.get(rr, 0);
-                        for cc in 0..c {
-                            ga.set(rr, cc, gv);
-                        }
+                        ga.row_mut(rr).fill(g.get(rr, 0));
                     }
-                    self.accumulate(a, ga);
+                    acc(a, ga);
                 }
-                Op::SoftmaxRows(a) => {
-                    let y = self.nodes[i].value.clone();
+                &Op::SoftmaxRows(a) => {
+                    let y = &node.value;
                     let (r, c) = y.shape();
                     let mut ga = Tensor::zeros(r, c);
                     for rr in 0..r {
@@ -588,81 +847,173 @@ impl Tape {
                             ga.set(rr, cc, y.get(rr, cc) * (g.get(rr, cc) - dot));
                         }
                     }
-                    self.accumulate(a, ga);
+                    acc(a, ga);
                 }
-                Op::ConcatCols(a, b) => {
-                    let ca = self.nodes[a].value.cols();
-                    let cb = self.nodes[b].value.cols();
+                &Op::ConcatCols(a, b) => {
+                    let ca = shape(a).1;
                     let rows = g.rows();
-                    let mut ga = Tensor::zeros(rows, ca);
-                    let mut gb = Tensor::zeros(rows, cb);
-                    for r in 0..rows {
-                        ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
-                        gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
+                    if need(a) {
+                        let mut ga = Tensor::zeros(rows, ca);
+                        for r in 0..rows {
+                            ga.row_mut(r).copy_from_slice(&g.row(r)[..ca]);
+                        }
+                        acc(a, ga);
                     }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    if need(b) {
+                        let mut gb = Tensor::zeros(rows, shape(b).1);
+                        for r in 0..rows {
+                            gb.row_mut(r).copy_from_slice(&g.row(r)[ca..]);
+                        }
+                        acc(b, gb);
+                    }
                 }
-                Op::SliceCols(a, from, _to) => {
-                    let (r, c) = self.nodes[a].value.shape();
+                &Op::SliceCols(a, from, _to) => {
+                    let (r, c) = shape(a);
                     let mut ga = Tensor::zeros(r, c);
                     for rr in 0..r {
                         ga.row_mut(rr)[from..from + g.cols()].copy_from_slice(g.row(rr));
                     }
-                    self.accumulate(a, ga);
+                    acc(a, ga);
                 }
-                Op::Transpose(a) => self.accumulate(a, g.transpose()),
+                &Op::Transpose(a) => acc(a, g.transpose()),
                 Op::SelectRows(a, ids) => {
-                    let (r, c) = self.nodes[a].value.shape();
+                    let (r, c) = shape(*a);
                     let mut ga = Tensor::zeros(r, c);
                     for (row, &id) in ids.iter().enumerate() {
-                        for cc in 0..c {
-                            let v = ga.get(id, cc) + g.get(row, cc);
-                            ga.set(id, cc, v);
+                        for (o, &v) in ga.row_mut(id).iter_mut().zip(g.row(row)) {
+                            *o += v;
                         }
                     }
-                    self.accumulate(a, ga);
+                    acc(*a, ga);
                 }
                 Op::StackRows(ids) => {
                     for (row, &id) in ids.iter().enumerate() {
-                        let mut gr = Tensor::zeros(1, g.cols());
-                        gr.row_mut(0).copy_from_slice(g.row(row));
-                        self.accumulate(id, gr);
-                    }
-                }
-                Op::LorentzInner(a, b) => {
-                    let (r, c) = self.nodes[a].value.shape();
-                    let mut ga = Tensor::zeros(r, c);
-                    let mut gb = Tensor::zeros(r, c);
-                    for rr in 0..r {
-                        let gv = g.get(rr, 0);
-                        // ∂⟨a,b⟩/∂a = (−b₀, b₁, …); symmetric for b.
-                        ga.set(rr, 0, -gv * self.nodes[b].value.get(rr, 0));
-                        gb.set(rr, 0, -gv * self.nodes[a].value.get(rr, 0));
-                        for cc in 1..c {
-                            ga.set(rr, cc, gv * self.nodes[b].value.get(rr, cc));
-                            gb.set(rr, cc, gv * self.nodes[a].value.get(rr, cc));
+                        if need(id) {
+                            acc(id, Tensor::from_vec(1, g.cols(), g.row(row).to_vec()));
                         }
                     }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
                 }
-                Op::RowDot(a, b) => {
-                    let (r, c) = self.nodes[a].value.shape();
-                    let mut ga = Tensor::zeros(r, c);
-                    let mut gb = Tensor::zeros(r, c);
-                    for rr in 0..r {
-                        let gv = g.get(rr, 0);
-                        for cc in 0..c {
-                            ga.set(rr, cc, gv * self.nodes[b].value.get(rr, cc));
-                            gb.set(rr, cc, gv * self.nodes[a].value.get(rr, cc));
+                &Op::LorentzInner(a, b) => {
+                    // ∂⟨a,b⟩/∂a = (−b₀, b₁, …); symmetric for b.
+                    let lorentz_grad = |other: &Tensor| {
+                        let mut out = Tensor::zeros(other.rows(), other.cols());
+                        for rr in 0..other.rows() {
+                            let gv = g.get(rr, 0);
+                            let row = out.row_mut(rr);
+                            row[0] = -gv * other.get(rr, 0);
+                            for (cc, o) in row.iter_mut().enumerate().skip(1) {
+                                *o = gv * other.get(rr, cc);
+                            }
                         }
+                        out
+                    };
+                    if need(a) {
+                        acc(a, lorentz_grad(&nodes[b].value));
                     }
-                    self.accumulate(a, ga);
-                    self.accumulate(b, gb);
+                    if need(b) {
+                        acc(b, lorentz_grad(&nodes[a].value));
+                    }
                 }
+                &Op::RowDot(a, b) => {
+                    if need(a) {
+                        acc(a, broadcast_map(&nodes[b].value, &g, |v, gv| gv * v));
+                    }
+                    if need(b) {
+                        acc(b, broadcast_map(&nodes[a].value, &g, |v, gv| gv * v));
+                    }
+                }
+                Op::GatAttend(op) => gat_attend_backward(op, &g, nodes, &mut acc),
             }
         }
+        self.visited = visited;
+    }
+}
+
+/// The backward of [`Tape::gat_attend`]: node by node in descending
+/// order, exactly as the per-node composition's nodes run in reverse. Each
+/// node's gradients for `wh` and `s2` are summed per neighbour id (a
+/// repeated id as `0.0 + g₁ + g₂ …`, as `select_rows` scatters), then
+/// added into a zero-initialised accumulator, which is bit for bit the
+/// per-node composition's sum of zero-padded `N×·` tensors: those sums
+/// never hold `−0.0`, so the skipped `+ 0.0` terms change no bit.
+fn gat_attend_backward(
+    op: &GatAttend,
+    g: &Tensor,
+    nodes: &[Node],
+    acc: &mut impl FnMut(usize, Tensor),
+) {
+    let vwh = &nodes[op.wh].value;
+    let (n, width) = vwh.shape();
+    let mut g_wh = Tensor::zeros(n, width);
+    let (mut g_s1, mut g_s2) = (vec![0.0f32; n], vec![0.0f32; n]);
+    // While node `i` runs, `slot[j]` is neighbour `j`'s row in the local
+    // per-id sums; `distinct` lists those ids in first-seen order.
+    let mut slot = vec![usize::MAX; n];
+    let mut distinct = Vec::new();
+    let (mut local_wh, mut local_s2, mut g_alpha) = (Vec::new(), Vec::new(), Vec::new());
+    for i in (0..n).rev() {
+        let (lo, hi) = (op.offsets[i], op.offsets[i + 1]);
+        let (nbrs, alpha, logits) = (&op.ids[lo..hi], &op.alpha[lo..hi], &op.logits[lo..hi]);
+        let g_i = g.row(i);
+        distinct.clear();
+        for &j in nbrs {
+            if slot[j] == usize::MAX {
+                slot[j] = distinct.len();
+                distinct.push(j);
+            }
+        }
+        // ∂/∂(wh rows) = αᵀ · g_i as `Tensor::matmul` computes it (a zero
+        // weight skips its row), scattered per id.
+        local_wh.clear();
+        local_wh.resize(distinct.len() * width, 0.0);
+        for (&j, &a) in nbrs.iter().zip(alpha) {
+            let s = slot[j] * width;
+            for (l, &gv) in local_wh[s..s + width].iter_mut().zip(g_i) {
+                *l += if a == 0.0 { 0.0 } else { 0.0 + a * gv };
+            }
+        }
+        // ∂/∂α = g_i · (wh rows)ᵀ as `Tensor::matmul` computes it: per
+        // weight, over the output columns in order, skipping zero upstream
+        // entries.
+        g_alpha.clear();
+        g_alpha.extend(nbrs.iter().map(|&j| {
+            let mut s = 0.0;
+            for (&gv, &w) in g_i.iter().zip(vwh.row(j)) {
+                if gv != 0.0 {
+                    s += gv * w;
+                }
+            }
+            s
+        }));
+        // Softmax, then leaky-ReLU backward; `s1_i` takes the sum over the
+        // row, `s2` the per-id sums.
+        let dot: f32 = g_alpha.iter().zip(alpha).map(|(&g, &y)| g * y).sum();
+        let mut s1_sum = 0.0;
+        local_s2.clear();
+        local_s2.resize(distinct.len(), 0.0);
+        for (((&j, &y), &x), &ga) in nbrs.iter().zip(alpha).zip(logits).zip(&g_alpha) {
+            let g_pre = leaky_relu_grad(y * (ga - dot), x, GAT_SLOPE);
+            s1_sum += g_pre;
+            local_s2[slot[j]] += g_pre;
+        }
+        g_s1[i] += s1_sum;
+        for (s, &j) in distinct.iter().enumerate() {
+            for (o, &l) in g_wh.row_mut(j).iter_mut().zip(&local_wh[s * width..]) {
+                *o += l;
+            }
+            g_s2[j] += local_s2[s];
+            slot[j] = usize::MAX;
+        }
+    }
+    let tracked = |v: usize| nodes[v].tracked;
+    if tracked(op.wh) {
+        acc(op.wh, g_wh);
+    }
+    if tracked(op.s1) {
+        acc(op.s1, Tensor::from_vec(n, 1, g_s1));
+    }
+    if tracked(op.s2) {
+        acc(op.s2, Tensor::from_vec(n, 1, g_s2));
     }
 }
 
@@ -871,6 +1222,122 @@ mod tests {
                 t.row_dot(x, bv)
             },
             1e-2,
+        );
+    }
+
+    #[test]
+    fn grad_gat_attend() {
+        // Node 0 has only its self-loop, node 1 is a hub, node 2 lists
+        // node 3 twice. Every logit s1_i + s2_j stays ≥ 0.2 away from the
+        // leaky ReLU's kink under the ±3e-3 probes.
+        let graph = vec![vec![0], vec![1, 0, 2, 3], vec![2, 3, 3], vec![3, 1]];
+        let wh = Tensor::from_vec(4, 2, vec![0.5, -1.2, 0.3, 1.7, -0.4, 0.9, 1.1, -0.6]);
+        let s1 = Tensor::from_vec(4, 1, vec![0.5, -0.9, 0.3, 1.1]);
+        let s2 = Tensor::from_vec(4, 1, vec![0.2, -0.4, 0.7, -1.3]);
+        let r = Tensor::from_vec(4, 2, vec![0.7, -1.1, 0.4, 0.9, -0.8, 1.3, 0.6, 0.2]);
+        let weighted = |t: &mut Tape, out: Var| {
+            let rv = t.constant(r.clone());
+            t.mul(out, rv)
+        };
+        gradcheck(
+            wh.clone(),
+            |t, x| {
+                let (a, b) = (t.constant(s1.clone()), t.constant(s2.clone()));
+                let out = t.gat_attend(x, a, b, &graph);
+                weighted(t, out)
+            },
+            1e-2,
+        );
+        gradcheck(
+            s1.clone(),
+            |t, x| {
+                let (w, b) = (t.constant(wh.clone()), t.constant(s2.clone()));
+                let out = t.gat_attend(w, x, b, &graph);
+                weighted(t, out)
+            },
+            1e-2,
+        );
+        gradcheck(
+            s2.clone(),
+            |t, x| {
+                let (w, a) = (t.constant(wh.clone()), t.constant(s1.clone()));
+                let out = t.gat_attend(w, a, x, &graph);
+                weighted(t, out)
+            },
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn data_leaves_are_not_differentiated() {
+        let mut tape = Tape::new();
+        let d = tape.input(Tensor::from_vec(1, 3, vec![0.5, -1.0, 2.0]));
+        let p = tape.constant(Tensor::from_vec(1, 3, vec![1.5, 0.25, -0.5]));
+        // A chain of data-only nodes: nothing in it can reach `p`.
+        let e = tape.tanh(d);
+        let e = tape.scale(e, 3.0);
+        let e = tape.add(e, d);
+        let f = tape.mul(e, p);
+        let loss = tape.sum_all(f);
+        tape.backward(loss);
+        assert_eq!(tape.grad(d), Tensor::zeros(1, 3));
+        assert_eq!(tape.grad(p), tape.value(e).clone());
+        // Only `f` and `loss` descend from a differentiated leaf.
+        assert_eq!(tape.backward_visits(), 2);
+        // Interior gradients are dropped once propagated.
+        assert_eq!(tape.grad(f), Tensor::zeros(1, 3));
+    }
+
+    #[test]
+    fn data_inputs_leave_parameter_gradients_bit_identical() {
+        use crate::layers::{sequence_masks, Linear, LstmCell};
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let lstm = LstmCell::new("lstm", 2, 3, &mut store, &mut rng);
+        let head = Linear::new("head", 3, 2, &mut store, &mut rng);
+        let steps: Vec<Tensor> = (0..4)
+            .map(|_| Tensor::uniform(2, 2, 1.0, &mut rng))
+            .collect();
+        let target = Tensor::uniform(2, 2, 1.0, &mut rng);
+        let run = |as_data: bool| {
+            let mut tape = Tape::new();
+            let leaf = |tape: &mut Tape, t: &Tensor| {
+                if as_data {
+                    tape.input(t.clone())
+                } else {
+                    tape.constant(t.clone())
+                }
+            };
+            let xs: Vec<Var> = steps.iter().map(|t| leaf(&mut tape, t)).collect();
+            let masks: Vec<Var> = if as_data {
+                sequence_masks(&mut tape, &[4, 2], 4)
+            } else {
+                (0..4)
+                    .map(|t| {
+                        let col = [4, 2].map(|l| if t < l { 1.0 } else { 0.0 });
+                        tape.constant(Tensor::from_vec(2, 1, col.to_vec()))
+                    })
+                    .collect()
+            };
+            let h = lstm.forward_sequence(&mut tape, &store, &xs, &masks);
+            let y = head.forward(&mut tape, &store, h);
+            let t = leaf(&mut tape, &target);
+            let d = tape.sub(y, t);
+            let sq = tape.square(d);
+            let loss = tape.sum_all(sq);
+            tape.backward(loss);
+            let mut bits = vec![tape.value(loss).item().to_bits()];
+            for (_, v) in tape.watched() {
+                bits.extend(tape.grad(*v).data().iter().map(|g| g.to_bits()));
+            }
+            (bits, tape.backward_visits())
+        };
+        let ((constant, visits_constant), (data, visits_data)) = (run(false), run(true));
+        assert_eq!(constant, data);
+        assert!(
+            visits_data < visits_constant,
+            "{visits_data} vs {visits_constant}"
         );
     }
 
