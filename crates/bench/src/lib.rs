@@ -9,14 +9,9 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
-pub mod hist;
-pub mod ledger;
-pub mod perf;
 pub mod printer;
 pub mod scales;
-pub mod synth;
 
 pub use args::Args;
-pub use perf::append_record;
 pub use printer::{print_header, write_artifact, Table};
 pub use scales::default_spec;

@@ -9,7 +9,9 @@
 //! complete". The background compactor races the writer between pin and
 //! install through the same properties, and directed tests pin down the
 //! drain()/determinism, `compact_inline`-behind-a-queued-fold and
-//! residual-re-log/recovery contracts.
+//! residual-re-log/recovery contracts. One directed test runs two writer
+//! threads and a reader against four shards while every shard folds in
+//! the background, and checks each pinned view and the drained store.
 
 use lh_repro::plugin::{
     shard_of_id, EmbeddingStore, PluginVariant, ServingOptions, ShardedServingOptions,
@@ -19,7 +21,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 mod common;
 use common::*;
@@ -781,5 +783,124 @@ fn deltas_past_three_chunks_recover_and_fold_exactly() {
         }
         drop(back);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Two writers and a reader race the background compactor on four
+/// shards. Each writer owns the ids `≡ w (mod 2)`, seeded ones included,
+/// which span every shard, and runs its own seeded stream of upserts,
+/// re-upserts and removes; the final state is the union of the writers'
+/// models whatever the interleaving. Every snapshot the reader pins
+/// answers in its own flat scan's order and bits. After `drain()` every
+/// shard has folded, and the store equals the model: order-exact against
+/// its flat scan, hit sets against the model's, and the same live ids.
+#[test]
+fn two_writers_and_a_reader_race_folds_on_every_shard() {
+    let (shards, threshold, dim, k) = (4, 8, 3, 10);
+    let (writers, id_space, ops) = (2u64, 96u64, 2000);
+    for variant in VARIANTS {
+        let mut rng = StdRng::seed_from_u64(0xc0c4);
+        let (base, ids, seeded) = seed_rows(variant, dim, 48, &mut rng);
+        let store = ShardedServingStore::new(base, ids, sharded_opts(shards, threshold))
+            .expect("unique ids");
+        let mut queries = empty_store(variant, dim);
+        for _ in 0..3 {
+            let row = random_row(variant, dim, &mut rng);
+            queries.push(&row.0, row.1.as_deref(), row.2.as_deref());
+        }
+        let owned = |w: u64| (0..id_space).filter(move |id| id % writers == w);
+        for w in 0..writers {
+            let mut hit: Vec<usize> = owned(w).map(|id| shard_of_id(id, shards)).collect();
+            hit.sort_unstable();
+            hit.dedup();
+            assert_eq!(hit.len(), shards, "writer {w}'s ids must span every shard");
+        }
+
+        let done = AtomicBool::new(false);
+        let model = std::thread::scope(|s| {
+            let (store, queries, seeded, done) = (&store, &queries, &seeded, &done);
+            let reader = s.spawn(move || {
+                let mut reads = 0;
+                while !done.load(Ordering::Acquire) || reads < 32 {
+                    let snap = store.snapshot();
+                    let qi = reads % queries.len();
+                    assert_eq!(
+                        ordered_hits(&snap.knn(queries, qi, k)),
+                        flat_reference(&snap, queries, qi, k),
+                        "{} pinned view vs its own flat scan",
+                        variant.name()
+                    );
+                    reads += 1;
+                }
+            });
+            let handles: Vec<_> = (0..writers)
+                .map(|w| {
+                    s.spawn(move || {
+                        let mut rng = StdRng::seed_from_u64(0x3a17 + w);
+                        let mut model: BTreeMap<u64, Row> = seeded
+                            .iter()
+                            .filter(|(id, _)| *id % writers == w)
+                            .map(|(id, row)| (*id, row.clone()))
+                            .collect();
+                        let mine: Vec<u64> = owned(w).collect();
+                        for _ in 0..ops {
+                            let id = mine[rng.gen_range(0..mine.len())];
+                            if rng.gen_range(0..100u32) < 75 {
+                                let row = random_row(variant, dim, &mut rng);
+                                let replaced = store
+                                    .upsert(id, &row.0, row.1.as_deref(), row.2.as_deref())
+                                    .expect("upsert");
+                                assert_eq!(replaced, model.insert(id, row).is_some());
+                            } else {
+                                let removed = store.remove(id).expect("remove");
+                                assert_eq!(removed, model.remove(&id).is_some());
+                            }
+                        }
+                        model
+                    })
+                })
+                .collect();
+            let mut model = BTreeMap::new();
+            for h in handles {
+                model.append(&mut h.join().expect("writer"));
+            }
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader");
+            model
+        });
+        store.drain().expect("background folds");
+
+        for (sid, s) in store.shard_stats().iter().enumerate() {
+            assert!(
+                s.compactions > 0,
+                "{}: shard {sid} never folded",
+                variant.name()
+            );
+        }
+        let snap = store.snapshot();
+        let (flat, flat_ids) = model_store(variant, dim, &model);
+        for qi in 0..queries.len() {
+            let hits = snap.knn(&queries, qi, k);
+            assert_eq!(
+                ordered_hits(&hits),
+                flat_reference(&snap, &queries, qi, k),
+                "{} qi={qi}: drained view vs its own flat scan",
+                variant.name()
+            );
+            assert_eq!(
+                canon_hits(&hits),
+                canon_flat(&flat, &flat_ids, &queries, qi, k),
+                "{} qi={qi}: drained view vs the model",
+                variant.name()
+            );
+        }
+        let mut live = snap.live_ids();
+        live.sort_unstable();
+        assert_eq!(
+            live,
+            model.keys().copied().collect::<Vec<u64>>(),
+            "{} live ids",
+            variant.name()
+        );
     }
 }
