@@ -114,6 +114,90 @@ mod tests {
         t.row(vec!["only-one".into()]);
     }
 
+    /// Every field shape the binaries' artifacts hold, pretty-printed:
+    /// the artifact bytes must not move when the JSON layer changes.
+    #[test]
+    fn artifact_encoding_is_pinned() {
+        #[derive(Serialize)]
+        struct Shapes {
+            label: String,
+            integral: f64,
+            fractional: f64,
+            pos_inf: f64,
+            neg_inf: f64,
+            nan: f64,
+            ratio: f32,
+            count: usize,
+            absent: Option<f64>,
+            present: Option<f64>,
+            cells: Option<usize>,
+            series: Vec<f64>,
+            range: (f64, f64),
+            spread: [f32; 3],
+            eval: lh_metrics::RankingEval,
+        }
+        let shapes = Shapes {
+            label: "a \"b\"\nc".into(),
+            integral: 3.0,
+            fractional: -0.125,
+            pos_inf: f64::INFINITY,
+            neg_inf: f64::NEG_INFINITY,
+            nan: f64::NAN,
+            ratio: 0.1,
+            count: 42,
+            absent: None,
+            present: Some(0.75),
+            cells: Some(7),
+            series: vec![1.0, 2.5, 1e-7],
+            range: (-1.0, 1.0),
+            spread: [0.5, 1.25, -2.0],
+            eval: lh_metrics::RankingEval {
+                hr5: 0.2,
+                hr10: 0.5,
+                hr50: 1.0,
+                ndcg10: 0.6309297535714575,
+                ndcg50: 0.0,
+                queries: 10,
+            },
+        };
+        let expected = r#"{
+  "label": "a \"b\"\nc",
+  "integral": 3.0,
+  "fractional": -0.125,
+  "pos_inf": Infinity,
+  "neg_inf": -Infinity,
+  "nan": NaN,
+  "ratio": 0.10000000149011612,
+  "count": 42,
+  "absent": null,
+  "present": 0.75,
+  "cells": 7,
+  "series": [
+    1.0,
+    2.5,
+    0.0000001
+  ],
+  "range": [
+    -1.0,
+    1.0
+  ],
+  "spread": [
+    0.5,
+    1.25,
+    -2.0
+  ],
+  "eval": {
+    "hr5": 0.2,
+    "hr10": 0.5,
+    "hr50": 1.0,
+    "ndcg10": 0.6309297535714575,
+    "ndcg50": 0.0,
+    "queries": 10
+  }
+}"#;
+        assert_eq!(serde_json::to_string_pretty(&shapes).unwrap(), expected);
+    }
+
     #[test]
     fn pct_helpers() {
         assert_eq!(pct(0.5354), "53.5");

@@ -1,10 +1,8 @@
 //! Plugin configuration: the ablation and hyper-parameter axes.
 
-use serde::{Deserialize, Serialize};
-
 /// Which pieces of the LH-plugin are active — exactly the rows of the
 /// paper's Table VI ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PluginVariant {
     /// Baseline: Euclidean distance between base-model embeddings only.
     Original,
@@ -47,7 +45,7 @@ impl PluginVariant {
 }
 
 /// Full plugin configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PluginConfig {
     /// Active variant (ablation axis).
     pub variant: PluginVariant,

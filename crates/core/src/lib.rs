@@ -43,7 +43,7 @@ pub use fusion::FactorEncoder;
 pub use pipeline::{run_experiment, ExperimentOutcome, ExperimentSpec};
 pub use projection::project_rows;
 pub use retrieval::{
-    shard_of_id, BoundSpace, DistanceKernel, EmbeddingStore, IndexParams, IndexedStore, ProbeStats,
+    shard_of_id, BoundSpace, EmbeddingStore, IndexParams, IndexedStore, ProbeStats,
     RetrievalResult, ServeError, ServeHit, ServeStats, ServingOptions, ShardedServingOptions,
     ShardedServingStore, ShardedSnapshot,
 };

@@ -8,13 +8,12 @@ use crate::trainer::{LhModel, TrainReport, Trainer, TrainerConfig};
 use lh_data::DatasetPreset;
 use lh_metrics::ranking::RankingEval;
 use lh_models::{EncoderConfig, ModelKind};
-use serde::{Deserialize, Serialize};
 use traj_core::normalize::Normalizer;
 use traj_core::TrajectoryDataset;
 use traj_dist::{MatrixBuilder, MeasureKind};
 
 /// Everything needed to reproduce one table cell.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ExperimentSpec {
     /// Synthetic dataset profile.
     pub preset: DatasetPreset,
@@ -64,7 +63,6 @@ impl ExperimentSpec {
 }
 
 /// Result of one experiment.
-#[derive(Serialize)]
 pub struct ExperimentOutcome {
     /// Retrieval accuracy on the held-out queries.
     pub eval: RankingEval,
@@ -81,23 +79,17 @@ pub struct ExperimentOutcome {
     /// a rebuild).
     pub gt_cache_hits: usize,
     /// The trained model (callers may re-embed or inspect).
-    #[serde(skip)]
     pub model: LhModel,
     /// Normalized database trajectories (shared by post-hoc analyses).
-    #[serde(skip)]
     pub database: TrajectoryDataset,
     /// Normalized query trajectories.
-    #[serde(skip)]
     pub queries: TrajectoryDataset,
     /// Ground-truth query-to-database distance rows.
-    #[serde(skip)]
     pub gt_rows: Vec<Vec<f64>>,
     /// Final database embeddings (the serving-side store — callers can
     /// shard and query it without re-embedding).
-    #[serde(skip)]
     pub db_store: EmbeddingStore,
     /// Final query embeddings.
-    #[serde(skip)]
     pub q_store: EmbeddingStore,
 }
 

@@ -3,9 +3,9 @@
 //!
 //! An [`IndexedStore`] owns one [`EmbeddingStore`] plus an IVF-style
 //! partition of its rows into pivot cells ([`build`]): each cell keeps a
-//! centroid row (served through the same monomorphized
-//! [`DistanceKernel`](super::kernel) machinery as the flat scans), the
-//! bound-space centroid distance of every member, and the cell radius.
+//! centroid row (served through the same monomorphized `DistanceKernel`
+//! machinery as the flat scans), the bound-space centroid distance of
+//! every member, and the cell radius.
 //! A query scans the `√n`-ish centroids and queues the cells in a
 //! min-heap by visit key. One probe loop — `IndexedStore::scan`,
 //! monomorphized per kernel and per prune-predicate pair ([`bound`]) —
@@ -53,13 +53,12 @@ pub mod bound;
 pub mod build;
 mod codec;
 
-use super::kernel::{self, Prefetch};
+use super::kernel::{self, DistanceKernel};
 use super::store::{results_from_topk, EmbeddingStore, RetrievalResult};
 use super::tombstones::Mask;
 use crate::config::PluginVariant;
 use bound::{BoundSpace, MixBound, PruneBound, Triangle};
 use build::IndexParams;
-use serde::Serialize;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use traj_core::parallel::{default_threads, parallel_map};
@@ -111,7 +110,7 @@ impl IndexCell {
 /// Aggregate scan accounting for one or more queries: what the index's
 /// probe loop and the flat scan loop did, summed over every segment
 /// scanned.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ProbeStats {
     /// Queries served.
     pub queries: usize,
@@ -207,11 +206,6 @@ impl IndexedStore {
     /// The underlying store.
     pub fn store(&self) -> &EmbeddingStore {
         &self.store
-    }
-
-    /// Releases the underlying store, discarding the index.
-    pub fn into_store(self) -> EmbeddingStore {
-        self.store
     }
 
     /// Total rows.
@@ -377,7 +371,7 @@ impl IndexedStore {
     /// behind the kernel work. Tombstoned rows are counted in neither the
     /// scanned nor the pruned tallies.
     #[allow(clippy::too_many_arguments)] // internal, monomorphized per kernel and bound
-    fn probe<K: Prefetch, P: PruneBound>(
+    fn probe<K: DistanceKernel, P: PruneBound>(
         &self,
         kern: &K,
         bound: &P,
@@ -474,7 +468,6 @@ fn total_order_bits(x: f64) -> u64 {
 
 #[cfg(test)]
 mod tests {
-    use super::super::kernel::DistanceKernel;
     use super::super::store::tests::store_with_rows;
     use super::super::tombstones::Tombstones;
     use super::*;

@@ -26,26 +26,17 @@ use traj_core::topk::TopK;
 /// Implementations are plain structs over `&[f32]` slices so the scan
 /// loops monomorphize: `kernel.distance_to(di)` compiles to the raw
 /// arithmetic of the active variant with no enum dispatch inside the loop.
-pub trait DistanceKernel {
+pub(crate) trait DistanceKernel {
     /// Number of database rows this kernel can scan.
     fn len(&self) -> usize;
 
-    /// Whether the bound database is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Model distance from the bound query to database row `di`.
     fn distance_to(&self, di: usize) -> f32;
-}
 
-/// The crate-internal half of a [`DistanceKernel`]: a cache hint, kept
-/// off the public trait because it is a tuning detail of the index's
-/// probe loop, which visits scattered rows and hints each one a few
-/// members ahead.
-pub(crate) trait Prefetch: DistanceKernel {
     /// Hints that `distance_to(di)` comes soon: asks the cache for every
-    /// line of row `di` that the kernel reads. Changes no result.
+    /// line of row `di` that the kernel reads. Changes no result. The
+    /// index's probe loop visits scattered rows and hints each one a few
+    /// members ahead.
     fn prefetch(&self, di: usize);
 }
 
@@ -70,7 +61,7 @@ fn prefetch_row(row: &[f32]) {
 }
 
 /// Euclidean distance over the base embeddings (`original` variant).
-pub struct EuclideanKernel<'a> {
+pub(crate) struct EuclideanKernel<'a> {
     db: &'a [f32],
     dim: usize,
     n: usize,
@@ -79,7 +70,7 @@ pub struct EuclideanKernel<'a> {
 
 impl<'a> EuclideanKernel<'a> {
     /// Binds query row `qi` of `queries` against `db`'s Euclidean buffer.
-    pub fn bind(db: &'a EmbeddingStore, queries: &'a EmbeddingStore, qi: usize) -> Self {
+    pub(crate) fn bind(db: &'a EmbeddingStore, queries: &'a EmbeddingStore, qi: usize) -> Self {
         EuclideanKernel {
             db: &db.eu,
             dim: db.dim,
@@ -99,9 +90,7 @@ impl DistanceKernel for EuclideanKernel<'_> {
     fn distance_to(&self, di: usize) -> f32 {
         euclidean_f32(self.q, &self.db[di * self.dim..(di + 1) * self.dim])
     }
-}
 
-impl Prefetch for EuclideanKernel<'_> {
     #[inline]
     fn prefetch(&self, di: usize) {
         prefetch_row(&self.db[di * self.dim..(di + 1) * self.dim]);
@@ -109,7 +98,7 @@ impl Prefetch for EuclideanKernel<'_> {
 }
 
 /// Lorentz distance over the hyperbolic rows (`lh-vanilla` / `lh-cosh`).
-pub struct LorentzKernel<'a> {
+pub(crate) struct LorentzKernel<'a> {
     db: &'a [f32],
     width: usize,
     q: &'a [f32],
@@ -118,7 +107,7 @@ pub struct LorentzKernel<'a> {
 
 impl<'a> LorentzKernel<'a> {
     /// Binds query row `qi` of `queries` against `db`'s hyperbolic buffer.
-    pub fn bind(db: &'a EmbeddingStore, queries: &'a EmbeddingStore, qi: usize) -> Self {
+    pub(crate) fn bind(db: &'a EmbeddingStore, queries: &'a EmbeddingStore, qi: usize) -> Self {
         LorentzKernel {
             db: &db.hyper,
             width: db.dim + 1,
@@ -142,9 +131,7 @@ impl DistanceKernel for LorentzKernel<'_> {
             self.beta,
         )
     }
-}
 
-impl Prefetch for LorentzKernel<'_> {
     #[inline]
     fn prefetch(&self, di: usize) {
         prefetch_row(&self.db[di * self.width..(di + 1) * self.width]);
@@ -153,7 +140,7 @@ impl Prefetch for LorentzKernel<'_> {
 
 /// Fused distance (`fusion-dist`): per-pair α over factor rows blending
 /// the Lorentz and Euclidean kernels.
-pub struct FusedKernel<'a> {
+pub(crate) struct FusedKernel<'a> {
     eu: EuclideanKernel<'a>,
     lo: LorentzKernel<'a>,
     db_factors: &'a [f32],
@@ -165,7 +152,7 @@ pub struct FusedKernel<'a> {
 impl<'a> FusedKernel<'a> {
     /// Binds query row `qi` of `queries` against all three of `db`'s
     /// buffers.
-    pub fn bind(db: &'a EmbeddingStore, queries: &'a EmbeddingStore, qi: usize) -> Self {
+    pub(crate) fn bind(db: &'a EmbeddingStore, queries: &'a EmbeddingStore, qi: usize) -> Self {
         let f = db.factor_dim.expect("fusion factors present");
         let qf = queries.factor_row(qi);
         FusedKernel {
@@ -189,9 +176,7 @@ impl DistanceKernel for FusedKernel<'_> {
     fn distance_to(&self, di: usize) -> f32 {
         self.distance_and_components(di).0
     }
-}
 
-impl Prefetch for FusedKernel<'_> {
     #[inline]
     fn prefetch(&self, di: usize) {
         let w = 2 * self.factor_dim;

@@ -17,7 +17,7 @@
 //!   when fusion is active, all in flat `f32` buffers.
 //!   [`EmbeddingStore::knn`] is the flat loop over every row;
 //!   [`EmbeddingStore::knn_batch`] runs it in parallel across queries;
-//! * [`kernel`] — [`DistanceKernel`]: one monomorphized distance kernel
+//! * `kernel` — `DistanceKernel`: one monomorphized distance kernel
 //!   per [`PluginVariant`](crate::config::PluginVariant), binding the
 //!   query row(s) once so the inner scan loop carries no variant dispatch
 //!   or repeated row slicing;
@@ -59,7 +59,7 @@
 
 pub mod codec;
 pub mod index;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod serve;
 pub mod store;
 pub(crate) mod tombstones;
@@ -67,7 +67,6 @@ pub(crate) mod tombstones;
 pub use index::bound::BoundSpace;
 pub use index::build::IndexParams;
 pub use index::{IndexedStore, ProbeStats};
-pub use kernel::DistanceKernel;
 pub use serve::sharded::{
     shard_of_id, ShardedServingOptions, ShardedServingStore, ShardedSnapshot,
 };

@@ -2,7 +2,7 @@
 //!
 //! [`EmbeddingStore`] owns the three flat `f32` buffers (Euclidean,
 //! hyperbolic, fusion factors) for one trajectory collection. Scans are
-//! executed by the monomorphized kernels in [`super::kernel`]:
+//! executed by the monomorphized kernels in `retrieval/kernel`:
 //! [`EmbeddingStore::knn`] offers every row into one heap through the
 //! flat scan loop, and [`EmbeddingStore::knn_batch`] runs it in parallel
 //! across queries.
@@ -10,12 +10,11 @@
 use super::index::ProbeStats;
 use super::kernel;
 use crate::config::PluginVariant;
-use serde::{Deserialize, Serialize};
 use traj_core::parallel::{default_threads, parallel_map};
 use traj_core::topk::TopK;
 
 /// Flat embedding storage for one trajectory collection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingStore {
     pub(crate) dim: usize,
     pub(crate) variant: PluginVariant,
@@ -28,7 +27,7 @@ pub struct EmbeddingStore {
 }
 
 /// One retrieval hit.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetrievalResult {
     /// Database row index.
     pub index: usize,

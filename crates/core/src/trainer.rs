@@ -18,12 +18,11 @@ use lh_nn::optim::Adam;
 use lh_nn::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use traj_core::{Trajectory, TrajectoryDataset};
 use traj_dist::DistanceMatrix;
 
 /// Trainer hyper-parameters.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct TrainerConfig {
     /// Training epochs.
     pub epochs: usize,
@@ -53,7 +52,7 @@ impl Default for TrainerConfig {
 }
 
 /// Per-epoch training statistics (Fig. 7's series).
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EpochStats {
     /// Epoch index (0-based).
     pub epoch: usize,
@@ -64,7 +63,7 @@ pub struct EpochStats {
 }
 
 /// Training summary.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrainReport {
     /// Per-epoch statistics.
     pub history: Vec<EpochStats>,

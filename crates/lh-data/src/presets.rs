@@ -12,11 +12,10 @@ use crate::citysim::{CityModel, CityModelBuilder};
 use crate::noise::route_variant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use traj_core::{Trajectory, TrajectoryDataset};
 
 /// The six dataset profiles of the paper plus a tiny smoke profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DatasetPreset {
     /// DiDi Chengdu-like: long ride-hailing trips over a large extent.
     Chengdu,

@@ -14,11 +14,10 @@
 
 use crate::lorentz::HyperbolicPoint;
 use crate::projection::{cosh_pair_lorentz_distance, Projection, ProjectionKind};
-use serde::{Deserialize, Serialize};
 
 /// One point of a degradation curve: input norm offset vs Lorentz distance
 /// between two collinear Euclidean points with a fixed gap.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct DegradationPoint {
     /// Distance of the pair from the origin.
     pub offset: f64,
@@ -77,14 +76,6 @@ pub fn lorentz_violation_example(beta: f64) -> (f64, f64, f64) {
     )
 }
 
-/// Relative violation of a distance triple `(ab, bc, ac)`:
-/// `(ac − ab − bc) / (ab + bc)` — positive iff the triangle inequality is
-/// broken on the `ac` side. A scalar summary used by the demos.
-pub fn relative_violation(ab: f64, bc: f64, ac: f64) -> f64 {
-    let denom = (ab + bc).max(f64::EPSILON);
-    (ac - ab - bc) / denom
-}
-
 /// Quantifies how much of the radial signal each projection retains: the
 /// ratio of the Lorentz distance at the last offset to the first.
 /// ≈ 0 means fully degraded, ≈ 1 means preserved.
@@ -134,15 +125,7 @@ mod tests {
         for beta in [0.5, 1.0, 2.0] {
             let (ab, bc, ac) = lorentz_violation_example(beta);
             assert!(ac > ab + bc, "β={beta}: {ac} vs {}", ab + bc);
-            assert!(relative_violation(ab, bc, ac) > 0.0);
         }
-    }
-
-    #[test]
-    fn relative_violation_signs() {
-        assert!(relative_violation(1.0, 1.0, 3.0) > 0.0);
-        assert!(relative_violation(1.0, 1.0, 1.5) < 0.0);
-        assert_eq!(relative_violation(1.0, 1.0, 2.0), 0.0);
     }
 
     #[test]

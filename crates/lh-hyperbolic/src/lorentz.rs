@@ -1,7 +1,5 @@
 //! The Lorentz inner product, hyperbolic membership, and distances.
 
-use serde::{Deserialize, Serialize};
-
 /// Lorentz (Minkowski) inner product `⟨a,b⟩ = −a₀b₀ + Σ_{i≥1} aᵢbᵢ`.
 ///
 /// Panics in debug builds on dimension mismatch.
@@ -33,7 +31,7 @@ pub fn geodesic_distance(a: &[f64], b: &[f64], beta: f64) -> f64 {
 }
 
 /// A point on the hyperboloid `H(β)`, kept consistent by construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HyperbolicPoint {
     coords: Vec<f64>,
     beta: f64,

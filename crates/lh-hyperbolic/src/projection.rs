@@ -16,7 +16,6 @@
 //! `c` and coincides with the paper at `c = 2`. See DESIGN.md §1.
 
 use crate::lorentz::HyperbolicPoint;
-use serde::{Deserialize, Serialize};
 
 /// Norm compression `γ_c(s) = s^{1/c}` applied to the squared norm, i.e.
 /// the compressed radius of a vector with squared norm `s`.
@@ -97,7 +96,7 @@ pub fn cosh_pair_lorentz_distance(xa: &[f64], xb: &[f64], beta: f64, c: f64) -> 
 }
 
 /// Which projection to use — the ablation axis of Table VI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProjectionKind {
     /// `φ`: direct lift (Theorem 6 shows distance degradation).
     Vanilla,
@@ -106,7 +105,7 @@ pub enum ProjectionKind {
 }
 
 /// A configured projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Projection {
     /// Projection family.
     pub kind: ProjectionKind,
@@ -270,13 +269,5 @@ mod tests {
             vanilla_prev < 1e-3,
             "vanilla did not degrade: {vanilla_prev}"
         );
-    }
-
-    #[test]
-    fn projection_serde_roundtrip() {
-        let p = Projection::paper_default();
-        let j = serde_json::to_string(&p).unwrap();
-        let back: Projection = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, p);
     }
 }

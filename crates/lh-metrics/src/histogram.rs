@@ -1,9 +1,7 @@
 //! Fixed-range histograms for RVS densities (Fig. 5 reproduction).
 
-use serde::{Deserialize, Serialize};
-
 /// A uniform-bin histogram over `[lo, hi]` with out-of-range clamping.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -6,7 +6,7 @@
 //! relevance assigned to the ground-truth top-k (the convention of the
 //! Neutraj/TrajGAT evaluation code the paper follows).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Indices of `0..n` sorted ascending by `distances` (ties by index).
 ///
@@ -65,7 +65,7 @@ pub fn ndcg_at_k(truth_ranking: &[usize], pred_ranking: &[usize], k: usize) -> f
 
 /// Aggregated evaluation over a query set: the row layout of the paper's
 /// accuracy tables (`HR@5/10/50`, `NDCG@10/50`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct RankingEval {
     /// Hit rate at 5.
     pub hr5: f64,

@@ -9,7 +9,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use traj_dist::DistanceMatrix;
 
 /// Triangle Violation Flag for a distance triple `(d_ij, d_ik, d_jk)`:
@@ -40,21 +39,15 @@ pub fn rvs(d_ij: f64, d_ik: f64, d_jk: f64) -> f64 {
 }
 
 /// A sampled set of index triples `(i, j, k)`, i < j < k.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TripletSample {
     triples: Vec<(usize, usize, usize)>,
-    exhaustive: bool,
 }
 
 impl TripletSample {
     /// The triples.
     pub fn triples(&self) -> &[(usize, usize, usize)] {
         &self.triples
-    }
-
-    /// Whether every `C(n,3)` triple is present.
-    pub fn is_exhaustive(&self) -> bool {
-        self.exhaustive
     }
 
     /// Number of triples.
@@ -68,16 +61,18 @@ impl TripletSample {
     }
 }
 
-/// Samples up to `max_triples` distinct index triples from `0..n`. When
-/// `C(n,3) ≤ max_triples` the enumeration is exhaustive (matching the
-/// paper's exact Definition 10); otherwise uniform sampling with a seeded
-/// RNG approximates it (the paper does the same on its million-trajectory
-/// sets).
+/// Samples up to `max_triples` index triples `(i, j, k)`, `i < j < k`,
+/// from `0..n`. When `C(n,3) ≤ max_triples` every triple is enumerated
+/// once (the paper's exact Definition 10). Otherwise exactly `max_triples`
+/// triples are drawn uniformly *with replacement* by a seeded RNG, so one
+/// triple can appear more than once and then counts once per draw: 20 000
+/// draws over the `C(100,3) = 161 700` triples of 100 rows hold about
+/// 1 200 repeats. This sampling approximates the exact ratio (the paper
+/// samples too on its million-trajectory sets).
 pub fn sample_triplets(n: usize, max_triples: usize, seed: u64) -> TripletSample {
     if n < 3 {
         return TripletSample {
             triples: Vec::new(),
-            exhaustive: true,
         };
     }
     let total = n * (n - 1) * (n - 2) / 6;
@@ -90,10 +85,7 @@ pub fn sample_triplets(n: usize, max_triples: usize, seed: u64) -> TripletSample
                 }
             }
         }
-        return TripletSample {
-            triples,
-            exhaustive: true,
-        };
+        return TripletSample { triples };
     }
     let mut rng = StdRng::seed_from_u64(seed ^ 0x7a11_5eed_u64);
     let mut triples = Vec::with_capacity(max_triples);
@@ -105,14 +97,11 @@ pub fn sample_triplets(n: usize, max_triples: usize, seed: u64) -> TripletSample
             triples.push((i, j, k));
         }
     }
-    TripletSample {
-        triples,
-        exhaustive: false,
-    }
+    TripletSample { triples }
 }
 
 /// Aggregate violation statistics over a triplet sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViolationStats {
     /// Ratio of Violation: fraction of triples with `TVF = 1`.
     pub rv: f64,
@@ -185,8 +174,7 @@ mod tests {
         set(c, d, 10.0);
         let matrix = DistanceMatrix::from_raw(4, 4, m);
         let sample = sample_triplets(4, 1000, 0);
-        assert!(sample.is_exhaustive());
-        assert_eq!(sample.len(), 4);
+        assert_eq!(sample.len(), 4); // C(4,3): every triple
         let stats = ratio_of_violation(&matrix, &sample);
         assert!((stats.rv - 0.25).abs() < 1e-12, "rv={}", stats.rv);
         assert!(
@@ -223,7 +211,6 @@ mod tests {
     #[test]
     fn sampling_exhaustive_small() {
         let s = sample_triplets(6, 100, 1);
-        assert!(s.is_exhaustive());
         assert_eq!(s.len(), 20); // C(6,3)
         let mut seen = std::collections::HashSet::new();
         for &t in s.triples() {
@@ -235,8 +222,7 @@ mod tests {
     #[test]
     fn sampling_capped_large() {
         let s = sample_triplets(100, 500, 2);
-        assert!(!s.is_exhaustive());
-        assert_eq!(s.len(), 500);
+        assert_eq!(s.len(), 500); // max_triples
         for &t in s.triples() {
             assert!(t.0 < t.1 && t.1 < t.2 && t.2 < 100);
         }

@@ -2,11 +2,10 @@
 
 use lh_nn::{ParamStore, Tape, Var};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use traj_core::{Trajectory, TrajectoryDataset};
 
 /// Common hyper-parameters for all encoders.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct EncoderConfig {
     /// Output (Euclidean) embedding width `d`.
     pub embed_dim: usize,
@@ -45,7 +44,7 @@ pub trait TrajectoryEncoder {
 }
 
 /// Registry of the paper's base models (Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// Grid-cell + GRU (Neutraj-style).
     Neutraj,
@@ -121,14 +120,5 @@ mod tests {
         assert_eq!(ModelKind::Neutraj.name(), "Neutraj");
         assert_eq!(ModelKind::SPATIAL.len(), 3);
         assert_eq!(ModelKind::SPATIO_TEMPORAL.len(), 2);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let j = serde_json::to_string(&ModelKind::TrajGat).unwrap();
-        assert_eq!(
-            serde_json::from_str::<ModelKind>(&j).unwrap(),
-            ModelKind::TrajGat
-        );
     }
 }

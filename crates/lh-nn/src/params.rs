@@ -5,11 +5,10 @@
 //! runs reproducible under a fixed seed.
 
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Named parameter tensors.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     map: BTreeMap<String, Tensor>,
 }
@@ -65,11 +64,6 @@ impl ParamStore {
         self.map.is_empty()
     }
 
-    /// Total scalar count across all tensors.
-    pub fn num_scalars(&self) -> usize {
-        self.map.values().map(|t| t.len()).sum()
-    }
-
     /// True when every parameter is finite (training-health check).
     pub fn all_finite(&self) -> bool {
         self.map.values().all(|t| t.all_finite())
@@ -112,7 +106,7 @@ mod tests {
         s.insert("a", Tensor::zeros(1, 3));
         let names: Vec<&str> = s.names().collect();
         assert_eq!(names, vec!["a", "b"]);
-        assert_eq!(s.num_scalars(), 7);
+        assert_eq!(s.len(), 2);
     }
 
     #[test]
@@ -122,14 +116,5 @@ mod tests {
         assert!(s.all_finite());
         s.get_mut("w").set(0, 0, f32::INFINITY);
         assert!(!s.all_finite());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let mut s = ParamStore::new();
-        s.insert("w", Tensor::from_vec(1, 2, vec![1.0, 2.0]));
-        let j = serde_json::to_string(&s).unwrap();
-        let back: ParamStore = serde_json::from_str(&j).unwrap();
-        assert_eq!(back.get("w").data(), s.get("w").data());
     }
 }

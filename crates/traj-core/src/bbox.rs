@@ -1,10 +1,8 @@
 //! Axis-aligned bounding boxes for trajectories and spatial indexes.
 
-use serde::{Deserialize, Serialize};
-
 /// An axis-aligned rectangle. An *empty* box has inverted bounds and
 /// contains nothing; extending it with any point makes it valid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     pub min_x: f64,
     pub min_y: f64,

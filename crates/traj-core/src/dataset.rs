@@ -3,11 +3,10 @@
 use crate::bbox::BoundingBox;
 use crate::error::{Result, TrajError};
 use crate::trajectory::Trajectory;
-use serde::{Deserialize, Serialize};
 
 /// A named collection of trajectories, the unit every experiment operates
 /// on. Mirrors the paper's `T = {T_1, …, T_N}`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TrajectoryDataset {
     name: String,
     trajectories: Vec<Trajectory>,
@@ -69,11 +68,6 @@ impl TrajectoryDataset {
             / self.trajectories.len() as f64
     }
 
-    /// Total number of coordinate points in the dataset.
-    pub fn total_points(&self) -> usize {
-        self.trajectories.iter().map(|t| t.len()).sum()
-    }
-
     /// Splits into `(head, tail)` datasets at `fraction ∈ (0,1]` of the
     /// trajectories — used by the Fig. 6 scalability sweep.
     pub fn split(&self, fraction: f64) -> (TrajectoryDataset, TrajectoryDataset) {
@@ -122,7 +116,6 @@ mod tests {
         let d = ds();
         assert_eq!(d.len(), 10);
         assert_eq!(d.mean_len(), 3.0);
-        assert_eq!(d.total_points(), 30);
         assert_eq!(d.name(), "unit");
         assert!(!d.is_empty());
     }
@@ -160,14 +153,5 @@ mod tests {
     fn take_limits() {
         assert_eq!(ds().take(4).len(), 4);
         assert_eq!(ds().take(100).len(), 10);
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let d = ds();
-        let json = serde_json::to_string(&d).unwrap();
-        let back: TrajectoryDataset = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), d.len());
-        assert_eq!(back.trajectories()[3], d.trajectories()[3]);
     }
 }

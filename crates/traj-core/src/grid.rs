@@ -6,11 +6,10 @@ use crate::bbox::BoundingBox;
 use crate::error::{Result, TrajError};
 use crate::point::Point;
 use crate::trajectory::Trajectory;
-use serde::{Deserialize, Serialize};
 
 /// A `cols × rows` uniform partition of a bounding box. Cells are indexed
 /// row-major: `cell = row * cols + col`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UniformGrid {
     bbox: BoundingBox,
     cols: usize,
@@ -109,7 +108,7 @@ impl UniformGrid {
 }
 
 /// A 3-D spatio-temporal grid (x, y, t) used by the Tedj-style encoder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpatioTemporalGrid {
     spatial: UniformGrid,
     t_min: f64,

@@ -10,10 +10,9 @@ use crate::dataset::TrajectoryDataset;
 use crate::error::{Result, TrajError};
 use crate::point::Point;
 use crate::trajectory::Trajectory;
-use serde::{Deserialize, Serialize};
 
 /// An affine spatial (+ optional temporal) normalizer fitted on a dataset.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Normalizer {
     bbox: BoundingBox,
     scale: f64,

@@ -12,7 +12,7 @@
 //! their own and store it under one lock, so no shared mutable view (and
 //! no `unsafe`) is needed.
 
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of worker threads to use: the available parallelism, capped so
 /// tiny inputs don't pay spawn overhead.
@@ -68,16 +68,14 @@ where
         (0..n).for_each(f);
         return;
     }
-    let next = Mutex::new(0usize);
+    // Only the claim needs to be atomic: `f` publishes its own results,
+    // and the scope's join orders them before the return.
+    let next = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let (next, f) = (&next, &f);
             scope.spawn(move || loop {
-                let item = {
-                    let mut g = next.lock();
-                    *g += 1;
-                    *g - 1
-                };
+                let item = next.fetch_add(1, Ordering::Relaxed);
                 if item >= n {
                     return;
                 }
@@ -90,7 +88,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn map_matches_serial() {

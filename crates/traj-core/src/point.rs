@@ -1,11 +1,9 @@
 //! 2-D points with an optional timestamp, matching the paper's
 //! `p_i = (lon_i, lat_i)` / `p_i = (lon_i, lat_i, t_i)` definitions.
 
-use serde::{Deserialize, Serialize};
-
 /// A single trajectory sample: longitude/latitude (here treated as planar
 /// x/y after normalization) with an optional timestamp in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Point {
     /// Longitude (or planar x).
     pub x: f64,

@@ -9,10 +9,9 @@
 use crate::bbox::BoundingBox;
 use crate::error::{Result, TrajError};
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// Construction parameters for [`QuadTree`].
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct QuadTreeConfig {
     /// Split a leaf when it holds more than this many seed points.
     pub max_points: usize,
@@ -30,7 +29,7 @@ impl Default for QuadTreeConfig {
 }
 
 /// One node of the quadtree, stored in an arena (`Vec<Node>`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuadNode {
     /// Region covered by the node.
     pub bbox: BoundingBox,
@@ -52,7 +51,7 @@ impl QuadNode {
 }
 
 /// Arena-allocated point-region quadtree.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct QuadTree {
     nodes: Vec<QuadNode>,
     config: QuadTreeConfig,
@@ -197,11 +196,6 @@ impl QuadTree {
     /// Maximum depth reached.
     pub fn depth(&self) -> usize {
         self.nodes.iter().map(|n| n.depth).max().unwrap_or(0)
-    }
-
-    /// Number of leaves.
-    pub fn num_leaves(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
     }
 }
 

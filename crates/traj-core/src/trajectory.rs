@@ -3,11 +3,10 @@
 use crate::bbox::BoundingBox;
 use crate::error::{Result, TrajError};
 use crate::point::Point;
-use serde::{Deserialize, Serialize};
 
 /// A trajectory: a non-empty ordered sequence of points, all timestamped or
 /// all untimestamped, validated on construction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     points: Vec<Point>,
 }

@@ -46,7 +46,6 @@ use super::wavefront;
 use super::DistanceMatrix;
 use crate::landmark::LandmarkLowerBound;
 use crate::measure::Measure;
-use serde::{Deserialize, Serialize};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -90,7 +89,7 @@ enum PrunedBy {
 }
 
 /// Whether a build was served from the persistent checkpoint cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
     /// No cache directory configured.
     Disabled,
@@ -109,7 +108,7 @@ impl CacheOutcome {
 }
 
 /// What a build did: where the time went and where the matrix came from.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct BuildReport {
     /// Wall-clock seconds for the whole build (including cache I/O).
     pub seconds: f64,

@@ -19,11 +19,10 @@ pub use builder::{BuildReport, CacheOutcome, MatrixBuild, MatrixBuilder, Schedul
 pub use cache::CacheError;
 
 use crate::measure::Measure;
-use serde::{Deserialize, Serialize};
 use traj_core::Trajectory;
 
 /// A dense row-major distance matrix.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DistanceMatrix {
     rows: usize,
     cols: usize,

@@ -6,11 +6,10 @@
 
 use crate::dp::{self, with_cell};
 use crate::st::{DitaConfig, TpConfig};
-use serde::{Deserialize, Serialize};
 use traj_core::{Point, Trajectory};
 
 /// All measures this crate implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeasureKind {
     /// Dynamic time warping (non-metric).
     Dtw,
@@ -286,12 +285,5 @@ mod tests {
         assert!(!MeasureKind::Hausdorff.measure().supports_batch());
         assert!(!MeasureKind::Tp.measure().supports_batch());
         assert!(!MeasureKind::Dita.measure().supports_batch());
-    }
-
-    #[test]
-    fn serde_roundtrip() {
-        let j = serde_json::to_string(&MeasureKind::Dtw).unwrap();
-        let back: MeasureKind = serde_json::from_str(&j).unwrap();
-        assert_eq!(back, MeasureKind::Dtw);
     }
 }

@@ -9,15 +9,42 @@
 //! * [`Serialize`] writes JSON text directly into a `String`;
 //! * [`Deserialize`] reads from a parsed JSON [`Value`] tree;
 //! * `#[derive(Serialize, Deserialize)]` (re-exported from the
-//!   `serde_derive` shim) supports non-generic brace structs — including
-//!   `#[serde(skip)]` fields, which deserialize via `Default` — and
-//!   enums with unit variants, encoded as `"VariantName"` strings.
+//!   `serde_derive` shim) supports non-generic brace structs only, each
+//!   field encoded under its own name:
 //!
+//! ```
+//! #[derive(serde::Serialize, serde::Deserialize)]
+//! struct Row {
+//!     id: u64,
+//! }
+//! ```
+//!
+//!   An enum or a `#[serde(..)]` attribute fails at expansion instead of
+//!   being encoded some other way than the real serde would:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! enum Mode {
+//!     Fast,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Row {
+//!     #[serde(skip)]
+//!     cache: Vec<u8>,
+//! }
+//! ```
+//!
+//! It implements exactly the API subset the workspace uses: the
+//! experiment binaries' artifacts (which also serialize pairs and
+//! fixed-size arrays) and the benchmark's records and specification.
 //! Swapping back to the real crates is a manifest-only change as long as
 //! code sticks to derives + `serde_json::{to_string, to_string_pretty,
 //! from_str}`, which is all the workspace uses.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 pub use serde_derive::{Deserialize, Serialize};
@@ -80,14 +107,6 @@ impl Value {
             return Err(Error::msg(format!("trailing characters at byte {}", p.pos)));
         }
         Ok(v)
-    }
-
-    /// The string payload, if this is a [`Value::Str`].
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
     }
 
     /// Looks up `key`, if this is a [`Value::Obj`].
@@ -418,7 +437,7 @@ impl Parser<'_> {
 }
 
 /// Writes `s` as a quoted, escaped JSON string.
-pub fn write_json_string(out: &mut String, s: &str) {
+fn write_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -537,12 +556,6 @@ impl Deserialize for bool {
     }
 }
 
-impl Serialize for str {
-    fn serialize_json(&self, out: &mut String) {
-        write_json_string(out, self);
-    }
-}
-
 impl Serialize for String {
     fn serialize_json(&self, out: &mut String) {
         write_json_string(out, self);
@@ -610,16 +623,6 @@ impl<T: Serialize, const N: usize> Serialize for [T; N] {
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize_json(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Vec::deserialize_json(v)?;
-        let n = items.len();
-        items
-            .try_into()
-            .map_err(|_| Error::msg(format!("expected array of length {N}, got {n}")))
-    }
-}
-
 impl<A: Serialize, B: Serialize> Serialize for (A, B) {
     fn serialize_json(&self, out: &mut String) {
         out.push('[');
@@ -627,66 +630,6 @@ impl<A: Serialize, B: Serialize> Serialize for (A, B) {
         out.push(',');
         self.1.serialize_json(out);
         out.push(']');
-    }
-}
-
-impl<A: Deserialize, B: Deserialize> Deserialize for (A, B) {
-    fn deserialize_json(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Arr(items) if items.len() == 2 => Ok((
-                A::deserialize_json(&items[0])?,
-                B::deserialize_json(&items[1])?,
-            )),
-            other => type_error("2-element array", other),
-        }
-    }
-}
-
-impl<A: Serialize, B: Serialize, C: Serialize> Serialize for (A, B, C) {
-    fn serialize_json(&self, out: &mut String) {
-        out.push('[');
-        self.0.serialize_json(out);
-        out.push(',');
-        self.1.serialize_json(out);
-        out.push(',');
-        self.2.serialize_json(out);
-        out.push(']');
-    }
-}
-
-impl<A: Deserialize, B: Deserialize, C: Deserialize> Deserialize for (A, B, C) {
-    fn deserialize_json(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Arr(items) if items.len() == 3 => Ok((
-                A::deserialize_json(&items[0])?,
-                B::deserialize_json(&items[1])?,
-                C::deserialize_json(&items[2])?,
-            )),
-            other => type_error("3-element array", other),
-        }
-    }
-}
-
-fn serialize_string_map<'a, V, I>(pairs: I, out: &mut String)
-where
-    V: Serialize + 'a,
-    I: Iterator<Item = (&'a String, &'a V)>,
-{
-    out.push('{');
-    for (i, (k, v)) in pairs.enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(out, k);
-        out.push(':');
-        v.serialize_json(out);
-    }
-    out.push('}');
-}
-
-impl<V: Serialize> Serialize for BTreeMap<String, V> {
-    fn serialize_json(&self, out: &mut String) {
-        serialize_string_map(self.iter(), out);
     }
 }
 
@@ -699,45 +642,6 @@ impl<V: Deserialize> Deserialize for BTreeMap<String, V> {
                 .collect(),
             other => type_error("object", other),
         }
-    }
-}
-
-impl<V: Serialize> Serialize for HashMap<String, V> {
-    fn serialize_json(&self, out: &mut String) {
-        // Deterministic key order keeps artifact diffs stable.
-        let mut keys: Vec<&String> = self.keys().collect();
-        keys.sort();
-        serialize_string_map(keys.into_iter().map(|k| (k, &self[k])), out);
-    }
-}
-
-impl<V: Deserialize> Deserialize for HashMap<String, V> {
-    fn deserialize_json(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Obj(pairs) => pairs
-                .iter()
-                .map(|(k, v)| Ok((k.clone(), V::deserialize_json(v)?)))
-                .collect(),
-            other => type_error("object", other),
-        }
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn serialize_json(&self, out: &mut String) {
-        (**self).serialize_json(out);
-    }
-}
-
-impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn serialize_json(&self, out: &mut String) {
-        (**self).serialize_json(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize_json(v: &Value) -> Result<Self, Error> {
-        T::deserialize_json(v).map(Box::new)
     }
 }
 
@@ -764,13 +668,6 @@ pub fn __de_field<T: Deserialize>(v: &Value, struct_name: &str, key: &str) -> Re
     }
     let field = v.get(key).unwrap_or(&Value::Null);
     T::deserialize_json(field).map_err(|e| Error::msg(format!("{struct_name}.{key}: {e}")))
-}
-
-/// Derive helper: extracts the variant name of a unit-enum encoding.
-#[doc(hidden)]
-pub fn __de_variant<'v>(v: &'v Value, enum_name: &str) -> Result<&'v str, Error> {
-    v.as_str()
-        .ok_or_else(|| Error::msg(format!("expected {enum_name} variant string")))
 }
 
 #[cfg(test)]
@@ -869,7 +766,7 @@ mod tests {
 
     #[test]
     fn string_escapes() {
-        let original = "line\n\"quoted\" \\ tab\t é 😀";
+        let original = String::from("line\n\"quoted\" \\ tab\t é 😀");
         let mut s = String::new();
         original.serialize_json(&mut s);
         assert_eq!(

@@ -1,64 +1,39 @@
 //! Offline stand-in for `serde_derive`, written against the bare
 //! `proc_macro` API (no `syn`/`quote`, which are unavailable offline).
 //!
-//! Supported input shapes — exactly what this workspace needs:
+//! Supported input shape — exactly what this workspace needs: non-generic
+//! structs with named fields, every field encoded under its own name.
 //!
-//! * non-generic structs with named fields; `#[serde(skip)]` fields are
-//!   omitted on serialize and filled from `Default` on deserialize;
-//! * non-generic enums whose variants are all unit variants, encoded as
-//!   `"VariantName"` strings.
-//!
-//! Anything else (generics, tuple structs, data-carrying variants) panics
-//! at expansion time with a clear message rather than miscompiling.
+//! Anything else (generics, tuple structs, enums, `#[serde(..)]`
+//! attributes) panics at expansion time with a clear message rather than
+//! encoding silently.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-struct Field {
+/// A brace struct: its name and its field names, in declaration order.
+struct Item {
     name: String,
-    skip: bool,
-}
-
-enum Item {
-    Struct { name: String, fields: Vec<Field> },
-    Enum { name: String, variants: Vec<String> },
+    fields: Vec<String>,
 }
 
 /// Derives the serde shim's `Serialize` trait.
 #[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let src = match &item {
-        Item::Struct { name, fields } => {
-            let mut body = String::new();
-            body.push_str("__out.push('{');\nlet mut __first = true;\n");
-            for f in fields.iter().filter(|f| !f.skip) {
-                body.push_str(&format!(
-                    "::serde::__ser_key(__out, &mut __first, \"{n}\");\n\
-                     ::serde::Serialize::serialize_json(&self.{n}, __out);\n",
-                    n = f.name
-                ));
-            }
-            body.push_str("let _ = __first;\n__out.push('}');");
-            format!(
-                "#[automatically_derived]\n\
-                 impl ::serde::Serialize for {name} {{\n\
-                 fn serialize_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n}}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let arms: String = variants
-                .iter()
-                .map(|v| format!("{name}::{v} => \"{v}\",\n"))
-                .collect();
-            format!(
-                "#[automatically_derived]\n\
-                 impl ::serde::Serialize for {name} {{\n\
-                 fn serialize_json(&self, __out: &mut ::std::string::String) {{\n\
-                 let __variant: &str = match self {{\n{arms}}};\n\
-                 ::serde::write_json_string(__out, __variant);\n}}\n}}"
-            )
-        }
-    };
+    let Item { name, fields } = parse_item(input);
+    let mut body = String::new();
+    body.push_str("__out.push('{');\nlet mut __first = true;\n");
+    for f in &fields {
+        body.push_str(&format!(
+            "::serde::__ser_key(__out, &mut __first, \"{f}\");\n\
+             ::serde::Serialize::serialize_json(&self.{f}, __out);\n"
+        ));
+    }
+    body.push_str("let _ = __first;\n__out.push('}');");
+    let src = format!(
+        "#[automatically_derived]\n\
+         impl ::serde::Serialize for {name} {{\n\
+         fn serialize_json(&self, __out: &mut ::std::string::String) {{\n{body}\n}}\n}}"
+    );
     src.parse()
         .expect("serde shim derive: generated code must parse")
 }
@@ -66,70 +41,31 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 /// Derives the serde shim's `Deserialize` trait.
 #[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    let item = parse_item(input);
-    let src = match &item {
-        Item::Struct { name, fields } => {
-            let inits: String = fields
-                .iter()
-                .map(|f| {
-                    if f.skip {
-                        format!("{}: ::std::default::Default::default(),\n", f.name)
-                    } else {
-                        format!(
-                            "{n}: ::serde::__de_field(__v, \"{name}\", \"{n}\")?,\n",
-                            n = f.name
-                        )
-                    }
-                })
-                .collect();
-            format!(
-                "#[automatically_derived]\n\
-                 impl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize_json(__v: &::serde::Value) \
-                 -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 ::std::result::Result::Ok({name} {{\n{inits}}})\n}}\n}}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let arms: String = variants
-                .iter()
-                .map(|v| format!("\"{v}\" => ::std::result::Result::Ok({name}::{v}),\n"))
-                .collect();
-            format!(
-                "#[automatically_derived]\n\
-                 impl ::serde::Deserialize for {name} {{\n\
-                 fn deserialize_json(__v: &::serde::Value) \
-                 -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 match ::serde::__de_variant(__v, \"{name}\")? {{\n{arms}\
-                 __other => ::std::result::Result::Err(::serde::Error::msg(\
-                 format!(\"unknown {name} variant '{{__other}}'\"))),\n}}\n}}\n}}"
-            )
-        }
-    };
+    let Item { name, fields } = parse_item(input);
+    let inits: String = fields
+        .iter()
+        .map(|f| format!("{f}: ::serde::__de_field(__v, \"{name}\", \"{f}\")?,\n"))
+        .collect();
+    let src = format!(
+        "#[automatically_derived]\n\
+         impl ::serde::Deserialize for {name} {{\n\
+         fn deserialize_json(__v: &::serde::Value) \
+         -> ::std::result::Result<Self, ::serde::Error> {{\n\
+         ::std::result::Result::Ok({name} {{\n{inits}}})\n}}\n}}"
+    );
     src.parse()
         .expect("serde shim derive: generated code must parse")
 }
 
 fn parse_item(input: TokenStream) -> Item {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
-    let mut i = 0;
-    // Skip outer attributes and visibility.
-    loop {
-        match tokens.get(i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => i += 2,
-            Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-            _ => break,
-        }
-    }
-    let kind = ident_at(&tokens, i, "expected `struct` or `enum`");
+    let mut i = skip_attributes(&tokens, 0);
+    i = skip_visibility(&tokens, i);
+    let kind = ident_at(&tokens, i, "expected `struct`");
     let name = ident_at(&tokens, i + 1, "expected a type name");
+    if kind != "struct" {
+        panic!("serde shim derive: `{kind} {name}` is not supported (brace structs only)");
+    }
     i += 2;
     if let Some(TokenTree::Punct(p)) = tokens.get(i) {
         if p.as_char() == '<' {
@@ -139,20 +75,13 @@ fn parse_item(input: TokenStream) -> Item {
     let body = match tokens.get(i) {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => g.stream(),
         _ => panic!(
-            "serde shim derive: `{name}` must be a brace struct or enum \
+            "serde shim derive: `{name}` must be a brace struct \
              (tuple/unit shapes are not supported)"
         ),
     };
-    match kind.as_str() {
-        "struct" => Item::Struct {
-            name,
-            fields: parse_fields(body),
-        },
-        "enum" => Item::Enum {
-            name,
-            variants: parse_variants(body),
-        },
-        other => panic!("serde shim derive: unsupported item kind `{other}`"),
+    Item {
+        name,
+        fields: parse_fields(body),
     }
 }
 
@@ -163,34 +92,49 @@ fn ident_at(tokens: &[TokenTree], i: usize, msg: &str) -> String {
     }
 }
 
-/// Parses `attr_skip* vis? name ':' type (',' | end)` repeatedly.
-fn parse_fields(body: TokenStream) -> Vec<Field> {
+/// Steps past `#[..]` attributes from `i`, rejecting `#[serde(..)]`: the
+/// shim implements none of its options, so ignoring one would change the
+/// encoding silently.
+fn skip_attributes(tokens: &[TokenTree], mut i: usize) -> usize {
+    while let Some(TokenTree::Punct(p)) = tokens.get(i) {
+        if p.as_char() != '#' {
+            break;
+        }
+        if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
+            if let Some(TokenTree::Ident(id)) = g.stream().into_iter().next() {
+                if id.to_string() == "serde" {
+                    panic!("serde shim derive: unsupported #[{}]", g.stream());
+                }
+            }
+        }
+        i += 2;
+    }
+    i
+}
+
+/// Steps past `pub` or `pub(..)` at `i`.
+fn skip_visibility(tokens: &[TokenTree], mut i: usize) -> usize {
+    if let Some(TokenTree::Ident(id)) = tokens.get(i) {
+        if id.to_string() == "pub" {
+            i += 1;
+            if let Some(TokenTree::Group(g)) = tokens.get(i) {
+                if g.delimiter() == Delimiter::Parenthesis {
+                    i += 1;
+                }
+            }
+        }
+    }
+    i
+}
+
+/// Parses `attr* vis? name ':' type (',' | end)` repeatedly.
+fn parse_fields(body: TokenStream) -> Vec<String> {
     let tokens: Vec<TokenTree> = body.into_iter().collect();
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        let mut skip = false;
-        // Attributes (collect `#[serde(skip)]`, ignore the rest).
-        while let Some(TokenTree::Punct(p)) = tokens.get(i) {
-            if p.as_char() != '#' {
-                break;
-            }
-            if let Some(TokenTree::Group(g)) = tokens.get(i + 1) {
-                skip |= attr_is_serde_skip(g);
-            }
-            i += 2;
-        }
-        // Visibility.
-        if let Some(TokenTree::Ident(id)) = tokens.get(i) {
-            if id.to_string() == "pub" {
-                i += 1;
-                if let Some(TokenTree::Group(g)) = tokens.get(i) {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        i += 1;
-                    }
-                }
-            }
-        }
+        i = skip_attributes(&tokens, i);
+        i = skip_visibility(&tokens, i);
         let name = ident_at(&tokens, i, "expected a field name");
         i += 1;
         match tokens.get(i) {
@@ -220,65 +164,7 @@ fn parse_fields(body: TokenStream) -> Vec<Field> {
             i += 1;
         }
         i += 1; // past the ',' (or past the end)
-        fields.push(Field { name, skip });
+        fields.push(name);
     }
     fields
-}
-
-fn attr_is_serde_skip(attr: &proc_macro::Group) -> bool {
-    let mut tokens = attr.stream().into_iter();
-    match (tokens.next(), tokens.next()) {
-        (Some(TokenTree::Ident(id)), Some(TokenTree::Group(args))) if id.to_string() == "serde" => {
-            let args: Vec<String> = args.stream().into_iter().map(|t| t.to_string()).collect();
-            if args.iter().any(|a| a == "skip") {
-                return true;
-            }
-            panic!(
-                "serde shim derive: unsupported #[serde({})] (only `skip` is implemented)",
-                args.join("")
-            );
-        }
-        _ => false,
-    }
-}
-
-/// Parses `attr* name ('=' literal)? (',' | end)` repeatedly, rejecting
-/// data-carrying variants.
-fn parse_variants(body: TokenStream) -> Vec<String> {
-    let tokens: Vec<TokenTree> = body.into_iter().collect();
-    let mut variants = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        while let Some(TokenTree::Punct(p)) = tokens.get(i) {
-            if p.as_char() != '#' {
-                break;
-            }
-            i += 2;
-        }
-        let name = ident_at(&tokens, i, "expected a variant name");
-        i += 1;
-        match tokens.get(i) {
-            None => {}
-            Some(TokenTree::Punct(p)) if p.as_char() == ',' => i += 1,
-            Some(TokenTree::Punct(p)) if p.as_char() == '=' => {
-                // Explicit discriminant: skip to the next top-level ','.
-                while let Some(t) = tokens.get(i) {
-                    if matches!(t, TokenTree::Punct(p) if p.as_char() == ',') {
-                        break;
-                    }
-                    i += 1;
-                }
-                i += 1;
-            }
-            Some(TokenTree::Group(_)) => panic!(
-                "serde shim derive: variant `{name}` carries data; \
-                 only unit variants are supported"
-            ),
-            Some(other) => {
-                panic!("serde shim derive: unexpected token {other:?} after `{name}`")
-            }
-        }
-        variants.push(name);
-    }
-    variants
 }
