@@ -15,6 +15,7 @@ use crate::retrieval::EmbeddingStore;
 use crate::sampler::{sample_epoch_pairs, TrainPair};
 use lh_models::{EncoderConfig, ModelKind, TrajectoryEncoder};
 use lh_nn::optim::Adam;
+use lh_nn::tape::fork_join;
 use lh_nn::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,7 +141,7 @@ impl LhModel {
             }
         }
         let refs: Vec<&Trajectory> = uniq.iter().map(|&i| &trajs[i]).collect();
-        let emb = self.encoder.encode_batch(tape, &self.store, &refs);
+        let (emb, factors) = self.encode(tape, &refs);
 
         let rows_a: Vec<usize> = pairs.iter().map(|p| row_of[p.a]).collect();
         let rows_b: Vec<usize> = pairs.iter().map(|p| row_of[p.b]).collect();
@@ -159,6 +160,7 @@ impl LhModel {
             }
             PluginVariant::FusionDist => {
                 let fusion = self.fusion.as_ref().expect("fusion encoder present");
+                let factors = factors.expect("fusion factors encoded");
                 let hyper = project_rows(tape, emb, &self.plugin);
                 let ha = tape.select_rows(hyper, &rows_a);
                 let hb = tape.select_rows(hyper, &rows_b);
@@ -166,7 +168,6 @@ impl LhModel {
                 let ea = tape.select_rows(emb, &rows_a);
                 let eb = tape.select_rows(emb, &rows_b);
                 let d_eu = euclidean_distance_rows(tape, ea, eb);
-                let factors = fusion.encode_batch(tape, &self.store, &refs);
                 let fa = tape.select_rows(factors, &rows_a);
                 let fb = tape.select_rows(factors, &rows_b);
                 let alpha = fusion.alpha(tape, fa, fb);
@@ -175,8 +176,24 @@ impl LhModel {
         }
     }
 
+    /// Encodes `refs` with the base encoder and, when the plugin fuses,
+    /// the factor encoder: `(B×d embeddings, B×2f factors)`. The two read
+    /// disjoint parameters, so they run as the two children of one
+    /// [`Tape::fork`], bit for bit as on one tape.
+    fn encode(&self, tape: &mut Tape, refs: &[&Trajectory]) -> (Var, Option<Var>) {
+        let Some(fusion) = &self.fusion else {
+            return (self.encoder.encode_batch(tape, &self.store, refs), None);
+        };
+        let out = tape.fork(&self.store, 2, |child, i| match i {
+            0 => self.encoder.encode_batch(child, &self.store, refs),
+            _ => fusion.encode_batch(child, &self.store, refs),
+        });
+        (out[0], Some(out[1]))
+    }
+
     /// Embeds trajectories into an [`EmbeddingStore`] for retrieval
-    /// (inference pass; chunked to bound tape size).
+    /// (inference pass). Chunks of 64 trajectories, each on its own tape,
+    /// run concurrently; every row is what a serial pass computes.
     pub fn embed(&self, trajs: &[Trajectory]) -> EmbeddingStore {
         let dim = self.encoder.output_dim();
         let mut store = EmbeddingStore::new(
@@ -185,24 +202,24 @@ impl LhModel {
             self.plugin.beta,
             self.fusion.as_ref().map(|f| f.factor_dim()),
         );
-        for chunk in trajs.chunks(64) {
+        let chunks = fork_join(trajs.chunks(64).collect(), |chunk| {
             let refs: Vec<&Trajectory> = chunk.iter().collect();
             let mut tape = Tape::new();
-            let emb = self.encoder.encode_batch(&mut tape, &self.store, &refs);
-            let hyper = if self.plugin.variant.uses_hyperbolic() {
-                Some(project_rows(&mut tape, emb, &self.plugin))
-            } else {
-                None
-            };
-            let factors = self
-                .fusion
-                .as_ref()
-                .map(|f| f.encode_batch(&mut tape, &self.store, &refs));
-            for r in 0..refs.len() {
+            let (emb, factors) = self.encode(&mut tape, &refs);
+            let hyper = self
+                .plugin
+                .variant
+                .uses_hyperbolic()
+                .then(|| project_rows(&mut tape, emb, &self.plugin));
+            let value = |v: Option<Var>| v.map(|v| tape.value(v).clone());
+            (tape.value(emb).clone(), value(hyper), value(factors))
+        });
+        for (emb, hyper, factors) in chunks {
+            for r in 0..emb.rows() {
                 store.push(
-                    tape.value(emb).row(r),
-                    hyper.map(|h| tape.value(h).row(r).to_vec()).as_deref(),
-                    factors.map(|f| tape.value(f).row(r).to_vec()).as_deref(),
+                    emb.row(r),
+                    hyper.as_ref().map(|h| h.row(r)),
+                    factors.as_ref().map(|f| f.row(r)),
                 );
             }
         }
@@ -361,6 +378,49 @@ mod tests {
         let store2 = orig.embed(ds.trajectories());
         assert!(!store2.has_hyperbolic());
         assert!(!store2.has_factors());
+    }
+
+    /// `embed` as one serial loop over the same 64-row chunks, each on
+    /// one tape with both encoders inline, as `embed` ran before chunks
+    /// ran concurrently: what every stored bit must equal.
+    fn embed_serially(model: &LhModel, trajs: &[Trajectory]) -> Vec<Vec<u32>> {
+        let mut rows = Vec::new();
+        for chunk in trajs.chunks(64) {
+            let refs: Vec<&Trajectory> = chunk.iter().collect();
+            let mut tape = Tape::new();
+            let emb = model.encoder.encode_batch(&mut tape, &model.store, &refs);
+            let hyper = project_rows(&mut tape, emb, &model.plugin);
+            let fusion = model.fusion.as_ref().expect("fusion-dist");
+            let factors = fusion.encode_batch(&mut tape, &model.store, &refs);
+            for r in 0..refs.len() {
+                let row = [emb, hyper, factors].map(|v| tape.value(v).row(r).to_vec());
+                rows.push(row.concat().iter().map(|v| v.to_bits()).collect());
+            }
+        }
+        rows
+    }
+
+    #[test]
+    fn concurrent_embed_matches_a_serial_pass_bit_for_bit() {
+        let ds = lh_data::generate(lh_data::DatasetPreset::Smoke, 150, 7);
+        let ds = Normalizer::fit(&ds).unwrap().dataset(&ds);
+        for kind in [ModelKind::Traj2SimVec, ModelKind::TrajGat] {
+            let model = LhModel::new(
+                kind,
+                EncoderConfig::default(),
+                PluginConfig::paper_default(),
+                &ds,
+                3,
+            );
+            let store = model.embed(ds.trajectories());
+            let got: Vec<Vec<u32>> = (0..store.len())
+                .map(|i| {
+                    let row = [store.eu_row(i), store.hyper_row(i), store.factor_row(i)];
+                    row.concat().iter().map(|v| v.to_bits()).collect()
+                })
+                .collect();
+            assert_eq!(got, embed_serially(&model, ds.trajectories()), "{kind:?}");
+        }
     }
 
     #[test]

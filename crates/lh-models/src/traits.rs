@@ -30,8 +30,9 @@ impl Default for EncoderConfig {
 
 /// A trajectory-to-Euclidean-vector encoder. The LH-plugin wraps any
 /// implementor without modification — the paper's model-agnostic claim is
-/// this trait boundary.
-pub trait TrajectoryEncoder {
+/// this trait boundary. Encoders are `Sync` so that independent encodings
+/// can run on a [`Tape::fork`]'s threads.
+pub trait TrajectoryEncoder: Sync {
     /// Short name for table rows (e.g. `"neutraj"`).
     fn name(&self) -> &'static str;
 

@@ -8,13 +8,18 @@
 //! embedding mean-pools the *point* nodes. Simplifications: 2 GAT layers
 //! with a single head (the original uses multi-head transformers) and a
 //! depth-capped tree — both keep the graph small enough for CPU tapes.
+//!
+//! Each trajectory's graph is built and encoded on its own child tape of
+//! one [`Tape::fork`], so a batch's graphs run in parallel. Every child
+//! adds exactly one term to each shared parameter (one `matmul` per
+//! weight, one bias `add`), the rule under which the fork's gradients are
+//! bit for bit one tape's.
 
 use crate::features::point_features;
 use crate::traits::{EncoderConfig, TrajectoryEncoder};
 use lh_nn::layers::{GatLayer, Linear};
 use lh_nn::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
-use std::collections::{HashMap, HashSet};
 use traj_core::{Point, QuadTree, QuadTreeConfig, Trajectory, TrajectoryDataset};
 
 /// Quadtree + GAT encoder.
@@ -76,17 +81,21 @@ impl TrajGatEncoder {
         let max_depth = self.tree.depth().max(1) as f32;
 
         // Number the tree nodes on the points' paths in first-seen order,
-        // after the points, and keep each path as graph indices.
+        // after the points, and keep each path as graph indices. A graph
+        // holds a few dozen tree nodes, so a linear scan finds one.
         let mut tree_nodes: Vec<usize> = Vec::new();
-        let mut tree_index: HashMap<usize, usize> = HashMap::new();
         let mut paths: Vec<Vec<usize>> = Vec::with_capacity(n_pts);
         for p in traj.points() {
             let path = self.tree.path_to_leaf(p);
             let path = path.iter().map(|&arena| {
-                *tree_index.entry(arena).or_insert_with(|| {
-                    tree_nodes.push(arena);
-                    n_pts + tree_nodes.len() - 1
-                })
+                let slot = match tree_nodes.iter().position(|&t| t == arena) {
+                    Some(slot) => slot,
+                    None => {
+                        tree_nodes.push(arena);
+                        tree_nodes.len() - 1
+                    }
+                };
+                n_pts + slot
             });
             paths.push(path.collect());
         }
@@ -106,16 +115,14 @@ impl TrajGatEncoder {
             x.set(n_pts + j, 3, node.depth as f32 / max_depth);
         }
 
-        // Each list starts with its self-loop; `seen` holds every directed
-        // edge listed so far, so an edge is appended once, in first-seen
-        // order.
+        // Each list starts with its self-loop, and an edge is appended
+        // once, in first-seen order: a duplicate is already in the list.
         let mut neighbors: Vec<Vec<usize>> = (0..total).map(|i| vec![i]).collect();
-        let mut seen: HashSet<(usize, usize)> = (0..total).map(|i| (i, i)).collect();
         let mut connect = |a: usize, b: usize| {
-            if seen.insert((a, b)) {
+            if !neighbors[a].contains(&b) {
                 neighbors[a].push(b);
             }
-            if seen.insert((b, a)) {
+            if !neighbors[b].contains(&a) {
                 neighbors[b].push(a);
             }
         };
@@ -135,6 +142,24 @@ impl TrajGatEncoder {
         }
         (x, neighbors, n_pts)
     }
+
+    /// One trajectory's graph, encoded and mean-pooled over its point
+    /// nodes → `1×h`.
+    fn encode_graph(&self, tape: &mut Tape, store: &ParamStore, traj: &Trajectory) -> Var {
+        let (x, neighbors, n_pts) = self.build_graph(traj);
+        let xv = tape.input(x);
+        let h0 = self.in_proj.forward(tape, store, xv);
+        let h0a = tape.tanh(h0);
+        let h1 = self.gat1.forward(tape, store, h0a, &neighbors);
+        let h1a = tape.leaky_relu(h1, 0.2);
+        let h2 = self.gat2.forward(tape, store, h1a, &neighbors);
+        let mut pool = Tensor::zeros(1, neighbors.len());
+        for c in 0..n_pts {
+            pool.set(0, c, 1.0 / n_pts as f32);
+        }
+        let poolv = tape.input(pool);
+        tape.matmul(poolv, h2)
+    }
 }
 
 impl TrajectoryEncoder for TrajGatEncoder {
@@ -148,25 +173,9 @@ impl TrajectoryEncoder for TrajGatEncoder {
 
     fn encode_batch(&self, tape: &mut Tape, store: &ParamStore, trajs: &[&Trajectory]) -> Var {
         assert!(!trajs.is_empty(), "empty batch");
-        let mut rows = Vec::with_capacity(trajs.len());
-        for traj in trajs {
-            let (x, neighbors, n_pts) = self.build_graph(traj);
-            let xv = tape.input(x);
-            let h0 = self.in_proj.forward(tape, store, xv);
-            let h0a = tape.tanh(h0);
-            let h1 = self.gat1.forward(tape, store, h0a, &neighbors);
-            let h1a = tape.leaky_relu(h1, 0.2);
-            let h2 = self.gat2.forward(tape, store, h1a, &neighbors);
-            // Mean-pool over the point nodes only.
-            let total = neighbors.len();
-            let mut pool = Tensor::zeros(1, total);
-            for c in 0..n_pts {
-                pool.set(0, c, 1.0 / n_pts as f32);
-            }
-            let poolv = tape.input(pool);
-            let pooled = tape.matmul(poolv, h2); // 1×h
-            rows.push(pooled);
-        }
+        let rows = tape.fork(store, trajs.len(), |child, i| {
+            self.encode_graph(child, store, trajs[i])
+        });
         let stacked = tape.stack_rows(&rows);
         self.head.forward(tape, store, stacked)
     }
@@ -347,6 +356,53 @@ mod tests {
             vec![16, 0, 15, 1, 2, 3, 4], vec![17, 5, 15, 6, 7, 8, 9, 10], vec![18, 11, 14],
         ]);
         assert_eq!(graphs_hash(&enc, &deep), 0x7b7fb0761c1a54ae);
+    }
+
+    /// The single-tape loop `encode_batch` forks: every graph on `tape`
+    /// itself, in batch order.
+    fn encode_on_one_tape(
+        enc: &TrajGatEncoder,
+        tape: &mut Tape,
+        store: &ParamStore,
+        trajs: &[&Trajectory],
+    ) -> Var {
+        let rows: Vec<Var> = trajs
+            .iter()
+            .map(|t| enc.encode_graph(tape, store, t))
+            .collect();
+        let stacked = tape.stack_rows(&rows);
+        enc.head.forward(tape, store, stacked)
+    }
+
+    #[test]
+    fn forked_batch_matches_one_tape_bit_for_bit() {
+        let ds = deep_dataset();
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut store = ParamStore::new();
+        let enc = TrajGatEncoder::new(EncoderConfig::default(), &ds, &mut store, &mut rng);
+        let refs: Vec<&Trajectory> = ds.trajectories().iter().collect();
+        let r = Tensor::uniform(refs.len(), 16, 1.0, &mut rng);
+        let run = |forked: bool| {
+            let mut tape = Tape::new();
+            let out = if forked {
+                enc.encode_batch(&mut tape, &store, &refs)
+            } else {
+                encode_on_one_tape(&enc, &mut tape, &store, &refs)
+            };
+            let rv = tape.input(r.clone());
+            let m = tape.mul(out, rv);
+            let loss = tape.sum_all(m);
+            tape.backward(loss);
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            let mut got = vec![("out".to_string(), bits(tape.value(out)))];
+            for (name, v) in tape.watched() {
+                got.push((name.clone(), bits(&tape.grad(*v))));
+            }
+            got
+        };
+        let (forked, one) = (run(true), run(false));
+        assert_eq!(forked.len(), 1 + 10, "output, then in, gat1, gat2 and head");
+        assert_eq!(forked, one);
     }
 
     #[test]

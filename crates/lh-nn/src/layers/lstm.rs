@@ -4,7 +4,11 @@
 //! Traj2SimVec, ST2Vec all use LSTM variants per the paper's Table II).
 //! Batch processing pads sequences to the longest and masks updates, so the
 //! final state of each row equals what an unpadded run would produce.
-
+//!
+//! A step is one [`Tape::lstm_step`] node over the state `[h | c]`, so a
+//! sequence of `T` steps is `T` nodes plus the final `h` slice. The
+//! 25-node per-gate composition that op replaces stays in this module's
+//! tests as the oracle it must match bit for bit.
 use crate::init;
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
@@ -23,7 +27,8 @@ pub struct LstmCell {
     hidden_dim: usize,
 }
 
-/// Recurrent state `(h, c)` as tape vars.
+/// Recurrent state `(h, c)` as tape vars: the per-gate oracle's state.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
 pub struct LstmState {
     /// Hidden state `B×H`.
@@ -78,6 +83,35 @@ impl LstmCell {
         self.input_dim
     }
 
+    /// Runs a full masked sequence and returns the final hidden state
+    /// `B×H`. `steps[t]` is the `B×I` input at time `t`; `masks[t]` the
+    /// `B×1` validity column (1 while `t < len(row)`). One
+    /// [`Tape::lstm_step`] node per step, from a zero state.
+    pub fn forward_sequence(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        steps: &[Var],
+        masks: &[Var],
+    ) -> Var {
+        assert_eq!(steps.len(), masks.len(), "steps/masks length mismatch");
+        assert!(!steps.is_empty(), "empty sequence");
+        let wx = tape.watch(store, &self.wx);
+        let wh = tape.watch(store, &self.wh);
+        let b = tape.watch(store, &self.b);
+        let batch = tape.value(steps[0]).rows();
+        let mut state = tape.input(Tensor::zeros(batch, 2 * self.hidden_dim));
+        for (&x, &mask) in steps.iter().zip(masks) {
+            state = tape.lstm_step(x, state, mask, wx, wh, b);
+        }
+        tape.slice_cols(state, 0, self.hidden_dim)
+    }
+}
+
+/// The per-gate composition [`Tape::lstm_step`] replaces, kept as the
+/// oracle it must match bit for bit.
+#[cfg(test)]
+impl LstmCell {
     /// Zero initial state for a batch of `batch` rows.
     pub fn zero_state(&self, tape: &mut Tape, batch: usize) -> LstmState {
         LstmState {
@@ -112,35 +146,27 @@ impl LstmCell {
         LstmState { h: new_h, c }
     }
 
-    /// Runs a full masked sequence and returns the final hidden state
-    /// `B×H`. `steps[t]` is the `B×I` input at time `t`; `masks[t]` the
-    /// `B×1` validity column (1 while `t < len(row)`).
-    pub fn forward_sequence(
+    /// One step and its mask blend `h = m⊙h_new + (1−m)⊙h_old`, same for
+    /// `c`: the 25 nodes one [`Tape::lstm_step`] replaces.
+    pub fn masked_step(
         &self,
         tape: &mut Tape,
         store: &ParamStore,
-        steps: &[Var],
-        masks: &[Var],
-    ) -> Var {
-        assert_eq!(steps.len(), masks.len(), "steps/masks length mismatch");
-        assert!(!steps.is_empty(), "empty sequence");
-        let batch = tape.value(steps[0]).rows();
-        let mut state = self.zero_state(tape, batch);
-        for (&x, &mask) in steps.iter().zip(masks) {
-            let new = self.step(tape, store, x, state);
-            // h = m⊙h_new + (1−m)⊙h_old, same for c.
-            let mh = tape.mul(new.h, mask);
-            let mc = tape.mul(new.c, mask);
-            let neg_mask = tape.scale(mask, -1.0);
-            let inv = tape.add_const(neg_mask, 1.0); // (1−m) as B×1
-            let oh = tape.mul(state.h, inv);
-            let oc = tape.mul(state.c, inv);
-            state = LstmState {
-                h: tape.add(mh, oh),
-                c: tape.add(mc, oc),
-            };
+        x: Var,
+        mask: Var,
+        state: LstmState,
+    ) -> LstmState {
+        let new = self.step(tape, store, x, state);
+        let mh = tape.mul(new.h, mask);
+        let mc = tape.mul(new.c, mask);
+        let neg_mask = tape.scale(mask, -1.0);
+        let inv = tape.add_const(neg_mask, 1.0); // (1−m) as B×1
+        let oh = tape.mul(state.h, inv);
+        let oc = tape.mul(state.c, inv);
+        LstmState {
+            h: tape.add(mh, oh),
+            c: tape.add(mc, oc),
         }
-        state.h
     }
 }
 
@@ -162,7 +188,7 @@ pub fn sequence_masks(tape: &mut Tape, lens: &[usize], max_len: usize) -> Vec<Va
 mod tests {
     use super::*;
     use crate::optim::Adam;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup(hidden: usize) -> (ParamStore, LstmCell) {
         let mut rng = StdRng::seed_from_u64(7);
@@ -290,5 +316,189 @@ mod tests {
         for (x, y) in a.iter().zip(b) {
             assert!((x - y).abs() < 1e-6, "{a:?} vs {b:?}");
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// `[a | b]` row by row.
+    fn side_by_side(a: &Tensor, b: &Tensor) -> Tensor {
+        let mut out = Vec::new();
+        for r in 0..a.rows() {
+            out.extend_from_slice(a.row(r));
+            out.extend_from_slice(b.row(r));
+        }
+        Tensor::from_vec(a.rows(), a.cols() + b.cols(), out)
+    }
+
+    /// One random case of the bit test: the cell, the inputs and masks of
+    /// a batch whose rows after the first are padded to a random length,
+    /// a random initial state, and an upstream gradient with an all-zero
+    /// row and a negative zero (whose sign an unread `c` half must keep).
+    struct Case {
+        store: ParamStore,
+        cell: LstmCell,
+        xs: Vec<Tensor>,
+        masks: Vec<Tensor>,
+        h0: Tensor,
+        c0: Tensor,
+        r: Tensor,
+    }
+
+    fn case(seed: u64) -> Case {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = 1 + rng.gen_range(0..4usize);
+        let (input, hidden) = (1 + rng.gen_range(0..3usize), 1 + rng.gen_range(0..4usize));
+        let steps = 1 + rng.gen_range(0..4usize);
+        let mut store = ParamStore::new();
+        let cell = LstmCell::new("l", input, hidden, &mut store, &mut rng);
+        // A non-zero bias everywhere, not only on the forget block.
+        store.insert("l.b", Tensor::uniform(1, 4 * hidden, 0.5, &mut rng));
+        let xs = (0..steps)
+            .map(|_| Tensor::uniform(rows, input, 1.5, &mut rng))
+            .collect();
+        let lens: Vec<usize> = (0..rows)
+            .map(|r| {
+                if r == 0 {
+                    steps
+                } else {
+                    1 + rng.gen_range(0..steps)
+                }
+            })
+            .collect();
+        let masks = (0..steps)
+            .map(|t| {
+                let col = lens.iter().map(|&l| if t < l { 1.0 } else { 0.0 });
+                Tensor::from_vec(rows, 1, col.collect())
+            })
+            .collect();
+        let (h0, c0) = (
+            Tensor::uniform(rows, hidden, 1.0, &mut rng),
+            Tensor::uniform(rows, hidden, 1.0, &mut rng),
+        );
+        let mut r = Tensor::uniform(rows, 2 * hidden, 1.0, &mut rng);
+        r.row_mut(rows / 2).fill(0.0);
+        r.set(0, 0, -0.0);
+        Case {
+            store,
+            cell,
+            xs,
+            masks,
+            h0,
+            c0,
+            r,
+        }
+    }
+
+    /// Runs `case` as `lstm_step` nodes (`fused`) or as the per-gate
+    /// composition, with `x` and the masks as constants or as data, and a
+    /// loss that reads the final `h` and, if `read_c`, the final `c` (if
+    /// not, the last step's `c` half has no consumer). Returns the bits of
+    /// the final state, of every watched parameter's gradient, of the
+    /// initial state's gradient, and (as constants) of every `x`'s and
+    /// mask's gradient.
+    fn run(case: &Case, fused: bool, data: bool, read_c: bool) -> Vec<Vec<u32>> {
+        let hd = case.cell.hidden_dim();
+        let mut tape = Tape::new();
+        let leaf = |tape: &mut Tape, t: &Tensor| {
+            if data {
+                tape.input(t.clone())
+            } else {
+                tape.constant(t.clone())
+            }
+        };
+        let xs: Vec<Var> = case.xs.iter().map(|t| leaf(&mut tape, t)).collect();
+        let masks: Vec<Var> = case.masks.iter().map(|t| leaf(&mut tape, t)).collect();
+        // The fused loss reads the whole state through one op, as the
+        // oracle's reads `h` and `c` through one op each.
+        let (state, read, state0) = if fused {
+            let s0 = tape.constant(side_by_side(&case.h0, &case.c0));
+            let wx = tape.watch(&case.store, "l.wx");
+            let wh = tape.watch(&case.store, "l.wh");
+            let b = tape.watch(&case.store, "l.b");
+            let mut s = s0;
+            for (&x, &m) in xs.iter().zip(&masks) {
+                s = tape.lstm_step(x, s, m, wx, wh, b);
+            }
+            let read = if read_c {
+                (s, 0..2 * hd)
+            } else {
+                (tape.slice_cols(s, 0, hd), 0..hd)
+            };
+            (tape.value(s).clone(), vec![read], vec![s0])
+        } else {
+            let (h0, c0) = (
+                tape.constant(case.h0.clone()),
+                tape.constant(case.c0.clone()),
+            );
+            let mut s = LstmState { h: h0, c: c0 };
+            for (&x, &m) in xs.iter().zip(&masks) {
+                s = case.cell.masked_step(&mut tape, &case.store, x, m, s);
+            }
+            let mut read = vec![(s.h, 0..hd)];
+            read.extend(read_c.then_some((s.c, hd..2 * hd)));
+            let state = side_by_side(tape.value(s.h), tape.value(s.c));
+            (state, read, vec![h0, c0])
+        };
+        let terms: Vec<Var> = read
+            .into_iter()
+            .map(|(v, range)| {
+                let r: Vec<f32> = (0..case.r.rows())
+                    .flat_map(|row| case.r.row(row)[range.clone()].to_vec())
+                    .collect();
+                let rv = tape.constant(Tensor::from_vec(case.r.rows(), range.len(), r));
+                let m = tape.mul(v, rv);
+                tape.sum_all(m)
+            })
+            .collect();
+        let loss = match terms[..] {
+            [a] => a,
+            [a, b] => tape.add(a, b),
+            _ => unreachable!(),
+        };
+        tape.backward(loss);
+        let mut out = vec![bits(&state)];
+        out.extend(tape.watched().iter().map(|(_, v)| bits(&tape.grad(*v))));
+        out.push(match state0[..] {
+            [s0] => bits(&tape.grad(s0)),
+            [h0, c0] => bits(&side_by_side(&tape.grad(h0), &tape.grad(c0))),
+            _ => unreachable!(),
+        });
+        if !data {
+            out.extend(xs.iter().chain(&masks).map(|&v| bits(&tape.grad(v))));
+        }
+        out
+    }
+
+    #[test]
+    fn lstm_step_matches_the_per_gate_composition_bit_for_bit() {
+        for seed in 0..16u64 {
+            let case = case(seed);
+            for (data, read_c) in [(false, false), (false, true), (true, false), (true, true)] {
+                let (fused, oracle) = (
+                    run(&case, true, data, read_c),
+                    run(&case, false, data, read_c),
+                );
+                assert_eq!(fused.len(), oracle.len());
+                for (k, (f, o)) in fused.iter().zip(&oracle).enumerate() {
+                    assert_eq!(f, o, "seed {seed}, data {data}, read_c {read_c}: part {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_sequence_is_one_node_per_step() {
+        let (store, cell) = setup(3);
+        let mut tape = Tape::new();
+        let xs: Vec<Var> = (0..5)
+            .map(|_| tape.input(Tensor::full(2, 2, 0.5)))
+            .collect();
+        let masks = sequence_masks(&mut tape, &[5, 3], 5);
+        let before = tape.len();
+        let _ = cell.forward_sequence(&mut tape, &store, &xs, &masks);
+        // Three watched parameters, the zero state, five steps, the slice.
+        assert_eq!(tape.len() - before, 3 + 1 + 5 + 1);
     }
 }

@@ -15,4 +15,4 @@ pub use embedding::Embedding;
 pub use gat::GatLayer;
 pub use gru::GruCell;
 pub use linear::Linear;
-pub use lstm::{sequence_masks, LstmCell, LstmState};
+pub use lstm::{sequence_masks, LstmCell};

@@ -8,8 +8,10 @@
 //! * [`tensor::Tensor`] — dense row-major 2-D `f32` matrices;
 //! * [`tape::Tape`] — reverse-mode autodiff with broadcast-aware binary
 //!   ops, one elementwise path for every unary op, fused Lorentz/row-dot
-//!   products, embedding scatter-gradients, a GAT layer's attention as one
-//!   op, and finite-difference-verified backward passes that differentiate
+//!   products, embedding scatter-gradients, a GAT layer's attention and a
+//!   masked LSTM step as one op each, forks that run independent
+//!   subgraphs on child tapes across threads with the bits of one tape,
+//!   and finite-difference-verified backward passes that differentiate
 //!   only what can reach a parameter (model data enters as
 //!   [`tape::Tape::input`]);
 //! * [`layers`] — Linear, LSTM, GRU, Embedding, and graph attention;

@@ -32,11 +32,36 @@
 //! the gradient it carries back given `x` and `y = f(x)`, so the forward
 //! pass and `backward` each have a single elementwise path for all of them.
 //!
-//! [`Tape::gat_attend`] is one graph-attention layer's neighbourhood
-//! softmax and mix as a single node; its forward and backward replay, in
-//! the same order, every `f32` operation of the per-node composition of
-//! `select_rows`, `transpose`, `add`, `leaky_relu`, `softmax_rows`,
-//! `matmul` and `stack_rows` it replaces.
+//! # Fused ops
+//!
+//! Two layers are one node each. Each one's forward and backward replay,
+//! in the same order, every `f32` operation of the per-node composition it
+//! replaces, so what they compute is bit for bit what that composition
+//! computed (the layers' tests keep the composition as the oracle):
+//!
+//! * [`Tape::gat_attend`], one graph-attention layer's neighbourhood
+//!   softmax and mix, replaces `select_rows`, `transpose`, `add`,
+//!   `leaky_relu`, `softmax_rows`, `matmul` and `stack_rows` per node;
+//! * [`Tape::lstm_step`], one masked LSTM step whose value is the state
+//!   `[h | c]`, replaces the step's 25 nodes: two `matmul`s, the gate
+//!   `add`s, four `slice_cols`, the activations, the cell products and the
+//!   mask blend.
+//!
+//! # Forks
+//!
+//! [`Tape::fork`] runs independent subgraphs — closures that read only
+//! parameters and data — on child tapes across threads and imports each
+//! child's output as one node. When `backward` reaches those nodes it runs
+//! the children's backward passes in parallel, seeded with their output
+//! gradients, and folds each child's parameter gradients into the parent's
+//! leaves in **reverse child order**: the order in which one tape's reverse
+//! sweep would have added them. That is exact under one rule: **a child
+//! adds at most one term to every parameter that another child or a parent
+//! node also touches.** (One tape would add a child's terms to the running
+//! sum one at a time; a fold adds their sum once.) A parameter only one
+//! child touches may take any number of terms. Which thread runs which
+//! child never changes a bit; a fork started on a fork's worker thread runs
+//! inline, so nested forks never multiply threads.
 //!
 //! Every op's gradient is verified against central finite differences in
 //! this module's tests; the workspace's `tests/property_based.rs`
@@ -45,6 +70,8 @@
 
 use crate::params::ParamStore;
 use crate::tensor::Tensor;
+use std::cell::Cell;
+use std::sync::Mutex;
 
 /// Handle to a node in a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,13 +105,16 @@ enum Op {
     LorentzInner(usize, usize),
     RowDot(usize, usize),
     GatAttend(Box<GatAttend>),
+    LstmStep(Box<LstmStep>),
+    /// One child's output of fork block `.0` (see [`Tape::fork`]).
+    Import(usize),
 }
 
 impl Op {
-    /// Whether `f` holds for any input of the op.
-    fn any_input(&self, f: impl Fn(usize) -> bool) -> bool {
+    /// Calls `f` on every input of the op.
+    fn for_each_input(&self, mut f: impl FnMut(usize)) {
         match self {
-            Op::Leaf => false,
+            Op::Leaf | Op::Import(_) => {}
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
@@ -92,7 +122,10 @@ impl Op {
             | Op::Matmul(a, b)
             | Op::ConcatCols(a, b)
             | Op::LorentzInner(a, b)
-            | Op::RowDot(a, b) => f(*a) || f(*b),
+            | Op::RowDot(a, b) => {
+                f(*a);
+                f(*b);
+            }
             Op::Unary(a, _)
             | Op::SumAll(a)
             | Op::MeanAll(a)
@@ -101,8 +134,11 @@ impl Op {
             | Op::SliceCols(a, _, _)
             | Op::Transpose(a)
             | Op::SelectRows(a, _) => f(*a),
-            Op::StackRows(ids) => ids.iter().any(|&i| f(i)),
-            Op::GatAttend(g) => f(g.wh) || f(g.s1) || f(g.s2),
+            Op::StackRows(ids) => ids.iter().for_each(|&i| f(i)),
+            Op::GatAttend(g) => [g.wh, g.s1, g.s2].into_iter().for_each(f),
+            Op::LstmStep(s) => [s.x, s.state, s.mask, s.wx, s.wh, s.b]
+                .into_iter()
+                .for_each(f),
         }
     }
 }
@@ -122,6 +158,28 @@ struct GatAttend {
     logits: Vec<f32>,
     /// Softmax weight `α_ij` per edge.
     alpha: Vec<f32>,
+}
+
+/// What [`Tape::lstm_step`] keeps for its backward: the inputs, the gate
+/// activations and the cell, and which halves of its `[h | c]` output a
+/// later op reads.
+#[derive(Debug)]
+struct LstmStep {
+    x: usize,
+    state: usize,
+    mask: usize,
+    wx: usize,
+    wh: usize,
+    b: usize,
+    /// `[i | f | g | o]` after their sigmoid / tanh, `B×4H`.
+    acts: Tensor,
+    /// `[c | tanh(c)]` before the mask blend, `B×2H`.
+    cell: Tensor,
+    /// Whether a later op reads the `h` half, and the `c` half. The
+    /// composition this node replaces gave an unread half no gradient at
+    /// all, which is not the same bits as a zero one.
+    reads_h: bool,
+    reads_c: bool,
 }
 
 /// Negative slope of the leaky ReLU on GAT attention logits.
@@ -155,7 +213,7 @@ impl Unary {
             Unary::AddConst(c) => x.map(|x| x + c),
             Unary::Powf(p) => x.map(|x| x.powf(p)),
             Unary::Tanh => x.map(f32::tanh),
-            Unary::Sigmoid => x.map(|x| 1.0 / (1.0 + (-x).exp())),
+            Unary::Sigmoid => x.map(sigmoid),
             Unary::LeakyRelu(alpha) => x.map(|x| leaky_relu(x, alpha)),
             Unary::Sqrt => x.map(f32::sqrt),
             Unary::Cosh => x.map(f32::cosh),
@@ -184,6 +242,19 @@ impl Unary {
             Unary::Softplus => chain(g, x, y, |g, x, _| g * (1.0 / (1.0 + (-x).exp()))),
         }
     }
+}
+
+#[inline]
+fn sigmoid(x: f32) -> f32 {
+    1.0 / (1.0 + (-x).exp())
+}
+
+/// `1 − m` as the mask blend computed it: `scale(m, −1)`, then
+/// `add_const(1)`. (`−1·m` and `−m` differ in the sign of a NaN.)
+#[inline]
+#[allow(clippy::neg_multiply)]
+fn one_minus(m: f32) -> f32 {
+    -1.0 * m + 1.0
 }
 
 #[inline]
@@ -223,8 +294,23 @@ pub struct Tape {
     nodes: Vec<Node>,
     grads: Vec<Option<Tensor>>,
     watched: Vec<(String, Var)>,
-    /// Nodes whose backward rule ran in the last [`Tape::backward`].
-    visited: usize,
+    /// The children of every [`Tape::fork`], in fork order.
+    forks: Vec<Fork>,
+    /// Gradient terms the last [`Tape::backward`] handed to a parent.
+    terms: usize,
+}
+
+/// One [`Tape::fork`]: its children, kept for `backward`.
+struct Fork {
+    /// Each child's tape and output, in child order.
+    children: Vec<(Tape, Var)>,
+    /// The parent node holding child 0's output; child `i`'s is `first + i`.
+    first: usize,
+    /// Per child, `(child leaf, parent leaf)` for every parameter it
+    /// watched.
+    links: Vec<Vec<(usize, usize)>>,
+    /// Worker threads for the children's backward, as for their forward.
+    threads: usize,
 }
 
 impl Default for Tape {
@@ -288,15 +374,7 @@ fn reduce_to_shape(grad: Tensor, shape: (usize, usize)) -> Tensor {
             }
             Tensor::scalar(s)
         }
-        (1, cols) => {
-            let mut out = vec![0.0; cols];
-            for r in 0..grad.rows() {
-                for (o, &v) in out.iter_mut().zip(grad.row(r)) {
-                    *o += v;
-                }
-            }
-            Tensor::from_vec(1, cols, out)
-        }
+        (1, _) => sum_rows(&grad),
         (rows, _) => {
             let out = (0..rows)
                 .map(|r| {
@@ -310,6 +388,26 @@ fn reduce_to_shape(grad: Tensor, shape: (usize, usize)) -> Tensor {
             Tensor::from_vec(rows, 1, out)
         }
     }
+}
+
+/// The `1×cols` column sums of `t`, each added to `0.0` in row order.
+fn sum_rows(t: &Tensor) -> Tensor {
+    let mut out = vec![0.0; t.cols()];
+    for r in 0..t.rows() {
+        for (o, &v) in out.iter_mut().zip(t.row(r)) {
+            *o += v;
+        }
+    }
+    Tensor::from_vec(1, t.cols(), out)
+}
+
+/// Columns `from..to` of `t`, copied out.
+fn cols(t: &Tensor, from: usize, to: usize) -> Tensor {
+    let mut out = Vec::with_capacity(t.rows() * (to - from));
+    for r in 0..t.rows() {
+        out.extend_from_slice(&t.row(r)[from..to]);
+    }
+    Tensor::from_vec(t.rows(), to - from, out)
 }
 
 /// One upstream gradient handed to up to two parents: a clone only when
@@ -331,6 +429,71 @@ fn accumulate(grads: &mut [Option<Tensor>], node: usize, grad: Tensor) {
     }
 }
 
+thread_local! {
+    /// Set on a fork's worker threads, where a further fork runs inline.
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Threads a fork started here may use: the available parallelism, or 1
+/// on a fork's worker thread, so nested forks never multiply threads.
+fn fork_threads() -> usize {
+    if IN_WORKER.with(Cell::get) {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    }
+}
+
+/// `f` applied to every item, results in item order. Items go one at a
+/// time to scoped worker threads (the available parallelism, at most one
+/// per item), so uneven items balance; the calling thread waits. Runs
+/// inline when one thread would do, or when called on a fork's worker
+/// thread (see [`Tape::fork`]). Which thread runs an item never changes
+/// its result, so this is as deterministic as `f`.
+pub fn fork_join<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
+    fork_join_on(fork_threads(), items, f)
+}
+
+/// [`fork_join`] on up to `threads` worker threads.
+fn fork_join_on<I: Send, T: Send>(
+    threads: usize,
+    items: Vec<I>,
+    f: impl Fn(I) -> T + Sync,
+) -> Vec<T> {
+    let (n, threads) = (items.len(), threads.min(items.len()));
+    if threads <= 1 {
+        return items.into_iter().map(f).collect();
+    }
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let work = || {
+            IN_WORKER.with(|w| w.set(true));
+            let mut done = Vec::new();
+            loop {
+                let next = queue
+                    .lock()
+                    .expect("no thread panics holding the queue")
+                    .next();
+                let Some((i, item)) = next else {
+                    return done;
+                };
+                done.push((i, f(item)));
+            }
+        };
+        let workers: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
+        for worker in workers {
+            match worker.join() {
+                Ok(done) => done.into_iter().for_each(|(i, t)| out[i] = Some(t)),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    out.into_iter()
+        .map(|t| t.expect("every item ran"))
+        .collect()
+}
+
 impl Tape {
     /// Empty tape.
     pub fn new() -> Self {
@@ -338,12 +501,27 @@ impl Tape {
             nodes: Vec::with_capacity(256),
             grads: Vec::new(),
             watched: Vec::new(),
-            visited: 0,
+            forks: Vec::new(),
+            terms: 0,
         }
     }
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
-        let tracked = op.any_input(|p| self.nodes[p].tracked);
+        let mut tracked = false;
+        op.for_each_input(|p| {
+            let input = &mut self.nodes[p];
+            tracked |= input.tracked;
+            if let Op::LstmStep(step) = &mut input.op {
+                // A slice reads the halves it overlaps, any other op both.
+                let half = input.value.cols() / 2;
+                let (h, c) = match &op {
+                    &Op::SliceCols(_, from, to) => (from < half, to > half),
+                    _ => (true, true),
+                };
+                step.reads_h |= h;
+                step.reads_c |= c;
+            }
+        });
         self.nodes.push(Node { value, op, tracked });
         Var(self.nodes.len() - 1)
     }
@@ -417,11 +595,13 @@ impl Tape {
         }
     }
 
-    /// How many nodes had their backward rule run by the last
-    /// [`Tape::backward`]: the interior nodes that both reach the loss and
-    /// descend from a differentiated leaf.
-    pub fn backward_visits(&self) -> usize {
-        self.visited
+    /// How many gradient terms the last [`Tape::backward`] handed to a
+    /// parent node, forked children's included: one per parent that a
+    /// node reaching the loss passed a gradient to. Every parent that
+    /// cannot reach a differentiated leaf is skipped, so this counts the
+    /// work data leaves save.
+    pub fn backward_terms(&self) -> usize {
+        self.terms
     }
 
     fn shape(&self, v: Var) -> (usize, usize) {
@@ -735,6 +915,163 @@ impl Tape {
         self.push(out, Op::GatAttend(Box::new(op)))
     }
 
+    /// One masked LSTM step as a single node. `state` is `[h | c]`
+    /// (`B×2H`), `x` the `B×I` input, `mask` the `B×1` validity column,
+    /// and `wx (I×4H)`, `wh (H×4H)`, `b (1×4H)` the parameters, gate
+    /// blocks in the order input, forget, candidate, output. The value is
+    /// the next state `[h' | c']`, each half blended as
+    /// `new·m + old·(−1·m + 1)`, so a row whose mask is 0 keeps its state.
+    ///
+    /// Forward and backward run, in the same order, every `f32` operation
+    /// of the 25-node composition it replaces: `Tensor::matmul` for `x·Wx`
+    /// and `h·Wh`, then `(xg + hg) + b`; the sigmoid as `1/(1 + e^(−x))`
+    /// and `tanh`; `(f·c) + (i·g)` and `o·tanh(c)`; the mask blend. Each
+    /// gate block's gradient keeps the `+ 0.0` that the composition's four
+    /// slice scatters added, and a half of the output that no later op
+    /// reads sends back no gradient, as an unread node did. `x` and `mask`
+    /// get gradients only when they are tracked, so a data leaf costs
+    /// nothing. The gradients are bit-identical to that composition's when
+    /// the six inputs are distinct nodes, `state` feeds this op alone, and
+    /// one op reads this node (the next step, or a slice). Two ops reading
+    /// one half each would sum their zero-padded gradients, as two slices
+    /// of one node always do, where the composition kept `h` and `c`
+    /// apart: the same values, but a `−0.0` upstream can come out `+0.0`.
+    pub fn lstm_step(&mut self, x: Var, state: Var, mask: Var, wx: Var, wh: Var, b: Var) -> Var {
+        let inputs = [x, state, mask, wx, wh, b];
+        for (k, v) in inputs.iter().enumerate() {
+            assert!(
+                !inputs[k + 1..].contains(v),
+                "lstm_step needs six distinct inputs"
+            );
+        }
+        let (vx, vs, vm) = (
+            &self.nodes[x.0].value,
+            &self.nodes[state.0].value,
+            &self.nodes[mask.0].value,
+        );
+        let (vwx, vwh, vb) = (
+            &self.nodes[wx.0].value,
+            &self.nodes[wh.0].value,
+            &self.nodes[b.0].value,
+        );
+        let (rows, hd) = (vs.rows(), vwh.rows());
+        assert_eq!(vs.cols(), 2 * hd, "lstm_step: state must be B×2H");
+        assert_eq!(vm.shape(), (rows, 1), "lstm_step: mask must be B×1");
+        assert_eq!(vx.rows(), rows, "lstm_step: one input row per state row");
+        assert_eq!(
+            vwx.shape(),
+            (vx.cols(), 4 * hd),
+            "lstm_step: wx must be I×4H"
+        );
+        assert_eq!(vwh.shape(), (hd, 4 * hd), "lstm_step: wh must be H×4H");
+        assert_eq!(vb.shape(), (1, 4 * hd), "lstm_step: b must be 1×4H");
+        let xg = vx.matmul(vwx);
+        let hg = cols(vs, 0, hd).matmul(vwh);
+        let mut acts = Tensor::zeros(rows, 4 * hd);
+        let mut cell = Tensor::zeros(rows, 2 * hd);
+        let mut out = Tensor::zeros(rows, 2 * hd);
+        for r in 0..rows {
+            let a = acts.row_mut(r);
+            for (((a, &x), &h), &b) in a.iter_mut().zip(xg.row(r)).zip(hg.row(r)).zip(vb.data()) {
+                *a = (x + h) + b;
+            }
+            let (ifg, o) = a.split_at_mut(3 * hd);
+            let (i_f, g) = ifg.split_at_mut(2 * hd);
+            for v in i_f.iter_mut().chain(o.iter_mut()) {
+                *v = sigmoid(*v);
+            }
+            for v in g.iter_mut() {
+                *v = v.tanh();
+            }
+            let a = acts.row(r);
+            let (m, old) = (vm.data()[r], vs.row(r));
+            let inv = one_minus(m);
+            let (cl, o_row) = (cell.row_mut(r), out.row_mut(r));
+            for j in 0..hd {
+                let (i, f, g, o) = (a[j], a[hd + j], a[2 * hd + j], a[3 * hd + j]);
+                let (h_old, c_old) = (old[j], old[hd + j]);
+                let c = f * c_old + i * g;
+                let tc = c.tanh();
+                cl[j] = c;
+                cl[hd + j] = tc;
+                o_row[j] = o * tc * m + h_old * inv;
+                o_row[hd + j] = c * m + c_old * inv;
+            }
+        }
+        let op = LstmStep {
+            x: x.0,
+            state: state.0,
+            mask: mask.0,
+            wx: wx.0,
+            wh: wh.0,
+            b: b.0,
+            acts,
+            cell,
+            reads_h: false,
+            reads_c: false,
+        };
+        self.push(out, Op::LstmStep(Box::new(op)))
+    }
+
+    // ---- forks -----------------------------------------------------------
+
+    /// Runs `f(child, i)` for every `i` in `0..n`, each on a fresh child
+    /// tape, across scoped threads (the available parallelism; inline
+    /// when that is 1 or on a fork's own worker thread), and returns each
+    /// child's output imported as one node of this tape, in child order.
+    /// The children's watched parameters are watched here, child by child
+    /// in order, so [`Tape::watched`] lists them as one tape running the
+    /// children in turn would have.
+    ///
+    /// `f` sees only its child tape, so a child can read parameters and
+    /// data but no node of this tape: its subgraph is independent. See the
+    /// module docs for how `backward` runs the children and for the
+    /// one-term rule under which that is bit for bit one tape's result.
+    pub fn fork<F>(&mut self, store: &ParamStore, n: usize, f: F) -> Vec<Var>
+    where
+        F: Fn(&mut Tape, usize) -> Var + Sync,
+    {
+        self.fork_on(fork_threads(), store, n, f)
+    }
+
+    /// [`Tape::fork`] on up to `threads` worker threads.
+    fn fork_on<F>(&mut self, threads: usize, store: &ParamStore, n: usize, f: F) -> Vec<Var>
+    where
+        F: Fn(&mut Tape, usize) -> Var + Sync,
+    {
+        let children = fork_join_on(threads, (0..n).collect(), |i| {
+            let mut child = Tape::new();
+            let out = f(&mut child, i);
+            (child, out)
+        });
+        let links = children
+            .iter()
+            .map(|(child, _)| {
+                child
+                    .watched
+                    .iter()
+                    .map(|(name, v)| (v.0, self.watch(store, name).0))
+                    .collect()
+            })
+            .collect();
+        let (block, first) = (self.forks.len(), self.nodes.len());
+        for (child, out) in &children {
+            let node = &child.nodes[out.0];
+            self.nodes.push(Node {
+                value: node.value.clone(),
+                op: Op::Import(block),
+                tracked: node.tracked,
+            });
+        }
+        self.forks.push(Fork {
+            children,
+            first,
+            links,
+            threads,
+        });
+        (first..self.nodes.len()).map(Var).collect()
+    }
+
     // ---- backward -------------------------------------------------------
 
     /// Runs reverse-mode differentiation from scalar `loss` (`1×1`).
@@ -743,14 +1080,24 @@ impl Tape {
     /// what is skipped and dropped.
     pub fn backward(&mut self, loss: Var) {
         assert_eq!(self.shape(loss), (1, 1), "backward requires a scalar loss");
-        let nodes = &self.nodes;
-        let grads = &mut self.grads;
+        self.backward_from(loss, Tensor::scalar(1.0));
+    }
+
+    /// The reverse sweep, seeded with gradient `seed` at `out`.
+    fn backward_from(&mut self, out: Var, seed: Tensor) {
+        let Tape {
+            nodes,
+            grads,
+            forks,
+            terms: total,
+            ..
+        } = self;
         grads.clear();
         grads.resize_with(nodes.len(), || None);
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        grads[out.0] = Some(seed);
         let need = |p: usize| nodes[p].tracked;
         let shape = |p: usize| nodes[p].value.shape();
-        let mut visited = 0;
+        let mut terms = 0;
 
         for (i, node) in nodes.iter().enumerate().rev() {
             if !node.tracked || matches!(node.op, Op::Leaf) {
@@ -759,10 +1106,16 @@ impl Tape {
             let Some(g) = grads[i].take() else {
                 continue;
             };
-            visited += 1;
-            let mut acc = |p: usize, t: Tensor| accumulate(grads, p, t);
+            if let Op::Import(block) = node.op {
+                terms += join_fork(&mut forks[block], i, g, grads);
+                continue;
+            }
+            let mut acc = |p: usize, t: Tensor| {
+                terms += 1;
+                accumulate(grads, p, t)
+            };
             match &node.op {
-                Op::Leaf => unreachable!("leaves keep their gradient"),
+                Op::Leaf | Op::Import(_) => unreachable!("handled above"),
                 &Op::Add(a, b) => {
                     let (ga, gb) = fan_out(g, need(a), need(b));
                     if let Some(ga) = ga {
@@ -923,9 +1276,173 @@ impl Tape {
                     }
                 }
                 Op::GatAttend(op) => gat_attend_backward(op, &g, nodes, &mut acc),
+                Op::LstmStep(op) => lstm_step_backward(op, &g, nodes, &mut acc),
             }
         }
-        self.visited = visited;
+        *total = terms;
+    }
+}
+
+/// Runs the backward of fork block `fork`, reached at its import node
+/// `at` with gradient `g`: every child whose output has a gradient runs
+/// its backward seeded with it, in parallel, and then each child's
+/// parameter gradients are added into the parent's leaves, the last
+/// child's first. Returns the gradient terms handed on.
+fn join_fork(fork: &mut Fork, at: usize, g: Tensor, grads: &mut [Option<Tensor>]) -> usize {
+    // Every consumer of the imports comes after them, so their gradients
+    // are complete; `at` is the last one that has a gradient.
+    let mut g = Some(g);
+    let seeds = (fork.first..fork.first + fork.children.len()).map(|v| {
+        if v == at {
+            g.take()
+        } else {
+            grads[v].take()
+        }
+    });
+    let jobs = std::mem::take(&mut fork.children).into_iter().zip(seeds);
+    fork.children = fork_join_on(fork.threads, jobs.collect(), |((mut child, out), seed)| {
+        match seed {
+            Some(seed) => child.backward_from(out, seed),
+            None => {
+                child.grads.clear();
+                child.terms = 0;
+            }
+        }
+        (child, out)
+    });
+    let mut terms = 0;
+    for ((child, _), links) in fork.children.iter_mut().zip(&fork.links).rev() {
+        terms += child.terms;
+        for &(from, to) in links {
+            if let Some(g) = child.grads.get_mut(from).and_then(Option::take) {
+                terms += 1;
+                accumulate(grads, to, g);
+            }
+        }
+    }
+    terms
+}
+
+/// The backward of [`Tape::lstm_step`]: the composition's nodes in
+/// reverse, fused per element where they are elementwise. In the order
+/// the composition ran them: the mask blend (`oc`, `oh`, `inv`, `−m`,
+/// `mc`, `mh`), `o·tanh(c)`, `tanh`, `(f·c) + (i·g)`, the activations, the
+/// four slice scatters, `+ b`, then the `h·Wh` and `x·Wx` matmuls.
+fn lstm_step_backward(
+    op: &LstmStep,
+    g: &Tensor,
+    nodes: &[Node],
+    acc: &mut impl FnMut(usize, Tensor),
+) {
+    let (rows, hd) = (op.cell.rows(), op.cell.cols() / 2);
+    let tracked = |v: usize| nodes[v].tracked;
+    let (h_in, c_in) = (op.reads_h, op.reads_c);
+    let (vx, vs) = (&nodes[op.x].value, &nodes[op.state].value);
+    let vm = nodes[op.mask].value.data();
+    let mut gates = Tensor::zeros(rows, 4 * hd);
+    // `[∂h_old | ∂c_old]`; the h half gets its `h·Wh` term below.
+    let mut g_state = tracked(op.state).then(|| Tensor::zeros(rows, 2 * hd));
+    for (r, &m) in vm.iter().enumerate() {
+        let inv = one_minus(m);
+        let (a, cl, old, gr) = (op.acts.row(r), op.cell.row(r), vs.row(r), g.row(r));
+        let gg = gates.row_mut(r);
+        for j in 0..hd {
+            let (i, f, gv, o) = (a[j], a[hd + j], a[2 * hd + j], a[3 * hd + j]);
+            let (tc, c_old) = (cl[hd + j], old[hd + j]);
+            let (gh, gc) = (gr[j], gr[hd + j]);
+            // mh = (o·tanh c)·m, then o·tanh c, then tanh; mc = c·m comes
+            // first into c's gradient.
+            let dnh = gh * m;
+            let d_tanh = dnh * o * (1.0 - tc * tc);
+            let dc = match (h_in, c_in) {
+                (true, true) => gc * m + d_tanh,
+                (true, false) => d_tanh,
+                (false, _) => gc * m,
+            };
+            gg[j] = dc * gv * (i * (1.0 - i)) + 0.0;
+            gg[hd + j] = dc * c_old * (f * (1.0 - f)) + 0.0;
+            gg[2 * hd + j] = dc * i * (1.0 - gv * gv) + 0.0;
+            gg[3 * hd + j] = if h_in {
+                dnh * tc * (o * (1.0 - o)) + 0.0
+            } else {
+                0.0
+            };
+            if let Some(gs) = &mut g_state {
+                let gs = gs.row_mut(r);
+                if h_in {
+                    gs[j] = gh * inv;
+                }
+                gs[hd + j] = if c_in { gc * inv + dc * f } else { dc * f };
+            }
+        }
+    }
+    if tracked(op.mask) {
+        lstm_mask_grads(op, g, nodes, acc);
+    }
+    if tracked(op.b) {
+        acc(
+            op.b,
+            if rows == 1 {
+                gates.clone()
+            } else {
+                sum_rows(&gates)
+            },
+        );
+    }
+    if let Some(mut gs) = g_state {
+        let from_wh = gates.matmul(&nodes[op.wh].value.transpose());
+        for r in 0..rows {
+            for (s, &t) in gs.row_mut(r)[..hd].iter_mut().zip(from_wh.row(r)) {
+                *s = if h_in { *s + t } else { t };
+            }
+        }
+        acc(op.state, gs);
+    }
+    if tracked(op.wh) {
+        acc(op.wh, cols(vs, 0, hd).transpose().matmul(&gates));
+    }
+    if tracked(op.x) {
+        acc(op.x, gates.matmul(&nodes[op.wx].value.transpose()));
+    }
+    if tracked(op.wx) {
+        acc(op.wx, vx.transpose().matmul(&gates));
+    }
+}
+
+/// A tracked mask's three gradient terms from [`Tape::lstm_step`], in the
+/// composition's order: through `−1·m + 1` (the `old·inv` products' row
+/// sums, `c` before `h`), through `c·m`, through `(o·tanh c)·m`. Each
+/// product is summed to `B×1` as `reduce_to_shape` sums it.
+fn lstm_mask_grads(op: &LstmStep, g: &Tensor, nodes: &[Node], acc: &mut impl FnMut(usize, Tensor)) {
+    let (rows, hd) = (op.cell.rows(), op.cell.cols() / 2);
+    let vs = &nodes[op.state].value;
+    let half_sums = |g_at: usize, other: &dyn Fn(usize, usize) -> f32| {
+        let mut t = Tensor::zeros(rows, hd);
+        for r in 0..rows {
+            for j in 0..hd {
+                t.set(r, j, g.get(r, g_at + j) * other(r, j));
+            }
+        }
+        reduce_to_shape(t, (rows, 1))
+    };
+    let through_old_c = op.reads_c.then(|| half_sums(hd, &|r, j| vs.get(r, hd + j)));
+    let through_old_h = op.reads_h.then(|| half_sums(0, &|r, j| vs.get(r, j)));
+    let through_inv = match (through_old_c, through_old_h) {
+        (Some(mut c), Some(h)) => {
+            c.add_assign(&h);
+            Some(c)
+        }
+        (c, h) => c.or(h),
+    };
+    if let Some(t) = through_inv {
+        acc(op.mask, Unary::Scale(-1.0).value(&t));
+    }
+    if op.reads_c {
+        acc(op.mask, half_sums(hd, &|r, j| op.cell.get(r, j)));
+    }
+    if op.reads_h {
+        let new_h = |r: usize, j: usize| op.acts.get(r, 3 * hd + j) * op.cell.get(r, hd + j);
+        acc(op.mask, half_sums(0, &new_h));
     }
 }
 
@@ -1282,8 +1799,9 @@ mod tests {
         tape.backward(loss);
         assert_eq!(tape.grad(d), Tensor::zeros(1, 3));
         assert_eq!(tape.grad(p), tape.value(e).clone());
-        // Only `f` and `loss` descend from a differentiated leaf.
-        assert_eq!(tape.backward_visits(), 2);
+        // Only `f` and `loss` descend from a differentiated leaf: `loss`
+        // hands `f` its gradient, `f` hands `p` its own.
+        assert_eq!(tape.backward_terms(), 2);
         // Interior gradients are dropped once propagated.
         assert_eq!(tape.grad(f), Tensor::zeros(1, 3));
     }
@@ -1331,14 +1849,189 @@ mod tests {
             for (_, v) in tape.watched() {
                 bits.extend(tape.grad(*v).data().iter().map(|g| g.to_bits()));
             }
-            (bits, tape.backward_visits())
+            (bits, tape.backward_terms())
         };
-        let ((constant, visits_constant), (data, visits_data)) = (run(false), run(true));
+        let ((constant, terms_constant), (data, terms_data)) = (run(false), run(true));
         assert_eq!(constant, data);
-        assert!(
-            visits_data < visits_constant,
-            "{visits_data} vs {visits_constant}"
+        // With data leaves the fused steps skip exactly the terms that
+        // would have reached them: one per step for `x`, three per step
+        // for the mask (through `1 − m`, `c·m` and `h·m`; two at the last
+        // step, whose `c` half nothing reads), and the target's one.
+        let steps = 4;
+        let skipped = steps + 3 * (steps - 1) + 2 + 1;
+        assert_eq!(
+            terms_constant - terms_data,
+            skipped,
+            "{terms_data} vs {terms_constant}"
         );
+    }
+
+    /// Six random `lstm_step` inputs: `x (3×2)`, `[h | c] (3×4)`, a mask
+    /// with a padded row and a fractional weight, `wx`, `wh`, `b` (H = 2).
+    fn lstm_inputs() -> [Tensor; 6] {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(3);
+        [
+            Tensor::uniform(3, 2, 1.0, &mut rng),
+            Tensor::uniform(3, 4, 1.0, &mut rng),
+            Tensor::from_vec(3, 1, vec![1.0, 0.0, 0.6]),
+            Tensor::uniform(2, 8, 0.8, &mut rng),
+            Tensor::uniform(2, 8, 0.8, &mut rng),
+            Tensor::uniform(1, 8, 0.5, &mut rng),
+        ]
+    }
+
+    #[test]
+    fn grad_lstm_step() {
+        let inputs = lstm_inputs();
+        let r = Tensor::from_vec(3, 4, (0..12).map(|k| 0.3 + 0.1 * k as f32).collect());
+        // Both halves read, then only `h` (the last step of a sequence).
+        for to in [4, 2] {
+            for k in 0..6 {
+                gradcheck(
+                    inputs[k].clone(),
+                    |t, v| {
+                        let vars: Vec<Var> = (0..6)
+                            .map(|j| {
+                                if j == k {
+                                    v
+                                } else {
+                                    t.constant(inputs[j].clone())
+                                }
+                            })
+                            .collect();
+                        let out = t.lstm_step(vars[0], vars[1], vars[2], vars[3], vars[4], vars[5]);
+                        let read = t.slice_cols(out, 0, to);
+                        let rv = t.constant(cols(&r, 0, to));
+                        t.mul(read, rv)
+                    },
+                    1e-2,
+                );
+            }
+        }
+    }
+
+    /// Child `i` of the fork tests: data row `i` through the shared `w`
+    /// once (one term each) and through its own `u{i}` twice.
+    fn fork_child(tape: &mut Tape, store: &ParamStore, data: &Tensor, i: usize) -> Var {
+        let x = tape.input(Tensor::from_vec(1, data.cols(), data.row(i).to_vec()));
+        let w = tape.watch(store, "w");
+        let u = tape.watch(store, &format!("u{i}"));
+        let xw = tape.matmul(x, w);
+        let a = tape.tanh(xw);
+        let b = tape.mul(a, u);
+        let c = tape.mul(b, u);
+        tape.add(c, a)
+    }
+
+    /// The parent's part: `v` after the children, and `w` once more.
+    fn fork_loss(tape: &mut Tape, store: &ParamStore, rows: &[Var]) -> Var {
+        let s = tape.stack_rows(rows);
+        let v = tape.watch(store, "v");
+        let y = tape.matmul(s, v);
+        let sq = tape.square(y);
+        let l = tape.sum_all(sq);
+        let w = tape.watch(store, "w");
+        let wsq = tape.square(w);
+        let ws = tape.sum_all(wsq);
+        tape.add(l, ws)
+    }
+
+    fn fork_store(children: usize) -> (ParamStore, Tensor) {
+        use rand::{rngs::StdRng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(21);
+        let mut store = ParamStore::new();
+        store.insert("w", Tensor::uniform(3, 4, 1.0, &mut rng));
+        store.insert("v", Tensor::uniform(4, 1, 1.0, &mut rng));
+        for i in 0..children {
+            store.insert(format!("u{i}"), Tensor::uniform(1, 4, 1.5, &mut rng));
+        }
+        (store, Tensor::uniform(children, 3, 2.0, &mut rng))
+    }
+
+    /// Loss bits, then every watched parameter's name and gradient bits.
+    fn trained_bits(tape: &Tape, loss: Var) -> Vec<(String, Vec<u32>)> {
+        let mut out = vec![("loss".into(), vec![tape.value(loss).item().to_bits()])];
+        for (name, v) in tape.watched() {
+            let g = tape.grad(*v);
+            out.push((name.clone(), g.data().iter().map(|x| x.to_bits()).collect()));
+        }
+        out
+    }
+
+    #[test]
+    fn fork_matches_one_tape_bit_for_bit() {
+        let n = 6;
+        let (store, data) = fork_store(n);
+        let mut one = Tape::new();
+        let rows: Vec<Var> = (0..n)
+            .map(|i| fork_child(&mut one, &store, &data, i))
+            .collect();
+        let loss = fork_loss(&mut one, &store, &rows);
+        one.backward(loss);
+        let expected = trained_bits(&one, loss);
+        assert_eq!(expected.len(), 1 + 2 + n, "loss, w, every u, v");
+        for threads in [1, 2] {
+            let mut tape = Tape::new();
+            let rows = tape.fork_on(threads, &store, n, |child, i| {
+                fork_child(child, &store, &data, i)
+            });
+            let loss = fork_loss(&mut tape, &store, &rows);
+            tape.backward(loss);
+            assert_eq!(trained_bits(&tape, loss), expected, "{threads} workers");
+        }
+    }
+
+    /// The shape of a fused TrajGAT model's batch: child 0 forks again,
+    /// one grandchild per row, whose shared `w` only child 0 touches;
+    /// child 1 touches only `v`.
+    #[test]
+    fn nested_forks_match_one_tape_and_run_inline() {
+        let n = 5;
+        let (store, data) = fork_store(n);
+        let rows = |tape: &mut Tape, nested: bool| {
+            let rows: Vec<Var> = if nested {
+                assert_eq!(fork_threads(), 1, "a worker's fork runs inline");
+                tape.fork(&store, n, |child, i| fork_child(child, &store, &data, i))
+            } else {
+                (0..n).map(|i| fork_child(tape, &store, &data, i)).collect()
+            };
+            tape.stack_rows(&rows)
+        };
+        let column = |tape: &mut Tape| {
+            let v = tape.watch(&store, "v");
+            tape.tanh(v)
+        };
+        let loss = |tape: &mut Tape, s: Var, c: Var| {
+            let y = tape.matmul(s, c);
+            let sq = tape.square(y);
+            tape.sum_all(sq)
+        };
+        let mut one = Tape::new();
+        let (s, c) = (rows(&mut one, false), column(&mut one));
+        let l = loss(&mut one, s, c);
+        one.backward(l);
+        let mut tape = Tape::new();
+        let outs = tape.fork_on(2, &store, 2, |child, k| match k {
+            0 => rows(child, true),
+            _ => column(child),
+        });
+        let l_forked = loss(&mut tape, outs[0], outs[1]);
+        tape.backward(l_forked);
+        assert_eq!(trained_bits(&tape, l_forked), trained_bits(&one, l));
+    }
+
+    #[test]
+    fn fork_join_keeps_item_order_and_propagates_panics() {
+        let squares = fork_join_on(2, (0..37).collect(), |i: u64| i * i);
+        assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>());
+        let caught = std::panic::catch_unwind(|| {
+            fork_join_on(2, vec![1, 2, 3], |i: i32| {
+                assert!(i != 2, "item two fails");
+                i
+            })
+        });
+        assert!(caught.is_err());
     }
 
     #[test]
