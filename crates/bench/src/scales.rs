@@ -15,9 +15,11 @@ use traj_dist::MeasureKind;
 
 use crate::args::Args;
 
-/// Builds a spec from CLI overrides with harness defaults.
+/// Builds a spec from CLI overrides with harness defaults. A zero `--n`
+/// or `--batch` is a usage error: the process exits with code 2 and a
+/// usage line instead of starting an experiment that cannot run.
 pub fn default_spec(args: &Args) -> ExperimentSpec {
-    let n = args.get("n", 160usize);
+    let n = positive(args, "n", 160);
     let n_queries = args.get("queries", 30usize).min(n.saturating_sub(10));
     ExperimentSpec {
         preset: match args.get_str("preset") {
@@ -62,7 +64,7 @@ pub fn default_spec(args: &Args) -> ExperimentSpec {
         encoder: EncoderConfig::default(),
         trainer: TrainerConfig {
             epochs: args.get("epochs", 10usize),
-            batch_pairs: args.get("batch", 64usize),
+            batch_pairs: positive(args, "batch", 64),
             lr: args.get("lr", 3e-3f32),
             k_near: 4,
             k_rand: 4,
@@ -72,6 +74,17 @@ pub fn default_spec(args: &Args) -> ExperimentSpec {
         eval_every_epoch: false,
         gt_cache_dir: args.get_str("cache-dir").map(str::to_string),
     }
+}
+
+/// `--key`'s count, or `default`; exits with code 2 and a usage line if
+/// it is zero.
+fn positive(args: &Args, key: &str, default: usize) -> usize {
+    let value = args.get(key, default);
+    if value == 0 {
+        eprintln!("usage: --{key} takes a positive count (got 0)");
+        std::process::exit(2);
+    }
+    value
 }
 
 #[cfg(test)]

@@ -21,16 +21,15 @@
 
 use super::store::EmbeddingStore;
 use crate::config::PluginVariant;
-use bytes::Bytes;
 use traj_core::codec::{DecodeError, Reader, Writer};
 
 impl EmbeddingStore {
     /// Compact binary serialization (length-prefixed little-endian f32
     /// buffers, streamed as whole byte chunks).
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         self.encode(&mut w);
-        Bytes::from(w.finish())
+        w.finish()
     }
 
     /// Bytes [`EmbeddingStore::encode`] writes: the 29-byte header, then
@@ -59,16 +58,12 @@ impl EmbeddingStore {
         }
     }
 
-    /// Inverse of [`EmbeddingStore::to_bytes`]. Truncated or internally
-    /// inconsistent payloads return a [`DecodeError`].
-    pub fn from_bytes(data: Bytes) -> Result<Self, DecodeError> {
-        Self::decode(data.as_slice())
-    }
-
-    /// [`EmbeddingStore::from_bytes`] over a borrowed payload — how the
-    /// containers that nest one decode it, without a copy.
-    pub(crate) fn decode(payload: &[u8]) -> Result<Self, DecodeError> {
-        let mut data = Reader::new(payload);
+    /// Inverse of [`EmbeddingStore::to_bytes`], over an owned or a
+    /// borrowed payload (the containers that nest one decode it in place).
+    /// Truncated or internally inconsistent payloads return a
+    /// [`DecodeError`].
+    pub fn from_bytes(payload: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
+        let mut data = Reader::new(payload.as_ref());
         let n = data.count("n")?;
         let dim = data.count("dim")?;
         let variant = match data.u8("variant")? {
@@ -223,7 +218,7 @@ pub(crate) mod tests {
             (PluginVariant::FusionDist, FUSED_PAYLOAD),
         ] {
             let store = store_with_rows(variant);
-            assert_eq!(store.to_bytes().to_vec(), unhex(hex), "{}", variant.name());
+            assert_eq!(store.to_bytes(), unhex(hex), "{}", variant.name());
         }
     }
 
@@ -250,22 +245,22 @@ pub(crate) mod tests {
     #[test]
     fn every_truncation_errors_instead_of_panicking() {
         let s = store_with_rows(PluginVariant::FusionDist);
-        let full = s.to_bytes().to_vec();
+        let full = s.to_bytes();
         for cut in 0..full.len() {
-            let err = EmbeddingStore::from_bytes(Bytes::from(full[..cut].to_vec()));
+            let err = EmbeddingStore::from_bytes(&full[..cut]);
             assert!(err.is_err(), "cut at {cut} of {} must error", full.len());
         }
         // The untruncated payload still decodes.
-        assert!(EmbeddingStore::from_bytes(Bytes::from(full)).is_ok());
+        assert!(EmbeddingStore::from_bytes(full).is_ok());
     }
 
     #[test]
     fn bad_variant_tag_errors() {
         let s = store_with_rows(PluginVariant::Original);
-        let mut raw = s.to_bytes().to_vec();
+        let mut raw = s.to_bytes();
         raw[16] = 9; // the variant byte follows the two u64 header words
         assert_eq!(
-            EmbeddingStore::from_bytes(Bytes::from(raw)),
+            EmbeddingStore::from_bytes(raw),
             Err(DecodeError::BadVariantTag(9))
         );
     }
@@ -273,9 +268,9 @@ pub(crate) mod tests {
     #[test]
     fn inconsistent_lengths_error() {
         let s = store_with_rows(PluginVariant::Original);
-        let mut raw = s.to_bytes().to_vec();
+        let mut raw = s.to_bytes();
         raw[0] = 7; // claim n = 7 while buffers hold 3 rows
-        let err = EmbeddingStore::from_bytes(Bytes::from(raw)).unwrap_err();
+        let err = EmbeddingStore::from_bytes(raw).unwrap_err();
         assert!(matches!(err, DecodeError::Inconsistent { field: "eu", .. }));
     }
 
@@ -293,7 +288,7 @@ pub(crate) mod tests {
         for _ in 0..3 {
             w.u64(0); // empty eu / hyper / factors
         }
-        let res = EmbeddingStore::decode(&w.finish());
+        let res = EmbeddingStore::from_bytes(w.finish());
         assert!(
             matches!(
                 res,
@@ -317,7 +312,7 @@ pub(crate) mod tests {
         for len in [2, 3, 0] {
             w.f32_chunk(&vec![0.5; len]);
         }
-        let err = EmbeddingStore::decode(&w.finish()).unwrap_err();
+        let err = EmbeddingStore::from_bytes(w.finish()).unwrap_err();
         assert!(matches!(
             err,
             DecodeError::Inconsistent {
@@ -330,9 +325,9 @@ pub(crate) mod tests {
     #[test]
     fn nonzero_factor_dim_on_non_fusion_variant_errors() {
         let s = store_with_rows(PluginVariant::Original);
-        let mut raw = s.to_bytes().to_vec();
+        let mut raw = s.to_bytes();
         raw[21] = 3; // factor_dim u64 follows n, dim, variant, beta
-        let err = EmbeddingStore::from_bytes(Bytes::from(raw)).unwrap_err();
+        let err = EmbeddingStore::from_bytes(raw).unwrap_err();
         assert_eq!(
             err,
             DecodeError::Inconsistent {
@@ -346,10 +341,10 @@ pub(crate) mod tests {
     #[test]
     fn trailing_bytes_error() {
         let s = store_with_rows(PluginVariant::LorentzCosh);
-        let mut raw = s.to_bytes().to_vec();
+        let mut raw = s.to_bytes();
         raw.push(0);
         assert_eq!(
-            EmbeddingStore::from_bytes(Bytes::from(raw)),
+            EmbeddingStore::from_bytes(raw),
             Err(DecodeError::TrailingBytes(1))
         );
     }

@@ -40,7 +40,6 @@
 use super::super::store::EmbeddingStore;
 use super::bound::BoundSpace;
 use super::{IndexCell, IndexedStore};
-use bytes::Bytes;
 use traj_core::codec::{DecodeError, Format};
 
 const FORMAT: Format = Format {
@@ -50,7 +49,7 @@ const FORMAT: Format = Format {
 
 impl IndexedStore {
     /// Compact binary serialization of the store plus its index.
-    pub fn to_bytes(&self) -> Bytes {
+    pub fn to_bytes(&self) -> Vec<u8> {
         let cell_bytes: usize = self
             .cells
             .iter()
@@ -70,16 +69,16 @@ impl IndexedStore {
             // Empty outside the mix space.
             w.values(&cell.dcx_lo, f64::to_le_bytes);
         }
-        Bytes::from(FORMAT.finish(w))
+        FORMAT.finish(w)
     }
 
     /// Inverse of [`IndexedStore::to_bytes`]. Truncated or structurally
     /// inconsistent payloads return a [`DecodeError`].
-    pub fn from_bytes(data: Bytes) -> Result<Self, DecodeError> {
-        let mut data = FORMAT.unframe(data.as_slice())?;
-        let store = EmbeddingStore::decode(data.chunk("index store")?)?;
+    pub fn from_bytes(payload: impl AsRef<[u8]>) -> Result<Self, DecodeError> {
+        let mut data = FORMAT.unframe(payload.as_ref())?;
+        let store = EmbeddingStore::from_bytes(data.chunk("index store")?)?;
         let space = BoundSpace::for_store(&store);
-        let centroids = EmbeddingStore::decode(data.chunk("index centroids")?)?;
+        let centroids = EmbeddingStore::from_bytes(data.chunk("index centroids")?)?;
         let n_cells = data.count("n_cells")?;
 
         if !space.prunes() && n_cells > 0 {
@@ -243,20 +242,20 @@ mod tests {
         // both cell layouts.
         for variant in [PluginVariant::FusionDist, PluginVariant::Original] {
             let ix = built(variant, 2);
-            let full = ix.to_bytes().to_vec();
+            let full = ix.to_bytes();
             for cut in 0..full.len() {
-                let err = IndexedStore::from_bytes(Bytes::from(full[..cut].to_vec()));
+                let err = IndexedStore::from_bytes(&full[..cut]);
                 assert!(err.is_err(), "cut at {cut} of {} must error", full.len());
             }
             for byte in 0..full.len() {
                 for bit in 0..8 {
                     let mut bad = full.clone();
                     bad[byte] ^= 1 << bit;
-                    let err = IndexedStore::from_bytes(Bytes::from(bad));
+                    let err = IndexedStore::from_bytes(bad);
                     assert!(err.is_err(), "flip {byte}.{bit} must error");
                 }
             }
-            assert!(IndexedStore::from_bytes(Bytes::from(full)).is_ok());
+            assert!(IndexedStore::from_bytes(full).is_ok());
         }
     }
 
@@ -285,21 +284,21 @@ mod tests {
                 for bit in [0, 3, 6] {
                     let mut bad = raw.clone();
                     bad[byte] ^= 1 << bit;
-                    count += IndexedStore::from_bytes(Bytes::from(bad)).is_ok() as usize;
+                    count += IndexedStore::from_bytes(bad).is_ok() as usize;
                 }
             }
             count
         };
-        let v4 = ix.to_bytes().to_vec();
+        let v4 = ix.to_bytes();
         assert_eq!(v4.len(), 11_834);
         assert_eq!(decoded(v4), 0);
     }
 
     #[test]
     fn bad_magic_errors() {
-        let mut raw = built(PluginVariant::Original, 2).to_bytes().to_vec();
+        let mut raw = built(PluginVariant::Original, 2).to_bytes();
         raw[0] ^= 0xFF;
-        let err = IndexedStore::from_bytes(Bytes::from(raw)).unwrap_err();
+        let err = IndexedStore::from_bytes(raw).unwrap_err();
         assert!(matches!(err, DecodeError::BadMagic(_)), "got {err:?}");
     }
 
@@ -308,10 +307,10 @@ mod tests {
     #[test]
     fn unsupported_version_errors() {
         for version in [1, 2, 3, 99] {
-            let mut raw = built(PluginVariant::Original, 2).to_bytes().to_vec();
+            let mut raw = built(PluginVariant::Original, 2).to_bytes();
             raw[4] = version;
             assert_eq!(
-                IndexedStore::from_bytes(Bytes::from(raw)),
+                IndexedStore::from_bytes(raw),
                 Err(DecodeError::UnsupportedVersion(version.into()))
             );
         }
@@ -456,10 +455,10 @@ mod tests {
     #[test]
     fn forged_checksummed_bodies_error_or_decode() {
         for variant in PluginVariant::ABLATION {
-            let raw = built(variant, 2).to_bytes().to_vec();
+            let raw = built(variant, 2).to_bytes();
             for file in forged(&raw[FRAME_LEN..]).map(|body| framed(FORMAT, &body)) {
-                if let Ok(back) = IndexedStore::from_bytes(Bytes::from(file.clone())) {
-                    assert_eq!(back.to_bytes().as_slice(), &file[..], "{}", variant.name());
+                if let Ok(back) = IndexedStore::from_bytes(&file) {
+                    assert_eq!(back.to_bytes(), file, "{}", variant.name());
                     if !back.store().is_empty() {
                         back.knn(back.store(), 0, 3);
                     }
@@ -470,10 +469,10 @@ mod tests {
 
     #[test]
     fn trailing_bytes_error() {
-        let mut raw = built(PluginVariant::LorentzVanilla, 2).to_bytes().to_vec();
+        let mut raw = built(PluginVariant::LorentzVanilla, 2).to_bytes();
         raw.push(0);
         assert_eq!(
-            IndexedStore::from_bytes(Bytes::from(raw)),
+            IndexedStore::from_bytes(raw),
             Err(DecodeError::TrailingBytes(1))
         );
     }

@@ -22,7 +22,7 @@
 //!   remaining queue and exits, and the drop joins it (drain-on-shutdown,
 //!   so a durable store's final checkpoints always land).
 
-use super::{ServeError, Shard};
+use super::{unpoison, ServeError, Shard};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -75,10 +75,7 @@ impl Compactor {
                     // nothing above threshold is stranded.
                     worker_shared.scheduled[sid].store(false, Ordering::Release);
                     let result = shards[sid].fold();
-                    let mut inflight = worker_shared
-                        .inflight
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner());
+                    let mut inflight = unpoison(worker_shared.inflight.lock());
                     if let Err(e) = result {
                         inflight.error.get_or_insert(e);
                     }
@@ -102,11 +99,7 @@ impl Compactor {
             return;
         }
         {
-            let mut inflight = self
-                .shared
-                .inflight
-                .lock()
-                .unwrap_or_else(|p| p.into_inner());
+            let mut inflight = unpoison(self.shared.inflight.lock());
             inflight.pending += 1;
         }
         if let Some(tx) = &self.tx {
@@ -119,17 +112,9 @@ impl Compactor {
     /// Blocks until every scheduled fold has completed, then surfaces the
     /// first error any fold hit (clearing it).
     pub(crate) fn drain(&self) -> Result<(), ServeError> {
-        let mut inflight = self
-            .shared
-            .inflight
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let mut inflight = unpoison(self.shared.inflight.lock());
         while inflight.pending > 0 {
-            inflight = self
-                .shared
-                .done
-                .wait(inflight)
-                .unwrap_or_else(|p| p.into_inner());
+            inflight = unpoison(self.shared.done.wait(inflight));
         }
         match inflight.error.take() {
             Some(e) => Err(e),

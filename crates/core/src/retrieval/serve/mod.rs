@@ -56,12 +56,11 @@ use super::index::build::IndexParams;
 use super::index::IndexedStore;
 use super::store::EmbeddingStore;
 use super::tombstones::Tombstones;
-use parking_lot::{Mutex, MutexGuard, RwLock};
 use snapshot::{Delta, Snapshot};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
 use traj_core::codec::DecodeError;
 use wal::{WalFile, WalOp};
 
@@ -210,6 +209,13 @@ struct Pin {
     compactions: u64,
 }
 
+/// The guard (or value) a lock call returns, also when a thread that
+/// panicked while holding the lock poisoned it: every serving-tier lock
+/// carries on past a poisoned lock instead of failing.
+fn unpoison<T>(result: LockResult<T>) -> T {
+    result.unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One shard of a sharded serving store: a writer, its WAL and
 /// checkpoint, and the published snapshot. See the module docs for the
 /// concurrency and bit-identity contracts.
@@ -259,7 +265,7 @@ impl Shard {
             ckpt.compactions,
         )?;
         // Replay without re-logging: the ops are already on disk.
-        let mut w = shard.writer.lock();
+        let mut w = unpoison(shard.writer.lock());
         w.view.epoch = ckpt.epoch;
         for op in ops {
             match op {
@@ -334,12 +340,12 @@ impl Shard {
     /// The current published snapshot — an O(1) `Arc` clone; query it
     /// entirely lock-free for as long as needed.
     pub(crate) fn snapshot(&self) -> Arc<Snapshot> {
-        Arc::clone(&self.current.read())
+        Arc::clone(&*unpoison(self.current.read()))
     }
 
     /// Current occupancy and lifecycle counters.
     pub(crate) fn stats(&self) -> ServeStats {
-        let w = self.writer.lock();
+        let w = unpoison(self.writer.lock());
         ServeStats {
             epoch: w.view.epoch,
             live_rows: w.loc.len(),
@@ -352,7 +358,7 @@ impl Shard {
 
     /// Live rows.
     pub(crate) fn len(&self) -> usize {
-        self.writer.lock().loc.len()
+        unpoison(self.writer.lock()).loc.len()
     }
 
     /// Inserts or replaces the row for `id`. `hyper` must be present iff
@@ -366,7 +372,7 @@ impl Shard {
         hyper: Option<&[f32]>,
         factors: Option<&[f32]>,
     ) -> Result<(bool, usize), ServeError> {
-        let mut w = self.writer.lock();
+        let mut w = unpoison(self.writer.lock());
         Self::check_shape(w.view.delta.layout(), eu, hyper, factors)?;
         if let Some(wal) = w.wal.as_mut() {
             wal.append(&WalOp::Upsert {
@@ -384,7 +390,7 @@ impl Shard {
     /// Removes the row for `id`. Returns whether it existed (publishing
     /// only when it did), plus the shard's churn.
     pub(crate) fn remove(&self, id: u64) -> Result<(bool, usize), ServeError> {
-        let mut w = self.writer.lock();
+        let mut w = unpoison(self.writer.lock());
         if !w.loc.contains_key(&id) {
             return Ok((false, w.churn()));
         }
@@ -419,7 +425,7 @@ impl Shard {
 
     /// Step 1 of [`Shard::fold`].
     fn pin(&self) -> Pin {
-        let w = self.writer.lock();
+        let w = unpoison(self.writer.lock());
         Pin {
             snapshot: w.view.clone(),
             watermark: w.view.delta.len(),
@@ -431,7 +437,7 @@ impl Shard {
     fn fold_pinned(&self, pin: Pin) -> Result<bool, ServeError> {
         let (rows, ids) = pin.snapshot.to_flat();
         let base = Arc::new(IndexedStore::build(rows, self.opts.index_params));
-        let w = self.writer.lock();
+        let w = unpoison(self.writer.lock());
         if w.compactions != pin.compactions {
             // A racing fold already replaced the base; the watermark no
             // longer indexes the live delta. Drop this one.
@@ -509,7 +515,7 @@ impl Shard {
         let churn = w.churn();
         let snap = Arc::new(w.view.clone());
         drop(w);
-        *self.current.write() = snap;
+        *unpoison(self.current.write()) = snap;
         churn
     }
 

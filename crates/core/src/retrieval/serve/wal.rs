@@ -462,7 +462,7 @@ fn decode_checkpoint(raw: &[u8]) -> Result<Checkpoint, ServeError> {
     let compactions = body.u64("ckpt compactions")?;
     let n = body.count("ckpt id count")?;
     let ids = body.values("ckpt ids", n, u64::from_le_bytes)?;
-    let store = EmbeddingStore::decode(body.chunk("ckpt payload")?)?;
+    let store = EmbeddingStore::from_bytes(body.chunk("ckpt payload")?)?;
     body.finish()?;
     if store.len() != ids.len() {
         return Err(ServeError::Corrupt(format!(
@@ -670,8 +670,8 @@ mod tests {
         assert_eq!(back.compactions, 2);
         assert_eq!(back.ids, vec![10, 20]);
         assert_eq!(
-            back.store.to_bytes().to_vec(),
-            store.to_bytes().to_vec(),
+            back.store.to_bytes(),
+            store.to_bytes(),
             "store payload bit-identical through the checkpoint"
         );
         // Every truncation and every flipped bit is an error.

@@ -15,7 +15,6 @@ use crate::retrieval::EmbeddingStore;
 use crate::sampler::{sample_epoch_pairs, TrainPair};
 use lh_models::{EncoderConfig, ModelKind, TrajectoryEncoder};
 use lh_nn::optim::Adam;
-use lh_nn::tape::fork_join;
 use lh_nn::{ParamStore, Tape, Tensor, Var};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -192,8 +191,7 @@ impl LhModel {
     }
 
     /// Embeds trajectories into an [`EmbeddingStore`] for retrieval
-    /// (inference pass). Chunks of 64 trajectories, each on its own tape,
-    /// run concurrently; every row is what a serial pass computes.
+    /// (inference pass), in chunks of 64 trajectories, one tape each.
     pub fn embed(&self, trajs: &[Trajectory]) -> EmbeddingStore {
         let dim = self.encoder.output_dim();
         let mut store = EmbeddingStore::new(
@@ -202,7 +200,7 @@ impl LhModel {
             self.plugin.beta,
             self.fusion.as_ref().map(|f| f.factor_dim()),
         );
-        let chunks = fork_join(trajs.chunks(64).collect(), |chunk| {
+        for chunk in trajs.chunks(64) {
             let refs: Vec<&Trajectory> = chunk.iter().collect();
             let mut tape = Tape::new();
             let (emb, factors) = self.encode(&mut tape, &refs);
@@ -211,16 +209,9 @@ impl LhModel {
                 .variant
                 .uses_hyperbolic()
                 .then(|| project_rows(&mut tape, emb, &self.plugin));
-            let value = |v: Option<Var>| v.map(|v| tape.value(v).clone());
-            (tape.value(emb).clone(), value(hyper), value(factors))
-        });
-        for (emb, hyper, factors) in chunks {
-            for r in 0..emb.rows() {
-                store.push(
-                    emb.row(r),
-                    hyper.as_ref().map(|h| h.row(r)),
-                    factors.as_ref().map(|f| f.row(r)),
-                );
+            let row = |v: Option<Var>, r: usize| v.map(|v| tape.value(v).row(r));
+            for r in 0..refs.len() {
+                store.push(tape.value(emb).row(r), row(hyper, r), row(factors, r));
             }
         }
         store
@@ -380,10 +371,10 @@ mod tests {
         assert!(!store2.has_factors());
     }
 
-    /// `embed` as one serial loop over the same 64-row chunks, each on
-    /// one tape with both encoders inline, as `embed` ran before chunks
-    /// ran concurrently: what every stored bit must equal.
-    fn embed_serially(model: &LhModel, trajs: &[Trajectory]) -> Vec<Vec<u32>> {
+    /// `embed` over the same 64-row chunks, each on one tape with both
+    /// encoders inline instead of forked: what every stored bit must
+    /// equal.
+    fn embed_inline(model: &LhModel, trajs: &[Trajectory]) -> Vec<Vec<u32>> {
         let mut rows = Vec::new();
         for chunk in trajs.chunks(64) {
             let refs: Vec<&Trajectory> = chunk.iter().collect();
@@ -401,7 +392,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_embed_matches_a_serial_pass_bit_for_bit() {
+    fn forked_embed_matches_one_inline_tape_per_chunk_bit_for_bit() {
         let ds = lh_data::generate(lh_data::DatasetPreset::Smoke, 150, 7);
         let ds = Normalizer::fit(&ds).unwrap().dataset(&ds);
         for kind in [ModelKind::Traj2SimVec, ModelKind::TrajGat] {
@@ -419,7 +410,7 @@ mod tests {
                     row.concat().iter().map(|v| v.to_bits()).collect()
                 })
                 .collect();
-            assert_eq!(got, embed_serially(&model, ds.trajectories()), "{kind:?}");
+            assert_eq!(got, embed_inline(&model, ds.trajectories()), "{kind:?}");
         }
     }
 

@@ -8,7 +8,10 @@
 //! A step is one [`Tape::lstm_step`] node over the state `[h | c]`, so a
 //! sequence of `T` steps is `T` nodes plus the final `h` slice. The
 //! 25-node per-gate composition that op replaces stays in this module's
-//! tests as the oracle it must match bit for bit.
+//! tests as the oracle it must match bit for bit. The masks are data. The
+//! last step's `c` half, which nothing reads, gets the slice's zeros where
+//! the composition gave it no gradient: the parameter gradients keep the
+//! composition's bits, and the state's can differ in the sign of a zero.
 use crate::init;
 use crate::params::ParamStore;
 use crate::tape::{Tape, Var};
@@ -85,7 +88,8 @@ impl LstmCell {
 
     /// Runs a full masked sequence and returns the final hidden state
     /// `B×H`. `steps[t]` is the `B×I` input at time `t`; `masks[t]` the
-    /// `B×1` validity column (1 while `t < len(row)`). One
+    /// `B×1` validity column (1 while `t < len(row)`), a data leaf as
+    /// [`sequence_masks`] builds it. One
     /// [`Tape::lstm_step`] node per step, from a zero state.
     pub fn forward_sequence(
         &self,
@@ -335,7 +339,7 @@ mod tests {
     /// One random case of the bit test: the cell, the inputs and masks of
     /// a batch whose rows after the first are padded to a random length,
     /// a random initial state, and an upstream gradient with an all-zero
-    /// row and a negative zero (whose sign an unread `c` half must keep).
+    /// row and a negative zero.
     struct Case {
         store: ParamStore,
         cell: LstmCell,
@@ -391,28 +395,52 @@ mod tests {
         }
     }
 
+    /// What the loss reads of the final state.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Read {
+        /// `h` and `c`.
+        Both,
+        /// `h` alone, so the last step's `c` half has no consumer.
+        H,
+        /// `h`, and `c` through all-zero weights: the oracle's `c` then
+        /// gets the `+0.0` gradient that a slice of `h` scatters into the
+        /// fused state's `c` half.
+        HAndZeroC,
+    }
+
+    /// Where [`run`] puts the initial state's gradient.
+    const STATE0_GRAD: usize = 4;
+
     /// Runs `case` as `lstm_step` nodes (`fused`) or as the per-gate
-    /// composition, with `x` and the masks as constants or as data, and a
-    /// loss that reads the final `h` and, if `read_c`, the final `c` (if
-    /// not, the last step's `c` half has no consumer). Returns the bits of
-    /// the final state, of every watched parameter's gradient, of the
-    /// initial state's gradient, and (as constants) of every `x`'s and
-    /// mask's gradient.
-    fn run(case: &Case, fused: bool, data: bool, read_c: bool) -> Vec<Vec<u32>> {
+    /// composition, with the masks as data, `x` as constants or as data,
+    /// and a loss that reads the final state as `read` says. Returns the
+    /// bits of the final state, of every watched parameter's gradient, of
+    /// the initial state's gradient, and (as constants) of every `x`'s
+    /// gradient.
+    fn run(case: &Case, fused: bool, data: bool, read: Read) -> Vec<Vec<u32>> {
         let hd = case.cell.hidden_dim();
         let mut tape = Tape::new();
-        let leaf = |tape: &mut Tape, t: &Tensor| {
-            if data {
-                tape.input(t.clone())
-            } else {
-                tape.constant(t.clone())
-            }
+        let xs: Vec<Var> = case
+            .xs
+            .iter()
+            .map(|t| {
+                if data {
+                    tape.input(t.clone())
+                } else {
+                    tape.constant(t.clone())
+                }
+            })
+            .collect();
+        let masks: Vec<Var> = case.masks.iter().map(|t| tape.input(t.clone())).collect();
+        let weights = |from: usize, to: usize| {
+            let r: Vec<f32> = (0..case.r.rows())
+                .flat_map(|row| case.r.row(row)[from..to].to_vec())
+                .collect();
+            Tensor::from_vec(case.r.rows(), to - from, r)
         };
-        let xs: Vec<Var> = case.xs.iter().map(|t| leaf(&mut tape, t)).collect();
-        let masks: Vec<Var> = case.masks.iter().map(|t| leaf(&mut tape, t)).collect();
         // The fused loss reads the whole state through one op, as the
         // oracle's reads `h` and `c` through one op each.
-        let (state, read, state0) = if fused {
+        let (state, reads, state0) = if fused {
             let s0 = tape.constant(side_by_side(&case.h0, &case.c0));
             let wx = tape.watch(&case.store, "l.wx");
             let wh = tape.watch(&case.store, "l.wh");
@@ -421,12 +449,12 @@ mod tests {
             for (&x, &m) in xs.iter().zip(&masks) {
                 s = tape.lstm_step(x, s, m, wx, wh, b);
             }
-            let read = if read_c {
-                (s, 0..2 * hd)
-            } else {
-                (tape.slice_cols(s, 0, hd), 0..hd)
+            let reads = match read {
+                Read::Both => vec![(s, weights(0, 2 * hd))],
+                Read::H => vec![(tape.slice_cols(s, 0, hd), weights(0, hd))],
+                Read::HAndZeroC => unreachable!("a fused run reads the state or its h"),
             };
-            (tape.value(s).clone(), vec![read], vec![s0])
+            (tape.value(s).clone(), reads, vec![s0])
         } else {
             let (h0, c0) = (
                 tape.constant(case.h0.clone()),
@@ -436,19 +464,20 @@ mod tests {
             for (&x, &m) in xs.iter().zip(&masks) {
                 s = case.cell.masked_step(&mut tape, &case.store, x, m, s);
             }
-            let mut read = vec![(s.h, 0..hd)];
-            read.extend(read_c.then_some((s.c, hd..2 * hd)));
+            let mut reads = vec![(s.h, weights(0, hd))];
+            match read {
+                Read::Both => reads.push((s.c, weights(hd, 2 * hd))),
+                Read::H => {}
+                Read::HAndZeroC => reads.push((s.c, Tensor::zeros(case.r.rows(), hd))),
+            }
             let state = side_by_side(tape.value(s.h), tape.value(s.c));
-            (state, read, vec![h0, c0])
+            (state, reads, vec![h0, c0])
         };
-        let terms: Vec<Var> = read
+        let terms: Vec<Var> = reads
             .into_iter()
-            .map(|(v, range)| {
-                let r: Vec<f32> = (0..case.r.rows())
-                    .flat_map(|row| case.r.row(row)[range.clone()].to_vec())
-                    .collect();
-                let rv = tape.constant(Tensor::from_vec(case.r.rows(), range.len(), r));
-                let m = tape.mul(v, rv);
+            .map(|(v, w)| {
+                let wv = tape.constant(w);
+                let m = tape.mul(v, wv);
                 tape.sum_all(m)
             })
             .collect();
@@ -466,7 +495,7 @@ mod tests {
             _ => unreachable!(),
         });
         if !data {
-            out.extend(xs.iter().chain(&masks).map(|&v| bits(&tape.grad(v))));
+            out.extend(xs.iter().map(|&v| bits(&tape.grad(v))));
         }
         out
     }
@@ -475,15 +504,30 @@ mod tests {
     fn lstm_step_matches_the_per_gate_composition_bit_for_bit() {
         for seed in 0..16u64 {
             let case = case(seed);
-            for (data, read_c) in [(false, false), (false, true), (true, false), (true, true)] {
-                let (fused, oracle) = (
-                    run(&case, true, data, read_c),
-                    run(&case, false, data, read_c),
+            for data in [false, true] {
+                let at = format!("seed {seed}, data {data}");
+                let same = |fused: &[Vec<u32>], oracle: &[Vec<u32>], what: &str| {
+                    assert_eq!(fused.len(), oracle.len(), "{at}, {what}");
+                    for (k, (f, o)) in fused.iter().zip(oracle).enumerate() {
+                        assert_eq!(f, o, "{at}, {what}: part {k}");
+                    }
+                };
+                let both = run(&case, true, data, Read::Both);
+                same(&both, &run(&case, false, data, Read::Both), "both read");
+                let h = run(&case, true, data, Read::H);
+                same(&h, &run(&case, false, data, Read::HAndZeroC), "c zero-read");
+                // Left unread, the composition's `c` gets no gradient at
+                // all, and the fused step a slice's zeros. Only the sign of
+                // a zero in the initial state's gradient may differ.
+                let mut unread = run(&case, false, data, Read::H);
+                let values = |b: &[u32]| b.iter().map(|&v| f32::from_bits(v)).collect::<Vec<_>>();
+                assert_eq!(
+                    values(&h[STATE0_GRAD]),
+                    values(&unread[STATE0_GRAD]),
+                    "{at}, c unread: initial state's gradient values"
                 );
-                assert_eq!(fused.len(), oracle.len());
-                for (k, (f, o)) in fused.iter().zip(&oracle).enumerate() {
-                    assert_eq!(f, o, "seed {seed}, data {data}, read_c {read_c}: part {k}");
-                }
+                unread[STATE0_GRAD].clone_from(&h[STATE0_GRAD]);
+                same(&h, &unread, "c unread");
             }
         }
     }

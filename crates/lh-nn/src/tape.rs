@@ -45,7 +45,10 @@
 //! * [`Tape::lstm_step`], one masked LSTM step whose value is the state
 //!   `[h | c]`, replaces the step's 25 nodes: two `matmul`s, the gate
 //!   `add`s, four `slice_cols`, the activations, the cell products and the
-//!   mask blend.
+//!   mask blend. Its mask is data. A half of the state that no later op
+//!   reads gets the zeros a slice scatters, where the composition gave it
+//!   no gradient at all: the parameter gradients keep the composition's
+//!   bits, and the state's gradient can differ only in the sign of a zero.
 //!
 //! # Forks
 //!
@@ -161,8 +164,7 @@ struct GatAttend {
 }
 
 /// What [`Tape::lstm_step`] keeps for its backward: the inputs, the gate
-/// activations and the cell, and which halves of its `[h | c]` output a
-/// later op reads.
+/// activations and the cell.
 #[derive(Debug)]
 struct LstmStep {
     x: usize,
@@ -175,11 +177,6 @@ struct LstmStep {
     acts: Tensor,
     /// `[c | tanh(c)]` before the mask blend, `B×2H`.
     cell: Tensor,
-    /// Whether a later op reads the `h` half, and the `c` half. The
-    /// composition this node replaces gave an unread half no gradient at
-    /// all, which is not the same bits as a zero one.
-    reads_h: bool,
-    reads_c: bool,
 }
 
 /// Negative slope of the leaky ReLU on GAT attention logits.
@@ -444,22 +441,13 @@ fn fork_threads() -> usize {
     }
 }
 
-/// `f` applied to every item, results in item order. Items go one at a
-/// time to scoped worker threads (the available parallelism, at most one
-/// per item), so uneven items balance; the calling thread waits. Runs
-/// inline when one thread would do, or when called on a fork's worker
-/// thread (see [`Tape::fork`]). Which thread runs an item never changes
-/// its result, so this is as deterministic as `f`.
-pub fn fork_join<I: Send, T: Send>(items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
-    fork_join_on(fork_threads(), items, f)
-}
-
-/// [`fork_join`] on up to `threads` worker threads.
-fn fork_join_on<I: Send, T: Send>(
-    threads: usize,
-    items: Vec<I>,
-    f: impl Fn(I) -> T + Sync,
-) -> Vec<T> {
+/// `f` applied to every item, results in item order: the executor of
+/// [`Tape::fork`] and of its backward. Items go one at a time to up to
+/// `threads` scoped worker threads (at most one per item), so uneven items
+/// balance; the calling thread waits. Runs inline when one thread would
+/// do. Which thread runs an item never changes its result, so this is as
+/// deterministic as `f`.
+fn fork_join<I: Send, T: Send>(threads: usize, items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T> {
     let (n, threads) = (items.len(), threads.min(items.len()));
     if threads <= 1 {
         return items.into_iter().map(f).collect();
@@ -508,20 +496,7 @@ impl Tape {
 
     fn push(&mut self, value: Tensor, op: Op) -> Var {
         let mut tracked = false;
-        op.for_each_input(|p| {
-            let input = &mut self.nodes[p];
-            tracked |= input.tracked;
-            if let Op::LstmStep(step) = &mut input.op {
-                // A slice reads the halves it overlaps, any other op both.
-                let half = input.value.cols() / 2;
-                let (h, c) = match &op {
-                    &Op::SliceCols(_, from, to) => (from < half, to > half),
-                    _ => (true, true),
-                };
-                step.reads_h |= h;
-                step.reads_c |= c;
-            }
-        });
+        op.for_each_input(|p| tracked |= self.nodes[p].tracked);
         self.nodes.push(Node { value, op, tracked });
         Var(self.nodes.len() - 1)
     }
@@ -927,15 +902,17 @@ impl Tape {
     /// and `h·Wh`, then `(xg + hg) + b`; the sigmoid as `1/(1 + e^(−x))`
     /// and `tanh`; `(f·c) + (i·g)` and `o·tanh(c)`; the mask blend. Each
     /// gate block's gradient keeps the `+ 0.0` that the composition's four
-    /// slice scatters added, and a half of the output that no later op
-    /// reads sends back no gradient, as an unread node did. `x` and `mask`
-    /// get gradients only when they are tracked, so a data leaf costs
-    /// nothing. The gradients are bit-identical to that composition's when
-    /// the six inputs are distinct nodes, `state` feeds this op alone, and
-    /// one op reads this node (the next step, or a slice). Two ops reading
-    /// one half each would sum their zero-padded gradients, as two slices
-    /// of one node always do, where the composition kept `h` and `c`
-    /// apart: the same values, but a `−0.0` upstream can come out `+0.0`.
+    /// slice scatters added. The mask must be data ([`Tape::input`]); `x`
+    /// gets a gradient only when it is tracked. The gradients are that
+    /// composition's bits when the six inputs are distinct nodes, `state`
+    /// feeds this op alone, and one op reads this node (the next step, or
+    /// a slice). A half that no op reads gets a slice's `+0.0`s where the
+    /// composition gave it no gradient: `∂c·m + ∂tanh` with `∂c = +0.0`
+    /// differs from `∂tanh` only in the sign of a zero, which the gate
+    /// gradients' `+ 0.0` erases, so only `state`'s gradient can differ,
+    /// in the sign of a zero. Two ops reading one half each would sum
+    /// their zero-padded gradients, as two slices of one node always do:
+    /// the same values, but a `−0.0` upstream can come out `+0.0`.
     pub fn lstm_step(&mut self, x: Var, state: Var, mask: Var, wx: Var, wh: Var, b: Var) -> Var {
         let inputs = [x, state, mask, wx, wh, b];
         for (k, v) in inputs.iter().enumerate() {
@@ -944,6 +921,10 @@ impl Tape {
                 "lstm_step needs six distinct inputs"
             );
         }
+        assert!(
+            !self.nodes[mask.0].tracked,
+            "lstm_step: the mask must be data (Tape::input)"
+        );
         let (vx, vs, vm) = (
             &self.nodes[x.0].value,
             &self.nodes[state.0].value,
@@ -1007,8 +988,6 @@ impl Tape {
             b: b.0,
             acts,
             cell,
-            reads_h: false,
-            reads_c: false,
         };
         self.push(out, Op::LstmStep(Box::new(op)))
     }
@@ -1039,7 +1018,7 @@ impl Tape {
     where
         F: Fn(&mut Tape, usize) -> Var + Sync,
     {
-        let children = fork_join_on(threads, (0..n).collect(), |i| {
+        let children = fork_join(threads, (0..n).collect(), |i| {
             let mut child = Tape::new();
             let out = f(&mut child, i);
             (child, out)
@@ -1300,7 +1279,7 @@ fn join_fork(fork: &mut Fork, at: usize, g: Tensor, grads: &mut [Option<Tensor>]
         }
     });
     let jobs = std::mem::take(&mut fork.children).into_iter().zip(seeds);
-    fork.children = fork_join_on(fork.threads, jobs.collect(), |((mut child, out), seed)| {
+    fork.children = fork_join(fork.threads, jobs.collect(), |((mut child, out), seed)| {
         match seed {
             Some(seed) => child.backward_from(out, seed),
             None => {
@@ -1325,9 +1304,11 @@ fn join_fork(fork: &mut Fork, at: usize, g: Tensor, grads: &mut [Option<Tensor>]
 
 /// The backward of [`Tape::lstm_step`]: the composition's nodes in
 /// reverse, fused per element where they are elementwise. In the order
-/// the composition ran them: the mask blend (`oc`, `oh`, `inv`, `−m`,
-/// `mc`, `mh`), `o·tanh(c)`, `tanh`, `(f·c) + (i·g)`, the activations, the
-/// four slice scatters, `+ b`, then the `h·Wh` and `x·Wx` matmuls.
+/// the composition ran them: the mask blend (`oc`, `oh`, `mc`, `mh`; the
+/// mask is data, so `1 − m` gets nothing), `o·tanh(c)`, `tanh`,
+/// `(f·c) + (i·g)`, the activations, the four slice scatters, `+ b`, then
+/// the `h·Wh` and `x·Wx` matmuls. Both halves of `g` are read: an unread
+/// half arrives as a slice's zeros.
 fn lstm_step_backward(
     op: &LstmStep,
     g: &Tensor,
@@ -1336,7 +1317,6 @@ fn lstm_step_backward(
 ) {
     let (rows, hd) = (op.cell.rows(), op.cell.cols() / 2);
     let tracked = |v: usize| nodes[v].tracked;
-    let (h_in, c_in) = (op.reads_h, op.reads_c);
     let (vx, vs) = (&nodes[op.x].value, &nodes[op.state].value);
     let vm = nodes[op.mask].value.data();
     let mut gates = Tensor::zeros(rows, 4 * hd);
@@ -1354,30 +1334,17 @@ fn lstm_step_backward(
             // first into c's gradient.
             let dnh = gh * m;
             let d_tanh = dnh * o * (1.0 - tc * tc);
-            let dc = match (h_in, c_in) {
-                (true, true) => gc * m + d_tanh,
-                (true, false) => d_tanh,
-                (false, _) => gc * m,
-            };
+            let dc = gc * m + d_tanh;
             gg[j] = dc * gv * (i * (1.0 - i)) + 0.0;
             gg[hd + j] = dc * c_old * (f * (1.0 - f)) + 0.0;
             gg[2 * hd + j] = dc * i * (1.0 - gv * gv) + 0.0;
-            gg[3 * hd + j] = if h_in {
-                dnh * tc * (o * (1.0 - o)) + 0.0
-            } else {
-                0.0
-            };
+            gg[3 * hd + j] = dnh * tc * (o * (1.0 - o)) + 0.0;
             if let Some(gs) = &mut g_state {
                 let gs = gs.row_mut(r);
-                if h_in {
-                    gs[j] = gh * inv;
-                }
-                gs[hd + j] = if c_in { gc * inv + dc * f } else { dc * f };
+                gs[j] = gh * inv;
+                gs[hd + j] = gc * inv + dc * f;
             }
         }
-    }
-    if tracked(op.mask) {
-        lstm_mask_grads(op, g, nodes, acc);
     }
     if tracked(op.b) {
         acc(
@@ -1393,7 +1360,7 @@ fn lstm_step_backward(
         let from_wh = gates.matmul(&nodes[op.wh].value.transpose());
         for r in 0..rows {
             for (s, &t) in gs.row_mut(r)[..hd].iter_mut().zip(from_wh.row(r)) {
-                *s = if h_in { *s + t } else { t };
+                *s += t;
             }
         }
         acc(op.state, gs);
@@ -1406,43 +1373,6 @@ fn lstm_step_backward(
     }
     if tracked(op.wx) {
         acc(op.wx, vx.transpose().matmul(&gates));
-    }
-}
-
-/// A tracked mask's three gradient terms from [`Tape::lstm_step`], in the
-/// composition's order: through `−1·m + 1` (the `old·inv` products' row
-/// sums, `c` before `h`), through `c·m`, through `(o·tanh c)·m`. Each
-/// product is summed to `B×1` as `reduce_to_shape` sums it.
-fn lstm_mask_grads(op: &LstmStep, g: &Tensor, nodes: &[Node], acc: &mut impl FnMut(usize, Tensor)) {
-    let (rows, hd) = (op.cell.rows(), op.cell.cols() / 2);
-    let vs = &nodes[op.state].value;
-    let half_sums = |g_at: usize, other: &dyn Fn(usize, usize) -> f32| {
-        let mut t = Tensor::zeros(rows, hd);
-        for r in 0..rows {
-            for j in 0..hd {
-                t.set(r, j, g.get(r, g_at + j) * other(r, j));
-            }
-        }
-        reduce_to_shape(t, (rows, 1))
-    };
-    let through_old_c = op.reads_c.then(|| half_sums(hd, &|r, j| vs.get(r, hd + j)));
-    let through_old_h = op.reads_h.then(|| half_sums(0, &|r, j| vs.get(r, j)));
-    let through_inv = match (through_old_c, through_old_h) {
-        (Some(mut c), Some(h)) => {
-            c.add_assign(&h);
-            Some(c)
-        }
-        (c, h) => c.or(h),
-    };
-    if let Some(t) = through_inv {
-        acc(op.mask, Unary::Scale(-1.0).value(&t));
-    }
-    if op.reads_c {
-        acc(op.mask, half_sums(hd, &|r, j| op.cell.get(r, j)));
-    }
-    if op.reads_h {
-        let new_h = |r: usize, j: usize| op.acts.get(r, 3 * hd + j) * op.cell.get(r, hd + j);
-        acc(op.mask, half_sums(0, &new_h));
     }
 }
 
@@ -1828,16 +1758,7 @@ mod tests {
                 }
             };
             let xs: Vec<Var> = steps.iter().map(|t| leaf(&mut tape, t)).collect();
-            let masks: Vec<Var> = if as_data {
-                sequence_masks(&mut tape, &[4, 2], 4)
-            } else {
-                (0..4)
-                    .map(|t| {
-                        let col = [4, 2].map(|l| if t < l { 1.0 } else { 0.0 });
-                        tape.constant(Tensor::from_vec(2, 1, col.to_vec()))
-                    })
-                    .collect()
-            };
+            let masks = sequence_masks(&mut tape, &[4, 2], 4);
             let h = lstm.forward_sequence(&mut tape, &store, &xs, &masks);
             let y = head.forward(&mut tape, &store, h);
             let t = leaf(&mut tape, &target);
@@ -1854,11 +1775,10 @@ mod tests {
         let ((constant, terms_constant), (data, terms_data)) = (run(false), run(true));
         assert_eq!(constant, data);
         // With data leaves the fused steps skip exactly the terms that
-        // would have reached them: one per step for `x`, three per step
-        // for the mask (through `1 − m`, `c·m` and `h·m`; two at the last
-        // step, whose `c` half nothing reads), and the target's one.
+        // would have reached them: one per step for `x`, and the target's
+        // one.
         let steps = 4;
-        let skipped = steps + 3 * (steps - 1) + 2 + 1;
+        let skipped = steps + 1;
         assert_eq!(
             terms_constant - terms_data,
             skipped,
@@ -1886,18 +1806,17 @@ mod tests {
         let inputs = lstm_inputs();
         let r = Tensor::from_vec(3, 4, (0..12).map(|k| 0.3 + 0.1 * k as f32).collect());
         // Both halves read, then only `h` (the last step of a sequence).
+        // Every input but the mask, which is data.
         for to in [4, 2] {
-            for k in 0..6 {
+            for k in [0, 1, 3, 4, 5] {
                 gradcheck(
                     inputs[k].clone(),
                     |t, v| {
                         let vars: Vec<Var> = (0..6)
-                            .map(|j| {
-                                if j == k {
-                                    v
-                                } else {
-                                    t.constant(inputs[j].clone())
-                                }
+                            .map(|j| match j {
+                                _ if j == k => v,
+                                2 => t.input(inputs[j].clone()),
+                                _ => t.constant(inputs[j].clone()),
                             })
                             .collect();
                         let out = t.lstm_step(vars[0], vars[1], vars[2], vars[3], vars[4], vars[5]);
@@ -1909,6 +1828,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "the mask must be data")]
+    fn lstm_step_rejects_a_tracked_mask() {
+        let mut tape = Tape::new();
+        let [x, state, mask, wx, wh, b] = lstm_inputs().map(|t| tape.constant(t));
+        let _ = tape.lstm_step(x, state, mask, wx, wh, b);
     }
 
     /// Child `i` of the fork tests: data row `i` through the shared `w`
@@ -2023,10 +1950,10 @@ mod tests {
 
     #[test]
     fn fork_join_keeps_item_order_and_propagates_panics() {
-        let squares = fork_join_on(2, (0..37).collect(), |i: u64| i * i);
+        let squares = fork_join(2, (0..37).collect(), |i: u64| i * i);
         assert_eq!(squares, (0..37).map(|i| i * i).collect::<Vec<_>>());
         let caught = std::panic::catch_unwind(|| {
-            fork_join_on(2, vec![1, 2, 3], |i: i32| {
+            fork_join(2, vec![1, 2, 3], |i: i32| {
                 assert!(i != 2, "item two fails");
                 i
             })

@@ -5,7 +5,6 @@
 //! empty-store and fusion-factor cases) while rejecting truncated
 //! payloads with an error instead of a panic.
 
-use bytes::Bytes;
 use lh_repro::plugin::{EmbeddingStore, PluginVariant, RetrievalResult};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -142,10 +141,10 @@ proptest! {
         frac in 0.0f64..1.0,
     ) {
         for variant in PluginVariant::ABLATION {
-            let full = random_store(variant, n, dim, seed).to_bytes().to_vec();
+            let full = random_store(variant, n, dim, seed).to_bytes();
             let cut = ((full.len() as f64) * frac) as usize;
             prop_assume!(cut < full.len());
-            let res = EmbeddingStore::from_bytes(Bytes::from(full[..cut].to_vec()));
+            let res = EmbeddingStore::from_bytes(&full[..cut]);
             prop_assert!(res.is_err(), "{} cut={} len={}", variant.name(), cut, full.len());
         }
     }

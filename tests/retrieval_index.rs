@@ -9,7 +9,6 @@
 //! round-trip exactly while rejecting truncated payloads with an error
 //! instead of a panic.
 
-use bytes::Bytes;
 use lh_repro::plugin::retrieval::index::bound::mix_factor_cap;
 use lh_repro::plugin::{
     BoundSpace, EmbeddingStore, IndexParams, IndexedStore, PluginVariant, RetrievalResult,
@@ -223,7 +222,7 @@ proptest! {
         for variant in PluginVariant::ABLATION {
             let ix = build(random_store(variant, n, dim, seed), n_cells);
             let payload = ix.to_bytes();
-            let restored = IndexedStore::from_bytes(payload.clone())
+            let restored = IndexedStore::from_bytes(&payload)
                 .expect("freshly encoded index must decode");
             prop_assert_eq!(&restored, &ix, "{}", variant.name());
             let queries = random_store(variant, 2, dim, seed ^ 0xc0dec);
@@ -233,11 +232,10 @@ proptest! {
                     bits(&ix.knn(&queries, qi, 7))
                 );
             }
-            let full = payload.to_vec();
-            let cut = ((full.len() as f64) * frac) as usize;
-            prop_assume!(cut < full.len());
-            let res = IndexedStore::from_bytes(Bytes::from(full[..cut].to_vec()));
-            prop_assert!(res.is_err(), "{} cut={} len={}", variant.name(), cut, full.len());
+            let cut = ((payload.len() as f64) * frac) as usize;
+            prop_assume!(cut < payload.len());
+            let res = IndexedStore::from_bytes(&payload[..cut]);
+            prop_assert!(res.is_err(), "{} cut={} len={}", variant.name(), cut, payload.len());
         }
     }
 }
