@@ -15,12 +15,25 @@ use traj_dist::MeasureKind;
 
 use crate::args::Args;
 
-/// Builds a spec from CLI overrides with harness defaults. A zero `--n`
-/// or `--batch` is a usage error: the process exits with code 2 and a
-/// usage line instead of starting an experiment that cannot run.
+/// Rows `default_spec` keeps for the database: `--queries` is clamped to
+/// `--n` minus these.
+const MIN_DATABASE: usize = 10;
+
+/// Builds a spec from CLI overrides with harness defaults. A zero `--n`,
+/// `--queries` or `--batch`, or an `--n` that leaves no query beside the
+/// database, is a usage error: the process exits with code 2 and a usage
+/// line instead of starting an experiment that cannot run or would report
+/// accuracy over no query.
 pub fn default_spec(args: &Args) -> ExperimentSpec {
     let n = positive(args, "n", 160);
-    let n_queries = args.get("queries", 30usize).min(n.saturating_sub(10));
+    let n_queries = positive(args, "queries", 30).min(n.saturating_sub(MIN_DATABASE));
+    if n_queries == 0 {
+        eprintln!(
+            "usage: --n takes more than {MIN_DATABASE} rows, a database and a query \
+             (got {n})"
+        );
+        std::process::exit(2);
+    }
     ExperimentSpec {
         preset: match args.get_str("preset") {
             Some("porto") => DatasetPreset::Porto,

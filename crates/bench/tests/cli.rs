@@ -38,3 +38,26 @@ fn default_spec_bins_reject_a_zero_n_or_batch() {
         );
     }
 }
+
+/// A run with no query is a usage error too: `--queries 0`, and an `--n`
+/// of 10 or less, which the database's ten rows leave no query. Such a
+/// run used to train, print HR@10 0.000 and exit 0.
+#[test]
+fn default_spec_bins_reject_a_run_with_no_query() {
+    for (args, key) in [
+        (["--queries", "0"], "--queries"),
+        (["--n", "10"], "--n"),
+        (["--n", "1"], "--n"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig7_training_curves"))
+            .args(args)
+            .args(["--epochs", "1"])
+            .output()
+            .expect("the binary starts");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains(key),
+            "{args:?}: no usage message"
+        );
+    }
+}

@@ -20,6 +20,10 @@
 //!    recording the bound-space centroid distance the query path prunes
 //!    with.
 //!
+//! Steps 3 and 4 run on up to the caller's thread count; each writes its
+//! results in row order, so the cells are the same bits on one thread as
+//! on many.
+//!
 //! Only *finite* rows — every stored value finite — train (steps 1–3);
 //! every row is assigned (step 4). A row with a NaN or `±∞` coordinate
 //! is at distance NaN or `∞` from every centroid, so it would be the
@@ -361,29 +365,30 @@ fn training_plan(
     Some((sample, n_cells))
 }
 
-/// Partitions `store` into cells per `params` (module docs): one centroid
-/// row per cell, same layout as the store, and the cells parallel to them.
+/// Partitions `store` into cells per `params` (module docs) on at most
+/// `threads` threads: one centroid row per cell, same layout as the
+/// store, and the cells parallel to them.
 pub(crate) fn build_cells(
     store: &EmbeddingStore,
     space: &BoundSpace,
     params: &IndexParams,
+    threads: usize,
 ) -> (EmbeddingStore, Vec<IndexCell>) {
     let Some((sample, n_cells)) = training_plan(store, space, params) else {
         return (store.empty_like(), Vec::new());
     };
+    let workers = |items: usize| default_threads(items).min(threads);
     let mut centroids = seed_centroids(store, &sample, n_cells);
     for _ in 0..LLOYD_ITERS {
         let block = LaneBlock::gather(&centroids, n_cells, |j| j);
-        let assigned = parallel_map(sample.len(), default_threads(sample.len()), |si| {
+        let assigned = parallel_map(sample.len(), workers(sample.len()), |si| {
             nearest_centroid(&block, store, sample[si] as usize).0
         });
         centroids = refine(store, &sample, &centroids, assigned);
     }
     let block = LaneBlock::gather(&centroids, n_cells, |j| j);
     let n = store.len();
-    let assigned = parallel_map(n, default_threads(n), |i| {
-        nearest_centroid(&block, store, i)
-    });
+    let assigned = parallel_map(n, workers(n), |i| nearest_centroid(&block, store, i));
     let cells = cells_from(store, space, &centroids, assigned);
     (centroids, cells)
 }
@@ -470,7 +475,7 @@ mod tests {
     /// cell counts on and off a multiple of the lane width, stores with
     /// exact duplicate rows (ties go to the lowest cell and row id; with
     /// more cells than distinct rows, seeding ties at distance 0), and
-    /// stores with non-finite rows.
+    /// stores with non-finite rows — on one thread and on every core.
     #[test]
     fn lane_build_matches_the_scalar_oracle() {
         for variant in PluginVariant::ABLATION {
@@ -485,7 +490,7 @@ mod tests {
                     n_cells: Some(n_cells),
                 };
                 assert_eq!(
-                    build_bits(&build_cells(&tiny, &space, &params)),
+                    build_bits(&build_cells(&tiny, &space, &params, usize::MAX)),
                     build_bits(&scalar_build_cells(&tiny, &space, &params)),
                     "{} tiny cells={n_cells}",
                     variant.name()
@@ -503,12 +508,15 @@ mod tests {
                     let params = IndexParams {
                         n_cells: Some(n_cells),
                     };
-                    assert_eq!(
-                        build_bits(&build_cells(&s, &space, &params)),
-                        build_bits(&scalar_build_cells(&s, &space, &params)),
-                        "{} seed={seed} cells={n_cells}",
-                        variant.name()
-                    );
+                    let oracle = build_bits(&scalar_build_cells(&s, &space, &params));
+                    for threads in [1, usize::MAX] {
+                        assert_eq!(
+                            build_bits(&build_cells(&s, &space, &params, threads)),
+                            oracle,
+                            "{} seed={seed} cells={n_cells} threads={threads}",
+                            variant.name()
+                        );
+                    }
                 }
             }
         }
@@ -535,7 +543,7 @@ mod tests {
                 let params = IndexParams {
                     n_cells: Some(n_cells),
                 };
-                let (centroids, cells) = build_cells(&s, &space, &params);
+                let (centroids, cells) = build_cells(&s, &space, &params, usize::MAX);
                 assert_eq!(centroids.len(), n_cells);
                 let mut all: Vec<u32> = cells
                     .iter()
@@ -563,8 +571,8 @@ mod tests {
         let s = store_with_rows(PluginVariant::FusionDist);
         let space = BoundSpace::for_store(&s);
         let p = IndexParams { n_cells: Some(2) };
-        let a = build_cells(&s, &space, &p);
-        let b = build_cells(&s, &space, &p);
+        let a = build_cells(&s, &space, &p, usize::MAX);
+        let b = build_cells(&s, &space, &p, usize::MAX);
         assert_eq!(a.0, b.0);
         let bits = |cells: &[IndexCell]| -> Vec<(Vec<u32>, Vec<u64>)> {
             cells
@@ -588,7 +596,7 @@ mod tests {
         let BoundSpace::ConvexMix { beta } = space else {
             panic!("benign fused rows must certify, got {space:?}");
         };
-        let (centroids, cells) = build_cells(&s, &space, &IndexParams::default());
+        let (centroids, cells) = build_cells(&s, &space, &IndexParams::default(), usize::MAX);
         let lo_space = BoundSpace::LorentzGeodesic { beta };
         for (j, c) in cells.iter().enumerate() {
             for (i, &m) in c.members.iter().enumerate() {
@@ -607,7 +615,7 @@ mod tests {
     fn hyperbolic_centroids_stay_on_hyperboloid() {
         let s = store_with_rows(PluginVariant::LorentzCosh);
         let space = BoundSpace::for_store(&s);
-        let (centroids, _) = build_cells(&s, &space, &IndexParams { n_cells: Some(2) });
+        let (centroids, _) = build_cells(&s, &space, &IndexParams { n_cells: Some(2) }, usize::MAX);
         for j in 0..centroids.len() {
             let h = centroids.hyper_row(j);
             let nsq: f32 = h[1..].iter().map(|v| v * v).sum();
@@ -628,7 +636,8 @@ mod tests {
         assert_eq!(BoundSpace::for_store(&bad), BoundSpace::None);
         for s in [empty, bad] {
             let space = BoundSpace::for_store(&s);
-            let (centroids, cells) = build_cells(&s, &space, &IndexParams { n_cells: Some(2) });
+            let (centroids, cells) =
+                build_cells(&s, &space, &IndexParams { n_cells: Some(2) }, usize::MAX);
             assert!(cells.is_empty() && centroids.is_empty());
             assert!(centroids.same_layout(&s));
         }

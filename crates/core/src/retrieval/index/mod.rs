@@ -179,11 +179,18 @@ pub struct IndexedStore {
 }
 
 impl IndexedStore {
-    /// Builds the index over `store` (see [`build`] for the pipeline).
-    /// The bound space is read off the store ([`BoundSpace::for_store`]).
+    /// Builds the index over `store` (see [`build`] for the pipeline)
+    /// on every core. The bound space is read off the store
+    /// ([`BoundSpace::for_store`]).
     pub fn build(store: EmbeddingStore, params: IndexParams) -> Self {
+        Self::build_on(store, params, usize::MAX)
+    }
+
+    /// [`IndexedStore::build`] on at most `threads` threads: the same
+    /// index, bit for bit, whatever the count.
+    pub(crate) fn build_on(store: EmbeddingStore, params: IndexParams, threads: usize) -> Self {
         let space = BoundSpace::for_store(&store);
-        let (centroids, cells) = build::build_cells(&store, &space, &params);
+        let (centroids, cells) = build::build_cells(&store, &space, &params, threads);
         IndexedStore {
             store,
             centroids,

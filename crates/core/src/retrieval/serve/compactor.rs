@@ -5,8 +5,9 @@
 //! reaches the shard's threshold *schedules* the shard (its id pushed
 //! onto an mpsc channel); the compactor thread drains the channel and
 //! runs the shard's one fold, `Shard::fold`: pin a snapshot under a
-//! briefly held writer lock, fold off-lock, install under the writer
-//! lock. Writers never pay the fold; queries never see it at all.
+//! briefly held writer lock, fold and prepare the install off-lock,
+//! commit under the writer lock. Writers never pay the fold and wait
+//! only on its commit; queries never see it at all.
 //!
 //! Scheduling is deduplicated with one atomic flag per shard — a shard
 //! sits in the queue at most once. The flag clears *before* the fold

@@ -32,20 +32,24 @@
 //! rebuilds the pivot index over it — with cells whenever the base's
 //! bound space can prune (every metric variant, and `fusion-dist` through
 //! the convex-mix bound). A shard folds in exactly one way, `Shard::fold`:
-//! pin a snapshot under a briefly held writer lock, fold it off-lock,
-//! then install the result under the writer lock, re-expressing the
-//! writes that landed since the pin against the new base. The `compactor`
-//! thread runs it for every shard whose churn reaches
+//! pin a snapshot under a briefly held writer lock; fold it, and prepare
+//! the install against a snapshot published after the fold, without the
+//! writer lock; then commit under the writer lock, applying only the
+//! writes that landed since that snapshot. The `compactor` thread runs it
+//! for every shard whose churn reaches
 //! [`ServingOptions::compact_threshold`], and
 //! [`ShardedServingStore::compact_inline`](sharded::ShardedServingStore::compact_inline)
-//! runs it on the calling thread; no writer ever pays the fold itself.
-//! Readers keep querying the old snapshot until the new one is published.
-//! Durability (`wal`) is WAL + atomic-rename checkpoint, each log named
-//! by the checkpoint epoch it extends: a fold's install writes the next
-//! epoch's log, commits at the checkpoint's rename, and changes nothing
-//! if it fails before it; recovery loads the last checkpoint, deletes
-//! every other epoch's log, replays the verified prefix of its own, and
-//! discards a torn tail.
+//! runs it on the calling thread; no writer ever pays the fold itself,
+//! and a writer waits on an install only for its commit, which is
+//! O(writes since the prepared snapshot). Readers keep querying the old
+//! snapshot until the new one is published. Durability (`wal`) is WAL +
+//! atomic-rename checkpoint, each log named by the install generation it
+//! extends: prepare writes the next generation's log and stages its
+//! checkpoint, commit completes the log and renames the checkpoint — the
+//! one commit point — and an install changes nothing if it fails before
+//! it; recovery loads the last checkpoint, deletes every other
+//! generation's log and every staged file, replays the verified prefix of
+//! its own log, and discards a torn tail.
 
 pub(crate) mod compactor;
 pub mod sharded;
@@ -60,9 +64,11 @@ use snapshot::{Delta, Snapshot};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, Mutex, MutexGuard, PoisonError, RwLock};
+use std::time::{Duration, Instant};
 use traj_core::codec::DecodeError;
-use wal::{WalFile, WalOp};
+use wal::{Record, StagedCheckpoint, WalFile, WalOp};
 
 /// One serving-tier retrieval hit: external id plus model distance.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,6 +161,15 @@ pub struct ServeStats {
     pub tombstones: usize,
     /// Compactions performed over this store's lifetime (persisted).
     pub compactions: u64,
+    /// Folds discarded since this process opened the store, because
+    /// another fold installed after they pinned.
+    pub stale_folds: u64,
+    /// Writer-lock hold of every install since this process opened the
+    /// store, from the commit's lock acquire to its release, rounded up
+    /// to whole µs.
+    pub install_hold_us_total: u64,
+    /// The longest single install hold, in µs rounded up.
+    pub install_hold_us_max: u64,
 }
 
 /// Where an external id currently lives.
@@ -172,13 +187,13 @@ struct Writer {
     /// shared by `Arc` with the published snapshots and updated
     /// copy-on-write, so publishing is a clone of a few pointers.
     view: Snapshot,
-    /// Folds installed: bumped at the one point where a fresh base is
-    /// swapped in. A fold pins the count it started from; an install
-    /// against a different count is stale and must be discarded (its
-    /// delta watermark indexes a delta that no longer exists).
+    /// Folds installed — the install generation: bumped at the one point
+    /// where a fresh base is swapped in. A fold pins the count it started
+    /// from; an install against a different count is stale and must be
+    /// discarded (its delta watermark indexes a delta that no longer
+    /// exists).
     compactions: u64,
     wal: Option<WalFile>,
-    dir: Option<PathBuf>,
 }
 
 impl Writer {
@@ -209,11 +224,125 @@ struct Pin {
     compactions: u64,
 }
 
+/// A fold between its prepare and its commit ([`Shard::prepare`]): the
+/// folded base, and the shard as snapshot `t` shows it, re-expressed
+/// against that base.
+struct Prepared {
+    /// The pin's compaction count: the commit checks it is still current.
+    compactions: u64,
+    /// Delta rows the fold absorbed.
+    watermark: usize,
+    /// The snapshot the state below is current to.
+    t: Snapshot,
+    base: Arc<IndexedStore>,
+    ids: Arc<Vec<u64>>,
+    /// Every id live in `t`, at its location after the install.
+    loc: HashMap<u64, Loc>,
+    base_dead: Tombstones,
+    /// `t`'s delta rows past the watermark.
+    delta: Delta,
+    delta_dead: Tombstones,
+    /// When durable: the next generation's log, holding the residue up to
+    /// `t`, and the staged checkpoint. Dropped uncommitted, both go.
+    files: Option<(WalFile, StagedCheckpoint)>,
+}
+
+impl Prepared {
+    /// Brings the state from `t` up to `to`, a later snapshot of the same
+    /// base, in O(writes between them) — whatever the number of live
+    /// ids — and logs those writes to the staged log:
+    ///
+    /// * delta rows past `t` join the new delta (bytewise row copies) and
+    ///   are logged as upserts, in delta order;
+    /// * every id those rows or the tombstones set since `t` name — found
+    ///   by comparing `t`'s bitset pages with `to`'s by pointer — has
+    ///   lost the row it had in `t`: its folded row, if it had one, becomes
+    ///   a base tombstone; it moves to its last delta row past `t` if that
+    ///   row is live, and is otherwise gone: out of `loc`, and logged as a
+    ///   removal;
+    /// * a delta tombstone past the watermark is rebased.
+    ///
+    /// Replaying the logged writes against the state at `t` therefore
+    /// rebuilds the state at `to`: the same segments, not just the same
+    /// live set.
+    fn catch_up(&mut self, to: Snapshot) -> Result<(), ServeError> {
+        let (from, wm) = (&self.t, self.watermark);
+        let past = from.delta.len()..to.delta.len();
+        let mut last = HashMap::with_capacity(past.len());
+        for j in past.clone() {
+            self.delta.push_row_from(&to.delta, j);
+            last.insert(to.delta.id(j), j);
+        }
+        let mut touched: Vec<u64> = last.keys().copied().collect();
+        let died_base = to.base_dead.added_since(&from.base_dead);
+        touched.extend(died_base.map(|r| to.base_ids[r]));
+        for j in to.delta_dead.added_since(&from.delta_dead) {
+            touched.push(to.delta.id(j));
+            if j >= wm {
+                self.delta_dead.insert(j - wm);
+            }
+        }
+        touched.sort_unstable();
+        touched.dedup();
+        let dead = to.delta_dead.mask();
+        let mut gone = Vec::new();
+        for id in touched {
+            if let Some(&Loc::Base(r)) = self.loc.get(&id) {
+                self.base_dead.insert(r as usize);
+            }
+            match last.get(&id) {
+                Some(&j) if !dead.is_some_and(|d| d.get(j)) => {
+                    self.loc.insert(id, Loc::Delta((j - wm) as u32));
+                }
+                _ => {
+                    self.loc.remove(&id);
+                    gone.push(id);
+                }
+            }
+        }
+        if let Some((log, _)) = &mut self.files {
+            for j in past {
+                log.push(upsert_record(&to.delta, j))?;
+            }
+            for id in gone {
+                log.push(Record::Remove { id })?;
+            }
+        }
+        self.t = to;
+        Ok(())
+    }
+
+    /// Writes [`Prepared::catch_up`] would absorb to reach `to`: delta
+    /// rows and tombstones added since `t`.
+    fn behind(&self, to: &Snapshot) -> usize {
+        let marks = |s: &Snapshot| s.delta.len() + s.base_dead.len() + s.delta_dead.len();
+        marks(to) - marks(&self.t)
+    }
+}
+
+/// Writes below which a prepare stops catching up off the lock and leaves
+/// the rest to its commit.
+const COMMIT_WRITES: usize = 64;
+/// Catch-up rounds a prepare runs at most, so writers that outpace it
+/// cannot keep it from its commit.
+const CATCH_UP_ROUNDS: usize = 8;
+
 /// The guard (or value) a lock call returns, also when a thread that
 /// panicked while holding the lock poisoned it: every serving-tier lock
 /// carries on past a poisoned lock instead of failing.
 fn unpoison<T>(result: LockResult<T>) -> T {
     result.unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Delta row `j` as a record to log.
+fn upsert_record(delta: &Delta, j: usize) -> Record<'_> {
+    let (rows, i) = delta.row(j);
+    Record::Upsert {
+        id: delta.id(j),
+        eu: rows.eu_row(i),
+        hyper: rows.variant().uses_hyperbolic().then(|| rows.hyper_row(i)),
+        factors: rows.factor_dim().map(|_| rows.factor_row(i)),
+    }
 }
 
 /// One shard of a sharded serving store: a writer, its WAL and
@@ -222,7 +351,15 @@ fn unpoison<T>(result: LockResult<T>) -> T {
 pub(crate) struct Shard {
     current: RwLock<Arc<Snapshot>>,
     writer: Mutex<Writer>,
+    /// Held from a fold's prepare through its commit, so two folds of one
+    /// shard never stage the same generation's files at once.
+    folding: Mutex<()>,
+    /// The shard's directory, when durable.
+    dir: Option<PathBuf>,
     opts: ServingOptions,
+    stale_folds: AtomicU64,
+    hold_ns_total: AtomicU64,
+    hold_ns_max: AtomicU64,
 }
 
 impl Shard {
@@ -245,29 +382,29 @@ impl Shard {
         opts: ServingOptions,
     ) -> Result<Shard, ServeError> {
         std::fs::create_dir_all(dir)?;
-        wal::write_checkpoint(&dir.join(wal::CKPT_FILE), 0, 0, &ids, &base)?;
+        wal::write_checkpoint(&dir.join(wal::CKPT_FILE), 0, &ids, &base)?;
         let wal_file = wal::create_wal(dir, 0, [], opts.fsync)?;
         Self::assemble(base, ids, opts, Some(wal_file), Some(dir.to_path_buf()), 0)
     }
 
     /// Recovers a durable shard from `dir`: loads the last checkpoint,
-    /// deletes every other epoch's log, and replays the verified prefix
-    /// of the checkpoint epoch's log (discarding a torn tail).
+    /// deletes every other generation's log and every staged file, and
+    /// replays the verified prefix of the checkpoint generation's log
+    /// (discarding a torn tail).
     pub(crate) fn recover(dir: &Path, opts: ServingOptions) -> Result<Shard, ServeError> {
         let ckpt = wal::read_checkpoint(&dir.join(wal::CKPT_FILE))?;
-        let (ops, wal_file) = wal::recover_wal(dir, ckpt.epoch, opts.fsync)?;
+        let (replay, wal_file) = wal::recover_wal(dir, ckpt.generation, opts.fsync)?;
         let shard = Self::assemble(
             ckpt.store,
             ckpt.ids,
             opts,
             Some(wal_file),
             Some(dir.to_path_buf()),
-            ckpt.compactions,
+            ckpt.generation,
         )?;
         // Replay without re-logging: the ops are already on disk.
         let mut w = unpoison(shard.writer.lock());
-        w.view.epoch = ckpt.epoch;
-        for op in ops {
+        for op in replay.ops {
             match op {
                 WalOp::Upsert {
                     id,
@@ -283,6 +420,7 @@ impl Shard {
                         w.view.epoch += 1;
                     }
                 }
+                WalOp::Epoch { epoch } => w.view.epoch = epoch,
             }
         }
         shard.publish(w);
@@ -327,13 +465,17 @@ impl Shard {
             view,
             compactions,
             wal,
-            dir,
         };
         let current = RwLock::new(Arc::new(writer.view.clone()));
         Ok(Shard {
             current,
             writer: Mutex::new(writer),
+            folding: Mutex::new(()),
+            dir,
             opts,
+            stale_folds: AtomicU64::new(0),
+            hold_ns_total: AtomicU64::new(0),
+            hold_ns_max: AtomicU64::new(0),
         })
     }
 
@@ -346,6 +488,7 @@ impl Shard {
     /// Current occupancy and lifecycle counters.
     pub(crate) fn stats(&self) -> ServeStats {
         let w = unpoison(self.writer.lock());
+        let us = |ns: &AtomicU64| ns.load(Ordering::Relaxed).div_ceil(1000);
         ServeStats {
             epoch: w.view.epoch,
             live_rows: w.loc.len(),
@@ -353,6 +496,9 @@ impl Shard {
             delta_rows: w.view.delta.len(),
             tombstones: w.view.base_dead.len() + w.view.delta_dead.len(),
             compactions: w.compactions,
+            stale_folds: self.stale_folds.load(Ordering::Relaxed),
+            install_hold_us_total: us(&self.hold_ns_total),
+            install_hold_us_max: us(&self.hold_ns_max),
         }
     }
 
@@ -375,11 +521,11 @@ impl Shard {
         let mut w = unpoison(self.writer.lock());
         Self::check_shape(w.view.delta.layout(), eu, hyper, factors)?;
         if let Some(wal) = w.wal.as_mut() {
-            wal.append(&WalOp::Upsert {
+            wal.append(Record::Upsert {
                 id,
-                eu: eu.to_vec(),
-                hyper: hyper.map(<[f32]>::to_vec),
-                factors: factors.map(<[f32]>::to_vec),
+                eu,
+                hyper,
+                factors,
             })?;
         }
         let replaced = Self::apply_upsert(&mut w, id, eu, hyper, factors)?;
@@ -395,7 +541,7 @@ impl Shard {
             return Ok((false, w.churn()));
         }
         if let Some(wal) = w.wal.as_mut() {
-            wal.append(&WalOp::Remove { id })?;
+            wal.append(Record::Remove { id })?;
         }
         let existed = Self::apply_remove(&mut w, id);
         debug_assert!(existed);
@@ -404,21 +550,30 @@ impl Shard {
     }
 
     /// The one fold: folds delta + tombstones into a fresh indexed base
-    /// in three steps, and — when durable — checkpoints and truncates the
-    /// WAL. Returns whether the fold was installed (`false` means another
-    /// fold swapped the base first and this one was discarded as stale).
+    /// and installs it — when durable, with the next generation's
+    /// checkpoint and log. Returns whether the fold was installed (`false`
+    /// means another fold swapped the base first and this one was
+    /// discarded as stale, counted in [`ServeStats::stale_folds`]).
     ///
     /// 1. *Pin* the current state (snapshot, delta watermark, compaction
     ///    count) under a briefly held writer lock.
-    /// 2. *Fold* without holding any lock: materialize the pinned live
-    ///    rows in snapshot order through `Snapshot::to_flat`'s bytewise
-    ///    row copies and build the pivot index over them. The folded base
-    ///    has no tombstones, so queries against it stay bit-identical to
-    ///    queries against the pinned snapshot: same candidates, same
-    ///    `f32` bits, and a key order that is the same monotone remap of
-    ///    live ordinals on both sides. Readers keep querying published
-    ///    snapshots; writers keep appending to the current delta.
-    /// 3. *Install* under the writer lock ([`Shard::install_fold`]).
+    /// 2. *Prepare* without the writer lock ([`Shard::prepare`]): fold the
+    ///    pinned snapshot — materialize its live rows in snapshot order
+    ///    through `Snapshot::to_flat`'s bytewise row copies and build the
+    ///    pivot index over them on the folding thread alone — then, when
+    ///    durable, stage the
+    ///    checkpoint, and catch the shard's state, re-expressed against
+    ///    the folded base, up with a snapshot `T` published after all
+    ///    that, logging the writes it absorbs to the next log.
+    ///    The folded base has no tombstones, so queries against it stay
+    ///    bit-identical to queries against the pinned snapshot: same
+    ///    candidates, same `f32` bits, and a key order that is the same
+    ///    monotone remap of live ordinals on both sides. Readers keep
+    ///    querying published snapshots; writers keep appending to the
+    ///    current delta and log.
+    /// 3. *Commit* under the writer lock ([`Shard::install_fold`]).
+    ///
+    /// Folds of one shard run one at a time from step 2 on.
     pub(crate) fn fold(&self) -> Result<bool, ServeError> {
         self.fold_pinned(self.pin())
     }
@@ -435,16 +590,79 @@ impl Shard {
 
     /// Steps 2 and 3 of [`Shard::fold`], from `pin`.
     fn fold_pinned(&self, pin: Pin) -> Result<bool, ServeError> {
-        let (rows, ids) = pin.snapshot.to_flat();
-        let base = Arc::new(IndexedStore::build(rows, self.opts.index_params));
-        let w = unpoison(self.writer.lock());
-        if w.compactions != pin.compactions {
-            // A racing fold already replaced the base; the watermark no
-            // longer indexes the live delta. Drop this one.
-            return Ok(false);
+        let _folding = unpoison(self.folding.lock());
+        let installed = match self.prepare(pin)? {
+            Some(prepared) => self.install_fold(prepared)?,
+            None => false,
+        };
+        if !installed {
+            self.stale_folds.fetch_add(1, Ordering::Relaxed);
         }
-        self.install_fold(w, base, Arc::new(ids), pin.watermark)?;
-        Ok(true)
+        Ok(installed)
+    }
+
+    /// Step 2 of [`Shard::fold`]: folds `pin`'s snapshot and prepares
+    /// its install; `None` when the pin is stale (another fold installed
+    /// since).
+    ///
+    /// The folded rows are the pinned snapshot's live rows, so against
+    /// them the pinned state is every id at its folded row, with no
+    /// tombstone and an empty delta. When durable, the next generation's
+    /// log is created and the checkpoint staged. Then the prepare catches
+    /// up with the snapshots published since ([`Prepared::catch_up`]), in
+    /// rounds, until a round finds fewer than [`COMMIT_WRITES`] writes to
+    /// absorb (or after [`CATCH_UP_ROUNDS`]), and flushes the log — with
+    /// fsync on, syncs it. The last snapshot it caught up with is `T`.
+    fn prepare(&self, pin: Pin) -> Result<Option<Prepared>, ServeError> {
+        let pinned_base = Arc::clone(&pin.snapshot.base);
+        let stale = |t: &Snapshot| !Arc::ptr_eq(&t.base, &pinned_base);
+        if stale(&self.snapshot()) {
+            return Ok(None);
+        }
+        let (rows, ids) = pin.snapshot.to_flat();
+        // One thread: writers run beside the fold, and a build on every
+        // core would take a writer's core for as long as it runs. The
+        // index is the same bits on any thread count.
+        let base = Arc::new(IndexedStore::build_on(rows, self.opts.index_params, 1));
+        let files = match &self.dir {
+            None => None,
+            Some(dir) => {
+                let generation = pin.compactions + 1;
+                let log = wal::stage_wal(dir, generation, self.opts.fsync)?;
+                let ckpt_path = dir.join(wal::CKPT_FILE);
+                let ckpt = wal::stage_checkpoint(&ckpt_path, generation, &ids, base.store())?;
+                Some((log, ckpt))
+            }
+        };
+        let loc = (ids.iter().enumerate()).map(|(r, &id)| (id, Loc::Base(r as u32)));
+        let delta = Delta::new(pin.snapshot.delta.layout());
+        let mut p = Prepared {
+            compactions: pin.compactions,
+            watermark: pin.watermark,
+            loc: loc.collect(),
+            t: pin.snapshot,
+            base,
+            ids: Arc::new(ids),
+            base_dead: Tombstones::default(),
+            delta,
+            delta_dead: Tombstones::default(),
+            files,
+        };
+        for _ in 0..CATCH_UP_ROUNDS {
+            let t = Snapshot::clone(&self.snapshot());
+            if stale(&t) {
+                return Ok(None);
+            }
+            let behind = p.behind(&t);
+            p.catch_up(t)?;
+            if behind < COMMIT_WRITES {
+                break;
+            }
+        }
+        if let Some((log, _)) = &mut p.files {
+            log.sync()?;
+        }
+        Ok(Some(p))
     }
 
     fn check_shape(
@@ -510,139 +728,101 @@ impl Shard {
     }
 
     /// Publishes the writer's state as the current snapshot (the caller
-    /// has bumped the epoch) and returns the churn it published.
+    /// has bumped the epoch) and returns the churn it published. The
+    /// pointer is stored before the writer lock is released, so
+    /// publications land in write order and the current snapshot never
+    /// steps back to an older one; the snapshot it replaces is dropped
+    /// after the release.
     fn publish(&self, w: MutexGuard<'_, Writer>) -> usize {
         let churn = w.churn();
-        let snap = Arc::new(w.view.clone());
+        let replaced = self.swap_current(&w);
         drop(w);
-        *unpoison(self.current.write()) = snap;
+        drop(replaced);
         churn
     }
 
-    /// Swaps the folded base (the materialized live rows of the snapshot
-    /// pinned at `watermark` delta rows, with their `ids`) in, re-expressing
-    /// everything that happened since the pin against it:
-    ///
-    /// * delta rows `watermark..` survive as the new delta (bytewise row
-    ///   copies — O(churn since pin));
-    /// * a folded row whose id has since been superseded (re-upserted
-    ///   past the watermark) or removed becomes a base tombstone;
-    /// * post-watermark delta tombstones are rebased by the watermark.
-    ///
-    /// When durable, the checkpoint persists the folded base and the next
-    /// epoch's log is seeded with the residual ops (surviving upserts in
-    /// delta order, then removals), so recovery replays to exactly the
-    /// installed state. The install is all or nothing around the
-    /// checkpoint's rename: an error before it changes nothing — the shard
-    /// keeps serving its old base on its old log, and the next fold
-    /// retries — while after it the install completes in memory and then
-    /// reports a failed directory sync.
-    fn install_fold(
-        &self,
-        mut w: MutexGuard<'_, Writer>,
-        base: Arc<IndexedStore>,
-        ids: Arc<Vec<u64>>,
-        watermark: usize,
-    ) -> Result<(), ServeError> {
-        // --- Catch-up against writes that landed after the pin. ---
-        let delta = &w.view.delta;
-        let mut new_delta = Delta::new(delta.layout());
-        for j in watermark..delta.len() {
-            new_delta.push_row_from(delta, j);
+    /// Stores the writer's view as the current snapshot; returns the one
+    /// it replaces.
+    fn swap_current(&self, w: &Writer) -> Arc<Snapshot> {
+        let snap = Arc::new(w.view.clone());
+        std::mem::replace(&mut *unpoison(self.current.write()), snap)
+    }
+
+    /// Step 3 of [`Shard::fold`]: installs `p` under the writer lock, or
+    /// discards it (`Ok(false)`) if another fold installed since its pin.
+    /// The writer waits only on the writes that landed after `T`, the
+    /// snapshot `p` is current to: the commit catches up with the writer's
+    /// view ([`Prepared::catch_up`]), O(writes since `T`) whatever the
+    /// number of live ids. When durable, it then seals the next log with
+    /// the install's epoch, and the staged checkpoint's rename commits the
+    /// install. An error before the rename changes nothing — the shard
+    /// keeps serving its old base on its old log, the staged files are
+    /// deleted, and the next fold retries — while after it the install
+    /// completes in memory and then reports a failed directory sync. The
+    /// previous log's file and the previous state go after the lock is
+    /// released.
+    fn install_fold(&self, mut p: Prepared) -> Result<bool, ServeError> {
+        let mut w = unpoison(self.writer.lock());
+        let held = Instant::now();
+        if w.compactions != p.compactions {
+            return Ok(false);
         }
-        let mut new_delta_dead = Tombstones::default();
-        for d in w.view.delta_dead.iter().filter(|&d| d >= watermark) {
-            new_delta_dead.insert(d - watermark);
-        }
-        let mut new_base_dead = Tombstones::default();
-        for (r, &id) in ids.iter().enumerate() {
-            // The folded copy of `id` is its pre-watermark version; it is
-            // still live iff the id's current location predates the
-            // watermark (tombstoning is monotone between folds, so
-            // "live now in a pre-watermark slot" implies "live at pin").
-            let live = match w.loc.get(&id) {
-                Some(Loc::Base(_)) => true,
-                Some(Loc::Delta(j)) => (*j as usize) < watermark,
-                None => false,
-            };
-            if !live {
-                new_base_dead.insert(r);
-            }
-        }
+        p.catch_up(w.view.clone())?;
 
         // --- Persist, all or nothing: the writer is untouched until the
         // checkpoint's rename commits the fold (`wal` module docs). ---
         let epoch = w.view.epoch + 1;
-        let compactions = w.compactions + 1;
         let mut synced = Ok(());
-        if let Some(dir) = w.dir.clone() {
-            // Re-log the post-pin residue: upserts in delta order (so
-            // replay rebuilds the same delta rows with the same
-            // supersession tombstones), then removals for every id that
-            // the residue leaves dead. Replay therefore reconstructs the
-            // installed segment structure exactly, not just the live set.
-            let residue = || (0..new_delta.len()).map(|j| (new_delta.id(j), new_delta.row(j)));
-            let upserts = residue().map(|(id, (rows, i))| WalOp::Upsert {
-                id,
-                eu: rows.eu_row(i).to_vec(),
-                hyper: (rows.variant().uses_hyperbolic()).then(|| rows.hyper_row(i).to_vec()),
-                factors: rows.factor_dim().map(|_| rows.factor_row(i).to_vec()),
-            });
-            // The catch-up keeps every live id, so the ids live after the
-            // install are the ids live now.
-            let mut logged_removes = std::collections::HashSet::new();
-            let removes = new_base_dead
-                .iter()
-                .map(|r| ids[r])
-                .chain(residue().map(|(id, _)| id))
-                .filter(|id| !w.loc.contains_key(id) && logged_removes.insert(*id))
-                .map(|id| WalOp::Remove { id });
-            let fresh = wal::create_wal(&dir, epoch, upserts.chain(removes), self.opts.fsync)?;
-            let ckpt_path = dir.join(wal::CKPT_FILE);
-            if let Err(e) =
-                wal::write_checkpoint(&ckpt_path, epoch, compactions, &ids, base.store())
-            {
-                fresh.discard();
-                return Err(e);
-            }
+        let mut committed = None;
+        if let Some((mut log, mut ckpt)) = p.files.take() {
+            log.seal(epoch)?;
+            ckpt.commit()?;
+            log.keep();
             // Committed. With fsync on, a directory sync makes the commit
             // survive power loss; only once it has may the old log go.
-            if self.opts.fsync {
-                synced = std::fs::File::open(&dir).and_then(|d| d.sync_all());
+            if let (true, Some(dir)) = (self.opts.fsync, &self.dir) {
+                synced = std::fs::File::open(dir).and_then(|d| d.sync_all());
             }
-            let old = w.wal.replace(fresh);
-            if let (Some(old), Ok(())) = (old, &synced) {
-                old.discard();
-            }
+            committed = Some((w.wal.replace(log), ckpt));
         }
 
-        // --- The swap itself: pointer stores, O(churn) moves, and `loc`
-        // re-expressed in place: every folded row still live now points
-        // at its base row, and every post-watermark delta row is rebased
-        // (in that order, so no pre-watermark row is rebased). ---
-        let dead = new_base_dead.mask();
-        for (r, &id) in ids.iter().enumerate() {
-            if !dead.is_some_and(|d| d.get(r)) {
-                w.loc.insert(id, Loc::Base(r as u32));
+        // --- The swap itself: pointer moves, then publication. ---
+        w.compactions += 1;
+        let old_loc = std::mem::replace(&mut w.loc, p.loc);
+        let old_view = std::mem::replace(
+            &mut w.view,
+            Snapshot {
+                base: p.base,
+                base_ids: p.ids,
+                base_dead: Arc::new(p.base_dead),
+                delta: p.delta,
+                delta_dead: Arc::new(p.delta_dead),
+                epoch,
+            },
+        );
+        let replaced = self.swap_current(&w);
+        let hold = held.elapsed();
+        drop(w);
+        self.record_hold(hold);
+
+        // --- After the unlock: the previous log's file, the retired
+        // checkpoint's link, and the previous state. ---
+        if let Some((old_log, retired)) = committed {
+            if let (Some(old_log), Ok(())) = (old_log, &synced) {
+                old_log.discard();
             }
+            drop(retired);
         }
-        for l in w.loc.values_mut() {
-            if let Loc::Delta(j) = l {
-                debug_assert!(*j as usize >= watermark, "pre-watermark rows were folded");
-                *j -= watermark as u32;
-            }
-        }
-        w.compactions = compactions;
-        w.view = Snapshot {
-            base,
-            base_ids: ids,
-            base_dead: Arc::new(new_base_dead),
-            delta: new_delta,
-            delta_dead: Arc::new(new_delta_dead),
-            epoch,
-        };
-        self.publish(w);
-        Ok(synced?)
+        drop((old_loc, old_view, replaced, p.t));
+        synced?;
+        Ok(true)
+    }
+
+    /// Adds one install's writer-lock hold to the counters.
+    fn record_hold(&self, hold: Duration) {
+        let ns = u64::try_from(hold.as_nanos()).unwrap_or(u64::MAX);
+        self.hold_ns_total.fetch_add(ns, Ordering::Relaxed);
+        self.hold_ns_max.fetch_max(ns, Ordering::Relaxed);
     }
 }
 
@@ -981,7 +1161,7 @@ mod tests {
             store.remove(2).expect("remove");
             store.compact_inline().expect("compact mid-history");
             let shard = dir.join(wal::shard_dir_name(0));
-            let installed = wal::wal_name(store.stats().epoch);
+            let installed = wal::wal_name(store.stats().compactions);
             assert_eq!(files(&shard), [installed.as_str(), wal::CKPT_FILE]);
             for i in 5..8u64 {
                 let (eu, hy, fa) = row(i, variant);
@@ -1062,21 +1242,22 @@ mod tests {
         names
     }
 
-    /// The log a shard's next install creates, at publication `epoch`.
-    fn next_log(shard: &Path, epoch: u64) -> PathBuf {
-        shard.join(wal::wal_name(epoch + 1))
+    /// The log a shard's next install creates, after `compactions`
+    /// installs.
+    fn next_log(shard: &Path, compactions: u64) -> PathBuf {
+        shard.join(wal::wal_name(compactions + 1))
     }
 
-    /// Where this process's `write_atomic` stages a shard's checkpoint.
-    fn staged_ckpt(shard: &Path, _epoch: u64) -> PathBuf {
+    /// Where this process stages a shard's checkpoint.
+    fn staged_ckpt(shard: &Path, _compactions: u64) -> PathBuf {
         shard.join(format!("{}.{}.tmp", wal::CKPT_FILE, std::process::id()))
     }
 
-    /// An install that fails before its commit point — the next epoch's
-    /// log or the checkpoint's tmp file cannot be created — changes
-    /// nothing: the fold is a typed I/O error, counters and hits stay as
-    /// they were, later writes land on the old log, and recovery equals
-    /// the model.
+    /// An install that fails before its commit point — the next
+    /// generation's log or the checkpoint's staging file cannot be
+    /// created — changes nothing: the fold is a typed I/O error, counters
+    /// and hits stay as they were, no staged file is left, later writes
+    /// land on the old log, and recovery equals the model.
     #[test]
     fn an_install_that_fails_before_its_commit_changes_nothing() {
         for (tag, blocked) in [
@@ -1091,14 +1272,18 @@ mod tests {
             store.remove(1).expect("remove");
             model.remove(&1);
             let (stats, hits) = (store.stats(), hit_bits(&store));
-            let blocked = blocked(&shard, stats.epoch);
+            let blocked = blocked(&shard, stats.compactions);
             std::fs::create_dir(&blocked).expect("block the path");
+            let mut listed = files(&shard);
 
             let err = store
                 .compact_inline()
                 .expect_err("the install cannot write");
             assert!(matches!(err, ServeError::Io(_)), "{tag}: {err}");
             assert_eq!(store.stats(), stats, "{tag}");
+            assert_eq!(files(&shard), listed, "{tag}: nothing staged is left");
+            listed.retain(|name| *name != blocked.file_name().unwrap().to_string_lossy());
+            assert_eq!(listed, [wal::wal_name(0).as_str(), wal::CKPT_FILE]);
             assert_eq!(hit_bits(&store), hits, "{tag}");
             assert_eq!(live_rows(&store), model, "{tag}");
 
@@ -1121,13 +1306,17 @@ mod tests {
         }
     }
 
-    /// The two crash points of an install, on hand-built directories. A
-    /// crash after the next epoch's log is written but before the
-    /// checkpoint's rename recovers the pre-install state and deletes the
-    /// uncommitted log; a crash after the rename but before the old log
-    /// is deleted recovers the installed state — the residue in the new
-    /// log applied — and deletes the stale log. Either way a checkpoint's
-    /// leftover staging sibling is deleted too.
+    /// The crash points of an install, on hand-built directories and then
+    /// on directories a real install left behind. A crash after the next
+    /// generation's log is written but before the checkpoint's rename
+    /// recovers the pre-install state and deletes the uncommitted log —
+    /// with a real install, also the complete checkpoint under its staging
+    /// name and the current one's retired link; the log then holds only
+    /// the residue up to the prepared snapshot. A crash after the rename
+    /// but before the old log is deleted recovers the installed state —
+    /// the residue in the new log applied, the writes after the prepared
+    /// snapshot included — and deletes the stale log. Either way a
+    /// checkpoint's leftover staging sibling is deleted too.
     #[test]
     fn recovery_keeps_the_committed_log_and_deletes_the_other() {
         for committed in [false, true] {
@@ -1138,8 +1327,8 @@ mod tests {
             }
             drop(store);
 
-            // The next epoch's log holding the residue, and, once
-            // committed, the folded base checkpointed at its epoch.
+            // The next generation's log holding the residue, and, once
+            // committed, the folded base checkpointed as that generation.
             let (eu, _, _) = row(7, PluginVariant::Original);
             let residue = [
                 WalOp::Upsert {
@@ -1149,8 +1338,10 @@ mod tests {
                     factors: None,
                 },
                 WalOp::Remove { id: 400 },
+                WalOp::Epoch { epoch: 9 },
             ];
-            drop(wal::create_wal(&shard, 9, residue, false).expect("next log"));
+            let residue = residue.iter().map(WalOp::record);
+            drop(wal::create_wal(&shard, 1, residue, false).expect("next log"));
             if committed {
                 let mut rows = store_with_rows(PluginVariant::Original).empty_like();
                 for (eu, _, _) in model.values() {
@@ -1158,7 +1349,7 @@ mod tests {
                 }
                 let ids: Vec<u64> = model.keys().copied().collect();
                 let ckpt = shard.join(wal::CKPT_FILE);
-                wal::write_checkpoint(&ckpt, 9, 1, &ids, &rows).expect("checkpoint");
+                wal::write_checkpoint(&ckpt, 1, &ids, &rows).expect("checkpoint");
                 model.insert(500, (eu, None, None));
                 model.remove(&400);
             }
@@ -1170,13 +1361,158 @@ mod tests {
             let back = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
             assert_eq!(live_rows(&back), model, "committed={committed}");
             assert_eq!(back.stats().compactions, committed as u64);
-            let kept = wal::wal_name(if committed { 9 } else { 0 });
+            assert_eq!(back.stats().epoch, if committed { 9 } else { 3 });
+            let kept = wal::wal_name(committed as u64);
             assert_eq!(files(&shard), [kept.as_str(), wal::CKPT_FILE]);
             drop(back);
             let again = ShardedServingStore::recover(&dir, one_shard(0)).expect("recover");
             assert_eq!(live_rows(&again), model, "committed={committed}");
             std::fs::remove_dir_all(&dir).ok();
         }
+
+        // The same two crash points, left by a real install with writes
+        // before its pin, between its pin and its prepare, and between
+        // its prepare and its commit.
+        for committed in [false, true] {
+            let (dir, shard, mut model) = durable_shard(&format!("real-crash-{committed}"));
+            let opts = ServingOptions::default();
+            for i in 0..4 {
+                put_shard(&shard, &mut model, 410 + i, i);
+            }
+            shard.remove(1).expect("remove");
+            model.remove(&1);
+            let pin = shard.pin();
+            put_shard(&shard, &mut model, 0, 20);
+            put_shard(&shard, &mut model, 420, 21);
+            shard.remove(411).expect("remove");
+            model.remove(&411);
+            let prepared = shard.prepare(pin).expect("prepare").expect("fresh pin");
+            let staged = format!("{}.{}.tmp", wal::CKPT_FILE, std::process::id());
+            let mut listed = vec![
+                wal::wal_name(0),
+                wal::wal_name(1),
+                wal::CKPT_FILE.to_string(),
+                staged.clone(),
+                "serve.ckpt.retired.tmp".to_string(),
+            ];
+            listed.sort();
+            assert_eq!(files(&dir), listed);
+            // The staged log holds only the residue up to the prepared
+            // snapshot: the upserts since the pin, then the removal of
+            // 411, which the fold copied and a write since removed.
+            let (next, _) = wal::replay(&dir.join(wal::wal_name(1))).expect("staged log");
+            let residue: Vec<u64> = (next.ops.iter())
+                .map(|op| match op {
+                    WalOp::Upsert { id, .. } | WalOp::Remove { id } => *id,
+                    WalOp::Epoch { epoch } => panic!("no epoch before the commit: {epoch}"),
+                })
+                .collect();
+            assert_eq!(residue, [0, 420, 411]);
+            put_shard(&shard, &mut model, 420, 22);
+            put_shard(&shard, &mut model, 430, 23);
+            shard.remove(2).expect("remove");
+            model.remove(&2);
+            if committed {
+                let old_log = dir.join(wal::wal_name(0));
+                let old = std::fs::read(&old_log).expect("old log");
+                assert!(shard.install_fold(prepared).expect("install"));
+                assert_eq!(files(&dir), [wal::wal_name(1).as_str(), wal::CKPT_FILE]);
+                // Crash before the old log and the link were deleted.
+                std::fs::write(&old_log, old).expect("old log back");
+                std::fs::write(dir.join("serve.ckpt.retired.tmp"), b"LHCP").expect("link");
+            } else {
+                // Crash before the commit: nothing drops the staged files.
+                std::mem::forget(prepared);
+            }
+            assert_eq!(shard_rows(&shard), model, "committed={committed}");
+            let epoch = shard.stats().epoch;
+            drop(shard);
+
+            let back = Shard::recover(&dir, opts).expect("recover");
+            assert_eq!(shard_rows(&back), model, "committed={committed}");
+            assert_eq!(back.stats().epoch, epoch, "committed={committed}");
+            assert_eq!(back.stats().compactions, committed as u64);
+            let kept = wal::wal_name(committed as u64);
+            assert_eq!(files(&dir), [kept.as_str(), wal::CKPT_FILE]);
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A durable one-shard directory without a manifest, holding a bare
+    /// `Shard` over `store_with_rows` (ids `0..3`), and the model of its
+    /// rows.
+    fn durable_shard(tag: &str) -> (PathBuf, Shard, BTreeMap<u64, Row>) {
+        let dir = std::env::temp_dir().join(format!("lh-shard-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let base = store_with_rows(PluginVariant::Original);
+        let model = (0..3).map(|r| (r as u64, (base.eu_row(r).to_vec(), None, None)));
+        let model = model.collect();
+        let opts = ServingOptions::default();
+        let shard = Shard::create_durable(&dir, base, vec![0, 1, 2], opts).expect("create");
+        (dir, shard, model)
+    }
+
+    /// Upserts `row(seed)` under `id` into the shard and the model.
+    fn put_shard(shard: &Shard, model: &mut BTreeMap<u64, Row>, id: u64, seed: u64) {
+        let (eu, hy, fa) = row(seed, PluginVariant::Original);
+        shard
+            .upsert(id, &eu, hy.as_deref(), fa.as_deref())
+            .expect("upsert");
+        model.insert(id, (eu, hy, fa));
+    }
+
+    /// The shard's live rows by id, in the model's terms.
+    fn shard_rows(shard: &Shard) -> BTreeMap<u64, Row> {
+        let (rows, ids) = shard.snapshot().to_flat();
+        let row = |r: usize| (rows.eu_row(r).to_vec(), None, None);
+        ids.iter()
+            .enumerate()
+            .map(|(r, &id)| (id, row(r)))
+            .collect()
+    }
+
+    /// A forced fold counts one install and a writer-lock hold above
+    /// zero; a fold whose pin another install overtook counts one
+    /// discard, and — durable — leaves no staged file behind. A prepared
+    /// install that another install overtakes before its commit is
+    /// discarded there and changes nothing.
+    #[test]
+    fn installs_and_discards_are_counted_and_a_stale_fold_stages_nothing() {
+        let store = serving(PluginVariant::Original, 0);
+        let (eu, hy, fa) = row(3, PluginVariant::Original);
+        store
+            .upsert(9, &eu, hy.as_deref(), fa.as_deref())
+            .expect("upsert");
+        store.compact_inline().expect("fold");
+        let stats = store.stats();
+        assert_eq!((stats.compactions, stats.stale_folds), (1, 0));
+        assert!(stats.install_hold_us_total > 0);
+        assert_eq!(stats.install_hold_us_max, stats.install_hold_us_total);
+
+        let (dir, shard, mut model) = durable_shard("stale");
+        put_shard(&shard, &mut model, 7, 1);
+        let (first, second) = (shard.pin(), shard.pin());
+        put_shard(&shard, &mut model, 8, 2);
+        assert!(shard.fold_pinned(first).expect("install"));
+        assert!(!shard.fold_pinned(second).expect("discard"));
+        let stats = shard.stats();
+        assert_eq!((stats.compactions, stats.stale_folds), (1, 1));
+        assert_eq!(files(&dir), [wal::wal_name(1).as_str(), wal::CKPT_FILE]);
+        assert_eq!(shard_rows(&shard), model);
+
+        let base = store_with_rows(PluginVariant::Original);
+        let shard = Shard::new(base, vec![0, 1, 2], ServingOptions::default()).expect("shard");
+        shard.remove(0).expect("remove");
+        let (first, second) = (shard.pin(), shard.pin());
+        let overtaken = shard.prepare(first).expect("prepare").expect("fresh");
+        let winner = shard.prepare(second).expect("prepare").expect("fresh");
+        shard.remove(1).expect("remove");
+        assert!(shard.install_fold(winner).expect("install"));
+        let (stats, rows) = (shard.stats(), shard_rows(&shard));
+        assert!(!shard.install_fold(overtaken).expect("discard"));
+        assert_eq!((shard.stats(), shard_rows(&shard)), (stats, rows));
+        drop(shard);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A directory in the layout of manifest version 2 — one `serve.wal`
@@ -1216,9 +1552,64 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A single flipped bit in a WAL header's epoch is a typed error. An
-    /// unframed header read a cleared set bit as an older epoch, and
-    /// recovery discarded the whole log as stale.
+    /// A shard directory in the version-2 formats — a checkpoint that
+    /// leads with the publication epoch, and a log named by that epoch
+    /// whose header holds only it — fails recovery with a typed
+    /// `UnsupportedVersion` and leaves every file as it was: the log is
+    /// not deleted as another generation's. A version-2 log beside a
+    /// current checkpoint is unsupported too, and stays.
+    #[test]
+    fn version_2_checkpoints_and_logs_are_unsupported_and_untouched() {
+        let (dir, store, mut model) = durable("v2-formats");
+        put(&store, &mut model, 800, 1);
+        drop(store);
+        let shard = dir.join(wal::shard_dir_name(0));
+        let v2 = |magic: &[u8; 4]| traj_core::codec::Format {
+            magic: *magic,
+            version: 2,
+        };
+        let v3_log = std::fs::read(shard.join(wal::wal_name(0))).expect("log");
+        let v3_ckpt = std::fs::read(shard.join(wal::CKPT_FILE)).expect("checkpoint");
+        // v2 bodies: the checkpoint's epoch (1) and compactions (0) lead
+        // the rest of the v3 body; the log's header body is the epoch.
+        let mut ckpt_body = [1u64, 0].map(u64::to_le_bytes).concat();
+        ckpt_body.extend_from_slice(&v3_ckpt[24 + 8..]);
+        let mut log = framed(v2(b"LHWL"), &1u64.to_le_bytes());
+        log.extend_from_slice(&v3_log[24 + 8..]);
+        std::fs::remove_file(shard.join(wal::wal_name(0))).expect("remove");
+        std::fs::write(shard.join(wal::wal_name(1)), &log).expect("v2 log");
+        std::fs::write(shard.join(wal::CKPT_FILE), framed(v2(b"LHCP"), &ckpt_body))
+            .expect("v2 checkpoint");
+        let read_all = || {
+            let names = files(&shard);
+            let bytes = names
+                .iter()
+                .map(|name| std::fs::read(shard.join(name)).expect("read"));
+            (names.clone(), bytes.collect::<Vec<_>>())
+        };
+        let unsupported = |err: ServeError| {
+            assert!(
+                matches!(err, ServeError::Decode(DecodeError::UnsupportedVersion(2))),
+                "{err}"
+            );
+        };
+        let before = read_all();
+        assert_eq!(before.0, [wal::wal_name(1).as_str(), wal::CKPT_FILE]);
+        unsupported(ShardedServingStore::recover(&dir, one_shard(0)).expect_err("v2"));
+        assert_eq!(read_all(), before);
+
+        std::fs::write(shard.join(wal::CKPT_FILE), &v3_ckpt).expect("v3 checkpoint");
+        std::fs::rename(shard.join(wal::wal_name(1)), shard.join(wal::wal_name(0)))
+            .expect("rename");
+        let before = read_all();
+        unsupported(ShardedServingStore::recover(&dir, one_shard(0)).expect_err("v2 log"));
+        assert_eq!(read_all(), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A single flipped bit in a WAL header's generation is a typed
+    /// error. An unframed header read a cleared set bit as an older
+    /// epoch, and recovery discarded the whole log as stale.
     #[test]
     fn a_flipped_wal_epoch_bit_is_a_typed_error() {
         let (dir, store, mut model) = durable("epoch-flip");
@@ -1226,15 +1617,18 @@ mod tests {
         store.compact_inline().expect("fold");
         put(&store, &mut model, 601, 2);
         drop(store);
-        let path = dir.join(wal::shard_dir_name(0)).join(wal::wal_name(2));
+        let path = dir.join(wal::shard_dir_name(0)).join(wal::wal_name(1));
         let mut raw = std::fs::read(&path).expect("read wal");
-        let at = 24; // the epoch follows the frame's 24-byte header
-        let epoch = u64::from_le_bytes(raw[at..at + 8].try_into().expect("epoch word"));
-        assert!(epoch > 0, "the fold bound the WAL to a later epoch");
-        let bit = epoch.trailing_zeros() as usize;
+        let at = 24; // the generation follows the frame's 24-byte header
+        let generation = u64::from_le_bytes(raw[at..at + 8].try_into().expect("generation"));
+        assert!(
+            generation > 0,
+            "the fold bound the WAL to a later generation"
+        );
+        let bit = generation.trailing_zeros() as usize;
         raw[at + bit / 8] ^= 1 << (bit % 8);
         std::fs::write(&path, &raw).expect("flip");
-        let err = ShardedServingStore::recover(&dir, one_shard(0)).expect_err("flipped epoch");
+        let err = ShardedServingStore::recover(&dir, one_shard(0)).expect_err("flipped word");
         assert!(
             matches!(
                 err,

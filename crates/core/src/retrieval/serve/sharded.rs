@@ -47,8 +47,8 @@
 //! Shards never fold on the writer. Every write returns the churn it
 //! published; once that reaches [`ServingOptions::compact_threshold`] the
 //! wrapper schedules the shard on the crate-internal `Compactor` thread,
-//! which runs the shard's one fold: pin → fold off-lock → catch-up
-//! install. [`ShardedServingStore::drain`] waits for the scheduled folds;
+//! which runs the shard's one fold: pin → fold and prepare off-lock →
+//! commit. [`ShardedServingStore::drain`] waits for the scheduled folds;
 //! [`ShardedServingStore::compact_inline`] drains and then runs the same
 //! fold once per shard on the calling thread — the determinism escape
 //! hatch for tests and shutdown.
@@ -356,8 +356,9 @@ impl ShardedServingStore {
         self.compactor.drain()
     }
 
-    /// Aggregate occupancy and lifecycle counters (sums over shards;
-    /// `epoch` is the total publication count).
+    /// Aggregate occupancy and lifecycle counters: sums over shards
+    /// (`epoch` is the total publication count), except
+    /// `install_hold_us_max`, the longest hold of any shard.
     pub fn stats(&self) -> ServeStats {
         let mut total = ServeStats {
             epoch: 0,
@@ -366,6 +367,9 @@ impl ShardedServingStore {
             delta_rows: 0,
             tombstones: 0,
             compactions: 0,
+            stale_folds: 0,
+            install_hold_us_total: 0,
+            install_hold_us_max: 0,
         };
         for s in self.shard_stats() {
             total.epoch += s.epoch;
@@ -374,6 +378,9 @@ impl ShardedServingStore {
             total.delta_rows += s.delta_rows;
             total.tombstones += s.tombstones;
             total.compactions += s.compactions;
+            total.stale_folds += s.stale_folds;
+            total.install_hold_us_total += s.install_hold_us_total;
+            total.install_hold_us_max = total.install_hold_us_max.max(s.install_hold_us_max);
         }
         total
     }
@@ -791,6 +798,166 @@ mod tests {
             assert_eq!(snap.knn_batch(&queries, 10), hits, "shards={shards}");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+
+    /// Writes land between a fold's prepare and its commit, at one shard
+    /// and at three, in memory and durable: upserts of base ids and of ids
+    /// the prepare re-logged, removals of base ids and of delta ids (rows
+    /// the fold copied and rows it did not), a removal then a re-upsert of
+    /// one id, a new id upserted then removed, an id removed before the
+    /// prepare upserted again, and base tombstones on the 4096-bit page
+    /// edge (bits 4095 and 4096 of the old base and of the folded one).
+    /// Every snapshot equals the BTreeMap model and serves like a flat scan
+    /// of its own `to_flat()`, and so does a recovery.
+    #[test]
+    fn writes_between_a_prepare_and_its_commit_track_the_model() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        const EDGE: usize = 4096;
+        for (shards, variant) in [
+            (1, PluginVariant::LorentzCosh),
+            (3, PluginVariant::FusionDist),
+        ] {
+            for durable in [false, true] {
+                let mut rng = StdRng::seed_from_u64(0x7e57 + shards as u64);
+                let dir = std::env::temp_dir().join(format!(
+                    "lh-serve-prepared-{shards}-{durable}-{}",
+                    std::process::id()
+                ));
+                let _ = std::fs::remove_dir_all(&dir);
+                let opts = ShardedServingOptions {
+                    shards,
+                    serving: ServingOptions {
+                        compact_threshold: 0,
+                        ..ServingOptions::default()
+                    },
+                };
+                let fd = variant.uses_fusion().then_some(2);
+                let mut base = EmbeddingStore::new(2, variant, 1.0, fd);
+                let mut model = BTreeMap::new();
+                for id in 0..(shards * (EDGE + 300)) as u64 {
+                    let row = random_row(variant, &mut rng);
+                    base.push(&row.0, row.1.as_deref(), row.2.as_deref());
+                    model.insert(id, row);
+                }
+                let ids: Vec<u64> = model.keys().copied().collect();
+                let mut queries = base.empty_like();
+                for _ in 0..3 {
+                    let row = random_row(variant, &mut rng);
+                    queries.push(&row.0, row.1.as_deref(), row.2.as_deref());
+                }
+                let store = if durable {
+                    ShardedServingStore::create_durable(&dir, base, ids, opts)
+                } else {
+                    ShardedServingStore::new(base, ids, opts)
+                };
+                let store = store.expect("store");
+                let mut next_id = 1_000_000u64;
+                for (s, shard) in store.shards.iter().enumerate() {
+                    let mut fresh = || {
+                        let id = (next_id..).find(|&id| shard_of_id(id, shards) == s);
+                        next_id = id.expect("an id") + 1;
+                        next_id - 1
+                    };
+                    let based = Arc::clone(&store.snapshot().shards[s].base_ids);
+                    assert!(based.len() > EDGE + 200, "shard {s} reaches the page edge");
+                    let mut row = || random_row(variant, &mut rng);
+                    let mut put =
+                        |model: &mut BTreeMap<u64, Row>, id| put(&store, model, id, row());
+
+                    // Before the pin, past the page edge so the folded rows
+                    // keep the old base's row numbers up to it.
+                    let (copied, copied_too) = (fresh(), fresh());
+                    put(&mut model, copied);
+                    put(&mut model, copied_too);
+                    put(&mut model, based[EDGE + 100]);
+                    drop_id(&store, &mut model, based[EDGE + 101]);
+                    let pin = shard.pin();
+
+                    // Between the pin and the prepare: the residue up to T.
+                    let (relogged, relogged_too, removed_early) = (fresh(), fresh(), based[13]);
+                    put(&mut model, relogged);
+                    put(&mut model, relogged_too);
+                    put(&mut model, based[12]);
+                    drop_id(&store, &mut model, removed_early);
+                    let prepared = shard.prepare(pin).expect("prepare").expect("fresh pin");
+
+                    // Between the prepare and the commit.
+                    put(&mut model, based[20]);
+                    put(&mut model, relogged);
+                    drop_id(&store, &mut model, based[21]);
+                    drop_id(&store, &mut model, copied);
+                    drop_id(&store, &mut model, relogged_too);
+                    put(&mut model, copied_too);
+                    drop_id(&store, &mut model, based[30]);
+                    put(&mut model, based[30]);
+                    let brief = fresh();
+                    put(&mut model, brief);
+                    drop_id(&store, &mut model, brief);
+                    put(&mut model, removed_early);
+                    drop_id(&store, &mut model, based[EDGE - 1]);
+                    put(&mut model, based[EDGE]);
+                    assert_matches(&store.snapshot(), &model, &queries);
+
+                    assert!(shard.install_fold(prepared).expect("commit"), "shard {s}");
+                    let snap = store.snapshot();
+                    let dead: Vec<usize> = snap.shards[s].base_dead.iter().collect();
+                    assert!(
+                        dead.contains(&(EDGE - 1)) && dead.contains(&EDGE),
+                        "{dead:?}"
+                    );
+                    assert_matches(&snap, &model, &queries);
+                }
+                let stats = store.stats();
+                assert_eq!((stats.compactions, stats.stale_folds), (shards as u64, 0));
+                let before = store.snapshot();
+                let hits = before.knn_batch(&queries, 10);
+                drop((before, store));
+                if durable {
+                    let back = ShardedServingStore::recover(&dir, opts).expect("recover");
+                    let snap = back.snapshot();
+                    assert_matches(&snap, &model, &queries);
+                    assert_eq!(snap.knn_batch(&queries, 10), hits, "shards={shards}");
+                }
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    /// The store's install counters are its shards': discards and hold
+    /// time summed, the longest hold the largest shard's.
+    #[test]
+    fn install_counters_sum_over_shards_and_the_longest_hold_is_the_max() {
+        let mut base = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
+        for i in 0..40 {
+            push_point(&mut base, i as f32);
+        }
+        let opts = ShardedServingOptions {
+            shards: 3,
+            serving: ServingOptions {
+                compact_threshold: 0,
+                ..ServingOptions::default()
+            },
+        };
+        let store = ShardedServingStore::new(base, (0..40).collect(), opts).expect("unique ids");
+        for id in 0..40u64 {
+            store
+                .upsert(id, &[id as f32, 1.0], None, None)
+                .expect("upsert");
+        }
+        let (raced, racing) = (store.shards[0].pin(), store.shards[0].pin());
+        assert!(store.shards[0].fold_pinned(raced).expect("install"));
+        assert!(!store.shards[0].fold_pinned(racing).expect("discard"));
+        store.compact_inline().expect("fold every shard");
+        let per = store.shard_stats();
+        let total = store.stats();
+        assert_eq!(total.compactions, 4);
+        assert_eq!(total.stale_folds, 1);
+        let sum = per.iter().map(|s| s.install_hold_us_total).sum::<u64>();
+        assert_eq!(total.install_hold_us_total, sum);
+        let max = per.iter().map(|s| s.install_hold_us_max).max();
+        assert_eq!(Some(total.install_hold_us_max), max);
+        assert!(per.iter().all(|s| s.install_hold_us_max > 0));
     }
 
     /// Publication copies pointers: two consecutive snapshots share every

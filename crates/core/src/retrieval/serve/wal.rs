@@ -4,20 +4,27 @@
 //! Every file here goes through `traj_core::codec`: a checkpoint and a
 //! manifest are each one frame (magic, version, body length, body
 //! checksum), a WAL opens with one, and checkpoints and manifests are
-//! published with its `write_atomic` (tmp sibling → sync → rename) so a
+//! published through its staging sibling (tmp → sync → rename) so a
 //! crash never leaves a half-written file under the real name. A flipped
 //! bit in any of them is a typed error, never loaded state.
 //!
-//! # WAL format (`LHWL`, version 2)
+//! # WAL format (`LHWL`, version 3)
 //!
 //! ```text
-//! frame: "LHWL" | 2 | body_len | checksum | body: u64 checkpoint_epoch
+//! frame: "LHWL" | 3 | body_len | checksum | body: u64 generation
 //! repeated records:
 //!   u32 body_len | u64 fnv1a64(body) | body
 //! body:
-//!   u8 op (1 = upsert, 2 = remove) | u64 id
+//!   u8 op (1 = upsert, 2 = remove, 3 = epoch) | u64 id (the epoch, for op 3)
 //!   upsert only: f32-chunk eu | u8 has_hyper [f32-chunk] | u8 has_factors [f32-chunk]
 //! ```
+//!
+//! `generation` is the install generation of the checkpoint the log
+//! extends — the shard's compaction count. Replay counts publications
+//! from epoch 0: every upsert and every remove of a live id is one, and an
+//! epoch record sets the count. An install's commit writes one after the
+//! residue it re-logs, holding the epoch the install publishes, so a
+//! recovered shard resumes at the publication epoch it had.
 //!
 //! Replay stops at the first record frame that is incomplete or fails
 //! its checksum — a torn tail from a crash mid-append — and truncates the
@@ -34,25 +41,48 @@
 //! A frame whose checksum verifies but whose body does not parse is
 //! corruption too, and errors.
 //!
-//! `checkpoint_epoch` ties a WAL to the checkpoint it extends, and so
-//! does its name: a shard's log is `<epoch>.wal` ([`wal_name`]). A fold's
-//! install commits in one rename. It first creates the log of the next
-//! epoch complete — header plus the writes that landed after its pin,
-//! flushed once and, with fsync on, synced — then publishes the new
-//! checkpoint: that rename is the commit point. With fsync on, the
-//! install then syncs the directory, so the commit survives power loss.
-//! Only after that does it delete the previous epoch's log, best effort.
-//! Recovery reads the checkpoint, deletes every log of another epoch —
-//! an install's log that never committed, or the log a committed one had
-//! not yet deleted — and any checkpoint staging sibling, then replays
-//! `<checkpoint epoch>.wal`, creating it empty if it is missing. A log
-//! whose header names another epoch than its file name is corruption.
+//! # The install: prepare off the lock, commit under it
 //!
-//! # Checkpoint format (`LHCP`, version 2)
+//! A shard's log is named by the generation it extends, `<generation>.wal`
+//! ([`wal_name`]), and its header says the same. A checkpoint holds
+//! nothing a write changes — no publication epoch, only its generation —
+//! so a fold's install writes both files of the next generation before it
+//! takes the writer lock, against a snapshot `T` published after its fold:
+//!
+//! 1. *prepare* ([`stage_checkpoint`], [`stage_wal`]): the checkpoint,
+//!    written and synced under its staging sibling
+//!    `serve.ckpt.<pid>.tmp`, with the current checkpoint hard-linked
+//!    aside as `serve.ckpt.retired.tmp` so the rename below unlinks a name
+//!    and frees no blocks; and the next generation's log, holding the
+//!    residue up to `T` — the writes since the fold's pin, re-expressed as
+//!    upserts and then removals — flushed and, with fsync on, synced.
+//! 2. *commit*, under the lock ([`WalFile::seal`], [`StagedCheckpoint`]):
+//!    the writes that landed after `T` are appended to the next log, then
+//!    the epoch record of the install's publication, and the log is
+//!    flushed (and with fsync on, synced). Then the staged
+//!    checkpoint is renamed over `serve.ckpt`: that rename is the one
+//!    commit point. With fsync on, the install then syncs the directory,
+//!    so the commit survives power loss.
+//! 3. after the unlock, the previous generation's log and the retired
+//!    link are deleted, best effort.
+//!
+//! An error or a crash before the rename changes nothing: an install that
+//! fails or is found stale deletes its staged files, and a crash leaves
+//! files that recovery deletes. Recovery reads the checkpoint, deletes
+//! every log of another generation — an install's log that never
+//! committed, or the log a committed one had not yet deleted — and every
+//! checkpoint staging sibling (`serve.ckpt*.tmp`, the retired link
+//! included), then replays `<generation>.wal`, creating it empty if it is
+//! missing (the epoch count then restarts at 0: the log held the last
+//! epoch record). A log whose header names another generation than its file
+//! name is corruption. A crash after the rename recovers the installed
+//! state: the new checkpoint plus the residue in its log.
+//!
+//! # Checkpoint format (`LHCP`, version 3)
 //!
 //! ```text
-//! frame: "LHCP" | 2 | body_len | checksum | body:
-//!   u64 epoch | u64 compactions | u64 n | n × u64 ids
+//! frame: "LHCP" | 3 | body_len | checksum | body:
+//!   u64 generation | u64 n | n × u64 ids
 //!   | u64 payload_len | store payload (store codec)
 //! ```
 //!
@@ -64,12 +94,14 @@
 //!
 //! Each of the three reads exactly the version it writes; a file of any
 //! other version is an `UnsupportedVersion` error, and the store is
-//! rebuilt from its source rows.
+//! rebuilt from its source rows. A version-2 checkpoint (which led with
+//! the publication epoch, and whose log was named by it) fails before
+//! recovery touches a file.
 //!
 //! A serving directory holds one manifest naming the shard count plus one
 //! `shard-NNNN/` subdirectory per shard, each holding that shard's
-//! checkpoint (`serve.ckpt`) and its log (`<epoch>.wal`). A single store
-//! is a one-shard directory: the manifest plus `shard-0000/`. The
+//! checkpoint (`serve.ckpt`) and its log (`<generation>.wal`). A single
+//! store is a one-shard directory: the manifest plus `shard-0000/`. The
 //! manifest is authoritative on recovery — the partition function is
 //! keyed by the shard count, so opening with a different count would
 //! route ids to the wrong shards — and a directory without one (such as
@@ -88,15 +120,15 @@ use super::ServeError;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use traj_core::codec::{write_atomic, DecodeError, Fnv64, Format, Reader, Writer};
+use traj_core::codec::{write_atomic, DecodeError, Fnv64, Format, Reader, Staged, Writer};
 
 const WAL: Format = Format {
     magic: *b"LHWL",
-    version: 2,
+    version: 3,
 };
 const CHECKPOINT: Format = Format {
     magic: *b"LHCP",
-    version: 2,
+    version: 3,
 };
 const MANIFEST: Format = Format {
     magic: *b"LHSM",
@@ -104,9 +136,13 @@ const MANIFEST: Format = Format {
 };
 const OP_UPSERT: u8 = 1;
 const OP_REMOVE: u8 = 2;
+const OP_EPOCH: u8 = 3;
 
 /// Checkpoint file name inside a serving directory.
 pub(crate) const CKPT_FILE: &str = "serve.ckpt";
+/// Where an install keeps the checkpoint it replaces linked until it has
+/// committed: a staging sibling's name, so recovery deletes it.
+const RETIRED_FILE: &str = "serve.ckpt.retired.tmp";
 /// Shard manifest file name inside a sharded serving directory.
 pub(crate) const MANIFEST_FILE: &str = "serve.manifest";
 
@@ -115,16 +151,23 @@ pub(crate) fn shard_dir_name(s: usize) -> String {
     format!("shard-{s:04}")
 }
 
-/// Name of the log that extends checkpoint `epoch`, inside a shard
-/// directory.
-pub(crate) fn wal_name(epoch: u64) -> String {
-    format!("{epoch}.wal")
+/// Name of the log that extends the checkpoint of install `generation`,
+/// inside a shard directory.
+pub(crate) fn wal_name(generation: u64) -> String {
+    format!("{generation}.wal")
 }
 
-/// The epoch of a log named by [`wal_name`]; `None` for any other name.
-fn wal_epoch(name: &str) -> Option<u64> {
-    let epoch = name.strip_suffix(".wal")?.parse().ok()?;
-    (wal_name(epoch) == name).then_some(epoch)
+/// The generation of a log named by [`wal_name`]; `None` for any other
+/// name.
+fn wal_generation(name: &str) -> Option<u64> {
+    let generation = name.strip_suffix(".wal")?.parse().ok()?;
+    (wal_name(generation) == name).then_some(generation)
+}
+
+/// Whether `name` is a checkpoint staging sibling: a write cut short, a
+/// staged install, or a retired checkpoint's link.
+fn is_ckpt_sibling(name: &str) -> bool {
+    name.starts_with(CKPT_FILE) && name.ends_with(".tmp")
 }
 
 /// Writes the shard manifest atomically.
@@ -150,7 +193,7 @@ fn decode_manifest(raw: &[u8]) -> Result<u32, ServeError> {
     Ok(shards)
 }
 
-/// One logical write, as logged and replayed.
+/// One logical write, as replayed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalOp {
     /// Insert or replace the row for `id`.
@@ -162,37 +205,48 @@ pub(crate) enum WalOp {
     },
     /// Remove the row for `id` (a no-op on replay if absent).
     Remove { id: u64 },
+    /// Replay continues from publication `epoch`.
+    Epoch { epoch: u64 },
+}
+
+/// One logical write, borrowed, as logged: a writer logs the row it was
+/// handed and an install the delta rows it re-logs, without copying
+/// either.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Record<'a> {
+    /// Insert or replace the row for `id`.
+    Upsert {
+        id: u64,
+        eu: &'a [f32],
+        hyper: Option<&'a [f32]>,
+        factors: Option<&'a [f32]>,
+    },
+    /// Remove the row for `id`.
+    Remove { id: u64 },
+    /// Replay continues from publication `epoch`: what an install's
+    /// commit logs after its residue.
+    Epoch { epoch: u64 },
 }
 
 impl WalOp {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// The op as a record to log.
+    #[cfg(test)]
+    pub(crate) fn record(&self) -> Record<'_> {
         match self {
             WalOp::Upsert {
                 id,
                 eu,
                 hyper,
                 factors,
-            } => {
-                w.u8(OP_UPSERT);
-                w.u64(*id);
-                w.f32_chunk(eu);
-                for part in [hyper, factors] {
-                    match part {
-                        Some(vals) => {
-                            w.u8(1);
-                            w.f32_chunk(vals);
-                        }
-                        None => w.u8(0),
-                    }
-                }
-            }
-            WalOp::Remove { id } => {
-                w.u8(OP_REMOVE);
-                w.u64(*id);
-            }
+            } => Record::Upsert {
+                id: *id,
+                eu,
+                hyper: hyper.as_deref(),
+                factors: factors.as_deref(),
+            },
+            WalOp::Remove { id } => Record::Remove { id: *id },
+            WalOp::Epoch { epoch } => Record::Epoch { epoch: *epoch },
         }
-        w.finish()
     }
 
     fn decode(body: &[u8]) -> Result<WalOp, DecodeError> {
@@ -219,10 +273,47 @@ impl WalOp {
                 }
             }
             OP_REMOVE => WalOp::Remove { id },
+            OP_EPOCH => WalOp::Epoch { epoch: id },
             other => return Err(DecodeError::BadVariantTag(other)),
         };
         data.finish()?;
         Ok(op)
+    }
+}
+
+impl Record<'_> {
+    fn encode(self) -> Vec<u8> {
+        let mut w = Writer::new();
+        match self {
+            Record::Upsert {
+                id,
+                eu,
+                hyper,
+                factors,
+            } => {
+                w.u8(OP_UPSERT);
+                w.u64(id);
+                w.f32_chunk(eu);
+                for part in [hyper, factors] {
+                    match part {
+                        Some(vals) => {
+                            w.u8(1);
+                            w.f32_chunk(vals);
+                        }
+                        None => w.u8(0),
+                    }
+                }
+            }
+            Record::Remove { id } => {
+                w.u8(OP_REMOVE);
+                w.u64(id);
+            }
+            Record::Epoch { epoch } => {
+                w.u8(OP_EPOCH);
+                w.u64(epoch);
+            }
+        }
+        w.finish()
     }
 }
 
@@ -232,12 +323,26 @@ pub(crate) struct WalFile {
     writer: BufWriter<File>,
     fsync: bool,
     path: PathBuf,
+    /// An install's log before its commit ([`stage_wal`]): deleted when
+    /// dropped, so an install that fails or is discarded leaves no file.
+    staged: bool,
 }
 
 impl WalFile {
     /// Appends one record and flushes it (and syncs it when fsync is on).
-    pub(crate) fn append(&mut self, op: &WalOp) -> Result<(), ServeError> {
-        write_record(&mut self.writer, op)?;
+    pub(crate) fn append(&mut self, op: Record<'_>) -> Result<(), ServeError> {
+        self.push(op)?;
+        self.sync()
+    }
+
+    /// Buffers one record behind the log's tail; [`WalFile::sync`] or
+    /// [`WalFile::seal`] writes it out.
+    pub(crate) fn push(&mut self, op: Record<'_>) -> Result<(), ServeError> {
+        Ok(write_record(&mut self.writer, op)?)
+    }
+
+    /// Flushes the buffered records and, with fsync on, syncs them.
+    pub(crate) fn sync(&mut self) -> Result<(), ServeError> {
         self.writer.flush()?;
         if self.fsync {
             self.writer.get_ref().sync_data()?;
@@ -245,16 +350,38 @@ impl WalFile {
         Ok(())
     }
 
-    /// Closes the log and deletes its file, best effort: the log of an
-    /// install that did not commit, or the one a commit superseded
-    /// (recovery deletes either if this fails).
-    pub(crate) fn discard(self) {
-        let _ = std::fs::remove_file(&self.path);
+    /// The commit half of a staged log ([`stage_wal`]): appends the epoch
+    /// record of publication `epoch` behind the records pushed so far,
+    /// then flushes and, with fsync on, syncs. The log stays staged until
+    /// [`WalFile::keep`].
+    pub(crate) fn seal(&mut self, epoch: u64) -> Result<(), ServeError> {
+        self.push(Record::Epoch { epoch })?;
+        self.sync()
+    }
+
+    /// Marks a staged log committed: from now on dropping it keeps its
+    /// file.
+    pub(crate) fn keep(&mut self) {
+        self.staged = false;
+    }
+
+    /// Closes the log and deletes its file, best effort: the log a commit
+    /// superseded (recovery deletes it if this fails).
+    pub(crate) fn discard(mut self) {
+        self.staged = true;
+    }
+}
+
+impl Drop for WalFile {
+    fn drop(&mut self) {
+        if self.staged {
+            let _ = std::fs::remove_file(&self.path);
+        }
     }
 }
 
 /// Writes one framed record, checksummed by FNV-1a's byte step.
-fn write_record(out: &mut impl Write, op: &WalOp) -> std::io::Result<()> {
+fn write_record(out: &mut impl Write, op: Record<'_>) -> std::io::Result<()> {
     let body = op.encode();
     let mut frame = Writer::new();
     frame.u32(body.len() as u32);
@@ -263,84 +390,93 @@ fn write_record(out: &mut impl Write, op: &WalOp) -> std::io::Result<()> {
     out.write_all(&body)
 }
 
-/// Creates the log that extends checkpoint `epoch` in `dir`, holding
-/// `ops`: written through one buffer and flushed once, then synced when
-/// `fsync`. Returns it open for appending. On error the file is removed.
-pub(crate) fn create_wal(
+/// Creates the log of install `generation` in `dir`, holding `ops`:
+/// written through one buffer and flushed once, then synced when `fsync`.
+/// Returns it open for appending. On error the file is removed.
+pub(crate) fn create_wal<'a>(
     dir: &Path,
-    epoch: u64,
-    ops: impl IntoIterator<Item = WalOp>,
+    generation: u64,
+    ops: impl IntoIterator<Item = Record<'a>>,
     fsync: bool,
 ) -> Result<WalFile, ServeError> {
-    let path = dir.join(wal_name(epoch));
-    let created = (|| -> Result<WalFile, ServeError> {
-        let mut header = WAL.writer();
-        header.u64(epoch);
-        let mut writer = BufWriter::new(File::create(&path)?);
-        writer.write_all(&WAL.finish(header))?;
-        for op in ops {
-            write_record(&mut writer, &op)?;
-        }
-        writer.flush()?;
-        if fsync {
-            writer.get_ref().sync_all()?;
-        }
-        let path = path.clone();
-        Ok(WalFile {
-            writer,
-            fsync,
-            path,
-        })
-    })();
-    if created.is_err() {
-        let _ = std::fs::remove_file(&path);
+    let mut wal = stage_wal(dir, generation, fsync)?;
+    for op in ops {
+        wal.push(op)?;
     }
-    created
+    wal.writer.flush()?;
+    if fsync {
+        wal.writer.get_ref().sync_all()?;
+    }
+    wal.keep();
+    Ok(wal)
 }
 
-/// Opens the log of the shard in `dir` whose checkpoint is at `epoch`,
-/// and returns the ops it holds. First deletes what no commit left in
-/// force: every other epoch's log and any checkpoint staging sibling (a
-/// crash inside `write_atomic`). Then replays `<epoch>.wal` (healing a
-/// torn tail), or creates it empty if it is missing. A log whose header
-/// names another epoch is corrupt.
+/// The prepare half of an install's log: the log of install `generation`
+/// in `dir`, holding only its header and open for appending; the file is
+/// deleted if the log is dropped before [`WalFile::keep`].
+pub(crate) fn stage_wal(dir: &Path, generation: u64, fsync: bool) -> Result<WalFile, ServeError> {
+    let path = dir.join(wal_name(generation));
+    let file = File::create(&path)?;
+    let mut wal = WalFile {
+        writer: BufWriter::new(file),
+        fsync,
+        path,
+        staged: true,
+    };
+    let mut header = WAL.writer();
+    header.u64(generation);
+    wal.writer.write_all(&WAL.finish(header))?;
+    Ok(wal)
+}
+
+/// Opens the log of the shard in `dir` whose checkpoint is of install
+/// `generation`, and returns its replay. First deletes what no commit
+/// left in force: every other generation's log and every checkpoint
+/// staging sibling. Then replays `<generation>.wal` (healing a torn
+/// tail), or creates it empty if it is missing. A log whose header names
+/// another generation is corrupt.
 pub(crate) fn recover_wal(
     dir: &Path,
-    epoch: u64,
+    generation: u64,
     fsync: bool,
-) -> Result<(Vec<WalOp>, WalFile), ServeError> {
+) -> Result<(WalReplay, WalFile), ServeError> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        let other_log = wal_epoch(&name).is_some_and(|e| e != epoch);
-        if other_log || (name.starts_with(CKPT_FILE) && name.ends_with(".tmp")) {
+        let other_log = wal_generation(&name).is_some_and(|g| g != generation);
+        if other_log || is_ckpt_sibling(&name) {
             std::fs::remove_file(entry.path())?;
         }
     }
-    let path = dir.join(wal_name(epoch));
+    let path = dir.join(wal_name(generation));
     if !path.try_exists()? {
-        return Ok((Vec::new(), create_wal(dir, epoch, [], fsync)?));
+        let replay = WalReplay {
+            ops: Vec::new(),
+            generation,
+            truncated_bytes: 0,
+        };
+        return Ok((replay, create_wal(dir, generation, [], fsync)?));
     }
     let (replay, mut wal) = replay(&path)?;
-    if replay.checkpoint_epoch != epoch {
+    if replay.generation != generation {
         return Err(ServeError::Corrupt(format!(
-            "log {} is bound to epoch {}",
-            wal_name(epoch),
-            replay.checkpoint_epoch
+            "log {} is bound to generation {}",
+            wal_name(generation),
+            replay.generation
         )));
     }
     wal.fsync = fsync;
-    Ok((replay.ops, wal))
+    Ok((replay, wal))
 }
 
-/// A WAL's checkpoint epoch, and a reader over its records.
+/// A WAL's generation, and a reader over its records.
 fn read_header(raw: &[u8]) -> Result<(u64, Reader<'_>), DecodeError> {
     let mut file = Reader::new(raw);
     let mut head = WAL.unframe_prefix(&mut file)?;
-    let epoch = head.u64("wal checkpoint epoch")?;
+    let generation = head.u64("wal generation")?;
     head.finish()?;
-    Ok((epoch, file))
+    Ok((generation, file))
 }
 
 /// Result of replaying a WAL file.
@@ -348,8 +484,8 @@ fn read_header(raw: &[u8]) -> Result<(u64, Reader<'_>), DecodeError> {
 pub(crate) struct WalReplay {
     /// Ops that passed framing + checksum, in append order.
     pub ops: Vec<WalOp>,
-    /// The checkpoint epoch the WAL header binds to.
-    pub checkpoint_epoch: u64,
+    /// The install generation the WAL header binds to.
+    pub generation: u64,
     /// Bytes of torn tail discarded (0 after a clean shutdown).
     pub truncated_bytes: usize,
 }
@@ -367,7 +503,7 @@ fn next_frame<'a>(records: &mut Reader<'a>) -> Option<(&'a [u8], bool)> {
 /// is incomplete or fails its checksum — an error instead when a later
 /// complete frame verifies.
 fn parse(raw: &[u8]) -> Result<WalReplay, ServeError> {
-    let (checkpoint_epoch, mut records) = read_header(raw)?;
+    let (generation, mut records) = read_header(raw)?;
     let mut ops = Vec::new();
     loop {
         // Read ahead on a copy, so a torn frame leaves `records` at its
@@ -398,7 +534,7 @@ fn parse(raw: &[u8]) -> Result<WalReplay, ServeError> {
     }
     Ok(WalReplay {
         ops,
-        checkpoint_epoch,
+        generation,
         truncated_bytes: records.remaining(),
     })
 }
@@ -417,38 +553,88 @@ pub(crate) fn replay(path: &Path) -> Result<(WalReplay, WalFile), ServeError> {
         writer: BufWriter::new(file),
         fsync: false,
         path: path.to_path_buf(),
+        staged: false,
     };
     Ok((replay, wal))
 }
 
-/// A decoded checkpoint: the compacted base plus its ids and counters.
+/// A decoded checkpoint: the compacted base plus its ids and the install
+/// generation that wrote it.
 #[derive(Debug)]
 pub(crate) struct Checkpoint {
     pub store: EmbeddingStore,
     pub ids: Vec<u64>,
-    pub epoch: u64,
-    pub compactions: u64,
+    pub generation: u64,
 }
 
-/// Writes a checkpoint of `store` (rows parallel to `ids`) to `path`
-/// atomically — readers of `path` see either the old checkpoint or the
-/// new one, never a torn mix. The body is streamed to the file, so the
-/// file is never whole in memory.
-pub(crate) fn write_checkpoint(
+/// A checkpoint staged beside a shard's current one, and the current one
+/// linked aside ([`RETIRED_FILE`]) so the rename that replaces it frees
+/// no blocks. [`StagedCheckpoint::commit`] is an install's commit point;
+/// dropping it deletes the staged file if it never committed, and the
+/// retired link either way — after the writer lock is released, on the
+/// install path.
+#[derive(Debug)]
+pub(crate) struct StagedCheckpoint {
+    staged: Option<Staged>,
+    retired: Option<PathBuf>,
+}
+
+impl StagedCheckpoint {
+    /// Renames the staged checkpoint over the current one. `Err` means the
+    /// current one is still in place; a second call does nothing.
+    pub(crate) fn commit(&mut self) -> Result<(), ServeError> {
+        if let Some(staged) = self.staged.take() {
+            staged.commit()?;
+        }
+        Ok(())
+    }
+}
+
+impl Drop for StagedCheckpoint {
+    fn drop(&mut self) {
+        if let Some(retired) = self.retired.take() {
+            let _ = std::fs::remove_file(retired);
+        }
+    }
+}
+
+/// The prepare half of an install's checkpoint at `path`: `store` (rows
+/// parallel to `ids`) as install `generation`, streamed to the staging
+/// sibling and synced, so the file is never whole in memory; and, when
+/// `path` exists, a hard link to it at the retired name (best effort: a
+/// file system without hard links frees the blocks in the rename
+/// instead).
+pub(crate) fn stage_checkpoint(
     path: &Path,
-    epoch: u64,
-    compactions: u64,
+    generation: u64,
     ids: &[u64],
     store: &EmbeddingStore,
-) -> Result<(), ServeError> {
-    CHECKPOINT.write_atomic(path, |w| {
-        w.u64(epoch);
-        w.u64(compactions);
+) -> Result<StagedCheckpoint, ServeError> {
+    let staged = CHECKPOINT.stage(path, |w| {
+        w.u64(generation);
         w.u64(ids.len() as u64);
         w.values(ids, u64::to_le_bytes);
         w.chunk(store.encoded_len(), |w| store.encode(w));
     })?;
-    Ok(())
+    let retired = path.with_file_name(RETIRED_FILE);
+    let _ = std::fs::remove_file(&retired);
+    let linked = std::fs::hard_link(path, &retired).is_ok();
+    Ok(StagedCheckpoint {
+        staged: Some(staged),
+        retired: linked.then_some(retired),
+    })
+}
+
+/// Writes a checkpoint of `store` (rows parallel to `ids`) as install
+/// `generation` to `path` atomically — readers of `path` see either the
+/// old checkpoint or the new one, never a torn mix.
+pub(crate) fn write_checkpoint(
+    path: &Path,
+    generation: u64,
+    ids: &[u64],
+    store: &EmbeddingStore,
+) -> Result<(), ServeError> {
+    stage_checkpoint(path, generation, ids, store)?.commit()
 }
 
 /// Reads and validates a checkpoint file.
@@ -458,8 +644,7 @@ pub(crate) fn read_checkpoint(path: &Path) -> Result<Checkpoint, ServeError> {
 
 fn decode_checkpoint(raw: &[u8]) -> Result<Checkpoint, ServeError> {
     let mut body = CHECKPOINT.unframe(raw)?;
-    let epoch = body.u64("ckpt epoch")?;
-    let compactions = body.u64("ckpt compactions")?;
+    let generation = body.u64("ckpt generation")?;
     let n = body.count("ckpt id count")?;
     let ids = body.values("ckpt ids", n, u64::from_le_bytes)?;
     let store = EmbeddingStore::from_bytes(body.chunk("ckpt payload")?)?;
@@ -474,8 +659,7 @@ fn decode_checkpoint(raw: &[u8]) -> Result<Checkpoint, ServeError> {
     Ok(Checkpoint {
         store,
         ids,
-        epoch,
-        compactions,
+        generation,
     })
 }
 
@@ -489,8 +673,8 @@ mod tests {
 
     /// Bytes of a frame before its body: magic, version, length, checksum.
     const FRAME_LEN: usize = 24;
-    /// Bytes of a version-2 WAL before its first record: the frame plus
-    /// the epoch word.
+    /// Bytes of a version-3 WAL before its first record: the frame plus
+    /// the generation word.
     const WAL_HEADER: usize = FRAME_LEN + 8;
     /// Bytes of framing before a record body: u32 length + u64 checksum.
     const RECORD_HEADER: usize = 4 + 8;
@@ -520,12 +704,18 @@ mod tests {
     }
 
     fn bits(op: &WalOp) -> Vec<u8> {
-        op.encode()
+        op.record().encode()
     }
 
-    /// A WAL bound to epoch 3 holding `sample_ops()`.
+    /// A log of generation `generation` holding `sample_ops()`.
+    fn create_sample(dir: &Path, generation: u64) -> WalFile {
+        let ops = sample_ops();
+        create_wal(dir, generation, ops.iter().map(WalOp::record), false).expect("create")
+    }
+
+    /// A WAL bound to generation 3 holding `sample_ops()`.
     fn sample_wal(dir: &Path) -> PathBuf {
-        create_wal(dir, 3, sample_ops(), false).expect("create");
+        create_sample(dir, 3);
         dir.join(wal_name(3))
     }
 
@@ -553,7 +743,7 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let path = sample_wal(&dir);
         let (replay, _wal) = replay(&path).expect("replay");
-        assert_eq!(replay.checkpoint_epoch, 3);
+        assert_eq!(replay.generation, 3);
         assert_eq!(replay.truncated_bytes, 0);
         let expect: Vec<Vec<u8>> = sample_ops().iter().map(bits).collect();
         let got: Vec<Vec<u8>> = replay.ops.iter().map(bits).collect();
@@ -573,7 +763,7 @@ mod tests {
         assert!(replay1.truncated_bytes > 0);
         // The heal cut the file back to the verified prefix, and appends
         // land after it.
-        wal.append(&WalOp::Remove { id: 1 }).expect("append");
+        wal.append(Record::Remove { id: 1 }).expect("append");
         drop(wal);
         let (replay2, _wal) = replay(&path).expect("replay healed");
         assert_eq!(replay2.truncated_bytes, 0);
@@ -591,7 +781,7 @@ mod tests {
         let dir = tmpdir("checksum");
         let path = sample_wal(&dir);
         let mut full = std::fs::read(&path).expect("read");
-        let first_body = sample_ops()[0].encode().len();
+        let first_body = bits(&sample_ops()[0]).len();
         let second_start = WAL_HEADER + RECORD_HEADER + first_body + RECORD_HEADER;
         full[second_start] ^= 0xff;
         std::fs::write(&path, &full).expect("flip");
@@ -613,7 +803,7 @@ mod tests {
         let dir = tmpdir("zero-tail");
         let path = sample_wal(&dir);
         let mut full = std::fs::read(&path).expect("read");
-        let last = sample_ops()[2].encode().len();
+        let last = bits(&sample_ops()[2]).len();
         let prefix = full.len() - last;
         full[prefix..].fill(0);
         full.extend([0u8; 64]);
@@ -628,14 +818,14 @@ mod tests {
     }
 
     /// The header of a current WAL is a frame: every truncation of it and
-    /// every single-bit flip in it is a typed error — a flipped epoch bit
-    /// no longer reads as another epoch. (Record frames past the header
-    /// keep the torn-tail rule above.)
+    /// every single-bit flip in it is a typed error — a flipped generation
+    /// bit no longer reads as another generation. (Record frames past the
+    /// header keep the torn-tail rule above.)
     #[test]
     fn every_wal_header_truncation_and_bit_flip_errors() {
         let dir = tmpdir("header");
         let raw = std::fs::read(sample_wal(&dir)).expect("read");
-        assert_eq!(&raw[4..8], &2u32.to_le_bytes());
+        assert_eq!(&raw[4..8], &3u32.to_le_bytes());
         for cut in 0..WAL_HEADER {
             assert!(parse(&raw[..cut]).is_err(), "cut at {cut}");
         }
@@ -656,7 +846,7 @@ mod tests {
         let mut store = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
         store.push(&[1.0, 2.0], None, None);
         store.push(&[f32::NAN, -0.0], None, None);
-        write_checkpoint(&path, 5, 2, &[10, 20], &store).expect("write");
+        write_checkpoint(&path, 2, &[10, 20], &store).expect("write");
         let mut names = std::fs::read_dir(&dir).expect("list").map(|e| {
             let name = e.expect("entry").file_name();
             name.to_string_lossy().into_owned()
@@ -666,8 +856,7 @@ mod tests {
             "tmp renamed away"
         );
         let back = read_checkpoint(&path).expect("read");
-        assert_eq!(back.epoch, 5);
-        assert_eq!(back.compactions, 2);
+        assert_eq!(back.generation, 2);
         assert_eq!(back.ids, vec![10, 20]);
         assert_eq!(
             back.store.to_bytes(),
@@ -705,7 +894,6 @@ mod tests {
             for store in [store_with_rows(variant), empty, big] {
                 let ids: Vec<u64> = (0..store.len() as u64).map(|i| i * 7 + 1).collect();
                 let mut w = CHECKPOINT.writer();
-                w.u64(9);
                 w.u64(4);
                 w.u64(ids.len() as u64);
                 w.values(&ids, u64::to_le_bytes);
@@ -715,7 +903,7 @@ mod tests {
                 let want = CHECKPOINT.finish(w);
                 assert_ne!((want.len() - FRAME_LEN) % 8, 0);
 
-                write_checkpoint(&path, 9, 4, &ids, &store).expect("write");
+                write_checkpoint(&path, 4, &ids, &store).expect("write");
                 let got = std::fs::read(&path).expect("read");
                 assert!(got == want, "{} n={}", variant.name(), store.len());
             }
@@ -728,10 +916,10 @@ mod tests {
     #[test]
     fn a_log_created_whole_is_the_appended_log() {
         let (whole, appended) = (tmpdir("whole"), tmpdir("appended"));
-        create_wal(&whole, 3, sample_ops(), false).expect("create");
+        create_sample(&whole, 3);
         let mut wal = create_wal(&appended, 3, [], false).expect("create");
         for op in sample_ops() {
-            wal.append(&op).expect("append");
+            wal.append(op.record()).expect("append");
         }
         drop(wal);
         let read = |dir: &Path| std::fs::read(dir.join(wal_name(3))).expect("read");
@@ -740,22 +928,97 @@ mod tests {
         std::fs::remove_dir_all(&appended).ok();
     }
 
-    /// Recovery keeps the checkpoint epoch's log and deletes every other
-    /// epoch's and every checkpoint staging sibling; names that are not
-    /// a log's stay. A missing log is created empty.
+    /// A staged log is deleted when dropped, also after its seal, until it
+    /// is kept; a kept one replays the records pushed before and after its
+    /// sync, and then the epoch record.
+    #[test]
+    fn a_staged_log_is_deleted_unless_sealed_and_kept() {
+        let dir = tmpdir("staged-log");
+        let ops = sample_ops();
+        let (residue, after) = ops.split_at(1);
+        let path = dir.join(wal_name(4));
+        for keep in [false, true] {
+            drop(stage_wal(&dir, 4, false).expect("stage"));
+            assert!(!path.exists());
+            let mut log = stage_wal(&dir, 4, false).expect("stage");
+            for op in residue {
+                log.push(op.record()).expect("push");
+            }
+            log.sync().expect("sync");
+            for op in after {
+                log.push(op.record()).expect("push");
+            }
+            log.seal(17).expect("seal");
+            if keep {
+                log.keep();
+            }
+            drop(log);
+            assert_eq!(path.exists(), keep);
+        }
+        let (replayed, _wal) = replay(&path).expect("replay");
+        let mut want = sample_ops();
+        want.push(WalOp::Epoch { epoch: 17 });
+        let got: Vec<Vec<u8>> = replayed.ops.iter().map(bits).collect();
+        assert_eq!(got, want.iter().map(bits).collect::<Vec<_>>());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A staged checkpoint leaves the current one in place and links it
+    /// aside; its commit replaces it, and dropping it removes the link —
+    /// and, uncommitted, the staged file.
+    #[test]
+    fn a_staged_checkpoint_commits_by_its_rename_and_cleans_up_when_dropped() {
+        let dir = tmpdir("staged-ckpt");
+        let path = dir.join(CKPT_FILE);
+        let store = store_with_rows(PluginVariant::Original);
+        write_checkpoint(&path, 1, &[1, 2, 3], &store).expect("write");
+        let current = std::fs::read(&path).expect("read");
+        let names = || {
+            let entries = std::fs::read_dir(&dir).expect("list");
+            let mut names: Vec<String> = entries
+                .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        assert_eq!(names(), [CKPT_FILE]);
+        for commit in [false, true] {
+            let mut staged = stage_checkpoint(&path, 2, &[4, 5, 6], &store).expect("stage");
+            let sibling = format!("{CKPT_FILE}.{}.tmp", std::process::id());
+            assert_eq!(names(), [CKPT_FILE, &sibling, RETIRED_FILE]);
+            assert_eq!(
+                std::fs::read(dir.join(RETIRED_FILE)).expect("link"),
+                current
+            );
+            if commit {
+                staged.commit().expect("commit");
+                assert_eq!(read_checkpoint(&path).expect("read").generation, 2);
+                assert_eq!(names(), [CKPT_FILE, RETIRED_FILE]);
+            }
+            drop(staged);
+            assert_eq!(names(), [CKPT_FILE]);
+            assert_eq!(std::fs::read(&path).expect("read") == current, !commit);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Recovery keeps the checkpoint generation's log and deletes every
+    /// other generation's and every checkpoint staging sibling, the
+    /// retired checkpoint's link included; names that are not a log's
+    /// stay. A missing log is created empty.
     #[test]
     fn recovery_keeps_only_the_checkpoint_epochs_log() {
         let dir = tmpdir("recover");
-        for epoch in [2, 3, 4] {
-            create_wal(&dir, epoch, sample_ops(), false).expect("create");
+        for generation in [2, 3, 4] {
+            create_sample(&dir, generation);
         }
         let keep = ["03.wal", "serve.wal", "notes"];
-        for name in keep.iter().chain(&["serve.ckpt.7.tmp"]) {
+        for name in keep.iter().chain(&["serve.ckpt.7.tmp", RETIRED_FILE]) {
             std::fs::write(dir.join(name), b"x").expect("write");
         }
-        let (ops, _wal) = recover_wal(&dir, 3, false).expect("recover");
+        let (kept, _wal) = recover_wal(&dir, 3, false).expect("recover");
         let expect: Vec<Vec<u8>> = sample_ops().iter().map(bits).collect();
-        assert_eq!(ops.iter().map(bits).collect::<Vec<_>>(), expect);
+        assert_eq!(kept.ops.iter().map(bits).collect::<Vec<_>>(), expect);
         let mut names: Vec<String> = std::fs::read_dir(&dir)
             .expect("list")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
@@ -763,16 +1026,16 @@ mod tests {
         names.sort();
         assert_eq!(names, ["03.wal", "3.wal", "notes", "serve.wal"]);
 
-        let (ops, _wal) = recover_wal(&dir, 5, false).expect("recover");
-        assert!(ops.is_empty());
+        let (replay_5, _wal) = recover_wal(&dir, 5, false).expect("recover");
+        assert!(replay_5.ops.is_empty());
         let (replayed, _wal) = replay(&dir.join(wal_name(5))).expect("created");
-        assert_eq!((replayed.checkpoint_epoch, replayed.ops.len()), (5, 0));
+        assert_eq!((replayed.generation, replayed.ops.len()), (5, 0));
         assert!(!dir.join(wal_name(3)).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A log whose header names another epoch than its file name is a
-    /// typed error, and the file stays.
+    /// A log whose header names another generation than its file name is
+    /// a typed error, and the file stays.
     #[test]
     fn a_log_bound_to_another_epoch_than_its_name_is_corrupt() {
         let dir = tmpdir("misnamed");
@@ -806,7 +1069,7 @@ mod tests {
         let dir = tmpdir("v1");
         let ckpt = dir.join(CKPT_FILE);
         let store = store_with_rows(PluginVariant::LorentzCosh);
-        write_checkpoint(&ckpt, 5, 2, &[10, 20, 30], &store).expect("write");
+        write_checkpoint(&ckpt, 2, &[10, 20, 30], &store).expect("write");
         let manifest = dir.join(MANIFEST_FILE);
         write_manifest(&manifest, 3).expect("write");
         let wal = sample_wal(&dir);
@@ -837,13 +1100,12 @@ mod tests {
         let dir = tmpdir("forged");
         let ckpt = dir.join(CKPT_FILE);
         let store = store_with_rows(PluginVariant::FusionDist);
-        write_checkpoint(&ckpt, 5, 2, &[10, 20, 30], &store).expect("write");
+        write_checkpoint(&ckpt, 2, &[10, 20, 30], &store).expect("write");
         let raw = std::fs::read(&ckpt).expect("read");
         for file in forged(&raw[FRAME_LEN..]).map(|body| framed(CHECKPOINT, &body)) {
             if let Ok(back) = decode_checkpoint(&file) {
                 let again = dir.join("again.ckpt");
-                write_checkpoint(&again, back.epoch, back.compactions, &back.ids, &back.store)
-                    .expect("rewrite");
+                write_checkpoint(&again, back.generation, &back.ids, &back.store).expect("rewrite");
                 assert_eq!(std::fs::read(&again).expect("read"), file);
             }
         }
@@ -854,17 +1116,14 @@ mod tests {
         }
 
         let raw = std::fs::read(sample_wal(&dir)).expect("read");
-        for mut file in forged(&3u64.to_le_bytes()).map(|body| framed(WAL, &body)) {
+        for mut file in forged(&raw[FRAME_LEN..WAL_HEADER]).map(|body| framed(WAL, &body)) {
             file.extend_from_slice(&raw[WAL_HEADER..]);
             if let Ok(replay) = parse(&file) {
-                assert_eq!(
-                    file[FRAME_LEN..WAL_HEADER],
-                    replay.checkpoint_epoch.to_le_bytes()
-                );
+                assert_eq!(file[FRAME_LEN..WAL_HEADER], replay.generation.to_le_bytes());
             }
         }
         for op in sample_ops() {
-            for body in forged(&op.encode()) {
+            for body in forged(&bits(&op)) {
                 let mut file = raw[..WAL_HEADER].to_vec();
                 let mut record = Writer::new();
                 record.u32(body.len() as u32);

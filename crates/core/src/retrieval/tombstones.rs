@@ -56,16 +56,29 @@ impl Tombstones {
     }
 
     /// The rows in the set, ascending.
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         let words = self.pages.iter().flat_map(|page| page.iter());
-        words.enumerate().flat_map(|(w, &word)| {
-            let mut rest = word;
-            std::iter::from_fn(move || {
-                (rest != 0).then(|| {
-                    let bit = rest.trailing_zeros() as usize;
-                    rest &= rest - 1;
-                    w * 64 + bit
-                })
+        words.enumerate().flat_map(|(w, &word)| bits(word, w * 64))
+    }
+
+    /// The rows in the set that `earlier` lacks, ascending, where
+    /// `earlier` is a clone this set has since grown from. A page the two
+    /// still share is skipped by one pointer comparison, so the cost is
+    /// one comparison per page plus a word scan of each page written
+    /// since — not a scan of the set.
+    pub(crate) fn added_since<'a>(
+        &'a self,
+        earlier: &'a Tombstones,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let written = self.pages.iter().enumerate().filter_map(|(p, page)| {
+            let before = earlier.pages.get(p);
+            (!before.is_some_and(|before| Arc::ptr_eq(before, page))).then_some((p, page, before))
+        });
+        written.flat_map(|(p, page, before)| {
+            (0..PAGE_WORDS).flat_map(move |w| {
+                let new = page[w] & !before.map_or(0, |before| before[w]);
+                bits(new, p * PAGE_BITS + w * 64)
             })
         })
     }
@@ -78,6 +91,18 @@ impl Tombstones {
             first: 0,
         })
     }
+}
+
+/// The set bits of `word`, ascending, as rows counted from `first`.
+fn bits(word: u64, first: usize) -> impl Iterator<Item = usize> {
+    let mut rest = word;
+    std::iter::from_fn(move || {
+        (rest != 0).then(|| {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            first + bit
+        })
+    })
 }
 
 /// A borrowed view of a [`Tombstones`] set: row `r` of the view is row
@@ -157,5 +182,34 @@ mod tests {
         }
         assert_eq!(pinned.iter().collect::<Vec<_>>(), [5, 3 * PAGE_BITS + 1]);
         assert_eq!(set.iter().collect::<Vec<_>>(), [5, 7, 3 * PAGE_BITS + 1]);
+    }
+
+    /// `added_since` names exactly the rows set after the clone: on page
+    /// edges, in a page the clone shares, in pages the clone lacks, and
+    /// none when nothing was set.
+    #[test]
+    fn added_since_names_the_rows_set_after_a_clone() {
+        let mut set = Tombstones::default();
+        for r in [3, PAGE_BITS - 1, 2 * PAGE_BITS + 9] {
+            set.insert(r);
+        }
+        let earlier = set.clone();
+        assert_eq!(set.added_since(&earlier).count(), 0);
+        let added = [
+            0,
+            PAGE_BITS - 2,
+            PAGE_BITS,
+            2 * PAGE_BITS + 10,
+            5 * PAGE_BITS + 4095,
+        ];
+        for &r in added.iter().rev() {
+            set.insert(r);
+        }
+        assert!(!set.insert(3), "an old bit set again adds nothing");
+        assert_eq!(set.added_since(&earlier).collect::<Vec<_>>(), added);
+        assert_eq!(
+            set.added_since(&Tombstones::default()).collect::<Vec<_>>(),
+            set.iter().collect::<Vec<_>>()
+        );
     }
 }

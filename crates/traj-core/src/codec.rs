@@ -29,7 +29,11 @@
 //! bytes before reading, and size products use checked arithmetic, so a
 //! corrupt header errors instead of wrapping past a check), a [`Writer`]
 //! that streams buffers as whole byte chunks, one [`DecodeError`], and
-//! [`write_atomic`], the one tmp → sync → rename.
+//! [`write_atomic`], the one tmp → sync → rename. Its two halves are
+//! also apart: [`Format::stage`] writes and syncs the staging sibling
+//! and returns a [`Staged`] file, whose [`Staged::commit`] is the rename,
+//! so a caller can do the slow half before it takes a lock and only the
+//! rename under it.
 //!
 //! A frame is written one of two ways, with one header and one checksum:
 //! built in memory ([`Format::writer`] then [`Format::finish`]), or —
@@ -236,7 +240,14 @@ impl Format {
     /// The file is byte for byte what [`Format::finish`] returns for the
     /// same writes, while at most one block is ever held in memory.
     pub fn write_atomic(&self, path: &Path, body: impl FnOnce(&mut Writer)) -> io::Result<()> {
-        publish(path, |mut file| {
+        self.stage(path, body)?.commit()
+    }
+
+    /// [`Format::write_atomic`] up to its rename: the frame written and
+    /// synced under `path`'s staging sibling, to be published by
+    /// [`Staged::commit`].
+    pub fn stage(&self, path: &Path, body: impl FnOnce(&mut Writer)) -> io::Result<Staged> {
+        stage(path, |mut file| {
             file.write_all(&[0; FRAME_LEN])?; // the header, written last
             let mut w = Writer {
                 buf: Vec::with_capacity(STREAM_BLOCK + SCRATCH_BYTES),
@@ -557,25 +568,56 @@ fn tmp_path(path: &Path) -> PathBuf {
 /// The sibling is unique per process, so processes racing on one path
 /// (two builders caching one matrix) each rename a complete file.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    publish(path, |mut file| {
+    let staged = stage(path, |mut file| {
         file.write_all(bytes)?;
         Ok(file)
-    })
+    })?;
+    staged.commit()
 }
 
-/// The one tmp → sync → rename: `fill` writes the staging sibling, and
-/// the rest is [`write_atomic`]'s contract.
-fn publish(path: &Path, fill: impl FnOnce(File) -> io::Result<File>) -> io::Result<()> {
-    let tmp = tmp_path(path);
-    let published = (|| {
-        let file = fill(File::create(&tmp)?)?;
-        file.sync_all()?;
-        std::fs::rename(&tmp, path)
-    })();
-    if published.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+/// A file written and synced under its staging sibling, not yet at its
+/// path: the first half of [`write_atomic`]. [`Staged::commit`] is the
+/// second; dropped uncommitted, it removes the sibling, so an error or a
+/// change of plan between the halves leaves `path` and its directory as
+/// they were.
+#[derive(Debug)]
+#[must_use = "a staged file is removed when dropped uncommitted"]
+pub struct Staged {
+    tmp: PathBuf,
+    path: PathBuf,
+    committed: bool,
+}
+
+impl Staged {
+    /// Renames the staged file over its path: `Ok` means the path holds
+    /// it, `Err` that the path holds what it held before (and the sibling
+    /// is removed).
+    pub fn commit(mut self) -> io::Result<()> {
+        std::fs::rename(&self.tmp, &self.path)?;
+        self.committed = true;
+        Ok(())
     }
-    published
+}
+
+impl Drop for Staged {
+    fn drop(&mut self) {
+        if !self.committed {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// The tmp → sync half of [`write_atomic`]: `fill` writes the staging
+/// sibling, which is synced and handed back as a [`Staged`] file. On
+/// error the sibling is removed.
+fn stage(path: &Path, fill: impl FnOnce(File) -> io::Result<File>) -> io::Result<Staged> {
+    let staged = Staged {
+        tmp: tmp_path(path),
+        path: path.to_path_buf(),
+        committed: false,
+    };
+    fill(File::create(&staged.tmp)?)?.sync_all()?;
+    Ok(staged)
 }
 
 #[cfg(test)]
@@ -820,6 +862,34 @@ mod tests {
         std::fs::create_dir(&target).expect("a directory at the target");
         assert!(write_atomic(&target, b"newer").is_err());
         assert!(target.is_dir() && !tmp_path(&target).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A staged frame sits complete under the staging sibling and the
+    /// path keeps its old bytes until the commit; one dropped uncommitted
+    /// leaves the path as it was and no sibling.
+    #[test]
+    fn a_staged_frame_publishes_at_its_commit_and_vanishes_when_dropped() {
+        let dir = std::env::temp_dir().join(format!("traj-core-staged-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join("file.bin");
+        write_atomic(&path, b"old").expect("write");
+        let want = sample_frame();
+        let body = |w: &mut Writer| {
+            w.u64(7);
+            w.f32_chunk(&[1.5, -0.0, f32::NAN]);
+            w.u8(3);
+        };
+        let staged = TEST.stage(&path, body).expect("stage");
+        assert!(std::fs::read(tmp_path(&path)).expect("staged") == want);
+        assert_eq!(std::fs::read(&path).expect("read"), b"old");
+        staged.commit().expect("commit");
+        assert!(std::fs::read(&path).expect("read") == want);
+        assert!(!tmp_path(&path).exists());
+
+        drop(TEST.stage(&path, |w| w.u8(9)).expect("stage"));
+        assert!(std::fs::read(&path).expect("read") == want);
+        assert!(!tmp_path(&path).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

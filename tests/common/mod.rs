@@ -122,7 +122,7 @@ pub fn ordered_hits(hits: &[ServeHit]) -> Vec<(u64, u32)> {
     hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
 }
 
-/// A shard directory's one log, `<checkpoint epoch>.wal`.
+/// A shard directory's one log, `<generation>.wal`.
 pub fn shard_log(shard: &Path) -> PathBuf {
     let logs: Vec<PathBuf> = std::fs::read_dir(shard)
         .expect("list shard")

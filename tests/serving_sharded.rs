@@ -9,9 +9,10 @@
 //! complete". The background compactor races the writer between pin and
 //! install through the same properties, and directed tests pin down the
 //! drain()/determinism, `compact_inline`-behind-a-queued-fold and
-//! residual-re-log/recovery contracts. One directed test runs two writer
+//! residual-re-log/recovery contracts. Two directed tests run two writer
 //! threads and a reader against four shards while every shard folds in
-//! the background, and checks each pinned view and the drained store.
+//! the background, and check each pinned view and the drained store —
+//! the second on a durable store, which it then recovers.
 
 use lh_repro::plugin::{
     shard_of_id, EmbeddingStore, PluginVariant, ServingOptions, ShardedServingOptions,
@@ -796,13 +797,37 @@ fn deltas_past_three_chunks_recover_and_fold_exactly() {
 /// its flat scan, hit sets against the model's, and the same live ids.
 #[test]
 fn two_writers_and_a_reader_race_folds_on_every_shard() {
+    race_two_writers_and_a_reader(false);
+}
+
+/// [`two_writers_and_a_reader_race_folds_on_every_shard`] on a durable
+/// store: every fold's install prepares its log and checkpoint while both
+/// writers keep writing. After `drain()` and drop, a recovery equals the
+/// model and answers with the drained store's hits, ids and bits.
+#[test]
+fn two_writers_and_a_reader_race_durable_folds_and_recover() {
+    race_two_writers_and_a_reader(true);
+}
+
+fn race_two_writers_and_a_reader(durable: bool) {
     let (shards, threshold, dim, k) = (4, 8, 3, 10);
     let (writers, id_space, ops) = (2u64, 96u64, 2000);
     for variant in VARIANTS {
         let mut rng = StdRng::seed_from_u64(0xc0c4);
         let (base, ids, seeded) = seed_rows(variant, dim, 48, &mut rng);
-        let store = ShardedServingStore::new(base, ids, sharded_opts(shards, threshold))
-            .expect("unique ids");
+        let dir = std::env::temp_dir().join(format!(
+            "lh-serve-race-{}-{}",
+            variant.name(),
+            std::process::id()
+        ));
+        let opts = sharded_opts(shards, threshold);
+        let store = if durable {
+            let _ = std::fs::remove_dir_all(&dir);
+            ShardedServingStore::create_durable(&dir, base, ids, opts)
+        } else {
+            ShardedServingStore::new(base, ids, opts)
+        };
+        let store = store.expect("unique ids");
         let mut queries = empty_store(variant, dim);
         for _ in 0..3 {
             let row = random_row(variant, dim, &mut rng);
@@ -860,12 +885,15 @@ fn two_writers_and_a_reader_race_folds_on_every_shard() {
                     })
                 })
                 .collect();
-            let mut model = BTreeMap::new();
-            for h in handles {
-                model.append(&mut h.join().expect("writer"));
-            }
+            // Stop the reader before a writer's panic is re-raised, so a
+            // failed assertion fails the test instead of hanging it.
+            let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
             done.store(true, Ordering::Release);
             reader.join().expect("reader");
+            let mut model = BTreeMap::new();
+            for writer in joined {
+                model.append(&mut writer.expect("writer"));
+            }
             model
         });
         store.drain().expect("background folds");
@@ -902,5 +930,31 @@ fn two_writers_and_a_reader_race_folds_on_every_shard() {
             "{} live ids",
             variant.name()
         );
+        if durable {
+            let hits: Vec<_> = (0..queries.len())
+                .map(|qi| ordered_hits(&snap.knn(&queries, qi, k)))
+                .collect();
+            drop((snap, store));
+            let back = ShardedServingStore::recover(&dir, opts).expect("recover");
+            let snap = back.snapshot();
+            for (qi, want) in hits.iter().enumerate() {
+                let got = snap.knn(&queries, qi, k);
+                assert_eq!(&ordered_hits(&got), want, "{} recovered", variant.name());
+                assert_eq!(
+                    canon_hits(&got),
+                    canon_flat(&flat, &flat_ids, &queries, qi, k),
+                    "{} qi={qi}: recovered view vs the model",
+                    variant.name()
+                );
+            }
+            let mut live = snap.live_ids();
+            live.sort_unstable();
+            assert!(
+                live.iter().eq(model.keys()),
+                "{} recovered ids",
+                variant.name()
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 }
