@@ -116,19 +116,38 @@
 //! least the final k-th best certifies only rows the flat scan would not
 //! have returned, ties included.
 //!
-//! # Stopping the cell visit early
+//! # Visiting only the cells that can probe
 //!
-//! The loop visits cells lazily, in ascending order of a per-cell key,
-//! and a bound may end the visit before the last cell (`exits`). For
-//! `Triangle` the key is `max(0, p(q,c) − r)`, exactly the left side of
-//! its cell test, and the test's right side `τ + slack(dim, p, r, τ)`
-//! grows with `p + r`. So once a popped key exceeds `τ` plus the slack at
-//! the largest `p + r` of any cell, that cell and every cell still
-//! queued — all of a key at least as large — would fail their own tests:
-//! the loop counts them pruned and stops, exactly as walking them would
-//! have. A NaN or `∞` in `τ` or in any `p + r` makes the exit test
-//! compare false. `MixBound` ranks by fused centroid distance, which is
-//! not its cell test's left side, and never stops early.
+//! The loop ranks every cell by a key — `Triangle`'s is its cell test's
+//! left side `max(0, p(q,c) − r)`, `MixBound`'s the fused centroid
+//! distance — and visits cells in ascending `(key, id)` order (`total_cmp`,
+//! ties by id), testing each under the `τ` of its turn. It does not walk
+//! every cell to do so. While the heap is filling `τ` is `∞` and no test
+//! certifies anything, so the first cell is a linear minimum. Once the
+//! heap is full, every cell its own `skips_cell` certifies out under the
+//! current `τ` is dropped unvisited; only the survivors are sorted and
+//! walked. That visits the cells a walk over all of them would, in the
+//! same order, with the same counts, because of two facts:
+//!
+//! * a skipped cell offers nothing, so it never changes `τ`;
+//! * `τ` only falls (the heap's worst survivor only improves), and a
+//!   falling `τ` lowers every threshold — each step of `thresholds` is a
+//!   sum or product of terms that grow with `τ`, rounding is monotone, and
+//!   so is `θ`'s map — so a cell certified out when it was dropped is
+//!   certified out at its turn too.
+//!
+//! The second fact fails in two places, which
+//! `PruneBound::holds_certificates` names. A NaN image of `τ` certifies
+//! nothing: the heap's worst can fall from a finite value to a negative
+//! NaN, which `total_cmp` orders below `−∞` (a `0·∞` or `∞ − ∞` inside a
+//! kernel yields one), and in the mix space `τ = −∞` pads to
+//! `−∞ + ∞ = NaN`. And a negative `τ′` enters the mix space's Euclidean
+//! slack through its magnitude, so the threshold there need not fall with
+//! `τ` under rounding. A `τ` in either place at filter time drops
+//! nothing; one reached later puts the cells dropped ahead of the walk's
+//! position back into the order, and the rest of the walk tests every
+//! cell. The cost is one sort of the survivors — every cell at worst,
+//! O(C log C) per query for C cells, never a selection per probed cell.
 //!
 //! # Exactness under floating point (single-space tests)
 //!
@@ -141,7 +160,7 @@
 //! stay bit-identical to the flat scan while the lost prune rate is a few
 //! ulps' worth.
 
-use super::super::kernel::FusedKernel;
+use super::super::kernel::{LaneBlock, LANES};
 use super::super::store::EmbeddingStore;
 use super::IndexCell;
 use crate::config::PluginVariant;
@@ -263,20 +282,27 @@ pub(crate) trait PruneBound {
     /// `d(q,x) ≥ |p(q,c) − p(c,x)|`.
     fn skips_member(thresh: Self::Dist, pq: Self::Dist, cell: &IndexCell, i: usize) -> bool;
 
-    /// One O(num_cells · d) centroid scan for query `qi`.
+    /// Whether a cell certified out under a larger `τ` is still certified
+    /// out under `tau` (module docs, "Visiting only the cells that can
+    /// probe"): false for an image that certifies nothing (NaN) and
+    /// wherever the thresholds need not fall with `τ`.
+    fn holds_certificates(tau: Self::Dist) -> bool;
+
+    /// One O(num_cells · d) lane scan of the centroids for query `qi`:
+    /// the bits of the one-centroid-at-a-time scalar ranking, up to the
+    /// sign and payload of a NaN ([`LaneBlock`]'s contract), which no
+    /// prune decision or visit order reads (a `Triangle` key is never
+    /// NaN; a `MixBound` key is NaN only for a non-finite centroid, which
+    /// only a store with no finite row trains, and then every cell and
+    /// member of the index fails open, so every live row is scanned in
+    /// any order).
     fn rank_cells(
         &self,
-        centroids: &EmbeddingStore,
+        centroids: &LaneBlock,
         cells: &[IndexCell],
         queries: &EmbeddingStore,
         qi: usize,
     ) -> CellRanking<Self::Dist>;
-
-    /// Whether the cell visit may stop at a cell of visit key `key`
-    /// under `tau` (module docs, "Stopping the cell visit early"): true
-    /// only when that cell and every cell of a larger key is one
-    /// `skips_cell` would skip. `reach` is [`CellRanking::reach`].
-    fn exits(&self, tau: Self::Dist, reach: f64, key: f64) -> bool;
 }
 
 /// What one centroid scan yields for one query.
@@ -286,10 +312,13 @@ pub(crate) struct CellRanking<D> {
     /// Per cell, the key cells are visited by: ascending `total_cmp`
     /// order, ties by cell id.
     pub(crate) keys: Vec<f64>,
-    /// `max_j(p(q,c_j) + r_j)` over the cells, NaN as soon as one term
-    /// is — what [`PruneBound::exits`] needs to bound every cell's slack
-    /// at once. Unused by a bound that never exits.
-    pub(crate) reach: f64,
+}
+
+/// The in-range part of lane group `g` of a scan over `n` rows: the
+/// padding lanes past the last row are cut off.
+#[inline]
+fn live_lanes(g: usize, n: usize) -> usize {
+    LANES.min(n - g * LANES)
 }
 
 /// The single triangle-inequality test of a metric space
@@ -299,8 +328,17 @@ pub(crate) struct CellRanking<D> {
 /// into a probe.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Triangle {
-    pub(crate) space: BoundSpace,
-    pub(crate) dim: usize,
+    space: BoundSpace,
+    slack: Slack,
+}
+
+impl Triangle {
+    pub(crate) fn new(space: BoundSpace, dim: usize) -> Self {
+        Triangle {
+            space,
+            slack: space.slack_terms(dim),
+        }
+    }
 }
 
 impl PruneBound for Triangle {
@@ -313,7 +351,7 @@ impl PruneBound for Triangle {
 
     #[inline]
     fn thresholds(&self, tau: f64, pq: f64, cell: &IndexCell) -> f64 {
-        tau + self.space.slack(self.dim, pq, cell.radius, tau)
+        tau + self.slack.pad(pq, cell.radius, tau)
     }
 
     #[inline]
@@ -326,40 +364,31 @@ impl PruneBound for Triangle {
         (pq - cell.dcx[i]).abs() > thresh
     }
 
+    /// Any `τ` but NaN: `slack` takes `τ` itself, not its magnitude, so
+    /// the threshold grows with `τ` over the whole line.
+    #[inline]
+    fn holds_certificates(tau: f64) -> bool {
+        !tau.is_nan()
+    }
+
     fn rank_cells(
         &self,
-        centroids: &EmbeddingStore,
+        centroids: &LaneBlock,
         cells: &[IndexCell],
         queries: &EmbeddingStore,
         qi: usize,
     ) -> CellRanking<f64> {
-        let dqc = centroids.distance_row_from(queries, qi);
-        let pq: Vec<f64> = dqc.iter().map(|&d| self.space.map(d)).collect();
-        let keys = cells
-            .iter()
-            .zip(&pq)
+        let n = cells.len();
+        let mut pq = Vec::with_capacity(n);
+        centroids.scan(queries, qi, |g, d| {
+            let live = &d[..live_lanes(g, n)];
+            pq.extend(live.iter().map(|&d| self.space.map(d as f64)));
+        });
+        let keys = (cells.iter().zip(&pq))
             .map(|(cell, &p)| (p - cell.radius).max(0.0))
             .collect();
-        let reach = reach(&pq, cells);
-        CellRanking { pq, keys, reach }
+        CellRanking { pq, keys }
     }
-
-    /// `key > τ + slack(dim, reach, 0, τ)`. The key is the cell test's
-    /// own left side, and the right side is at least every cell's
-    /// threshold `τ + slack(dim, p_j, r_j, τ)`: `slack` rounds
-    /// monotonically in `a + b`, and `reach ≥ fl(p_j + r_j)`.
-    #[inline]
-    fn exits(&self, tau: f64, reach: f64, key: f64) -> bool {
-        key > tau + self.space.slack(self.dim, reach, 0.0, tau)
-    }
-}
-
-/// [`CellRanking::reach`] of a metric space: `max_j(pq_j + r_j)`, a max
-/// that keeps a NaN once it has seen one.
-fn reach(pq: &[f64], cells: &[IndexCell]) -> f64 {
-    (cells.iter().zip(pq))
-        .map(|(cell, &p)| p + cell.radius)
-        .fold(0.0, |m, x| if x > m || x.is_nan() { x } else { m })
 }
 
 /// The two single-space tests of a [`BoundSpace::ConvexMix`] probe: a
@@ -369,14 +398,15 @@ fn reach(pq: &[f64], cells: &[IndexCell]) -> f64 {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct MixBound {
     lo: BoundSpace,
-    dim: usize,
+    slack: (Slack, Slack),
 }
 
 impl MixBound {
     pub(crate) fn new(beta: f64, dim: usize) -> Self {
+        let lo = BoundSpace::LorentzGeodesic { beta };
         MixBound {
-            lo: BoundSpace::LorentzGeodesic { beta },
-            dim,
+            lo,
+            slack: (BoundSpace::Euclidean.slack_terms(dim), lo.slack_terms(dim)),
         }
     }
 
@@ -407,8 +437,8 @@ impl PruneBound for MixBound {
 
     #[inline]
     fn thresholds(&self, tau: (f64, f64), pq: (f64, f64), cell: &IndexCell) -> (f64, f64) {
-        let eu = BoundSpace::Euclidean.slack(self.dim, pq.0, cell.radius, tau.0.abs());
-        let lo = self.lo.slack(self.dim, pq.1, cell.radius_lo, tau.1);
+        let eu = self.slack.0.pad(pq.0, cell.radius, tau.0.abs());
+        let lo = self.slack.1.pad(pq.1, cell.radius_lo, tau.1);
         (tau.0 + eu, tau.1 + lo)
     }
 
@@ -423,37 +453,32 @@ impl PruneBound for MixBound {
         mix_certifies(thresh, gap_eu.abs(), gap_lo.abs())
     }
 
-    /// The fused kernel over the centroid rows yields, per cell, the
-    /// fused distance (the visit key) and its two components: Euclidean
-    /// against the centroid's `eu` row, geodesic `θ` against its `hyper`
-    /// row.
+    /// `τ′ ≥ 0`, which also rules out NaN: below zero `|τ′|` in the
+    /// Euclidean slack shrinks as `τ′` falls, so the threshold need not.
+    #[inline]
+    fn holds_certificates(tau: (f64, f64)) -> bool {
+        tau.0 >= 0.0
+    }
+
+    /// The fused lane scan over the centroids yields, per cell, the fused
+    /// distance (the visit key) and its two components: Euclidean against
+    /// the centroid's `eu` row, geodesic `θ` against its `hyper` row.
     fn rank_cells(
         &self,
-        centroids: &EmbeddingStore,
+        centroids: &LaneBlock,
         cells: &[IndexCell],
         queries: &EmbeddingStore,
         qi: usize,
     ) -> CellRanking<(f64, f64)> {
-        let kern = FusedKernel::bind(centroids, queries, qi);
-        let (pq, keys) = (0..cells.len())
-            .map(|j| {
-                let (fused, lo, eu) = kern.distance_and_components(j);
-                ((eu as f64, self.theta(lo as f64)), fused as f64)
-            })
-            .unzip();
-        CellRanking {
-            pq,
-            keys,
-            reach: f64::NAN,
-        }
-    }
-
-    /// Never: the visit key is the fused centroid distance, not the cell
-    /// test's left side, so a large key says nothing about the cells
-    /// after it.
-    #[inline]
-    fn exits(&self, _tau: (f64, f64), _reach: f64, _key: f64) -> bool {
-        false
+        let n = cells.len();
+        let (mut pq, mut keys) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        centroids.scan_fused(queries, qi, |g, [fused, lo, eu]| {
+            for l in 0..live_lanes(g, n) {
+                pq.push((eu[l] as f64, self.theta(lo[l] as f64)));
+                keys.push(fused[l] as f64);
+            }
+        });
+        CellRanking { pq, keys }
     }
 }
 
@@ -537,15 +562,40 @@ impl BoundSpace {
     /// decays), summed over the three mapped values.
     #[inline]
     pub fn slack(&self, dim: usize, a: f64, b: f64, c: f64) -> f64 {
+        self.slack_terms(dim).pad(a, b, c)
+    }
+
+    /// The terms of [`BoundSpace::slack`] fixed by the space and the row
+    /// width, which a probe takes once per query rather than per test.
+    fn slack_terms(&self, dim: usize) -> Slack {
         let rel = Self::rel(dim);
         match self {
-            BoundSpace::Euclidean | BoundSpace::ConvexMix { .. } | BoundSpace::None => {
-                rel * (a + b + c) + 1e-12
-            }
-            BoundSpace::LorentzGeodesic { .. } => {
-                3.0 * 2.0 * rel.sqrt() + 2.0 * rel * (a + b + c) + 1e-12
-            }
+            BoundSpace::Euclidean | BoundSpace::ConvexMix { .. } | BoundSpace::None => Slack {
+                floor: 0.0,
+                scale: rel,
+            },
+            BoundSpace::LorentzGeodesic { .. } => Slack {
+                floor: 3.0 * 2.0 * rel.sqrt(),
+                scale: 2.0 * rel,
+            },
         }
+    }
+}
+
+/// [`BoundSpace::slack`] with its space and row width applied:
+/// `floor + scale·(a + b + c) + 10⁻¹²`. A `floor` of 0 changes at most
+/// the sign of a zero, which the `+ 10⁻¹²` absorbs, so the Euclidean
+/// padding `rel·(a + b + c) + 10⁻¹²` shares the expression bit for bit.
+#[derive(Debug, Clone, Copy)]
+struct Slack {
+    floor: f64,
+    scale: f64,
+}
+
+impl Slack {
+    #[inline]
+    fn pad(self, a: f64, b: f64, c: f64) -> f64 {
+        self.floor + self.scale * (a + b + c) + 1e-12
     }
 }
 
@@ -751,6 +801,40 @@ mod tests {
         }
     }
 
+    /// `slack` through its per-query terms is the padding as written out
+    /// per space, bit for bit: `rel·(a+b+c) + 10⁻¹²` and
+    /// `6√rel + 2·rel·(a+b+c) + 10⁻¹²`.
+    #[test]
+    fn slack_terms_keep_the_padding_bits() {
+        let values = [
+            0.0,
+            -0.0,
+            1e-300,
+            1e-9,
+            0.37,
+            1.0,
+            3.5,
+            1e6,
+            -2.0,
+            f64::INFINITY,
+        ];
+        for dim in [1, 8, 16, 100] {
+            let rel = BoundSpace::rel(dim);
+            for a in values {
+                for b in values {
+                    for c in values {
+                        let eu = rel * (a + b + c) + 1e-12;
+                        let lo = 3.0 * 2.0 * rel.sqrt() + 2.0 * rel * (a + b + c) + 1e-12;
+                        let got = BoundSpace::Euclidean.slack(dim, a, b, c);
+                        assert_eq!(got.to_bits(), eu.to_bits(), "{a} {b} {c}");
+                        let got = BoundSpace::LorentzGeodesic { beta: 1.0 }.slack(dim, a, b, c);
+                        assert_eq!(got.to_bits(), lo.to_bits(), "{a} {b} {c}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn euclidean_slack_scales_with_magnitudes() {
         let s = BoundSpace::Euclidean;
@@ -760,94 +844,137 @@ mod tests {
         assert!(small > 0.0 && large > 500.0 * small);
     }
 
-    /// `Triangle`'s early exit is admissible: wherever it fires at a key
-    /// `κ`, every cell of key `≥ κ` (in visit order) is one its own
-    /// `skips_cell` skips — in both metric spaces, on seeded cells whose
-    /// keys tie, sit at `±0` and straddle the threshold. A NaN or `∞` in
-    /// a centroid distance, a radius, the reach or `τ` never fires it, and
-    /// `MixBound` never does.
+    /// Whether `bound` certifies `cell` out at raw k-th best `tau`, and
+    /// whether certificates hold there.
+    fn certified_at<P: PruneBound>(
+        bound: &P,
+        pq: P::Dist,
+        cell: &IndexCell,
+        tau: f64,
+    ) -> (bool, bool) {
+        let image = bound.tau(tau);
+        let thresh = bound.thresholds(image, pq, cell);
+        (
+            P::skips_cell(thresh, pq, cell),
+            P::holds_certificates(image),
+        )
+    }
+
+    /// Over every pair `lo ≤ hi` of `taus` at which certificates hold, a
+    /// cell certified out under `hi` is certified out under `lo`; a NaN
+    /// `τ` of either sign neither holds certificates nor certifies; and
+    /// certificates hold on all of `[0, ∞]`. Returns how many pairs
+    /// certified at `hi`.
+    fn check_certification<P: PruneBound>(
+        bound: &P,
+        pq: P::Dist,
+        cell: &IndexCell,
+        taus: &[f64],
+        ctx: &dyn Fn() -> String,
+    ) -> usize {
+        let mut certified = 0;
+        for &hi in taus {
+            let (at_hi, holds_hi) = certified_at(bound, pq, cell, hi);
+            if hi.is_nan() {
+                assert!(!at_hi && !holds_hi, "NaN τ {hi:?}: {}", ctx());
+                continue;
+            }
+            if hi >= 0.0 {
+                assert!(holds_hi, "τ = {hi:e} must hold certificates: {}", ctx());
+            }
+            if !(at_hi && holds_hi) {
+                continue;
+            }
+            certified += 1;
+            for &lo in taus.iter().filter(|&&lo| lo <= hi) {
+                let (at_lo, holds_lo) = certified_at(bound, pq, cell, lo);
+                assert!(
+                    at_lo || !holds_lo,
+                    "certified at τ = {hi:e}, not at {lo:e}: {}",
+                    ctx()
+                );
+            }
+        }
+        certified
+    }
+
+    /// The fact the probe's cell filter rests on (module docs, "Visiting
+    /// only the cells that can probe"): certification never weakens as `τ`
+    /// falls while `holds_certificates` holds, a NaN `τ` certifies nothing,
+    /// and certificates hold for every `τ ≥ 0`, so a heap of non-negative
+    /// distances always gets the filter. Seeded centroid distances, radii
+    /// and `τ` over many scales, with `±0`, negative values, `±∞` and NaNs
+    /// of both signs among them, and `τ`s next to each threshold — in both
+    /// metric spaces and the mix space. The places certificates do not
+    /// hold are pinned too: NaN everywhere, and in the mix space `−∞` and
+    /// a negative `τ′`.
     #[test]
-    fn triangle_exit_is_admissible_and_fails_open() {
+    fn certification_only_strengthens_as_tau_falls() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        let mut fired = 0;
+        const SPECIAL: [f64; 6] = [
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let value = |rng: &mut StdRng, scale: f64| match rng.gen_range(0..12) {
+            0 => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+            1 => -rng.gen_range(0.0f64..4.0) * scale,
+            _ => rng.gen_range(0.0f64..4.0) * scale,
+        };
+        let (mut certified, mut cases) = (0, 0);
+        for _ in 0..400 {
+            let scale = 10f64.powi(rng.gen_range(-6..7));
+            let (p, r) = (value(&mut rng, scale), value(&mut rng, scale).abs());
+            let (p_lo, r_lo) = (value(&mut rng, scale), value(&mut rng, scale).abs());
+            let mut taus: Vec<f64> = (0..6).map(|_| value(&mut rng, scale)).collect();
+            // τ near the gap (a threshold is τ plus a small slack), and a
+            // float's width to either side of every τ.
+            for gap in [p - r, p_lo - r_lo] {
+                taus.extend([gap, gap * (1.0 - 1e-4), gap * (1.0 - 1e-6), gap * 0.5]);
+            }
+            let near: Vec<f64> = (taus.iter())
+                .filter(|t| t.is_finite())
+                .flat_map(|&t| [t.next_up(), t.next_down()])
+                .collect();
+            taus.extend(near);
+            taus.extend(SPECIAL);
+            let ctx = || format!("p = {p:e}, r = {r:e}, p_lo = {p_lo:e}, r_lo = {r_lo:e}");
+            for space in [
+                BoundSpace::Euclidean,
+                BoundSpace::LorentzGeodesic { beta: 1.0 },
+            ] {
+                let tri = Triangle::new(space, 8);
+                let cell = IndexCell::new(vec![0], vec![r]);
+                certified += check_certification(&tri, p, &cell, &taus, &ctx);
+            }
+            let mix = MixBound::new(1.0, 8);
+            let cell = IndexCell::mix(vec![0], vec![r], vec![r_lo]);
+            certified += check_certification(&mix, (p, p_lo), &cell, &taus, &ctx);
+            cases += 1;
+        }
+        assert!(
+            certified > 10 * cases,
+            "the fixtures must certify cells: {certified} of {cases}"
+        );
+        // Where certificates do not hold: a NaN image, and in the mix space
+        // a raw `−∞` (`τ′ = −∞ + ∞`) or any `τ′ < 0`.
+        let mix = MixBound::new(1.0, 8);
+        for tau in [f64::NEG_INFINITY, -1.0, -1e-30, f64::NAN, -f64::NAN] {
+            assert!(!MixBound::holds_certificates(mix.tau(tau)), "{tau}");
+        }
+        assert!(MixBound::holds_certificates(mix.tau(-1e-300)), "τ′ ≥ 0");
         for space in [
             BoundSpace::Euclidean,
             BoundSpace::LorentzGeodesic { beta: 1.0 },
         ] {
-            let tri = Triangle { space, dim: 8 };
-            for _ in 0..300 {
-                let scale = 10f64.powi(rng.gen_range(-3..4));
-                let n = rng.gen_range(1..24usize);
-                let pq: Vec<f64> = (0..n)
-                    .map(|_| match rng.gen_range(0..8) {
-                        0 => 0.0,
-                        1 => -0.0,
-                        _ => (rng.gen_range(0..64) as f64 / 16.0) * scale,
-                    })
-                    .collect();
-                let cells: Vec<IndexCell> = (0..n)
-                    .map(|_| {
-                        let r = (rng.gen_range(0..32) as f64 / 16.0) * scale;
-                        IndexCell::new(vec![0], vec![r])
-                    })
-                    .collect();
-                let keys: Vec<f64> = (cells.iter().zip(&pq))
-                    .map(|(c, &p)| (p - c.radius).max(0.0))
-                    .collect();
-                let max_reach = reach(&pq, &cells);
-                // τ away from, at, and a hair below each key.
-                let mut taus: Vec<f64> = keys
-                    .iter()
-                    .flat_map(|&key| [key, key * (1.0 - 1e-6), key * 0.5])
-                    .collect();
-                taus.extend([0.0, scale]);
-                for &tau in &taus {
-                    for &kappa in &keys {
-                        if !tri.exits(tau, max_reach, kappa) {
-                            continue;
-                        }
-                        fired += 1;
-                        for (j, cell) in cells.iter().enumerate() {
-                            if keys[j].total_cmp(&kappa).is_ge() {
-                                let t = tri.thresholds(tau, pq[j], cell);
-                                assert!(
-                                    Triangle::skips_cell(t, pq[j], cell),
-                                    "{space:?} τ={tau} κ={kappa}: cell {j} (p={}, r={}) probes",
-                                    pq[j],
-                                    cell.radius
-                                );
-                            }
-                        }
-                    }
-                }
-                // One non-finite input anywhere: the exit never fires.
-                for bad in [f64::NAN, f64::INFINITY] {
-                    let (mut bad_pq, mut bad_cells) = (pq.clone(), cells.clone());
-                    let at = rng.gen_range(0..n);
-                    if rng.gen_range(0..2) == 0 {
-                        bad_pq[at] = bad;
-                    } else {
-                        bad_cells[at] = IndexCell::new(vec![0], vec![bad]);
-                    }
-                    let bad_reach = reach(&bad_pq, &bad_cells);
-                    for &tau in &taus {
-                        for kappa in keys.iter().copied().chain([1e300, f64::INFINITY]) {
-                            assert!(!tri.exits(tau, bad_reach, kappa), "{bad} at {at}");
-                            assert!(!tri.exits(tau, bad, kappa), "reach {bad}");
-                            assert!(!tri.exits(bad, max_reach, kappa), "τ {bad}");
-                        }
-                    }
-                }
-            }
-        }
-        assert!(fired > 1000, "the fixtures must reach the exit: {fired}");
-        let mix = MixBound::new(1.0, 8);
-        for tau in [0.0, 0.5, f64::INFINITY, f64::NAN] {
-            for key in [0.0, 1.0, 1e300, f64::INFINITY] {
-                assert!(!mix.exits(mix.tau(tau), 0.0, key));
-            }
+            let tri = Triangle::new(space, 8);
+            assert!(Triangle::holds_certificates(tri.tau(f64::NEG_INFINITY)));
+            assert!(!Triangle::holds_certificates(tri.tau(-f64::NAN)));
         }
     }
 
@@ -860,7 +987,7 @@ mod tests {
             BoundSpace::Euclidean,
             BoundSpace::LorentzGeodesic { beta: 1.0 },
         ] {
-            let tri = Triangle { space, dim: 8 };
+            let tri = Triangle::new(space, 8);
             let (near, origin) = (
                 IndexCell::new(vec![0], vec![0.2]),
                 IndexCell::new(vec![0], vec![0.0]),

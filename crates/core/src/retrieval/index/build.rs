@@ -35,7 +35,9 @@
 //! eight distances a step: seeding takes the newest centroid against a
 //! column-major copy of the sample's distinct rows (dropped before
 //! Lloyd), Lloyd and the assignment take each row against one of the
-//! centroids. Every lane distance is the scalar
+//! centroids. The assignment's lane copy of the final centroids is kept
+//! as the index's own, which every query ranks its cells with. Every
+//! lane distance is the scalar
 //! kernel's bits, and the selections keep the `total_cmp` + lowest-id
 //! rules with no per-row heap, so the cells are those a
 //! one-pair-at-a-time build makes, bit for bit (the `#[cfg(test)]`
@@ -367,15 +369,19 @@ fn training_plan(
 
 /// Partitions `store` into cells per `params` (module docs) on at most
 /// `threads` threads: one centroid row per cell, same layout as the
-/// store, and the cells parallel to them.
+/// store, the lane copy of those rows that the final assignment scanned
+/// (the query's cell ranking scans it too), and the cells parallel to
+/// them.
 pub(crate) fn build_cells(
     store: &EmbeddingStore,
     space: &BoundSpace,
     params: &IndexParams,
     threads: usize,
-) -> (EmbeddingStore, Vec<IndexCell>) {
+) -> (EmbeddingStore, LaneBlock, Vec<IndexCell>) {
     let Some((sample, n_cells)) = training_plan(store, space, params) else {
-        return (store.empty_like(), Vec::new());
+        let centroids = store.empty_like();
+        let lanes = LaneBlock::gather(&centroids, 0, |j| j);
+        return (centroids, lanes, Vec::new());
     };
     let workers = |items: usize| default_threads(items).min(threads);
     let mut centroids = seed_centroids(store, &sample, n_cells);
@@ -390,7 +396,7 @@ pub(crate) fn build_cells(
     let n = store.len();
     let assigned = parallel_map(n, workers(n), |i| nearest_centroid(&block, store, i));
     let cells = cells_from(store, space, &centroids, assigned);
-    (centroids, cells)
+    (centroids, block, cells)
 }
 
 #[cfg(test)]
@@ -452,8 +458,9 @@ mod tests {
 
     /// Every bit a build produces: centroid rows, and per cell the
     /// members, pivot distances and radii.
-    fn build_bits(built: &(EmbeddingStore, Vec<IndexCell>)) -> (Vec<u32>, Vec<Vec<u64>>) {
-        let (centroids, cells) = built;
+    fn build_bits(
+        (centroids, cells): (&EmbeddingStore, &[IndexCell]),
+    ) -> (Vec<u32>, Vec<Vec<u64>>) {
         let f32s = (centroids.eu.iter())
             .chain(&centroids.hyper)
             .chain(&centroids.factors);
@@ -489,12 +496,15 @@ mod tests {
                 let params = IndexParams {
                     n_cells: Some(n_cells),
                 };
+                let (centroids, lanes, cells) = build_cells(&tiny, &space, &params, usize::MAX);
+                let (oracle_centroids, oracle_cells) = scalar_build_cells(&tiny, &space, &params);
                 assert_eq!(
-                    build_bits(&build_cells(&tiny, &space, &params, usize::MAX)),
-                    build_bits(&scalar_build_cells(&tiny, &space, &params)),
+                    build_bits((&centroids, &cells)),
+                    build_bits((&oracle_centroids, &oracle_cells)),
                     "{} tiny cells={n_cells}",
                     variant.name()
                 );
+                assert_eq!(lanes, LaneBlock::gather(&centroids, n_cells, |j| j));
             }
             for seed in 0..4 {
                 let mut s = clustered_store(variant, 300, seed % 2 == 1, seed);
@@ -508,10 +518,12 @@ mod tests {
                     let params = IndexParams {
                         n_cells: Some(n_cells),
                     };
-                    let oracle = build_bits(&scalar_build_cells(&s, &space, &params));
+                    let (oracle_centroids, oracle_cells) = scalar_build_cells(&s, &space, &params);
+                    let oracle = build_bits((&oracle_centroids, &oracle_cells));
                     for threads in [1, usize::MAX] {
+                        let (centroids, _, cells) = build_cells(&s, &space, &params, threads);
                         assert_eq!(
-                            build_bits(&build_cells(&s, &space, &params, threads)),
+                            build_bits((&centroids, &cells)),
                             oracle,
                             "{} seed={seed} cells={n_cells} threads={threads}",
                             variant.name()
@@ -543,7 +555,7 @@ mod tests {
                 let params = IndexParams {
                     n_cells: Some(n_cells),
                 };
-                let (centroids, cells) = build_cells(&s, &space, &params, usize::MAX);
+                let (centroids, _, cells) = build_cells(&s, &space, &params, usize::MAX);
                 assert_eq!(centroids.len(), n_cells);
                 let mut all: Vec<u32> = cells
                     .iter()
@@ -573,7 +585,7 @@ mod tests {
         let p = IndexParams { n_cells: Some(2) };
         let a = build_cells(&s, &space, &p, usize::MAX);
         let b = build_cells(&s, &space, &p, usize::MAX);
-        assert_eq!(a.0, b.0);
+        assert_eq!((&a.0, &a.1), (&b.0, &b.1));
         let bits = |cells: &[IndexCell]| -> Vec<(Vec<u32>, Vec<u64>)> {
             cells
                 .iter()
@@ -583,7 +595,7 @@ mod tests {
                 })
                 .collect()
         };
-        assert_eq!(bits(&a.1), bits(&b.1));
+        assert_eq!(bits(&a.2), bits(&b.2));
     }
 
     /// A mix cell stores, per member, the two component distances the
@@ -596,7 +608,7 @@ mod tests {
         let BoundSpace::ConvexMix { beta } = space else {
             panic!("benign fused rows must certify, got {space:?}");
         };
-        let (centroids, cells) = build_cells(&s, &space, &IndexParams::default(), usize::MAX);
+        let (centroids, _, cells) = build_cells(&s, &space, &IndexParams::default(), usize::MAX);
         let lo_space = BoundSpace::LorentzGeodesic { beta };
         for (j, c) in cells.iter().enumerate() {
             for (i, &m) in c.members.iter().enumerate() {
@@ -615,7 +627,8 @@ mod tests {
     fn hyperbolic_centroids_stay_on_hyperboloid() {
         let s = store_with_rows(PluginVariant::LorentzCosh);
         let space = BoundSpace::for_store(&s);
-        let (centroids, _) = build_cells(&s, &space, &IndexParams { n_cells: Some(2) }, usize::MAX);
+        let (centroids, _, _) =
+            build_cells(&s, &space, &IndexParams { n_cells: Some(2) }, usize::MAX);
         for j in 0..centroids.len() {
             let h = centroids.hyper_row(j);
             let nsq: f32 = h[1..].iter().map(|v| v * v).sum();
@@ -636,7 +649,7 @@ mod tests {
         assert_eq!(BoundSpace::for_store(&bad), BoundSpace::None);
         for s in [empty, bad] {
             let space = BoundSpace::for_store(&s);
-            let (centroids, cells) =
+            let (centroids, _, cells) =
                 build_cells(&s, &space, &IndexParams { n_cells: Some(2) }, usize::MAX);
             assert!(cells.is_empty() && centroids.is_empty());
             assert!(centroids.same_layout(&s));

@@ -27,7 +27,9 @@
 //! Cell radii are *recomputed* from the decoded `dcx` arrays rather than
 //! persisted — one derived quantity fewer to corrupt, and the recompute is
 //! the builder's own, so a roundtripped index answers queries
-//! bit-identically to the one that was encoded.
+//! bit-identically to the one that was encoded. The lane copy of the
+//! centroids that a query ranks cells with is derived the same way:
+//! gathered from the decoded centroid rows, never written.
 //!
 //! Structural validation on decode: the frame, nested store payloads
 //! (delegated to [`EmbeddingStore::from_bytes`]), centroid
@@ -148,12 +150,7 @@ impl IndexedStore {
             });
         }
         data.finish()?;
-        Ok(IndexedStore {
-            store,
-            centroids,
-            cells,
-            space,
-        })
+        Ok(IndexedStore::from_parts(store, centroids, cells, space))
     }
 }
 
@@ -163,6 +160,8 @@ mod tests {
     use super::super::super::store::tests::store_with_rows;
     use super::super::super::store::RetrievalResult;
     use super::super::build::IndexParams;
+    use super::super::tests::clustered_store;
+    use super::super::ProbeStats;
     use super::*;
     use crate::config::PluginVariant;
 
@@ -193,12 +192,7 @@ mod tests {
         cells: Vec<IndexCell>,
     ) -> IndexedStore {
         let space = BoundSpace::for_store(&store);
-        IndexedStore {
-            store,
-            centroids,
-            cells,
-            space,
-        }
+        IndexedStore::from_parts(store, centroids, cells, space)
     }
 
     fn bits(hits: &[RetrievalResult]) -> Vec<(usize, u32)> {
@@ -207,6 +201,21 @@ mod tests {
             .collect()
     }
 
+    /// `knn_with_stats`' hit bits and accounting.
+    fn answers(
+        ix: &IndexedStore,
+        q: &EmbeddingStore,
+        qi: usize,
+        k: usize,
+    ) -> (Vec<(usize, u32)>, ProbeStats) {
+        let (hits, stats) = ix.knn_with_stats(q, qi, k);
+        (bits(&hits), stats)
+    }
+
+    /// A decoded index is the encoded one — its centroid lanes, gathered
+    /// afresh, included — and serves the same hit bits and `ProbeStats`:
+    /// every variant, on the tiny rows and on clustered stores whose cells
+    /// prune, poisoned rows among them.
     #[test]
     fn roundtrip_preserves_structure_and_answers() {
         for variant in PluginVariant::ABLATION {
@@ -217,12 +226,30 @@ mod tests {
                 let q = store_with_rows(variant);
                 for qi in 0..q.len() {
                     assert_eq!(
-                        bits(&back.knn(&q, qi, 3)),
-                        bits(&ix.knn(&q, qi, 3)),
+                        answers(&back, &q, qi, 3),
+                        answers(&ix, &q, qi, 3),
                         "{} cells={cells} qi={qi}",
                         variant.name()
                     );
                 }
+            }
+            for seed in 0..2 {
+                let db = clustered_store(variant, 300, seed == 1, seed);
+                let ix = IndexedStore::build(db, IndexParams { n_cells: Some(17) });
+                let back = IndexedStore::from_bytes(ix.to_bytes()).expect("valid index payload");
+                let q = clustered_store(variant, 12, false, seed + 200);
+                let mut pruned = 0;
+                for qi in 0..q.len() {
+                    let want = answers(&ix, &q, qi, 10);
+                    assert_eq!(
+                        answers(&back, &q, qi, 10),
+                        want,
+                        "{} qi={qi}",
+                        variant.name()
+                    );
+                    pruned += want.1.cells_pruned;
+                }
+                assert!(pruned > 0, "{}", variant.name());
             }
         }
     }
@@ -341,11 +368,7 @@ mod tests {
             .map(|c| IndexCell::new(c.members.clone(), c.dcx.clone()))
             .collect();
         let single = from_parts(store.clone(), good.centroids.clone(), single);
-        let mix = IndexedStore {
-            store,
-            space: good.bound_space(),
-            ..good
-        };
+        let mix = IndexedStore::from_parts(store, good.centroids, good.cells, good.space);
         for forged in [mix, single] {
             assert_eq!(
                 IndexedStore::from_bytes(forged.to_bytes()),

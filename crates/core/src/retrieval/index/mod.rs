@@ -6,14 +6,17 @@
 //! centroid row (served through the same monomorphized `DistanceKernel`
 //! machinery as the flat scans), the bound-space centroid distance of
 //! every member, and the cell radius.
-//! A query scans the `√n`-ish centroids and queues the cells in a
-//! min-heap by visit key. One probe loop — `IndexedStore::scan`,
-//! monomorphized per kernel and per prune-predicate pair ([`bound`]) —
-//! then pops them in key order, stops as soon as the bound certifies
-//! every queued cell out (so the few cells a query probes are never paid
-//! for by sorting all of them), and offers the surviving members into
-//! the caller's heap, prefetching each member's scattered row a few
-//! members before the kernel reads it:
+//! The index also keeps a lane copy of its centroids (`kernel::LaneBlock`,
+//! derived state: never on the wire, rebuilt on decode), and a query
+//! ranks the `√n`-ish cells in one lane pass over it. One probe loop —
+//! `IndexedStore::scan`, monomorphized per kernel and per
+//! prune-predicate pair ([`bound`]) — then visits the cells in key order,
+//! but orders only those that can still probe: the first cell is a
+//! minimum, and once the heap is full every cell the bound certifies out
+//! is dropped before the rest are sorted (so the few cells a query probes
+//! are never paid for by sorting all of them). It offers the surviving
+//! members into the caller's heap, prefetching each member's scattered
+//! row a few members before the kernel reads it:
 //!
 //! * **metric spaces** (Euclidean, Lorentz — see [`bound::BoundSpace`])
 //!   skip every cell whose triangle lower bound `max(0, d(q,c) − r_cell)`
@@ -53,14 +56,12 @@ pub mod bound;
 pub mod build;
 mod codec;
 
-use super::kernel::{self, DistanceKernel};
+use super::kernel::{self, DistanceKernel, LaneBlock};
 use super::store::{results_from_topk, EmbeddingStore, RetrievalResult};
 use super::tombstones::Mask;
 use crate::config::PluginVariant;
 use bound::{BoundSpace, MixBound, PruneBound, Triangle};
 use build::IndexParams;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use traj_core::parallel::{default_threads, parallel_map};
 use traj_core::topk::TopK;
 
@@ -73,7 +74,8 @@ pub(crate) struct IndexCell {
     /// Bound-space centroid distance per member, parallel to `members`
     /// (the raw Euclidean component in the mix space).
     pub dcx: Vec<f64>,
-    /// Max of `dcx` (NaN if any member distance is NaN — fails open).
+    /// Max of `dcx` (NaN if any member distance is a NaN of either sign —
+    /// fails open).
     pub radius: f64,
     /// Mix space only: geodesic component `θ(x, c)` per member, parallel
     /// to `members`; empty in every other space.
@@ -84,7 +86,14 @@ pub(crate) struct IndexCell {
 
 impl IndexCell {
     pub(crate) fn new(members: Vec<u32>, dcx: Vec<f64>) -> Self {
-        let radius = dcx.iter().copied().max_by(f64::total_cmp).unwrap_or(0.0);
+        // Not `max_by(total_cmp)` alone: that ranks a negative NaN below
+        // every number, and a row at a negative NaN is a flat scan's
+        // first hit.
+        let radius = if dcx.iter().any(|d| d.is_nan()) {
+            f64::NAN
+        } else {
+            dcx.iter().copied().max_by(f64::total_cmp).unwrap_or(0.0)
+        };
         IndexCell {
             members,
             dcx,
@@ -172,6 +181,9 @@ pub struct IndexedStore {
     store: EmbeddingStore,
     /// One centroid row per cell, same layout as `store`.
     centroids: EmbeddingStore,
+    /// `centroids` in lane groups, for the query's cell ranking. Derived:
+    /// not encoded, not counted in [`IndexedStore::index_bytes`].
+    lanes: LaneBlock,
     /// The cells, parallel to `centroids`.
     cells: Vec<IndexCell>,
     /// Always [`BoundSpace::for_store`] of `store`.
@@ -190,8 +202,26 @@ impl IndexedStore {
     /// index, bit for bit, whatever the count.
     pub(crate) fn build_on(store: EmbeddingStore, params: IndexParams, threads: usize) -> Self {
         let space = BoundSpace::for_store(&store);
-        let (centroids, cells) = build::build_cells(&store, &space, &params, threads);
+        let (centroids, lanes, cells) = build::build_cells(&store, &space, &params, threads);
         IndexedStore {
+            store,
+            centroids,
+            lanes,
+            cells,
+            space,
+        }
+    }
+
+    /// An index of decoded parts, its centroid lanes gathered afresh.
+    /// `space` must be [`BoundSpace::for_store`] of `store`.
+    fn from_parts(
+        store: EmbeddingStore,
+        centroids: EmbeddingStore,
+        cells: Vec<IndexCell>,
+        space: BoundSpace,
+    ) -> Self {
+        IndexedStore {
+            lanes: LaneBlock::gather(&centroids, centroids.len(), |j| j),
             store,
             centroids,
             cells,
@@ -342,12 +372,12 @@ impl IndexedStore {
             _ if self.cells.is_empty() || top.k() == 0 => {}
             BoundSpace::Euclidean => {
                 let kern = kernel::EuclideanKernel::bind(&self.store, queries, qi);
-                let bound = Triangle { space, dim };
+                let bound = Triangle::new(space, dim);
                 return self.probe(&kern, &bound, queries, qi, dead, key_offset, top, stats);
             }
             BoundSpace::LorentzGeodesic { .. } => {
                 let kern = kernel::LorentzKernel::bind(&self.store, queries, qi);
-                let bound = Triangle { space, dim };
+                let bound = Triangle::new(space, dim);
                 return self.probe(&kern, &bound, queries, qi, dead, key_offset, top, stats);
             }
             BoundSpace::ConvexMix { beta } if bound::mix_certifies_query(queries, qi) => {
@@ -364,19 +394,21 @@ impl IndexedStore {
     }
 
     /// The one probe loop, monomorphized per (kernel, predicate pair).
-    /// Visits cells in ascending order of the bound's rank key (`total_cmp`,
-    /// ties by cell id), popped one at a time from a min-heap built in
-    /// O(cells) — so a query that probes five cells of hundreds never
-    /// sorts the rest — and skips cells / members whose slack-padded bound
-    /// already exceeds the current k-th best `τ`, re-mapping `τ` into
-    /// bound space lazily — only when the heap's worst survivor changes.
-    /// Once the bound says every cell still queued would be skipped
-    /// ([`PruneBound::exits`]) they are counted pruned and the visit
-    /// ends. Inside a probed cell each member's row is prefetched
-    /// [`PREFETCH_AHEAD`] members before it is evaluated: the members are
-    /// scattered over the store, and the hint hides the cache misses
-    /// behind the kernel work. Tombstoned rows are counted in neither the
-    /// scanned nor the pruned tallies.
+    /// Ranks the cells in one lane pass over the centroids and visits them
+    /// in ascending order of the bound's rank key (`total_cmp`, ties by
+    /// cell id), skipping cells / members whose slack-padded bound already
+    /// exceeds the current k-th best `τ` at their turn. Only the cells
+    /// that can probe are ordered ([`bound`]'s module docs, "Visiting only
+    /// the cells that can probe"): while the heap is filling the first cell
+    /// is a linear minimum, and once the heap is full every cell certified
+    /// out under the `τ` of that moment is dropped — counted pruned, as its
+    /// own turn would have — before the survivors are sorted; should `τ`
+    /// leave the range where that holds, the dropped cells still ahead go
+    /// back into the walk. Inside a probed cell each member's row is
+    /// prefetched [`PREFETCH_AHEAD`] members before it is evaluated: the
+    /// members are scattered over the store, and the hint hides the cache
+    /// misses behind the kernel work. Tombstoned rows are counted in
+    /// neither the scanned nor the pruned tallies.
     #[allow(clippy::too_many_arguments)] // internal, monomorphized per kernel and bound
     fn probe<K: DistanceKernel, P: PruneBound>(
         &self,
@@ -390,69 +422,153 @@ impl IndexedStore {
         stats: &mut ProbeStats,
     ) {
         stats.rows += self.store.len();
-        let ranking = bound.rank_cells(&self.centroids, &self.cells, queries, qi);
-        // Empty cells are neither probed nor pruned: they never queue.
-        let mut queue: BinaryHeap<Reverse<(u64, u32)>> = (ranking.keys.iter().zip(&self.cells))
-            .enumerate()
-            .filter(|(_, (_, cell))| !cell.members.is_empty())
-            .map(|(j, (&key, _))| Reverse((total_order_bits(key), j as u32)))
-            .collect();
-
-        let k = top.k();
-        // τ in raw space (bit-tracked so NaN updates are seen) and its
-        // bound-space image; ∞ while the heap is not yet full.
-        let mut tau_bits = f64::INFINITY.to_bits();
-        let mut tau = bound.tau(f64::INFINITY);
-        while let Some(Reverse((_, j))) = queue.pop() {
-            let j = j as usize;
-            let cell = &self.cells[j];
-            if top.len() == k {
-                let worst = top.worst().expect("full heap").1;
-                if worst.to_bits() != tau_bits {
-                    tau_bits = worst.to_bits();
-                    tau = bound.tau(worst);
-                }
-            }
-            if bound.exits(tau, ranking.reach, ranking.keys[j]) {
-                stats.cells_pruned += 1 + queue.len();
-                return;
-            }
-            let pqj = ranking.pq[j];
-            let mut thresh = bound.thresholds(tau, pqj, cell);
-            if P::skips_cell(thresh, pqj, cell) {
-                stats.cells_pruned += 1;
-                continue;
-            }
-            stats.cells_probed += 1;
-            // The first members are hinted here, every later one
-            // `PREFETCH_AHEAD` members before its turn.
-            for &m in cell.members.iter().take(PREFETCH_AHEAD) {
-                kern.prefetch(m as usize);
-            }
-            for (i, &m) in cell.members.iter().enumerate() {
-                if let Some(&ahead) = cell.members.get(i + PREFETCH_AHEAD) {
-                    kern.prefetch(ahead as usize);
-                }
-                let m = m as usize;
-                if dead.is_some_and(|d| d.get(m)) {
-                    continue;
-                }
-                if P::skips_member(thresh, pqj, cell, i) {
-                    stats.rows_pruned += 1;
-                    continue;
-                }
-                top.offer(key_offset + m, kern.distance_to(m) as f64);
-                stats.rows_scanned += 1;
-                if top.len() == k {
-                    let worst = top.worst().expect("full heap").1;
-                    if worst.to_bits() != tau_bits {
-                        tau_bits = worst.to_bits();
-                        tau = bound.tau(worst);
-                        thresh = bound.thresholds(tau, pqj, cell);
-                    }
-                }
+        let ranking = bound.rank_cells(&self.lanes, &self.cells, queries, qi);
+        let walk = Walk {
+            cells: &self.cells,
+            pq: &ranking.pq,
+            kern,
+            bound,
+            dead,
+            key_offset,
+        };
+        // Visit order: `(total-order bits of the key, cell id)`. Empty
+        // cells are neither probed nor pruned: they are never visited.
+        let cells = || {
+            (self.cells.iter().enumerate())
+                .filter(|(_, cell)| !cell.members.is_empty())
+                .map(|(j, _)| (total_order_bits(ranking.keys[j]), j as u32))
+        };
+        let mut tau = Tau::new(bound);
+        // τ is ∞ until the heap fills, so nothing can be dropped before
+        // the first cell. (A heap the first cell leaves unfilled gets no
+        // second selection: the rest is sorted.)
+        let first = (top.len() < top.k()).then(|| cells().min()).flatten();
+        if let Some((_, j)) = first {
+            walk.visit(j, top, stats, &mut tau);
+        }
+        tau.refresh(bound, top);
+        let mut filtered = top.len() == top.k() && P::holds_certificates(tau.image);
+        let (mut rest, mut dropped) = (Vec::with_capacity(self.cells.len()), 0);
+        for c in cells().filter(|&c| Some(c) != first) {
+            if filtered && walk.certified(c.1, &tau) {
+                dropped += 1;
+            } else {
+                rest.push(c);
             }
         }
+        rest.sort_unstable();
+        let mut next = 0;
+        while next < rest.len() {
+            let at = rest[next];
+            walk.visit(at.1, top, stats, &mut tau);
+            next += 1;
+            if filtered && !P::holds_certificates(tau.image) {
+                // τ left the range where a dropped cell stays certified
+                // out: every cell after this one is walked and tested at
+                // its turn, the dropped ones included.
+                let before = rest.len();
+                rest.truncate(next);
+                rest.extend(cells().filter(|&c| c > at));
+                rest[next..].sort_unstable();
+                dropped -= rest.len() - before;
+                filtered = false;
+            }
+        }
+        stats.cells_pruned += dropped;
+    }
+}
+
+/// What visiting one cell reads, beside the caller's heap, the counts and
+/// `τ`: the cells, the query's bound-space centroid distances, the kernel
+/// and the bound, the tombstones and the key offset.
+struct Walk<'a, K, P: PruneBound> {
+    cells: &'a [IndexCell],
+    pq: &'a [P::Dist],
+    kern: &'a K,
+    bound: &'a P,
+    dead: Option<Mask<'a>>,
+    key_offset: usize,
+}
+
+impl<K: DistanceKernel, P: PruneBound> Walk<'_, K, P> {
+    /// Whether cell `j` is certified out under `tau`.
+    #[inline(always)]
+    fn certified(&self, j: u32, tau: &Tau<P::Dist>) -> bool {
+        let (cell, pqj) = (&self.cells[j as usize], self.pq[j as usize]);
+        P::skips_cell(self.bound.thresholds(tau.image, pqj, cell), pqj, cell)
+    }
+
+    /// Cell `j` at its turn: skipped if certified out under the current
+    /// `τ`, else every live member not certified out is offered into
+    /// `top`, its row prefetched [`PREFETCH_AHEAD`] members ahead, and
+    /// `τ` and the thresholds follow the heap.
+    #[inline(always)]
+    fn visit(&self, j: u32, top: &mut TopK, stats: &mut ProbeStats, tau: &mut Tau<P::Dist>) {
+        let (kern, bound) = (self.kern, self.bound);
+        tau.refresh(bound, top);
+        let (cell, pqj) = (&self.cells[j as usize], self.pq[j as usize]);
+        let mut thresh = bound.thresholds(tau.image, pqj, cell);
+        if P::skips_cell(thresh, pqj, cell) {
+            stats.cells_pruned += 1;
+            return;
+        }
+        stats.cells_probed += 1;
+        // The first members are hinted here, every later one
+        // `PREFETCH_AHEAD` members before its turn.
+        for &m in cell.members.iter().take(PREFETCH_AHEAD) {
+            kern.prefetch(m as usize);
+        }
+        for (i, &m) in cell.members.iter().enumerate() {
+            if let Some(&ahead) = cell.members.get(i + PREFETCH_AHEAD) {
+                kern.prefetch(ahead as usize);
+            }
+            let m = m as usize;
+            if self.dead.is_some_and(|d| d.get(m)) {
+                continue;
+            }
+            if P::skips_member(thresh, pqj, cell, i) {
+                stats.rows_pruned += 1;
+                continue;
+            }
+            top.offer(self.key_offset + m, kern.distance_to(m) as f64);
+            stats.rows_scanned += 1;
+            if tau.refresh(bound, top) {
+                thresh = bound.thresholds(tau.image, pqj, cell);
+            }
+        }
+    }
+}
+
+/// The caller's k-th best `τ` as the probe loop tracks it: the raw bits
+/// (so a NaN update is seen) and the bound-space image, re-mapped only
+/// when the heap's worst survivor changes (the Lorentz map costs an
+/// `acosh`). `∞` until the heap is full.
+struct Tau<D> {
+    bits: u64,
+    image: D,
+}
+
+impl<D> Tau<D> {
+    fn new<P: PruneBound<Dist = D>>(bound: &P) -> Self {
+        Tau {
+            bits: f64::INFINITY.to_bits(),
+            image: bound.tau(f64::INFINITY),
+        }
+    }
+
+    /// Re-reads `τ` from `top` if it is full; whether it changed.
+    #[inline]
+    fn refresh<P: PruneBound<Dist = D>>(&mut self, bound: &P, top: &TopK) -> bool {
+        if top.len() < top.k() {
+            return false;
+        }
+        let worst = top.worst().expect("full heap").1;
+        if worst.to_bits() == self.bits {
+            return false;
+        }
+        self.bits = worst.to_bits();
+        self.image = bound.tau(worst);
+        true
     }
 }
 
@@ -628,6 +744,125 @@ mod tests {
         }
     }
 
+    /// A row whose distances are negative NaNs — `total_cmp` ranks them
+    /// below `−∞`, so the flat scan returns it first — keeps its cell from
+    /// ever being skipped: a `−NaN` coordinate in the Euclidean space (its
+    /// cell's radius once ignored it and certified the cell out), and in
+    /// the mix space a `+∞` coordinate under a blend weight of exactly 1
+    /// (`0·∞`).
+    #[test]
+    fn negative_nan_rows_are_never_skipped() {
+        for variant in [PluginVariant::Original, PluginVariant::FusionDist] {
+            let (db, q, poison) = neg_nan_fixture(variant, 1, 5.0);
+            let ix = IndexedStore::build(db.clone(), params(3));
+            for k in [1, 3, 5] {
+                let hits = ix.knn(&q, 0, k);
+                assert_eq!(bits(&hits), bits(&db.knn(&q, 0, k)), "{}", variant.name());
+                assert_eq!(hits[0].index, poison[0], "{}", variant.name());
+            }
+        }
+    }
+
+    /// Three clusters of eight rows on the x axis at 0, 10 and 25, plus
+    /// `poison` rows in the middle cluster whose distance from any finite
+    /// row is a negative NaN where the space allows one (a `−NaN`
+    /// coordinate for the Euclidean kernel; a `+∞` one with zero
+    /// Euclidean-weight factors for the fused kernel), and one query at
+    /// `query_x`. Returns the store, the query and the poisoned row ids.
+    fn neg_nan_fixture(
+        variant: PluginVariant,
+        poison: usize,
+        query_x: f32,
+    ) -> (EmbeddingStore, EmbeddingStore, Vec<usize>) {
+        let fd = variant.uses_fusion().then_some(2);
+        let mut db = EmbeddingStore::new(2, variant, 1.0, fd);
+        // Every row on `H(1)` at `(x, 0)`: the poison is in `eu` alone.
+        let push = |s: &mut EmbeddingStore, eu: [f32; 2], factors: [f32; 4]| {
+            let x = eu[0];
+            let hyper = [(x * x + 1.0).sqrt(), x, 0.0];
+            s.push(
+                &eu,
+                variant.uses_hyperbolic().then_some(&hyper[..]),
+                fd.map(|_| &factors[..]),
+            );
+        };
+        for (i, centre) in [0.0f32, 10.0, 25.0].into_iter().enumerate() {
+            for m in 0..8 {
+                let t = (i * 8 + m) as f32 / 24.0;
+                push(
+                    &mut db,
+                    [centre + m as f32 * 0.01, 0.0],
+                    [0.2 + t, 1.0, 1.2 - t, 0.5],
+                );
+            }
+        }
+        let ids = (db.len()..db.len() + poison).collect();
+        for m in 0..poison {
+            let bad = if variant.uses_fusion() {
+                f32::INFINITY
+            } else {
+                -f32::NAN
+            };
+            push(&mut db, [10.0 + m as f32 * 0.01, bad], [0.5, 1.0, 0.0, 0.0]);
+        }
+        let mut q = db.empty_like();
+        push(&mut q, [query_x, 0.0], [0.7, 0.9, 0.4, 1.1]);
+        (db, q, ids)
+    }
+
+    /// The one place a dropped cell could have probed: the k-th best
+    /// falls to a negative NaN after the filter ran at a finite `τ`, and
+    /// a NaN `τ` certifies nothing. Only the mix space reaches it within
+    /// one segment: a row at a negative NaN from every centroid joins
+    /// cell 0 and makes its radius NaN, and a `Triangle` key is then 0, so
+    /// that cell is visited first; a `MixBound` key is the fused centroid
+    /// distance, which puts it anywhere. Three poisoned rows sit in a cell
+    /// the walk reaches second, and a far cell after it is dropped by the
+    /// filter; once the `k = 3` slots hold the poisoned rows' `−NaN`s the
+    /// far cell goes back into the walk, and the probe reports the
+    /// oracle's counts — every cell probed — as well as its hits.
+    #[test]
+    fn a_tau_that_falls_to_nan_puts_dropped_cells_back() {
+        let variant = PluginVariant::FusionDist;
+        // The query position at which the poisoned cell is the second
+        // of three in visit order.
+        let found = [0.0f32, 10.0, 17.0, 25.0].into_iter().find_map(|x| {
+            let (db, q, poison) = neg_nan_fixture(variant, 3, x);
+            let ix = IndexedStore::build(db, params(3));
+            let poisoned = ix
+                .cells
+                .iter()
+                .position(|c| c.members.contains(&(poison[0] as u32)))?;
+            let (_, keys) = scalar_ranking(&ix, &q, 0);
+            let mut order: Vec<usize> = (0..3).collect();
+            order.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]).then(a.cmp(&b)));
+            (order[1] == poisoned).then_some((ix, q, poison))
+        });
+        let (ix, q, poison) = found.expect("a query that visits the poisoned cell second");
+        let run = |oracle: bool, dead: Option<Mask<'_>>| {
+            let (mut top, mut stats) = (TopK::new(3), ProbeStats::default());
+            if oracle {
+                sorted_scan(&ix, &q, 0, dead, 0, &mut top, &mut stats);
+            } else {
+                ix.scan(&q, 0, dead, 0, &mut top, &mut stats);
+            }
+            (bits(&results_from_topk(top)), stats)
+        };
+        let (want, want_stats) = run(true, None);
+        assert_eq!(run(false, None), (want.clone(), want_stats));
+        assert!(want.iter().all(|&(_, d)| f32::from_bits(d).is_nan()));
+        assert_eq!((want_stats.cells_probed, want_stats.cells_pruned), (3, 0));
+        // With the poisoned rows dead, τ stays finite and the far cell is
+        // dropped.
+        let mut dead = Tombstones::default();
+        for &r in &poison {
+            dead.insert(r);
+        }
+        let (want, want_stats) = run(true, dead.mask());
+        assert_eq!(run(false, dead.mask()), (want, want_stats));
+        assert_eq!((want_stats.cells_probed, want_stats.cells_pruned), (2, 1));
+    }
+
     #[test]
     fn nan_rows_fail_open_and_stay_deterministic() {
         let mut db = EmbeddingStore::new(2, PluginVariant::Original, 1.0, None);
@@ -673,26 +908,48 @@ mod tests {
         assert_eq!(stats.cells_probed + stats.cells_pruned, stats.cells);
     }
 
-    /// The probe loop as it was before the lazy visit order: rank every
-    /// cell, sort all of them by `(key, id)`, walk every one. It also
-    /// checks the early exit on live data: from the first cell where
-    /// `exits` holds, every cell walked must be one `skips_cell` skips.
-    /// Returns how many cells it walked past that point.
+    /// The scalar cell ranking: one kernel binding per centroid, the
+    /// ranking the probe had before it scanned a lane copy — `(pq, key)`
+    /// per cell.
+    fn scalar_ranking(
+        ix: &IndexedStore,
+        queries: &EmbeddingStore,
+        qi: usize,
+    ) -> (Vec<(f64, f64)>, Vec<f64>) {
+        let (space, cents) = (ix.space, &ix.centroids);
+        (0..ix.cells.len())
+            .map(|j| match space {
+                BoundSpace::ConvexMix { beta } => {
+                    let kern = kernel::FusedKernel::bind(cents, queries, qi);
+                    let (fused, lo, eu) = kern.distance_and_components(j);
+                    let theta = MixBound::new(beta, ix.store.dim()).theta(lo as f64);
+                    ((eu as f64, theta), fused as f64)
+                }
+                _ => {
+                    let p = space.map(kernel::distance_one(cents, queries, qi, j) as f64);
+                    ((p, f64::NAN), (p - ix.cells[j].radius).max(0.0))
+                }
+            })
+            .unzip()
+    }
+
+    /// The probe loop without a filter: rank every cell one centroid at a
+    /// time ([`scalar_ranking`]), sort all of them by `(key, id)`, walk
+    /// every one under the `τ` of its turn.
     #[allow(clippy::too_many_arguments)]
     fn sorted_probe<K: DistanceKernel, P: PruneBound>(
         ix: &IndexedStore,
         kern: &K,
         bound: &P,
-        queries: &EmbeddingStore,
-        qi: usize,
+        pq: &[P::Dist],
+        keys: &[f64],
         dead: Option<Mask<'_>>,
         key_offset: usize,
         top: &mut TopK,
         stats: &mut ProbeStats,
-    ) -> usize {
+    ) {
         stats.rows += ix.store.len();
-        let ranking = bound.rank_cells(&ix.centroids, &ix.cells, queries, qi);
-        let mut order: Vec<(f64, u32)> = (ranking.keys.iter().enumerate())
+        let mut order: Vec<(f64, u32)> = (keys.iter().enumerate())
             .map(|(j, &key)| (key, j as u32))
             .collect();
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -700,8 +957,7 @@ mod tests {
         let k = top.k();
         let mut tau_bits = f64::INFINITY.to_bits();
         let mut tau = bound.tau(f64::INFINITY);
-        let (mut exited, mut past_exit) = (false, 0);
-        for &(key, j) in &order {
+        for &(_, j) in &order {
             let cell = &ix.cells[j as usize];
             if cell.members.is_empty() {
                 continue;
@@ -713,16 +969,9 @@ mod tests {
                     tau = bound.tau(worst);
                 }
             }
-            let pqj = ranking.pq[j as usize];
+            let pqj = pq[j as usize];
             let mut thresh = bound.thresholds(tau, pqj, cell);
-            let skipped = P::skips_cell(thresh, pqj, cell);
-            exited |= bound.exits(tau, ranking.reach, key);
-            assert!(
-                !exited || skipped,
-                "exit fired before cell {j}, which probes"
-            );
-            past_exit += usize::from(exited);
-            if skipped {
+            if P::skips_cell(thresh, pqj, cell) {
                 stats.cells_pruned += 1;
                 continue;
             }
@@ -748,7 +997,6 @@ mod tests {
                 }
             }
         }
-        past_exit
     }
 
     /// [`IndexedStore::scan`]'s dispatch around [`sorted_probe`].
@@ -760,22 +1008,24 @@ mod tests {
         key_offset: usize,
         top: &mut TopK,
         stats: &mut ProbeStats,
-    ) -> usize {
+    ) {
         stats.cells += ix.cells.len();
         let (space, dim, db) = (ix.space, ix.store.dim(), &ix.store);
         if !ix.cells.is_empty() && top.k() > 0 {
-            let tri = Triangle { space, dim };
+            let (pq, keys) = scalar_ranking(ix, queries, qi);
+            let one: Vec<f64> = pq.iter().map(|p| p.0).collect();
+            let tri = Triangle::new(space, dim);
             match space {
                 BoundSpace::Euclidean => {
                     let kern = kernel::EuclideanKernel::bind(db, queries, qi);
                     return sorted_probe(
-                        ix, &kern, &tri, queries, qi, dead, key_offset, top, stats,
+                        ix, &kern, &tri, &one, &keys, dead, key_offset, top, stats,
                     );
                 }
                 BoundSpace::LorentzGeodesic { .. } => {
                     let kern = kernel::LorentzKernel::bind(db, queries, qi);
                     return sorted_probe(
-                        ix, &kern, &tri, queries, qi, dead, key_offset, top, stats,
+                        ix, &kern, &tri, &one, &keys, dead, key_offset, top, stats,
                     );
                 }
                 BoundSpace::ConvexMix { beta } if bound::mix_certifies_query(queries, qi) => {
@@ -783,22 +1033,19 @@ mod tests {
                         kernel::FusedKernel::bind(db, queries, qi),
                         MixBound::new(beta, dim),
                     );
-                    return sorted_probe(
-                        ix, &kern, &mix, queries, qi, dead, key_offset, top, stats,
-                    );
+                    return sorted_probe(ix, &kern, &mix, &pq, &keys, dead, key_offset, top, stats);
                 }
                 _ => {}
             }
         }
         kernel::scan_offer_masked(db, queries, qi, dead, key_offset, top, stats);
-        0
     }
 
-    /// `n` seeded rows in six tight clusters, so cells prune and the visit
-    /// stops early. With `poison`, about one row in twelve carries a NaN
-    /// or `±∞` coordinate in both its Euclidean and its hyperbolic row —
-    /// its cell's radius is then not finite, which keeps the visit from
-    /// stopping early anywhere. Fused factors are certified.
+    /// `n` seeded rows in six tight clusters, so whole cells prune. With
+    /// `poison`, about one row in twelve carries a NaN or `±∞` coordinate
+    /// in both its Euclidean and its hyperbolic row — its cell's radius is
+    /// then not finite, which keeps that cell from ever being skipped
+    /// whole. Fused factors are certified.
     pub(super) fn clustered_store(
         variant: PluginVariant,
         n: usize,
@@ -834,10 +1081,12 @@ mod tests {
         s
     }
 
-    /// The lazy visit order and the early exit change nothing observable:
-    /// on seeded stores in every pruning space, with poisoned rows, every
-    /// `k` regime, tombstones and a heap an earlier segment filled, the
-    /// probe returns the sort-then-walk loop's hit bits and `ProbeStats`.
+    /// The lane ranking and the cell filter change nothing observable: on
+    /// seeded stores in every pruning space, with poisoned rows, cell
+    /// counts from one to one per row, every `k` regime, tombstones and a
+    /// heap an earlier segment filled, the probe returns the hit bits and
+    /// `ProbeStats` of the loop that ranks every cell with the scalar
+    /// kernel, sorts them all and walks every one.
     #[test]
     fn probe_matches_the_sort_then_walk_oracle() {
         use rand::rngs::StdRng;
@@ -847,69 +1096,69 @@ mod tests {
             PluginVariant::LorentzCosh,
             PluginVariant::FusionDist,
         ] {
-            let mut past_exit = 0;
+            let mut cells_pruned = 0;
             for seed in 0..6 {
                 let poison = seed % 2 == 1;
                 let db = clustered_store(variant, 300, poison, seed);
-                let ix = IndexedStore::build(db, params(17));
-                assert!(ix.bound_space().prunes() && ix.num_cells() > 0);
                 let earlier = clustered_store(variant, 40, poison, seed + 100);
                 let queries = clustered_store(variant, 12, poison, seed + 200);
                 let mut rng = StdRng::seed_from_u64(seed + 300);
                 let mut mask = Tombstones::default();
-                for r in 0..ix.len() {
+                for r in 0..db.len() {
                     if rng.gen_range(0..5) == 0 {
                         mask.insert(r);
                     }
                 }
-                for dead in [None, mask.mask()] {
-                    for k in [0, 1, 10, ix.len() + 7] {
-                        for prefill in [false, true] {
-                            for qi in 0..queries.len() {
-                                let run = |oracle: bool| {
-                                    let (mut top, mut stats) =
-                                        (TopK::new(k), ProbeStats::default());
-                                    let offset = if prefill {
-                                        kernel::scan_offer_masked(
-                                            &earlier, &queries, qi, None, 0, &mut top, &mut stats,
-                                        );
-                                        earlier.len()
-                                    } else {
-                                        0
+                for n_cells in [1, 8, 9, 17, db.len()] {
+                    let ix = IndexedStore::build(db.clone(), params(n_cells));
+                    assert!(ix.bound_space().prunes() && ix.num_cells() == n_cells);
+                    for dead in [None, mask.mask()] {
+                        for k in [0, 1, 10, ix.len() + 7] {
+                            for prefill in [false, true] {
+                                for qi in 0..queries.len() {
+                                    let run = |oracle: bool| {
+                                        let (mut top, mut stats) =
+                                            (TopK::new(k), ProbeStats::default());
+                                        let offset = if prefill {
+                                            kernel::scan_offer_masked(
+                                                &earlier, &queries, qi, None, 0, &mut top,
+                                                &mut stats,
+                                            );
+                                            earlier.len()
+                                        } else {
+                                            0
+                                        };
+                                        if oracle {
+                                            sorted_scan(
+                                                &ix, &queries, qi, dead, offset, &mut top,
+                                                &mut stats,
+                                            );
+                                        } else {
+                                            ix.scan(
+                                                &queries, qi, dead, offset, &mut top, &mut stats,
+                                            );
+                                        }
+                                        (bits(&results_from_topk(top)), stats)
                                     };
-                                    let past = if oracle {
-                                        sorted_scan(
-                                            &ix, &queries, qi, dead, offset, &mut top, &mut stats,
-                                        )
-                                    } else {
-                                        ix.scan(&queries, qi, dead, offset, &mut top, &mut stats);
-                                        0
-                                    };
-                                    (bits(&results_from_topk(top)), stats, past)
-                                };
-                                let (want, want_stats, past) = run(true);
-                                let (got, got_stats, _) = run(false);
-                                let ctx = format!(
-                                    "{} seed={seed} poison={poison} dead={} k={k} prefill={prefill} qi={qi}",
-                                    variant.name(),
-                                    dead.is_some()
-                                );
-                                assert_eq!(got, want, "{ctx}");
-                                assert_eq!(got_stats, want_stats, "{ctx}");
-                                past_exit += past;
+                                    let (want, want_stats) = run(true);
+                                    let (got, got_stats) = run(false);
+                                    let ctx = format!(
+                                        "{} seed={seed} poison={poison} cells={n_cells} dead={} \
+                                         k={k} prefill={prefill} qi={qi}",
+                                        variant.name(),
+                                        dead.is_some()
+                                    );
+                                    assert_eq!(got, want, "{ctx}");
+                                    assert_eq!(got_stats, want_stats, "{ctx}");
+                                    cells_pruned += got_stats.cells_pruned;
+                                }
                             }
                         }
                     }
                 }
             }
-            // The metric fixtures do reach the early exit; the mix bound
-            // never takes it.
-            assert_eq!(
-                past_exit > 0,
-                variant != PluginVariant::FusionDist,
-                "{}",
-                variant.name()
-            );
+            // The fixtures do certify cells out, so the filter drops some.
+            assert!(cells_pruned > 0, "{}", variant.name());
         }
     }
 

@@ -314,11 +314,13 @@ pub(crate) type Lanes = [f32; LANES];
 /// Rows of one store copied column-major, [`LANES`] rows to a group, so
 /// that one row's distances to a whole group come out of a single pass
 /// over the group's columns — the shape of the index build's scans, which
-/// take each row against many (every centroid, or every sample row).
-/// Only the buffers the variant's kernel reads are copied. Lanes past the
-/// last row repeat it, so each holds the last row's distance bits under
-/// a higher index: a selection that breaks ties toward the lower index
-/// never picks one, and a scan needs no mask.
+/// take each row against many (every centroid, or every sample row), and
+/// of a query's cell ranking, which takes the query against every
+/// centroid (the index keeps a block of its centroids for it). Only the
+/// buffers the variant's kernel reads are copied. Lanes past the last row
+/// repeat it, so each holds the last row's distance bits under a higher
+/// index: a selection that breaks ties toward the lower index never picks
+/// one, and a scan needs no mask.
 ///
 /// Every lane runs its scalar kernel's arithmetic in the same order —
 /// [`euclidean_f32`], [`lorentz_f32`], [`alpha_f32`] (from the start
@@ -326,6 +328,7 @@ pub(crate) type Lanes = [f32; LANES];
 /// bits of [`DistanceKernel::distance_to`] with the scanned row as the
 /// query and the block's row as the database row, up to the sign and
 /// payload of a NaN (which Rust leaves unspecified in either loop).
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct LaneBlock {
     variant: PluginVariant,
     beta: f32,
@@ -386,40 +389,88 @@ impl LaneBlock {
         qi: usize,
         mut visit: impl FnMut(usize, &Lanes),
     ) {
+        let q = self.query(queries, qi);
+        for g in 0..self.groups() {
+            let d = match self.variant {
+                PluginVariant::Original => euclidean_lanes(q.eu, self.group(&self.eu, 0, g)),
+                PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
+                    lorentz_lanes(q.hyper, self.group(&self.hyper, 1, g), self.beta)
+                }
+                PluginVariant::FusionDist => self.fused_group(&q, g)[0],
+            };
+            visit(g, &d);
+        }
+    }
+
+    /// [`LaneBlock::scan`] of a `fusion-dist` block that hands `visit`
+    /// each group's `[fused, d_Lo, d_Eu]`: the fused distance and the two
+    /// component distances it blends, the bits of
+    /// `FusedKernel::distance_and_components` lane by lane.
+    pub(crate) fn scan_fused(
+        &self,
+        queries: &EmbeddingStore,
+        qi: usize,
+        mut visit: impl FnMut(usize, &[Lanes; 3]),
+    ) {
+        debug_assert_eq!(self.variant, PluginVariant::FusionDist);
+        let q = self.query(queries, qi);
+        for g in 0..self.groups() {
+            visit(g, &self.fused_group(&q, g));
+        }
+    }
+
+    /// Number of lane groups.
+    fn groups(&self) -> usize {
+        self.len.div_ceil(LANES)
+    }
+
+    /// Group `g`'s columns of `cols`, the copied buffer `widths[buf]`
+    /// describes.
+    #[inline(always)]
+    fn group<'a>(&self, cols: &'a [Lanes], buf: usize, g: usize) -> &'a [Lanes] {
+        let w = self.widths[buf];
+        &cols[g * w..(g + 1) * w]
+    }
+
+    /// Row `qi` of `queries`, sliced to the buffers the block copied.
+    /// `queries` must share the gathered store's layout.
+    fn query<'a>(&self, queries: &'a EmbeddingStore, qi: usize) -> QueryRow<'a> {
         debug_assert_eq!(
             (queries.variant, queries.beta.to_bits()),
             (self.variant, self.beta.to_bits())
         );
         let [ew, hw, fw] = self.widths;
-        let q_eu = &queries.eu[qi * ew..(qi + 1) * ew];
-        let q_hyper = &queries.hyper[qi * hw..(qi + 1) * hw];
-        let q_factors = &queries.factors[qi * fw..(qi + 1) * fw];
-        for g in 0..self.len.div_ceil(LANES) {
-            let eu = &self.eu[g * ew..(g + 1) * ew];
-            let hyper = &self.hyper[g * hw..(g + 1) * hw];
-            let d = match self.variant {
-                PluginVariant::Original => euclidean_lanes(q_eu, eu),
-                PluginVariant::LorentzVanilla | PluginVariant::LorentzCosh => {
-                    lorentz_lanes(q_hyper, hyper, self.beta)
-                }
-                PluginVariant::FusionDist => {
-                    let (f, factors) = (fw / 2, &self.factors[g * fw..(g + 1) * fw]);
-                    let lo_dot = dot_lanes(&q_factors[..f], &factors[..f]);
-                    let eu_dot = dot_lanes(&q_factors[f..], &factors[f..]);
-                    let (lo, eu) = (
-                        lorentz_lanes(q_hyper, hyper, self.beta),
-                        euclidean_lanes(q_eu, eu),
-                    );
-                    let mut fused = [0.0f32; LANES];
-                    for l in 0..LANES {
-                        fused[l] = fused_f32(alpha_from_dots(lo_dot[l], eu_dot[l]), lo[l], eu[l]);
-                    }
-                    fused
-                }
-            };
-            visit(g, &d);
+        QueryRow {
+            eu: &queries.eu[qi * ew..(qi + 1) * ew],
+            hyper: &queries.hyper[qi * hw..(qi + 1) * hw],
+            factors: &queries.factors[qi * fw..(qi + 1) * fw],
         }
     }
+
+    /// The one fused lane routine: `[fused, d_Lo, d_Eu]` from `q` to every
+    /// lane of group `g`, each lane in [`FusedKernel`]'s order —
+    /// [`alpha_f32`]'s two dot products, [`lorentz_f32`],
+    /// [`euclidean_f32`], then [`fused_f32`].
+    #[inline(always)]
+    fn fused_group(&self, q: &QueryRow<'_>, g: usize) -> [Lanes; 3] {
+        let (f, factors) = (self.widths[2] / 2, self.group(&self.factors, 2, g));
+        let lo_dot = dot_lanes(&q.factors[..f], &factors[..f]);
+        let eu_dot = dot_lanes(&q.factors[f..], &factors[f..]);
+        let lo = lorentz_lanes(q.hyper, self.group(&self.hyper, 1, g), self.beta);
+        let eu = euclidean_lanes(q.eu, self.group(&self.eu, 0, g));
+        let mut fused = [0.0f32; LANES];
+        for l in 0..LANES {
+            fused[l] = fused_f32(alpha_from_dots(lo_dot[l], eu_dot[l]), lo[l], eu[l]);
+        }
+        [fused, lo, eu]
+    }
+}
+
+/// One query row's slices of the buffers a [`LaneBlock`] copied.
+struct QueryRow<'a> {
+    eu: &'a [f32],
+    hyper: &'a [f32],
+    factors: &'a [f32],
 }
 
 /// [`euclidean_f32`] from `q` to every lane of `cols`.
@@ -542,7 +593,9 @@ mod tests {
     /// Rust leaves the sign and payload of a NaN result unspecified, and
     /// when two NaNs meet in an add, which one survives depends on the
     /// operand order the compiler picked for that loop — the scalar
-    /// kernel's own NaN bits differ between debug and release builds.
+    /// kernel's own NaN bits differ between debug and release builds. The
+    /// fused block's `scan_fused` components are checked the same way,
+    /// against `FusedKernel::distance_and_components`.
     #[test]
     fn lane_scan_matches_scalar_kernel_bits() {
         use rand::{Rng, SeedableRng};
@@ -596,6 +649,26 @@ mod tests {
                         // Padding lanes repeat the last row.
                         let last = scalar[rows.len() - 1];
                         assert!(lanes[rows.len()..].iter().all(|&d| d == last));
+                        if variant != PluginVariant::FusionDist {
+                            continue;
+                        }
+                        // The fused scan's components are the scalar
+                        // kernel's, and its first lane array is `scan`'s.
+                        let kern = FusedKernel::bind(&db, &queries, qi);
+                        let scalar: Vec<[Option<u32>; 3]> = (rows.iter())
+                            .map(|&r| {
+                                let (fused, lo, eu) = kern.distance_and_components(r);
+                                [fused, lo, eu].map(bits_or_nan)
+                            })
+                            .collect();
+                        let mut parts = Vec::new();
+                        block.scan_fused(&queries, qi, |_, [fused, lo, eu]| {
+                            parts.extend(
+                                (0..LANES).map(|l| [fused[l], lo[l], eu[l]].map(bits_or_nan)),
+                            );
+                        });
+                        assert_eq!(parts[..rows.len()], scalar[..], "dim={dim} n={n} qi={qi}");
+                        assert!(parts.iter().zip(&lanes).all(|(p, &d)| p[0] == d));
                     }
                 }
             }

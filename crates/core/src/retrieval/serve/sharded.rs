@@ -53,6 +53,7 @@
 //! fold once per shard on the calling thread — the determinism escape
 //! hatch for tests and shutdown.
 
+use super::super::index::ProbeStats;
 use super::super::store::EmbeddingStore;
 use super::compactor::Compactor;
 use super::snapshot::Snapshot;
@@ -167,16 +168,33 @@ impl ShardedSnapshot {
     /// the module docs). Panics if `queries` does not share the store's
     /// layout.
     pub fn knn(&self, queries: &EmbeddingStore, qi: usize, k: usize) -> Vec<ServeHit> {
+        self.knn_with_stats(queries, qi, k).0
+    }
+
+    /// [`ShardedSnapshot::knn`] plus probe accounting, summed over every
+    /// segment of every shard: each base's index probe and each delta
+    /// chunk's flat scan.
+    pub fn knn_with_stats(
+        &self,
+        queries: &EmbeddingStore,
+        qi: usize,
+        k: usize,
+    ) -> (Vec<ServeHit>, ProbeStats) {
         let mut top = TopK::new(k);
+        let mut stats = ProbeStats {
+            queries: 1,
+            ..ProbeStats::default()
+        };
         // First key of each shard, ascending.
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut offset = 0usize;
         for s in &self.shards {
             offsets.push(offset);
-            s.scan(queries, qi, offset, &mut top);
+            s.scan(queries, qi, offset, &mut top, &mut stats);
             offset += s.key_space();
         }
-        top.into_sorted()
+        let hits = top
+            .into_sorted()
             .into_iter()
             .map(|(key, distance)| {
                 // The last shard starting at or before `key` (empty
@@ -187,7 +205,8 @@ impl ShardedSnapshot {
                     distance: distance as f32,
                 }
             })
-            .collect()
+            .collect();
+        (hits, stats)
     }
 
     /// Batched [`ShardedSnapshot::knn`], parallel across queries.
@@ -542,6 +561,77 @@ mod tests {
             let churned = store.snapshot();
             assert_eq!(churned.delta_rows(), 3);
             check(&churned, [a[0], a[2], a[3], b[0]]);
+        }
+    }
+
+    /// `knn_with_stats` reports what the scans did. A one-shard snapshot
+    /// with an empty delta reports exactly its base's
+    /// `IndexedStore::knn_with_stats`; with delta rows over two chunks and
+    /// tombstones in base and delta, one query and the sum of the base
+    /// probe (against its tombstones) and each delta chunk's flat scan,
+    /// which evaluates every live delta row. The hits are `knn`'s.
+    #[test]
+    fn snapshot_stats_sum_the_base_probe_and_the_delta_scans() {
+        for variant in PluginVariant::ABLATION {
+            let mut base = EmbeddingStore::new(2, variant, 1.0, variant.uses_fusion().then_some(2));
+            for i in 0..200 {
+                push_point(&mut base, (i % 20) as f32 * 5.0 + (i / 20) as f32 * 0.01);
+            }
+            let mut q = base.empty_like();
+            push_point(&mut q, 31.0);
+            let opts = ShardedServingOptions {
+                shards: 1,
+                serving: ServingOptions {
+                    compact_threshold: 0,
+                    ..ServingOptions::default()
+                },
+            };
+            let store = ShardedServingStore::new(base, (0..200).collect(), opts).expect("ids");
+            let bits = |hits: &[ServeHit]| -> Vec<(u64, u32)> {
+                hits.iter().map(|h| (h.id, h.distance.to_bits())).collect()
+            };
+            let snap = store.snapshot();
+            for k in [1, 5, 40] {
+                let (hits, stats) = snap.knn_with_stats(&q, 0, k);
+                assert_eq!(bits(&hits), bits(&snap.knn(&q, 0, k)));
+                let (_, want) = snap.shards[0].base.knn_with_stats(&q, 0, k);
+                assert_eq!(stats, want, "{} k={k}", variant.name());
+                assert!(stats.cells_pruned > 0, "{} k={k}", variant.name());
+            }
+
+            for id in 150..(150 + CHUNK as u64 + 30) {
+                let mut row = q.empty_like();
+                push_point(&mut row, (id % 17) as f32 * 6.0);
+                let (hyper, factors) = (
+                    variant.uses_hyperbolic().then(|| row.hyper_row(0)),
+                    variant.uses_fusion().then(|| row.factor_row(0)),
+                );
+                store
+                    .upsert(id, row.eu_row(0), hyper, factors)
+                    .expect("upsert");
+            }
+            for id in [3, 31, 160, 170, 200, 250] {
+                assert!(store.remove(id).expect("remove"));
+            }
+            let snap = store.snapshot();
+            let shard = &snap.shards[0];
+            assert!(shard.delta.len() > CHUNK && !shard.delta_dead.is_empty());
+            for k in [1, 5, 40] {
+                let (hits, stats) = snap.knn_with_stats(&q, 0, k);
+                assert_eq!(bits(&hits), bits(&snap.knn(&q, 0, k)));
+                let (mut top, mut want) = (
+                    TopK::new(k),
+                    ProbeStats {
+                        queries: 1,
+                        ..ProbeStats::default()
+                    },
+                );
+                let base_dead = shard.base_dead.mask();
+                shard.base.scan(&q, 0, base_dead, 0, &mut top, &mut want);
+                want.rows += shard.delta.len();
+                want.rows_scanned += shard.delta.len() - shard.delta_dead.len();
+                assert_eq!(stats, want, "{} k={k}", variant.name());
+            }
         }
     }
 

@@ -242,20 +242,20 @@ impl Snapshot {
 
     /// Offers this snapshot's live rows into `top`: the base through its
     /// index at `key_offset`, then each delta chunk through the flat scan
-    /// behind it, against the tombstone bits in place.
+    /// behind it, against the tombstone bits in place. Adds what the scans
+    /// did into `stats` (everything but `queries`, which belongs to the
+    /// caller that owns the query).
     pub(crate) fn scan(
         &self,
         queries: &EmbeddingStore,
         qi: usize,
         key_offset: usize,
         top: &mut TopK,
+        stats: &mut ProbeStats,
     ) {
-        // Counted and dropped: the serving tier reports no probe
-        // accounting yet (ROADMAP item 1).
-        let mut stats = ProbeStats::default();
         let base_dead = self.base_dead.mask();
         self.base
-            .scan(queries, qi, base_dead, key_offset, top, &mut stats);
+            .scan(queries, qi, base_dead, key_offset, top, stats);
         let (delta_offset, delta_dead) = (key_offset + self.base.len(), self.delta_dead.mask());
         for (c, chunk) in self.delta.chunks().enumerate() {
             let first = c * CHUNK;
@@ -266,7 +266,7 @@ impl Snapshot {
                 delta_dead.map(|d| d.skip(first)),
                 delta_offset + first,
                 top,
-                &mut stats,
+                stats,
             );
         }
     }
